@@ -1,17 +1,16 @@
 """Benchmark: warm-worker parallel full-fabric check vs. the serial sweep.
 
-Three claims are measured and gated:
+One ratio is recorded and two claims are gated:
 
-* **warm speedup** — on the ``datacenter_profile`` fabric (512 leaves,
-  ~90k deployed rules, every switch in the exact-BDD range) a 4-worker
-  persistent pool, once its per-worker memo caches are warm, must complete
-  the full L-T sweep at least ``SPEEDUP_FLOOR`` times faster than the
-  serial ``ScoutSystem.check()``.  The floor is enforced whenever the
-  machine has at least ``WORKERS`` cores — warm rounds answer most shards
-  from cache, so the margin is wide enough that even noisy shared CI
-  runners clear it; the measured ratio is always recorded in
-  ``BENCH_parallel.json`` either way, with a ``::warning::`` annotation
-  when the floor could not be enforced.
+* **warm speedup (recorded, not gated)** — on the ``datacenter_profile``
+  fabric (512 leaves, ~90k deployed rules) the serial
+  ``ScoutSystem.check()`` against a 4-worker persistent pool whose
+  per-worker memo caches are warm.  While the serial sweep rebuilt a BDD
+  per leaf (~16 s) the warm pool won ~20x and a 2x floor gated it; with
+  the atomic-predicate engine the serial sweep is under a second, both
+  sides are dominated by the same serial ``compile_logical`` prologue and
+  the ratio sits near 1x, so there is no floor — ``speedup`` and
+  ``speedup_cold`` in ``BENCH_parallel.json`` track the trajectory.
 * **identity** — the cold parallel, warm parallel and serial reports must
   be *byte-identical* (equal :meth:`EquivalenceReport.fingerprint`) on the
   timed fabric and on every paper profile: testbed, simulation and
@@ -20,11 +19,11 @@ Three claims are measured and gated:
   fast one, and a cache hit must be indistinguishable from a fresh check.
 * **cache effectiveness** — the traced warm round's stage attribution must
   show a non-zero worker cache hit-rate: if the memo layer silently stops
-  hitting, the speedup claim degrades to the cold number and this gate
-  names the culprit before the floor does.
+  hitting, every warm round degrades to the cold number and this gate
+  names the culprit.
 
 A final traced round decomposes the warm parallel wall time into named
-stages (plan, pickle, worker spawn+IPC, in-worker BDD build, check,
+stages (plan, pickle, worker spawn+IPC, in-worker unpickle, check,
 serialize, merge) plus the per-worker cache counters; the breakdown must
 account for ≥90% of measured wall time and is embedded under
 ``"attribution"`` in ``BENCH_parallel.json`` so a regressed speedup always
@@ -49,9 +48,8 @@ from repro.workloads import datacenter_profile, production_cluster_profile
 from repro.workloads import simulation_profile
 from repro.workloads import testbed_profile as paper_testbed_profile
 
-from conftest import emit_bench_json, full_scale, lax
+from conftest import emit_bench_json, full_scale
 
-SPEEDUP_FLOOR = 2.0
 WORKERS = 4
 ATTRIBUTION_COVERAGE_FLOOR = 0.9
 
@@ -69,8 +67,8 @@ def test_warm_parallel_sweep_vs_serial():
         serial_times.append(time.perf_counter() - start)
     serial_seconds = statistics.median(serial_times)
 
-    # Cold round: fresh pool, empty worker caches — pays spawn + full BDD
-    # builds.  ``close()`` guarantees the cold start even if an earlier
+    # Cold round: fresh pool, empty worker caches — pays spawn + every
+    # check.  ``close()`` guarantees the cold start even if an earlier
     # code path already warmed a pool on this system.
     system.close()
     start = time.perf_counter()
@@ -134,7 +132,6 @@ def test_warm_parallel_sweep_vs_serial():
     speedup = serial_seconds / warm_seconds
     speedup_cold = serial_seconds / cold_seconds
     cpu_count = os.cpu_count() or 1
-    enforced = cpu_count >= WORKERS
     print()
     print(f"fabric:                        {total_switches} switches")
     print(f"serial ScoutSystem.check():    {serial_seconds:8.2f} s")
@@ -161,23 +158,6 @@ def test_warm_parallel_sweep_vs_serial():
         if seconds > 0:
             print(f"  {stage:<22} {seconds:8.3f} s  ({seconds / traced_seconds:5.1%})")
     print(f"dominant stage:                {breakdown['dominant_stage']}")
-    if enforced:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"warm parallel sweep only {speedup:.2f}x faster than serial "
-            f"(floor {SPEEDUP_FLOOR}x on {cpu_count} cores); "
-            f"cold was {speedup_cold:.2f}x, dominant stage: "
-            f"{breakdown['dominant_stage']}"
-        )
-    else:
-        # A loud GitHub annotation instead of a silent pass: a regression can
-        # hide behind an unenforced floor, but it should never hide quietly.
-        print(
-            f"::warning title=parallel speedup floor not enforced::"
-            f"measured warm {speedup:.2f}x / cold {speedup_cold:.2f}x vs "
-            f"floor {SPEEDUP_FLOOR}x (cpu_count={cpu_count} < {WORKERS}); "
-            f"dominant stage: {breakdown['dominant_stage']}"
-        )
-
     emitted = emit_bench_json(
         "parallel",
         {
@@ -190,9 +170,6 @@ def test_warm_parallel_sweep_vs_serial():
             "warm_parallel_seconds": warm_seconds,
             "speedup": speedup,
             "speedup_cold": speedup_cold,
-            "speedup_floor": SPEEDUP_FLOOR,
-            "floor_enforced": enforced,
-            "lax": lax(),
             "cpu_count": cpu_count,
             "reports_identical": True,
             "identity_profiles": sorted(identity_profiles),

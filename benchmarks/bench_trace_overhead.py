@@ -1,7 +1,7 @@
 """Benchmark: tracing instrumentation must be ~free when disabled.
 
 The span instrumentation now sits inside the hottest loops in the repo
-(BDD build, per-pair recompiles, blast-radius switch checks).  Its
+(engine build, per-pair recompiles, blast-radius switch checks).  Its
 contract is *near-zero cost when disabled*: one ``ContextVar.get`` plus
 one attribute check per ``span()`` call.  This benchmark holds the repo to
 that contract on the same modify→refresh loop ``bench_online.py`` times:

@@ -4,7 +4,7 @@
 The online monitor (see ``usecase_live_monitoring.py``) avoids full sweeps,
 but operators still run them: after a controller upgrade, before a change
 freeze, whenever trust in the incremental state is gone.  On a production
-fabric that audit is CPU-bound BDD work, embarrassingly parallel across
+fabric that audit is CPU-bound work, embarrassingly parallel across
 switches — exactly what ``repro.parallel`` shards:
 
 1. a mid-size fabric (64 leaves) is deployed and then damaged: one rack's

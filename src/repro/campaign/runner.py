@@ -270,8 +270,6 @@ def _check_with_engine(
         return incremental.report()
     if cell.engine == "parallel":
         return system.check(parallel=True, max_workers=PARALLEL_WORKERS)
-    if cell.engine == "ap":
-        return system.check(engine="ap")
     return system.check()
 
 
@@ -301,19 +299,14 @@ def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
     with span("campaign.inject"):
         churn_report = driver.run()
 
-    # The driver's own system is also the cell's final sweep: it shares the
-    # engine-selection boundary with the monitor (with the default bdd_limit
-    # a mid-size leaf could be BDD-checked here but hash-checked by the
-    # monitor, and engine choice — not network state — would decide whether
-    # the engines' fingerprints agree) and the campaign's SCOUT window.
+    # The driver's own system is also the cell's final sweep (it already
+    # carries the campaign's SCOUT window).
     system = driver.system
     with span("campaign.check", engine=cell.engine):
         if cell.engine == "incremental":
             report = driver.monitor.report()
         elif cell.engine == "parallel":
             report = system.check(parallel=True, max_workers=PARALLEL_WORKERS)
-        elif cell.engine == "ap":
-            report = system.check(engine="ap")
         else:
             report = system.check()
         canonical = report.canonical()

@@ -59,11 +59,10 @@ OBJECT_FAULT_CLASSES = ("object-fault", "multi-fault")
 #: Fault classes whose ``count`` knob is meaningful (multi-fault: number of
 #: simultaneous object faults; churn: number of churn-stream events).
 COUNTED_FAULT_CLASSES = ("multi-fault", "churn")
-#: Verification engine modes a cell can run under.  The first three select
-#: *how* checks execute (one sweep, sharded workers, delta-driven refresh);
-#: ``ap`` runs a serial sweep pinned to the atomic-predicate checker engine
-#: (:mod:`repro.verify.atoms`) instead of the auto bdd/ap/hash ladder.
-ENGINE_MODES = ("serial", "parallel", "incremental", "ap")
+#: Verification engine modes a cell can run under: *how* checks execute
+#: (one sweep, sharded workers, delta-driven refresh), not which checker
+#: engine proves a switch.
+ENGINE_MODES = ("serial", "parallel", "incremental")
 #: Localization scopes (see :class:`~repro.core.system.ScoutSystem`).
 SCOPES = ("controller", "switch")
 

@@ -53,7 +53,7 @@ from ..obs import correlated, current_corr_id, dump_flightrecord, span
 from ..online.monitor import NetworkMonitor
 from ..policy.objects import Contract, Epg, Filter, FilterEntry
 from ..protocol import DeliveryStatus, Instruction, Operation
-from ..verify.checker import EquivalenceChecker, EquivalenceReport
+from ..verify.checker import EquivalenceReport
 from ..workloads.churn_profiles import ChurnProfile, churn_profile_for
 from ..workloads.generator import generate_workload
 from ..workloads.profiles import resolve_profile
@@ -192,7 +192,6 @@ class ChurnDriver:
         monitor: Optional[NetworkMonitor] = None,
         strict: bool = True,
         change_window: int = 100,
-        bdd_limit: int = 512,
         fault_kinds: Tuple[str, ...] = ("full", "partial"),
         max_workers: Optional[int] = None,
         partitions: int = 1,
@@ -206,30 +205,13 @@ class ChurnDriver:
         #: worker memoization pays, since most switches are unchanged
         #: between checkpoints.  ``None`` keeps the serial oracle.
         self.max_workers = max_workers
-        # A churn run re-checks violating switches thousands of times (every
-        # event that touches a faulted switch digests dirty), so heavyweight
-        # leaves get the atomic-predicate engine instead of a fresh ROBDD per
-        # pass (its table persists on each long-lived checker, so repeat
-        # checks patch atoms instead of rebuilding them): ``bdd_limit`` is
-        # lowered from the batch default and shared by every checker that
-        # judges this run — the monitor's, the oracle's from-scratch sweep,
-        # and the campaign cell's final check — so engine selection can never
-        # be the thing that differs.  Small switches keep BDDs.
-        self.bdd_limit = bdd_limit
         self.monitor = monitor or NetworkMonitor(
-            controller,
-            checker=EquivalenceChecker(bdd_limit=bdd_limit),
-            debounce_ticks=1,
-            partitions=partitions,
+            controller, debounce_ticks=1, partitions=partitions
         )
         if not self.monitor.running:
             self.monitor.start()
         #: Fresh-check side of the differential oracle (its own compile path).
-        self.system = ScoutSystem(
-            controller,
-            checker=EquivalenceChecker(bdd_limit=bdd_limit),
-            change_window=change_window,
-        )
+        self.system = ScoutSystem(controller, change_window=change_window)
         self.injector = FaultInjector(controller)
         #: Full/partial draw for FaultBurst events (campaign cells pass the
         #: spec's ``fault_kinds`` knob through; names validated eagerly).

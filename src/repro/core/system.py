@@ -149,15 +149,15 @@ class ScoutSystem:
         #: Lazily created persistent worker pool for parallel sweeps.
         self._pool: Optional[WarmWorkerPool] = None
         #: Derived checkers for per-call ``engine=`` overrides, cached so a
-        #: repeated override (e.g. every ``ap`` audit) reuses compiled state.
+        #: repeated override (a ``bdd`` cross-check audit) reuses its state.
         self._engine_checkers: Dict[str, EquivalenceChecker] = {}
 
     def _checker_for(self, engine: Optional[str]) -> EquivalenceChecker:
         """The system checker, or a derived one pinned to ``engine``.
 
-        Derived checkers share the base checker's rule space, limits and
-        atom table (atomic predicates refine monotonically, so sharing is
-        always sound), differing only in engine selection.
+        Derived checkers share the base checker's rule space and atom table
+        (atomic predicates refine monotonically, so sharing is always
+        sound), differing only in engine.
         """
         if engine is None or engine == self.checker.engine:
             return self.checker
@@ -166,8 +166,6 @@ class ScoutSystem:
             derived = EquivalenceChecker(
                 rule_space=self.checker.rule_space,
                 engine=engine,
-                bdd_limit=self.checker.bdd_limit,
-                ap_limit=self.checker.ap_limit,
                 atoms=self.checker.atoms,
             )
             self._engine_checkers[engine] = derived
@@ -214,16 +212,16 @@ class ScoutSystem:
     ) -> EquivalenceReport:
         """Compare desired (L) and deployed (T) rules across the fabric.
 
-        ``engine`` overrides the system checker's engine selection for this
-        sweep only (any :data:`~repro.verify.checker.ENGINES` value); the
-        derived checker shares the base checker's atom table and limits.
+        ``engine`` overrides the system checker's engine for this sweep only
+        (any :data:`~repro.verify.checker.ENGINES` value — in practice the
+        ``"bdd"`` oracle cross-check); the derived checker shares the base
+        checker's atom table.
 
         With ``parallel=True`` (or an explicit ``executor``) the per-switch
         checks run through the sharded engine — the system's persistent
         :class:`~repro.parallel.pool.WarmWorkerPool` of ``max_workers`` on
         large fabrics (workers and their memo caches survive across calls
-        until :meth:`close`), the deterministic in-process fallback on
-        small ones.  The report is identical either way; only the
+        until :meth:`close`), inline in this process on small ones.  The report is identical either way; only the
         wall-clock differs.
 
         ``trace`` activates the given :class:`~repro.obs.TraceCollector`
@@ -245,8 +243,7 @@ class ScoutSystem:
                 if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
                     # Large fabrics go through the persistent pool so the
                     # workers' memo caches survive into the next round;
-                    # small ones fall through to the inline fallback inside
-                    # resolve_executor (no processes to keep warm).
+                    # small ones run inline (no processes to keep warm).
                     executor = self.worker_pool(max_workers)
                 report = checker.check_many(
                     switches, executor=executor, max_workers=max_workers

@@ -55,7 +55,7 @@ class DeployedWorkload:
     index: PolicyIndex
     logical_rules: Dict[str, List[TcamRule]]
     snapshot: TcamSnapshot
-    checker: EquivalenceChecker = field(default_factory=lambda: EquivalenceChecker(engine="hash"))
+    checker: EquivalenceChecker = field(default_factory=EquivalenceChecker)
 
     @property
     def policy(self):

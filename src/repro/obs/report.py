@@ -143,8 +143,9 @@ def parallel_stage_breakdown(
     processes concurrently, so their busy time is divided by the number of
     workers actually used before being compared against wall clock.  The
     ``worker_spawn_and_ipc`` stage is the dispatch window not accounted for
-    by normalised worker busy time: pool construction, process spawn,
-    argument pickling transit, and result transit.  The ``cache`` block
+    by normalised worker busy time: worker respawns, argument pickling
+    transit, and result transit (the pool itself is the caller's and is
+    built before the check).  The ``cache`` block
     aggregates the per-shard memo-cache counters (``cache_hits`` /
     ``cache_misses`` on each ``worker.shard`` span), so the breakdown also
     says *why* a warm round was fast.
@@ -182,8 +183,7 @@ def parallel_stage_breakdown(
         "collect_deployed": totals.get("check.collect_deployed", 0.0),
         "plan": totals.get("parallel.plan", 0.0),
         "pickle": totals.get("parallel.build_tasks", 0.0),
-        "worker_spawn_and_ipc": totals.get("parallel.pool", 0.0)
-        + max(0.0, dispatch - norm(worker_busy)),
+        "worker_spawn_and_ipc": max(0.0, dispatch - norm(worker_busy)),
         "worker_unpickle": norm(totals.get("worker.unpickle", 0.0)),
         "worker_bdd_build": norm(bdd_build_in_worker),
         "worker_check": norm(

@@ -441,8 +441,7 @@ class IncrementalChecker:
         Blast radii big enough to amortize processes run on this checker's
         persistent :class:`~repro.parallel.pool.WarmWorkerPool` so repeat
         offenders (a flapping switch re-dirtied every few events) are
-        answered from warm worker caches; smaller ones stay inline via
-        ``resolve_executor``'s fallback.
+        answered from warm worker caches; smaller ones run inline.
         """
         if executor is None and len(pending) >= SMALL_FABRIC_SWITCHES:
             if self._pool is None or self._pool.closed:
@@ -570,7 +569,7 @@ class IncrementalChecker:
         what ``with_stats`` restores.
         """
         self._results = {
-            uid: _result_from_dict(data)
+            uid: SwitchCheckResult.from_dict(data)
             for uid, data in state.get("results", {}).items()
             if self._owns(uid)
         }
@@ -641,23 +640,6 @@ def _ordered_keys(keys: FrozenSet[MatchKey]) -> List[MatchKey]:
             key[4] if key[4] is not None else 0,
             key[5],
         ),
-    )
-
-
-def _result_from_dict(data: Dict) -> SwitchCheckResult:
-    """Rebuild one per-switch result from ``SwitchCheckResult.to_dict``.
-
-    (The service has an equivalent deserializer, but the online layer sits
-    below it — importing it here would invert the package layering.)
-    """
-    return SwitchCheckResult(
-        switch_uid=data["switch_uid"],
-        equivalent=data["equivalent"],
-        missing_rules=[TcamRule.from_dict(r) for r in data.get("missing_rules", ())],
-        extra_rules=[TcamRule.from_dict(r) for r in data.get("extra_rules", ())],
-        logical_count=data.get("logical_count", 0),
-        deployed_count=data.get("deployed_count", 0),
-        engine=data.get("engine", "bdd"),
     )
 
 

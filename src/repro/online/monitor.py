@@ -164,12 +164,10 @@ class NetworkMonitor:
             else:
                 # Sibling partitions may refresh on concurrent threads, and
                 # the atom table is not thread-safe — every partition gets
-                # its own engine clone (same space/engine/limits, own atoms).
+                # its own engine clone (same space/engine, own atoms).
                 part_checker = EquivalenceChecker(
                     rule_space=base_checker.rule_space,
                     engine=base_checker.engine,
-                    bdd_limit=base_checker.bdd_limit,
-                    ap_limit=base_checker.ap_limit,
                 )
             owned = (
                 self._owner_predicate(index) if self.partition_map is not None else None

@@ -4,10 +4,9 @@ The L-T equivalence check is embarrassingly parallel across switches, so
 this package partitions the fabric into balanced shards
 (:mod:`~repro.parallel.shards`), runs each shard's per-switch checks in a
 persistent warm worker pool with sticky shard routing
-(:mod:`~repro.parallel.pool`) — or a ``concurrent.futures`` process pool,
-or a deterministic in-process fallback (:mod:`~repro.parallel.executor`) —
-and merges the results into one network-wide
-:class:`~repro.verify.checker.EquivalenceReport`
+(:mod:`~repro.parallel.pool`) — or inline for batches too small to be worth
+a round trip (:mod:`~repro.parallel.executor`) — and merges the results
+into one network-wide :class:`~repro.verify.checker.EquivalenceReport`
 (:mod:`~repro.parallel.engine`).  Workers memoize per-pair compiled state
 keyed by rule-set digests (:mod:`~repro.parallel.memo`), so an unchanged
 switch is never re-derived across rounds.
@@ -31,7 +30,6 @@ from .engine import (
     plan_for_report,
     run_shard,
 )
-from .executor import SerialExecutor, resolve_executor
 from .memo import (
     WORKER_CACHE,
     CompiledOutcome,
@@ -46,7 +44,6 @@ __all__ = [
     "BrokenWorkerPool",
     "CompiledOutcome",
     "CompiledStateCache",
-    "SerialExecutor",
     "ShardPlan",
     "ShardResult",
     "ShardTask",
@@ -59,7 +56,6 @@ __all__ = [
     "plan_for_report",
     "plan_shards",
     "reset_worker_cache",
-    "resolve_executor",
     "ruleset_digest",
     "run_shard",
 ]

@@ -16,9 +16,9 @@ pure-data description of its switches' rule sets:
   :data:`~repro.parallel.memo.WORKER_CACHE` before doing any real work: a
   rule-set pair it has checked before — in an earlier round of a warm
   :class:`~repro.parallel.pool.WarmWorkerPool`, or on a twin switch in
-  this round — is answered from the memoized outcome without rebuilding a
-  single BDD node.  Only cache misses reconstruct rules and run the
-  checker (BDD managers never cross process boundaries);
+  this round — is answered from the memoized outcome without running a
+  check.  Only cache misses reconstruct rules and run the checker (atom
+  tables and BDD managers never cross process boundaries);
 * the worker returns match keys for the missing/extra sides, and the
   parent *rehydrates* those keys back into the original rule objects —
   provenance intact — so a merged :class:`EquivalenceReport` is
@@ -27,7 +27,7 @@ pure-data description of its switches' rule sets:
 Rehydration — and the memo cache riding on it — is exact because rule-set
 semantics are a pure function of the match keys: a logical rule lands in
 ``missing_rules`` iff its key does, whichever process (or cache entry)
-evaluated the BDD.
+evaluated it.
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from ..obs import TraceCollector, activated, correlated, current, current_corr_id, span
 from ..rules import MatchKey, TcamRule
-from ..verify.checker import (
-    DEFAULT_AP_LIMIT,
-    EquivalenceChecker,
-    EquivalenceReport,
-    SwitchCheckResult,
-)
+from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 from ..verify.encoding import RuleSpace
-from .executor import resolve_executor
 from .memo import WORKER_CACHE, CompiledOutcome, ruleset_digest
 from .shards import ShardPlan, clamp_workers, plan_shards
 
@@ -94,17 +88,13 @@ class ShardTask:
     switches — or by a switch's own logical and deployed sides — crosses
     the process boundary in a single copy.  The rule space travels as its
     field bit-widths — four integers — so the worker can rebuild an
-    identical encoder without pickling BDD state.
+    identical encoder without pickling checker state.
     """
 
     units: Tuple[SwitchWorkUnit, ...]
     buffers: Tuple[Tuple[MatchKey, ...], ...]
     engine: str
-    bdd_limit: int
     space_widths: Tuple[int, int, int, int]
-    #: Auto-ladder boundary between the atomic-predicate and hash engines
-    #: (defaulted so pickles from older plans stay loadable).
-    ap_limit: int = DEFAULT_AP_LIMIT
     #: When true the worker records spans for its own stages (digest+lookup,
     #: check, serialize) and ships them back inside the ShardResult.
     trace: bool = False
@@ -184,7 +174,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     attribute in-worker cost without any shared state.
     """
     collector = TraceCollector(enabled=task.trace)
-    config = (task.engine, task.bdd_limit, task.ap_limit, task.space_widths)
+    config = (task.engine, task.space_widths)
     # Restore the dispatcher's correlation id so worker spans are stamped at
     # birth.  Without one, leave the context alone: the parent's adopt() then
     # stamps its own ambient id, and a worker-minted id would shadow it.
@@ -207,19 +197,14 @@ def run_shard(task: ShardTask) -> ShardResult:
 
             resolved: List[CompiledOutcome] = []
             with span("worker.check"):
-                # The atomic-predicate engine's table outlives the shard:
-                # buffers already folded in (digest-keyed) are skipped, so a
-                # warm worker patches atoms only for genuinely new rule sets.
-                if task.engine in ("auto", "ap"):
-                    for ref, buffer in enumerate(task.buffers):
-                        WORKER_CACHE.observe_buffer(
-                            task.space_widths, digests[ref], buffer
-                        )
+                # The atom table outlives the shard: buffers already folded
+                # in (digest-keyed) are skipped, so a warm worker patches
+                # atoms only for genuinely new rule sets.
+                for ref, buffer in enumerate(task.buffers):
+                    WORKER_CACHE.observe_buffer(task.space_widths, digests[ref], buffer)
                 checker = EquivalenceChecker(
                     rule_space=RuleSpace(*task.space_widths),
                     engine=task.engine,
-                    bdd_limit=task.bdd_limit,
-                    ap_limit=task.ap_limit,
                     atoms=WORKER_CACHE.atom_table(task.space_widths),
                 )
                 for unit in task.units:
@@ -333,10 +318,11 @@ def check_switches(
     """Check a batch of switches, possibly in parallel, into one report.
 
     ``checker`` is the :class:`~repro.verify.checker.EquivalenceChecker`
-    whose configuration (engine selection, BDD limit, rule space) every
-    worker replicates.  The merged report lists switches in sorted-uid order
-    — byte-identical to :meth:`EquivalenceChecker.check_network` over the
-    same snapshots, whatever the executor, shard plan or cache state.
+    whose configuration (engine, rule space) every worker replicates.  The
+    merged report lists switches in sorted-uid order — byte-identical to
+    :meth:`EquivalenceChecker.check_network` over the same snapshots,
+    whatever the executor, shard plan or cache state.  With
+    ``executor=None`` the shards run inline in the calling process.
 
     Passing a :class:`~repro.parallel.pool.WarmWorkerPool` as ``executor``
     keeps the workers (and their memo caches) alive across calls; the plan
@@ -381,8 +367,6 @@ def check_switches(
                         units=units,
                         buffers=tuple(buffers),
                         engine=checker.engine,
-                        bdd_limit=checker.bdd_limit,
-                        ap_limit=checker.ap_limit,
                         space_widths=_space_widths(checker.rule_space),
                         trace=tracing,
                         corr_id=current_corr_id(),
@@ -391,30 +375,25 @@ def check_switches(
         build_span.count("shards", len(tasks))
         build_span.count("rule_buffers", interned)
 
-    with span("parallel.pool"):
-        pool, owned = resolve_executor(
-            max_workers, num_tasks=len(triples), executor=executor
-        )
-    try:
-        outcomes: Dict[str, SwitchWorkOutcome] = {}
-        cache_hits = 0
-        cache_misses = 0
-        with span("parallel.dispatch", shards=len(tasks)) as dispatch_span:
-            for shard_result in pool.map(run_shard, tasks):
-                for outcome in shard_result.outcomes:
-                    outcomes[outcome.switch_uid] = outcome
-                cache_hits += shard_result.cache_hits
-                cache_misses += shard_result.cache_misses
-                if tracing and shard_result.spans:
-                    # run_shard records onto its own local collector (even
-                    # when executed in-process), so the shipped spans are
-                    # the only copy — adopt them under the dispatch span.
-                    collector.adopt(shard_result.spans, parent=dispatch_span)
-            dispatch_span.count("cache_hits", cache_hits)
-            dispatch_span.count("cache_misses", cache_misses)
-    finally:
-        if owned:
-            pool.shutdown()
+    # Without an executor the shards run right here through the builtin map;
+    # a caller that wants processes passes its own WarmWorkerPool.
+    shard_map = executor.map if executor is not None else map
+    outcomes: Dict[str, SwitchWorkOutcome] = {}
+    cache_hits = 0
+    cache_misses = 0
+    with span("parallel.dispatch", shards=len(tasks)) as dispatch_span:
+        for shard_result in shard_map(run_shard, tasks):
+            for outcome in shard_result.outcomes:
+                outcomes[outcome.switch_uid] = outcome
+            cache_hits += shard_result.cache_hits
+            cache_misses += shard_result.cache_misses
+            if tracing and shard_result.spans:
+                # run_shard records onto its own local collector (even
+                # when executed in-process), so the shipped spans are
+                # the only copy — adopt them under the dispatch span.
+                collector.adopt(shard_result.spans, parent=dispatch_span)
+        dispatch_span.count("cache_hits", cache_hits)
+        dispatch_span.count("cache_misses", cache_misses)
 
     with span("parallel.merge"):
         report = EquivalenceReport()

@@ -1,91 +1,20 @@
-"""Executors for shard batches.
+"""Where a shard batch runs.
 
-Two execution strategies share one tiny surface (``map`` over shard tasks):
-
-* :class:`SerialExecutor` — runs everything inline, in submission order.
-  This is the deterministic fallback used by tests, by small fabrics where
-  process start-up would dominate, and by platforms without working
-  ``fork``/``spawn`` semantics.  It is also what makes serial/parallel
-  equality trivially testable: both paths run the exact same work units.
-* :class:`concurrent.futures.ProcessPoolExecutor` — real parallelism for
-  the CPU-bound BDD construction.  Work units are picklable by design
-  (match-key tuples in, match-key tuples out), so the pool never has to
-  serialize BDD managers or policy objects.
-
-:func:`resolve_executor` picks between them and reports whether the caller
-owns (and must shut down) the returned executor.  Callers that want warm
-workers across rounds pass a :class:`~repro.parallel.pool.WarmWorkerPool`
-explicitly — an explicit executor is always used as-is and never shut down
-here, which is exactly what keeps its memo caches alive.
+There are two routes and the batch size picks between them: below
+:data:`SMALL_FABRIC_SWITCHES` (or whenever the caller passes no executor)
+:func:`~repro.parallel.engine.check_switches` runs the shards inline in the
+calling process; at or above it the owners of long-lived state
+(:class:`~repro.core.system.ScoutSystem`,
+:class:`~repro.online.delta.IncrementalChecker`) pass their persistent
+:class:`~repro.parallel.pool.WarmWorkerPool`, whose memo caches survive from
+round to round.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, Optional, Tuple, TypeVar
+__all__ = ["SMALL_FABRIC_SWITCHES"]
 
-from .shards import clamp_workers
-
-__all__ = ["SerialExecutor", "resolve_executor"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: Below this many switches a process pool is not worth forking: per-switch
-#: BDD checks take single-digit milliseconds while pool start-up costs tens.
+#: Below this many switches a worker pool is not worth its round trip:
+#: per-switch checks take well under a millisecond while pickling a shard
+#: and waking a worker costs several.
 SMALL_FABRIC_SWITCHES = 8
-
-
-class SerialExecutor(Executor):
-    """An inline, deterministic stand-in for a process pool.
-
-    Work runs immediately on ``submit`` (and eagerly on ``map``), in the
-    order given, on the calling thread.  Exceptions propagate through the
-    returned futures exactly as they would from a real pool.
-    """
-
-    def __init__(self) -> None:
-        self._shutdown = False
-
-    def submit(self, fn: Callable[..., _R], /, *args, **kwargs) -> "Future[_R]":
-        if self._shutdown:
-            raise RuntimeError("cannot submit to a shut-down SerialExecutor")
-        future: "Future[_R]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - mirror pool semantics
-            future.set_exception(exc)
-        return future
-
-    def map(
-        self,
-        fn: Callable[..., _R],
-        *iterables: Iterable[_T],
-        timeout: Optional[float] = None,
-        chunksize: int = 1,
-    ) -> Iterator[_R]:
-        results = [fn(*args) for args in zip(*iterables)]
-        return iter(results)
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        self._shutdown = True
-
-
-def resolve_executor(
-    max_workers: Optional[int] = None,
-    num_tasks: Optional[int] = None,
-    executor: Optional[Executor] = None,
-) -> Tuple[Executor, bool]:
-    """Pick the executor for a batch and say whether the caller owns it.
-
-    An explicitly supplied ``executor`` is used as-is (not owned).  Otherwise
-    the worker request is clamped against the machine and the task count; a
-    clamp down to one worker — or a fabric too small to amortize pool
-    start-up — falls back to the in-process :class:`SerialExecutor`.
-    """
-    if executor is not None:
-        return executor, False
-    workers = clamp_workers(max_workers, total_items=num_tasks)
-    if workers <= 1 or (num_tasks is not None and num_tasks < SMALL_FABRIC_SWITCHES):
-        return SerialExecutor(), True
-    return ProcessPoolExecutor(max_workers=workers), True

@@ -1,10 +1,8 @@
 """The worker-resident compiled-state cache behind the warm pool.
 
-A shard worker's dominant cost is rebuilding ROBDDs for rule sets it has
-already seen: across churn rounds, monitor refreshes and repeated audits the
-overwhelming majority of switches are byte-identical to the previous round,
-yet every short-lived pool re-derived their BDDs from scratch (ROADMAP Open
-item 1 — in-worker BDD build was ~90% of parallel wall time).
+A shard worker's dominant cost is re-checking rule sets it has already
+seen: across churn rounds, monitor refreshes and repeated audits the
+overwhelming majority of switches are byte-identical to the previous round.
 
 :class:`CompiledStateCache` memoizes the *outcome* of one switch check —
 equivalence verdict plus missing/extra match keys — keyed by digests of the
@@ -24,8 +22,8 @@ evicted entry or a respawned worker only ever costs time, never identity.
 The module-level :data:`WORKER_CACHE` instance lives in whichever process
 runs :func:`repro.parallel.engine.run_shard` — a long-lived pool worker
 under :class:`repro.parallel.pool.WarmWorkerPool`, or the parent itself
-under the inline :class:`repro.parallel.executor.SerialExecutor` (which is
-how the warm path stays testable, and covered, on single-core machines).
+when the shards run inline (which is how the warm path stays testable, and
+covered, on single-core machines).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """A persistent worker pool with sticky shard routing.
 
-``concurrent.futures.ProcessPoolExecutor`` hands tasks to whichever worker
+A stock ``concurrent.futures`` process pool hands tasks to whichever worker
 grabs the shared call queue first — fine for one-shot batches, fatal for
 memoization: round N's shard can land on a different process than round
-N-1's identical shard, and the warm node tables in
+N-1's identical shard, and the memoized outcomes and atom tables in
 :data:`~repro.parallel.memo.WORKER_CACHE` never get a second look.
 
 :class:`WarmWorkerPool` therefore owns its workers directly.  Each worker
@@ -11,7 +11,7 @@ is a long-lived daemon process with a dedicated inbox/outbox queue pair,
 and ``map`` routes task *i* to worker ``i % workers`` — the shard plan is a
 pure function of the switch uids and weights, so an unchanged fabric's
 shard *i* is the same shard every round and always lands on the same
-worker, whose memo cache answers it without rebuilding a BDD.
+worker, whose memo cache answers it without running a check.
 
 Fault model: a worker that dies mid-round (OOM kill, segfault, ``os._exit``
 in a test) is detected by liveness polling, its queues are discarded (a
@@ -24,10 +24,9 @@ execution in the calling process, where the same module-level cache
 provides the warm behavior (this is what keeps the warm path testable on
 single-core machines).
 
-The pool is executor-shaped (``map`` / ``shutdown`` / context manager) so
-:func:`repro.parallel.executor.resolve_executor` treats it as a caller-owned
-executor: :func:`~repro.parallel.engine.check_switches` never shuts it down,
-and the owner (:class:`~repro.core.system.ScoutSystem`,
+The pool is executor-shaped (``map`` / ``shutdown`` / context manager) and
+always caller-owned: :func:`~repro.parallel.engine.check_switches` never
+shuts it down, and the owner (:class:`~repro.core.system.ScoutSystem`,
 :class:`~repro.online.delta.IncrementalChecker`, a bench) decides when the
 warm state dies.
 """

@@ -82,17 +82,7 @@ def rule_from_dict(data: Dict) -> TcamRule:
 
 
 def switch_result_from_dict(data: Dict) -> SwitchCheckResult:
-    return SwitchCheckResult(
-        switch_uid=data["switch_uid"],
-        equivalent=data["equivalent"],
-        missing_rules=[
-            TcamRule.from_dict(rule) for rule in data.get("missing_rules", ())
-        ],
-        extra_rules=[TcamRule.from_dict(rule) for rule in data.get("extra_rules", ())],
-        logical_count=data.get("logical_count", 0),
-        deployed_count=data.get("deployed_count", 0),
-        engine=data.get("engine", "bdd"),
-    )
+    return SwitchCheckResult.from_dict(data)
 
 
 def equivalence_report_from_dict(data: Dict) -> EquivalenceReport:

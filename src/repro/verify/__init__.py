@@ -3,8 +3,6 @@
 from .atoms import AtomTable
 from .bdd import BDD
 from .checker import (
-    DEFAULT_AP_LIMIT,
-    DEFAULT_BDD_LIMIT,
     ENGINES,
     EquivalenceChecker,
     EquivalenceReport,
@@ -15,8 +13,6 @@ from .encoding import DEFAULT_RULE_SPACE, RuleSpace
 __all__ = [
     "AtomTable",
     "BDD",
-    "DEFAULT_AP_LIMIT",
-    "DEFAULT_BDD_LIMIT",
     "DEFAULT_RULE_SPACE",
     "ENGINES",
     "EquivalenceChecker",

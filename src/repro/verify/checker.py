@@ -13,29 +13,19 @@ TCAM (T-type), exactly as §III-C describes:
 Extra (superfluous) TCAM rules are also reported for completeness; the fault
 localization problem the paper studies is driven by the missing side.
 
-Three engines are available (plus ``"auto"``, which picks one per switch):
+Two engines give the same semantic answer:
 
-* ``engine="bdd"`` — the faithful ROBDD comparison (default for per-switch
-  rule sets up to ``bdd_limit`` rules).  It is semantically exact even when
-  rules contain wildcards that subsume one another, and serves as the
-  differential oracle the other engines are gated against.
-* ``engine="ap"`` — atomic predicates: the header space is compressed once
-  into equivalence classes (:class:`~repro.verify.atoms.AtomTable`, patched
-  incrementally on rule deltas) and L-T comparison becomes integer-bitset
-  set algebra.  Semantically exact like the BDD engine — byte-identical
-  ``semantic_fingerprint()`` output, CI-gated — at a fraction of the cost,
-  so ``auto`` prefers it for rule sets above ``bdd_limit``.
-* ``engine="hash"`` — an exact-match set difference on rule match keys.  For
-  rules produced by this library's compiler/agents (which never emit
-  overlapping wildcards between L and T) it returns the same answer and is
-  the last-resort fallback above ``ap_limit``, e.g. the 500-switch
-  scalability experiment and the "too many missing rules" use case.
+* ``engine="ap"`` (the default, and the only production engine) — atomic
+  predicates: the header space is compressed once into equivalence classes
+  (:class:`~repro.verify.atoms.AtomTable`, patched incrementally on rule
+  deltas) and L-T comparison becomes integer-bitset set algebra.
+* ``engine="bdd"`` — the faithful ROBDD comparison, kept as the differential
+  **oracle**: tests, ``benchmarks/bench_ap.py`` and the operator cross-check
+  ``POST /audits {"engine": "bdd"}`` gate the AP engine's
+  ``semantic_fingerprint()`` byte-identical to it.
 
-The automatic selection keeps the checker faithful where it matters and fast
-where the paper itself only cares about rule counts.  ``ENGINES``,
-``DEFAULT_BDD_LIMIT`` and ``DEFAULT_AP_LIMIT`` below are the single source
-of truth for the engine vocabulary — ``docs/engines.md`` is diffed against
-them by ``scripts/check_engine_docs.py`` in CI.
+``ENGINES`` below is the single source of truth for the engine vocabulary
+(``docs/engines.md`` is checked against it by the unit tests).
 """
 
 from __future__ import annotations
@@ -55,24 +45,13 @@ __all__ = [
     "EquivalenceReport",
     "EquivalenceChecker",
     "ENGINES",
-    "DEFAULT_BDD_LIMIT",
-    "DEFAULT_AP_LIMIT",
 ]
 
-#: Every accepted ``engine=`` value, in auto-selection order: ``auto``
-#: delegates per switch to ``bdd`` (combined L+T rule count ≤ ``bdd_limit``),
-#: then ``ap`` (≤ ``ap_limit``), then ``hash``.  Keep the ``Engine`` Literal,
-#: the constructor check and ``docs/engines.md`` in sync with this tuple.
-ENGINES: Tuple[str, ...] = ("auto", "bdd", "ap", "hash")
+#: Every accepted ``engine=`` value; the first is the default.  Keep the
+#: ``Engine`` Literal and ``docs/engines.md`` in sync with this tuple.
+ENGINES: Tuple[str, ...] = ("ap", "bdd")
 
-#: Default inclusive upper bound on combined L+T rules for the BDD engine.
-DEFAULT_BDD_LIMIT = 4000
-
-#: Default inclusive upper bound for the atomic-predicate engine; above it
-#: ``auto`` degrades to the exact-match hash engine.
-DEFAULT_AP_LIMIT = 200000
-
-Engine = Literal["auto", "bdd", "ap", "hash"]
+Engine = Literal["ap", "bdd"]
 
 
 @dataclass
@@ -85,7 +64,7 @@ class SwitchCheckResult:
     extra_rules: List[TcamRule] = field(default_factory=list)
     logical_count: int = 0
     deployed_count: int = 0
-    engine: str = "bdd"
+    engine: str = ENGINES[0]
 
     def missing_count(self) -> int:
         return len(self.missing_rules)
@@ -101,6 +80,23 @@ class SwitchCheckResult:
             "missing_rules": [rule.to_dict() for rule in self.missing_rules],
             "extra_rules": [rule.to_dict() for rule in self.extra_rules],
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "SwitchCheckResult":
+        """Inverse of :meth:`to_dict`.
+
+        The engine label is an opaque string: documents written by earlier
+        versions carry labels (``"hash"``) no current engine produces.
+        """
+        return cls(
+            switch_uid=data["switch_uid"],
+            equivalent=data["equivalent"],
+            missing_rules=[TcamRule.from_dict(r) for r in data.get("missing_rules", ())],
+            extra_rules=[TcamRule.from_dict(r) for r in data.get("extra_rules", ())],
+            logical_count=data.get("logical_count", 0),
+            deployed_count=data.get("deployed_count", 0),
+            engine=data.get("engine", ENGINES[0]),
+        )
 
 
 @dataclass
@@ -252,13 +248,6 @@ class EquivalenceReport:
 class EquivalenceChecker:
     """Compare desired (L) and deployed (T) rules and emit missing rules.
 
-    ``bdd_limit`` and ``ap_limit`` govern the ``engine="auto"`` ladder per
-    switch: the BDD engine is used while the *combined* L+T rule count is at
-    most ``bdd_limit`` — the boundary is inclusive, a switch with exactly
-    ``bdd_limit`` rules across both snapshots is still checked with BDDs —
-    the atomic-predicate engine takes over strictly above it up to (and
-    including) ``ap_limit``, and the hash engine handles the remainder.
-
     ``atoms`` optionally shares a long-lived :class:`AtomTable` (e.g. a
     worker process's table from
     :class:`~repro.parallel.memo.CompiledStateCache`); by default the
@@ -269,9 +258,7 @@ class EquivalenceChecker:
     def __init__(
         self,
         rule_space: Optional[RuleSpace] = None,
-        engine: Engine = "auto",
-        bdd_limit: int = DEFAULT_BDD_LIMIT,
-        ap_limit: int = DEFAULT_AP_LIMIT,
+        engine: Engine = ENGINES[0],
         atoms: Optional[AtomTable] = None,
     ) -> None:
         if engine not in ENGINES:
@@ -281,8 +268,6 @@ class EquivalenceChecker:
             )
         self.rule_space = rule_space or RuleSpace()
         self.engine = engine
-        self.bdd_limit = bdd_limit
-        self.ap_limit = ap_limit
         self.atoms = atoms if atoms is not None else AtomTable(self.rule_space)
 
     # ------------------------------------------------------------------ #
@@ -295,14 +280,11 @@ class EquivalenceChecker:
         deployed: Sequence[TcamRule],
     ) -> SwitchCheckResult:
         """Compare one switch's logical and deployed rules."""
-        engine = self._select_engine(len(logical) + len(deployed))
-        with span("check.switch", switch=switch_uid, engine=engine) as current:
+        with span("check.switch", switch=switch_uid, engine=self.engine) as current:
             current.count("rules", len(logical) + len(deployed))
-            if engine == "bdd":
+            if self.engine == "bdd":
                 return self._check_with_bdd(switch_uid, logical, deployed)
-            if engine == "ap":
-                return self._check_with_ap(switch_uid, logical, deployed)
-            return self._check_with_hash(switch_uid, logical, deployed)
+            return self._check_with_ap(switch_uid, logical, deployed)
 
     def check_network(
         self,
@@ -329,12 +311,11 @@ class EquivalenceChecker:
         """Check a batch of ``(uid, logical, deployed)`` triples, sharded.
 
         The batch counterpart of :meth:`check_switch`: per-switch work is
-        partitioned into balanced shards and dispatched — to ``executor``
-        when given (any ``concurrent.futures``-style executor, including the
-        deterministic :class:`~repro.parallel.executor.SerialExecutor`), to
-        a process pool of ``max_workers`` otherwise, or inline for small
-        batches.  Whatever runs the shards, the merged report is identical
-        to a serial :meth:`check_network` over the same snapshots.
+        partitioned into ``max_workers`` balanced shards and dispatched to
+        ``executor`` (the caller's
+        :class:`~repro.parallel.pool.WarmWorkerPool`), or run inline when
+        there is none.  Either way the merged report is identical to a
+        serial :meth:`check_network` over the same snapshots.
         """
         from ..parallel.engine import check_switches
 
@@ -345,23 +326,6 @@ class EquivalenceChecker:
     # ------------------------------------------------------------------ #
     # Engines
     # ------------------------------------------------------------------ #
-    def _select_engine(self, total_rules: int) -> str:
-        """Pick the engine for one switch's combined L+T rule count.
-
-        Both auto boundaries are inclusive (pinned by the unit tests):
-        exactly ``bdd_limit`` rules still selects the exact BDD engine and
-        exactly ``ap_limit`` rules still selects the atomic-predicate
-        engine; only rule sets strictly above ``ap_limit`` fall back to the
-        hash engine.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if total_rules <= self.bdd_limit:
-            return "bdd"
-        if total_rules <= self.ap_limit:
-            return "ap"
-        return "hash"
-
     def _check_with_bdd(
         self,
         switch_uid: str,
@@ -468,24 +432,3 @@ class EquivalenceChecker:
             engine="ap",
         )
 
-    @staticmethod
-    def _check_with_hash(
-        switch_uid: str,
-        logical: Sequence[TcamRule],
-        deployed: Sequence[TcamRule],
-    ) -> SwitchCheckResult:
-        logical_allow = [rule for rule in logical if rule.action == "allow"]
-        deployed_allow = [rule for rule in deployed if rule.action == "allow"]
-        deployed_keys = {rule.match_key() for rule in deployed_allow}
-        logical_keys = {rule.match_key() for rule in logical_allow}
-        missing = [rule for rule in logical_allow if rule.match_key() not in deployed_keys]
-        extra = [rule for rule in deployed_allow if rule.match_key() not in logical_keys]
-        return SwitchCheckResult(
-            switch_uid=switch_uid,
-            equivalent=not missing and not extra,
-            missing_rules=missing,
-            extra_rules=extra,
-            logical_count=len(logical),
-            deployed_count=len(deployed),
-            engine="hash",
-        )

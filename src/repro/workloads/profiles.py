@@ -17,9 +17,8 @@ and objects should be.  Three families of profiles are provided:
   degree of risk sharing;
 * ``datacenter_profile`` — the scalability experiment's fabric (§VI-D
   scales the risk model to 500+ switches): hundreds of leaves with
-  production-like sharing, sized so every leaf's rule set stays within the
-  BDD engine's exact-check range.  This is the workload the sharded
-  parallel verification engine is benchmarked on.
+  production-like sharing and thin per-leaf rule sets.  This is the
+  workload the sharded parallel verification engine is benchmarked on.
 """
 
 from __future__ import annotations
@@ -167,10 +166,9 @@ def datacenter_profile(seed: int = 2018, num_leaves: int = 512) -> WorkloadProfi
 
     The paper's scalability experiment (§VI-D) grows the controller risk
     model to 500 switches; this profile is the matching *fabric*: hundreds
-    of leaves, a policy that scales with them, and per-leaf rule sets small
-    enough (~100-300 rules) that the auto engine checks every switch with
-    the exact BDD comparison — the CPU-bound work the process-pool sharding
-    is built to spread.
+    of leaves, a policy that scales with them, and thin per-leaf rule sets
+    (~100-300 rules) — many cheap per-switch checks, the shape the warm
+    worker pool's sharding and memoization are built for.
     """
     if num_leaves < 500:
         raise ValueError(f"datacenter profile needs >= 500 leaves, got {num_leaves}")

@@ -7,6 +7,7 @@ import pytest
 from repro import Controller
 from repro.core import ScoreLocalizer, ScoutSystem, accuracy
 from repro.faults import FaultInjector, FaultKind
+from repro.rules import missing_matches
 from repro.verify import EquivalenceChecker
 from repro.workloads import generate_workload, testbed_profile as make_testbed_profile
 
@@ -22,13 +23,14 @@ def deployed_testbed_stack():
 class TestDeploymentConsistency:
     def test_generated_testbed_deploys_consistently(self, deployed_testbed_stack):
         _, controller = deployed_testbed_stack
-        report = EquivalenceChecker(engine="hash").check_network(
+        report = EquivalenceChecker().check_network(
             controller.logical_rules(), controller.collect_deployed_rules()
         )
         assert report.equivalent
 
     def test_bdd_and_hash_engines_agree_per_switch(self, deployed_testbed_stack):
-        """After injecting a fault both checker engines report the same misses."""
+        """After a fault the BDD oracle, the AP engine and the plain hash-set
+        difference of match keys report the same misses."""
         workload, controller = deployed_testbed_stack
         injector = FaultInjector(controller, rng=random.Random(42))
         candidates = injector.faultable_objects()
@@ -41,9 +43,10 @@ class TestDeploymentConsistency:
             if len(l_rules) > 800:
                 continue  # keep the BDD comparison fast
             bdd_result = EquivalenceChecker(engine="bdd").check_switch(switch_uid, l_rules, t_rules)
-            hash_result = EquivalenceChecker(engine="hash").check_switch(switch_uid, l_rules, t_rules)
+            ap_result = EquivalenceChecker(engine="ap").check_switch(switch_uid, l_rules, t_rules)
+            assert bdd_result.missing_rules == ap_result.missing_rules
             assert {r.match_key() for r in bdd_result.missing_rules} == {
-                r.match_key() for r in hash_result.missing_rules
+                r.match_key() for r in missing_matches(l_rules, t_rules)
             }
         # Clean up for other module-scoped tests.
         controller.deploy(record_initial_changes=False)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.churn import ChurnDriver, generate_churn_stream
 from repro.online import NetworkMonitor
-from repro.verify.checker import EquivalenceChecker
 
 pytestmark = pytest.mark.slow
 
@@ -58,11 +57,7 @@ class TestRestartInvisibility:
         # as a daemon restart would read it back from disk.
         snap = json.loads(json.dumps(resumed.monitor.snapshot(), sort_keys=True))
         resumed.monitor.close()
-        resumed.monitor = NetworkMonitor.from_snapshot(
-            resumed.controller,
-            snap,
-            checker=EquivalenceChecker(bdd_limit=resumed.bdd_limit),
-        )
+        resumed.monitor = NetworkMonitor.from_snapshot(resumed.controller, snap)
         _drive(resumed, stream[cut:])
         restored_verdict, restored_journal = _finish(resumed)
         stats = resumed.monitor.stats()

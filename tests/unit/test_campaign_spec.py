@@ -70,10 +70,15 @@ class TestCampaignCell:
             )
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine mode"):
-            CampaignCell(
-                profile="small", seed=1, fault=FaultSpec("object-fault"), engine="gpu"
-            )
+        # "ap" was a mode once (a serial sweep pinned to one checker engine).
+        for engine in ("gpu", "ap"):
+            with pytest.raises(ValueError, match="unknown engine mode"):
+                CampaignCell(
+                    profile="small",
+                    seed=1,
+                    fault=FaultSpec("object-fault"),
+                    engine=engine,
+                )
 
     def test_dict_round_trip(self):
         cell = CampaignCell(

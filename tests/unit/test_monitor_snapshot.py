@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core import ScoutSystem
 from repro.online import NetworkMonitor
 from repro.service import ScoutService, TestClient
 
@@ -34,9 +35,15 @@ class TestSnapshotRestore:
         verdict = monitor.report().semantic_fingerprint()
         snap = json.loads(json.dumps(monitor.snapshot(), sort_keys=True))
         monitor.stop()
+        # A document written before the engine ladder collapsed: labels are
+        # opaque strings, not a vocabulary the restore validates.
+        results = snap["checker"]["results"]
+        results["leaf-1"]["engine"] = "hash"
+        results["leaf-2"]["engine"] = "bdd"
 
         restored = NetworkMonitor.from_snapshot(three_tier.controller, snap)
         assert restored.running
+        assert restored.report().results["leaf-1"].engine == "hash"
         stats = restored.stats()
         # The snapshot's bootstrap is the only full sweep there ever was.
         assert stats["full_checks"] == 1
@@ -55,6 +62,8 @@ class TestSnapshotRestore:
         result = restored.poll()
         assert [opened.switch_uid for opened in result.opened] == ["leaf-3"]
         assert restored.stats()["full_checks"] == 1
+        fresh = ScoutSystem(three_tier.controller).check()
+        assert restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
         restored.close()
 
     def test_restore_while_running_rejected(self, three_tier):

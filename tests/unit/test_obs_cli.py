@@ -17,7 +17,7 @@ class TestCheckSubcommand:
         assert "consistent=True" in out
         # The attribution table names the instrumented pipeline stages.
         assert "check.switch" in out
-        assert "verify.bdd.build" in out
+        assert "verify.ap.build" in out
         assert "% wall" in out
 
     def test_exports_jsonl_and_chrome(self, tmp_path, capsys):

@@ -39,13 +39,17 @@ class TestTracedCheck:
             "check.collect_deployed",
             "check.network",
             "check.switch",
-            "verify.bdd.build",
+            "verify.ap.build",
         } <= names
         switches = len(system.controller.fabric.switches)
         assert sum(1 for s in collector.spans() if s.name == "check.switch") == switches
-        # BDD counters surfaced on the build spans.
-        builds = [s for s in collector.spans() if s.name == "verify.bdd.build"]
-        assert all(s.counters.get("apply_ops", 0) > 0 for s in builds)
+        # Engine counters surfaced on the build spans (the oracle's too).
+        builds = [s for s in collector.spans() if s.name == "verify.ap.build"]
+        assert all(s.counters.get("atoms", 0) > 0 for s in builds)
+        oracle = TraceCollector()
+        system.check(trace=oracle, engine="bdd")
+        builds = [s for s in oracle.spans() if s.name == "verify.bdd.build"]
+        assert builds and all(s.counters.get("apply_ops", 0) > 0 for s in builds)
         # The report carries its trace.
         assert report.trace is collector
 
@@ -59,8 +63,8 @@ class TestTracedCheck:
         serial_fp = system.check().fingerprint()
         # The small fabric runs its shards inline, where the module-global
         # memo cache may be warm from earlier tests' identical rule sets —
-        # and a cache hit legitimately skips the BDD-build span this test
-        # asserts.  Start the round cold.
+        # and a cache hit legitimately skips the engine's build span this
+        # test asserts.  Start the round cold.
         reset_worker_cache()
         report = system.check(parallel=True, max_workers=2, trace=collector)
         assert report.fingerprint() == serial_fp
@@ -72,7 +76,6 @@ class TestTracedCheck:
         for required in (
             "parallel.plan",
             "parallel.build_tasks",
-            "parallel.pool",
             "parallel.dispatch",
             "parallel.merge",
             "worker.shard",
@@ -88,7 +91,7 @@ class TestTracedCheck:
             shard.parent_id == dispatch.span_id for shard in by_name["worker.shard"]
         )
         # Worker-side checker spans survived the process boundary too.
-        assert "verify.bdd.build" in by_name
+        assert "verify.ap.build" in by_name
         # Every shard of every switch was covered.
         switches = len(system.controller.fabric.switches)
         checked = sum(s.attrs.get("switches", 0) for s in by_name["worker.shard"])

@@ -97,8 +97,7 @@ class TestParallelStageBreakdown:
             _span("check.collect_deployed", 2, 0.1, 0.15),
             _span("parallel.plan", 3, 0.15, 0.2),
             _span("parallel.build_tasks", 4, 0.2, 0.3),
-            _span("parallel.pool", 5, 0.3, 0.5),
-            _span("parallel.dispatch", 6, 0.5, 1.5),
+            _span("parallel.dispatch", 6, 0.3, 1.3),
             # Worker shard 1: 0.8s busy, BDD build inside the check phase.
             _span("worker.shard", 7, 0.0, 0.8, parent_id=6),
             _span("worker.unpickle", 8, 0.0, 0.1, parent_id=7),
@@ -111,19 +110,19 @@ class TestParallelStageBreakdown:
             _span("worker.check", 14, 0.1, 0.7, parent_id=12),
             _span("verify.bdd.build", 15, 0.1, 0.5, parent_id=14),
             _span("worker.serialize", 16, 0.7, 0.8, parent_id=12),
-            _span("parallel.merge", 17, 1.5, 1.6),
+            _span("parallel.merge", 17, 1.3, 1.4),
         ]
 
     def test_stages_tile_the_wall_clock(self):
-        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.7, workers=2)
+        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.5, workers=2)
         stages = breakdown["stages"]
         assert breakdown["workers_used"] == 2
         assert breakdown["shards"] == 2
         assert stages["compile_logical"] == 0.1
         assert abs(stages["pickle"] - 0.1) < 1e-9
         # Worker busy normalised by 2 concurrent workers: 1.6/2 = 0.8s; the
-        # dispatch window is 1.0s, so 0.2s pool + 0.2s residue is spawn/IPC.
-        assert abs(stages["worker_spawn_and_ipc"] - 0.4) < 1e-9
+        # dispatch window is 1.0s, so the 0.2s residue is spawn/IPC.
+        assert abs(stages["worker_spawn_and_ipc"] - 0.2) < 1e-9
         assert abs(stages["worker_unpickle"] - 0.1) < 1e-9
         assert abs(stages["worker_bdd_build"] - 0.4) < 1e-9
         assert abs(stages["worker_check"] - 0.2) < 1e-9
@@ -133,21 +132,21 @@ class TestParallelStageBreakdown:
 
     def test_bdd_build_outside_workers_not_misattributed(self):
         spans = self._synthetic_trace() + [
-            _span("verify.bdd.build", 18, 1.5, 1.55, parent_id=17)
+            _span("verify.bdd.build", 18, 1.3, 1.35, parent_id=17)
         ]
-        breakdown = parallel_stage_breakdown(spans, 1.7, workers=2)
+        breakdown = parallel_stage_breakdown(spans, 1.5, workers=2)
         # The merge-side build is not a descendant of worker.check.
         assert abs(breakdown["stages"]["worker_bdd_build"] - 0.4) < 1e-9
 
     def test_workers_used_capped_by_shards(self):
-        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.7, workers=8)
+        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.5, workers=8)
         assert breakdown["workers_used"] == 2
 
     def test_dominant_stage_and_format(self):
-        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.7, workers=2)
+        breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.5, workers=2)
         assert breakdown["dominant_stage"] in breakdown["stages"]
         text = format_stage_breakdown(breakdown)
-        assert "parallel wall: 1.7000s" in text
+        assert "parallel wall: 1.5000s" in text
         assert "dominant:" in text
         for stage in breakdown["stages"]:
             assert stage in text

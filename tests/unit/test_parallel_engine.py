@@ -8,6 +8,7 @@ workloads, including the ``simulation_profile`` the accuracy experiments
 use, and cover the work-unit plumbing the process pool relies on.
 """
 
+import multiprocessing
 import pickle
 import random
 
@@ -17,7 +18,7 @@ from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
 from repro.online import IncrementalChecker
-from repro.parallel import SerialExecutor, plan_shards
+from repro.parallel import plan_shards
 from repro.parallel.engine import ShardTask, SwitchWorkUnit, run_shard
 from repro.parallel.memo import WORKER_CACHE, reset_worker_cache
 from repro.risk.augment import (
@@ -67,7 +68,10 @@ class TestCheckMany:
             for uid in set(logical) | set(deployed)
         ]
         plan = plan_shards([t[0] for t in triples], 4)
-        sharded = checker.check_many(triples, executor=SerialExecutor(), plan=plan)
+        children = set(multiprocessing.active_children())
+        sharded = checker.check_many(triples, executor=None, max_workers=4, plan=plan)
+        # No executor means inline, whatever the batch size or worker count.
+        assert set(multiprocessing.active_children()) <= children
         assert sharded.fingerprint() == serial.fingerprint()
         assert sharded.results == serial.results
         assert not serial.equivalent  # faults were injected: non-trivial
@@ -85,11 +89,9 @@ class TestCheckMany:
         logical = controller.logical_rules()
         deployed = controller.collect_deployed_rules()
         triples = [(uid, logical[uid], deployed.get(uid, ())) for uid in logical]
-        unplanned = checker.check_many(triples, executor=SerialExecutor())
+        unplanned = checker.check_many(triples)
         one_big_shard = checker.check_many(
-            triples,
-            executor=SerialExecutor(),
-            plan=plan_shards([t[0] for t in triples], 1),
+            triples, plan=plan_shards([t[0] for t in triples], 1)
         )
         assert unplanned.fingerprint() == one_big_shard.fingerprint()
 
@@ -97,15 +99,13 @@ class TestCheckMany:
         checker = EquivalenceChecker()
         logical = [_rule(80), _rule(443)]
         deployed = [_rule(80)]
-        report = checker.check_many(
-            [("leaf-1", logical, deployed)], executor=SerialExecutor()
-        )
+        report = checker.check_many([("leaf-1", logical, deployed)])
         (missing,) = report.results["leaf-1"].missing_rules
         assert missing is logical[1]  # the parent's own object, not a copy
         assert missing.contract_uid == "contract:t/c"
 
     def test_empty_batch(self):
-        report = EquivalenceChecker().check_many([], executor=SerialExecutor())
+        report = EquivalenceChecker().check_many([])
         assert report.results == {}
         assert report.equivalent
 
@@ -120,8 +120,7 @@ class TestWorkUnits:
                 tuple(r.match_key() for r in [_rule(80), _rule(443)]),
                 (_rule(80).match_key(),),
             ),
-            engine="auto",
-            bdd_limit=4000,
+            engine="bdd",
             space_widths=(13, 15, 2, 16),
         )
         clone = pickle.loads(pickle.dumps(task))
@@ -136,25 +135,18 @@ class TestWorkUnits:
         # Identical L and T sides share one interned buffer (deployed_ref
         # aliases logical_ref) — the shard ships the key sequence once.
         keys = tuple(r.match_key() for r in [_rule(p) for p in range(80, 90)])
-        task = ShardTask(
-            units=(SwitchWorkUnit(switch_uid="leaf-1", logical_ref=0, deployed_ref=0),),
-            buffers=(keys,),
-            engine="auto",
-            bdd_limit=5,
-            space_widths=(13, 15, 2, 16),
-        )
-        (outcome,) = run_shard(task).outcomes
-        assert outcome.engine == "ap"  # 20 combined rules > bdd_limit=5
-        hashed = ShardTask(
-            units=(SwitchWorkUnit(switch_uid="leaf-1", logical_ref=0, deployed_ref=0),),
-            buffers=(keys,),
-            engine="auto",
-            bdd_limit=5,
-            ap_limit=10,
-            space_widths=(13, 15, 2, 16),
-        )
-        (outcome,) = run_shard(hashed).outcomes
-        assert outcome.engine == "hash"  # 20 combined rules > ap_limit=10
+        for engine in ("ap", "bdd"):
+            task = ShardTask(
+                units=(
+                    SwitchWorkUnit(switch_uid="leaf-1", logical_ref=0, deployed_ref=0),
+                ),
+                buffers=(keys,),
+                engine=engine,
+                space_widths=(13, 15, 2, 16),
+            )
+            (outcome,) = run_shard(task).outcomes
+            # Same rule sets, different engine: a separate memo entry.
+            assert outcome.engine == engine
 
     def test_identical_rule_sets_intern_to_shared_buffers(self):
         reset_worker_cache()
@@ -163,7 +155,7 @@ class TestWorkUnits:
         # Three switches, all byte-identical and internally clean: the memo
         # cache collapses them to ONE real check per shard round.
         triples = [(f"leaf-{i}", rules, rules) for i in range(3)]
-        report = checker.check_many(triples, executor=SerialExecutor())
+        report = checker.check_many(triples)
         assert report.equivalent
         stats = WORKER_CACHE.stats()
         assert stats["misses"] == 1

@@ -96,6 +96,8 @@ class TestAudits:
             ({"max_workers": 0}, "max_workers"),
             ({"max_workers": "two"}, "max_workers"),
             ({"max_workers": True}, "max_workers"),
+            ({"engine": "auto"}, "engine must be one of ap, bdd"),
+            ({"engine": "hash"}, "engine must be one of ap, bdd"),
         ],
     )
     def test_bad_audit_parameters_are_400(self, env, body, fragment):

@@ -12,6 +12,7 @@ import json
 
 from repro.core import ScoutSystem
 from repro.online import Incident, NetworkMonitor
+from repro.verify import ENGINES
 from repro.service.serializers import (
     equivalence_report_from_dict,
     hypothesis_from_dict,
@@ -55,6 +56,10 @@ class TestEquivalenceReportRoundTrip:
         assert restored.fingerprint() == report.fingerprint()
         assert restored.summary() == report.summary()
         assert restored.missing_rules().keys() == report.missing_rules().keys()
+        # A payload without a label reads as the default engine's.
+        del wire["switches"]["leaf-1"]["engine"]
+        relabelled = equivalence_report_from_dict(wire).results["leaf-1"]
+        assert relabelled.engine == ENGINES[0]
 
     def test_payload_embeds_summary_and_fingerprint(self):
         scenario = three_tier_scenario()

@@ -42,7 +42,7 @@ class TestGetTraces:
         stage_names = {stat["name"] for stat in payload["attribution"]}
         # The audit pipeline's stages appear in the service-wide attribution.
         assert "check.switch" in stage_names
-        assert "verify.bdd.build" in stage_names
+        assert "verify.ap.build" in stage_names
         assert len(payload["spans"]) <= 100
 
     def test_limit_caps_raw_spans_not_attribution(self, env):

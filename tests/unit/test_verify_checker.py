@@ -1,10 +1,13 @@
 """Unit tests for rule encoding and the L-T equivalence checker."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import VerificationError
 from repro.rules import TcamRule
-from repro.verify import EquivalenceChecker, RuleSpace
+from repro.verify import ENGINES, EquivalenceChecker, RuleSpace
 
 
 def _rule(port, src=1, dst=2, protocol="tcp", vrf=101, action="allow", filter_uid="f"):
@@ -76,62 +79,26 @@ class TestEquivalenceChecker:
         assert not result.equivalent
         assert [r.port for r in result.extra_rules] == [22]
 
-    def test_wildcard_coverage_only_seen_by_bdd(self):
-        """A deployed wildcard-port rule subsumes a specific logical rule."""
-        logical = [_rule(80)]
-        deployed = [_rule(None)]
-        bdd_result = EquivalenceChecker(engine="bdd").check_switch("s", logical, deployed)
-        hash_result = EquivalenceChecker(engine="hash").check_switch("s", logical, deployed)
-        assert bdd_result.missing_rules == []          # semantically covered
-        assert len(hash_result.missing_rules) == 1     # exact-match engine flags it
-
     def test_engines_agree_on_exact_match_rules(self):
         logical = [_rule(p) for p in range(80, 120)]
         deployed = [_rule(p) for p in range(80, 110)]
         bdd_result = EquivalenceChecker(engine="bdd").check_switch("s", logical, deployed)
-        hash_result = EquivalenceChecker(engine="hash").check_switch("s", logical, deployed)
-        assert {r.match_key() for r in bdd_result.missing_rules} == {
-            r.match_key() for r in hash_result.missing_rules
-        }
-
-    def test_auto_engine_selects_ap_above_bdd_limit(self):
-        checker = EquivalenceChecker(engine="auto", bdd_limit=10)
-        logical = [_rule(p) for p in range(80, 120)]
-        result = checker.check_switch("s", logical, logical)
-        assert result.engine == "ap"
-        small = checker.check_switch("s", logical[:3], logical[:3])
-        assert small.engine == "bdd"
-
-    def test_auto_engine_selects_hash_above_ap_limit(self):
-        checker = EquivalenceChecker(engine="auto", bdd_limit=4, ap_limit=10)
-        logical = [_rule(p) for p in range(80, 120)]
-        result = checker.check_switch("s", logical, logical)
-        assert result.engine == "hash"
-
-    def test_auto_engine_boundaries_inclusive(self):
-        """The documented ladder: exactly ``bdd_limit`` combined rules is
-        still BDD territory, one more flips to the atomic-predicate engine;
-        exactly ``ap_limit`` is still AP territory, one more flips to hash."""
-        checker = EquivalenceChecker(engine="auto", bdd_limit=10, ap_limit=20)
-        five = [_rule(p) for p in range(80, 85)]
-        at_limit = checker.check_switch("s", five, list(five))  # 5 + 5 == 10
-        assert at_limit.engine == "bdd"
-        six = [_rule(p) for p in range(80, 86)]
-        over_limit = checker.check_switch("s", six, list(five))  # 6 + 5 == 11
-        assert over_limit.engine == "ap"
-        assert checker._select_engine(10) == "bdd"
-        assert checker._select_engine(11) == "ap"
-        assert checker._select_engine(20) == "ap"
-        assert checker._select_engine(21) == "hash"
-
-    def test_explicit_engine_ignores_bdd_limit(self):
-        checker = EquivalenceChecker(engine="bdd", bdd_limit=1)
-        rules = [_rule(p) for p in range(80, 90)]
-        assert checker.check_switch("s", rules, list(rules)).engine == "bdd"
+        ap_result = EquivalenceChecker(engine="ap").check_switch("s", logical, deployed)
+        assert bdd_result.missing_rules == ap_result.missing_rules
+        assert [r.port for r in ap_result.missing_rules] == list(range(110, 120))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(VerificationError):
-            EquivalenceChecker(engine="magic")
+        # "auto" and "hash" were engine names once; they are not aliases.
+        for engine in ("magic", "auto", "hash"):
+            with pytest.raises(VerificationError):
+                EquivalenceChecker(engine=engine)
+
+    def test_default_engine_and_docs_chapter_follow_engines(self):
+        assert ENGINES == ("ap", "bdd")
+        assert EquivalenceChecker().engine == ENGINES[0]
+        chapter = (Path(__file__).parents[2] / "docs" / "engines.md").read_text()
+        headings = re.findall(r"^### `(\w+)`", chapter, flags=re.MULTILINE)
+        assert tuple(headings) == ENGINES
 
     def test_corrupted_action_counts_as_missing(self):
         logical = [_rule(80)]
@@ -140,7 +107,7 @@ class TestEquivalenceChecker:
         assert [r.port for r in result.missing_rules] == [80]
 
     def test_network_report_aggregation(self):
-        checker = EquivalenceChecker(engine="hash")
+        checker = EquivalenceChecker()
         logical = {"leaf-1": [_rule(80)], "leaf-2": [_rule(80), _rule(443)]}
         deployed = {"leaf-1": [_rule(80)], "leaf-2": [_rule(80)]}
         report = checker.check_network(logical, deployed)
@@ -151,7 +118,7 @@ class TestEquivalenceChecker:
         assert report.summary()["switches"] == 2
 
     def test_switch_only_in_deployed_snapshot(self):
-        checker = EquivalenceChecker(engine="hash")
+        checker = EquivalenceChecker()
         report = checker.check_network({}, {"leaf-9": [_rule(80)]})
         assert report.results["leaf-9"].extra_rules
 
@@ -163,19 +130,19 @@ class TestCanonicalReports:
         logical = {"leaf-1": [_rule(80)]}
         deployed = {"leaf-1": [_rule(80)]}
         bdd = EquivalenceChecker(engine="bdd").check_network(logical, deployed)
-        hashed = EquivalenceChecker(engine="hash").check_network(logical, deployed)
-        assert bdd.fingerprint() != hashed.fingerprint()  # engine is identity
-        assert bdd.canonical().fingerprint() == hashed.canonical().fingerprint()
-        assert bdd.semantic_fingerprint() == hashed.semantic_fingerprint()
+        ap = EquivalenceChecker(engine="ap").check_network(logical, deployed)
+        assert bdd.fingerprint() != ap.fingerprint()  # engine is identity
+        assert bdd.canonical().fingerprint() == ap.canonical().fingerprint()
+        assert bdd.semantic_fingerprint() == ap.semantic_fingerprint()
 
     def test_rule_order_is_normalized(self):
-        checker = EquivalenceChecker(engine="hash")
+        checker = EquivalenceChecker()
         one = checker.check_network({"leaf-1": [_rule(80), _rule(443)]}, {"leaf-1": []})
         two = checker.check_network({"leaf-1": [_rule(443), _rule(80)]}, {"leaf-1": []})
         assert one.semantic_fingerprint() == two.semantic_fingerprint()
 
     def test_real_differences_still_differ(self):
-        checker = EquivalenceChecker(engine="hash")
+        checker = EquivalenceChecker()
         clean = checker.check_network({"leaf-1": [_rule(80)]}, {"leaf-1": [_rule(80)]})
         broken = checker.check_network({"leaf-1": [_rule(80)]}, {"leaf-1": []})
         assert clean.semantic_fingerprint() != broken.semantic_fingerprint()

@@ -135,7 +135,7 @@ class TestScenarios:
     def test_large_unresponsive_scenario_many_missing_rules(self, tiny_profile):
         scenario = large_unresponsive_switch_scenario(profile=tiny_profile)
         victim = scenario.facts["unresponsive_switch"]
-        checker = EquivalenceChecker(engine="hash")
+        checker = EquivalenceChecker()
         report = checker.check_network(
             scenario.controller.logical_rules(),
             scenario.controller.collect_deployed_rules(),
