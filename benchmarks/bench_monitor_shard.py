@@ -12,7 +12,8 @@ cycles clear the 100k-event floor):
 * **single** — ``partitions=1``, no worker budget: the pre-partitioning
   default, one inline checker;
 * **partitioned** — ``partitions=4, max_workers=4``: four ownership
-  shards refreshed concurrently, each through its own warm worker pool.
+  shards refreshed on concurrent threads; each shard's two or three
+  leaves are below ``SMALL_FABRIC_SWITCHES``, so their checks run inline.
 
 Reported per configuration: ``events_per_second`` over the whole soak
 (publication + polls), with ``speedup`` = partitioned / single.  The
@@ -25,8 +26,8 @@ With ``REPRO_BENCH_JSON`` set, results land in ``BENCH_monitor_shard.json``
 key).  ``speedup`` is recorded, not gated: while one leaf of ten was
 BDD-checked on every storm the partitioned run won ~2.5x; with every leaf
 on the atomic-predicate engine a refresh is too cheap to repay the thread
-fan-out and worker round trips, and the single checker is the faster one
-(~0.8x on 2 cores).
+fan-out, and the single checker is the faster one (~0.8x on 2 cores, with
+or without worker round trips).
 """
 
 from __future__ import annotations

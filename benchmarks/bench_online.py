@@ -116,7 +116,7 @@ def test_incremental_recheck_vs_full_sweep():
 
     # The incremental path must never sweep the whole fabric again.
     assert incremental.full_checks == 1
-    assert monitor.delta.full_checks == 1
+    assert monitor.stats()["full_checks"] == 1
     assert max(rechecked_counts) < total_switches
 
     emit_bench_json(

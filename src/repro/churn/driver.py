@@ -332,7 +332,7 @@ class ChurnDriver:
         instructions, attachments = build_instruction_batch_for_switch(
             self.controller.policy,
             switch_uid,
-            index=self.monitor.delta.index,
+            index=self.monitor.checkers[0].index,
             operation=Operation.ADD,
             issued_at=self.clock.peek(),
         )

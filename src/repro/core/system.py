@@ -147,7 +147,7 @@ class ScoutSystem:
         )
         self.correlation_engine = correlation_engine or EventCorrelationEngine()
         #: Lazily created persistent worker pool for parallel sweeps.
-        self._pool: Optional[WarmWorkerPool] = None
+        self.pool: Optional[WarmWorkerPool] = None
         #: Derived checkers for per-call ``engine=`` overrides, cached so a
         #: repeated override (a ``bdd`` cross-check audit) reuses its state.
         self._engine_checkers: Dict[str, EquivalenceChecker] = {}
@@ -182,15 +182,15 @@ class ScoutSystem:
         round simply leaves workers idle).  Workers keep their memoized
         compiled state across rounds until :meth:`close`.
         """
-        if self._pool is None or self._pool.closed:
-            self._pool = WarmWorkerPool(max_workers=max_workers)
-        return self._pool
+        if self.pool is None or self.pool.closed:
+            self.pool = WarmWorkerPool(max_workers=max_workers)
+        return self.pool
 
     def close(self) -> None:
         """Release the worker pool — and its warm caches — if one exists."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def __enter__(self) -> "ScoutSystem":
         return self

@@ -98,7 +98,7 @@ class IncrementalChecker:
         self._owned = owned
         #: Lazily created warm pool for large batched refreshes; kept across
         #: refreshes so a churn storm's repeat offenders hit warm workers.
-        self._pool: Optional[WarmWorkerPool] = None
+        self.pool: Optional[WarmWorkerPool] = None
         self._index: Optional[PolicyIndex] = None
         self._index_dirty = False
         self._results: Dict[str, SwitchCheckResult] = {}
@@ -324,7 +324,6 @@ class IncrementalChecker:
     def refresh(
         self,
         switch_uids: Optional[Sequence[str]] = None,
-        executor=None,
         max_workers: Optional[int] = None,
     ) -> Dict[str, SwitchCheckResult]:
         """Re-check the dirty switches (plus any explicitly named ones).
@@ -332,13 +331,12 @@ class IncrementalChecker:
         Returns the fresh result for every switch that was re-validated.
         Never-bootstrapped checkers bootstrap first and report every switch.
 
-        A multi-event burst (a deployment storm, a rack losing power) can
-        dirty a large slice of the fabric at once; passing ``max_workers``
-        (or an ``executor``) batches the blast radius through the same
-        shard planner the full-fabric parallel sweep uses.  Digest
-        short-circuits still happen inline — only switches whose
-        fingerprints disagree are shipped to the shard engine — and
-        results are identical to the serial path.
+        Digest short-circuits always happen inline; only switches whose
+        fingerprints disagree reach an engine, and :meth:`_check_pending`
+        decides where that runs.  A multi-event burst (a deployment storm,
+        a rack losing power) can dirty a large slice of the fabric at once;
+        ``max_workers`` lets such a batch use this checker's warm pool.
+        Results are identical whichever route answers.
         """
         if self._index is None:
             report = self.bootstrap()
@@ -355,33 +353,39 @@ class IncrementalChecker:
                     self._apply_pair(pair)
             self._dirty_pairs.clear()
             refreshed: Dict[str, SwitchCheckResult] = {}
-            pending: list = []
-            use_batch = executor is not None or (
-                max_workers is not None and max_workers != 1
-            )
+            pending: List[Tuple[str, List[TcamRule], List[TcamRule]]] = []
+            switches = self.controller.fabric.switches
             for switch_uid in sorted(self._dirty):
-                if (
-                    switch_uid not in self.controller.fabric.switches
-                    and switch_uid not in self._switch_rules
-                ):
+                switch = switches.get(switch_uid)
+                logical_map = self._switch_rules.get(switch_uid)
+                if switch is None and logical_map is None:
                     # Neither an L nor a T side exists (a typo'd or decommissioned
                     # switch): fabricating a clean verdict would mask the mistake,
                     # and a serial check_network would emit nothing for it either.
                     self._results.pop(switch_uid, None)
                     self._digests.pop(switch_uid, None)
                     continue
-                if not use_batch:
-                    refreshed[switch_uid] = self._check_one(switch_uid)
-                    continue
-                logical_map, deployed, digest = self._digest_one(switch_uid)
+                logical_map = logical_map or {}
+                deployed = switch.deployed_rules() if switch is not None else []
+                digest = SwitchDigest(
+                    logical=frozenset(logical_map),
+                    deployed=frozenset(rule.match_key() for rule in deployed),
+                )
+                self._digests[switch_uid] = digest
                 if digest.clean:
-                    refreshed[switch_uid] = self._clean_result(
-                        switch_uid, logical_map, deployed
+                    self.digest_short_circuits += 1
+                    result = SwitchCheckResult(
+                        switch_uid=switch_uid,
+                        equivalent=True,
+                        logical_count=len(logical_map),
+                        deployed_count=len(deployed),
+                        engine="digest",
                     )
+                    refreshed[switch_uid] = self._results[switch_uid] = result
                 else:
                     pending.append((switch_uid, list(logical_map.values()), deployed))
             if pending:
-                refreshed.update(self._check_batch(pending, executor, max_workers))
+                refreshed.update(self._check_pending(pending, max_workers))
             self._dirty.clear()
             refresh_span.count(
                 "digest_short_circuits", self.digest_short_circuits - digests_before
@@ -389,76 +393,43 @@ class IncrementalChecker:
             refresh_span.count("switch_checks", self.switch_checks - checks_before)
         return refreshed
 
-    def _digest_one(self, switch_uid: str):
-        """Fingerprint one switch's live L and T sides (cheap, in-process)."""
-        logical_map = self._switch_rules.get(switch_uid, {})
-        switch = self.controller.fabric.switches.get(switch_uid)
-        deployed = switch.deployed_rules() if switch is not None else []
-        digest = SwitchDigest(
-            logical=frozenset(logical_map),
-            deployed=frozenset(rule.match_key() for rule in deployed),
-        )
-        self._digests[switch_uid] = digest
-        return logical_map, deployed, digest
-
-    def _clean_result(
-        self, switch_uid: str, logical_map: Dict, deployed: Sequence[TcamRule]
-    ) -> SwitchCheckResult:
-        """Record the digest-proven-equivalent verdict for one switch."""
-        self.digest_short_circuits += 1
-        result = SwitchCheckResult(
-            switch_uid=switch_uid,
-            equivalent=True,
-            logical_count=len(logical_map),
-            deployed_count=len(deployed),
-            engine="digest",
-        )
-        self._results[switch_uid] = result
-        return result
-
-    def _check_one(self, switch_uid: str) -> SwitchCheckResult:
-        logical_map, deployed, digest = self._digest_one(switch_uid)
-        if digest.clean:
-            return self._clean_result(switch_uid, logical_map, deployed)
-        self.switch_checks += 1
-        result = self.checker.check_switch(
-            switch_uid, list(logical_map.values()), deployed
-        )
-        self._results[switch_uid] = result
-        return result
-
-    def _check_batch(
-        self,
-        pending: Sequence[tuple],
-        executor,
-        max_workers: Optional[int],
+    def _check_pending(
+        self, pending: Sequence[tuple], max_workers: Optional[int]
     ) -> Dict[str, SwitchCheckResult]:
-        """Ship digest-failing switches to the shard engine as one batch.
+        """Run the engine over a refresh's digest-failing switches.
 
-        ``check_many`` plans the shards itself (rule-count-weighted LPT, the
-        same planner the full-fabric sweep uses), so the blast radius is
-        balanced the same way a full parallel check would balance it.
-        Blast radii big enough to amortize processes run on this checker's
-        persistent :class:`~repro.parallel.pool.WarmWorkerPool` so repeat
-        offenders (a flapping switch re-dirtied every few events) are
-        answered from warm worker caches; smaller ones run inline.
+        The one place that decides *where*: without a worker budget, this
+        checker's engine, switch by switch; with one, ``check_many`` — which
+        plans the shards itself (rule-count-weighted LPT, the planner the
+        full-fabric sweep uses) — inline below ``SMALL_FABRIC_SWITCHES``,
+        and on this checker's persistent
+        :class:`~repro.parallel.pool.WarmWorkerPool` at or above it, so
+        repeat offenders (a flapping switch re-dirtied every few events)
+        are answered from warm worker caches.
         """
-        if executor is None and len(pending) >= SMALL_FABRIC_SWITCHES:
-            if self._pool is None or self._pool.closed:
-                self._pool = WarmWorkerPool(max_workers=max_workers)
-            executor = self._pool
-        report = self.checker.check_many(
-            pending, executor=executor, max_workers=max_workers
-        )
-        self.switch_checks += len(report.results)
-        self._results.update(report.results)
-        return dict(report.results)
+        if max_workers is None or max_workers == 1:
+            results = {
+                switch_uid: self.checker.check_switch(switch_uid, logical, deployed)
+                for switch_uid, logical, deployed in pending
+            }
+        else:
+            executor = None
+            if len(pending) >= SMALL_FABRIC_SWITCHES:
+                if self.pool is None or self.pool.closed:
+                    self.pool = WarmWorkerPool(max_workers=max_workers)
+                executor = self.pool
+            results = self.checker.check_many(
+                pending, executor=executor, max_workers=max_workers
+            ).results
+        self.switch_checks += len(results)
+        self._results.update(results)
+        return dict(results)
 
     def close(self) -> None:
         """Release the batch worker pool (and its warm caches), if any."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     # ------------------------------------------------------------------ #
     # State access
@@ -486,12 +457,7 @@ class IncrementalChecker:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "full_checks": self.full_checks,
-            "switch_checks": self.switch_checks,
-            "digest_short_circuits": self.digest_short_circuits,
-            "pair_recompiles": self.pair_recompiles,
-            "index_rebuilds": self.index_rebuilds,
-            "index_patches": self.index_patches,
+            **{key: getattr(self, key) for key in _STAT_KEYS},
             "dirty_switches": len(self._dirty),
             # The persistent checker's atom table (atomic-predicate engine):
             # deltas *patch* it in place, so across refreshes the version
@@ -566,14 +532,24 @@ class IncrementalChecker:
         saved ``index_dirty`` flag is kept, so unresolved object blast radii
         resolve against a rebuilt index exactly like an uninterrupted
         checker would.  No full sweep runs: ``full_checks`` moves only by
-        what ``with_stats`` restores.
+        what ``with_stats`` restores.  A malformed payload raises before
+        anything changes.
         """
-        self._results = {
+        self.parse_state(state, with_stats)()
+
+    def parse_state(self, state: Dict, with_stats: bool = True) -> Callable[[], None]:
+        """Parse a :meth:`snapshot_state` payload and return the step that
+        adopts it — :meth:`restore_state` in two halves, so a monitor can
+        parse every partition's slice before any checker changes.  Parsing
+        raises on a malformed payload and touches nothing; the returned step
+        cannot fail on the payload's account.
+        """
+        results = {
             uid: SwitchCheckResult.from_dict(data)
             for uid, data in state.get("results", {}).items()
             if self._owns(uid)
         }
-        self._digests = {
+        digests = {
             uid: SwitchDigest(
                 logical=frozenset(tuple(key) for key in digest["logical"]),
                 deployed=frozenset(tuple(key) for key in digest["deployed"]),
@@ -581,8 +557,8 @@ class IncrementalChecker:
             for uid, digest in state.get("digests", {}).items()
             if self._owns(uid)
         }
-        self._pair_rules = {}
-        self._pair_placement = {}
+        pair_rules: Dict[EpgPair, Dict[MatchKey, TcamRule]] = {}
+        pair_placement: Dict[EpgPair, Tuple[str, ...]] = {}
         for entry in state.get("pairs", ()):
             placement = tuple(entry.get("placement", ()))
             if self._owned is not None and not any(
@@ -591,9 +567,9 @@ class IncrementalChecker:
                 continue
             pair = EpgPair(*entry["pair"])
             rules = [TcamRule.from_dict(data) for data in entry.get("rules", ())]
-            self._pair_rules[pair] = {rule.match_key(): rule for rule in rules}
-            self._pair_placement[pair] = placement
-        self._switch_rules = {
+            pair_rules[pair] = {rule.match_key(): rule for rule in rules}
+            pair_placement[pair] = placement
+        switch_rules = {
             uid: {
                 rule.match_key(): rule
                 for rule in (TcamRule.from_dict(data) for data in rule_dicts)
@@ -601,26 +577,35 @@ class IncrementalChecker:
             for uid, rule_dicts in state.get("switch_rules", {}).items()
             if self._owns(uid)
         }
-        self._switch_refs = {
+        switch_refs = {
             uid: {tuple(key): count for key, count in refs}
             for uid, refs in state.get("switch_refs", {}).items()
             if self._owns(uid)
         }
-        self._dirty = {
-            uid for uid in state.get("dirty_switches", ()) if self._owns(uid)
-        }
-        self._dirty_pairs = {
-            EpgPair(*pair) for pair in state.get("dirty_pairs", ())
-        }
-        self._pending_objects = [
+        dirty = {uid for uid in state.get("dirty_switches", ()) if self._owns(uid)}
+        dirty_pairs = {EpgPair(*pair) for pair in state.get("dirty_pairs", ())}
+        pending_objects = [
             (uid, ObjectType(type_value) if type_value is not None else None)
             for uid, type_value in state.get("pending_objects", ())
         ]
-        self._index = self.controller.build_index()
-        self._index_dirty = bool(state.get("index_dirty", False))
-        if with_stats:
-            for key in _STAT_KEYS:
-                setattr(self, key, state.get("stats", {}).get(key, 0))
+        index_dirty = bool(state.get("index_dirty", False))
+        stats = state.get("stats", {})
+        counters = {key: stats.get(key, 0) for key in _STAT_KEYS} if with_stats else {}
+        if not all(type(value) is int for value in counters.values()):
+            raise ValueError(f"stats must be integers, got {counters!r}")
+
+        def adopt() -> None:
+            self._results, self._digests = results, digests
+            self._pair_rules, self._pair_placement = pair_rules, pair_placement
+            self._switch_rules, self._switch_refs = switch_rules, switch_refs
+            self._dirty, self._dirty_pairs = dirty, dirty_pairs
+            self._pending_objects = pending_objects
+            self._index = self.controller.build_index()
+            self._index_dirty = index_dirty
+            for key, value in counters.items():
+                setattr(self, key, value)
+
+        return adopt
 
 
 # ---------------------------------------------------------------------- #
@@ -677,9 +662,7 @@ def merge_checker_states(states: Sequence[Dict]) -> Dict:
         merged["switch_refs"].update(state.get("switch_refs", {}))
         merged["dirty_switches"].update(state.get("dirty_switches", ()))
         merged["dirty_pairs"].update(tuple(p) for p in state.get("dirty_pairs", ()))
-        merged["index_dirty"] = merged["index_dirty"] or bool(
-            state.get("index_dirty", False)
-        )
+        merged["index_dirty"] |= bool(state.get("index_dirty", False))
         for entry in state.get("pairs", ()):
             pairs[tuple(entry["pair"])] = entry
         for uid, type_value in state.get("pending_objects", ()):
@@ -689,18 +672,8 @@ def merge_checker_states(states: Sequence[Dict]) -> Dict:
         for key in _STAT_KEYS:
             merged["stats"][key] += state.get("stats", {}).get(key, 0)
     merged["pairs"] = [pairs[pair] for pair in sorted(pairs)]
-    merged["results"] = {
-        uid: merged["results"][uid] for uid in sorted(merged["results"])
-    }
-    merged["digests"] = {
-        uid: merged["digests"][uid] for uid in sorted(merged["digests"])
-    }
-    merged["switch_rules"] = {
-        uid: merged["switch_rules"][uid] for uid in sorted(merged["switch_rules"])
-    }
-    merged["switch_refs"] = {
-        uid: merged["switch_refs"][uid] for uid in sorted(merged["switch_refs"])
-    }
+    for section in ("results", "digests", "switch_rules", "switch_refs"):
+        merged[section] = dict(sorted(merged[section].items()))
     merged["dirty_switches"] = sorted(merged["dirty_switches"])
     merged["dirty_pairs"] = [list(pair) for pair in sorted(merged["dirty_pairs"])]
     return merged

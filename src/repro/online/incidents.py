@@ -266,17 +266,18 @@ class IncidentStore:
 
         In place matters: the service (and anything else holding a reference
         to the store) keeps seeing the restored incidents without re-wiring.
+        The payload is validated in full before anything is replaced.
         """
         incidents = [Incident.from_dict(data) for data in state.get("incidents", ())]
+        counter = state.get("counter", 0)
+        if not isinstance(counter, int) or isinstance(counter, bool):
+            raise ValueError(f"counter must be an integer, got {counter!r}")
         self._incidents.clear()
         self._active_by_switch.clear()
         for incident in incidents:
             self._incidents[incident.incident_id] = incident
             if incident.is_open:
                 self._active_by_switch[incident.switch_uid] = incident.incident_id
-        counter = state.get("counter", 0)
-        if not isinstance(counter, int) or isinstance(counter, bool):
-            raise ValueError(f"counter must be an integer, got {counter!r}")
         self._counter = counter
 
     # ------------------------------------------------------------------ #

@@ -22,14 +22,18 @@ entry point, so simulations and tests control exactly when work happens.
 
 Partitioning
 ------------
-``partitions=N`` shards the monitor: a :class:`~repro.online.partition.PartitionMap`
-(rule-count-weighted LPT, same planner as the parallel sweep) assigns every
-switch an owner, each partition runs its own :class:`IncrementalChecker`
-scoped to its slice, and a poll refreshes the partitions (concurrently when
-``max_workers`` allows) before merging their disjoint results into one
-deterministic, uid-sorted incident pass.  Verdicts are partition-independent
-— each switch is judged from the same logical/deployed state whoever owns
-it — so a partitioned monitor is fingerprint-identical to a single one.
+Every monitor is partitioned; the default is the one-partition case of the
+same code.  A :class:`~repro.online.partition.PartitionMap` (rule-count-
+weighted LPT, same planner as the parallel sweep) assigns every switch an
+owner, each of the ``partitions=N`` slots runs its own
+:class:`IncrementalChecker` scoped to its slice, and a poll refreshes the
+partitions (concurrently when ``max_workers`` allows) before merging their
+disjoint results into one deterministic, uid-sorted incident pass.  The
+monitor owns no worker pool: each checker decides where its digest-failing
+switches run (``IncrementalChecker._check_pending``) and keeps its own warm
+pool for batches big enough to pay for one.  Verdicts are partition-
+independent — each switch is judged from the same logical/deployed state
+whoever owns it — so any partition count is fingerprint-identical to one.
 
 Snapshot / restore
 ------------------
@@ -48,6 +52,7 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from ..controller.controller import Controller
@@ -76,6 +81,47 @@ __all__ = ["MonitorPass", "NetworkMonitor", "SNAPSHOT_VERSION"]
 
 #: Version tag stamped into (and required of) monitor snapshots.
 SNAPSHOT_VERSION = 1
+
+
+#: Snapshot fields that must hold a (non-bool) integer when present ...
+_INT_FIELDS = (
+    "clock", "partitions", "debounce_ticks", "max_wait_ticks",
+    "poll_seq", "passes", "events_seen",
+)  # fmt: skip
+#: ... and the ones that may also be null (no batch pending).
+_NULLABLE_INT_FIELDS = ("first_event_at", "last_event_at")
+
+
+def _require_snapshot(snapshot: Dict) -> None:
+    """Reject anything that is not a monitor snapshot of this version, or
+    whose scalar fields are not the integers the monitor does arithmetic on."""
+    if not isinstance(snapshot, dict) or snapshot.get("kind") != "monitor-snapshot":
+        raise ValueError("not a monitor snapshot (missing kind tag)")
+    version = snapshot.get("version")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"unsupported monitor snapshot version {version!r} "
+            f"(expected {SNAPSHOT_VERSION})"
+        )
+    if not isinstance(snapshot.get("checker"), dict):
+        raise ValueError("malformed snapshot field 'checker': expected an object")
+    for name in _INT_FIELDS + _NULLABLE_INT_FIELDS:
+        value = snapshot.get(name, 0)
+        nullable = name in _NULLABLE_INT_FIELDS
+        if type(value) is not int and not (nullable and value is None):
+            raise ValueError(
+                f"malformed snapshot field {name!r}: expected an integer, got {value!r}"
+            )
+
+
+def _parse_field(name: str, parse: Callable, value):
+    """``parse(value)``; a malformed section is a ValueError naming it."""
+    try:
+        return parse(value)
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed snapshot field {name!r}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass
@@ -144,20 +190,16 @@ class NetworkMonitor:
         self.bus = bus or EventBus()
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
-        #: The switch-ownership split (``None`` for an unpartitioned
-        #: monitor).  An explicit map wins over ``partitions`` — that is how
-        #: a restore keeps the ownership a snapshot was taken under.
-        if partition_map is not None:
-            self.partition_map: Optional[PartitionMap] = partition_map
-        elif partitions > 1:
-            self.partition_map = self._plan_partition_map(controller, partitions)
-        else:
-            self.partition_map = None
-        self.partitions = (
-            len(self.partition_map) if self.partition_map is not None else 1
+        #: The switch-ownership split.  An explicit map wins over
+        #: ``partitions`` — that is how a restore keeps the ownership a
+        #: snapshot was taken under.
+        self.partition_map: PartitionMap = partition_map or self._plan_partition_map(
+            controller, partitions
         )
+        self.partitions = len(self.partition_map)
         base_checker = checker or EquivalenceChecker()
-        self._checkers: List[IncrementalChecker] = []
+        #: One checker per partition, indexed like the map's slots.
+        self.checkers: List[IncrementalChecker] = []
         for index in range(self.partitions):
             if index == 0:
                 part_checker = base_checker
@@ -169,18 +211,13 @@ class NetworkMonitor:
                     rule_space=base_checker.rule_space,
                     engine=base_checker.engine,
                 )
-            owned = (
-                self._owner_predicate(index) if self.partition_map is not None else None
-            )
-            self._checkers.append(
+            # A sole partition owns everything: ``owned=None`` keeps its
+            # per-bus-event ownership test a ``None`` check instead of a map
+            # lookup that always says yes.
+            owned = self._owner_predicate(index) if self.partitions > 1 else None
+            self.checkers.append(
                 IncrementalChecker(controller, checker=part_checker, owned=owned)
             )
-        #: Partition 0's checker — the whole checker for an unpartitioned
-        #: monitor, so every pre-partitioning caller keeps working.
-        self.delta = self._checkers[0]
-        self._partition_pools: List[Optional[WarmWorkerPool]] = [
-            None for _ in range(self.partitions)
-        ]
         self.localizer = localizer or ScoutLocalizer(
             change_oracle=RecentChangeOracle(
                 change_log=controller.change_log, window=change_window
@@ -188,8 +225,9 @@ class NetworkMonitor:
         )
         self.store = store or IncidentStore()
         #: Worker budget for refresh passes.  ``None`` keeps every recheck
-        #: inline; a value lets large blast radii use the sharded engine
-        #: (small ones still run inline via its small-fabric cutoff).
+        #: inline; a value lets partitions refresh on concurrent threads and
+        #: large blast radii use each checker's warm pool (small ones still
+        #: run inline via the small-fabric cutoff).
         self.max_workers = max_workers
         self.debounce_ticks = debounce_ticks
         #: Upper bound on how long a pending batch may wait for the burst to
@@ -215,22 +253,17 @@ class NetworkMonitor:
     def _plan_partition_map(controller: Controller, partitions: int) -> PartitionMap:
         """LPT-balance the fabric's switches by deployed rule count."""
         switches = controller.fabric.switches
-        weights = {
-            uid: max(1, len(switch.deployed_rules()))
-            for uid, switch in switches.items()
-        }
+        # len(tcam) is the deployed rule count without copying the rules out.
+        weights = {uid: max(1, len(switch.tcam)) for uid, switch in switches.items()}
         return PartitionMap.plan(switches, partitions, weights=weights)
 
     def _owner_predicate(self, index: int) -> Callable[[str], bool]:
-        partition_map = self.partition_map
-        assert partition_map is not None
-        return lambda uid: partition_map.partition_of(uid) == index
+        partition_of = self.partition_map.partition_of
+        return lambda uid: partition_of(uid) == index
 
     def _checker_for(self, switch_uid: str) -> IncrementalChecker:
-        """The checker owning ``switch_uid`` (the sole checker unpartitioned)."""
-        if self.partition_map is None:
-            return self.delta
-        return self._checkers[self.partition_map.partition_of(switch_uid)]
+        """The checker owning ``switch_uid``."""
+        return self.checkers[self.partition_map.partition_of(switch_uid)]
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -250,17 +283,11 @@ class NetworkMonitor:
             raise RuntimeError("monitor is already running")
         self._instrumentation = instrument(self.controller, self.bus)
         self.bus.subscribe(self._on_event)
-        if self.partitions == 1:
-            report = self.delta.bootstrap()
-            results = dict(report.results)
-        else:
-            results = {}
-            for index, checker in enumerate(self._checkers):
-                with span("monitor.bootstrap", partition=index):
-                    results.update(checker.bootstrap().results)
-            report = EquivalenceReport()
-            for switch_uid in sorted(results):
-                report.update(results[switch_uid])
+        results: Dict[str, SwitchCheckResult] = {}
+        for index, checker in enumerate(self.checkers):
+            with span("monitor.bootstrap", partition=index):
+                results.update(checker.bootstrap().results)
+        report = EquivalenceReport(results=dict(sorted(results.items())))
         baseline = MonitorPass(triggered_at=self.clock.peek(), events=0)
         self._apply_results(results, baseline)
         if not baseline.quiet:
@@ -286,13 +313,9 @@ class NetworkMonitor:
         self.release_workers()
 
     def release_workers(self) -> None:
-        """Shut down partition pools and checker pools; the monitor stays
-        attached and usable (pools are re-created lazily on the next need)."""
-        for index, pool in enumerate(self._partition_pools):
-            if pool is not None:
-                pool.shutdown()
-                self._partition_pools[index] = None
-        for checker in self._checkers:
+        """Shut down every checker's warm pool; the monitor stays attached
+        and usable (pools are re-created lazily on the next need)."""
+        for checker in self.checkers:
             checker.close()
 
     # ------------------------------------------------------------------ #
@@ -307,7 +330,7 @@ class NetworkMonitor:
             # Policy blast radii can land on any partition's switches, so
             # the change is broadcast; each checker resolves it against its
             # own slice.
-            for checker in self._checkers:
+            for checker in self.checkers:
                 checker.note_policy_change(
                     event.object_uid, event.object_type, event.operation
                 )
@@ -399,51 +422,49 @@ class NetworkMonitor:
     def _refresh_all(self) -> Dict[str, SwitchCheckResult]:
         """Refresh every partition and merge their disjoint result maps.
 
-        With a worker budget the partitions refresh on concurrent threads,
-        each batching its digest-failing switches through its own persistent
-        warm pool; otherwise they run serially inline.  If any partition
-        fails, switches the *successful* partitions already re-checked are
-        re-dirtied before the error propagates, so the retry re-applies
-        their (cheap, digest-answered) verdicts in the same pass as the
-        recovered partition's — no incident transition is lost or split.
+        With a worker budget the partitions refresh on concurrent threads;
+        otherwise (or with one partition) they run in a plain loop.  Where
+        a partition's digest-failing switches run is the checker's call.
+        If any partition fails (the plain loop stops there; threads have
+        all run by then), switches the *successful* partitions re-checked
+        are re-dirtied before the first error propagates, so the retry
+        re-applies their (cheap, digest-answered) verdicts in the same pass
+        as the recovered partition's — no incident transition is lost or
+        split.
         """
-        if self.partitions == 1:
-            return self.delta.refresh(max_workers=self.max_workers)
+        budget = self.max_workers
+        if budget is not None and budget != 1:
+            # Each partition gets its share of the budget, floored at two —
+            # a warm pool needs two workers to leave inline mode (and to
+            # populate its memo caches).  Mild oversubscription is
+            # deliberate: memo hits keep most workers idle.
+            budget = max(2, budget // self.partitions)
+
+        def run_partition(index: int, checker: IncrementalChecker):
+            with span("monitor.partition", partition=index):
+                return checker.refresh(max_workers=budget)
+
+        attempts = [
+            # copy_context() ships the ambient corr id and span down to a
+            # worker thread (both are context-local); inline it is a no-op.
+            partial(contextvars.copy_context().run, run_partition, index, checker)
+            for index, checker in enumerate(self.checkers)
+        ]
+        threads = min(self.partitions, self.max_workers or 1)
+        if threads > 1:
+            with ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="monitor-partition"
+            ) as executor:
+                attempts = [executor.submit(attempt).result for attempt in attempts]
         refreshed: Dict[str, SwitchCheckResult] = {}
         failures: List[BaseException] = []
-        if self.max_workers is not None and self.max_workers != 1:
-            budget = max(2, self.max_workers // self.partitions)
-
-            def run_partition(index: int, checker: IncrementalChecker):
-                with span("monitor.partition", partition=index):
-                    return checker.refresh(
-                        executor=self._partition_pool(index), max_workers=budget
-                    )
-
-            with ThreadPoolExecutor(
-                max_workers=min(self.partitions, self.max_workers),
-                thread_name_prefix="monitor-partition",
-            ) as threads:
-                futures = [
-                    # copy_context() ships the ambient corr id and span down
-                    # to the worker thread (both are context-local).
-                    threads.submit(
-                        contextvars.copy_context().run, run_partition, index, checker
-                    )
-                    for index, checker in enumerate(self._checkers)
-                ]
-                for future in futures:
-                    try:
-                        refreshed.update(future.result())
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        failures.append(exc)
-        else:
-            for index, checker in enumerate(self._checkers):
-                try:
-                    with span("monitor.partition", partition=index):
-                        refreshed.update(checker.refresh())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    failures.append(exc)
+        for attempt in attempts:
+            try:
+                refreshed.update(attempt())
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures.append(exc)
+                if threads <= 1:
+                    # Nothing after this one has run: leave its dirt alone.
                     break
         if failures:
             for switch_uid in refreshed:
@@ -451,31 +472,10 @@ class NetworkMonitor:
             raise failures[0]
         return refreshed
 
-    def _partition_pool(self, index: int) -> WarmWorkerPool:
-        """The lazily created persistent warm pool of one partition.
-
-        A warm pool needs at least two workers to leave inline mode (and to
-        populate its memo caches), so each partition gets its share of the
-        budget, floored at two — mild oversubscription is deliberate: memo
-        hits keep most workers idle.
-        """
-        pool = self._partition_pools[index]
-        if pool is None or pool.closed:
-            budget = max(2, (self.max_workers or 2) // self.partitions)
-            pool = WarmWorkerPool(max_workers=budget)
-            self._partition_pools[index] = pool
-        return pool
-
     def worker_pools(self) -> List[WarmWorkerPool]:
-        """Every live warm pool the monitor owns — the partition executors
-        plus any pool a checker spun up for itself (health/metrics rollups
-        read these)."""
-        pools = [pool for pool in self._partition_pools if pool is not None]
-        for checker in self._checkers:
-            pool = getattr(checker, "_pool", None)
-            if pool is not None:
-                pools.append(pool)
-        return pools
+        """Every live warm pool under the monitor — one per checker that
+        has needed one (health/metrics rollups read these)."""
+        return [checker.pool for checker in self.checkers if checker.pool is not None]
 
     def _apply_results(
         self,
@@ -562,9 +562,7 @@ class NetworkMonitor:
             "kind": "monitor-snapshot",
             "clock": self.clock.peek(),
             "partitions": self.partitions,
-            "partition_map": (
-                self.partition_map.to_dict() if self.partition_map is not None else None
-            ),
+            "partition_map": self.partition_map.to_dict(),
             "debounce_ticks": self.debounce_ticks,
             "max_wait_ticks": self.max_wait_ticks,
             "poll_seq": self._poll_seq,
@@ -574,7 +572,7 @@ class NetworkMonitor:
             "first_event_at": self._first_event_at,
             "last_event_at": self._last_event_at,
             "checker": merge_checker_states(
-                [checker.snapshot_state() for checker in self._checkers]
+                [checker.snapshot_state() for checker in self.checkers]
             ),
             "incidents": self.store.snapshot(),
         }
@@ -593,35 +591,45 @@ class NetworkMonitor:
         """
         if self.running:
             raise RuntimeError("cannot restore a running monitor (stop it first)")
-        if snapshot.get("kind") != "monitor-snapshot":
-            raise ValueError("not a monitor snapshot (missing kind tag)")
-        version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported monitor snapshot version {version!r} "
-                f"(expected {SNAPSHOT_VERSION})"
-            )
+        _require_snapshot(snapshot)
+        # Parse every section before touching anything: a malformed document
+        # must leave the monitor un-attached, the shared clock unmoved and a
+        # following start() working.
+        adoptions = _parse_field(
+            "checker",
+            # Counters land on partition 0 only: they were merged across
+            # partitions at snapshot time, so restoring the sum everywhere
+            # would multiply it.  Aggregated stats() sums right back.
+            lambda state: [
+                checker.parse_state(state, with_stats=(index == 0))
+                for index, checker in enumerate(self.checkers)
+            ],
+            snapshot["checker"],
+        )
+        pending = _parse_field(
+            "pending_events",
+            lambda events: [event_from_dict(data) for data in events],
+            snapshot.get("pending_events", ()),
+        )
+        # The store validates its whole payload before replacing its contents,
+        # so this is the last step that can reject the snapshot.
+        _parse_field(
+            "incidents",
+            self.store.restore,
+            snapshot.get("incidents", {"incidents": [], "counter": 0}),
+        )
         snapshot_clock = snapshot.get("clock", 0)
         behind = snapshot_clock - self.clock.peek()
         if behind > 0:
             self.clock.tick(behind)
         self.debounce_ticks = snapshot.get("debounce_ticks", self.debounce_ticks)
-        max_wait = snapshot.get("max_wait_ticks")
-        if max_wait is not None:
-            self.max_wait_ticks = max_wait
+        self.max_wait_ticks = snapshot.get("max_wait_ticks", self.max_wait_ticks)
         self._poll_seq = snapshot.get("poll_seq", 0)
         self._restored_passes = snapshot.get("passes", 0)
         self._restored_events = snapshot.get("events_seen", 0)
-        checker_state = snapshot["checker"]
-        for index, checker in enumerate(self._checkers):
-            # Counters land on partition 0 only: they were merged across
-            # partitions at snapshot time, so restoring the sum everywhere
-            # would multiply it.  Aggregated stats() sums right back.
-            checker.restore_state(checker_state, with_stats=(index == 0))
-        self.store.restore(snapshot.get("incidents", {"incidents": [], "counter": 0}))
-        self._pending = [
-            event_from_dict(data) for data in snapshot.get("pending_events", ())
-        ]
+        for adopt in adoptions:
+            adopt()
+        self._pending = pending
         self._first_event_at = snapshot.get("first_event_at")
         self._last_event_at = snapshot.get("last_event_at")
         self._restores += 1
@@ -644,15 +652,20 @@ class NetworkMonitor:
         merged checker state reshards along a freshly planned map (safe,
         because per-switch verdicts are partition-independent).
         """
+        _require_snapshot(snapshot)
+        # Null in snapshots written before every monitor carried a map.
         stored_map = snapshot.get("partition_map")
         count = partitions if partitions is not None else snapshot.get("partitions", 1)
-        partition_map: Optional[PartitionMap] = None
-        if stored_map is not None and count == len(stored_map.get("shards", ())):
-            partition_map = PartitionMap.from_dict(stored_map)
+        if stored_map is not None:
+            stored_map = _parse_field(
+                "partition_map", PartitionMap.from_dict, stored_map
+            )
+            if len(stored_map) != count:
+                stored_map = None  # a rebalance: replan on the new count
         monitor = cls(
             controller,
             partitions=count,
-            partition_map=partition_map,
+            partition_map=stored_map,
             **kwargs,
         )
         monitor.restore(snapshot)
@@ -663,19 +676,14 @@ class NetworkMonitor:
     # ------------------------------------------------------------------ #
     def report(self) -> EquivalenceReport:
         """The live network-wide L-T verdict (no sweep; may lag pending events)."""
-        if self.partitions == 1:
-            return self.delta.report()
         results: Dict[str, SwitchCheckResult] = {}
-        for checker in self._checkers:
+        for checker in self.checkers:
             results.update(checker.results())
-        report = EquivalenceReport()
-        for switch_uid in sorted(results):
-            report.update(results[switch_uid])
-        return report
+        return EquivalenceReport(results=dict(sorted(results.items())))
 
     def stats(self) -> Dict[str, int]:
-        combined = dict(self.delta.stats())
-        for checker in self._checkers[1:]:
+        combined = dict(self.checkers[0].stats())
+        for checker in self.checkers[1:]:
             for key, value in checker.stats().items():
                 # Atom-table gauges are per-engine-clone, not additive.
                 if key in ("atom_version", "atom_patches"):

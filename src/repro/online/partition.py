@@ -89,7 +89,7 @@ class PartitionMap:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "PartitionMap":
-        shards = data.get("shards")
+        shards = data.get("shards") if isinstance(data, dict) else None
         if not isinstance(shards, list) or not all(
             isinstance(shard, list) for shard in shards
         ):

@@ -17,8 +17,9 @@ The entry points most callers want live on the existing classes:
   API over (uid, logical, deployed) triples;
 * :meth:`repro.core.system.ScoutSystem.check` with ``parallel=True`` —
   the full-fabric sweep, sharded;
-* :meth:`repro.online.delta.IncrementalChecker.refresh` with a worker
-  count — multi-event blast radii batched through the same shard planner.
+* :meth:`repro.online.delta.IncrementalChecker.refresh` with
+  ``max_workers`` — multi-event blast radii batched through the same shard
+  planner, inline or on the checker's own pool by batch size.
 """
 
 from .engine import (

@@ -196,7 +196,9 @@ def run_shard(task: ShardTask) -> ShardResult:
                 return rules
 
             resolved: List[CompiledOutcome] = []
-            with span("worker.check"):
+            # Inline shards can run on sibling monitor-partition threads; the
+            # cache and its atom tables take one writer at a time.
+            with span("worker.check"), WORKER_CACHE.lock:
                 # The atom table outlives the shard: buffers already folded
                 # in (digest-keyed) are skipped, so a warm worker patches
                 # atoms only for genuinely new rule sets.

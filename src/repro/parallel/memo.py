@@ -23,12 +23,15 @@ The module-level :data:`WORKER_CACHE` instance lives in whichever process
 runs :func:`repro.parallel.engine.run_shard` — a long-lived pool worker
 under :class:`repro.parallel.pool.WarmWorkerPool`, or the parent itself
 when the shards run inline (which is how the warm path stays testable, and
-covered, on single-core machines).
+covered, on single-core machines).  The parent may run inline shards on
+several threads at once (a partitioned monitor's), so ``run_shard`` holds
+:attr:`CompiledStateCache.lock` while it touches the LRU or an atom table.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
@@ -83,6 +86,8 @@ class CompiledStateCache:
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         self.max_entries = max_entries
+        #: Held by ``run_shard`` across observe → lookup → check → store.
+        self.lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, CompiledOutcome]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -154,7 +159,10 @@ class CompiledStateCache:
         return True
 
     def clear(self) -> None:
-        """Drop every entry and zero the counters (tests and respawns)."""
+        """Drop every entry, zero the counters and renew the lock (tests and
+        worker start: a forked worker may inherit the lock held by a parent
+        thread that does not exist in the child)."""
+        self.lock = threading.Lock()
         self._entries.clear()
         self.hits = 0
         self.misses = 0

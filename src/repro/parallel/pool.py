@@ -26,9 +26,11 @@ single-core machines).
 
 The pool is executor-shaped (``map`` / ``shutdown`` / context manager) and
 always caller-owned: :func:`~repro.parallel.engine.check_switches` never
-shuts it down, and the owner (:class:`~repro.core.system.ScoutSystem`,
-:class:`~repro.online.delta.IncrementalChecker`, a bench) decides when the
-warm state dies.
+shuts it down, and the owner decides when the warm state dies.  The
+library has two owners, each holding at most one pool as ``.pool``:
+:class:`~repro.core.system.ScoutSystem` and
+:class:`~repro.online.delta.IncrementalChecker` (the monitor owns none; it
+closes its checkers').  Benches build their own.
 """
 
 from __future__ import annotations

@@ -417,7 +417,7 @@ class ScoutService:
     def _pool_stats(self) -> Dict:
         """Merged lifetime stats over every live warm pool (system + monitor)."""
         merged = {"workers": 0, "rounds": 0, "respawns": 0, "hits": 0, "misses": 0}
-        pools = [getattr(self.system, "_pool", None)]
+        pools = [self.system.pool]
         pools.extend(self.monitor.worker_pools())
         for pool in pools:
             if pool is None or pool.closed:

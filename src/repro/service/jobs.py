@@ -81,10 +81,11 @@ Runner = Callable[[Dict], Dict]
 class AuditQueue:
     """FIFO job execution: inline for tests, a worker thread for the daemon.
 
-    The queue is job-kind agnostic: the audit endpoints and the campaign
-    endpoint each own one instance, distinguished by the job-id ``prefix``
-    (``AUD-``/``CMP-``) and the ``metric_prefix`` under which executions are
-    counted (``repro_audit_*`` / ``repro_campaign_*``).
+    The queue is job-kind agnostic: the audit, campaign and churn endpoints
+    each own one instance (three in all), distinguished by the job-id
+    ``prefix`` (``AUD-``/``CMP-``/``CHN-``) and the ``metric_prefix`` under
+    which executions are counted (``repro_audit_*`` / ``repro_campaign_*`` /
+    ``repro_churn_*``).
     """
 
     def __init__(

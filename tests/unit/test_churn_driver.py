@@ -45,11 +45,11 @@ class TestPolicyChurn:
         driver.apply(PolicyAdd(seq=1, rule_id=1, draw_seed=11))
         driver.clock.tick()
         driver.monitor.poll()
-        patches_before = driver.monitor.delta.index_patches
+        patches_before = driver.monitor.stats()["index_patches"]
         driver.apply(PolicyModify(seq=2, draw_seed=12))
         driver.clock.tick()
         driver.monitor.poll()
-        assert driver.monitor.delta.index_patches == patches_before + 1
+        assert driver.monitor.stats()["index_patches"] == patches_before + 1
         assert driver.checkpoint(seq=3).ok
 
     def test_remove_round_trips_to_the_original_state(self, driver):

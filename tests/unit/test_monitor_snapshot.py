@@ -7,8 +7,120 @@ import json
 import pytest
 
 from repro.core import ScoutSystem
-from repro.online import NetworkMonitor
+from repro.online import IncrementalChecker, NetworkMonitor
 from repro.service import ScoutService, TestClient
+
+#: ``NetworkMonitor(three_tier.controller, debounce_ticks=1).snapshot()`` as
+#: the commit before every monitor carried a partition map wrote it (note
+#: ``"partition_map": null``): bootstrap, leaf-2 loses its port-700 rules,
+#: ``tick(2)``, one poll (incident open), snapshot.
+PARENT_FORMAT_SNAPSHOT = json.loads(
+    '''
+{"checker": {"digests": {"leaf-1": {"deployed": [[101, 1, 2, "tcp", 80, "allow"], [101,
+2, 1, "tcp", 80, "allow"]], "logical": [[101, 1, 2, "tcp", 80, "allow"], [101, 2, 1,
+"tcp", 80, "allow"]]}, "leaf-2": {"deployed": [[101, 1, 2, "tcp", 80, "allow"], [101, 2,
+1, "tcp", 80, "allow"], [101, 2, 3, "tcp", 80, "allow"], [101, 3, 2, "tcp", 80,
+"allow"]], "logical": [[101, 1, 2, "tcp", 80, "allow"], [101, 2, 1, "tcp", 80, "allow"],
+[101, 2, 3, "tcp", 80, "allow"], [101, 2, 3, "tcp", 700, "allow"], [101, 3, 2, "tcp",
+80, "allow"], [101, 3, 2, "tcp", 700, "allow"]]}, "leaf-3": {"deployed": [[101, 2, 3,
+"tcp", 80, "allow"], [101, 2, 3, "tcp", 700, "allow"], [101, 3, 2, "tcp", 80, "allow"],
+[101, 3, 2, "tcp", 700, "allow"]], "logical": [[101, 2, 3, "tcp", 80, "allow"], [101, 2,
+3, "tcp", 700, "allow"], [101, 3, 2, "tcp", 80, "allow"], [101, 3, 2, "tcp", 700,
+"allow"]]}}, "dirty_pairs": [], "dirty_switches": [], "index_dirty": false, "pairs":
+[{"pair": ["epg:webshop/App", "epg:webshop/DB"], "placement": ["leaf-2", "leaf-3"],
+"rules": [{"action": "allow", "contract_uid": "contract:webshop/App-DB", "dst_epg": 3,
+"dst_epg_uid": "epg:webshop/DB", "filter_uid": "filter:webshop/port80", "port": 80,
+"protocol": "tcp", "src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101,
+"vrf_uid": "vrf:webshop/101"}, {"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid":
+"filter:webshop/port80", "port": 80, "protocol": "tcp", "src_epg": 3, "src_epg_uid":
+"epg:webshop/DB", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid":
+"epg:webshop/DB", "filter_uid": "filter:webshop/port700", "port": 700, "protocol":
+"tcp", "src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, {"action": "allow", "contract_uid": "contract:webshop/App-DB",
+"dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid": "filter:webshop/port700",
+"port": 700, "protocol": "tcp", "src_epg": 3, "src_epg_uid": "epg:webshop/DB",
+"vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}]}, {"pair": ["epg:webshop/App",
+"epg:webshop/Web"], "placement": ["leaf-1", "leaf-2"], "rules": [{"action": "allow",
+"contract_uid": "contract:webshop/Web-App", "dst_epg": 1, "dst_epg_uid":
+"epg:webshop/Web", "filter_uid": "filter:webshop/port80", "port": 80, "protocol": "tcp",
+"src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, {"action": "allow", "contract_uid": "contract:webshop/Web-App",
+"dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid": "filter:webshop/port80",
+"port": 80, "protocol": "tcp", "src_epg": 1, "src_epg_uid": "epg:webshop/Web",
+"vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}]}], "pending_objects": [], "results":
+{"leaf-1": {"deployed_count": 2, "engine": "ap", "equivalent": true, "extra_rules": [],
+"logical_count": 2, "missing_rules": [], "switch_uid": "leaf-1"}, "leaf-2":
+{"deployed_count": 4, "engine": "ap", "equivalent": false, "extra_rules": [],
+"logical_count": 6, "missing_rules": [{"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid": "epg:webshop/DB", "filter_uid":
+"filter:webshop/port700", "port": 700, "protocol": "tcp", "src_epg": 2, "src_epg_uid":
+"epg:webshop/App", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid":
+"epg:webshop/App", "filter_uid": "filter:webshop/port700", "port": 700, "protocol":
+"tcp", "src_epg": 3, "src_epg_uid": "epg:webshop/DB", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}], "switch_uid": "leaf-2"}, "leaf-3": {"deployed_count": 4, "engine":
+"ap", "equivalent": true, "extra_rules": [], "logical_count": 4, "missing_rules": [],
+"switch_uid": "leaf-3"}}, "stats": {"digest_short_circuits": 0, "full_checks": 1,
+"index_patches": 0, "index_rebuilds": 0, "pair_recompiles": 0, "switch_checks": 1},
+"switch_refs": {"leaf-1": [[[101, 2, 1, "tcp", 80, "allow"], 1], [[101, 1, 2, "tcp", 80,
+"allow"], 1]], "leaf-2": [[[101, 2, 3, "tcp", 80, "allow"], 1], [[101, 3, 2, "tcp", 80,
+"allow"], 1], [[101, 2, 3, "tcp", 700, "allow"], 1], [[101, 3, 2, "tcp", 700, "allow"],
+1], [[101, 2, 1, "tcp", 80, "allow"], 1], [[101, 1, 2, "tcp", 80, "allow"], 1]],
+"leaf-3": [[[101, 2, 3, "tcp", 80, "allow"], 1], [[101, 3, 2, "tcp", 80, "allow"], 1],
+[[101, 2, 3, "tcp", 700, "allow"], 1], [[101, 3, 2, "tcp", 700, "allow"], 1]]},
+"switch_rules": {"leaf-1": [{"action": "allow", "contract_uid":
+"contract:webshop/Web-App", "dst_epg": 1, "dst_epg_uid": "epg:webshop/Web",
+"filter_uid": "filter:webshop/port80", "port": 80, "protocol": "tcp", "src_epg": 2,
+"src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"},
+{"action": "allow", "contract_uid": "contract:webshop/Web-App", "dst_epg": 2,
+"dst_epg_uid": "epg:webshop/App", "filter_uid": "filter:webshop/port80", "port": 80,
+"protocol": "tcp", "src_epg": 1, "src_epg_uid": "epg:webshop/Web", "vrf_scope": 101,
+"vrf_uid": "vrf:webshop/101"}], "leaf-2": [{"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid": "epg:webshop/DB", "filter_uid":
+"filter:webshop/port80", "port": 80, "protocol": "tcp", "src_epg": 2, "src_epg_uid":
+"epg:webshop/App", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid":
+"epg:webshop/App", "filter_uid": "filter:webshop/port80", "port": 80, "protocol": "tcp",
+"src_epg": 3, "src_epg_uid": "epg:webshop/DB", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, {"action": "allow", "contract_uid": "contract:webshop/App-DB",
+"dst_epg": 3, "dst_epg_uid": "epg:webshop/DB", "filter_uid": "filter:webshop/port700",
+"port": 700, "protocol": "tcp", "src_epg": 2, "src_epg_uid": "epg:webshop/App",
+"vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid":
+"filter:webshop/port700", "port": 700, "protocol": "tcp", "src_epg": 3, "src_epg_uid":
+"epg:webshop/DB", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/Web-App", "dst_epg": 1, "dst_epg_uid":
+"epg:webshop/Web", "filter_uid": "filter:webshop/port80", "port": 80, "protocol": "tcp",
+"src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, {"action": "allow", "contract_uid": "contract:webshop/Web-App",
+"dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid": "filter:webshop/port80",
+"port": 80, "protocol": "tcp", "src_epg": 1, "src_epg_uid": "epg:webshop/Web",
+"vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}], "leaf-3": [{"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid":
+"epg:webshop/DB", "filter_uid": "filter:webshop/port80", "port": 80, "protocol": "tcp",
+"src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, {"action": "allow", "contract_uid": "contract:webshop/App-DB",
+"dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid": "filter:webshop/port80",
+"port": 80, "protocol": "tcp", "src_epg": 3, "src_epg_uid": "epg:webshop/DB",
+"vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid": "epg:webshop/DB", "filter_uid":
+"filter:webshop/port700", "port": 700, "protocol": "tcp", "src_epg": 2, "src_epg_uid":
+"epg:webshop/App", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid":
+"epg:webshop/App", "filter_uid": "filter:webshop/port700", "port": 700, "protocol":
+"tcp", "src_epg": 3, "src_epg_uid": "epg:webshop/DB", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}]}}, "clock": 3, "debounce_ticks": 1, "events_seen": 2,
+"first_event_at": null, "incidents": {"counter": 1, "incidents": [{"corr_id":
+"poll-t3-000001", "extra_rules": 0, "fault_codes": [], "incident_id": "INC-0001",
+"missing_rules": 2, "opened_at": 3, "resolved_at": null, "status": "open", "suspects":
+["contract:webshop/App-DB", "epg:webshop/DB", "filter:webshop/port700"], "switch_uid":
+"leaf-2", "updated_at": 3, "updates": 0}]}, "kind": "monitor-snapshot", "last_event_at":
+1, "max_wait_ticks": 5, "partition_map": null, "partitions": 1, "passes": 1,
+"pending_events": [], "poll_seq": 1, "version": 1}
+'''
+)
 
 
 def _wipe(scenario, uid, port=700):
@@ -66,6 +178,26 @@ class TestSnapshotRestore:
         assert restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
         restored.close()
 
+    def test_standalone_checker_restore_state_restores(self, three_tier):
+        # The checker is also used on its own (campaign runner, benches):
+        # restore_state adopts the payload itself, all-or-nothing.
+        source = IncrementalChecker(three_tier.controller)
+        source.bootstrap()
+        _wipe(three_tier, "leaf-2")
+        source.refresh(["leaf-2"])
+        state = json.loads(json.dumps(source.snapshot_state()))
+
+        target = IncrementalChecker(three_tier.controller)
+        broken = {**state, "pairs": [{"rules": []}]}
+        with pytest.raises(KeyError):
+            target.restore_state(broken)
+        assert target.results() == {} and target.stats()["full_checks"] == 0
+        assert target.restore_state(state) is None
+        assert target.report().fingerprint() == source.report().fingerprint()
+        for counter in ("full_checks", "switch_checks", "digest_short_circuits"):
+            assert target.stats()[counter] == source.stats()[counter]
+        assert target.refresh() == {}  # nothing dirty, no bootstrap sweep
+
     def test_restore_while_running_rejected(self, three_tier):
         monitor = NetworkMonitor(three_tier.controller)
         monitor.start()
@@ -83,6 +215,10 @@ class TestSnapshotRestore:
             monitor.restore({**snap, "kind": "something-else"})
         with pytest.raises(ValueError, match="version"):
             monitor.restore({**snap, "version": 999})
+        # The two fields only from_snapshot reads.
+        for field, value in (("partitions", "two"), ("partition_map", "leaf-1")):
+            with pytest.raises(ValueError, match=field):
+                NetworkMonitor.from_snapshot(three_tier.controller, {**snap, field: value})
         # The failed restores left the monitor detached and restorable.
         assert not monitor.running
         monitor.restore(snap)
@@ -124,6 +260,136 @@ class TestSnapshotRestore:
         assert restored.partition_map is not None
         assert restored.partition_map.to_dict() == snap["partition_map"]
         restored.close()
+
+
+class TestParentFormatSnapshot:
+    @pytest.mark.parametrize("partitions", (None, 2))
+    def test_parent_commit_snapshot_restores(self, three_tier, partitions):
+        assert PARENT_FORMAT_SNAPSHOT["partition_map"] is None
+        assert PARENT_FORMAT_SNAPSHOT["partitions"] == 1
+        _wipe(three_tier, "leaf-2")  # the fabric state the document was taken in
+        restored = NetworkMonitor.from_snapshot(
+            three_tier.controller,
+            json.loads(json.dumps(PARENT_FORMAT_SNAPSHOT)),
+            partitions=partitions,
+        )
+        try:
+            assert restored.running
+            assert restored.partitions == (partitions or 1)
+            stats = restored.stats()
+            assert stats["full_checks"] == 1  # the document's bootstrap, unmoved
+            assert stats["restores"] == 1
+            assert [item.switch_uid for item in restored.store.active()] == ["leaf-2"]
+            fresh = ScoutSystem(three_tier.controller).check()
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+            # A restored monitor writes the current format.
+            assert len(restored.snapshot()["partition_map"]["shards"]) == (
+                partitions or 1
+            )
+        finally:
+            restored.close()
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _in_checker(section, mutate):
+    def apply(doc):
+        checker = dict(doc["checker"])
+        checker[section] = mutate(checker[section])
+        return {**doc, "checker": checker}
+
+    return apply
+
+
+def _drop_result_key(results):
+    # The alphabetically last switch: refused even when an earlier one —
+    # possibly another partition's — parsed fine.
+    last = sorted(results)[-1]
+    broken = {k: v for k, v in results[last].items() if k != "switch_uid"}
+    return {**results, last: broken}
+
+
+MALFORMED_SNAPSHOTS = {
+    "not-an-object": (lambda doc: [doc], "kind"),
+    "no-checker": (_without("checker"), "checker"),
+    "checker-not-an-object": (_with("checker", "state"), "checker"),
+    "pair-without-pair": (
+        _in_checker(
+            "pairs",
+            lambda pairs: pairs[:-1]
+            + [{k: v for k, v in pairs[-1].items() if k != "pair"}],
+        ),
+        "'checker': KeyError: 'pair'",
+    ),
+    "result-without-switch-uid": (
+        _in_checker("results", _drop_result_key),
+        "'checker': KeyError: 'switch_uid'",
+    ),
+    "rule-without-port": (
+        _in_checker("switch_rules", lambda rules: {**rules, "leaf-3": [{"vrf_scope": 1}]}),
+        "'checker': KeyError: 'src_epg'",
+    ),
+    "unknown-pending-event": (
+        _with("pending_events", [{"kind": "from-the-future", "timestamp": 1}]),
+        "pending_events",
+    ),
+    "incident-without-timestamps": (
+        _with("incidents", {"incidents": [{"incident_id": "INC-1"}], "counter": 1}),
+        "incidents",
+    ),
+    "incident-counter-not-an-int": (
+        _with("incidents", {"incidents": [], "counter": "7"}),
+        "incidents",
+    ),
+    "clock-not-an-int": (_with("clock", "noon"), "clock"),
+}
+
+
+class TestMalformedSnapshot:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+    def test_malformed_snapshot_is_rejected_before_any_state_changes(
+        self, three_tier, case
+    ):
+        mutate, field = MALFORMED_SNAPSHOTS[case]
+        controller = three_tier.controller
+        source = NetworkMonitor(controller, debounce_ticks=1, partitions=2)
+        source.start()
+        _wipe(three_tier, "leaf-2")
+        controller.clock.tick(2)
+        assert source.poll().opened
+        good = json.loads(json.dumps(source.snapshot()))
+        source.close()
+        # The document is from the future, so an accepted clock would tick.
+        good["clock"] = controller.clock.peek() + 50
+        bad = mutate(good)
+
+        now = controller.clock.peek()
+        with pytest.raises(ValueError, match=field):
+            NetworkMonitor.from_snapshot(controller, bad)
+        monitor = NetworkMonitor(controller, debounce_ticks=1, partitions=2)
+        with pytest.raises(ValueError, match=field):
+            monitor.restore(bad)
+        assert controller.clock.peek() == now
+        assert monitor.running is False
+        assert len(monitor.store) == 0 and monitor.pending_events() == 0
+        assert monitor.stats()["restores"] == 0
+
+        # Nothing half-adopted: the same monitor still bootstraps cleanly.
+        report = monitor.start()
+        assert monitor.running
+        assert monitor.stats()["full_checks"] == 2  # one per partition, no more
+        fresh = ScoutSystem(controller).check()
+        assert report.semantic_fingerprint() == fresh.semantic_fingerprint()
+        assert [item.switch_uid for item in monitor.store.active()] == ["leaf-2"]
+        monitor.close()
 
 
 class TestSnapshotRoute:

@@ -56,7 +56,7 @@ class TestLifecycle:
         assert incident.resolved_at == controller.clock.peek()
         assert monitor.store.active() == []
         # Throughout, the monitor never ran a second full sweep.
-        assert monitor.delta.full_checks == 1
+        assert monitor.stats()["full_checks"] == 1
 
     def test_policy_drift_opens_and_deploy_resolves(self, monitored):
         scenario, monitor, _ = monitored
@@ -206,6 +206,18 @@ class TestStartStop:
 
 
 class TestFailedPollRecovery:
+    @pytest.fixture(params=(1, 2), ids=lambda count: f"partitions={count}")
+    def monitored(self, request, three_tier):
+        monitor = NetworkMonitor(
+            three_tier.controller, debounce_ticks=1, partitions=request.param
+        )
+        report = monitor.start()
+        return three_tier, monitor, report
+
+    @staticmethod
+    def owner_of(monitor, switch_uid):
+        return monitor.checkers[monitor.partition_map.partition_of(switch_uid)]
+
     def test_failed_refresh_keeps_the_batch_and_retries(self, monitored, monkeypatch):
         scenario, monitor, _ = monitored
         controller = scenario.controller
@@ -216,7 +228,8 @@ class TestFailedPollRecovery:
         controller.clock.tick(2)
 
         calls = {"n": 0}
-        real_refresh = monitor.delta.refresh
+        owner = self.owner_of(monitor, "leaf-2")
+        real_refresh = owner.refresh
 
         def flaky_refresh(*args, **kwargs):
             calls["n"] += 1
@@ -224,7 +237,7 @@ class TestFailedPollRecovery:
                 raise RuntimeError("worker pool died mid-refresh")
             return real_refresh(*args, **kwargs)
 
-        monkeypatch.setattr(monitor.delta, "refresh", flaky_refresh)
+        monkeypatch.setattr(owner, "refresh", flaky_refresh)
         with pytest.raises(RuntimeError):
             monitor.poll()
         # The batch survives the failure: same events, still due, nothing
@@ -253,7 +266,9 @@ class TestFailedPollRecovery:
         controller.clock.tick(2)
 
         monkeypatch.setattr(
-            monitor.delta, "refresh", lambda *a, **k: (_ for _ in ()).throw(OSError())
+            self.owner_of(monitor, "leaf-2"),
+            "refresh",
+            lambda *a, **k: (_ for _ in ()).throw(OSError()),
         )
         with pytest.raises(OSError):
             monitor.poll()
@@ -267,6 +282,31 @@ class TestFailedPollRecovery:
         result = monitor.poll()
         assert result.switches_rechecked == ["leaf-2", "leaf-3"]
         assert {incident.switch_uid for incident in result.opened} == {"leaf-2", "leaf-3"}
+
+
+    def test_plain_loop_stops_at_the_first_failing_partition(self, three_tier, monkeypatch):
+        # Without a worker budget nothing after the failure has run yet, so
+        # nothing is refreshed only to be re-dirtied (and a KeyboardInterrupt
+        # is not held up by a pass over the remaining partitions).
+        monitor = NetworkMonitor(three_tier.controller, debounce_ticks=1, partitions=2)
+        monitor.start()
+        first, second = monitor.checkers
+        for leaf in ("leaf-1", "leaf-2", "leaf-3"):
+            three_tier.fabric.switch(leaf).tcam.remove_where(lambda rule: True)
+        dirty_second = second.dirty_switches()
+        assert first.dirty_switches() and dirty_second
+        monkeypatch.setattr(
+            first, "refresh", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
+        )
+        checks_before = second.stats()["switch_checks"]
+        with pytest.raises(KeyboardInterrupt):
+            monitor.poll(force=True)
+        assert second.stats()["switch_checks"] == checks_before
+        assert second.dirty_switches() == dirty_second
+        monkeypatch.undo()
+        result = monitor.poll(force=True)
+        assert result.switches_rechecked == ["leaf-1", "leaf-2", "leaf-3"]
+        monitor.close()
 
 
 class TestSamePassFaultAndResolve:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.churn import ChurnDriver
+from repro.experiments import prepare_workload
 from repro.online import NetworkMonitor, PartitionMap
+from repro.parallel import WarmWorkerPool
+from repro.parallel.executor import SMALL_FABRIC_SWITCHES
+from repro.policy.objects import Filter, FilterEntry
+from repro.workloads import simulation_profile, three_tier_scenario
 
 
 class TestPartitionMap:
@@ -82,6 +89,41 @@ class TestPartitionedMonitor:
         assert monitor.stats()["full_checks"] == 2
         monitor.close()
 
+    def test_new_ports_on_both_partitions_in_one_poll_match_a_single_checker(self):
+        # Both shards see a never-observed port in the same poll, on sibling
+        # threads, inline (3 leaves < SMALL_FABRIC_SWITCHES): the shared
+        # worker cache's atom table is patched from both.
+        def drift(**monitor_kwargs):
+            scenario = three_tier_scenario()
+            controller = scenario.controller
+            monitor = NetworkMonitor(
+                controller, debounce_ticks=1, max_workers=2, **monitor_kwargs
+            )
+            monitor.start()
+            try:
+                widened = Filter(
+                    uid=scenario.uids["filter_extra_0"],
+                    name="port700",
+                    entries=(
+                        FilterEntry(protocol="tcp", port=700),
+                        FilterEntry(protocol="tcp", port=799),
+                    ),
+                )
+                controller.modify_object("webshop", widened, detail="widen")
+                controller.clock.tick(2)
+                result = monitor.poll()
+                assert result.switches_rechecked == ["leaf-2", "leaf-3"]
+                return (
+                    monitor.store.to_jsonl(),
+                    monitor.report().fingerprint(),
+                    monitor.worker_pools(),
+                )
+            finally:
+                monitor.close()
+
+        split = PartitionMap([["leaf-1", "leaf-2"], ["leaf-3"]])
+        assert drift(partition_map=split) == drift()
+
     def test_partitioned_run_identical_to_single_on_small(self):
         # Satellite contract: the partitioned monitor's incident stream and
         # final verdict are byte-identical to the single checker's on the
@@ -102,3 +144,63 @@ class TestPartitionedMonitor:
         finally:
             single.close()
             sharded.close()
+
+
+class TestPoolOwnership:
+    """The checker, not the monitor, owns the warm pool — and only a batch
+    big enough to pay for one ever creates it, on every partition count."""
+
+    @staticmethod
+    def storm(controller):
+        """Every leaf loses one rule: ten digest-failing switches."""
+        for switch in controller.fabric.switches.values():
+            victim = switch.tcam.rules()[0]
+            assert switch.tcam.remove_where(lambda rule: rule == victim)
+        controller.clock.tick(2)
+
+    def test_small_partition_batches_run_inline(self):
+        controller = prepare_workload(simulation_profile()).controller
+        monitor = NetworkMonitor(controller, partitions=2, max_workers=2)
+        monitor.start()
+        try:
+            assert all(
+                len(monitor.partition_map.owned(index)) < SMALL_FABRIC_SWITCHES
+                for index in range(2)
+            )
+            self.storm(controller)
+            result = monitor.poll()
+            assert len(result.opened) == len(controller.fabric.switches)
+            assert monitor.worker_pools() == []
+            assert multiprocessing.active_children() == []
+        finally:
+            monitor.close()
+
+    def test_large_partition_batch_uses_the_owning_checkers_pool(self):
+        controller = prepare_workload(simulation_profile()).controller
+        leaves = sorted(controller.fabric.switches)
+        lopsided = PartitionMap(
+            [leaves[:SMALL_FABRIC_SWITCHES], leaves[SMALL_FABRIC_SWITCHES:]]
+        )
+        monitor = NetworkMonitor(controller, partition_map=lopsided, max_workers=2)
+        monitor.start()
+        try:
+            big, small = monitor.checkers
+            self.storm(controller)
+            monitor.poll()
+            pool = big.pool
+            assert isinstance(pool, WarmWorkerPool) and not pool.closed
+            assert small.pool is None
+            assert monitor.worker_pools() == [pool]
+
+            self.storm(controller)
+            updated = monitor.poll()
+            assert len(updated.updated) == len(leaves)
+            assert big.pool is pool and pool.rounds == 2  # reused, not rebuilt
+
+            monitor.release_workers()
+            assert pool.closed and big.pool is None
+            assert monitor.worker_pools() == []
+            assert monitor.running  # still attached; pools come back lazily
+        finally:
+            monitor.close()
+        assert multiprocessing.active_children() == []

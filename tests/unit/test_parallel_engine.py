@@ -11,6 +11,8 @@ use, and cover the work-unit plumbing the process pool relies on.
 import multiprocessing
 import pickle
 import random
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -147,6 +149,52 @@ class TestWorkUnits:
             (outcome,) = run_shard(task).outcomes
             # Same rule sets, different engine: a separate memo entry.
             assert outcome.engine == engine
+
+    def test_inline_shards_on_sibling_threads_take_turns(self, monkeypatch):
+        # A partitioned monitor runs small batches inline on concurrent
+        # threads; they share this process's WORKER_CACHE (one atom table,
+        # one LRU), so the checks themselves must never interleave.
+        reset_worker_cache()
+        real_check = EquivalenceChecker.check_switch
+        inside = []
+        overlaps = []
+
+        def slow_check(self, switch_uid, logical, deployed):
+            inside.append(switch_uid)
+            overlaps.append(len(inside))
+            time.sleep(0.02)  # hand the GIL to the sibling thread
+            try:
+                return real_check(self, switch_uid, logical, deployed)
+            finally:
+                inside.remove(switch_uid)
+
+        monkeypatch.setattr(EquivalenceChecker, "check_switch", slow_check)
+        tasks = [
+            ShardTask(
+                units=(SwitchWorkUnit(f"leaf-{n}", logical_ref=0, deployed_ref=1),),
+                # Distinct new ports per thread: both patch the atom table.
+                buffers=(
+                    tuple(_rule(port).match_key() for port in (base, base + 1)),
+                    (_rule(base).match_key(),),
+                ),
+                engine="ap",
+                space_widths=(13, 15, 2, 16),
+            )
+            for n, base in enumerate((1000, 2000, 3000, 4000))
+        ]
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            results = list(threads.map(run_shard, tasks))
+        assert overlaps == [1, 1, 1, 1]
+        for task, base, result in zip(tasks, (1000, 2000, 3000, 4000), results):
+            (outcome,) = result.outcomes
+            assert outcome.missing == (_rule(base + 1).match_key(),)
+
+    def test_cache_reset_replaces_a_lock_inherited_held(self):
+        # What a forked pool worker does first: the parent thread that held
+        # the lock at fork time does not exist in the child.
+        WORKER_CACHE.lock.acquire()
+        reset_worker_cache()
+        assert not WORKER_CACHE.lock.locked()
 
     def test_identical_rule_sets_intern_to_shared_buffers(self):
         reset_worker_cache()

@@ -216,17 +216,17 @@ class TestOwnerLifecycles:
         # Eight degraded switches: enough pending work to clear the
         # small-fabric threshold, so the batch goes through the warm pool.
         pending = [(f"leaf-{i}", [_rule(8000 + i)], []) for i in range(8)]
-        results = checker._check_batch(pending, None, 1)
-        assert isinstance(checker._pool, WarmWorkerPool)
+        results = checker._check_pending(pending, 2)
+        assert isinstance(checker.pool, WarmWorkerPool)
         assert all(not result.equivalent for result in results.values())
-        pool = checker._pool
-        again = checker._check_batch(pending, None, 1)
-        assert checker._pool is pool  # reused, not rebuilt
+        pool = checker.pool
+        again = checker._check_pending(pending, 2)
+        assert checker.pool is pool  # reused, not rebuilt
         assert {uid: r.missing_rules for uid, r in again.items()} == {
             uid: r.missing_rules for uid, r in results.items()
         }
         checker.close()
-        assert checker._pool is None
+        assert checker.pool is None
 
     def test_churn_driver_warm_checkpoints_and_close(self):
         driver = ChurnDriver.for_workload("small", events=30, seed=7, max_workers=2)
@@ -236,7 +236,7 @@ class TestOwnerLifecycles:
             driver.close()
         assert report.divergence_count == 0
         assert report.checkpoints, "stream should contain checkpoints"
-        assert driver.system._pool is None or driver.system._pool.closed
+        assert driver.system.pool is None or driver.system.pool.closed
 
 
 def test_worker_cache_is_bounded():
