@@ -55,8 +55,7 @@ from ..policy.objects import Contract, Epg, Filter, FilterEntry
 from ..protocol import DeliveryStatus, Instruction, Operation
 from ..verify.checker import EquivalenceReport
 from ..workloads.churn_profiles import ChurnProfile, churn_profile_for
-from ..workloads.generator import generate_workload
-from ..workloads.profiles import resolve_profile
+from ..workloads.scenarios import deploy_profile
 from .events import (
     Checkpoint,
     ChurnEvent,
@@ -263,9 +262,7 @@ class ChurnDriver:
         churn = churn_profile_for(
             workload, events=events, seed=seed, checkpoint_interval=checkpoint_interval
         )
-        generated = generate_workload(resolve_profile(workload, seed=seed))
-        controller = Controller(generated.policy, generated.fabric)
-        controller.deploy()
+        controller = deploy_profile(workload, seed=seed)
         # Age the initial-deployment change records out of SCOUT's recency
         # window (the campaign runner does the same before injecting): stage
         # 2 should weigh churn-era management actions, not the big bang.

@@ -125,6 +125,31 @@ class Hypothesis:
             "unexplained": sorted(str(obs) for obs in self.unexplained),
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Hypothesis":
+        """Inverse of :meth:`to_dict`, preserving entry (selection) order.
+
+        Risk keys and observations come back as the strings the wire carried.
+        """
+        entries = [
+            HypothesisEntry(
+                risk=entry["risk"],
+                reason=SelectionReason(entry["reason"]),
+                hit_ratio=entry.get("hit_ratio", 0.0),
+                coverage_ratio=entry.get("coverage_ratio", 0.0),
+                iteration=entry.get("iteration", 0),
+                explained=set(entry.get("explained", ())),
+            )
+            for entry in data.get("entries", ())
+        ]
+        return cls(
+            entries=entries,
+            explained=set(data.get("explained", ())),
+            unexplained=set(data.get("unexplained", ())),
+            iterations=data.get("iterations", 0),
+            algorithm=data.get("algorithm", ""),
+        )
+
     def describe(self) -> str:
         lines = [f"Hypothesis ({self.algorithm}): {len(self)} object(s)"]
         for entry in self.entries:

@@ -84,7 +84,7 @@ class ScoutReport:
         live state on demand) and correlation findings are flattened to their
         operator-facing facts; everything else — the equivalence report with
         full rule provenance, the hypothesis with its selection order — is
-        carried verbatim so ``repro.service.serializers`` can round-trip it.
+        carried verbatim so :meth:`from_dict` can round-trip it.
         """
         correlation = None
         if self.correlation is not None:
@@ -111,6 +111,25 @@ class ScoutReport:
             },
             "correlation": correlation,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ScoutReport":
+        """Rebuild a report from its wire form.
+
+        Risk models and fault-signature matchers (callables over live graph
+        state) are rebuilt on demand rather than shipped over the wire, so
+        the result has empty ``risk_models`` and no ``correlation`` object —
+        the flattened findings stay available in the original payload.
+        """
+        return cls(
+            scope=data["scope"],
+            equivalence=EquivalenceReport.from_dict(data["equivalence"]),
+            hypothesis=Hypothesis.from_dict(data["hypothesis"]),
+            per_switch={
+                uid: Hypothesis.from_dict(entry)
+                for uid, entry in data.get("per_switch", {}).items()
+            },
+        )
 
     def describe(self) -> str:
         lines = [

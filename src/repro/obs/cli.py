@@ -26,10 +26,9 @@ import json
 import time
 from typing import Optional, Sequence
 
-from ..controller.controller import Controller
 from ..core.system import ScoutSystem
-from ..workloads.generator import generate_workload
-from ..workloads.profiles import profile_names, resolve_profile
+from ..workloads.profiles import profile_names
+from ..workloads.scenarios import deploy_profile
 from .export import write_chrome, write_jsonl
 from .recorder import format_flightrecord
 from .report import (
@@ -54,16 +53,8 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _deploy(profile_name: str, seed: Optional[int]) -> ScoutSystem:
-    profile = resolve_profile(profile_name, seed=seed)
-    workload = generate_workload(profile)
-    controller = Controller(workload.policy, workload.fabric)
-    controller.deploy()
-    return ScoutSystem(controller)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    system = _deploy(args.profile, args.seed)
+    system = ScoutSystem(deploy_profile(args.profile, seed=args.seed))
     collector = TraceCollector()
     start = time.perf_counter()
     report = system.localize(
@@ -89,7 +80,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_parallel(args: argparse.Namespace) -> int:
-    system = _deploy(args.profile, args.seed)
+    system = ScoutSystem(deploy_profile(args.profile, seed=args.seed))
 
     serial_start = time.perf_counter()
     serial_report = system.check()

@@ -5,18 +5,20 @@ monitor (:mod:`repro.online`) and the sharded parallel engine
 (:mod:`repro.parallel`) become a long-running daemon here:
 
 * :mod:`~repro.service.http` — dependency-free router, typed
-  request/response, structured 404/409 errors;
-* :mod:`~repro.service.serializers` — stable dict/JSON surfaces for every
-  report type (fingerprints survive the wire);
-* :mod:`~repro.service.jobs` — the audit job queue (enqueue → poll, with a
-  deterministic synchronous mode);
-* :mod:`~repro.service.app` — :class:`ScoutService`, the routes over one
-  live deployment;
+  request/response, structured 400/404/409 errors;
+* :mod:`~repro.service.jobs` — the job queue (enqueue → poll, with a
+  deterministic synchronous mode), one instance per job kind;
+* :mod:`~repro.service.app` — :class:`ScoutService`: the job table
+  (``JOB_KINDS``: audits, campaigns, churn soaks) behind three generic
+  handlers, and the routes over one live deployment;
 * :mod:`~repro.service.metrics` — Prometheus-style ``/metrics``;
 * :mod:`~repro.service.wsgi` / :mod:`~repro.service.testing` — the two
   transports: a stdlib WSGI server and an in-process test client;
 * :mod:`~repro.service.cli` — ``repro-service`` / ``repro-audit`` console
   entry points (``python -m repro.service`` works too).
+
+Reports cross the JSON boundary through ``to_dict``/``from_dict`` on the
+report classes themselves (fingerprints survive the wire).
 """
 
 from .app import ScoutService, service_for_profile

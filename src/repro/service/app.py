@@ -4,36 +4,10 @@
 step calls for.  It owns one :class:`~repro.core.system.ScoutSystem` (batch
 audits through the sharded parallel engine), one
 :class:`~repro.online.monitor.NetworkMonitor` (continuous detection with the
-incident lifecycle) and one :class:`~repro.service.jobs.AuditQueue`, and
-exposes them as a JSON API:
-
-======  =================================  =====================================
-Method  Path                               Purpose
-======  =================================  =====================================
-GET     ``/healthz``                       liveness + deployment summary
-POST    ``/audits``                        enqueue a SCOUT audit job
-GET     ``/audits``                        list audit jobs (without results)
-GET     ``/audits/{job_id}``               poll one job: status → full report
-POST    ``/campaigns``                     run a fault-injection campaign (sync)
-GET     ``/campaigns``                     list campaign jobs (without results)
-GET     ``/campaigns/{job_id}``            poll one campaign job
-POST    ``/churn``                         run a hermetic churn soak (sync)
-GET     ``/churn``                         list churn jobs (without results)
-GET     ``/churn/{job_id}``                poll one churn job
-GET     ``/incidents``                     incidents, ``?status=`` / ``?switch=``
-GET     ``/incidents/{incident_id}``       one incident
-POST    ``/incidents/{incident_id}/resolve``  operator ack (409 when closed)
-POST    ``/monitor/poll``                  process due events (``{"force": true}``)
-GET     ``/monitor/status``                monitor stats + pending events
-POST    ``/monitor/start``                 attach + baseline (409 when running)
-POST    ``/monitor/stop``                  detach (409 when stopped)
-POST    ``/monitor/snapshot``              monitor state dump (``{"path": ...}``)
-GET     ``/incidents/{incident_id}/flightrecord``  black-box bundle for one incident
-GET     ``/health``                        component health (worst-of rollup)
-GET     ``/slo``                           SLO attainment + burn rates
-GET     ``/metrics``                       Prometheus text exposition
-GET     ``/traces``                        stage attribution + recent spans
-======  =================================  =====================================
+incident lifecycle) and one :class:`~repro.service.jobs.AuditQueue` per row
+of the job table (:data:`JOB_KINDS`), and exposes them as the JSON API that
+``docs/http-api.md`` documents route by route (a tier-1 test holds that file
+and the live ``service.router.routes`` to the same set).
 
 Every request runs under a **correlation id** (honoring an inbound
 ``X-Repro-Corr-Id`` header, minting a ``req-...`` id otherwise) that is
@@ -52,10 +26,13 @@ production traffic through the WSGI adapter.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
 from ..campaign.runner import run_campaign
 from ..campaign.spec import CampaignSpec
@@ -82,36 +59,203 @@ from ..online.incidents import Incident, IncidentStatus
 from ..online.monitor import NetworkMonitor
 from ..verify.checker import ENGINES
 from ..workloads.churn_profiles import churn_profile_for
-from ..workloads.generator import generate_workload
 from ..workloads.profiles import resolve_profile
+from ..workloads.scenarios import deploy_profile
 from .http import BadRequest, Conflict, NotFound, Request, Response, Router
 from .jobs import AuditJob, AuditQueue, JobStatus
 from .metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 
-__all__ = ["ScoutService", "service_for_profile"]
-
-#: Parameters ``POST /audits`` accepts (everything else is a 400).
-_AUDIT_PARAMS = frozenset(
-    {"scope", "parallel", "max_workers", "correlate", "sync", "engine"}
-)
-
-#: Parameters ``POST /campaigns`` accepts: the campaign spec fields plus the
-#: queue's ``sync`` override.
-_CAMPAIGN_PARAMS = frozenset(
-    {"name", "profiles", "seeds", "faults", "engines", "scope", "sync"}
-)
+__all__ = ["JOB_KINDS", "JobKind", "ScoutService", "service_for_profile"]
 
 #: Hard ceiling on grid size for service-side campaigns.  A campaign runs
 #: whole workload generations per cell; anything bigger belongs on the
 #: ``repro-campaign`` CLI, not behind an HTTP request.
 MAX_CAMPAIGN_CELLS = 64
 
-#: Parameters ``POST /churn`` accepts.
-_CHURN_PARAMS = frozenset({"profile", "seed", "events", "checkpoint_interval", "sync"})
-
 #: Hard ceiling on churn-stream length for service-side soaks.  Longer
 #: streams belong in the dedicated soak suite, not behind an HTTP request.
 MAX_CHURN_EVENTS = 500
+
+
+def _reject_unknown(body: Dict, allowed: FrozenSet[str], what: str) -> None:
+    unknown = set(body) - allowed
+    if unknown:
+        raise BadRequest(
+            f"unknown {what} parameter(s): {', '.join(sorted(map(str, unknown)))}"
+        )
+
+
+def _int_param(
+    body: Dict, key: str, minimum: Optional[int] = None, default: Optional[int] = None
+) -> Optional[int]:
+    """``body[key]`` as a (non-bool) integer ``>= minimum``; absent → ``default``."""
+    value = body.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequest(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise BadRequest(f"{key} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _parse_audit(body: Dict) -> Dict:
+    scope = body.get("scope", "controller")
+    if scope not in ("controller", "switch"):
+        raise BadRequest(f"scope must be 'controller' or 'switch', got {scope!r}")
+    engine = body.get("engine")
+    if engine is not None and engine not in ENGINES:
+        raise BadRequest(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
+    return {
+        "scope": scope,
+        "parallel": bool(body.get("parallel", False)),
+        "max_workers": _int_param(body, "max_workers", minimum=1),
+        "correlate": bool(body.get("correlate", True)),
+        "engine": engine,
+    }
+
+
+def _run_audit(service: ScoutService, params: Dict) -> Dict:
+    """Full SCOUT pipeline over the served deployment, serialized for the wire."""
+    report = service.system.localize(**params)
+    payload = report.to_dict()
+    # Duplicated at the top level so pollers don't have to dig for it.
+    payload["fingerprint"] = report.equivalence.fingerprint()
+    return payload
+
+
+def _parse_campaign(body: Dict) -> Dict:
+    try:
+        spec = CampaignSpec.from_dict(body)
+    except (TypeError, ValueError) as exc:
+        # TypeError covers wrong-typed field values (e.g. a null count),
+        # which the int()/float() coercions raise as TypeError.
+        raise BadRequest(f"bad campaign spec: {exc}") from None
+    cells = len(spec.cells())
+    if cells > MAX_CAMPAIGN_CELLS:
+        raise BadRequest(
+            f"campaign grid has {cells} cells, the service caps at "
+            f"{MAX_CAMPAIGN_CELLS}; run larger sweeps through repro-campaign"
+        )
+    # A churn cell runs `count` events — cap it like POST /churn does, or
+    # a one-cell grid could smuggle an unbounded soak past the cell cap.
+    for fault in spec.faults:
+        if fault.kind == "churn" and fault.count > MAX_CHURN_EVENTS:
+            raise BadRequest(
+                f"churn fault runs {fault.count} events, the service caps "
+                f"at {MAX_CHURN_EVENTS}; run longer soaks through the "
+                f"soak suite"
+            )
+    return {"spec": spec.to_dict()}
+
+
+def _run_campaign(service: ScoutService, params: Dict) -> Dict:
+    """Run the recorded spec on fresh workloads, serialize the report."""
+    return run_campaign(CampaignSpec.from_dict(params["spec"])).to_dict()
+
+
+def _parse_churn(body: Dict) -> Dict:
+    if "profile" not in body:
+        raise BadRequest("churn request needs a 'profile'")
+    events = _int_param(body, "events", minimum=1, default=50)
+    if events > MAX_CHURN_EVENTS:
+        raise BadRequest(
+            f"churn stream has {events} events, the service caps at "
+            f"{MAX_CHURN_EVENTS}; run longer soaks through the soak suite"
+        )
+    params: Dict = {"profile": str(body["profile"]), "events": events}
+    for key, minimum in (("seed", None), ("checkpoint_interval", 1)):
+        value = _int_param(body, key, minimum=minimum)
+        if value is not None:
+            params[key] = value
+    try:
+        # Validate the profile name up front so a typo is a 400, not a
+        # failed job (churn_profile_for raises the listing ValueError).
+        churn_profile_for(params["profile"])
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    return params
+
+
+def _run_churn(service: ScoutService, params: Dict) -> Dict:
+    """Hermetic seeded churn stream + differential oracle.
+
+    The driver runs non-strict so a divergence is *reported* (the
+    ``divergence_count`` field and per-checkpoint records) instead of
+    500-ing the job — an operator probing a build wants the evidence,
+    not a stack trace.
+    """
+    driver = ChurnDriver.for_workload(
+        params["profile"],
+        events=params["events"],
+        seed=params.get("seed"),
+        checkpoint_interval=params.get("checkpoint_interval"),
+        strict=False,
+    )
+    return driver.run().to_dict()
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """One row of the job table: all that tells one job resource from another.
+
+    The generic handlers, the queue wiring, the health probe and ``close()``
+    read these rows; a new kind of job is a new row plus its ``parse``/``run``
+    pair (and its three headings in ``docs/http-api.md``).
+    """
+
+    #: Keys ``service.queues``, error details and the ``repro_<name>_*`` metrics.
+    name: str
+    route: str
+    #: Job-id prefix (``AUD-0001``).
+    prefix: str
+    #: Whether ``POST route`` runs inline when the body does not say.
+    sync: bool
+    #: Body fields ``POST route`` accepts besides ``sync`` (anything else: 400).
+    fields: FrozenSet[str]
+    #: Validates a body into job params; ``run`` executes them, JSON-ready out.
+    parse: Callable[[Dict], Dict]
+    run: Callable[[ScoutService, Dict], Dict]
+
+
+JOB_KINDS = (
+    JobKind(
+        name="audit",
+        route="/audits",
+        prefix="AUD",
+        sync=False,
+        fields=frozenset({"scope", "parallel", "max_workers", "correlate", "engine"}),
+        parse=_parse_audit,
+        run=_run_audit,
+    ),
+    # Campaigns execute inline by default: the route is a synchronous sweep
+    # gate (a probe POSTs a small grid and reads the fingerprint chain out
+    # of the response), with ``{"sync": false}`` available to push a larger
+    # grid onto the worker thread.
+    JobKind(
+        name="campaign",
+        route="/campaigns",
+        prefix="CMP",
+        sync=True,
+        fields=frozenset({"name", "profiles", "seeds", "faults", "engines", "scope"}),
+        parse=_parse_campaign,
+        run=_run_campaign,
+    ),
+    # Churn soaks run hermetically against a *fresh* workload (never the
+    # served fabric: a reboot event wiping a production leaf's TCAM over
+    # HTTP would be an operator's worst day), synchronously by default like
+    # campaigns — a probe POSTs a short stream and reads the checkpoint
+    # verdicts out of the response.
+    JobKind(
+        name="churn",
+        route="/churn",
+        prefix="CHN",
+        sync=True,
+        fields=frozenset({"profile", "seed", "events", "checkpoint_interval"}),
+        parse=_parse_churn,
+        run=_run_churn,
+    ),
+)
 
 
 def _job_response(job: AuditJob) -> Response:
@@ -185,30 +329,19 @@ class ScoutService:
         self.health = HealthRegistry()
         self.slo = SloTracker()
         self._register_health()
-        self.queue = AuditQueue(self._run_audit, sync=sync_audits, metrics=self.metrics)
-        # Campaigns execute inline by default: the route is a synchronous
-        # sweep gate (a probe POSTs a small grid and reads the fingerprint
-        # chain out of the response), with ``{"sync": false}`` available to
-        # push a larger grid onto the worker thread.
-        self.campaigns = AuditQueue(
-            self._run_campaign,
-            sync=True,
-            metrics=self.metrics,
-            prefix="CMP",
-            metric_prefix="campaign",
-        )
-        # Churn soaks run hermetically against a *fresh* workload (never the
-        # served fabric: a reboot event wiping a production leaf's TCAM over
-        # HTTP would be an operator's worst day), synchronously by default
-        # like campaigns — a probe POSTs a short stream and reads the
-        # checkpoint verdicts out of the response.
-        self.churn = AuditQueue(
-            self._run_churn,
-            sync=True,
-            metrics=self.metrics,
-            prefix="CHN",
-            metric_prefix="churn",
-        )
+        # One queue and one worker thread per kind, so an async campaign does
+        # not block async audits.  ``sync_audits`` (the daemon's
+        # ``--sync-audits``/``--once``) overrides the audit row's default.
+        self.queues = {
+            kind.name: AuditQueue(
+                partial(self._run_job, kind),
+                sync=sync_audits if kind.name == "audit" else kind.sync,
+                metrics=self.metrics,
+                prefix=kind.prefix,
+                metric_prefix=kind.name,
+            )
+            for kind in JOB_KINDS
+        }
         self.router = Router()
         self._register_routes()
         self._register_gauges()
@@ -229,9 +362,8 @@ class ScoutService:
 
     def close(self) -> None:
         """Stop the job workers, detach the monitor, release worker pools."""
-        self.queue.shutdown()
-        self.campaigns.shutdown()
-        self.churn.shutdown()
+        for queue in self.queues.values():
+            queue.shutdown()
         self.monitor.close()
         self.system.close()
 
@@ -308,15 +440,10 @@ class ScoutService:
     def _register_routes(self) -> None:
         add = self.router.add
         add("GET", "/healthz", self._get_healthz)
-        add("POST", "/audits", self._post_audit)
-        add("GET", "/audits", self._list_audits)
-        add("GET", "/audits/{job_id}", self._get_audit)
-        add("POST", "/campaigns", self._post_campaign)
-        add("GET", "/campaigns", self._list_campaigns)
-        add("GET", "/campaigns/{job_id}", self._get_campaign)
-        add("POST", "/churn", self._post_churn)
-        add("GET", "/churn", self._list_churn)
-        add("GET", "/churn/{job_id}", self._get_churn)
+        for kind in JOB_KINDS:
+            add("POST", kind.route, partial(self._post_job, kind))
+            add("GET", kind.route, partial(self._list_jobs, kind))
+            add("GET", kind.route + "/{job_id}", partial(self._get_job, kind))
         add("GET", "/incidents", self._list_incidents)
         add("GET", "/incidents/{incident_id}", self._get_incident)
         add("POST", "/incidents/{incident_id}/resolve", self._resolve_incident)
@@ -474,7 +601,8 @@ class ScoutService:
         )
 
     def _probe_job_queues(self) -> ComponentHealth:
-        depth = self.queue.pending() + self.campaigns.pending() + self.churn.pending()
+        pending = {name: queue.pending() for name, queue in self.queues.items()}
+        depth = sum(pending.values())
         if depth > 64:
             status, detail = HealthStatus.FAILING, f"{depth} jobs backed up"
         elif depth > 8:
@@ -487,9 +615,7 @@ class ScoutService:
             detail=detail,
             metrics={
                 "pending": depth,
-                "audit_pending": self.queue.pending(),
-                "campaign_pending": self.campaigns.pending(),
-                "churn_pending": self.churn.pending(),
+                **{f"{name}_pending": count for name, count in pending.items()},
             },
         )
 
@@ -548,199 +674,36 @@ class ScoutService:
         return {"slos": self.slo.snapshot()}
 
     # ------------------------------------------------------------------ #
-    # Handlers: audits
+    # Handlers: jobs (one set, registered per row of JOB_KINDS)
     # ------------------------------------------------------------------ #
-    def _run_audit(self, params: Dict) -> Dict:
-        """Execute one job: full SCOUT pipeline, serialized for the wire.
+    def _run_job(self, kind: JobKind, params: Dict) -> Dict:
+        """Every queue's runner: ``kind.run`` under the tracer and recorder.
 
         Jobs may run on the queue's worker thread, where ``handle``'s
         collector activation does not reach — re-activate it here so job
         spans land in the same trace as request spans.
         """
-        with activated(self.tracer), recording(self.recorder):
-            with correlated(prefix="job"):
-                report = self.system.localize(
-                    scope=params.get("scope", "controller"),
-                    correlate=params.get("correlate", True),
-                    parallel=params.get("parallel", False),
-                    max_workers=params.get("max_workers"),
-                    engine=params.get("engine"),
-                )
-        payload = report.to_dict()
-        # Duplicated at the top level so pollers don't have to dig for it.
-        payload["fingerprint"] = report.equivalence.fingerprint()
-        return payload
+        with activated(self.tracer), recording(self.recorder), correlated(prefix="job"):
+            return kind.run(self, params)
 
-    def _post_audit(self, request: Request) -> Response:
-        body = request.json_body()
-        unknown = set(body) - _AUDIT_PARAMS
-        if unknown:
-            raise BadRequest(
-                f"unknown audit parameter(s): {', '.join(sorted(map(str, unknown)))}"
-            )
-        scope = body.get("scope", "controller")
-        if scope not in ("controller", "switch"):
-            raise BadRequest(f"scope must be 'controller' or 'switch', got {scope!r}")
-        max_workers = body.get("max_workers")
-        if max_workers is not None and (
-            isinstance(max_workers, bool)
-            or not isinstance(max_workers, int)
-            or max_workers < 1
-        ):
-            raise BadRequest(
-                f"max_workers must be a positive integer, got {max_workers!r}"
-            )
-        engine = body.get("engine")
-        if engine is not None and engine not in ENGINES:
-            raise BadRequest(
-                f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-            )
-        params = {
-            "scope": scope,
-            "parallel": bool(body.get("parallel", False)),
-            "max_workers": max_workers,
-            "correlate": bool(body.get("correlate", True)),
-            "engine": engine,
-        }
-        # Absent → queue default; an explicit true/false overrides either way.
-        sync_override = body.get("sync")
-        job = self.queue.submit(
-            params, sync=None if sync_override is None else bool(sync_override)
+    def _post_job(self, kind: JobKind, request: Request) -> Response:
+        body = dict(request.json_body())
+        # Absent → the kind's default; an explicit true/false overrides either way.
+        sync = body.pop("sync", None)
+        _reject_unknown(body, kind.fields, kind.name)
+        job = self.queues[kind.name].submit(
+            kind.parse(body), sync=None if sync is None else bool(sync)
         )
         return _job_response(job)
 
-    def _list_audits(self, request: Request) -> Dict:
-        return {"jobs": [job.to_dict(with_result=False) for job in self.queue.jobs()]}
+    def _list_jobs(self, kind: JobKind, request: Request) -> Dict:
+        jobs = self.queues[kind.name].jobs()
+        return {"jobs": [job.to_dict(with_result=False) for job in jobs]}
 
-    def _get_audit(self, request: Request) -> Dict:
-        job = self.queue.get(request.params["job_id"])
+    def _get_job(self, kind: JobKind, request: Request) -> Dict:
+        job = self.queues[kind.name].get(request.params["job_id"])
         if job is None:
-            raise NotFound(f"unknown audit job {request.params['job_id']!r}")
-        return {"job": job.to_dict()}
-
-    # ------------------------------------------------------------------ #
-    # Handlers: campaigns
-    # ------------------------------------------------------------------ #
-    def _run_campaign(self, params: Dict) -> Dict:
-        """Execute one campaign job: run the recorded spec, serialize the report."""
-        spec = CampaignSpec.from_dict(params["spec"])
-        with activated(self.tracer), recording(self.recorder):
-            with correlated(prefix="job"):
-                return run_campaign(spec).to_dict()
-
-    def _post_campaign(self, request: Request) -> Response:
-        body = request.json_body()
-        unknown = set(body) - _CAMPAIGN_PARAMS
-        if unknown:
-            raise BadRequest(
-                f"unknown campaign parameter(s): {', '.join(sorted(map(str, unknown)))}"
-            )
-        spec_payload = {key: body[key] for key in body if key != "sync"}
-        try:
-            spec = CampaignSpec.from_dict(spec_payload)
-        except (TypeError, ValueError) as exc:
-            # TypeError covers wrong-typed field values (e.g. a null count),
-            # which the int()/float() coercions raise as TypeError.
-            raise BadRequest(f"bad campaign spec: {exc}") from None
-        cells = len(spec.cells())
-        if cells > MAX_CAMPAIGN_CELLS:
-            raise BadRequest(
-                f"campaign grid has {cells} cells, the service caps at "
-                f"{MAX_CAMPAIGN_CELLS}; run larger sweeps through repro-campaign"
-            )
-        # A churn cell runs `count` events — cap it like POST /churn does, or
-        # a one-cell grid could smuggle an unbounded soak past the cell cap.
-        for fault in spec.faults:
-            if fault.kind == "churn" and fault.count > MAX_CHURN_EVENTS:
-                raise BadRequest(
-                    f"churn fault runs {fault.count} events, the service caps "
-                    f"at {MAX_CHURN_EVENTS}; run longer soaks through the "
-                    f"soak suite"
-                )
-        sync_override = body.get("sync")
-        job = self.campaigns.submit(
-            {"spec": spec.to_dict()},
-            sync=None if sync_override is None else bool(sync_override),
-        )
-        return _job_response(job)
-
-    def _list_campaigns(self, request: Request) -> Dict:
-        jobs = [job.to_dict(with_result=False) for job in self.campaigns.jobs()]
-        return {"jobs": jobs}
-
-    def _get_campaign(self, request: Request) -> Dict:
-        job = self.campaigns.get(request.params["job_id"])
-        if job is None:
-            raise NotFound(f"unknown campaign job {request.params['job_id']!r}")
-        return {"job": job.to_dict()}
-
-    # ------------------------------------------------------------------ #
-    # Handlers: churn soaks
-    # ------------------------------------------------------------------ #
-    def _run_churn(self, params: Dict) -> Dict:
-        """Execute one churn job: hermetic seeded stream + differential oracle.
-
-        The driver runs non-strict so a divergence is *reported* (the
-        ``divergence_count`` field and per-checkpoint records) instead of
-        500-ing the job — an operator probing a build wants the evidence,
-        not a stack trace.
-        """
-        driver = ChurnDriver.for_workload(
-            params["profile"],
-            events=params["events"],
-            seed=params.get("seed"),
-            checkpoint_interval=params.get("checkpoint_interval"),
-            strict=False,
-        )
-        with activated(self.tracer), recording(self.recorder):
-            with correlated(prefix="job"):
-                return driver.run().to_dict()
-
-    def _post_churn(self, request: Request) -> Response:
-        body = request.json_body()
-        unknown = set(body) - _CHURN_PARAMS
-        if unknown:
-            raise BadRequest(
-                f"unknown churn parameter(s): {', '.join(sorted(map(str, unknown)))}"
-            )
-        if "profile" not in body:
-            raise BadRequest("churn request needs a 'profile'")
-        events = body.get("events", 50)
-        if isinstance(events, bool) or not isinstance(events, int) or events < 1:
-            raise BadRequest(f"events must be a positive integer, got {events!r}")
-        if events > MAX_CHURN_EVENTS:
-            raise BadRequest(
-                f"churn stream has {events} events, the service caps at "
-                f"{MAX_CHURN_EVENTS}; run longer soaks through the soak suite"
-            )
-        params: Dict = {"profile": str(body["profile"]), "events": events}
-        for key, minimum in (("seed", None), ("checkpoint_interval", 1)):
-            value = body.get(key)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise BadRequest(f"{key} must be an integer, got {value!r}")
-                if minimum is not None and value < minimum:
-                    raise BadRequest(f"{key} must be >= {minimum}, got {value!r}")
-                params[key] = value
-        try:
-            # Validate the profile name up front so a typo is a 400, not a
-            # failed job (churn_profile_for raises the listing ValueError).
-            churn_profile_for(params["profile"])
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
-        sync_override = body.get("sync")
-        job = self.churn.submit(
-            params, sync=None if sync_override is None else bool(sync_override)
-        )
-        return _job_response(job)
-
-    def _list_churn(self, request: Request) -> Dict:
-        return {"jobs": [job.to_dict(with_result=False) for job in self.churn.jobs()]}
-
-    def _get_churn(self, request: Request) -> Dict:
-        job = self.churn.get(request.params["job_id"])
-        if job is None:
-            raise NotFound(f"unknown churn job {request.params['job_id']!r}")
+            raise NotFound(f"unknown {kind.name} job {request.params['job_id']!r}")
         return {"job": job.to_dict()}
 
     # ------------------------------------------------------------------ #
@@ -852,11 +815,7 @@ class ScoutService:
         if not self.monitor.running:
             raise Conflict("monitor is not running (nothing to snapshot)")
         body = request.json_body()
-        unknown = set(body) - {"path"}
-        if unknown:
-            raise BadRequest(
-                f"unknown snapshot parameter(s): {', '.join(sorted(map(str, unknown)))}"
-            )
+        _reject_unknown(body, frozenset({"path"}), "snapshot")
         path = body.get("path")
         if path is not None and (not isinstance(path, str) or not path):
             raise BadRequest(f"path must be a non-empty string, got {path!r}")
@@ -864,12 +823,20 @@ class ScoutService:
         saved = None
         if path is not None:
             target = Path(path)
-            tmp = target.with_name(target.name + ".tmp")
+            tmp = Path(path + ".tmp")
             try:
                 tmp.write_text(json.dumps(snapshot, sort_keys=True) + "\n")
                 os.replace(tmp, target)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
+            except BaseException as exc:
+                with contextlib.suppress(OSError, ValueError):
+                    tmp.unlink()
+                # An unwritable path is the caller's mistake, not a daemon
+                # fault: a 500 here would burn the availability SLO.
+                if isinstance(exc, (OSError, ValueError)):
+                    raise BadRequest(
+                        f"cannot write snapshot to {path!r}: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from None
                 raise
             saved = str(target)
         return {"snapshot": snapshot, "saved": saved}
@@ -909,33 +876,16 @@ class ScoutService:
 
 
 def service_for_profile(
-    name: str,
-    seed: Optional[int] = None,
-    sync_audits: bool = False,
-    auto_start: bool = True,
-    tracing: bool = True,
-    partitions: Optional[int] = None,
-    restore_snapshot: Optional[Dict] = None,
+    name: str, seed: Optional[int] = None, **service_options
 ) -> ScoutService:
     """Generate, deploy and wrap one named workload profile.
 
-    The daemon's boot path: resolve the profile (``ValueError`` for unknown
-    names), generate the synthetic policy + fabric, deploy it through the
-    controller and attach a service (monitor bootstrapped when
-    ``auto_start``, or restored from ``restore_snapshot`` with no sweep at
-    all — the restart path).  ``partitions`` shards the monitor's checker
-    by switch ownership; with a snapshot it rebalances the restored state.
+    The daemon's boot path: :func:`~repro.workloads.deploy_profile`
+    (``ValueError`` for unknown names), then a service over the deployed
+    controller, named after the profile.  ``service_options`` are
+    :class:`ScoutService`'s keyword arguments (``sync_audits``,
+    ``partitions``, ``restore_snapshot`` — the restart path — ...).
     """
-    profile = resolve_profile(name, seed=seed)
-    workload = generate_workload(profile)
-    controller = Controller(workload.policy, workload.fabric)
-    controller.deploy()
-    return ScoutService(
-        controller,
-        name=profile.name,
-        sync_audits=sync_audits,
-        auto_start=auto_start,
-        tracing=tracing,
-        partitions=partitions,
-        restore_snapshot=restore_snapshot,
-    )
+    controller = deploy_profile(name, seed=seed)
+    service_options.setdefault("name", resolve_profile(name, seed=seed).name)
+    return ScoutService(controller, **service_options)

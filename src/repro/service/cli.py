@@ -18,11 +18,10 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..controller.controller import Controller
 from ..core.system import ScoutSystem
 from ..online.monitor import NetworkMonitor
-from ..workloads.generator import generate_workload
-from ..workloads.profiles import profile_names, resolve_profile
+from ..workloads.profiles import profile_names
+from ..workloads.scenarios import deploy_profile
 from .app import ScoutService, service_for_profile
 from .testing import TestClient
 from .wsgi import serve
@@ -300,12 +299,9 @@ def main_audit(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        profile = resolve_profile(args.profile, seed=args.seed)
+        controller = deploy_profile(args.profile, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    workload = generate_workload(profile)
-    controller = Controller(workload.policy, workload.fabric)
-    controller.deploy()
     report = ScoutSystem(controller).localize(
         scope=args.scope, parallel=args.parallel, max_workers=args.max_workers
     )

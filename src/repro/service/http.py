@@ -6,8 +6,8 @@ without taking on the dependency: routes are registered against
 :class:`Request` and return either a JSON-serializable dict (auto-wrapped
 into a 200) or a :class:`Response`, and failures are raised as
 :class:`ApiError` subclasses that render as structured JSON error bodies —
-``404`` for unknown resources, ``409`` for lifecycle conflicts — instead of
-tracebacks.
+``400`` for malformed input, ``404`` for unknown resources, ``409`` for
+lifecycle conflicts — instead of tracebacks.
 
 Nothing here touches sockets: the router is plain request-in/response-out,
 which is what makes the in-process test client (:mod:`.testing`) and the
@@ -28,6 +28,7 @@ __all__ = [
     "Handler",
     "MethodNotAllowed",
     "NotFound",
+    "PayloadTooLarge",
     "Request",
     "Response",
     "Route",
@@ -42,6 +43,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -64,8 +66,16 @@ class Request:
         return self.headers.get(name.lower(), default)
 
     def json_body(self) -> dict:
-        """The JSON body, or an empty dict for body-less requests."""
-        return self.body or {}
+        """The JSON body (an empty dict when there is none); 400 if not an object.
+
+        ``body`` is whatever the transport decoded; the router calls this
+        before every handler, so the object rule is enforced here and only here.
+        """
+        if self.body is None:
+            return {}
+        if not isinstance(self.body, dict):
+            raise BadRequest("request body must be a JSON object")
+        return self.body
 
 
 @dataclass
@@ -132,6 +142,10 @@ class MethodNotAllowed(ApiError):
 
 class Conflict(ApiError):
     status = 409
+
+
+class PayloadTooLarge(ApiError):
+    status = 413
 
 
 Handler = Callable[[Request], Union[Response, dict]]
@@ -201,6 +215,7 @@ class Router:
         try:
             route, params = self.match(request.method, request.path)
             request.params = params
+            request.json_body()  # a non-object body is a 400 whether read or not
             outcome = route.handler(request)
         except ApiError as exc:
             return exc.to_response()

@@ -1,4 +1,4 @@
-"""The audit job queue: SCOUT runs as service-side background jobs.
+"""The job queue: audits, campaigns and churn soaks as service-side jobs.
 
 A full SCOUT audit (equivalence sweep → localization → correlation) takes
 seconds to minutes at datacenter scale, far too long to hold an HTTP request
@@ -6,7 +6,10 @@ open.  ``POST /audits`` therefore enqueues an :class:`AuditJob` and returns
 immediately; a single daemon worker thread drains the queue FIFO and runs
 each job through the sharded parallel engine; ``GET /audits/{id}`` polls
 status until the serialized :class:`~repro.core.system.ScoutReport` is
-attached.
+attached.  The queue knows nothing about audits beyond its name: the
+service builds one per row of its job table
+(:data:`repro.service.app.JOB_KINDS`), each with that kind's runner, id
+prefix and metric prefix, so kinds never wait on one another.
 
 Two execution modes share the code path:
 

@@ -12,14 +12,18 @@ zero-dependency default the CI smoke job boots.
 from __future__ import annotations
 
 import json
-from typing import Union
 from urllib.parse import parse_qsl
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from .app import ScoutService
-from .http import BadRequest, Request, Response
+from .http import ApiError, BadRequest, PayloadTooLarge, Request
 
-__all__ = ["WsgiApp", "make_server_for", "serve"]
+__all__ = ["MAX_BODY_BYTES", "WsgiApp", "make_server_for", "serve"]
+
+#: Largest request body the adapter reads.  The biggest legitimate body is a
+#: campaign spec (a few KB); anything near this is a mistake or an attack, and
+#: is refused with a 413 before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class WsgiApp:
@@ -29,11 +33,10 @@ class WsgiApp:
         self.service = service
 
     def __call__(self, environ, start_response):
-        parsed = self._parse(environ)
-        if isinstance(parsed, Response):
-            response = parsed  # malformed request: answer without dispatching
-        else:
-            response = self.service.handle(parsed)
+        try:
+            response = self.service.handle(self._parse(environ))
+        except ApiError as exc:
+            response = exc.to_response()  # malformed request: never dispatched
         body = response.body_bytes()
         headers = [
             ("Content-Type", response.content_type),
@@ -44,7 +47,8 @@ class WsgiApp:
         return [body]
 
     @staticmethod
-    def _parse(environ) -> Union[Request, Response]:
+    def _parse(environ) -> Request:
+        """The environ as a :class:`Request`; ``ApiError`` if it cannot be read."""
         method = environ.get("REQUEST_METHOD", "GET")
         path = environ.get("PATH_INFO", "/") or "/"
         query = dict(parse_qsl(environ.get("QUERY_STRING", "")))
@@ -56,18 +60,27 @@ class WsgiApp:
         body = None
         length = (environ.get("CONTENT_LENGTH") or "").strip()
         if length:
-            raw = environ["wsgi.input"].read(int(length))
+            try:
+                size = int(length)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise BadRequest(
+                    f"Content-Length must be a non-negative integer, got {length!r}"
+                )
+            if size > MAX_BODY_BYTES:
+                raise PayloadTooLarge(
+                    f"request body of {size} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+            raw = environ["wsgi.input"].read(size)
             if raw:
                 try:
                     body = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    return BadRequest(
-                        f"request body is not valid JSON: {exc}"
-                    ).to_response()
-                if not isinstance(body, dict):
-                    return BadRequest(
-                        "request body must be a JSON object"
-                    ).to_response()
+                except ValueError as exc:
+                    # JSONDecodeError, or UnicodeDecodeError for bytes that
+                    # are not UTF-8/16/32 text at all.
+                    raise BadRequest(f"request body is not valid JSON: {exc}") from None
         return Request(
             method=method, path=path, query=query, body=body, headers=headers
         )

@@ -150,14 +150,25 @@ class EquivalenceReport:
         """Stable JSON form: sorted switches, the summary and the fingerprint.
 
         The per-switch dicts carry full rule provenance, so a report rebuilt
-        from this payload (``repro.service.serializers``) fingerprints
-        byte-identically to the original.
+        from this payload (:meth:`from_dict`) fingerprints byte-identically
+        to the original.
         """
         return {
             "summary": self.summary(),
             "fingerprint": self.fingerprint(),
             "switches": {uid: self.results[uid].to_dict() for uid in sorted(self.results)},
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "EquivalenceReport":
+        """Inverse of :meth:`to_dict`: same verdicts, same :meth:`fingerprint`."""
+        switches = data.get("switches", {})
+        return cls(
+            results={
+                uid: SwitchCheckResult.from_dict(switches[uid])
+                for uid in sorted(switches)
+            }
+        )
 
     def canonical(self) -> "EquivalenceReport":
         """An engine-agnostic, order-canonical copy of this report.

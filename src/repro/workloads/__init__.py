@@ -21,6 +21,7 @@ from .profiles import (
 )
 from .scenarios import (
     Scenario,
+    deploy_profile,
     large_unresponsive_switch_scenario,
     tcam_overflow_scenario,
     three_tier_scenario,
@@ -37,6 +38,7 @@ __all__ = [
     "churn_profile_for",
     "churn_profile_names",
     "datacenter_profile",
+    "deploy_profile",
     "generate_policy",
     "generate_workload",
     "large_unresponsive_switch_scenario",

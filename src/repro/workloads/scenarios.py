@@ -18,10 +18,11 @@ from ..policy.objects import Contract, Filter, FilterEntry
 from ..policy.tenant import NetworkPolicy
 from ..faults.physical import make_switch_unresponsive
 from .generator import generate_workload
-from .profiles import WorkloadProfile, simulation_profile
+from .profiles import WorkloadProfile, resolve_profile, simulation_profile
 
 __all__ = [
     "Scenario",
+    "deploy_profile",
     "three_tier_scenario",
     "tcam_overflow_scenario",
     "unresponsive_switch_scenario",
@@ -41,6 +42,19 @@ class Scenario:
     uids: Dict[str, str] = field(default_factory=dict)
     #: Free-form scenario facts (e.g. which switch was made unresponsive).
     facts: Dict[str, object] = field(default_factory=dict)
+
+
+def deploy_profile(name: str, seed: Optional[int] = None) -> Controller:
+    """Generate the named workload profile and deploy it onto its fabric.
+
+    The boot path every CLI and service entry point shares: resolve the
+    profile (``ValueError`` listing the known names), generate the synthetic
+    policy + fabric, deploy through a fresh controller.
+    """
+    workload = generate_workload(resolve_profile(name, seed=seed))
+    controller = Controller(workload.policy, workload.fabric)
+    controller.deploy()
+    return controller
 
 
 def three_tier_scenario(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -433,6 +434,29 @@ class TestSnapshotRoute:
         on_disk = json.loads(target.read_text())
         assert on_disk["kind"] == "monitor-snapshot"
         assert not target.with_name(target.name + ".tmp").exists()
+
+    @pytest.mark.parametrize(
+        "where", ["missing-dir/snap.json", "file/snap.json", "", "nul\x00byte.json"]
+    )
+    def test_unwritable_snapshot_path_is_the_callers_400(self, served, tmp_path, where):
+        _, service, client = served
+        (tmp_path / "file").write_text("not a directory")
+        before = service.monitor.stats()
+        # "" is the directory itself: the temp file lands, the rename cannot.
+        response = client.post(
+            "/monitor/snapshot", json={"path": str(tmp_path / where)}
+        )
+        assert response.status == 400
+        detail = response.json()["error"]["detail"]
+        assert "cannot write snapshot" in detail and str(tmp_path) in detail
+        assert "Error" in detail  # names the OSError, not just the path
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["file"]
+        assert not os.path.exists(str(tmp_path / where) + ".tmp")
+        assert service.monitor.running and service.monitor.stats() == before
+        triggers = [bundle["trigger"] for bundle in service.recorder.dumps()]
+        assert "http-500" not in triggers
+        availability = client.get("/slo").json()["slos"]["http-availability"]
+        assert availability["attainment"] == 1.0
 
     def test_service_restore_on_start_skips_the_bootstrap(self, served):
         scenario, service, client = served

@@ -4,12 +4,36 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.service import ScoutService, TestClient, WsgiApp
+from repro.service.app import JOB_KINDS
+from repro.service.wsgi import MAX_BODY_BYTES
 from repro.workloads import three_tier_scenario
+
+API_DOC = Path(__file__).resolve().parents[2] / "docs" / "http-api.md"
+
+#: ``### `GET /healthz` `` — how docs/http-api.md titles one route.
+ROUTE_HEADING = re.compile(r"^#{2,4}\s+`([A-Z]+)\s+(/\S*)`\s*$", re.MULTILINE)
+
+#: The smallest valid ``POST`` body per job kind (a new kind needs one here).
+JOB_BODIES = {
+    "audit": {},
+    "campaign": {
+        "name": "api-campaign",
+        "profiles": ["small"],
+        "seeds": [1],
+        "faults": ["object-fault"],
+        "engines": ["serial"],
+    },
+    "churn": {"profile": "small", "events": 5},
+}
+
+each_job_kind = pytest.mark.parametrize("kind", JOB_KINDS, ids=lambda kind: kind.name)
 
 
 @pytest.fixture
@@ -72,22 +96,6 @@ class TestAudits:
         assert job["result"]["equivalence"]["fingerprint"] == direct
         assert job["result"]["hypothesis"]["entries"]
 
-    def test_poll_and_list(self, env):
-        job_id = env.client.post("/audits", json={}).json()["job"]["job_id"]
-        polled = env.client.get(f"/audits/{job_id}")
-        assert polled.status == 200
-        assert polled.json()["job"]["status"] == "done"
-        listing = env.client.get("/audits")
-        assert listing.status == 200
-        jobs = listing.json()["jobs"]
-        assert [job["job_id"] for job in jobs] == [job_id]
-        assert "result" not in jobs[0]
-
-    def test_unknown_job_is_404(self, env):
-        response = env.client.get("/audits/AUD-9999")
-        assert response.status == 404
-        assert response.json()["error"]["status"] == 404
-
     @pytest.mark.parametrize(
         "body, fragment",
         [
@@ -113,7 +121,7 @@ class TestAudits:
             response = client.post("/audits", json={})
             assert response.status == 202
             job_id = response.json()["job"]["job_id"]
-            service.queue.join()
+            service.queues["audit"].join()
             polled = client.get(f"/audits/{job_id}").json()["job"]
             assert polled["status"] == "done"
             assert polled["result"]["fingerprint"]
@@ -130,13 +138,107 @@ class TestAudits:
         finally:
             service.close()
 
-    def test_explicit_sync_false_forces_async_on_sync_service(self, env):
-        response = env.client.post("/audits", json={"sync": False})
+
+class TestJobContract:
+    """What every row of the job table answers, whatever the job does."""
+
+    @each_job_kind
+    def test_unknown_field_is_400_naming_the_kind(self, env, kind):
+        body = dict(JOB_BODIES[kind.name], warp_factor=9)
+        response = env.client.post(kind.route, json=body)
+        assert response.status == 400
+        detail = response.json()["error"]["detail"]
+        assert f"unknown {kind.name} parameter" in detail
+        assert "warp_factor" in detail
+        assert env.service.queues[kind.name].jobs() == []
+
+    @each_job_kind
+    def test_unknown_id_is_404(self, env, kind):
+        response = env.client.get(f"{kind.route}/{kind.prefix}-9999")
+        assert response.status == 404
+        assert response.json()["error"]["status"] == 404
+
+    @each_job_kind
+    def test_sync_job_polls_lists_and_counts_under_the_kind(self, env, kind):
+        body = dict(JOB_BODIES[kind.name], sync=True)
+        response = env.client.post(kind.route, json=body)
+        assert response.status == 200
+        job = response.json()["job"]
+        assert job["status"] == "done"
+        assert job["error"] is None
+        assert job["result"]
+        assert job["job_id"].startswith(kind.prefix + "-")
+
+        polled = env.client.get(f"{kind.route}/{job['job_id']}")
+        assert polled.status == 200
+        assert polled.json()["job"]["job_id"] == job["job_id"]
+        assert polled.json()["job"]["status"] == "done"
+
+        listing = env.client.get(kind.route)
+        assert listing.status == 200
+        jobs = listing.json()["jobs"]
+        assert [entry["job_id"] for entry in jobs] == [job["job_id"]]
+        assert "result" not in jobs[0]
+
+        text = env.client.get("/metrics").text
+        assert f'repro_{kind.name}_jobs_total{{status="done"}} 1' in text
+        assert f"repro_{kind.name}_latency_seconds_count 1" in text
+
+    @each_job_kind
+    def test_sync_false_queues_the_job(self, env, kind):
+        body = dict(JOB_BODIES[kind.name], sync=False)
+        response = env.client.post(kind.route, json=body)
         assert response.status == 202
         job_id = response.json()["job"]["job_id"]
-        env.service.queue.join()
-        polled = env.client.get(f"/audits/{job_id}").json()["job"]
+        env.service.queues[kind.name].join()
+        polled = env.client.get(f"{kind.route}/{job_id}").json()["job"]
         assert polled["status"] == "done"
+
+    @each_job_kind
+    def test_raising_runner_is_a_500_with_a_failed_job(self, env, kind):
+        def exploding_runner(params):
+            raise RuntimeError("boom")
+
+        env.service.queues[kind.name]._runner = exploding_runner
+        body = dict(JOB_BODIES[kind.name], sync=True)
+        response = env.client.post(kind.route, json=body)
+        assert response.status == 500
+        job = response.json()["job"]
+        assert job["status"] == "failed"
+        assert "boom" in job["error"]
+        text = env.client.get("/metrics").text
+        assert f'repro_{kind.name}_jobs_total{{status="failed"}} 1' in text
+
+    def test_job_queues_health_reports_pending_per_kind(self, env):
+        health = env.client.get("/health").json()
+        assert health["components"]["job-queues"]["metrics"] == {
+            "pending": 0,
+            "audit_pending": 0,
+            "campaign_pending": 0,
+            "churn_pending": 0,
+        }
+
+
+class TestRouteTable:
+    def test_router_and_api_reference_list_the_same_routes(self, env):
+        """A route without a heading, or a heading without a route, fails here."""
+        live = {(route.method, route.pattern) for route in env.service.router.routes}
+        documented = set(ROUTE_HEADING.findall(API_DOC.read_text()))
+        assert len(live) == len(env.service.router.routes) == 23
+        assert live - documented == set(), "registered but not documented"
+        assert documented - live == set(), "documented but not registered"
+
+    @pytest.mark.parametrize("body", [[1, 2], "str", 7, True])
+    def test_every_post_route_rejects_a_non_object_body(self, env, body):
+        routes = env.service.router.routes
+        posts = [route for route in routes if route.method == "POST"]
+        assert len(posts) >= 8
+        for route in posts:
+            path = re.sub(r"\{\w+\}", "INC-0001", route.pattern)
+            response = env.client.post(path, json=body)
+            assert response.status == 400, route.pattern
+            detail = response.json()["error"]["detail"]
+            assert detail == "request body must be a JSON object", route.pattern
 
 
 class TestIncidents:
@@ -275,7 +377,7 @@ class TestWsgiAdapter:
         assert captured["status"] == "200 OK"
         assert json.loads(body)["job"]["status"] == "done"
 
-    @pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]"])
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]", b"\xff\xfe\x00"])
     def test_malformed_body_is_400_without_dispatch(self, env, raw):
         captured, body = self._call(
             env,
@@ -289,3 +391,31 @@ class TestWsgiAdapter:
         )
         assert captured["status"].startswith("400")
         assert json.loads(body)["error"]["status"] == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-1", 400),
+            ("9" * 5000, 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_bad_content_length_is_a_structured_4xx(self, env, length, status):
+        stream = io.BytesIO(b'{"sync": true}')
+        captured, body = self._call(
+            env,
+            {
+                "REQUEST_METHOD": "POST",
+                "PATH_INFO": "/audits",
+                "QUERY_STRING": "",
+                "CONTENT_LENGTH": length,
+                "wsgi.input": stream,
+            },
+        )
+        assert captured["status"].startswith(str(status))
+        error = json.loads(body)["error"]
+        assert error["status"] == status
+        assert "Content-Length" in error["detail"] or "limit" in error["detail"]
+        assert stream.tell() == 0, "a refused body must not be read"
+        assert env.service.queues["audit"].jobs() == []

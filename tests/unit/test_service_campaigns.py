@@ -1,4 +1,9 @@
-"""Unit tests for the service-side campaign endpoint (POST /campaigns)."""
+"""Unit tests for the service-side campaign endpoint (POST /campaigns).
+
+What is specific to campaigns; the contract every job kind shares (unknown
+fields, 404s, listing, async override, failed runners, metrics) is tested
+once over the whole job table in ``test_service_api.py::TestJobContract``.
+"""
 
 import pytest
 
@@ -52,11 +57,6 @@ class TestPostCampaign:
         )
         assert api_summary["fingerprint_chain"] == direct.fingerprint_chain()
 
-    def test_unknown_parameter_rejected(self, client):
-        response = client.post("/campaigns", json=_small_spec(warp_factor=9))
-        assert response.status == 400
-        assert "unknown campaign parameter" in response.json()["error"]["detail"]
-
     def test_bad_spec_rejected(self, client):
         response = client.post("/campaigns", json=_small_spec(profiles=["atlantis"]))
         assert response.status == 400
@@ -69,20 +69,6 @@ class TestPostCampaign:
         assert "bad campaign spec" in response.json()["error"]["detail"]
         scalar_kinds = _small_spec(faults=[{"kind": "object-fault", "fault_kinds": 5}])
         assert client.post("/campaigns", json=scalar_kinds).status == 400
-
-    def test_failed_sync_job_returns_500(self, service, client):
-        def exploding_runner(params):
-            raise RuntimeError("boom")
-
-        original = service.campaigns._runner
-        service.campaigns._runner = exploding_runner
-        try:
-            response = client.post("/campaigns", json=_small_spec())
-            assert response.status == 500
-            assert response.json()["job"]["status"] == "failed"
-            assert "boom" in response.json()["job"]["error"]
-        finally:
-            service.campaigns._runner = original
 
     def test_oversized_grid_rejected(self, client):
         response = client.post(
@@ -98,29 +84,3 @@ class TestPostCampaign:
         assert response.status == 400
         assert "churn fault runs" in response.json()["error"]["detail"]
 
-    def test_async_override_queues_the_job(self, client, service):
-        response = client.post("/campaigns", json=_small_spec(sync=False))
-        assert response.status == 202
-        job_id = response.json()["job"]["job_id"]
-        service.campaigns.join()
-        polled = client.get(f"/campaigns/{job_id}")
-        assert polled.json()["job"]["status"] == "done"
-
-
-class TestCampaignQueries:
-    def test_list_campaigns_excludes_results(self, client):
-        client.post("/campaigns", json=_small_spec())
-        listing = client.get("/campaigns")
-        assert listing.status == 200
-        jobs = listing.json()["jobs"]
-        assert jobs and all("result" not in job for job in jobs)
-
-    def test_get_unknown_campaign_404s(self, client):
-        response = client.get("/campaigns/CMP-9999")
-        assert response.status == 404
-
-    def test_campaign_metrics_exported(self, client):
-        client.post("/campaigns", json=_small_spec())
-        metrics = client.get("/metrics")
-        assert 'repro_campaign_jobs_total{status="done"}' in metrics.text
-        assert "repro_campaign_latency_seconds" in metrics.text

@@ -1,4 +1,8 @@
-"""Unit tests for the ``/churn`` service endpoints."""
+"""Unit tests for the ``/churn`` service endpoints.
+
+What is specific to churn soaks; the contract every job kind shares is
+tested once over the job table in ``test_service_api.py::TestJobContract``.
+"""
 
 import pytest
 
@@ -42,10 +46,6 @@ class TestPostChurn:
     def test_missing_profile_is_a_400(self, client):
         assert client.post("/churn", json={"events": 5}).status == 400
 
-    def test_unknown_parameter_is_a_400(self, client):
-        response = client.post("/churn", json={"profile": "small", "bogus": 1})
-        assert response.status == 400
-
     @pytest.mark.parametrize("events", [0, -3, "ten", True])
     def test_bad_events_is_a_400(self, client, events):
         response = client.post("/churn", json={"profile": "small", "events": events})
@@ -69,27 +69,3 @@ class TestPostChurn:
         )
         assert response.status == 400
 
-
-class TestChurnJobs:
-    def test_jobs_listed_without_results(self, client):
-        client.post("/churn", json={"profile": "small", "events": 5})
-        jobs = client.get("/churn").json()["jobs"]
-        assert jobs and all("result" not in job for job in jobs)
-        assert all(job["job_id"].startswith("CHN-") for job in jobs)
-
-    def test_job_poll_round_trip(self, client):
-        job = client.post("/churn", json={"profile": "small", "events": 5}).json()[
-            "job"
-        ]
-        fetched = client.get(f"/churn/{job['job_id']}").json()["job"]
-        assert fetched["job_id"] == job["job_id"]
-        assert fetched["status"] == "done"
-
-    def test_unknown_job_is_a_404(self, client):
-        assert client.get("/churn/CHN-9999").status == 404
-
-    def test_churn_metrics_exposed(self, client):
-        client.post("/churn", json={"profile": "small", "events": 5})
-        text = client.get("/metrics").text
-        assert "repro_churn_jobs_total" in text
-        assert "repro_churn_latency_seconds" in text

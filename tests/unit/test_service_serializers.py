@@ -1,4 +1,4 @@
-"""Round-trip tests: reports → ``to_dict`` → JSON text → back.
+"""Round-trip tests: reports → ``to_dict`` → JSON text → ``from_dict``.
 
 The guarantees under test are the ones the operator service relies on:
 equivalence fingerprints are byte-identical across the JSON boundary (rule
@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import json
 
-from repro.core import ScoutSystem
+from repro.core import Hypothesis, ScoutReport, ScoutSystem
 from repro.online import Incident, NetworkMonitor
-from repro.verify import ENGINES
-from repro.service.serializers import (
-    equivalence_report_from_dict,
-    hypothesis_from_dict,
-    rule_from_dict,
-    scout_report_from_dict,
-)
+from repro.rules import TcamRule
+from repro.verify import ENGINES, EquivalenceReport
 from repro.workloads import three_tier_scenario
 
 
@@ -40,7 +35,7 @@ class TestRuleRoundTrip:
         scenario = three_tier_scenario()
         rules = scenario.controller.collect_deployed_rules()["leaf-1"]
         for rule in rules:
-            restored = rule_from_dict(_wire(rule.to_dict()))
+            restored = TcamRule.from_dict(_wire(rule.to_dict()))
             assert restored == rule
             assert restored.match_key() == rule.match_key()
             assert restored.objects() == rule.objects()
@@ -52,13 +47,13 @@ class TestEquivalenceReportRoundTrip:
         report = ScoutSystem(scenario.controller).check()
         assert not report.equivalent
         wire = _wire(report.to_dict())
-        restored = equivalence_report_from_dict(wire)
+        restored = EquivalenceReport.from_dict(wire)
         assert restored.fingerprint() == report.fingerprint()
         assert restored.summary() == report.summary()
         assert restored.missing_rules().keys() == report.missing_rules().keys()
         # A payload without a label reads as the default engine's.
         del wire["switches"]["leaf-1"]["engine"]
-        relabelled = equivalence_report_from_dict(wire).results["leaf-1"]
+        relabelled = EquivalenceReport.from_dict(wire).results["leaf-1"]
         assert relabelled.engine == ENGINES[0]
 
     def test_payload_embeds_summary_and_fingerprint(self):
@@ -72,7 +67,7 @@ class TestEquivalenceReportRoundTrip:
     def test_clean_report_round_trip(self):
         scenario = three_tier_scenario()
         report = ScoutSystem(scenario.controller).check()
-        restored = equivalence_report_from_dict(_wire(report.to_dict()))
+        restored = EquivalenceReport.from_dict(_wire(report.to_dict()))
         assert restored.equivalent
         assert restored.fingerprint() == report.fingerprint()
 
@@ -82,7 +77,7 @@ class TestScoutReportRoundTrip:
         scenario = _broken_scenario()
         report = ScoutSystem(scenario.controller).localize(scope="controller")
         assert report.hypothesis.entries, "localization must name suspects"
-        restored = scout_report_from_dict(_wire(report.to_dict()))
+        restored = ScoutReport.from_dict(_wire(report.to_dict()))
         assert restored.scope == report.scope
         assert restored.consistent == report.consistent
         assert restored.equivalence.fingerprint() == report.equivalence.fingerprint()
@@ -96,7 +91,7 @@ class TestScoutReportRoundTrip:
     def test_switch_scope_per_switch_hypotheses_survive(self):
         scenario = _broken_scenario()
         report = ScoutSystem(scenario.controller).localize(scope="switch")
-        restored = scout_report_from_dict(_wire(report.to_dict()))
+        restored = ScoutReport.from_dict(_wire(report.to_dict()))
         assert sorted(restored.per_switch) == sorted(report.per_switch)
         for uid, hypothesis in report.per_switch.items():
             assert [entry.risk for entry in restored.per_switch[uid].entries] == [
@@ -119,7 +114,7 @@ class TestHypothesisRoundTrip:
         scenario = _broken_scenario()
         report = ScoutSystem(scenario.controller).localize(scope="controller")
         hypothesis = report.hypothesis
-        restored = hypothesis_from_dict(_wire(hypothesis.to_dict()))
+        restored = Hypothesis.from_dict(_wire(hypothesis.to_dict()))
         assert restored.algorithm == hypothesis.algorithm
         assert restored.iterations == hypothesis.iterations
         assert len(restored.unexplained) == len(hypothesis.unexplained)
