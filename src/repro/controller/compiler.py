@@ -9,22 +9,30 @@ Two outputs, both derived from the same :class:`~repro.policy.graph.PolicyIndex`
   operations (plus endpoint attachment notifications) the controller pushes
   through the control channel.  A healthy agent that applies the whole batch
   renders exactly the logical rules for its switch.
+
+:func:`compile_logical_rules` is the from-scratch compile and the reference;
+:class:`CompiledRules` is the same result assembled with whatever an earlier
+compile of a slightly different policy can still vouch for, which is what
+:meth:`Controller.logical_rules` serves.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..policy.graph import PolicyIndex
-from ..policy.objects import PolicyObject
+from ..policy.objects import EpgPair, PolicyObject
 from ..policy.tenant import NetworkPolicy
 from ..protocol import AttachEndpoint, Instruction, Operation
-from ..rules import TcamRule, rules_for_pair
+from ..rules import RuleSequence, TcamRule, rules_for_pair
 
 __all__ = [
+    "CompiledRules",
     "compile_logical_rules",
     "compile_logical_rules_for_switch",
     "compile_pair_rules",
+    "pair_inputs",
     "build_instruction_batch_for_switch",
     "build_instruction_batches",
     "SwitchBatch",
@@ -39,8 +47,13 @@ _TYPE_ORDER = {"vrf": 0, "filter": 1, "contract": 2, "epg": 3}
 SwitchBatch = Tuple[List[Instruction], List[AttachEndpoint]]
 
 
-def compile_pair_rules(index: PolicyIndex, pair) -> List[TcamRule]:
-    """The rules one EPG pair contributes (before per-switch deduplication)."""
+def pair_inputs(index: PolicyIndex, pair) -> Tuple:
+    """Everything one EPG pair's rules are a function of.
+
+    The arguments of :func:`~repro.rules.rules_for_pair` — VRF, both EPGs,
+    and per contract its filters — as one tuple of frozen policy objects, so
+    two compiles can tell by comparison that a pair did not change.
+    """
     epg_a = index.epg(pair.first)
     epg_b = index.epg(pair.second)
     vrf = index.vrf(epg_a.vrf_uid)
@@ -53,8 +66,13 @@ def compile_pair_rules(index: PolicyIndex, pair) -> List[TcamRule]:
                 filters.append((filter_uid, index.filter(filter_uid)))
             except KeyError:
                 continue
-        contracts.append((contract_uid, filters))
-    return rules_for_pair(vrf, epg_a, epg_b, contracts)
+        contracts.append((contract_uid, tuple(filters)))
+    return vrf, epg_a, epg_b, tuple(contracts)
+
+
+def compile_pair_rules(index: PolicyIndex, pair) -> List[TcamRule]:
+    """The rules one EPG pair contributes (before per-switch deduplication)."""
+    return rules_for_pair(*pair_inputs(index, pair))
 
 
 def compile_logical_rules(
@@ -77,6 +95,69 @@ def compile_logical_rules(
             for rule in pair_rules:
                 bucket.setdefault(rule.match_key(), rule)
     return {switch: list(rules.values()) for switch, rules in sorted(per_switch.items())}
+
+
+@dataclass(frozen=True)
+class CompiledRules:
+    """:func:`compile_logical_rules` of one index, plus what lets the next
+    compile reuse it piecewise.
+
+    ``by_switch`` equals ``compile_logical_rules(index.policy, index)`` —
+    same switches, same rules, same order.  ``pairs`` remembers each pair's
+    rules under the :func:`pair_inputs` they were rendered from and
+    ``parts`` each switch's pair-rule tuples, so :meth:`build` over an
+    edited policy re-renders only pairs whose inputs differ and re-assembles
+    only switches one of whose pairs was re-rendered.
+    """
+
+    index: PolicyIndex
+    by_switch: Dict[str, RuleSequence]
+    pairs: Dict[EpgPair, Tuple[Tuple, Tuple[TcamRule, ...]]]
+    parts: Dict[str, Tuple[Tuple[TcamRule, ...], ...]]
+    #: What building this compile cost beyond what ``previous`` vouched for.
+    pairs_recompiled: int = 0
+    switches_reassembled: int = 0
+
+    @classmethod
+    def build(
+        cls, index: PolicyIndex, previous: Optional["CompiledRules"] = None
+    ) -> "CompiledRules":
+        known_pairs = previous.pairs if previous is not None else {}
+        pairs: Dict[EpgPair, Tuple[Tuple, Tuple[TcamRule, ...]]] = {}
+        pairs_recompiled = 0
+        for pair in index.pairs:
+            inputs = pair_inputs(index, pair)
+            known = known_pairs.get(pair)
+            if known is None or known[0] != inputs:
+                known = (inputs, tuple(rules_for_pair(*inputs)))
+                pairs_recompiled += 1
+            pairs[pair] = known
+
+        by_switch: Dict[str, RuleSequence] = {}
+        parts: Dict[str, Tuple[Tuple[TcamRule, ...], ...]] = {}
+        switches_reassembled = 0
+        for switch_uid in index.all_switches():
+            switch_parts = tuple(
+                pairs[pair][1] for pair in index.pairs_on_switch(switch_uid)
+            )
+            parts[switch_uid] = switch_parts
+            if previous is not None and previous.parts.get(switch_uid) == switch_parts:
+                by_switch[switch_uid] = previous.by_switch[switch_uid]
+                continue
+            bucket: Dict = {}
+            for pair_rules in switch_parts:
+                for rule in pair_rules:
+                    bucket.setdefault(rule.match_key(), rule)
+            by_switch[switch_uid] = RuleSequence.keyed(bucket)
+            switches_reassembled += 1
+        return cls(
+            index=index,
+            by_switch=by_switch,
+            pairs=pairs,
+            parts=parts,
+            pairs_recompiled=pairs_recompiled,
+            switches_reassembled=switches_reassembled,
+        )
 
 
 def compile_logical_rules_for_switch(index: PolicyIndex, switch_uid: str) -> List[TcamRule]:

@@ -9,27 +9,51 @@ logs the SCOUT system consumes:
 * the **controller fault log** — reachability problems it observes while
   pushing (an unresponsive switch shows up here, matching the paper's §V-B
   use case where both logs are "maintained at the controller").
+
+Index and logical rules are served from one :class:`CompiledPolicy` that is
+compared with the live object tables on every call, so a repeat audit of an
+unchanged policy pays for that comparison and nothing else.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..clock import LogicalClock
 from ..exceptions import DeploymentError
 from ..fabric.fabric import Fabric
 from ..fabric.faultlog import FaultCode, FaultLogBook
-from ..policy.graph import PolicyIndex
+from ..policy.graph import PolicyIndex, object_tables
 from ..policy.objects import PolicyObject
 from ..policy.tenant import NetworkPolicy
 from ..policy.validation import validate_policy
 from ..protocol import DeliveryReport, DeliveryStatus, Operation
-from ..rules import TcamRule
+from ..rules import RuleSequence
 from .changelog import ChangeLog
 from .channel import ControlChannel
-from .compiler import build_instruction_batches, compile_logical_rules
+from .compiler import CompiledRules, build_instruction_batches
 
-__all__ = ["Controller"]
+__all__ = ["CompiledPolicy", "Controller"]
+
+
+@dataclass(frozen=True)
+class CompiledPolicy:
+    """What the controller has derived from the policy, and from which policy.
+
+    Valid exactly while ``tables`` — the objects ``index`` was built from
+    (:meth:`PolicyIndex.object_tables`) — equals the live
+    :func:`~repro.policy.graph.object_tables`; there is no invalidation to
+    forget.  ``rules`` appears on the first request for
+    logical rules and is carried across index rebuilds as the memo the next
+    compile reuses (it is current iff ``rules.index is index``).
+    """
+
+    tables: List[List[PolicyObject]]
+    index: PolicyIndex
+    rules: Optional[CompiledRules] = None
 
 
 class Controller:
@@ -52,6 +76,16 @@ class Controller:
         self.fault_log = FaultLogBook()
         self.deployment_reports: List[Dict[str, DeliveryReport]] = []
         self._initial_changes_recorded = False
+        #: Replaced whole, never edited: audits and monitor polls read it
+        #: from different threads.
+        self._compiled: Optional[CompiledPolicy] = None
+        self._stats_lock = threading.Lock()
+        self._compile_stats = {
+            "reuses": 0,
+            "rebuilds": 0,
+            "pairs_recompiled": 0,
+            "switches_reassembled": 0,
+        }
 
     # ------------------------------------------------------------------ #
     # Change-log management
@@ -90,13 +124,66 @@ class Controller:
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
-    def build_index(self) -> PolicyIndex:
-        """Build a fresh dependency index over the current desired state."""
-        return PolicyIndex(self.policy)
+    def _compiled_policy(self) -> CompiledPolicy:
+        """The compiled policy, rebuilt first if the live tables moved on."""
+        compiled = self._compiled
+        if compiled is not None and compiled.tables == object_tables(self.policy):
+            self._count(reuses=1)
+            return compiled
+        index = PolicyIndex(self.policy).read_only()
+        compiled = CompiledPolicy(
+            tables=index.object_tables(),
+            index=index,
+            rules=compiled.rules if compiled is not None else None,
+        )
+        self._compiled = compiled
+        self._count(rebuilds=1)
+        return compiled
 
-    def logical_rules(self, index: Optional[PolicyIndex] = None) -> Dict[str, List[TcamRule]]:
-        """The L-type rules: what every leaf should hold (desired state)."""
-        return compile_logical_rules(self.policy, index=index)
+    def _count(self, **deltas: int) -> None:
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                self._compile_stats[name] += delta
+
+    def build_index(self) -> PolicyIndex:
+        """The dependency index over the current desired state.
+
+        Shared and read-only: whoever needs to patch an index in place
+        builds a private ``PolicyIndex(controller.policy)``.
+        """
+        return self._compiled_policy().index
+
+    def logical_rules(self, index: Optional[PolicyIndex] = None) -> Dict[str, RuleSequence]:
+        """The L-type rules: what every leaf should hold (desired state).
+
+        Per switch equal to ``compile_logical_rules(self.policy)`` — same
+        rules, same order — as immutable sequences in a dict of the
+        caller's own.  ``index`` is accepted for the callers that thread
+        :meth:`build_index`'s result through; any index of the live policy
+        gives the same rules, so it is not consulted.
+        """
+        compiled = self._compiled_policy()
+        rules = compiled.rules
+        if rules is None or rules.index is not compiled.index:
+            rules = CompiledRules.build(compiled.index, previous=rules)
+            self._compiled = dataclasses.replace(compiled, rules=rules)
+            self._count(
+                pairs_recompiled=rules.pairs_recompiled,
+                switches_reassembled=rules.switches_reassembled,
+            )
+        return dict(rules.by_switch)
+
+    def compile_stats(self) -> Dict[str, int]:
+        """Calls served from the compiled policy versus work redone.
+
+        ``reuses``/``rebuilds`` count :meth:`build_index` and
+        :meth:`logical_rules` calls that found the compiled policy valid /
+        had to re-index; ``pairs_recompiled`` and ``switches_reassembled``
+        what the logical-rule compiles could not take from their
+        predecessor.  A daemon on the fast path shows only ``reuses`` moving.
+        """
+        with self._stats_lock:
+            return dict(self._compile_stats)
 
     # ------------------------------------------------------------------ #
     # Deployment
@@ -199,7 +286,7 @@ class Controller:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def collect_deployed_rules(self) -> Dict[str, List[TcamRule]]:
+    def collect_deployed_rules(self) -> Dict[str, RuleSequence]:
         """Collect the T-type rules from every leaf TCAM."""
         return self.fabric.collect_tcam_rules()
 

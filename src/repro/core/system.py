@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Literal, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterator, List, Literal, Optional, Sequence, Set
 
 from ..controller.controller import Controller
 from ..obs import TraceCollector, activated, span
@@ -218,6 +218,33 @@ class ScoutSystem:
         self.close()
 
     # ------------------------------------------------------------------ #
+    # Fast-path accounting
+    # ------------------------------------------------------------------ #
+    def stats(self) -> Dict[str, int]:
+        """How much of this system's audit work was answered without redoing it.
+
+        The controller's compiled-policy counters
+        (:meth:`Controller.compile_stats`) plus, summed over this system's
+        checkers, how parallel sweeps split between key-set identity proofs
+        and switches dispatched to an engine.
+        """
+        checkers = [self.checker, *self._engine_checkers.values()]
+        return {
+            **self.controller.compile_stats(),
+            "identity_proofs": sum(checker.identity_proofs for checker in checkers),
+            "dispatched": sum(checker.dispatched for checker in checkers),
+        }
+
+    @contextlib.contextmanager
+    def _compile_span(self, name: str) -> Iterator[None]:
+        """``span(name)`` carrying what the enclosed controller call cost."""
+        before = self.controller.compile_stats()
+        with span(name) as current:
+            yield
+            for key, value in self.controller.compile_stats().items():
+                current.count(key, value - before[key])
+
+    # ------------------------------------------------------------------ #
     # Step 1: L-T equivalence check
     # ------------------------------------------------------------------ #
     def check(
@@ -240,8 +267,11 @@ class ScoutSystem:
         checks run through the sharded engine — the system's persistent
         :class:`~repro.parallel.pool.WarmWorkerPool` of ``max_workers`` on
         large fabrics (workers and their memo caches survive across calls
-        until :meth:`close`), inline in this process on small ones.  The report is identical either way; only the
-        wall-clock differs.
+        until :meth:`close`), inline in this process on small ones.  Leaves
+        whose logical and deployed key sets are equal are settled before
+        either (see :func:`repro.parallel.engine.check_switches`), so a
+        healthy fabric spawns no worker at all.  The report is identical
+        either way; only the wall-clock differs.
 
         ``trace`` activates the given :class:`~repro.obs.TraceCollector`
         for the duration of the sweep; the collector is also attached to
@@ -250,7 +280,7 @@ class ScoutSystem:
         checker = self._checker_for(engine)
         scope = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope:
-            with span("check.compile_logical"):
+            with self._compile_span("check.compile_logical"):
                 logical = self.controller.logical_rules(index=index)
             with span("check.collect_deployed"):
                 deployed = self.controller.collect_deployed_rules()
@@ -305,7 +335,7 @@ class ScoutSystem:
         """
         scope_cm = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope_cm:
-            with span("scout.build_index"):
+            with self._compile_span("scout.build_index"):
                 index = self.controller.build_index()
             equivalence = report or self.check(
                 index=index, parallel=parallel, max_workers=max_workers, engine=engine

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..clock import LogicalClock
 from ..exceptions import FabricError, UnknownObjectError
 from ..policy.tenant import NetworkPolicy
-from ..rules import TcamRule
+from ..rules import RuleSequence
 from .faultlog import FaultLogBook, FaultRecord
 from .switch import Switch
 from .tcam import TcamTable
@@ -107,9 +107,14 @@ class Fabric:
     # ------------------------------------------------------------------ #
     # Deployed state collection (the "T" side of the L-T check)
     # ------------------------------------------------------------------ #
-    def collect_tcam_rules(self) -> Dict[str, List[TcamRule]]:
-        """Snapshot every leaf's TCAM contents, keyed by switch uid."""
-        return {uid: switch.deployed_rules() for uid, switch in self.switches.items()}
+    def collect_tcam_rules(self) -> Dict[str, RuleSequence]:
+        """Snapshot every leaf's TCAM contents, keyed by switch uid.
+
+        Each snapshot is an immutable sequence that already knows its match
+        keys (the table is keyed by them), which is what lets a sweep prove a
+        healthy leaf equivalent without touching its rules.
+        """
+        return {uid: switch.tcam.rule_sequence() for uid, switch in self.switches.items()}
 
     def total_installed_rules(self) -> int:
         return sum(len(switch.tcam) for switch in self.switches.values())

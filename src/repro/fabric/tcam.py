@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import random
 
 from ..exceptions import TcamError
-from ..rules import MatchKey, TcamRule
+from ..rules import MatchKey, RuleSequence, TcamRule
 
 __all__ = ["InstallOutcome", "TcamTable", "TcamListener"]
 
@@ -102,10 +102,18 @@ class TcamTable:
     def match_keys(self) -> List[MatchKey]:
         return list(self._entries.keys())
 
+    def rule_sequence(self) -> RuleSequence:
+        """:meth:`rules` as an immutable sequence carrying :meth:`match_keys`.
+
+        The table is keyed by match key, so the sequence's key set is read
+        off it instead of being recomputed rule by rule.
+        """
+        return RuleSequence.keyed(self._entries)
+
     def utilization(self) -> float:
-        """Fraction of capacity in use (0.0 when capacity is unlimited and empty)."""
+        """Fraction of capacity in use (0.0 when capacity is unlimited)."""
         if self.capacity is None:
-            return 0.0 if not self._entries else 1.0 * len(self._entries) / max(len(self._entries), 1)
+            return 0.0
         return len(self._entries) / self.capacity
 
     def is_full(self) -> bool:

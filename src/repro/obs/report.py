@@ -7,8 +7,9 @@ Two consumers:
   spans, total (inclusive) seconds, and self (exclusive) seconds.
 * :func:`parallel_stage_breakdown` — the ROADMAP-item-1 measurement: a
   decomposition of one parallel ``ScoutSystem.check`` wall-clock into named
-  stages (plan / pickle / worker spawn+IPC / in-worker unpickle, BDD build,
-  check, serialize / merge) that should tile the measured wall time.
+  stages (identity proof / plan / pickle / worker spawn+IPC / in-worker
+  unpickle, BDD build, check, serialize / merge) that should tile the
+  measured wall time.
   Worker-side busy time is normalised by the number of concurrently busy
   workers so the stages are wall-clock-comparable.
 """
@@ -138,8 +139,8 @@ def parallel_stage_breakdown(
 ) -> Dict[str, Any]:
     """Decompose a traced parallel check into wall-clock-comparable stages.
 
-    Serial stages (compile, collect, plan, pickle, merge) contribute their
-    duration directly.  Worker-side stages ran on up to ``workers``
+    Serial stages (compile, collect, identity proof, plan, pickle, merge)
+    contribute their duration directly.  Worker-side stages ran on up to ``workers``
     processes concurrently, so their busy time is divided by the number of
     workers actually used before being compared against wall clock.  The
     ``worker_spawn_and_ipc`` stage is the dispatch window not accounted for
@@ -181,6 +182,7 @@ def parallel_stage_breakdown(
     stages = {
         "compile_logical": totals.get("check.compile_logical", 0.0),
         "collect_deployed": totals.get("check.collect_deployed", 0.0),
+        "identity_proof": totals.get("parallel.identity_proof", 0.0),
         "plan": totals.get("parallel.plan", 0.0),
         "pickle": totals.get("parallel.build_tasks", 0.0),
         "worker_spawn_and_ipc": max(0.0, dispatch - norm(worker_busy)),

@@ -269,7 +269,9 @@ class IncrementalChecker:
             return self._bootstrap()
 
     def _bootstrap(self) -> EquivalenceReport:
-        self._index = self.controller.build_index()
+        # Private, never ``controller.build_index()``: ``note_policy_change``
+        # patches this object in place, and the controller's index is shared.
+        self._index = PolicyIndex(self.controller.policy)
         self._index_dirty = False
         self._pending_objects.clear()
         self._dirty_pairs.clear()
@@ -600,7 +602,7 @@ class IncrementalChecker:
             self._switch_rules, self._switch_refs = switch_rules, switch_refs
             self._dirty, self._dirty_pairs = dirty, dirty_pairs
             self._pending_objects = pending_objects
-            self._index = self.controller.build_index()
+            self._index = PolicyIndex(self.controller.policy)
             self._index_dirty = index_dirty
             for key, value in counters.items():
                 setattr(self, key, value)

@@ -1,17 +1,30 @@
 """The sharded parallel L-T equivalence engine.
 
-The unit of distribution is a *shard* of switches, not a single switch:
-per-switch checks are only milliseconds each, so shipping them one at a
-time would drown in pickling and scheduling overhead.  A shard task is a
-pure-data description of its switches' rule sets:
+Most switches of a fabric are healthy, and a healthy switch needs no engine:
+when its logical and deployed rules are the same *set* of match keys the two
+sides have the same semantics by construction (the online checker's
+``SwitchDigest.clean`` rule).  :func:`check_switches` therefore settles those
+in the calling process first — an **identity proof**, a frozenset comparison
+over key sets the rule sequences already carry
+(:class:`~repro.rules.RuleSequence`) — and only the rest is planned, pickled
+and shipped.  ``engine="bdd"``, the oracle, skips the shortcut and proves
+every switch in full.
+
+For what is shipped, the unit of distribution is a *shard* of switches, not
+a single switch: per-switch checks are only milliseconds each, so shipping
+them one at a time would drown in pickling and scheduling overhead.  A shard
+task is a pure-data description of its switches' rule sets:
 
 * rules cross the process boundary as **match keys** — the
   ``(vrf, src, dst, protocol, port, action)`` tuples that fully determine
   L-T semantics — never as policy-laden :class:`~repro.rules.TcamRule`
-  objects, keeping pickles small.  Identical rule sets within a shard
-  (the common case: a healthy switch's logical and deployed sides are the
-  same key sequence) are interned into **shared rule buffers**, pickled
-  once per shard round-trip and referenced by index from the work units;
+  objects, keeping pickles small.  Identical key *sequences* within a shard
+  are interned into **shared rule buffers**, pickled once per shard
+  round-trip and referenced by index from the work units.  That is twin
+  switches, rarely a switch's own two sides: agents install in instruction
+  order and the compiler emits in pair order, so even a healthy leaf's L
+  and T are the same set in different sequences (6 of 507 dc512 leaves
+  shared a buffer when measured);
 * the worker digests each buffer and consults its process-local
   :data:`~repro.parallel.memo.WORKER_CACHE` before doing any real work: a
   rule-set pair it has checked before — in an earlier round of a warm
@@ -37,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import TraceCollector, activated, correlated, current, current_corr_id, span
-from ..rules import MatchKey, TcamRule
+from ..rules import MatchKey, RuleSequence, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 from ..verify.encoding import RuleSpace
 from .memo import WORKER_CACHE, CompiledOutcome, ruleset_digest
@@ -135,10 +148,10 @@ def _rule_from_key(key: MatchKey) -> TcamRule:
 def _intern_keys(
     buffers: List[Tuple[MatchKey, ...]],
     index: Dict[Tuple[MatchKey, ...], int],
-    rules: Sequence[TcamRule],
+    rules: RuleSequence,
 ) -> int:
     """Intern one rule set's key sequence into the shard buffers."""
-    keys = tuple(rule.match_key() for rule in rules)
+    keys = rules.keys()
     position = index.get(keys)
     if position is None:
         position = len(buffers)
@@ -326,54 +339,77 @@ def check_switches(
     whatever the executor, shard plan or cache state.  With
     ``executor=None`` the shards run inline in the calling process.
 
+    A switch whose two sides are the same match-key set is answered here,
+    before anything is planned or pickled (see the module docstring); the
+    checker's ``identity_proofs`` / ``dispatched`` counters say how a sweep
+    split.  Under ``engine="bdd"`` every switch is dispatched.
+
     Passing a :class:`~repro.parallel.pool.WarmWorkerPool` as ``executor``
     keeps the workers (and their memo caches) alive across calls; the plan
-    is a pure function of the uids and weights, so an unchanged fabric's
-    shards land on the same workers round after round.
+    is a pure function of the uids and weights, so an unchanged set of
+    failing switches lands on the same workers round after round.
     """
     collector = current()
     tracing = collector is not None and collector.enabled
 
-    triples: Dict[str, Tuple[Sequence[TcamRule], Sequence[TcamRule]]] = {}
-    for switch_uid, logical, deployed in switches:
-        triples[switch_uid] = (list(logical), list(deployed))
+    triples: Dict[str, Tuple[RuleSequence, RuleSequence]] = {
+        switch_uid: (RuleSequence.of(logical), RuleSequence.of(deployed))
+        for switch_uid, logical, deployed in switches
+    }
 
-    with span("parallel.plan", switches=len(triples)):
+    proven: Dict[str, SwitchCheckResult] = {}
+    with span("parallel.identity_proof", switches=len(triples)) as proof_span:
+        # The oracle stays an independent full proof of every switch.
+        if checker.engine != "bdd":
+            for switch_uid, (logical, deployed) in triples.items():
+                if logical.key_set() == deployed.key_set():
+                    proven[switch_uid] = SwitchCheckResult(
+                        switch_uid=switch_uid,
+                        equivalent=True,
+                        logical_count=len(logical),
+                        deployed_count=len(deployed),
+                        engine=checker.engine,
+                    )
+        pending = {uid: triples[uid] for uid in triples if uid not in proven}
+        checker.identity_proofs += len(proven)
+        checker.dispatched += len(pending)
+        proof_span.count("identity_proofs", len(proven))
+        proof_span.count("dispatched", len(pending))
+
+    with span("parallel.plan", switches=len(pending)):
         if plan is None:
             weights = {
                 uid: len(logical) + len(deployed)
-                for uid, (logical, deployed) in triples.items()
+                for uid, (logical, deployed) in pending.items()
             }
-            num_shards = clamp_workers(max_workers, total_items=len(triples))
-            plan = plan_shards(triples, num_shards, weights=weights)
+            num_shards = clamp_workers(max_workers, total_items=len(pending))
+            plan = plan_shards(pending, num_shards, weights=weights)
 
     with span("parallel.build_tasks") as build_span:
         tasks = []
         interned = 0
-        for shard in plan.group(triples):
+        for shard in plan.group(pending):
             buffers: List[Tuple[MatchKey, ...]] = []
             index: Dict[Tuple[MatchKey, ...], int] = {}
             units = tuple(
                 SwitchWorkUnit(
                     switch_uid=uid,
-                    logical_ref=_intern_keys(buffers, index, triples[uid][0]),
-                    deployed_ref=_intern_keys(buffers, index, triples[uid][1]),
+                    logical_ref=_intern_keys(buffers, index, pending[uid][0]),
+                    deployed_ref=_intern_keys(buffers, index, pending[uid][1]),
                 )
                 for uid in shard
-                if uid in triples
             )
-            if units:
-                interned += len(buffers)
-                tasks.append(
-                    ShardTask(
-                        units=units,
-                        buffers=tuple(buffers),
-                        engine=checker.engine,
-                        space_widths=_space_widths(checker.rule_space),
-                        trace=tracing,
-                        corr_id=current_corr_id(),
-                    )
+            interned += len(buffers)
+            tasks.append(
+                ShardTask(
+                    units=units,
+                    buffers=tuple(buffers),
+                    engine=checker.engine,
+                    space_widths=_space_widths(checker.rule_space),
+                    trace=tracing,
+                    corr_id=current_corr_id(),
                 )
+            )
         build_span.count("shards", len(tasks))
         build_span.count("rule_buffers", interned)
 
@@ -400,8 +436,7 @@ def check_switches(
     with span("parallel.merge"):
         report = EquivalenceReport()
         for switch_uid in sorted(triples):
-            logical, deployed = triples[switch_uid]
-            report.results[switch_uid] = _rehydrate(
-                outcomes[switch_uid], logical, deployed
+            report.results[switch_uid] = proven.get(switch_uid) or _rehydrate(
+                outcomes[switch_uid], *pending[switch_uid]
             )
     return report

@@ -19,10 +19,43 @@ from typing import Dict, List, Mapping, Set
 
 import networkx as nx
 
-from .objects import Contract, Endpoint, Epg, EpgPair, Filter, ObjectType, Vrf
+from .objects import (
+    Contract,
+    Endpoint,
+    Epg,
+    EpgPair,
+    Filter,
+    ObjectType,
+    PolicyObject,
+    Vrf,
+)
 from .tenant import NetworkPolicy
 
-__all__ = ["PolicyIndex", "build_dependency_graph", "epg_pairs_per_object"]
+__all__ = [
+    "PolicyIndex",
+    "build_dependency_graph",
+    "epg_pairs_per_object",
+    "object_tables",
+]
+
+
+def object_tables(policy: NetworkPolicy) -> List[List[PolicyObject]]:
+    """Every object of ``policy``, one list per type: what an index is a
+    function of.
+
+    Policy objects are frozen, so this comparing equal to
+    :meth:`PolicyIndex.object_tables` (an identity check per unchanged
+    object) means a fresh index would come out the same; any edit — through
+    the controller or written straight into a tenant table — shows as a
+    difference.
+    """
+    return [
+        list(policy.vrfs()),
+        list(policy.epgs()),
+        list(policy.contracts()),
+        list(policy.filters()),
+        list(policy.endpoints()),
+    ]
 
 
 class PolicyIndex:
@@ -50,6 +83,7 @@ class PolicyIndex:
         self._epg_switches: Dict[str, List[str]] = {}
         self._switch_pairs: Dict[str, List[EpgPair]] = defaultdict(list)
         self._pair_switches: Dict[EpgPair, List[str]] = {}
+        self._read_only = False
 
         self._build()
 
@@ -127,6 +161,33 @@ class PolicyIndex:
                 # risk for that pair (Fig. 3 counts switches as objects).
                 self._object_pairs[switch_uid].add(pair)
 
+    def object_tables(self) -> List[List[PolicyObject]]:
+        """The objects this index was built from, shaped like :func:`object_tables`.
+
+        Taken from the index's own maps, not from a second read of the
+        policy, so it names exactly what the index saw even if another
+        thread edited the policy while it was being built.
+        """
+        return [
+            list(table.values())
+            for table in (
+                self._vrfs,
+                self._epgs,
+                self._contracts,
+                self._filters,
+                self._endpoints,
+            )
+        ]
+
+    def read_only(self) -> "PolicyIndex":
+        """Mark this index as shared: :meth:`refresh_object` will refuse it.
+
+        The lookup API only hands out copies, so the in-place patch is the
+        one way a holder could change what every other holder sees.
+        """
+        self._read_only = True
+        return self
+
     # ------------------------------------------------------------------ #
     # Lookup API
     # ------------------------------------------------------------------ #
@@ -181,8 +242,16 @@ class PolicyIndex:
         risks they rely on or where they are placed, so the cached maps stay
         valid and only the object snapshot needs replacing.  Returns False
         when the object is of any other type (or unknown/deleted), in which
-        case the caller must rebuild the index.
+        case the caller must rebuild the index.  A shared index
+        (:meth:`read_only`, what ``Controller.build_index()`` returns) is
+        never patched: that is a :class:`TypeError` — patch a private
+        ``PolicyIndex(policy)`` instead.
         """
+        if self._read_only:
+            raise TypeError(
+                "this PolicyIndex is shared and read-only; "
+                "patch a private PolicyIndex(policy) instead"
+            )
         if object_type is ObjectType.FILTER and object_uid in self._filters:
             for tenant in self.policy.tenants.values():
                 obj = tenant.filters.get(object_uid)

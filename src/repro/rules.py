@@ -15,7 +15,7 @@ metadata and does not participate in L-T comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .policy.objects import Epg, EpgPair, Filter, FilterEntry, Vrf
 
@@ -23,6 +23,7 @@ __all__ = [
     "Action",
     "TcamRule",
     "MatchKey",
+    "RuleSequence",
     "rules_for_pair_entry",
     "rules_for_pair",
     "missing_matches",
@@ -129,6 +130,50 @@ class TcamRule:
             f"VRF:{self.vrf_scope},{self.src_epg_uid or self.src_epg},"
             f"{self.dst_epg_uid or self.dst_epg},{self.protocol}/{port} -> {self.action}"
         )
+
+
+class RuleSequence(tuple):
+    """An immutable rule sequence that memoizes its match keys.
+
+    The carrier between whoever already holds a rule set's keys — the
+    controller's compiled policy, a TCAM table keyed by them — and the
+    checker's identity proof (:func:`repro.parallel.engine.check_switches`):
+    two sequences whose :meth:`key_set` are equal have the same L-T
+    semantics, and a sequence built with :meth:`keyed` answers that without
+    one :meth:`TcamRule.match_key` call.  Being a tuple, what a cache hands
+    out cannot be edited in place.
+    """
+
+    _keys: Optional[Tuple[MatchKey, ...]] = None
+    _key_set: Optional[FrozenSet[MatchKey]] = None
+
+    @classmethod
+    def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
+        """``rules`` itself when it already is a carrier, else a copy as one."""
+        return rules if isinstance(rules, cls) else cls(rules)
+
+    @classmethod
+    def keyed(cls, entries: Mapping[MatchKey, TcamRule]) -> "RuleSequence":
+        """The rules of a dict keyed by their own match keys, in its order.
+
+        The key set comes straight off the dict (``frozenset(dict)`` reuses
+        the stored hashes), so nothing is re-derived per rule.
+        """
+        sequence = cls(entries.values())
+        sequence._key_set = frozenset(entries)
+        return sequence
+
+    def keys(self) -> Tuple[MatchKey, ...]:
+        """The rules' match keys, in sequence order."""
+        if self._keys is None:
+            self._keys = tuple(rule.match_key() for rule in self)
+        return self._keys
+
+    def key_set(self) -> FrozenSet[MatchKey]:
+        """The rules' match/action set (what L-T equivalence is decided on)."""
+        if self._key_set is None:
+            self._key_set = frozenset(self.keys())
+        return self._key_set
 
 
 def rules_for_pair_entry(

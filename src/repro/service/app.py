@@ -495,6 +495,17 @@ class ScoutService:
             lambda: float(self.monitor.stats().get("restores", 0)),
             help="Snapshot restores this monitor has absorbed.",
         )
+        for counter in self.system.stats():
+            gauge(
+                "repro_audit_work",
+                lambda name=counter: float(self.system.stats()[name]),
+                help=(
+                    "Audit work reused or redone: compiled-policy reuses, "
+                    "rebuilds, pairs_recompiled and switches_reassembled; "
+                    "switches settled by identity_proofs versus dispatched."
+                ),
+                labels={"counter": counter},
+            )
         for component in self.health.names():
             gauge(
                 "repro_health_status",
@@ -620,20 +631,36 @@ class ScoutService:
         )
 
     def _probe_memo_cache(self) -> ComponentHealth:
+        """Share of swept switches answered without running an engine.
+
+        A healthy leaf is settled by key-set identity before the pool, so
+        the worker memo only ever sees failing leaves; judged alone, its
+        hit rate would read "cold" on a fabric whose faults keep moving.
+        """
         stats = self._pool_stats()
-        total = stats["hits"] + stats["misses"]
-        hit_rate = stats["hits"] / total if total else 0.0
+        audit = self.system.stats()
+        proofs = audit["identity_proofs"] + sum(
+            checker.checker.identity_proofs for checker in self.monitor.checkers
+        )
+        total = proofs + stats["hits"] + stats["misses"]
+        hit_rate = (proofs + stats["hits"]) / total if total else 0.0
         if total >= 100 and hit_rate < 0.1:
             status = HealthStatus.DEGRADED
-            detail = f"warm cache barely hitting ({hit_rate:.0%})"
+            detail = f"sweeps barely reusing anything ({hit_rate:.0%})"
         else:
             status = HealthStatus.OK
-            detail = f"hit rate {hit_rate:.0%}" if total else "no pooled rounds yet"
+            detail = f"hit rate {hit_rate:.0%}" if total else "no batched sweeps yet"
         return ComponentHealth(
             name="memo-cache",
             status=status,
             detail=detail,
-            metrics={"hits": stats["hits"], "misses": stats["misses"]},
+            metrics={
+                "hits": stats["hits"],
+                "misses": stats["misses"],
+                "identity_proofs": proofs,
+                "compiled_policy_reuses": audit["reuses"],
+                "compiled_policy_rebuilds": audit["rebuilds"],
+            },
         )
 
     def _probe_bus(self) -> ComponentHealth:

@@ -280,6 +280,11 @@ class EquivalenceChecker:
         self.rule_space = rule_space or RuleSpace()
         self.engine = engine
         self.atoms = atoms if atoms is not None else AtomTable(self.rule_space)
+        #: How :meth:`check_many` sweeps split, lifetime totals: switches
+        #: proven equivalent by key-set identity in the caller versus
+        #: switches shipped to an engine.
+        self.identity_proofs = 0
+        self.dispatched = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -326,7 +331,10 @@ class EquivalenceChecker:
         ``executor`` (the caller's
         :class:`~repro.parallel.pool.WarmWorkerPool`), or run inline when
         there is none.  Either way the merged report is identical to a
-        serial :meth:`check_network` over the same snapshots.
+        serial :meth:`check_network` over the same snapshots.  Switches
+        whose two sides are the same match-key set never reach a shard
+        (``engine="bdd"`` excepted): see
+        :func:`repro.parallel.engine.check_switches`.
         """
         from ..parallel.engine import check_switches
 

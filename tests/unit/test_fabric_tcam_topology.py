@@ -69,6 +69,24 @@ class TestTcamTable:
         tcam.install(_rule(80))
         assert tcam.utilization() == 0.25
 
+    def test_utilization_of_an_unlimited_table_is_zero(self):
+        tcam = TcamTable()
+        assert tcam.utilization() == 0.0
+        tcam.install(_rule(80))
+        assert tcam.utilization() == 0.0
+
+    def test_rule_sequence_carries_the_table_keys(self):
+        tcam = TcamTable()
+        for port in (80, 81):
+            tcam.install(_rule(port))
+        sequence = tcam.rule_sequence()
+        assert list(sequence) == tcam.rules()
+        assert list(sequence.keys()) == tcam.match_keys()
+        assert sequence.key_set() == set(tcam.match_keys())
+        # A snapshot, not a view: later writes do not reach it.
+        tcam.remove(_rule(80).match_key())
+        assert len(sequence) == 2 and len(sequence.key_set()) == 2
+
     def test_corruption_changes_match_key(self):
         tcam = TcamTable()
         tcam.install(_rule(80))

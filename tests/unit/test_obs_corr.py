@@ -102,9 +102,16 @@ class TestSpanStamping:
 
 @pytest.fixture(scope="module")
 def system():
+    """A deployed fabric one of whose leaves has lost a rule.
+
+    A healthy switch is proven equivalent in the calling process and never
+    reaches a worker; the degraded leaf is what exercises the worker path.
+    """
     workload = generate_workload(small_profile())
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
+    tcam = workload.fabric.switch(sorted(workload.fabric.leaf_uids())[0]).tcam
+    tcam.remove(tcam.match_keys()[0])
     return ScoutSystem(controller)
 
 
@@ -115,7 +122,7 @@ class TestCrossProcess:
         with WarmWorkerPool(max_workers=2) as pool:
             with correlated("corr-pool-1"):
                 report = system.check(parallel=True, executor=pool, trace=collector)
-        assert report.equivalent
+        assert len(report.switches_with_violations()) == 1
         workers = [
             recorded
             for recorded in collector.spans()
@@ -131,7 +138,7 @@ class TestCrossProcess:
     def test_uncorrelated_check_ships_no_id(self, system):
         collector = TraceCollector()
         report = system.check(parallel=True, max_workers=2, trace=collector)
-        assert report.equivalent
+        assert len(report.switches_with_violations()) == 1
         workers = [
             recorded
             for recorded in collector.spans()

@@ -28,6 +28,22 @@ def system():
     return ScoutSystem(controller)
 
 
+@pytest.fixture(scope="module")
+def degraded_system():
+    """The same fabric with one rule gone from every leaf.
+
+    A parallel check proves healthy switches equivalent in the calling
+    process; only degraded ones reach a shard, so the worker-path tests
+    degrade them all.
+    """
+    workload = generate_workload(small_profile())
+    controller = Controller(workload.policy, workload.fabric)
+    controller.deploy()
+    for switch in workload.fabric.switches.values():
+        switch.tcam.remove(switch.tcam.match_keys()[0])
+    return ScoutSystem(controller)
+
+
 class TestTracedCheck:
     def test_serial_check_records_pipeline_spans(self, system):
         collector = TraceCollector()
@@ -58,7 +74,8 @@ class TestTracedCheck:
         system.check()  # no trace= argument
         assert len(collector) == 0
 
-    def test_parallel_check_adopts_worker_spans(self, system):
+    def test_parallel_check_adopts_worker_spans(self, degraded_system):
+        system = degraded_system
         collector = TraceCollector()
         serial_fp = system.check().fingerprint()
         # The small fabric runs its shards inline, where the module-global
@@ -74,6 +91,7 @@ class TestTracedCheck:
         for recorded in spans:
             by_name.setdefault(recorded.name, []).append(recorded)
         for required in (
+            "parallel.identity_proof",
             "parallel.plan",
             "parallel.build_tasks",
             "parallel.dispatch",
@@ -92,13 +110,35 @@ class TestTracedCheck:
         )
         # Worker-side checker spans survived the process boundary too.
         assert "verify.ap.build" in by_name
-        # Every shard of every switch was covered.
+        # Every degraded switch was covered by a shard; none was settled by
+        # the identity proof.
         switches = len(system.controller.fabric.switches)
         checked = sum(s.attrs.get("switches", 0) for s in by_name["worker.shard"])
         assert checked == switches
+        (proof,) = by_name["parallel.identity_proof"]
+        assert proof.counters == {"identity_proofs": 0, "dispatched": switches}
 
-    def test_breakdown_covers_most_of_the_wall(self, system):
+    def test_healthy_parallel_check_never_reaches_a_shard(self, system):
+        collector = TraceCollector()
+        report = system.check(parallel=True, max_workers=2, trace=collector)
+        assert report.fingerprint() == system.check().fingerprint()
+        by_name = {recorded.name: recorded for recorded in collector.spans()}
+        assert "worker.shard" not in by_name
+        switches = len(system.controller.fabric.switches)
+        assert by_name["parallel.identity_proof"].counters == {
+            "identity_proofs": switches,
+            "dispatched": 0,
+        }
+        # The oracle engine takes no shortcut: every switch is shipped.
+        oracle = TraceCollector()
+        system.check(parallel=True, max_workers=2, trace=oracle, engine="bdd")
+        shards = [s for s in oracle.spans() if s.name == "worker.shard"]
+        assert sum(s.attrs.get("switches", 0) for s in shards) == switches
+
+    def test_breakdown_covers_most_of_the_wall(self, degraded_system):
         import time
+
+        system = degraded_system
 
         # The inline sweep of this fabric takes ~3 ms, so one scheduler
         # hiccup between two spans is a tenth of the wall.  Coverage is a
@@ -118,10 +158,15 @@ class TestTracedCheck:
     def test_attribution_over_real_trace(self, system):
         collector = TraceCollector()
         system.check(trace=collector)
-        stats = attribution(collector.spans())
-        by_name = {stat.name: stat for stat in stats}
-        # check.network is the outermost stage: nothing outlasts it.
-        assert stats[0].name == "check.network"
+        spans = collector.spans()
+        by_name = {stat.name: stat for stat in attribution(spans)}
+        # check.network encloses the per-switch checks: every check.switch
+        # span is its child, and together they cannot outlast it.  (Which
+        # top-level stage is longest is wall-clock luck on a fabric this small.)
+        (network,) = [s for s in spans if s.name == "check.network"]
+        switch_spans = [s for s in spans if s.name == "check.switch"]
+        assert switch_spans
+        assert all(s.parent_id == network.span_id for s in switch_spans)
         assert (
             by_name["check.switch"].total_seconds
             <= by_name["check.network"].total_seconds

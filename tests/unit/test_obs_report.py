@@ -95,7 +95,8 @@ class TestParallelStageBreakdown:
         return [
             _span("check.compile_logical", 1, 0.0, 0.1),
             _span("check.collect_deployed", 2, 0.1, 0.15),
-            _span("parallel.plan", 3, 0.15, 0.2),
+            _span("parallel.identity_proof", 5, 0.15, 0.175),
+            _span("parallel.plan", 3, 0.175, 0.2),
             _span("parallel.build_tasks", 4, 0.2, 0.3),
             _span("parallel.dispatch", 6, 0.3, 1.3),
             # Worker shard 1: 0.8s busy, BDD build inside the check phase.
@@ -119,6 +120,8 @@ class TestParallelStageBreakdown:
         assert breakdown["workers_used"] == 2
         assert breakdown["shards"] == 2
         assert stages["compile_logical"] == 0.1
+        assert abs(stages["identity_proof"] - 0.025) < 1e-9
+        assert abs(stages["plan"] - 0.025) < 1e-9
         assert abs(stages["pickle"] - 0.1) < 1e-9
         # Worker busy normalised by 2 concurrent workers: 1.6/2 = 0.8s; the
         # dispatch window is 1.0s, so the 0.2s residue is spawn/IPC.

@@ -19,6 +19,7 @@ import pytest
 from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
+from repro.obs import TraceCollector, activated
 from repro.online import IncrementalChecker
 from repro.parallel import plan_shards
 from repro.parallel.engine import ShardTask, SwitchWorkUnit, run_shard
@@ -200,14 +201,39 @@ class TestWorkUnits:
         reset_worker_cache()
         checker = EquivalenceChecker()
         rules = [_rule(80), _rule(443)]
-        # Three switches, all byte-identical and internally clean: the memo
-        # cache collapses them to ONE real check per shard round.
-        triples = [(f"leaf-{i}", rules, rules) for i in range(3)]
-        report = checker.check_many(triples)
-        assert report.equivalent
+        deployed = [_rule(80)]
+        # Three byte-identical degraded switches (a clean one never reaches
+        # a shard): their sides intern to two buffers, and the memo cache
+        # collapses them to ONE real check per shard round.
+        triples = [(f"leaf-{i}", rules, deployed) for i in range(3)]
+        collector = TraceCollector()
+        with activated(collector):
+            report = checker.check_many(triples, max_workers=1)
+        assert report.switches_with_violations() == ["leaf-0", "leaf-1", "leaf-2"]
+        (build,) = [s for s in collector.spans() if s.name == "parallel.build_tasks"]
+        assert build.counters == {"shards": 1, "rule_buffers": 2}
         stats = WORKER_CACHE.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
+        assert (checker.identity_proofs, checker.dispatched) == (0, 3)
+
+    def test_clean_switches_are_proven_without_a_shard(self):
+        reset_worker_cache()
+        rules = [_rule(80), _rule(443)]
+        reordered = [_rule(443), _rule(80)]
+        triples = [("leaf-0", rules, reordered), ("leaf-1", rules, [_rule(80)])]
+        checker = EquivalenceChecker()
+        report = checker.check_many(triples)
+        assert report.fingerprint() == checker.check_network(
+            {uid: logical for uid, logical, _ in triples},
+            {uid: deployed for uid, _, deployed in triples},
+        ).fingerprint()
+        assert (checker.identity_proofs, checker.dispatched) == (1, 1)
+        assert WORKER_CACHE.stats()["misses"] == 1  # leaf-1 only
+        # The oracle engine proves every switch in full.
+        oracle = EquivalenceChecker(engine="bdd")
+        assert oracle.check_many(triples).results["leaf-0"].equivalent
+        assert (oracle.identity_proofs, oracle.dispatched) == (0, 2)
 
 
 class TestScoutSystemParallel:

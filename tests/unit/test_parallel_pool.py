@@ -138,10 +138,13 @@ class TestCacheSemantics:
         reset_worker_cache()
         checker = EquivalenceChecker()
         logical = [_rule(80), _rule(443)]
-        deployed = [_rule(80), _rule(443)]
+        # Degraded, so the pair reaches the pool: a clean switch is proven
+        # equivalent by key-set identity before anything is shipped.
+        deployed = [_rule(80)]
         with WarmWorkerPool(max_workers=1) as pool:
             cold = checker.check_many([("leaf-1", logical, deployed)], executor=pool)
             warm = checker.check_many([("leaf-1", logical, deployed)], executor=pool)
+        assert not cold.equivalent
         assert cold.fingerprint() == warm.fingerprint()
         assert cold.results == warm.results
         assert pool.stats()["cache_misses"] == 1
@@ -152,10 +155,13 @@ class TestCacheSemantics:
         checker = EquivalenceChecker()
         logical = [_rule(80), _rule(443)]
         with WarmWorkerPool(max_workers=1) as pool:
-            healthy = checker.check_many([("leaf-1", logical, logical)], executor=pool)
-            assert healthy.equivalent
-            # A deployed rule vanishes: the digest differs, so the warm entry
-            # for the healthy pair is simply never consulted for this state.
+            first = checker.check_many(
+                [("leaf-1", logical, [_rule(443)])], executor=pool
+            )
+            assert first.results["leaf-1"].missing_rules == [logical[0]]
+            # A different deployed rule vanishes: the digest differs, so the
+            # warm entry for the first state is simply never consulted for
+            # this one.
             degraded = checker.check_many(
                 [("leaf-1", logical, [_rule(80)])], executor=pool
             )
