@@ -5,15 +5,20 @@ One ratio is recorded and two claims are gated:
 * **warm speedup (recorded, not gated)** — on the ``datacenter_profile``
   fabric (512 leaves, ~90k deployed rules) with four object faults
   injected, the serial ``ScoutSystem.check()`` against a 4-worker
-  persistent pool whose per-worker memo caches are warm.  The fabric is
-  faulted on purpose: a parallel sweep settles every healthy leaf by
-  key-set identity in the calling process (``identity_proofs`` in the
-  JSON), so only degraded leaves reach the pool and a healthy fabric
-  would time no worker at all.  While the serial sweep rebuilt a BDD per
-  leaf (~16 s) the warm pool won ~20x and a 2x floor gated it; with the
-  atomic-predicate engine and the compiled policy both sides are tens of
-  milliseconds, so there is no floor — ``speedup`` and ``speedup_cold``
-  in ``BENCH_parallel.json`` track the trajectory.
+  persistent pool whose per-worker memo caches are warm.  Both legs run
+  the same rule: the checker settles every healthy leaf by key-set
+  identity (``identity_proofs`` in the JSON) whichever path asked, so the
+  legs differ only in what happens to the *degraded* leaves — a
+  delta-scoped check in the calling process, or plan + pickle + IPC +
+  a worker memo hit + rehydration.  ``dispatched_leaves`` in the JSON
+  records exactly that pair of numbers (``serial_seconds``: the summed
+  ``check.switch`` spans of a traced serial round that ran the engine;
+  ``pool_seconds``: every stage of the traced warm round after the
+  identity proofs).  While the serial sweep rebuilt a BDD per leaf
+  (~16 s) the warm pool won ~20x and a 2x floor gated it; with one rule
+  on both legs the ratio sits near (or below) 1x, so there is no floor —
+  ``speedup`` and ``speedup_cold`` track the trajectory and are the input
+  to ROADMAP item 1's keep-or-delete decision for the pool.
 * **identity** — the cold parallel, warm parallel and serial reports must
   be *byte-identical* (equal :meth:`EquivalenceReport.fingerprint`) on the
   timed fabric and on every paper profile: testbed, simulation and
@@ -153,6 +158,25 @@ def test_warm_parallel_sweep_vs_serial():
     assert identity_proofs + dispatched == total_switches
     assert dispatched >= len(traced_report.switches_with_violations()) > 0
 
+    # The legs differ only on the dispatched leaves: what does each pay there?
+    serial_collector = TraceCollector()
+    assert (
+        system.check(trace=serial_collector).fingerprint()
+        == serial_report.fingerprint()
+    )
+    engine_spans = [
+        s
+        for s in serial_collector.spans()
+        if s.name == "check.switch" and s.counters.get("delta_checks")
+    ]
+    assert len(engine_spans) == dispatched
+    serial_dispatched_seconds = sum(s.duration for s in engine_spans)
+    pool_dispatched_seconds = sum(
+        seconds
+        for stage, seconds in breakdown["stages"].items()
+        if stage not in ("compile_logical", "collect_deployed", "identity_proof")
+    )
+
     speedup = serial_seconds / warm_seconds
     speedup_cold = serial_seconds / cold_seconds
     cpu_count = os.cpu_count() or 1
@@ -176,6 +200,11 @@ def test_warm_parallel_sweep_vs_serial():
         f"traced warm round:             {identity_proofs} identity proofs, "
         f"{dispatched} dispatched"
     )
+    print(
+        f"the {dispatched} dispatched leaves:      "
+        f"serial {serial_dispatched_seconds * 1e3:.1f} ms, "
+        f"pool {pool_dispatched_seconds * 1e3:.1f} ms"
+    )
     print(f"identity profiles verified:    {', '.join(identity_profiles)}")
     stages = breakdown["stages"]
     print(
@@ -195,6 +224,10 @@ def test_warm_parallel_sweep_vs_serial():
             "total_switches": total_switches,
             "identity_proofs": identity_proofs,
             "dispatched": dispatched,
+            "dispatched_leaves": {
+                "serial_seconds": serial_dispatched_seconds,
+                "pool_seconds": pool_dispatched_seconds,
+            },
             "serial_seconds": serial_seconds,
             "cold_parallel_seconds": cold_seconds,
             "warm_parallel_seconds": warm_seconds,

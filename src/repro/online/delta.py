@@ -10,9 +10,11 @@ that events patch in place:
   change only recompiles the pairs that depend on the changed object and
   patches their contribution in and out of the affected switches;
 * each switch carries a :class:`SwitchDigest` — the match-key fingerprints
-  of its logical and deployed rule sets — whose equality proves equivalence
-  without running a checker engine at all (identical match/action sets have
-  identical semantics);
+  of its logical and deployed rule sets, read off the dicts that already
+  hold them — and the checker's identity proof settles a switch whose two
+  sets are equal without running an engine at all (identical match/action
+  sets have identical semantics; the rule itself lives in
+  :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`);
 * a dirty set fed by event notifications makes :meth:`refresh` re-check
   only the switches inside the blast radius of what actually happened.
 
@@ -42,7 +44,7 @@ from ..parallel.pool import WarmWorkerPool
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
 from ..protocol import Operation
-from ..rules import MatchKey, TcamRule
+from ..rules import MatchKey, RuleSequence, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 
 __all__ = [
@@ -68,15 +70,12 @@ _STRUCTURE_PRESERVING = (ObjectType.FILTER, ObjectType.VRF)
 
 @dataclass(frozen=True)
 class SwitchDigest:
-    """Match-key fingerprints of one switch's logical and deployed rule sets."""
+    """Match-key fingerprints of one switch's logical and deployed rule sets
+    as of its last check (what a snapshot records; the comparison itself is
+    :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`)."""
 
     logical: FrozenSet[MatchKey]
     deployed: FrozenSet[MatchKey]
-
-    @property
-    def clean(self) -> bool:
-        """True when L and T hold exactly the same match/action sets."""
-        return self.logical == self.deployed
 
 
 class IncrementalChecker:
@@ -302,7 +301,7 @@ class IncrementalChecker:
                     bucket.setdefault(key, rule)
 
         logical = {
-            switch_uid: list(rules.values())
+            switch_uid: RuleSequence.keyed(rules)
             for switch_uid, rules in self._switch_rules.items()
         }
         deployed = {
@@ -313,10 +312,11 @@ class IncrementalChecker:
         report = self.checker.check_network(logical, deployed)
         self.full_checks += 1
         self._results = dict(report.results)
+        empty = RuleSequence()
         self._digests = {
             switch_uid: SwitchDigest(
-                logical=frozenset(self._switch_rules.get(switch_uid, {})),
-                deployed=frozenset(r.match_key() for r in deployed.get(switch_uid, ())),
+                logical=logical.get(switch_uid, empty).key_set(),
+                deployed=deployed.get(switch_uid, empty).key_set(),
             )
             for switch_uid in set(logical) | set(deployed)
         }
@@ -355,7 +355,7 @@ class IncrementalChecker:
                     self._apply_pair(pair)
             self._dirty_pairs.clear()
             refreshed: Dict[str, SwitchCheckResult] = {}
-            pending: List[Tuple[str, List[TcamRule], List[TcamRule]]] = []
+            pending: List[Tuple[str, RuleSequence, RuleSequence]] = []
             switches = self.controller.fabric.switches
             for switch_uid in sorted(self._dirty):
                 switch = switches.get(switch_uid)
@@ -367,25 +367,21 @@ class IncrementalChecker:
                     self._results.pop(switch_uid, None)
                     self._digests.pop(switch_uid, None)
                     continue
-                logical_map = logical_map or {}
-                deployed = switch.deployed_rules() if switch is not None else []
-                digest = SwitchDigest(
-                    logical=frozenset(logical_map),
-                    deployed=frozenset(rule.match_key() for rule in deployed),
+                logical = RuleSequence.keyed(logical_map or {})
+                deployed = RuleSequence()
+                if switch is not None:
+                    deployed = switch.tcam.rule_sequence()
+                self._digests[switch_uid] = SwitchDigest(
+                    logical=logical.key_set(), deployed=deployed.key_set()
                 )
-                self._digests[switch_uid] = digest
-                if digest.clean:
+                result = self.checker.identity_proof(
+                    switch_uid, logical, deployed, engine="digest"
+                )
+                if result is not None:
                     self.digest_short_circuits += 1
-                    result = SwitchCheckResult(
-                        switch_uid=switch_uid,
-                        equivalent=True,
-                        logical_count=len(logical_map),
-                        deployed_count=len(deployed),
-                        engine="digest",
-                    )
                     refreshed[switch_uid] = self._results[switch_uid] = result
                 else:
-                    pending.append((switch_uid, list(logical_map.values()), deployed))
+                    pending.append((switch_uid, logical, deployed))
             if pending:
                 refreshed.update(self._check_pending(pending, max_workers))
             self._dirty.clear()

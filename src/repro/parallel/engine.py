@@ -2,13 +2,13 @@
 
 Most switches of a fabric are healthy, and a healthy switch needs no engine:
 when its logical and deployed rules are the same *set* of match keys the two
-sides have the same semantics by construction (the online checker's
-``SwitchDigest.clean`` rule).  :func:`check_switches` therefore settles those
-in the calling process first — an **identity proof**, a frozenset comparison
-over key sets the rule sequences already carry
-(:class:`~repro.rules.RuleSequence`) — and only the rest is planned, pickled
-and shipped.  ``engine="bdd"``, the oracle, skips the shortcut and proves
-every switch in full.
+sides have the same semantics by construction.  That rule lives in the
+checker (:meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`,
+over key sets the rule sequences already carry —
+:class:`~repro.rules.RuleSequence`); :func:`check_switches` asks it in the
+calling process first, and only what it cannot settle is planned, pickled
+and shipped.  ``engine="bdd"``, the oracle, is never settled that way and
+proves every switch in full.
 
 For what is shipped, the unit of distribution is a *shard* of switches, not
 a single switch: per-switch checks are only milliseconds each, so shipping
@@ -30,8 +30,10 @@ task is a pure-data description of its switches' rule sets:
   rule-set pair it has checked before — in an earlier round of a warm
   :class:`~repro.parallel.pool.WarmWorkerPool`, or on a twin switch in
   this round — is answered from the memoized outcome without running a
-  check.  Only cache misses reconstruct rules and run the checker (atom
-  tables and BDD managers never cross process boundaries);
+  check.  Only cache misses rebuild key-carrying rule sequences
+  (:meth:`RuleSequence.from_keys`) and run the same delta-scoped checker
+  the serial sweep runs (atom tables and BDD managers never cross process
+  boundaries);
 * the worker returns match keys for the missing/extra sides, and the
   parent *rehydrates* those keys back into the original rule objects —
   provenance intact — so a merged :class:`EquivalenceReport` is
@@ -133,18 +135,6 @@ class ShardResult:
     cache_misses: int = 0
 
 
-def _rule_from_key(key: MatchKey) -> TcamRule:
-    vrf_scope, src_epg, dst_epg, protocol, port, action = key
-    return TcamRule(
-        vrf_scope=vrf_scope,
-        src_epg=src_epg,
-        dst_epg=dst_epg,
-        protocol=protocol,
-        port=port,
-        action=action,
-    )
-
-
 def _intern_keys(
     buffers: List[Tuple[MatchKey, ...]],
     index: Dict[Tuple[MatchKey, ...], int],
@@ -198,25 +188,20 @@ def run_shard(task: ShardTask) -> ShardResult:
                 digests = tuple(ruleset_digest(buffer) for buffer in task.buffers)
             hits = 0
             misses = 0
-            hydrated: Dict[int, List[TcamRule]] = {}
+            hydrated: Dict[int, RuleSequence] = {}
 
-            def rules_for(ref: int) -> List[TcamRule]:
+            def rules_for(ref: int) -> RuleSequence:
                 rules = hydrated.get(ref)
                 if rules is None:
-                    rules = hydrated[ref] = [
-                        _rule_from_key(key) for key in task.buffers[ref]
-                    ]
+                    rules = hydrated[ref] = RuleSequence.from_keys(task.buffers[ref])
                 return rules
 
             resolved: List[CompiledOutcome] = []
             # Inline shards can run on sibling monitor-partition threads; the
             # cache and its atom tables take one writer at a time.
             with span("worker.check"), WORKER_CACHE.lock:
-                # The atom table outlives the shard: buffers already folded
-                # in (digest-keyed) are skipped, so a warm worker patches
-                # atoms only for genuinely new rule sets.
-                for ref, buffer in enumerate(task.buffers):
-                    WORKER_CACHE.observe_buffer(task.space_widths, digests[ref], buffer)
+                # The atom table outlives the shard: a warm worker patches
+                # atoms only for genuinely new protocol/port values.
                 checker = EquivalenceChecker(
                     rule_space=RuleSpace(*task.space_widths),
                     engine=task.engine,
@@ -263,8 +248,8 @@ def run_shard(task: ShardTask) -> ShardResult:
 
 def _rehydrate(
     outcome: SwitchWorkOutcome,
-    logical: Sequence[TcamRule],
-    deployed: Sequence[TcamRule],
+    logical: RuleSequence,
+    deployed: RuleSequence,
 ) -> SwitchCheckResult:
     """Map a worker outcome back onto the parent's original rule objects.
 
@@ -273,27 +258,11 @@ def _rehydrate(
     the risk-model augmentation needs.  Equivalent switches — the vast
     majority on a healthy fabric — skip the rule scans entirely.
     """
-    missing_keys = set(outcome.missing)
-    extra_keys = set(outcome.extra)
-    missing_rules: List[TcamRule] = []
-    if missing_keys:
-        missing_rules = [
-            rule
-            for rule in logical
-            if rule.action == "allow" and rule.match_key() in missing_keys
-        ]
-    extra_rules: List[TcamRule] = []
-    if extra_keys:
-        extra_rules = [
-            rule
-            for rule in deployed
-            if rule.action == "allow" and rule.match_key() in extra_keys
-        ]
     return SwitchCheckResult(
         switch_uid=outcome.switch_uid,
         equivalent=outcome.equivalent,
-        missing_rules=missing_rules,
-        extra_rules=extra_rules,
+        missing_rules=logical.select(set(outcome.missing)),
+        extra_rules=deployed.select(set(outcome.extra)),
         logical_count=outcome.logical_count,
         deployed_count=outcome.deployed_count,
         engine=outcome.engine,
@@ -339,8 +308,8 @@ def check_switches(
     whatever the executor, shard plan or cache state.  With
     ``executor=None`` the shards run inline in the calling process.
 
-    A switch whose two sides are the same match-key set is answered here,
-    before anything is planned or pickled (see the module docstring); the
+    A switch the checker's identity proof settles is answered here, before
+    anything is planned or pickled (see the module docstring); the
     checker's ``identity_proofs`` / ``dispatched`` counters say how a sweep
     split.  Under ``engine="bdd"`` every switch is dispatched.
 
@@ -359,19 +328,11 @@ def check_switches(
 
     proven: Dict[str, SwitchCheckResult] = {}
     with span("parallel.identity_proof", switches=len(triples)) as proof_span:
-        # The oracle stays an independent full proof of every switch.
-        if checker.engine != "bdd":
-            for switch_uid, (logical, deployed) in triples.items():
-                if logical.key_set() == deployed.key_set():
-                    proven[switch_uid] = SwitchCheckResult(
-                        switch_uid=switch_uid,
-                        equivalent=True,
-                        logical_count=len(logical),
-                        deployed_count=len(deployed),
-                        engine=checker.engine,
-                    )
+        for switch_uid, (logical, deployed) in triples.items():
+            proof = checker.identity_proof(switch_uid, logical, deployed)
+            if proof is not None:
+                proven[switch_uid] = proof
         pending = {uid: triples[uid] for uid in triples if uid not in proven}
-        checker.identity_proofs += len(proven)
         checker.dispatched += len(pending)
         proof_span.count("identity_proofs", len(proven))
         proof_span.count("dispatched", len(pending))

@@ -12,8 +12,7 @@ keys, the same argument that makes parent-side rehydration exact), so two
 switches carrying identical rule sets share one entry, and an unchanged
 switch is never rebuilt across rounds as long as its worker process lives.
 
-Digest discipline mirrors :class:`repro.online.delta.SwitchDigest`: the
-digest covers the exact match-key sequence, so any rule add/remove/reorder
+The digest covers the exact match-key sequence, so any rule add/remove/reorder
 changes it and the stale entry is simply never looked up again (the LRU
 bound evicts it eventually).  There is no explicit invalidation protocol to
 get wrong — and nothing semantic rides on *hits*, so a cold cache, an
@@ -91,12 +90,10 @@ class CompiledStateCache:
         self._entries: "OrderedDict[Hashable, CompiledOutcome]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # One long-lived AtomTable per rule space (keyed by field widths),
-        # plus the digests of the rule buffers already folded into each, so
-        # the atomic-predicate engine patches atoms at most once per distinct
-        # buffer for the lifetime of the worker process.
+        # One long-lived AtomTable per rule space (keyed by field widths):
+        # the worker's checker folds each rule set it actually checks into
+        # it, so atoms are patched, never rebuilt, for the worker's lifetime.
         self._atom_tables: Dict[Tuple[int, int, int, int], AtomTable] = {}
-        self._atom_digests: set = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,25 +136,6 @@ class CompiledStateCache:
             self._atom_tables[space_widths] = table
         return table
 
-    def observe_buffer(
-        self,
-        space_widths: Tuple[int, int, int, int],
-        digest: str,
-        keys: Sequence[MatchKey],
-    ) -> bool:
-        """Fold one rule buffer into its atom table, at most once per digest.
-
-        Returns True when the buffer was new (and was observed).  Digest
-        bookkeeping is an optimization only — re-observation is always a
-        semantic no-op — so the set is never bounded or invalidated.
-        """
-        entry = (space_widths, digest)
-        if entry in self._atom_digests:
-            return False
-        self.atom_table(space_widths).observe_keys(keys)
-        self._atom_digests.add(entry)
-        return True
-
     def clear(self) -> None:
         """Drop every entry, zero the counters and renew the lock (tests and
         worker start: a forked worker may inherit the lock held by a parent
@@ -167,7 +145,6 @@ class CompiledStateCache:
         self.hits = 0
         self.misses = 0
         self._atom_tables.clear()
-        self._atom_digests.clear()
 
     def stats(self) -> Dict[str, Any]:
         total = self.hits + self.misses
@@ -176,10 +153,7 @@ class CompiledStateCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
-            "atom_tables": {
-                "spaces": len(self._atom_tables),
-                "observed_buffers": len(self._atom_digests),
-            },
+            "atom_tables": {"spaces": len(self._atom_tables)},
         }
 
 

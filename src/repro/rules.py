@@ -15,7 +15,8 @@ metadata and does not participate in L-T comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .policy.objects import Epg, EpgPair, Filter, FilterEntry, Vrf
 
@@ -137,15 +138,20 @@ class RuleSequence(tuple):
 
     The carrier between whoever already holds a rule set's keys — the
     controller's compiled policy, a TCAM table keyed by them — and the
-    checker's identity proof (:func:`repro.parallel.engine.check_switches`):
-    two sequences whose :meth:`key_set` are equal have the same L-T
-    semantics, and a sequence built with :meth:`keyed` answers that without
-    one :meth:`TcamRule.match_key` call.  Being a tuple, what a cache hands
-    out cannot be edited in place.
+    checker's key-set delta
+    (:meth:`repro.verify.checker.EquivalenceChecker.check_switch`): L-T
+    equivalence is decided on :meth:`key_set`, and a sequence built with
+    :meth:`keyed` or :meth:`from_keys` answers that — and :meth:`select` —
+    without one :meth:`TcamRule.match_key` call.  Being a tuple, what a
+    cache hands out cannot be edited in place.
     """
 
     _keys: Optional[Tuple[MatchKey, ...]] = None
     _key_set: Optional[FrozenSet[MatchKey]] = None
+    _by_triple: Optional[Dict[Tuple[int, int, int], List[MatchKey]]] = None
+    #: The last atom table that validated and folded in every key of this
+    #: sequence (set by the checker; an immutable sequence is vouched once).
+    observed_by: Optional[object] = None
 
     @classmethod
     def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
@@ -156,11 +162,24 @@ class RuleSequence(tuple):
     def keyed(cls, entries: Mapping[MatchKey, TcamRule]) -> "RuleSequence":
         """The rules of a dict keyed by their own match keys, in its order.
 
-        The key set comes straight off the dict (``frozenset(dict)`` reuses
-        the stored hashes), so nothing is re-derived per rule.
+        Keys and key set come straight off the dict (``frozenset(dict)``
+        reuses the stored hashes), so nothing is re-derived per rule.
         """
         sequence = cls(entries.values())
+        sequence._keys = tuple(entries)
         sequence._key_set = frozenset(entries)
+        return sequence
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[MatchKey]) -> "RuleSequence":
+        """Bare rules (no provenance) for ``keys``, in order, duplicates kept.
+
+        How a shard worker rebuilds a rule set from the match keys that
+        crossed the process boundary.
+        """
+        keys = tuple(keys)
+        sequence = cls(TcamRule(*key) for key in keys)
+        sequence._keys = keys
         return sequence
 
     def keys(self) -> Tuple[MatchKey, ...]:
@@ -174,6 +193,21 @@ class RuleSequence(tuple):
         if self._key_set is None:
             self._key_set = frozenset(self.keys())
         return self._key_set
+
+    def keys_by_triple(self) -> Mapping[Tuple[int, int, int], List[MatchKey]]:
+        """The distinct keys grouped by their ``(vrf_scope, src_epg, dst_epg)``."""
+        if self._by_triple is None:
+            groups: Dict[Tuple[int, int, int], List[MatchKey]] = {}
+            for key in self.key_set():
+                groups.setdefault(key[:3], []).append(key)
+            self._by_triple = groups
+        return self._by_triple
+
+    def select(self, wanted: AbstractSet[MatchKey]) -> List[TcamRule]:
+        """The rules whose key is in ``wanted``, in sequence order, duplicates kept."""
+        if not wanted:
+            return []
+        return list(compress(self, map(wanted.__contains__, self.keys())))
 
 
 def rules_for_pair_entry(

@@ -23,15 +23,27 @@ refinement), so re-observing an unchanged snapshot is a no-op and a rule
 delta patches the table instead of rebuilding it — `IncrementalChecker`
 refreshes and churn checkpoints reuse the same table across rounds.
 
-Each rule's match then becomes a bitset (a Python int) over the
+Each match key then becomes a bitset (a Python int) over the
 ``protocol × port`` atom grid of its triple, and a rule *set* is the OR of
-its allow-rules' bitsets per triple.  L-T equivalence is integer equality
+its allow keys' bitsets per triple.  L-T equivalence is integer equality
 per triple; the missing/extra regions are ``l & ~t`` / ``t & ~l``.  This is
 exact with respect to the BDD semantics: every atom cell lies entirely
 inside or outside every expressible rule cube (exact values are classes of
 their own; wildcards cover every class of their field, including the
 "other" class which completes the field's domain), so set algebra on atoms
 and on packets agree.
+
+The table works on match keys, not rule objects (the checker's inputs carry
+their keys: :class:`~repro.rules.RuleSequence`), and everything it computes
+is **per triple**: a triple's region depends on that triple's allow keys and
+on nothing else.  Two sides holding the same allow keys under a triple
+therefore have equal regions there by construction, whatever wildcards are
+involved — which is what lets
+:class:`~repro.verify.checker.EquivalenceChecker` call :meth:`regions` only
+on the triples a key-set difference touches and still reproduce the
+full-universe answer exactly.  Observation (:meth:`observe_keys`) doubles as
+validation: every allow key's fields are checked against the rule space
+before it can contribute a class.
 
 Refinement never changes a verdict — observing keys from *other* switches
 (the table is fabric-global, and worker processes share one table per rule
@@ -42,10 +54,10 @@ identical reports.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from ..exceptions import VerificationError
-from ..rules import MatchKey, TcamRule
+from ..rules import MatchKey
 from .encoding import _PROTOCOL_CODES, DEFAULT_RULE_SPACE, RuleSpace
 
 __all__ = ["AtomTable"]
@@ -59,7 +71,7 @@ class AtomTable:
 
     The table is cheap to create (empty dicts) and meant to be long-lived:
     attach one to an :class:`~repro.verify.checker.EquivalenceChecker` and
-    every check patches it in place via :meth:`observe_rules`.  ``version``
+    every check patches it in place via :meth:`observe_keys`.  ``version``
     counts refinements; derived masks and per-key bitsets are cached per
     version, so a quiescent fabric pays dictionary lookups only.
     """
@@ -85,51 +97,50 @@ class AtomTable:
         self._row_mask = 0
         self._col_unit = 0
         self._full_mask = 0
-        self._bits_version = -1
+        #: (protocol, port) -> bitset under the current masks.
         self._bits_cache: Dict[Tuple[Any, Any], int] = {}
 
     # ------------------------------------------------------------------ #
     # Observation (the one pass that builds — and later patches — atoms)
     # ------------------------------------------------------------------ #
-    def observe_rules(self, rules: Iterable[TcamRule]) -> int:
-        """Fold one rule set into the table; returns classes added.
-
-        Only ``allow`` rules are examined, mirroring ``encode_ruleset``:
-        deny rules contribute nothing to the allowed set, and the BDD
-        engine never validates their field values either.
-        """
-        return self.observe_keys(
-            rule.match_key() for rule in rules if rule.action == "allow"
-        )
-
     def observe_keys(self, keys: Iterable[MatchKey]) -> int:
-        """Fold raw match keys into the table; returns classes added.
+        """Fold match keys into the table; returns classes added.
 
-        Non-``allow`` keys are skipped.  Field values are validated with
-        the same :class:`VerificationError` contract as the BDD encoder, so
-        an invalid rule fails identically under either engine.
+        Only ``allow`` keys are examined, mirroring ``encode_ruleset``: deny
+        rules contribute nothing to the allowed set, and the BDD engine never
+        validates their field values either.  Field values are validated
+        with the same :class:`VerificationError` contract as the BDD
+        encoder, so an invalid rule fails identically under either engine.
         """
         added = 0
+        space = self.space
+        vrf_max = space.vrf.max_value
+        src_max = space.src_epg.max_value
+        dst_max = space.dst_epg.max_value
         protocol_classes = self._protocol_classes
         port_classes = self._port_classes
-        for key in keys:
-            vrf_scope, src_epg, dst_epg, protocol, port, action = key
+        for vrf_scope, src_epg, dst_epg, protocol, port, action in keys:
             if action != "allow":
                 continue
-            self._validate_exact(self.space.vrf, vrf_scope)
-            self._validate_exact(self.space.src_epg, src_epg)
-            self._validate_exact(self.space.dst_epg, dst_epg)
-            if protocol != "any":
+            if not (
+                0 <= vrf_scope <= vrf_max
+                and 0 <= src_epg <= src_max
+                and 0 <= dst_epg <= dst_max
+            ):
+                # Off the hot path: name the first offending field.
+                self._validate_exact(space.vrf, vrf_scope)
+                self._validate_exact(space.src_epg, src_epg)
+                self._validate_exact(space.dst_epg, dst_epg)
+            # A value with a class was validated when the class was made.
+            if protocol not in protocol_classes and protocol != "any":
                 if protocol not in _PROTOCOL_CODES:
                     raise VerificationError(f"unsupported protocol {protocol!r}")
-                if protocol not in protocol_classes:
-                    protocol_classes[protocol] = len(protocol_classes) + 1
-                    added += 1
-            if port is not None:
-                self._validate_exact(self.space.port, port)
-                if port not in port_classes:
-                    port_classes[port] = len(port_classes) + 1
-                    added += 1
+                protocol_classes[protocol] = len(protocol_classes) + 1
+                added += 1
+            if port not in port_classes and port is not None:
+                self._validate_exact(space.port, port)
+                port_classes[port] = len(port_classes) + 1
+                added += 1
         if added:
             self.version += added
             self.patches += 1
@@ -171,19 +182,16 @@ class AtomTable:
         # Disjoint shifts: row_mask < 2**nq and col_unit only has bits at
         # multiples of nq, so the product is the OR of the shifted rows.
         self._full_mask = row_mask * col_unit
+        self._bits_cache.clear()
         self._masks_version = self.version
 
     # ------------------------------------------------------------------ #
     # Bitsets
     # ------------------------------------------------------------------ #
-    def rule_bits(self, rule: TcamRule) -> Tuple[Triple, int]:
-        """The triple block and atom bitset of one (observed) rule's match."""
+    def bits(self, protocol: str, port: Optional[int]) -> int:
+        """The atom bitset of one (observed) protocol/port match, within
+        whichever triple block the key names."""
         self._refresh_masks()
-        if self._bits_version != self.version:
-            self._bits_cache.clear()
-            self._bits_version = self.version
-        protocol = rule.protocol
-        port = rule.port
         cache_key = (protocol, port)
         bits = self._bits_cache.get(cache_key)
         if bits is None:
@@ -200,21 +208,24 @@ class AtomTable:
                     self._protocol_classes[protocol] * nq + self._port_classes[port]
                 )
             self._bits_cache[cache_key] = bits
-        return (rule.vrf_scope, rule.src_epg, rule.dst_epg), bits
+        return bits
 
-    def regions(self, rules: Sequence[TcamRule]) -> Dict[Triple, int]:
-        """Per-triple allowed-set bitsets for one rule set's allow rules.
+    def regions(self, keys: Iterable[MatchKey]) -> Dict[Triple, int]:
+        """Per-triple allowed-set bitsets: the OR of the allow keys' bitsets.
 
-        Zero entries are never created, so two rule sets allow the same
-        traffic iff their region dicts compare equal.
+        Zero entries are never created, so two key sets allow the same
+        traffic iff their region dicts compare equal — and since a triple's
+        region is a function of that triple's allow keys alone, two sides
+        holding the same allow keys under a triple agree on it by
+        construction (what lets the checker scope this to the triples a
+        key-set difference touches).  Duplicates and order are irrelevant.
         """
         regions: Dict[Triple, int] = {}
-        for rule in rules:
-            if rule.action != "allow":
+        for vrf_scope, src_epg, dst_epg, protocol, port, action in keys:
+            if action != "allow":
                 continue
-            triple, bits = self.rule_bits(rule)
-            existing = regions.get(triple)
-            regions[triple] = bits if existing is None else existing | bits
+            triple = (vrf_scope, src_epg, dst_epg)
+            regions[triple] = regions.get(triple, 0) | self.bits(protocol, port)
         return regions
 
     @staticmethod
@@ -229,24 +240,22 @@ class AtomTable:
                 diff[triple] = remainder
         return diff
 
-    def select_rules(
-        self, rules: Sequence[TcamRule], regions: Dict[Triple, int]
-    ) -> List[TcamRule]:
-        """Allow rules (in input order) whose match intersects ``regions``.
+    def select_keys(
+        self, keys: Iterable[MatchKey], regions: Dict[Triple, int]
+    ) -> Set[MatchKey]:
+        """The allow keys whose match intersects ``regions``.
 
-        Mirrors the BDD engine's reporting scan — iterate the original rule
-        list, skip denies, keep rules overlapping the difference region — so
-        the selected rules (and their order) are byte-identical.
+        The BDD engine's reporting rule at key level: skip denies, keep a
+        rule iff its cube overlaps the difference region.
         """
+        selected: Set[MatchKey] = set()
         if not regions:
-            return []
-        selected: List[TcamRule] = []
-        for rule in rules:
-            if rule.action != "allow":
-                continue
-            triple, bits = self.rule_bits(rule)
-            if bits & regions.get(triple, 0):
-                selected.append(rule)
+            return selected
+        for key in keys:
+            vrf_scope, src_epg, dst_epg, protocol, port, action = key
+            region = regions.get((vrf_scope, src_epg, dst_epg), 0)
+            if action == "allow" and self.bits(protocol, port) & region:
+                selected.add(key)
         return selected
 
     # ------------------------------------------------------------------ #

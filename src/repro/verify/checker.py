@@ -18,7 +18,9 @@ Two engines give the same semantic answer:
 * ``engine="ap"`` (the default, and the only production engine) — atomic
   predicates: the header space is compressed once into equivalence classes
   (:class:`~repro.verify.atoms.AtomTable`, patched incrementally on rule
-  deltas) and L-T comparison becomes integer-bitset set algebra.
+  deltas) and L-T comparison becomes integer-bitset set algebra — over the
+  triples the two sides' key-set difference touches, which for an
+  unchanged switch is none (see :class:`EquivalenceChecker`).
 * ``engine="bdd"`` — the faithful ROBDD comparison, kept as the differential
   **oracle**: tests, ``benchmarks/bench_ap.py`` and the operator cross-check
   ``POST /audits {"engine": "bdd"}`` gate the AP engine's
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Literal, Optional, Sequence, Tuple
 
 from ..exceptions import VerificationError
 from ..obs import span
-from ..rules import TcamRule
+from ..rules import MatchKey, RuleSequence, TcamRule
 from .atoms import AtomTable
 from .encoding import RuleSpace
 
@@ -264,6 +266,39 @@ class EquivalenceChecker:
     :class:`~repro.parallel.memo.CompiledStateCache`); by default the
     checker owns one, which is what lets `IncrementalChecker.refresh` and
     churn checkpoints patch rather than rebuild the atom universe.
+
+    The ``ap`` check is **delta-scoped**.  Both sides arrive as
+    key-carrying :class:`~repro.rules.RuleSequence` carriers; the checker takes
+    the key-set difference ``l_only = L - T`` / ``t_only = T - L`` (the one
+    place under ``src/repro`` that compares key sets, :meth:`_key_delta`)
+    and then:
+
+    * both empty — the sides are the same match/action set, hence the same
+      semantics: an **identity proof**, no engine (:meth:`identity_proof`,
+      which the parallel sweep and the online monitor call directly);
+    * otherwise — atom regions are built only for the
+      ``(vrf, src_epg, dst_epg)`` triples an allow key of the difference
+      touches.  That is exact, not a heuristic: a triple's region is the OR
+      of *that triple's* allow-key bitsets (:meth:`AtomTable.regions`), so
+      a triple whose allow keys are the same on both sides has equal
+      regions by construction and can contribute nothing to ``l & ~t`` or
+      ``t & ~l``; and a rule whose key is on both sides is covered by the
+      other side's region, so the reported ``missing_rules`` are a subset
+      of ``l_only`` and ``extra_rules`` of ``t_only``.  Verdict, counts,
+      rule objects, order and duplicates equal the full-universe
+      computation (kept as a test-only reference in
+      ``tests/property/test_ap_differential_properties.py``) and the
+      ``bdd`` oracle.  When the difference touches every triple the scoped
+      computation *is* the full one.
+
+    Every allow key of ``L ∪ T`` is still validated against the rule space
+    — before any verdict, identity proofs included: L once per immutable
+    sequence and table (:attr:`RuleSequence.observed_by`), ``t_only`` per
+    call (``T - t_only`` is a subset of L) — so an out-of-range field or
+    unknown protocol raises the same :class:`VerificationError` from
+    :meth:`check_network`, :meth:`check_many` and the monitor's refresh,
+    wherever the offending key sits.  ``engine="bdd"`` takes no shortcut:
+    it stays an independent full proof of every switch.
     """
 
     def __init__(
@@ -280,9 +315,9 @@ class EquivalenceChecker:
         self.rule_space = rule_space or RuleSpace()
         self.engine = engine
         self.atoms = atoms if atoms is not None else AtomTable(self.rule_space)
-        #: How :meth:`check_many` sweeps split, lifetime totals: switches
-        #: proven equivalent by key-set identity in the caller versus
-        #: switches shipped to an engine.
+        #: How this checker's switches split, lifetime totals and whichever
+        #: entry point asked: settled by key-set identity versus handed to
+        #: an engine (here, or by :meth:`check_many` to a shard).
         self.identity_proofs = 0
         self.dispatched = 0
 
@@ -296,11 +331,41 @@ class EquivalenceChecker:
         deployed: Sequence[TcamRule],
     ) -> SwitchCheckResult:
         """Compare one switch's logical and deployed rules."""
+        logical, deployed = RuleSequence.of(logical), RuleSequence.of(deployed)
         with span("check.switch", switch=switch_uid, engine=self.engine) as current:
             current.count("rules", len(logical) + len(deployed))
             if self.engine == "bdd":
+                self.dispatched += 1
                 return self._check_with_bdd(switch_uid, logical, deployed)
-            return self._check_with_ap(switch_uid, logical, deployed)
+            l_only, t_only = self._key_delta(logical, deployed)
+            if not l_only and not t_only:
+                return self._proven(switch_uid, logical, deployed, self.engine)
+            self.dispatched += 1
+            current.count("delta_checks", 1)
+            return self._check_delta(switch_uid, logical, deployed, l_only, t_only)
+
+    def identity_proof(
+        self,
+        switch_uid: str,
+        logical: RuleSequence,
+        deployed: RuleSequence,
+        engine: Optional[str] = None,
+    ) -> Optional[SwitchCheckResult]:
+        """The equivalent result when both sides are one key set, else None.
+
+        The "unchanged ⇒ equivalent" rule for callers that route what is
+        left themselves (the parallel sweep ships it to shards, the monitor
+        batches it); ``engine`` is the label the result carries when it is
+        not this checker's own.  Both sides are validated first, so an
+        invalid rule raises here exactly as it would in an engine.  Always
+        None under ``engine="bdd"``.
+        """
+        if self.engine == "bdd":
+            return None
+        l_only, t_only = self._key_delta(logical, deployed)
+        if l_only or t_only:
+            return None
+        return self._proven(switch_uid, logical, deployed, engine or self.engine)
 
     def check_network(
         self,
@@ -311,9 +376,7 @@ class EquivalenceChecker:
         report = EquivalenceReport()
         for switch_uid in sorted(set(logical) | set(deployed)):
             report.results[switch_uid] = self.check_switch(
-                switch_uid,
-                list(logical.get(switch_uid, ())),
-                list(deployed.get(switch_uid, ())),
+                switch_uid, logical.get(switch_uid, ()), deployed.get(switch_uid, ())
             )
         return report
 
@@ -332,8 +395,7 @@ class EquivalenceChecker:
         :class:`~repro.parallel.pool.WarmWorkerPool`), or run inline when
         there is none.  Either way the merged report is identical to a
         serial :meth:`check_network` over the same snapshots.  Switches
-        whose two sides are the same match-key set never reach a shard
-        (``engine="bdd"`` excepted): see
+        :meth:`identity_proof` settles never reach a shard: see
         :func:`repro.parallel.engine.check_switches`.
         """
         from ..parallel.engine import check_switches
@@ -405,49 +467,85 @@ class EquivalenceChecker:
             engine="bdd",
         )
 
-    def _check_with_ap(
+    def _key_delta(
+        self, logical: RuleSequence, deployed: RuleSequence
+    ) -> Tuple[FrozenSet[MatchKey], FrozenSet[MatchKey]]:
+        """``(L - T, T - L)`` over match keys, both sides validated first."""
+        table = self.atoms
+        if logical.observed_by is not table:
+            table.observe_keys(logical.keys())
+            logical.observed_by = table
+        l_keys, t_keys = logical.key_set(), deployed.key_set()
+        t_only = t_keys - l_keys
+        table.observe_keys(t_only)
+        # |L & T| is |T| - |t_only|; when that is all of L, L - T is empty
+        # and a healthy switch costs one pass, not two.
+        if len(t_keys) - len(t_only) == len(l_keys):
+            return frozenset(), t_only
+        return l_keys - t_keys, t_only
+
+    def _proven(
         self,
         switch_uid: str,
-        logical: Sequence[TcamRule],
-        deployed: Sequence[TcamRule],
+        logical: RuleSequence,
+        deployed: RuleSequence,
+        engine: str,
     ) -> SwitchCheckResult:
-        table = self.atoms
-        with span("verify.ap.build", switch=switch_uid) as build:
-            # Observation *is* the incremental patch: unchanged snapshots
-            # add no classes and cost only dictionary lookups.
-            added = table.observe_rules(logical)
-            added += table.observe_rules(deployed)
-            l_regions = table.regions(logical)
-            t_regions = table.regions(deployed)
-            build.count("rules", len(logical) + len(deployed))
-            build.count("atoms", table.atom_count())
-            build.count("new_classes", added)
-        if l_regions == t_regions:
-            return SwitchCheckResult(
-                switch_uid=switch_uid,
-                equivalent=True,
-                logical_count=len(logical),
-                deployed_count=len(deployed),
-                engine="ap",
-            )
-
-        with span("verify.ap.compare", switch=switch_uid):
-            # Same selection contract as the BDD scan: original rule order,
-            # allow rules only, kept iff the match intersects the difference.
-            missing = table.select_rules(
-                logical, table.diff_regions(l_regions, t_regions)
-            )
-            extra = table.select_rules(
-                deployed, table.diff_regions(t_regions, l_regions)
-            )
-
+        self.identity_proofs += 1
         return SwitchCheckResult(
             switch_uid=switch_uid,
-            equivalent=False,
-            missing_rules=missing,
-            extra_rules=extra,
+            equivalent=True,
+            logical_count=len(logical),
+            deployed_count=len(deployed),
+            engine=engine,
+        )
+
+    def _check_delta(
+        self,
+        switch_uid: str,
+        logical: RuleSequence,
+        deployed: RuleSequence,
+        l_only: FrozenSet[MatchKey],
+        t_only: FrozenSet[MatchKey],
+    ) -> SwitchCheckResult:
+        """The AP comparison over the triples the key difference touches."""
+        table = self.atoms
+        with span("verify.ap.build", switch=switch_uid) as build:
+            touched = {
+                key[:3]
+                for delta in (l_only, t_only)
+                for key in delta
+                if key[5] == "allow"
+            }
+            by_triple = logical.keys_by_triple()
+            l_scope = [key for triple in touched for key in by_triple.get(triple, ())]
+            # T under the same triples without a pass over T: T is
+            # (L - l_only) | t_only, and every allow key of t_only is there.
+            t_scope = [key for key in l_scope if key not in l_only]
+            t_scope.extend(t_only)
+            l_regions = table.regions(l_scope)
+            t_regions = table.regions(t_scope)
+            build.count("rules", len(logical) + len(deployed))
+            build.count("scoped_rules", len(l_scope) + len(t_scope))
+            build.count("touched_triples", len(touched))
+            build.count("atoms", table.atom_count())
+        result = SwitchCheckResult(
+            switch_uid=switch_uid,
+            equivalent=l_regions == t_regions,
             logical_count=len(logical),
             deployed_count=len(deployed),
             engine="ap",
         )
-
+        if not result.equivalent:
+            with span("verify.ap.compare", switch=switch_uid):
+                # Same selection contract as the BDD scan — original rule
+                # order, allow rules only, kept iff the match intersects the
+                # difference — over the only keys that can: a both-sides
+                # key lies inside the other side's region.
+                result.missing_rules = logical.select(
+                    table.select_keys(l_only, table.diff_regions(l_regions, t_regions))
+                )
+                result.extra_rules = deployed.select(
+                    table.select_keys(t_only, table.diff_regions(t_regions, l_regions))
+                )
+        return result

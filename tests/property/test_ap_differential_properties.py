@@ -6,12 +6,20 @@ oracle" — same verdicts, same reported rule objects in the same order, same
 rule sets drawn from a deliberately nasty strategy: tiny id space (forced
 overlaps), wildcard ports, ``any`` protocol, full-wildcard matches that
 shadow everything else, and interleaved deny rules.
+
+The production ``ap`` check is *delta-scoped* (atom regions only for the
+triples the L/T key-set difference touches), so the suite also keeps the
+computation it replaced — ``_full_universe_check``: regions over every rule
+of both sides — as a second reference, and draws deployed sides that are
+*edits* of the logical side (drops, extras, duplicates, reorders, wildcard
+shadowing, deny flips), which is what a real TCAM is.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rules import TcamRule
+from repro.rules import RuleSequence, TcamRule
 from repro.verify import AtomTable, EquivalenceChecker
+from repro.verify.checker import EquivalenceReport, SwitchCheckResult
 
 # Tiny id space so rules collide, shadow, and subsume each other often.
 # Wildcards (port=None, protocol="any") and denies are first-class citizens.
@@ -31,6 +39,71 @@ ap_rule_strategy = st.builds(
 )
 
 ap_rule_lists = st.lists(ap_rule_strategy, max_size=30)
+
+
+def _full_universe_check(logical, deployed) -> SwitchCheckResult:
+    """The AP comparison as it was before scoping: observe and build regions
+    over *every* rule of both sides, then scan both rule lists in order."""
+    table = AtomTable()
+    l_keys = [rule.match_key() for rule in logical]
+    t_keys = [rule.match_key() for rule in deployed]
+    table.observe_keys(l_keys)
+    table.observe_keys(t_keys)
+    l_regions, t_regions = table.regions(l_keys), table.regions(t_keys)
+    result = SwitchCheckResult(
+        switch_uid="s",
+        equivalent=l_regions == t_regions,
+        logical_count=len(logical),
+        deployed_count=len(deployed),
+        engine="ap",
+    )
+
+    def overlapping(rules, region):
+        return [
+            rule
+            for rule in rules
+            if rule.action == "allow"
+            and table.bits(rule.protocol, rule.port)
+            & region.get((rule.vrf_scope, rule.src_epg, rule.dst_epg), 0)
+        ]
+
+    if not result.equivalent:
+        result.missing_rules = overlapping(
+            logical, table.diff_regions(l_regions, t_regions)
+        )
+        result.extra_rules = overlapping(
+            deployed, table.diff_regions(t_regions, l_regions)
+        )
+    return result
+
+
+@st.composite
+def edited_pairs(draw):
+    """``(L, T)`` where T is L after the edits a TCAM actually suffers."""
+    logical = draw(st.lists(ap_rule_strategy, min_size=1, max_size=30))
+    deployed = []
+    for rule in logical:
+        triple = (rule.vrf_scope, rule.src_epg, rule.dst_epg)
+        fate = draw(
+            st.sampled_from(["keep"] * 5 + ["drop", "twice", "widen", "narrow", "deny"])
+        )
+        if fate == "keep":
+            deployed.append(rule)
+        elif fate == "twice":
+            deployed += [rule, rule]
+        elif fate == "narrow":
+            # An extra key the kept rule may shadow: a T-only key that need
+            # not change the semantics of its triple.
+            deployed += [rule, TcamRule(*triple, "tcp", 80, rule.action)]
+        elif fate == "widen":
+            # A different key that covers at least the same traffic.
+            deployed.append(TcamRule(*triple, rule.protocol, None, rule.action))
+        elif fate == "deny":
+            deployed.append(TcamRule(*triple, rule.protocol, rule.port, "deny"))
+    deployed += draw(st.lists(ap_rule_strategy, max_size=4))  # extras, any triple
+    if draw(st.booleans()):
+        deployed = draw(st.permutations(deployed))
+    return logical, list(deployed)
 
 
 def _check(engine, logical, deployed, **kwargs):
@@ -96,8 +169,85 @@ class TestApMatchesBdd:
         shared tables (and `IncrementalChecker` reuse) depend on."""
         fresh = _check("ap", logical, deployed)
         table = AtomTable()
-        table.observe_rules(noise)
+        table.observe_keys(rule.match_key() for rule in noise)
         refined = _check("ap", logical, deployed, atoms=table)
         assert refined.equivalent == fresh.equivalent
         assert refined.missing_rules == fresh.missing_rules
         assert refined.extra_rules == fresh.extra_rules
+
+
+class TestDeltaScopedMatchesFullUniverse:
+    """Scoped ``ap`` == the full-universe reference == ``bdd``, byte for byte."""
+
+    @staticmethod
+    def _assert_three_way(logical, deployed):
+        scoped = _check("ap", logical, deployed)
+        reference = _full_universe_check(logical, deployed)
+        # Dataclass equality: verdict, counts, engine label, and the same
+        # rule objects in the same order with the same duplicates.
+        assert scoped == reference
+        bdd = _check("bdd", logical, deployed)
+        reports = [
+            EquivalenceReport({"s": result}) for result in (scoped, reference, bdd)
+        ]
+        assert reports[0].fingerprint() == reports[1].fingerprint()
+        assert reports[0].semantic_fingerprint() == reports[2].semantic_fingerprint()
+        assert scoped.missing_rules == bdd.missing_rules
+        assert scoped.extra_rules == bdd.extra_rules
+        # Whatever is reported lies inside the key difference.
+        l_keys = {rule.match_key() for rule in logical}
+        t_keys = {rule.match_key() for rule in deployed}
+        assert {r.match_key() for r in scoped.missing_rules} <= l_keys - t_keys
+        assert {r.match_key() for r in scoped.extra_rules} <= t_keys - l_keys
+        return scoped
+
+    @given(edited_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_edited_tcam(self, pair):
+        self._assert_three_way(*pair)
+
+    @given(ap_rule_lists, ap_rule_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_unrelated_sides(self, logical, deployed):
+        self._assert_three_way(logical, deployed)
+
+    @given(edited_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_carriers_and_plain_lists_agree(self, pair):
+        """Key-carrying sequences (the production inputs) change nothing."""
+        logical, deployed = pair
+        carried = _check("ap", RuleSequence.of(logical), RuleSequence.of(deployed))
+        assert carried == _check("ap", logical, deployed)
+
+    @given(ap_rule_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_extras_only_in_a_disjoint_triple(self, rules):
+        """T = L plus rules under a triple L never uses: nothing missing,
+        exactly the allow extras reported."""
+        extras = [
+            TcamRule(3, 9, 9, "tcp", 80),
+            TcamRule(3, 9, 9, "udp", None, action="deny"),
+            TcamRule(3, 9, 9, "any", 443),
+        ]
+        result = self._assert_three_way(rules, rules + extras)
+        assert result.missing_rules == []
+        assert result.extra_rules == [extras[0], extras[2]]
+
+    def test_key_sets_differ_but_semantics_do_not(self):
+        """``L = {tcp/any, tcp/80}``, ``T = {tcp/any}``: the specific rule is
+        shadowed on both sides, so the switch is equivalent, nothing is
+        missing — and it took the engine, not the identity rule, to say so."""
+        wide, narrow = TcamRule(1, 1, 2, "tcp", None), TcamRule(1, 1, 2, "tcp", 80)
+        checker = EquivalenceChecker()
+        result = checker.check_switch("s", [wide, narrow], [wide])
+        assert result == _full_universe_check([wide, narrow], [wide])
+        assert result.equivalent and result.missing_rules == []
+        assert (checker.identity_proofs, checker.dispatched) == (0, 1)
+        # The other way round the narrow rule is a redundant extra: still
+        # equivalent, still nothing reported.
+        assert self._assert_three_way([wide], [wide, narrow]).equivalent
+
+    def test_deny_only_difference_touches_no_triple(self):
+        allow, deny = TcamRule(1, 1, 2, "tcp", 80), TcamRule(1, 3, 4, "tcp", 22, "deny")
+        assert self._assert_three_way([allow, deny], [allow]).equivalent
+        assert self._assert_three_way([allow], [deny, allow]).equivalent

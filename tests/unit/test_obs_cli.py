@@ -6,15 +6,27 @@ import json
 
 import pytest
 
+from repro.obs import cli
 from repro.obs.cli import main
+from repro.workloads.scenarios import deploy_profile
 
 
 class TestCheckSubcommand:
-    def test_prints_attribution_table(self, capsys):
+    def test_prints_attribution_table(self, capsys, monkeypatch):
+        # A healthy leaf is settled by key-set identity and builds no atoms,
+        # so the engine stages only show on a degraded fabric.
+        def deploy_degraded(profile, seed=None):
+            controller = deploy_profile(profile, seed=seed)
+            leaf = sorted(controller.fabric.leaf_uids())[0]
+            tcam = controller.fabric.switch(leaf).tcam
+            tcam.remove(tcam.match_keys()[0])
+            return controller
+
+        monkeypatch.setattr(cli, "deploy_profile", deploy_degraded)
         assert main(["check", "--profile", "small"]) == 0
         out = capsys.readouterr().out
         assert "[repro-trace] profile 'small'" in out
-        assert "consistent=True" in out
+        assert "consistent=False" in out
         # The attribution table names the instrumented pipeline stages.
         assert "check.switch" in out
         assert "verify.ap.build" in out

@@ -45,10 +45,11 @@ def degraded_system():
 
 
 class TestTracedCheck:
-    def test_serial_check_records_pipeline_spans(self, system):
+    def test_serial_check_records_pipeline_spans(self, degraded_system):
+        system = degraded_system
         collector = TraceCollector()
         report = system.check(trace=collector)
-        assert report.equivalent
+        assert not report.equivalent
         names = {recorded.name for recorded in collector.spans()}
         assert {
             "check.compile_logical",
@@ -58,16 +59,37 @@ class TestTracedCheck:
             "verify.ap.build",
         } <= names
         switches = len(system.controller.fabric.switches)
-        assert sum(1 for s in collector.spans() if s.name == "check.switch") == switches
-        # Engine counters surfaced on the build spans (the oracle's too).
+        checks = [s for s in collector.spans() if s.name == "check.switch"]
+        assert len(checks) == switches
+        assert all(s.counters["delta_checks"] == 1 for s in checks)
+        # Engine counters surfaced on the build spans (the oracle's too):
+        # one rule gone from a leaf scopes the build to that rule's triple.
         builds = [s for s in collector.spans() if s.name == "verify.ap.build"]
-        assert all(s.counters.get("atoms", 0) > 0 for s in builds)
+        assert len(builds) == switches
+        for build in builds:
+            assert build.counters["atoms"] > 0
+            assert build.counters["touched_triples"] == 1
+            assert 0 < build.counters["scoped_rules"] < build.counters["rules"]
         oracle = TraceCollector()
         system.check(trace=oracle, engine="bdd")
         builds = [s for s in oracle.spans() if s.name == "verify.bdd.build"]
         assert builds and all(s.counters.get("apply_ops", 0) > 0 for s in builds)
         # The report carries its trace.
         assert report.trace is collector
+
+    def test_healthy_serial_check_never_builds_atoms(self, system):
+        before = system.stats()
+        collector = TraceCollector()
+        assert system.check(trace=collector).equivalent
+        switches = len(system.controller.fabric.switches)
+        checks = [s for s in collector.spans() if s.name == "check.switch"]
+        assert len(checks) == switches
+        assert all("delta_checks" not in s.counters for s in checks)
+        assert not [s for s in collector.spans() if s.name == "verify.ap.build"]
+        # The serial path counts its identity proofs like the parallel one.
+        after = system.stats()
+        assert after["identity_proofs"] - before["identity_proofs"] == switches
+        assert after["dispatched"] == before["dispatched"]
 
     def test_untraced_check_records_nothing(self, system):
         collector = TraceCollector()

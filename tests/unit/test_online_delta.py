@@ -1,11 +1,17 @@
 """Unit tests for the incremental equivalence checker (blast-radius rechecks)."""
 
+import pytest
+
 from repro.controller.compiler import (
     compile_logical_rules,
     compile_logical_rules_for_switch,
 )
+from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
 from repro.policy.objects import Filter, FilterEntry, ObjectType
+from repro.protocol import Operation
+from repro.rules import TcamRule
+from repro.verify import EquivalenceChecker, RuleSpace
 
 
 def checker_for(scenario) -> IncrementalChecker:
@@ -32,7 +38,7 @@ class TestBootstrapAndDigests:
         assert delta.full_checks == 1
         for switch_uid in three_tier.fabric.leaf_uids():
             digest = delta.digest_for(switch_uid)
-            assert digest is not None and digest.clean
+            assert digest is not None and digest.logical == digest.deployed
         assert delta.dirty_switches() == set()
 
     def test_refresh_without_bootstrap_bootstraps(self, three_tier):
@@ -80,6 +86,58 @@ class TestSwitchEvents:
         assert delta.switch_checks == engine_checks  # no engine run needed
         assert delta.digest_short_circuits >= 1
         assert delta.report().equivalent
+
+    def test_storm_refresh_never_re_derives_a_match_key(self, deployed_tiny, monkeypatch):
+        """Half a leaf's TCAM gone: both sides' key sets come off the dicts
+        that already hold them — once per refresh, not once per rule."""
+        _, controller = deployed_tiny
+        delta = IncrementalChecker(controller)
+        delta.bootstrap()
+        leaf = max(controller.fabric.leaf_uids(), key=lambda uid: len(controller.fabric.switch(uid).tcam))
+        tcam = controller.fabric.switch(leaf).tcam
+        keys = tcam.match_keys()
+        dropped = set(keys[::2])
+        assert len(dropped) > 10
+        tcam.remove_where(lambda rule: rule.match_key() in dropped)
+        delta.note_switch_change(leaf)
+
+        calls = []
+        derive = TcamRule.match_key
+        monkeypatch.setattr(
+            TcamRule, "match_key", lambda rule: calls.append(rule) or derive(rule)
+        )
+        result = delta.refresh()[leaf]
+        monkeypatch.undo()
+        assert calls == []
+        assert not result.equivalent and result.engine == "ap"
+        assert {rule.match_key() for rule in result.missing_rules} == dropped
+        assert delta.digest_for(leaf).logical - delta.digest_for(leaf).deployed == dropped
+        # Same verdict, rules and order as a from-scratch check of that leaf.
+        fresh = EquivalenceChecker().check_switch(
+            leaf, delta.logical_rules_for(leaf), tcam.rules()
+        )
+        assert result == fresh
+
+    def test_invalid_rule_on_both_sides_is_not_a_clean_digest(self, three_tier):
+        """The digest short-circuit validates like the engines do: a key the
+        rule space cannot hold raises even when L and T agree on it."""
+        narrow = EquivalenceChecker(rule_space=RuleSpace(port_bits=10))
+        delta = IncrementalChecker(three_tier.controller, checker=narrow)
+        delta.bootstrap()
+        filter_uid = three_tier.uids["filter_extra_0"]
+        widened = Filter(
+            uid=filter_uid,
+            name="port700",
+            entries=(
+                FilterEntry(protocol="tcp", port=700),
+                FilterEntry(protocol="tcp", port=2000),
+            ),
+        )
+        three_tier.controller.modify_object("webshop", widened, detail="port 2000")
+        three_tier.controller.deploy()
+        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.MODIFY)
+        with pytest.raises(VerificationError, match="port value 2000"):
+            delta.refresh()
 
 
 class TestPolicyBlastRadius:

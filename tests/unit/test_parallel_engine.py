@@ -224,11 +224,13 @@ class TestWorkUnits:
         triples = [("leaf-0", rules, reordered), ("leaf-1", rules, [_rule(80)])]
         checker = EquivalenceChecker()
         report = checker.check_many(triples)
+        assert (checker.identity_proofs, checker.dispatched) == (1, 1)
+        # The serial sweep applies — and counts — the same rule.
         assert report.fingerprint() == checker.check_network(
             {uid: logical for uid, logical, _ in triples},
             {uid: deployed for uid, _, deployed in triples},
         ).fingerprint()
-        assert (checker.identity_proofs, checker.dispatched) == (1, 1)
+        assert (checker.identity_proofs, checker.dispatched) == (2, 2)
         assert WORKER_CACHE.stats()["misses"] == 1  # leaf-1 only
         # The oracle engine proves every switch in full.
         oracle = EquivalenceChecker(engine="bdd")

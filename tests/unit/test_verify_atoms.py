@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
-from repro.parallel.memo import CompiledStateCache, ruleset_digest
+from repro.parallel.memo import WORKER_CACHE, CompiledStateCache, reset_worker_cache
 from repro.policy.objects import Filter, FilterEntry, ObjectType
 from repro.protocol import Operation
 from repro.rules import TcamRule
@@ -22,36 +22,40 @@ def _rule(port, protocol="tcp", vrf=1, src=10, dst=20, action="allow"):
     )
 
 
+def _observe(table, rules):
+    return table.observe_keys(rule.match_key() for rule in rules)
+
+
 class TestAtomTable:
     def test_observation_grows_then_settles(self):
         table = AtomTable()
         # tcp + udp + two ports → four new classes.
-        assert table.observe_rules([_rule(80), _rule(443, protocol="udp")]) == 4
+        assert _observe(table, [_rule(80), _rule(443, protocol="udp")]) == 4
         version = table.version
         assert table.patches == 1
         # Re-observing the same rules is a pure no-op patch.
-        assert table.observe_rules([_rule(80), _rule(443, protocol="udp")]) == 0
+        assert _observe(table, [_rule(80), _rule(443, protocol="udp")]) == 0
         assert table.version == version
         assert table.noop_observations == 1
 
     def test_deny_rules_are_not_observed(self):
         table = AtomTable()
-        table.observe_rules([_rule(80, action="deny")])
+        _observe(table, [_rule(80, action="deny")])
         assert table.version == 0
         assert table.atom_count() == 1  # only the "other" × "other" cell
 
     def test_invalid_values_raise_like_the_bdd_encoder(self):
         table = AtomTable()
         with pytest.raises(VerificationError):
-            table.observe_rules([_rule(80, protocol="sctp")])
+            _observe(table, [_rule(80, protocol="sctp")])
         with pytest.raises(VerificationError):
-            table.observe_rules([_rule(1 << 16)])
+            _observe(table, [_rule(1 << 16)])
         with pytest.raises(VerificationError):
-            table.observe_rules([_rule(80, vrf=1 << 13)])
+            _observe(table, [_rule(80, vrf=1 << 13)])
 
     def test_stats_shape(self):
         table = AtomTable()
-        table.observe_rules([_rule(80)])
+        _observe(table, [_rule(80)])
         stats = table.stats()
         assert stats["version"] == 2  # tcp + port 80
         assert stats["protocol_classes"] == 2
@@ -67,12 +71,13 @@ class TestAtomTable:
         fresh_result = fresh.check_switch("s", logical, deployed)
 
         refined_table = AtomTable()
-        refined_table.observe_rules(
+        _observe(
+            refined_table,
             [
                 _rule(p, protocol=proto, vrf=9, src=9, dst=9)
                 for p in range(300, 340)
                 for proto in ("tcp", "udp", "icmp")
-            ]
+            ],
         )
         refined = EquivalenceChecker(engine="ap", atoms=refined_table)
         refined_result = refined.check_switch("s", logical, deployed)
@@ -221,21 +226,21 @@ class TestWorkerAtomTables:
         assert cache.atom_table(widths) is table
         assert cache.atom_table((2, 2, 2, 1)) is not table
 
-    def test_observe_buffer_is_digest_memoized(self):
-        cache = CompiledStateCache()
-        widths = (13, 15, 2, 16)
-        keys = tuple(r.match_key() for r in [_rule(80), _rule(443)])
-        digest = ruleset_digest(keys)
-        assert cache.observe_buffer(widths, digest, keys) is True
-        version = cache.atom_table(widths).version
-        assert cache.observe_buffer(widths, digest, keys) is False
-        assert cache.atom_table(widths).version == version
-        assert cache.stats()["atom_tables"] == {"spaces": 1, "observed_buffers": 1}
+    def test_a_shard_folds_what_it_checks_into_the_worker_table(self):
+        reset_worker_cache()
+        checker = EquivalenceChecker()
+        checker.check_many([("s", [_rule(80), _rule(443)], [_rule(80)])])
+        (table,) = WORKER_CACHE._atom_tables.values()
+        assert table is not checker.atoms
+        assert table.stats()["port_classes"] == 3  # other, 80, 443
+        # A repeat is answered from the memo: nothing is observed again.
+        observations = table.patches + table.noop_observations
+        checker.check_many([("s", [_rule(80), _rule(443)], [_rule(80)])])
+        assert table.patches + table.noop_observations == observations
 
-    def test_clear_drops_tables_and_digests(self):
+    def test_clear_drops_tables(self):
         cache = CompiledStateCache()
-        widths = (13, 15, 2, 16)
-        keys = (_rule(80).match_key(),)
-        cache.observe_buffer(widths, ruleset_digest(keys), keys)
+        cache.atom_table((13, 15, 2, 16)).observe_keys([_rule(80).match_key()])
+        assert cache.stats()["atom_tables"] == {"spaces": 1}
         cache.clear()
-        assert cache.stats()["atom_tables"] == {"spaces": 0, "observed_buffers": 0}
+        assert cache.stats()["atom_tables"] == {"spaces": 0}

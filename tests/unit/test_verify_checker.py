@@ -123,6 +123,56 @@ class TestEquivalenceChecker:
         assert report.results["leaf-9"].extra_rules
 
 
+class TestInvalidRulesRaiseOnEveryPath:
+    """An out-of-range field or unknown protocol is a ``VerificationError``
+    from every sweep entry point and engine, wherever the key sits — also on
+    both sides (where a bare key-set comparison would call it equivalent)
+    and in a triple the L-T difference never touches."""
+
+    BAD = [_rule(7, protocol="gre"), _rule(1 << 16), _rule(80, vrf=1 << 13)]
+
+    @staticmethod
+    def _sweeps(engine):
+        return (
+            lambda l, t: EquivalenceChecker(engine=engine).check_network({"s": l}, {"s": t}),
+            lambda l, t: EquivalenceChecker(engine=engine).check_many([("s", l, t)]),
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_same_bad_rule_on_both_sides(self, engine, bad):
+        for sweep in self._sweeps(engine):
+            with pytest.raises(VerificationError):
+                sweep([bad], [bad])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_rule_in_an_untouched_triple(self, engine, bad):
+        # The difference (port 443 missing) lives under (101, 1, 2); the bad
+        # key sits on both sides under another triple.
+        elsewhere = TcamRule(bad.vrf_scope, 5, 6, bad.protocol, bad.port)
+        logical = [_rule(80), _rule(443), elsewhere]
+        deployed = [_rule(80), elsewhere]
+        for sweep in self._sweeps(engine):
+            with pytest.raises(VerificationError):
+                sweep(logical, deployed)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_rule_on_one_side_only(self, bad):
+        for sweep in self._sweeps("ap"):
+            with pytest.raises(VerificationError):
+                sweep([_rule(80), bad], [_rule(80)])
+            with pytest.raises(VerificationError):
+                sweep([_rule(80)], [_rule(80), bad])
+
+    def test_invalid_deny_rules_stay_ignored(self):
+        # Neither engine looks at a deny rule's fields.
+        deny = _rule(7, protocol="gre", action="deny")
+        for engine in ENGINES:
+            for sweep in self._sweeps(engine):
+                assert sweep([_rule(80), deny], [_rule(80)]).equivalent
+
+
 class TestCanonicalReports:
     """The engine-agnostic, order-canonical identity the churn oracle uses."""
 
