@@ -9,8 +9,8 @@ compares:
   snapshot every TCAM, compare network-wide (what the batch pipeline pays
   per query);
 * **incremental** — one ``IncrementalChecker.refresh()`` after a single
-  filter modification: in-place index patch, pair-scoped recompile,
-  blast-radius-scoped switch checks;
+  filter modification: the controller derives its index (no re-index) and
+  re-renders the dependent pairs, the checker re-checks the blast radius;
 * **monitor poll** — the same change through ``NetworkMonitor.poll()``,
   which additionally runs scoped SCOUT localization and incident
   bookkeeping (the full detection-to-diagnosis path).
@@ -33,7 +33,6 @@ from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.online import IncrementalChecker, NetworkMonitor
 from repro.policy.objects import Filter, FilterEntry, ObjectType
-from repro.protocol import Operation
 from repro.workloads import simulation_profile
 
 from conftest import emit_bench_json, full_scale
@@ -82,7 +81,7 @@ def test_incremental_recheck_vs_full_sweep():
         change = _modified(target, 60000 + round_no)
         start = time.perf_counter()
         controller.modify_object(tenant_name, change, detail="bench single-object change")
-        incremental.note_policy_change(target.uid, ObjectType.FILTER, Operation.MODIFY)
+        incremental.note_policy_change(target.uid, ObjectType.FILTER)
         refreshed = incremental.refresh()
         incremental_times.append(time.perf_counter() - start)
         assert refreshed and all(not r.equivalent for r in refreshed.values())

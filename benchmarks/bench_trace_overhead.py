@@ -33,7 +33,6 @@ from repro.experiments import prepare_workload
 from repro.obs import FlightRecorder, TraceCollector, activated, recording
 from repro.online import IncrementalChecker
 from repro.policy.objects import Filter, FilterEntry, ObjectType
-from repro.protocol import Operation
 from repro.workloads import simulation_profile
 
 from conftest import emit_bench_json, full_scale, lax
@@ -69,7 +68,7 @@ def test_disabled_tracing_overhead_on_incremental_refresh():
         controller.modify_object(
             tenant_name, _modified(target, port), detail="bench overhead change"
         )
-        checker.note_policy_change(target.uid, ObjectType.FILTER, Operation.MODIFY)
+        checker.note_policy_change(target.uid, ObjectType.FILTER)
         start = time.perf_counter()
         refreshed = checker.refresh()
         elapsed = time.perf_counter() - start

@@ -56,7 +56,11 @@ def main() -> None:
     print(f"  monitor full sweeps : {stats['full_checks']} (bootstrap only)")
     print(f"  scoped re-checks    : {stats['switch_checks']}")
     print(f"  digest short-circuit: {stats['digest_short_circuits']}")
-    print(f"  index patches       : {stats['index_patches']} (filter modifies)")
+    # What the monitor's compile requests cost the controller, the one
+    # incremental compiler of L (``Controller.compile_stats()`` deltas).
+    print(f"  index derivations   : {stats['index_patches']} (payload-only edits)")
+    print(f"  index re-builds     : {stats['index_rebuilds']}")
+    print(f"  pairs re-rendered   : {stats['pair_recompiles']}")
 
     # -- Act 3: the differential oracle ---------------------------------- #
     print("\n== Checkpoints (incremental vs. from-scratch) ==")

@@ -6,8 +6,8 @@ with a :class:`~repro.online.monitor.NetworkMonitor` attached, so every
 management action it performs flows through the *same* path production
 changes would: the controller change log and the fabric hooks publish typed
 events onto the bus, the monitor debounces them, and the incremental checker
-patches its pair-granular state — the driver never touches the incremental
-engine directly.
+re-checks the blast radius against the controller's compiled policy — the
+driver never touches the incremental engine directly.
 
 Policy churn is pushed *incrementally*: a new tenant rule delivers only the
 five objects involved (VRF, filter, contract, both EPGs) to the switches
@@ -20,8 +20,9 @@ reconciles.
 At every :class:`~repro.churn.events.Checkpoint` the driver runs the
 **differential oracle**:
 
-* the monitor's incrementally maintained report and a from-scratch
-  ``ScoutSystem.check()`` must be fingerprint-identical under
+* the monitor's incrementally maintained report and a full check against
+  the from-scratch ``compile_logical_rules(policy)`` — never the compiled
+  policy the monitor itself reads — must be fingerprint-identical under
   :meth:`~repro.verify.checker.EquivalenceReport.canonical` (engine labels
   and rule-list order are normalized away; verdicts, counts and rule sets
   with full provenance are not);
@@ -40,7 +41,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..controller.compiler import build_instruction_batch_for_switch
+from ..controller.compiler import (
+    build_instruction_batch_for_switch,
+    compile_logical_rules,
+)
 from ..controller.controller import Controller
 from ..core.system import ScoutSystem
 from ..exceptions import ChurnDivergenceError, ChurnError
@@ -209,7 +213,8 @@ class ChurnDriver:
         )
         if not self.monitor.running:
             self.monitor.start()
-        #: Fresh-check side of the differential oracle (its own compile path).
+        #: Fresh-check side of the differential oracle: its checker and pool
+        #: (the L it checks is compiled from scratch, see :meth:`_full_check`).
         self.system = ScoutSystem(controller, change_window=change_window)
         self.injector = FaultInjector(controller)
         #: Full/partial draw for FaultBurst events (campaign cells pass the
@@ -329,7 +334,7 @@ class ChurnDriver:
         instructions, attachments = build_instruction_batch_for_switch(
             self.controller.policy,
             switch_uid,
-            index=self.monitor.checkers[0].index,
+            index=self.controller.build_index(),
             operation=Operation.ADD,
             issued_at=self.clock.peek(),
         )
@@ -485,9 +490,9 @@ class ChurnDriver:
             name=self.controller.policy.get(rule.filter_uid).name,
             entries=self._draw_entries(rng),
         )
-        # A filter modify is structure-preserving: the monitor's incremental
-        # checker patches its index in place (no rebuild) — the fast path
-        # this event family exists to keep hot.
+        # A filter modify is payload-only: the controller derives its next
+        # index from the held one (no re-index) — the fast path this event
+        # family exists to keep hot.
         tenant = self.controller.policy.tenant_of(flt.uid).name
         self.controller.modify_object(tenant, flt, detail="churn rule update")
         self._push_objects([(Operation.ADD, flt)], rule.switches)
@@ -643,6 +648,20 @@ class ChurnDriver:
     # ------------------------------------------------------------------ #
     # The differential oracle
     # ------------------------------------------------------------------ #
+    def _full_check(self) -> EquivalenceReport:
+        """Every switch's T against the from-scratch compile of L — never the
+        compiled policy the monitor reads, or the oracle would vouch for a
+        stale compile.  With ``max_workers`` set the sweep reuses the
+        system's warm pool across checkpoints; semantic fingerprints are
+        identical whatever executor (or cache state) ran the check.
+        """
+        return self.system._sweep(
+            compile_logical_rules(self.controller.policy),
+            self.controller.collect_deployed_rules(),
+            parallel=self.max_workers is not None,
+            max_workers=self.max_workers,
+        )
+
     def checkpoint(self, seq: int = 0) -> CheckpointRecord:
         """Compare the incremental state against a from-scratch full check."""
         with span("churn.checkpoint.incremental"):
@@ -650,14 +669,7 @@ class ChurnDriver:
                 self.monitor.poll(force=True)
             incremental = self.monitor.report()
         with span("churn.checkpoint.full_check"):
-            # With max_workers set the from-scratch sweep reuses the
-            # system's warm pool across checkpoints; the oracle compares
-            # semantic fingerprints, which the engine guarantees identical
-            # whatever executor (or cache state) ran the check.
-            full = self.system.check(
-                parallel=self.max_workers is not None,
-                max_workers=self.max_workers,
-            )
+            full = self._full_check()
         self._last_full_report = full
         record = CheckpointRecord(
             seq=seq,
@@ -706,7 +718,7 @@ class ChurnDriver:
         the injected objects that remain broken, not everything ever injected.
         """
         if report is None:
-            report = self._last_full_report or self.system.check()
+            report = self._last_full_report or self._full_check()
         still_missing: Set[str] = set()
         for rules in report.missing_rules().values():
             for rule in rules:

@@ -25,7 +25,7 @@ from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, PolicyObject
 from ..policy.tenant import NetworkPolicy
 from ..protocol import AttachEndpoint, Instruction, Operation
-from ..rules import RuleSequence, TcamRule, rules_for_pair
+from ..rules import MatchKey, RuleSequence, TcamRule, rules_for_pair
 
 __all__ = [
     "CompiledRules",
@@ -97,6 +97,10 @@ def compile_logical_rules(
     return {switch: list(rules.values()) for switch, rules in sorted(per_switch.items())}
 
 
+#: One pair's rendered rules beside their match keys, position by position.
+PairRules = Tuple[Tuple[TcamRule, ...], Tuple[MatchKey, ...]]
+
+
 @dataclass(frozen=True)
 class CompiledRules:
     """:func:`compile_logical_rules` of one index, plus what lets the next
@@ -104,16 +108,19 @@ class CompiledRules:
 
     ``by_switch`` equals ``compile_logical_rules(index.policy, index)`` —
     same switches, same rules, same order.  ``pairs`` remembers each pair's
-    rules under the :func:`pair_inputs` they were rendered from and
-    ``parts`` each switch's pair-rule tuples, so :meth:`build` over an
-    edited policy re-renders only pairs whose inputs differ and re-assembles
-    only switches one of whose pairs was re-rendered.
+    rules (and their match keys, derived once per render) under the
+    :func:`pair_inputs` they were rendered from and ``parts`` each switch's
+    pair renders, so :meth:`build` over an edited policy re-renders only
+    pairs whose inputs differ and re-assembles only switches one of whose
+    pairs was re-rendered.  A switch that was not re-assembled keeps its
+    previous :class:`~repro.rules.RuleSequence` *object*, which is how a
+    holder of the previous compile tells what moved.
     """
 
     index: PolicyIndex
     by_switch: Dict[str, RuleSequence]
-    pairs: Dict[EpgPair, Tuple[Tuple, Tuple[TcamRule, ...]]]
-    parts: Dict[str, Tuple[Tuple[TcamRule, ...], ...]]
+    pairs: Dict[EpgPair, Tuple[Tuple, PairRules]]
+    parts: Dict[str, Tuple[PairRules, ...]]
     #: What building this compile cost beyond what ``previous`` vouched for.
     pairs_recompiled: int = 0
     switches_reassembled: int = 0
@@ -123,18 +130,19 @@ class CompiledRules:
         cls, index: PolicyIndex, previous: Optional["CompiledRules"] = None
     ) -> "CompiledRules":
         known_pairs = previous.pairs if previous is not None else {}
-        pairs: Dict[EpgPair, Tuple[Tuple, Tuple[TcamRule, ...]]] = {}
+        pairs: Dict[EpgPair, Tuple[Tuple, PairRules]] = {}
         pairs_recompiled = 0
         for pair in index.pairs:
             inputs = pair_inputs(index, pair)
             known = known_pairs.get(pair)
             if known is None or known[0] != inputs:
-                known = (inputs, tuple(rules_for_pair(*inputs)))
+                rules = tuple(rules_for_pair(*inputs))
+                known = (inputs, (rules, tuple(rule.match_key() for rule in rules)))
                 pairs_recompiled += 1
             pairs[pair] = known
 
         by_switch: Dict[str, RuleSequence] = {}
-        parts: Dict[str, Tuple[Tuple[TcamRule, ...], ...]] = {}
+        parts: Dict[str, Tuple[PairRules, ...]] = {}
         switches_reassembled = 0
         for switch_uid in index.all_switches():
             switch_parts = tuple(
@@ -144,10 +152,10 @@ class CompiledRules:
             if previous is not None and previous.parts.get(switch_uid) == switch_parts:
                 by_switch[switch_uid] = previous.by_switch[switch_uid]
                 continue
-            bucket: Dict = {}
-            for pair_rules in switch_parts:
-                for rule in pair_rules:
-                    bucket.setdefault(rule.match_key(), rule)
+            bucket: Dict[MatchKey, TcamRule] = {}
+            for rules, keys in switch_parts:
+                for key, rule in zip(keys, rules):
+                    bucket.setdefault(key, rule)
             by_switch[switch_uid] = RuleSequence.keyed(bucket)
             switches_reassembled += 1
         return cls(
@@ -166,9 +174,7 @@ def compile_logical_rules_for_switch(index: PolicyIndex, switch_uid: str) -> Lis
     The scoped counterpart of :func:`compile_logical_rules`: only the EPG
     pairs present on ``switch_uid`` are compiled.  For any switch the result
     equals the corresponding entry of :func:`compile_logical_rules` — useful
-    for one-off per-switch queries and as the reference the incremental
-    checker's pair-level cache (:mod:`repro.online.delta`, which builds on
-    :func:`compile_pair_rules` directly) is validated against.
+    for one-off per-switch queries.
     """
     bucket: Dict = {}
     for pair in index.pairs_on_switch(switch_uid):

@@ -12,20 +12,24 @@ logs the SCOUT system consumes:
 
 Index and logical rules are served from one :class:`CompiledPolicy` that is
 compared with the live object tables on every call, so a repeat audit of an
-unchanged policy pays for that comparison and nothing else.
+unchanged policy pays for that comparison and nothing else.  It is the only
+incremental compiler of L: audits and the online monitor both read it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..clock import LogicalClock
 from ..exceptions import DeploymentError
 from ..fabric.fabric import Fabric
 from ..fabric.faultlog import FaultCode, FaultLogBook
+from ..obs import span
 from ..policy.graph import PolicyIndex, object_tables
 from ..policy.objects import PolicyObject
 from ..policy.tenant import NetworkPolicy
@@ -37,6 +41,12 @@ from .channel import ControlChannel
 from .compiler import CompiledRules, build_instruction_batches
 
 __all__ = ["CompiledPolicy", "Controller"]
+
+#: The tally of the :meth:`Controller._compile_span` open in this context, if
+#: any: what *its* requests cost, whatever other threads compile meanwhile.
+_SPENT: contextvars.ContextVar[Optional[Dict[str, int]]] = contextvars.ContextVar(
+    "compile_spent", default=None
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class Controller:
         self._compile_stats = {
             "reuses": 0,
             "rebuilds": 0,
+            "patches": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -125,31 +136,41 @@ class Controller:
     # Compilation
     # ------------------------------------------------------------------ #
     def _compiled_policy(self) -> CompiledPolicy:
-        """The compiled policy, rebuilt first if the live tables moved on."""
+        """The compiled policy, brought up to the live tables first: derived
+        from the held index when only filter/VRF payload moved
+        (:meth:`PolicyIndex.with_payload`), re-indexed otherwise."""
         compiled = self._compiled
-        if compiled is not None and compiled.tables == object_tables(self.policy):
+        live = object_tables(self.policy)
+        if compiled is not None and compiled.tables == live:
             self._count(reuses=1)
             return compiled
-        index = PolicyIndex(self.policy).read_only()
+        index = compiled.index.with_payload(live) if compiled is not None else None
+        if index is not None:
+            self._count(patches=1)
+        else:
+            index = PolicyIndex(self.policy)
+            self._count(rebuilds=1)
         compiled = CompiledPolicy(
             tables=index.object_tables(),
             index=index,
             rules=compiled.rules if compiled is not None else None,
         )
         self._compiled = compiled
-        self._count(rebuilds=1)
         return compiled
 
     def _count(self, **deltas: int) -> None:
+        spent = _SPENT.get()
         with self._stats_lock:
             for name, delta in deltas.items():
                 self._compile_stats[name] += delta
+                if spent is not None:
+                    spent[name] += delta
 
     def build_index(self) -> PolicyIndex:
         """The dependency index over the current desired state.
 
-        Shared and read-only: whoever needs to patch an index in place
-        builds a private ``PolicyIndex(controller.policy)``.
+        Shared by every caller and never edited: the next policy gets its
+        own index, this one keeps describing the policy it was built from.
         """
         return self._compiled_policy().index
 
@@ -162,6 +183,11 @@ class Controller:
         :meth:`build_index`'s result through; any index of the live policy
         gives the same rules, so it is not consulted.
         """
+        return dict(self._compiled_rules().by_switch)
+
+    def _compiled_rules(self) -> CompiledRules:
+        """The logical rules together with the index they were compiled
+        from: one read of the compiled policy, so the two always agree."""
         compiled = self._compiled_policy()
         rules = compiled.rules
         if rules is None or rules.index is not compiled.index:
@@ -171,19 +197,35 @@ class Controller:
                 pairs_recompiled=rules.pairs_recompiled,
                 switches_reassembled=rules.switches_reassembled,
             )
-        return dict(rules.by_switch)
+        return rules
 
     def compile_stats(self) -> Dict[str, int]:
         """Calls served from the compiled policy versus work redone.
 
-        ``reuses``/``rebuilds`` count :meth:`build_index` and
+        ``reuses``/``rebuilds``/``patches`` count :meth:`build_index` and
         :meth:`logical_rules` calls that found the compiled policy valid /
-        had to re-index; ``pairs_recompiled`` and ``switches_reassembled``
-        what the logical-rule compiles could not take from their
-        predecessor.  A daemon on the fast path shows only ``reuses`` moving.
+        had to re-index / derived the index (a payload-only edit);
+        ``pairs_recompiled`` and ``switches_reassembled`` what the
+        logical-rule compiles could not take from their predecessor.  A
+        daemon on the fast path shows only ``reuses`` moving.
         """
         with self._stats_lock:
             return dict(self._compile_stats)
+
+    @contextlib.contextmanager
+    def _compile_span(self, name: str) -> Iterator[Dict[str, int]]:
+        """``span(name)`` carrying what the enclosed compile requests cost —
+        the :meth:`compile_stats` movement these requests caused, not what
+        another thread's did meanwhile.  Yields the tally (complete on exit)."""
+        spent = dict.fromkeys(self._compile_stats, 0)
+        token = _SPENT.set(spent)
+        try:
+            with span(name) as current:
+                yield spent
+                for key, value in spent.items():
+                    current.count(key, value)
+        finally:
+            _SPENT.reset(token)
 
     # ------------------------------------------------------------------ #
     # Deployment

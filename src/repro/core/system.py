@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Literal, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Literal, Optional, Sequence, Set
 
 from ..controller.controller import Controller
 from ..obs import TraceCollector, activated, span
@@ -235,15 +235,6 @@ class ScoutSystem:
             "dispatched": sum(checker.dispatched for checker in checkers),
         }
 
-    @contextlib.contextmanager
-    def _compile_span(self, name: str) -> Iterator[None]:
-        """``span(name)`` carrying what the enclosed controller call cost."""
-        before = self.controller.compile_stats()
-        with span(name) as current:
-            yield
-            for key, value in self.controller.compile_stats().items():
-                current.count(key, value - before[key])
-
     # ------------------------------------------------------------------ #
     # Step 1: L-T equivalence check
     # ------------------------------------------------------------------ #
@@ -280,29 +271,41 @@ class ScoutSystem:
         checker = self._checker_for(engine)
         scope = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope:
-            with self._compile_span("check.compile_logical"):
+            with self.controller._compile_span("check.compile_logical"):
                 logical = self.controller.logical_rules(index=index)
             with span("check.collect_deployed"):
                 deployed = self.controller.collect_deployed_rules()
-            if parallel or executor is not None:
-                switches = [
-                    (uid, logical.get(uid, ()), deployed.get(uid, ()))
-                    for uid in sorted(set(logical) | set(deployed))
-                ]
-                if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
-                    # Large fabrics go through the persistent pool so the
-                    # workers' memo caches survive into the next round;
-                    # small ones run inline (no processes to keep warm).
-                    executor = self.worker_pool(max_workers)
-                report = checker.check_many(
-                    switches, executor=executor, max_workers=max_workers
-                )
-            else:
-                with span("check.network", switches=len(set(logical) | set(deployed))):
-                    report = checker.check_network(logical, deployed)
+            report = self._sweep(
+                logical, deployed, parallel, max_workers, executor, checker
+            )
         if trace is not None:
             report.trace = trace
         return report
+
+    def _sweep(
+        self,
+        logical: Dict[str, Sequence[TcamRule]],
+        deployed: Dict[str, Sequence[TcamRule]],
+        parallel: bool = False,
+        max_workers: Optional[int] = None,
+        executor=None,
+        checker: Optional[EquivalenceChecker] = None,
+    ) -> EquivalenceReport:
+        """:meth:`check` over rule maps the caller already holds."""
+        checker = checker or self.checker
+        if not parallel and executor is None:
+            with span("check.network", switches=len(set(logical) | set(deployed))):
+                return checker.check_network(logical, deployed)
+        switches = [
+            (uid, logical.get(uid, ()), deployed.get(uid, ()))
+            for uid in sorted(set(logical) | set(deployed))
+        ]
+        if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
+            # Large fabrics go through the persistent pool so the workers'
+            # memo caches survive into the next round; small ones run
+            # inline (no processes to keep warm).
+            executor = self.worker_pool(max_workers)
+        return checker.check_many(switches, executor=executor, max_workers=max_workers)
 
     # ------------------------------------------------------------------ #
     # Step 2: fault localization
@@ -335,7 +338,7 @@ class ScoutSystem:
         """
         scope_cm = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope_cm:
-            with self._compile_span("scout.build_index"):
+            with self.controller._compile_span("scout.build_index"):
                 index = self.controller.build_index()
             equivalence = report or self.check(
                 index=index, parallel=parallel, max_workers=max_workers, engine=engine

@@ -1,34 +1,36 @@
 """Incremental L-T equivalence checking.
 
-``ScoutSystem.check`` recompiles every logical rule, snapshots every TCAM
-and compares the two network-wide — correct, but linear in the fabric for
-every query.  :class:`IncrementalChecker` instead maintains a *live* verdict
-that events patch in place:
+``ScoutSystem.check`` compiles every logical rule, snapshots every TCAM and
+compares the two network-wide — correct, but linear in the fabric for every
+query.  :class:`IncrementalChecker` instead maintains a *live* verdict:
 
-* the logical (L) side is cached at **pair granularity**: one compiled rule
-  map per EPG pair plus per-switch refcounted match-key maps, so a policy
-  change only recompiles the pairs that depend on the changed object and
-  patches their contribution in and out of the affected switches;
+* the logical (L) side is the controller's.  Every refresh checks against
+  one :meth:`IncrementalChecker.compile` request — the controller's
+  :class:`~repro.controller.compiler.CompiledRules`, index and rules of one
+  policy, from the one incremental compiler of L, which hands back the
+  *same* per-switch :class:`~repro.rules.RuleSequence` for a switch it did
+  not re-assemble; the checker compiles nothing and owns no index;
 * each switch carries a :class:`SwitchDigest` — the match-key fingerprints
-  of its logical and deployed rule sets, read off the dicts that already
-  hold them — and the checker's identity proof settles a switch whose two
-  sets are equal without running an engine at all (identical match/action
-  sets have identical semantics; the rule itself lives in
+  of its logical and deployed rule sets as of its last check — and the
+  checker's identity proof settles a switch whose two sets are equal without
+  running an engine at all (identical match/action sets have identical
+  semantics; the rule itself lives in
   :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`);
-* a dirty set fed by event notifications makes :meth:`refresh` re-check
-  only the switches inside the blast radius of what actually happened.
+* a dirty set makes :meth:`refresh` re-check only the switches inside the
+  blast radius of what actually happened.
 
 Blast radius: a TCAM or device event dirties exactly its switch.  A policy
-change dirties the EPG pairs depending on the changed object — under the
-index *before* the change (the object may have been deleted) and under the
-index rebuilt *after* it (the change may create new dependencies) — and,
-through them, the switches those pairs are placed on.  Endpoint changes map
-to their EPG's pairs, since attachments move rules between switches.
-
-Structure-preserving modifies (filter entries, VRF scopes) take a fast path:
-:meth:`~repro.policy.graph.PolicyIndex.refresh_object` patches the index in
-place and no rebuild happens at all.  The one full sweep left is
-:meth:`bootstrap`, which establishes the baseline every later delta patches.
+change dirties the switches of every EPG pair depending on the changed
+object — under the index held since the last refresh (the object may have
+been deleted) and under the current one (the change may create new
+dependencies), wherever either places the pair; endpoint changes map to
+their EPG's pairs, since attachments move rules between switches.  That is
+wider than "the switches whose compiled rules changed" on purpose: an edit
+can move the change-log evidence an open incident was localized with while
+leaving the switch's rules alone, and the re-check is what re-localizes it.
+A switch whose compiled sequence is not the object held since the last
+refresh is dirty as well, so L is right even for an edit no event announced.
+The one full sweep is :meth:`bootstrap`, which establishes the baseline.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..controller.compiler import compile_pair_rules
+from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..obs import span
 from ..parallel.executor import SMALL_FABRIC_SWITCHES
 from ..parallel.pool import WarmWorkerPool
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
-from ..protocol import Operation
 from ..rules import MatchKey, RuleSequence, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 #: The per-run counters a checker snapshot carries (and a restore reapplies).
+#: The last three are what this checker's own compile requests cost the
+#: controller (:meth:`Controller.compile_stats` deltas).
 _STAT_KEYS = (
     "full_checks",
     "switch_checks",
@@ -62,11 +65,6 @@ _STAT_KEYS = (
     "index_rebuilds",
     "index_patches",
 )
-
-#: Object types whose modify (same uid) cannot change the pair/placement
-#: structure of the index — candidates for the in-place index patch.
-_STRUCTURE_PRESERVING = (ObjectType.FILTER, ObjectType.VRF)
-
 
 @dataclass(frozen=True)
 class SwitchDigest:
@@ -79,7 +77,7 @@ class SwitchDigest:
 
 
 class IncrementalChecker:
-    """Event-driven per-switch L-T checking with pair-level deltas."""
+    """Event-driven per-switch L-T checking against the controller's L."""
 
     def __init__(
         self,
@@ -90,27 +88,22 @@ class IncrementalChecker:
         self.controller = controller
         self.checker = checker or EquivalenceChecker()
         #: Ownership predicate for partitioned monitors: when set, this
-        #: checker maintains switch-level state (rules, refs, digests,
-        #: results, dirt) only for switches the predicate accepts, and skips
-        #: compiling pairs placed entirely on foreign switches.  ``None``
-        #: (the default) owns the whole fabric.
+        #: checker maintains switch-level state (digests, results, dirt)
+        #: only for switches the predicate accepts.  ``None`` (the default)
+        #: owns the whole fabric.
         self._owned = owned
         #: Lazily created warm pool for large batched refreshes; kept across
         #: refreshes so a churn storm's repeat offenders hit warm workers.
         self.pool: Optional[WarmWorkerPool] = None
-        self._index: Optional[PolicyIndex] = None
-        self._index_dirty = False
+        #: The controller's compile as of the last refresh: its index knows
+        #: the "before" half of a policy blast radius, its sequences are
+        #: what the next compile's are compared with, by identity.
+        self._compiled: Optional[CompiledRules] = None
         self._results: Dict[str, SwitchCheckResult] = {}
         self._digests: Dict[str, SwitchDigest] = {}
-        # The cached L side, patched at pair granularity.
-        self._pair_rules: Dict[EpgPair, Dict[MatchKey, TcamRule]] = {}
-        self._pair_placement: Dict[EpgPair, Tuple[str, ...]] = {}
-        self._switch_refs: Dict[str, Dict[MatchKey, int]] = {}
-        self._switch_rules: Dict[str, Dict[MatchKey, TcamRule]] = {}
         # Pending work.
-        self._dirty_pairs: Set[EpgPair] = set()
         self._dirty: Set[str] = set()
-        #: Object blast radii still to be resolved against the rebuilt index.
+        #: Changed objects whose blast radius the next refresh resolves.
         self._pending_objects: List[Tuple[str, Optional[ObjectType]]] = []
         # Statistics (the benchmarks and the examples assert on these).
         self.full_checks = 0
@@ -121,27 +114,21 @@ class IncrementalChecker:
         self.index_patches = 0
 
     # ------------------------------------------------------------------ #
-    # Index management
+    # The L side
     # ------------------------------------------------------------------ #
-    @property
-    def index(self) -> PolicyIndex:
-        """The current policy index (rebuilt lazily after policy changes)."""
-        if self._index is None:
-            self.bootstrap()
-        elif self._index_dirty:
-            self._rebuild_index()
-        assert self._index is not None
-        return self._index
+    def compile(self) -> CompiledRules:
+        """One request for the controller's compiled policy — the index and
+        every switch's L side, of one policy — booked to this checker's
+        ``index_rebuilds`` / ``index_patches`` / ``pair_recompiles``.
 
-    def _rebuild_index(self) -> None:
-        self._index = PolicyIndex(self.controller.policy)
-        self._index_dirty = False
-        self.index_rebuilds += 1
-        for object_uid, object_type in self._pending_objects:
-            self._dirty_pairs.update(
-                self._pairs_for_object(self._index, object_uid, object_type)
-            )
-        self._pending_objects.clear()
+        :meth:`bootstrap` and :meth:`refresh` make it themselves unless
+        handed one; a monitor makes one per pass for all its partitions."""
+        with self.controller._compile_span("delta.compile") as spent:
+            compiled = self.controller._compiled_rules()
+        self.index_rebuilds += spent["rebuilds"]
+        self.index_patches += spent["patches"]
+        self.pair_recompiles += spent["pairs_recompiled"]
+        return compiled
 
     @staticmethod
     def _pairs_for_object(
@@ -160,37 +147,50 @@ class IncrementalChecker:
                 pairs.update(index.pairs_for_object(endpoint.epg_uid))
         return pairs
 
+    def _policy_dirt(self, index: PolicyIndex) -> Set[str]:
+        """Owned switches in the blast radius of the pending policy changes,
+        read under the held index and under ``index`` (pairs and placements
+        both: either side may know a dependency the other does not)."""
+        indexes = (self._compiled.index, index)
+        pairs: Set[EpgPair] = set()
+        for object_uid, object_type in self._pending_objects:
+            for known in indexes:
+                pairs.update(self._pairs_for_object(known, object_uid, object_type))
+        return {
+            switch_uid
+            for pair in pairs
+            for known in indexes
+            for switch_uid in known.switches_for_pair(pair)
+            if self._owns(switch_uid)
+        }
+
+    def _rebase(self, compiled: CompiledRules) -> None:
+        """Adopt ``compiled`` as the held compile, dirtying what it moves:
+        the pending policy blast radius, plus every owned switch whose
+        sequence is not the held object."""
+        if self._pending_objects:
+            self._dirty.update(self._policy_dirt(compiled.index))
+            self._pending_objects.clear()
+        logical, held = compiled.by_switch, self._compiled.by_switch
+        self._dirty.update(
+            switch_uid
+            for switch_uid in logical.keys() | held.keys()
+            if logical.get(switch_uid) is not held.get(switch_uid)
+            and self._owns(switch_uid)
+        )
+        self._compiled = compiled
+
     # ------------------------------------------------------------------ #
     # Event notifications (called by the monitor)
     # ------------------------------------------------------------------ #
     def note_policy_change(
-        self,
-        object_uid: str,
-        object_type: Optional[ObjectType] = None,
-        operation: Optional[Operation] = None,
+        self, object_uid: str, object_type: Optional[ObjectType] = None
     ) -> None:
-        """A policy object changed: dirty its blast radius, old and new.
-
-        Modifies of structure-preserving types (filters, VRFs) patch the
-        index in place; everything else schedules a lazy index rebuild.
-        """
-        if self._index is None:
+        """A policy object changed: its blast radius, before and after, is
+        re-checked by the next refresh."""
+        if self._compiled is None:
             return  # not bootstrapped yet: the first sweep sees everything
-        # The held index predates every pending change, so its view of the
-        # object's dependents is the correct "old" blast radius.
-        self._dirty_pairs.update(
-            self._pairs_for_object(self._index, object_uid, object_type)
-        )
-        if (
-            not self._index_dirty
-            and operation is Operation.MODIFY
-            and object_type in _STRUCTURE_PRESERVING
-            and self._index.refresh_object(object_uid, object_type)
-        ):
-            self.index_patches += 1
-            return
         self._pending_objects.append((object_uid, object_type))
-        self._index_dirty = True
 
     def note_switch_change(self, switch_uid: str) -> None:
         """A switch's deployed state (or health) changed: dirty just it."""
@@ -200,109 +200,24 @@ class IncrementalChecker:
     def dirty_switches(self) -> Set[str]:
         return set(self._dirty)
 
-    # ------------------------------------------------------------------ #
-    # Pair-level logical-rule cache
-    # ------------------------------------------------------------------ #
     def _owns(self, switch_uid: str) -> bool:
         return self._owned is None or self._owned(switch_uid)
-
-    def _apply_pair(self, pair: EpgPair) -> None:
-        """Re-derive one pair's rules/placement and patch the switch maps."""
-        assert self._index is not None
-        old_rules = self._pair_rules.get(pair, {})
-        old_placement = self._pair_placement.get(pair, ())
-        for switch_uid in old_placement:
-            if not self._owns(switch_uid):
-                continue
-            refs = self._switch_refs.get(switch_uid, {})
-            rules = self._switch_rules.get(switch_uid, {})
-            for key in old_rules:
-                remaining = refs.get(key, 0) - 1
-                if remaining <= 0:
-                    refs.pop(key, None)
-                    rules.pop(key, None)
-                else:
-                    refs[key] = remaining
-            self._dirty.add(switch_uid)
-
-        new_rules: Dict[MatchKey, TcamRule] = {}
-        if self._index.contracts_for_pair(pair):
-            # A partitioned checker only compiles pairs that touch at least
-            # one owned switch; the owning partitions cover the rest.
-            if self._owned is None or any(
-                self._owns(uid) for uid in self._index.switches_for_pair(pair)
-            ):
-                self.pair_recompiles += 1
-                new_rules = {
-                    rule.match_key(): rule
-                    for rule in compile_pair_rules(self._index, pair)
-                }
-        new_placement = tuple(self._index.switches_for_pair(pair)) if new_rules else ()
-        for switch_uid in new_placement:
-            if not self._owns(switch_uid):
-                continue
-            refs = self._switch_refs.setdefault(switch_uid, {})
-            rules = self._switch_rules.setdefault(switch_uid, {})
-            for key, rule in new_rules.items():
-                refs[key] = refs.get(key, 0) + 1
-                rules.setdefault(key, rule)
-            self._dirty.add(switch_uid)
-
-        if new_rules:
-            self._pair_rules[pair] = new_rules
-            self._pair_placement[pair] = new_placement
-        else:
-            self._pair_rules.pop(pair, None)
-            self._pair_placement.pop(pair, None)
-
-    def logical_rules_for(self, switch_uid: str) -> List[TcamRule]:
-        """The cached logical rule set of one switch (the live L side)."""
-        return list(self._switch_rules.get(switch_uid, {}).values())
 
     # ------------------------------------------------------------------ #
     # Checking
     # ------------------------------------------------------------------ #
-    def bootstrap(self) -> EquivalenceReport:
+    def bootstrap(self, compiled: Optional[CompiledRules] = None) -> EquivalenceReport:
         """Full sweep establishing the baseline; clears all dirt."""
         with span("delta.bootstrap"):
-            return self._bootstrap()
+            return self._bootstrap(compiled or self.compile())
 
-    def _bootstrap(self) -> EquivalenceReport:
-        # Private, never ``controller.build_index()``: ``note_policy_change``
-        # patches this object in place, and the controller's index is shared.
-        self._index = PolicyIndex(self.controller.policy)
-        self._index_dirty = False
+    def _bootstrap(self, compiled: CompiledRules) -> EquivalenceReport:
+        self._compiled = compiled
         self._pending_objects.clear()
-        self._dirty_pairs.clear()
-        self._pair_rules = {}
-        self._pair_placement = {}
-        self._switch_refs = {}
-        self._switch_rules = {}
-        for pair in self._index.pairs:
-            if self._owned is not None and not any(
-                self._owns(uid) for uid in self._index.switches_for_pair(pair)
-            ):
-                continue
-            rules = {
-                rule.match_key(): rule for rule in compile_pair_rules(self._index, pair)
-            }
-            if not rules:
-                continue
-            placement = tuple(self._index.switches_for_pair(pair))
-            self._pair_rules[pair] = rules
-            self._pair_placement[pair] = placement
-            for switch_uid in placement:
-                if not self._owns(switch_uid):
-                    continue
-                refs = self._switch_refs.setdefault(switch_uid, {})
-                bucket = self._switch_rules.setdefault(switch_uid, {})
-                for key, rule in rules.items():
-                    refs[key] = refs.get(key, 0) + 1
-                    bucket.setdefault(key, rule)
-
         logical = {
-            switch_uid: RuleSequence.keyed(rules)
-            for switch_uid, rules in self._switch_rules.items()
+            switch_uid: rules
+            for switch_uid, rules in compiled.by_switch.items()
+            if self._owns(switch_uid)
         }
         deployed = {
             switch_uid: rules
@@ -327,11 +242,17 @@ class IncrementalChecker:
         self,
         switch_uids: Optional[Sequence[str]] = None,
         max_workers: Optional[int] = None,
+        compiled: Optional[CompiledRules] = None,
     ) -> Dict[str, SwitchCheckResult]:
         """Re-check the dirty switches (plus any explicitly named ones).
 
         Returns the fresh result for every switch that was re-validated.
         Never-bootstrapped checkers bootstrap first and report every switch.
+
+        ``compiled`` is the :meth:`compile` result to check against — a
+        monitor hands one request per pass to all its partitions; a
+        standalone caller leaves it out and the checker makes that request
+        first.  Everything after that point is the same code.
 
         Digest short-circuits always happen inline; only switches whose
         fingerprints disagree reach an engine, and :meth:`_check_pending`
@@ -340,34 +261,29 @@ class IncrementalChecker:
         ``max_workers`` lets such a batch use this checker's warm pool.
         Results are identical whichever route answers.
         """
-        if self._index is None:
-            report = self.bootstrap()
-            return dict(report.results)
+        if self._compiled is None:
+            return dict(self.bootstrap(compiled).results)
         if switch_uids:
             self._dirty.update(switch_uids)
         digests_before = self.digest_short_circuits
         checks_before = self.switch_checks
         with span("delta.refresh", dirty=len(self._dirty)) as refresh_span:
-            if self._index_dirty:
-                self._rebuild_index()
-            with span("delta.recompile_pairs", pairs=len(self._dirty_pairs)):
-                for pair in sorted(self._dirty_pairs):
-                    self._apply_pair(pair)
-            self._dirty_pairs.clear()
+            self._rebase(compiled or self.compile())
             refreshed: Dict[str, SwitchCheckResult] = {}
             pending: List[Tuple[str, RuleSequence, RuleSequence]] = []
             switches = self.controller.fabric.switches
             for switch_uid in sorted(self._dirty):
                 switch = switches.get(switch_uid)
-                logical_map = self._switch_rules.get(switch_uid)
-                if switch is None and logical_map is None:
+                logical = self._compiled.by_switch.get(switch_uid)
+                if switch is None and logical is None:
                     # Neither an L nor a T side exists (a typo'd or decommissioned
                     # switch): fabricating a clean verdict would mask the mistake,
                     # and a serial check_network would emit nothing for it either.
                     self._results.pop(switch_uid, None)
                     self._digests.pop(switch_uid, None)
                     continue
-                logical = RuleSequence.keyed(logical_map or {})
+                if logical is None:
+                    logical = RuleSequence()
                 deployed = RuleSequence()
                 if switch is not None:
                     deployed = switch.tcam.rule_sequence()
@@ -468,17 +384,20 @@ class IncrementalChecker:
     # Snapshot / restore
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """The full checker state as one JSON-ready dict.
+        """The checker state as one JSON-ready dict: results, digests, dirt
+        and counters — not L, which a restore reads from its own controller.
 
-        Everything is serialized — results, digests, the pair-granular L
-        cache, the per-switch rule/refcount maps, and the *dirt* (dirty
-        switches/pairs, unresolved object blast radii, index staleness) —
-        so :meth:`restore_state` is pure deserialization: no recompile, no
-        sweep, and byte-identical behavior from the first post-restore
-        refresh onward.
+        Policy changes still waiting for a refresh are resolved into
+        ``dirty_switches`` here, while the index from before them is still
+        held (a restored checker could no longer see a deleted object's
+        dependents); they stay in ``pending_objects`` too, for placements
+        an edit after the snapshot may add.
         """
-        if self._index is None:
+        if self._compiled is None:
             raise RuntimeError("cannot snapshot a never-bootstrapped checker")
+        dirty = set(self._dirty)
+        if self._pending_objects:
+            dirty |= self._policy_dirt(self.controller.build_index())
         return {
             "results": {
                 uid: self._results[uid].to_dict() for uid in sorted(self._results)
@@ -490,57 +409,42 @@ class IncrementalChecker:
                 }
                 for uid, digest in sorted(self._digests.items())
             },
-            "pairs": [
-                {
-                    "pair": list(pair),
-                    "rules": [
-                        rule.to_dict() for rule in self._pair_rules[pair].values()
-                    ],
-                    "placement": list(self._pair_placement.get(pair, ())),
-                }
-                for pair in sorted(self._pair_rules)
-            ],
-            "switch_rules": {
-                uid: [rule.to_dict() for rule in self._switch_rules[uid].values()]
-                for uid in sorted(self._switch_rules)
-            },
-            "switch_refs": {
-                uid: [
-                    [list(key), count]
-                    for key, count in self._switch_refs[uid].items()
-                ]
-                for uid in sorted(self._switch_refs)
-            },
-            "dirty_switches": sorted(self._dirty),
-            "dirty_pairs": [list(pair) for pair in sorted(self._dirty_pairs)],
+            "dirty_switches": sorted(dirty),
             "pending_objects": [
                 [uid, object_type.value if object_type is not None else None]
                 for uid, object_type in self._pending_objects
             ],
-            "index_dirty": self._index_dirty,
             "stats": {key: getattr(self, key) for key in _STAT_KEYS},
         }
 
     def restore_state(self, state: Dict, with_stats: bool = True) -> None:
         """Adopt a :meth:`snapshot_state` payload (scoped to owned switches).
 
-        The policy index is rebuilt from the controller's *current* policy —
-        legitimate because every pre-snapshot change already recorded its
-        old-index blast radius into the serialized dirty sets — and the
-        saved ``index_dirty`` flag is kept, so unresolved object blast radii
-        resolve against a rebuilt index exactly like an uninterrupted
-        checker would.  No full sweep runs: ``full_checks`` moves only by
-        what ``with_stats`` restores.  A malformed payload raises before
-        anything changes.
+        L comes from the controller's *current* policy, and a switch stays
+        clean only if that compile's key set equals the logical digest the
+        payload recorded for it: what moved while no checker was watching
+        is re-checked by the first refresh, with the payload's own dirt.
+        No full sweep runs and the restore's compile request is booked to no
+        counter: the counters move only by what ``with_stats`` restores.  A
+        malformed payload raises before anything changes.
         """
         self.parse_state(state, with_stats)()
 
-    def parse_state(self, state: Dict, with_stats: bool = True) -> Callable[[], None]:
-        """Parse a :meth:`snapshot_state` payload and return the step that
+    def parse_state(
+        self,
+        state: Dict,
+        with_stats: bool = True,
+        compiled: Optional[CompiledRules] = None,
+    ) -> Callable[[], None]:
+        """Parse a :meth:`snapshot_state` payload against ``compiled`` (the
+        controller's current compile when left out) and return the step that
         adopts it — :meth:`restore_state` in two halves, so a monitor can
         parse every partition's slice before any checker changes.  Parsing
         raises on a malformed payload and touches nothing; the returned step
-        cannot fail on the payload's account.
+        only assigns.
+
+        Version-1 payloads also carried a private compile of L (ignored)
+        and ``dirty_pairs`` (the switches those pairs are placed on now).
         """
         results = {
             uid: SwitchCheckResult.from_dict(data)
@@ -555,53 +459,36 @@ class IncrementalChecker:
             for uid, digest in state.get("digests", {}).items()
             if self._owns(uid)
         }
-        pair_rules: Dict[EpgPair, Dict[MatchKey, TcamRule]] = {}
-        pair_placement: Dict[EpgPair, Tuple[str, ...]] = {}
-        for entry in state.get("pairs", ()):
-            placement = tuple(entry.get("placement", ()))
-            if self._owned is not None and not any(
-                self._owns(uid) for uid in placement
-            ):
-                continue
-            pair = EpgPair(*entry["pair"])
-            rules = [TcamRule.from_dict(data) for data in entry.get("rules", ())]
-            pair_rules[pair] = {rule.match_key(): rule for rule in rules}
-            pair_placement[pair] = placement
-        switch_rules = {
-            uid: {
-                rule.match_key(): rule
-                for rule in (TcamRule.from_dict(data) for data in rule_dicts)
-            }
-            for uid, rule_dicts in state.get("switch_rules", {}).items()
-            if self._owns(uid)
-        }
-        switch_refs = {
-            uid: {tuple(key): count for key, count in refs}
-            for uid, refs in state.get("switch_refs", {}).items()
-            if self._owns(uid)
-        }
         dirty = {uid for uid in state.get("dirty_switches", ()) if self._owns(uid)}
-        dirty_pairs = {EpgPair(*pair) for pair in state.get("dirty_pairs", ())}
+        dirty_pairs = [EpgPair(*pair) for pair in state.get("dirty_pairs", ())]
         pending_objects = [
             (uid, ObjectType(type_value) if type_value is not None else None)
             for uid, type_value in state.get("pending_objects", ())
         ]
-        index_dirty = bool(state.get("index_dirty", False))
         stats = state.get("stats", {})
         counters = {key: stats.get(key, 0) for key in _STAT_KEYS} if with_stats else {}
         if not all(type(value) is int for value in counters.values()):
             raise ValueError(f"stats must be integers, got {counters!r}")
 
+        compiled = compiled or self.controller._compiled_rules()
+        logical = compiled.by_switch
+        empty = RuleSequence()
+        for switch_uid in filter(self._owns, logical.keys() | digests.keys()):
+            digest = digests.get(switch_uid)
+            if (
+                digest is None
+                or digest.logical != logical.get(switch_uid, empty).key_set()
+            ):
+                dirty.add(switch_uid)
+        for pair in dirty_pairs:
+            dirty.update(filter(self._owns, compiled.index.switches_for_pair(pair)))
+
         def adopt() -> None:
-            self._results, self._digests = results, digests
-            self._pair_rules, self._pair_placement = pair_rules, pair_placement
-            self._switch_rules, self._switch_refs = switch_rules, switch_refs
-            self._dirty, self._dirty_pairs = dirty, dirty_pairs
-            self._pending_objects = pending_objects
-            self._index = PolicyIndex(self.controller.policy)
-            self._index_dirty = index_dirty
             for key, value in counters.items():
                 setattr(self, key, value)
+            self._results, self._digests = results, digests
+            self._dirty, self._pending_objects = dirty, pending_objects
+            self._compiled = compiled
 
         return adopt
 
@@ -629,49 +516,32 @@ def _ordered_keys(keys: FrozenSet[MatchKey]) -> List[MatchKey]:
 def merge_checker_states(states: Sequence[Dict]) -> Dict:
     """Merge per-partition :meth:`IncrementalChecker.snapshot_state` payloads.
 
-    Switch-keyed maps are disjoint by ownership and merge trivially.  Pair
-    caches overlap on pairs spanning a partition boundary — both owners
-    compiled them from the same index, so either copy is correct and the
-    merge dedupes by pair.  Dirty sets union; unresolved object blast radii
-    dedupe in first-seen order (a partition whose index was rebuilt early,
-    e.g. through an external ``.index`` access, holds a suffix of the
-    others); counters sum, so aggregated monitor stats survive a restore.
+    Switch-keyed maps are disjoint by ownership and merge trivially.  Dirty
+    sets union; pending policy changes were broadcast to every partition
+    and dedupe in first-seen order; counters sum, so aggregated monitor
+    stats survive a restore.
     """
     if not states:
         raise ValueError("cannot merge zero checker states")
     merged: Dict = {
         "results": {},
         "digests": {},
-        "pairs": [],
-        "switch_rules": {},
-        "switch_refs": {},
         "dirty_switches": set(),
-        "dirty_pairs": set(),
         "pending_objects": [],
-        "index_dirty": False,
         "stats": {key: 0 for key in _STAT_KEYS},
     }
-    pairs: Dict[Tuple[str, str], Dict] = {}
     seen_pending = set()
     for state in states:
         merged["results"].update(state.get("results", {}))
         merged["digests"].update(state.get("digests", {}))
-        merged["switch_rules"].update(state.get("switch_rules", {}))
-        merged["switch_refs"].update(state.get("switch_refs", {}))
         merged["dirty_switches"].update(state.get("dirty_switches", ()))
-        merged["dirty_pairs"].update(tuple(p) for p in state.get("dirty_pairs", ()))
-        merged["index_dirty"] |= bool(state.get("index_dirty", False))
-        for entry in state.get("pairs", ()):
-            pairs[tuple(entry["pair"])] = entry
         for uid, type_value in state.get("pending_objects", ()):
             if (uid, type_value) not in seen_pending:
                 seen_pending.add((uid, type_value))
                 merged["pending_objects"].append([uid, type_value])
         for key in _STAT_KEYS:
             merged["stats"][key] += state.get("stats", {}).get(key, 0)
-    merged["pairs"] = [pairs[pair] for pair in sorted(pairs)]
-    for section in ("results", "digests", "switch_rules", "switch_refs"):
+    for section in ("results", "digests"):
         merged[section] = dict(sorted(merged[section].items()))
     merged["dirty_switches"] = sorted(merged["dirty_switches"])
-    merged["dirty_pairs"] = [list(pair) for pair in sorted(merged["dirty_pairs"])]
     return merged

@@ -9,8 +9,10 @@ Figure 6) runs as a batch pipeline:
    :class:`~repro.clock.LogicalClock` — a burst (one deployment touches
    hundreds of rules) collapses into a single processing pass once the
    clock has advanced ``debounce_ticks`` past the last event;
-3. a pass asks the :class:`~repro.online.delta.IncrementalChecker` to
-   re-validate only the blast radius, runs a *scoped* SCOUT localization
+3. a pass makes one request for the controller's compiled policy (the
+   monitor compiles nothing itself), asks the
+   :class:`~repro.online.delta.IncrementalChecker` to re-validate only the
+   blast radius against it, runs a *scoped* SCOUT localization
    (per-switch risk model, existing :class:`~repro.core.scout.ScoutLocalizer`)
    on every switch still violating, and drives the
    :class:`~repro.online.incidents.IncidentStore` lifecycle:
@@ -38,13 +40,18 @@ whoever owns it — so any partition count is fingerprint-identical to one.
 Snapshot / restore
 ------------------
 :meth:`NetworkMonitor.snapshot` captures checker state (all partitions,
-merged), the incident store, the pending event batch and the debounce
-bookkeeping as one JSON-ready dict; :meth:`NetworkMonitor.restore` (or
+merged: results, digests, dirt, counters — no copy of L), the incident
+store, the pending event batch and the debounce bookkeeping as one
+JSON-ready dict; :meth:`NetworkMonitor.restore` (or
 :meth:`NetworkMonitor.from_snapshot`) adopts it without a full-fabric
 recheck — ``full_checks`` does not move — and the restored monitor's
 report and incident journal stay byte-identical to a never-restarted
-monitor consuming the same stream.  Restoring into a different partition
-count is a rebalance: the merged state reshards along the new map.
+monitor consuming the same stream.  L is read from the restoring
+controller: a switch whose compiled key set no longer equals its
+snapshotted logical digest (the policy moved while the monitor was down) is
+re-checked by the first poll that runs.  Restoring into a different
+partition count is a rebalance: the merged state reshards along the new
+map.  Version-1 documents still restore; their copy of L is ignored.
 """
 
 from __future__ import annotations
@@ -55,11 +62,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
+from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..core.hypothesis import Hypothesis
 from ..obs import correlated, current_corr_id, span
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..parallel.pool import WarmWorkerPool
+from ..policy.graph import PolicyIndex
 from ..risk.augment import augment_switch_model
 from ..risk.switch_model import build_switch_risk_model
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
@@ -79,8 +88,10 @@ from .partition import PartitionMap
 
 __all__ = ["MonitorPass", "NetworkMonitor", "SNAPSHOT_VERSION"]
 
-#: Version tag stamped into (and required of) monitor snapshots.
-SNAPSHOT_VERSION = 1
+#: Version tag stamped into monitor snapshots.  Version 1 also carried the
+#: checker's own compile of L; :meth:`NetworkMonitor.restore` still reads it.
+SNAPSHOT_VERSION = 2
+_READABLE_VERSIONS = (1, SNAPSHOT_VERSION)
 
 
 #: Snapshot fields that must hold a (non-bool) integer when present ...
@@ -93,15 +104,15 @@ _NULLABLE_INT_FIELDS = ("first_event_at", "last_event_at")
 
 
 def _require_snapshot(snapshot: Dict) -> None:
-    """Reject anything that is not a monitor snapshot of this version, or
-    whose scalar fields are not the integers the monitor does arithmetic on."""
+    """Reject anything that is not a monitor snapshot of a readable version,
+    or whose scalar fields are not the integers the monitor does arithmetic on."""
     if not isinstance(snapshot, dict) or snapshot.get("kind") != "monitor-snapshot":
         raise ValueError("not a monitor snapshot (missing kind tag)")
     version = snapshot.get("version")
-    if version != SNAPSHOT_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported monitor snapshot version {version!r} "
-            f"(expected {SNAPSHOT_VERSION})"
+            f"(expected one of {_READABLE_VERSIONS})"
         )
     if not isinstance(snapshot.get("checker"), dict):
         raise ValueError("malformed snapshot field 'checker': expected an object")
@@ -283,13 +294,14 @@ class NetworkMonitor:
             raise RuntimeError("monitor is already running")
         self._instrumentation = instrument(self.controller, self.bus)
         self.bus.subscribe(self._on_event)
+        compiled = self.checkers[0].compile()
         results: Dict[str, SwitchCheckResult] = {}
         for index, checker in enumerate(self.checkers):
             with span("monitor.bootstrap", partition=index):
-                results.update(checker.bootstrap().results)
+                results.update(checker.bootstrap(compiled).results)
         report = EquivalenceReport(results=dict(sorted(results.items())))
         baseline = MonitorPass(triggered_at=self.clock.peek(), events=0)
-        self._apply_results(results, baseline)
+        self._apply_results(results, baseline, compiled.index)
         if not baseline.quiet:
             self.passes.append(baseline)
         # Bootstrapping consumed the current state; drop events the sweep
@@ -331,9 +343,7 @@ class NetworkMonitor:
             # the change is broadcast; each checker resolves it against its
             # own slice.
             for checker in self.checkers:
-                checker.note_policy_change(
-                    event.object_uid, event.object_type, event.operation
-                )
+                checker.note_policy_change(event.object_uid, event.object_type)
         elif isinstance(event, (RuleInstalled, RuleLost)):
             self._checker_for(event.switch_uid).note_switch_change(event.switch_uid)
         elif isinstance(event, DeviceFault):
@@ -400,7 +410,12 @@ class NetworkMonitor:
                             event.code.value
                         )
                 try:
-                    refreshed = self._refresh_all()
+                    # The pass's one compile request, whatever the partition
+                    # count: every partition checks against it, violations
+                    # are localized under its index.  Booked on partition 0,
+                    # where a restore puts the merged counters too.
+                    compiled = self.checkers[0].compile()
+                    refreshed = self._refresh_all(compiled)
                 except BaseException:
                     # A failed refresh (broken worker pool, engine bug) must
                     # not lose the batch: put the events back in front of
@@ -414,13 +429,14 @@ class NetworkMonitor:
                     self._poll_seq -= 1
                     raise
                 result = MonitorPass(triggered_at=now, events=len(events))
-                self._apply_results(refreshed, result, fault_codes)
+                self._apply_results(refreshed, result, compiled.index, fault_codes)
                 poll_span.count("rechecked", len(result.switches_rechecked))
         self.passes.append(result)
         return result
 
-    def _refresh_all(self) -> Dict[str, SwitchCheckResult]:
-        """Refresh every partition and merge their disjoint result maps.
+    def _refresh_all(self, compiled: CompiledRules) -> Dict[str, SwitchCheckResult]:
+        """Refresh every partition against ``compiled`` and merge their
+        disjoint result maps.
 
         With a worker budget the partitions refresh on concurrent threads;
         otherwise (or with one partition) they run in a plain loop.  Where
@@ -442,7 +458,7 @@ class NetworkMonitor:
 
         def run_partition(index: int, checker: IncrementalChecker):
             with span("monitor.partition", partition=index):
-                return checker.refresh(max_workers=budget)
+                return checker.refresh(max_workers=budget, compiled=compiled)
 
         attempts = [
             # copy_context() ships the ambient corr id and span down to a
@@ -481,6 +497,7 @@ class NetworkMonitor:
         self,
         results: Dict[str, SwitchCheckResult],
         monitor_pass: MonitorPass,
+        index: PolicyIndex,
         fault_codes: Optional[Dict[str, Set[str]]] = None,
     ) -> None:
         now = monitor_pass.triggered_at
@@ -497,7 +514,7 @@ class NetworkMonitor:
             monitor_pass.switches_rechecked.append(switch_uid)
             active = self.store.active_for(switch_uid)
             if not result.equivalent:
-                hypothesis = self._localize_switch(switch_uid, result)
+                hypothesis = self._localize_switch(index, switch_uid, result)
                 suspects = sorted(str(risk) for risk in hypothesis.objects())
                 if active is None:
                     incident = self.store.open(
@@ -537,10 +554,12 @@ class NetworkMonitor:
             for code in sorted(codes):
                 self.store.note_fault(device_uid, code, incident=incident)
 
-    def _localize_switch(self, switch_uid: str, result: SwitchCheckResult) -> Hypothesis:
-        """Scoped SCOUT: one switch risk model, augmented with its misses."""
+    def _localize_switch(
+        self, index: PolicyIndex, switch_uid: str, result: SwitchCheckResult
+    ) -> Hypothesis:
+        """Scoped SCOUT: one switch risk model under ``index`` (the one the
+        verdict was checked against), augmented with its misses."""
         with span("monitor.localize", switch=switch_uid):
-            index = self._checker_for(switch_uid).index
             model = build_switch_risk_model(index, switch_uid)
             augment_switch_model(model, result.missing_rules)
             return self.localizer.localize(model)
@@ -593,15 +612,18 @@ class NetworkMonitor:
             raise RuntimeError("cannot restore a running monitor (stop it first)")
         _require_snapshot(snapshot)
         # Parse every section before touching anything: a malformed document
-        # must leave the monitor un-attached, the shared clock unmoved and a
-        # following start() working.
+        # (or a policy that does not compile) must leave the monitor
+        # un-attached, the shared clock unmoved and a following start()
+        # working.  The compile is booked to no counter: a restore leaves
+        # the snapshot's counters as they were.
+        compiled = self.controller._compiled_rules()
         adoptions = _parse_field(
             "checker",
             # Counters land on partition 0 only: they were merged across
             # partitions at snapshot time, so restoring the sum everywhere
             # would multiply it.  Aggregated stats() sums right back.
             lambda state: [
-                checker.parse_state(state, with_stats=(index == 0))
+                checker.parse_state(state, with_stats=(index == 0), compiled=compiled)
                 for index, checker in enumerate(self.checkers)
             ],
             snapshot["checker"],

@@ -14,8 +14,9 @@ Two complementary views of the same information:
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
-from typing import Dict, List, Mapping, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 import networkx as nx
 
@@ -83,7 +84,6 @@ class PolicyIndex:
         self._epg_switches: Dict[str, List[str]] = {}
         self._switch_pairs: Dict[str, List[EpgPair]] = defaultdict(list)
         self._pair_switches: Dict[EpgPair, List[str]] = {}
-        self._read_only = False
 
         self._build()
 
@@ -179,14 +179,29 @@ class PolicyIndex:
             )
         ]
 
-    def read_only(self) -> "PolicyIndex":
-        """Mark this index as shared: :meth:`refresh_object` will refuse it.
+    def with_payload(self, tables: List[List[PolicyObject]]) -> Optional["PolicyIndex"]:
+        """The index of ``tables`` (shaped like :func:`object_tables`) derived
+        from this one, or ``None`` when that takes a re-index.
 
-        The lookup API only hands out copies, so the in-place patch is the
-        one way a holder could change what every other holder sees.
+        Filters and VRFs carry rule-level payload only (entries, scope): with
+        their uids and every other table unchanged, which pairs exist, what
+        they rely on and where they are placed cannot have moved.  The copy
+        shares every dependency map with this index — nothing edits an
+        index's maps once built — and this one keeps the old objects.
         """
-        self._read_only = True
-        return self
+        vrfs, epgs, contracts, filters, endpoints = tables
+        if (
+            [vrf.uid for vrf in vrfs] != list(self._vrfs)
+            or [flt.uid for flt in filters] != list(self._filters)
+            or epgs != list(self._epgs.values())
+            or contracts != list(self._contracts.values())
+            or endpoints != list(self._endpoints.values())
+        ):
+            return None
+        derived = copy.copy(self)
+        derived._vrfs = {vrf.uid: vrf for vrf in vrfs}
+        derived._filters = {flt.uid: flt for flt in filters}
+        return derived
 
     # ------------------------------------------------------------------ #
     # Lookup API
@@ -233,40 +248,6 @@ class PolicyIndex:
 
     def endpoint(self, uid: str) -> Endpoint:
         return self._endpoints[uid]
-
-    def refresh_object(self, object_uid: str, object_type: ObjectType) -> bool:
-        """Patch one *structure-preserving* object modify into the index.
-
-        Filters and VRFs only carry rule-level payload (entries, scope): a
-        modify that keeps the uid cannot change which pairs exist, which
-        risks they rely on or where they are placed, so the cached maps stay
-        valid and only the object snapshot needs replacing.  Returns False
-        when the object is of any other type (or unknown/deleted), in which
-        case the caller must rebuild the index.  A shared index
-        (:meth:`read_only`, what ``Controller.build_index()`` returns) is
-        never patched: that is a :class:`TypeError` — patch a private
-        ``PolicyIndex(policy)`` instead.
-        """
-        if self._read_only:
-            raise TypeError(
-                "this PolicyIndex is shared and read-only; "
-                "patch a private PolicyIndex(policy) instead"
-            )
-        if object_type is ObjectType.FILTER and object_uid in self._filters:
-            for tenant in self.policy.tenants.values():
-                obj = tenant.filters.get(object_uid)
-                if obj is not None:
-                    self._filters[object_uid] = obj
-                    return True
-            return False
-        if object_type is ObjectType.VRF and object_uid in self._vrfs:
-            for tenant in self.policy.tenants.values():
-                obj = tenant.vrfs.get(object_uid)
-                if obj is not None:
-                    self._vrfs[object_uid] = obj
-                    return True
-            return False
-        return False
 
     def object_types(self) -> Mapping[str, ObjectType]:
         """Map every known object uid (plus switches) to its object type."""

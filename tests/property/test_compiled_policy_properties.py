@@ -7,6 +7,10 @@ policy must hand out, per switch, exactly the rules (and order) of
 ``compile_logical_rules(policy)``; a parallel audit over it must be
 byte-identical to ``check_network`` over that fresh compile; and its
 semantic fingerprint must equal the BDD oracle's full sweep.
+
+The online monitor reads the same compile, so the same edits — written
+straight into the tenant tables, with no bus event to announce them — must
+also reach an :class:`IncrementalChecker` by its next ``refresh()``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Controller
 from repro.controller.compiler import compile_logical_rules
 from repro.core import ScoutSystem
+from repro.online import IncrementalChecker
 from repro.policy.objects import Endpoint, Epg, Filter, FilterEntry
 from repro.verify import EquivalenceChecker
 from repro.workloads import generate_workload, small_profile
@@ -205,3 +210,33 @@ class TestCompiledPolicyProperties:
                     system.check(parallel=True, max_workers=2).fingerprint()
                     == reference.fingerprint()
                 )
+
+
+class TestMonitorSeesUnannouncedEdits:
+    @given(ops=_ops)
+    @settings(max_examples=40, deadline=None)
+    def test_refresh_after_edits_no_event_announced_equals_a_fresh_check(self, ops):
+        """The defining property of reading L from the controller: the
+        checker is told about TCAM writes (the bus would carry those) and
+        about *no* policy edit, and still agrees with a from-scratch check
+        after every step."""
+        workload = generate_workload(small_profile())
+        controller = Controller(workload.policy, workload.fabric, validate=False)
+        controller.deploy()
+        checker = IncrementalChecker(controller)
+        checker.bootstrap()
+        for serial, (kind, a, b, _) in enumerate(ops):
+            _apply(controller, serial, (kind, a, b, True))
+            if kind in ("redeploy", "rule-loss"):
+                for switch_uid in controller.fabric.leaf_uids():
+                    checker.note_switch_change(switch_uid)
+            checker.refresh()
+            reference = EquivalenceChecker().check_network(
+                compile_logical_rules(controller.policy),
+                controller.collect_deployed_rules(),
+            )
+            assert (
+                checker.report().semantic_fingerprint()
+                == reference.semantic_fingerprint()
+            ), (serial, kind)
+        assert checker.full_checks == 1

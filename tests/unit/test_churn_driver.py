@@ -1,5 +1,7 @@
 """Unit tests for the churn driver and its differential oracle."""
 
+import dataclasses
+
 import pytest
 
 from repro.churn import (
@@ -14,7 +16,9 @@ from repro.churn import (
     SwitchReboot,
     churn_profile_for,
 )
+from repro.controller.compiler import CompiledRules
 from repro.exceptions import ChurnDivergenceError
+from repro.obs import FlightRecorder, recording
 
 
 @pytest.fixture
@@ -45,11 +49,17 @@ class TestPolicyChurn:
         driver.apply(PolicyAdd(seq=1, rule_id=1, draw_seed=11))
         driver.clock.tick()
         driver.monitor.poll()
-        patches_before = driver.monitor.stats()["index_patches"]
+        before = driver.monitor.stats()
+        derived_before = driver.controller.compile_stats()["patches"]
         driver.apply(PolicyModify(seq=2, draw_seed=12))
         driver.clock.tick()
         driver.monitor.poll()
-        assert driver.monitor.stats()["index_patches"] == patches_before + 1
+        # A filter modify is payload-only: the poll's compile request made
+        # the controller derive its index, not re-build it.
+        after = driver.monitor.stats()
+        assert after["index_patches"] == before["index_patches"] + 1
+        assert after["index_rebuilds"] == before["index_rebuilds"]
+        assert driver.controller.compile_stats()["patches"] == derived_before + 1
         assert driver.checkpoint(seq=3).ok
 
     def test_remove_round_trips_to_the_original_state(self, driver):
@@ -204,6 +214,38 @@ class TestOracle:
             driver.checkpoint(seq=1)
         assert excinfo.value.checkpoint is not None
         assert excinfo.value.checkpoint.diverged
+
+    def test_a_corrupted_controller_compile_is_caught_by_the_next_checkpoint(
+        self, driver, monkeypatch
+    ):
+        """The monitor reads the controller's compiled policy, so the oracle
+        must not: its L is the from-scratch reference compile."""
+        assert driver.checkpoint(seq=0).ok
+        build = CompiledRules.build
+
+        def stale_for_one_leaf(index, previous=None):
+            compiled = build(index, previous)
+            moved = [
+                uid
+                for uid, rules in compiled.by_switch.items()
+                if previous is not None and rules is not previous.by_switch.get(uid)
+            ]
+            if not moved:
+                return compiled
+            stale = {**compiled.by_switch, moved[0]: previous.by_switch[moved[0]]}
+            return dataclasses.replace(compiled, by_switch=stale)
+
+        monkeypatch.setattr(CompiledRules, "build", stale_for_one_leaf)
+        driver.apply(PolicyAdd(seq=1, rule_id=1, draw_seed=11))
+        driver.clock.tick()
+        driver.monitor.poll()
+        recorder = FlightRecorder()
+        with recording(recorder), pytest.raises(ChurnDivergenceError) as excinfo:
+            driver.checkpoint(seq=2)
+        assert excinfo.value.checkpoint.diverged
+        bundle = recorder.dumps()[-1]
+        assert bundle["trigger"] == "churn-divergence"
+        assert bundle["context"]["seq"] == 2
 
     def test_non_strict_records_the_divergence(self):
         driver = ChurnDriver.for_workload("small", events=10, seed=4, strict=False)

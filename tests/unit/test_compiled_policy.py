@@ -4,8 +4,10 @@
 snapshot that is compared with the tenants' live object tables on every
 call.  These tests pin the contract around that: a repeat call reuses, any
 edit (through the controller or behind its back) is seen by the very next
-call, an edit recompiles its own pairs and switches only, and nothing the
-cache hands out can be used to change what the next caller gets.
+call, an edit recompiles its own pairs and switches only (a filter- or
+VRF-payload edit without re-indexing), nothing the cache hands out can be
+used to change what the next caller gets, and the online monitor reads the
+same compile instead of keeping one of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core import ScoutSystem
 from repro.obs import TraceCollector
 from repro.online import NetworkMonitor
 from repro.policy.graph import PolicyIndex
-from repro.policy.objects import FilterEntry, ObjectType
+from repro.policy.objects import FilterEntry
 from repro.rules import RuleSequence
 from repro.service import TestClient, service_for_profile
 from repro.verify import EquivalenceChecker
@@ -66,6 +68,7 @@ class TestReuse:
         assert _delta(controller, before) == {
             "reuses": 2,
             "rebuilds": 0,
+            "patches": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -84,6 +87,7 @@ class TestReuse:
         assert controller.compile_stats() == {
             "reuses": 0,
             "rebuilds": 1,
+            "patches": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -101,13 +105,29 @@ class TestInvalidation:
         controller.modify_object(tenant.name, edited)
         cached = controller.logical_rules()
         assert _as_lists(cached) == compile_logical_rules(controller.policy)
+        # A payload-only edit: the index is derived, never re-built.
         assert _delta(controller, before) == {
             "reuses": 0,
-            "rebuilds": 1,
+            "rebuilds": 0,
+            "patches": 1,
             "pairs_recompiled": len(pairs),
             "switches_reassembled": len(switches),
         }
         assert controller.build_index() is not old_index
+        assert old_index.filter(target.uid) is target
+
+    def test_a_structural_edit_re_indexes(self, controller):
+        controller.logical_rules()
+        tenant, target, edited = _shared_filter(controller)
+        added = dataclasses.replace(edited, uid="filter:added/one", name="one")
+        before = controller.compile_stats()
+        controller.add_object(tenant.name, added)
+        controller.modify_object(tenant.name, edited)
+        assert _as_lists(controller.logical_rules()) == compile_logical_rules(
+            controller.policy
+        )
+        spent = _delta(controller, before)
+        assert (spent["rebuilds"], spent["patches"]) == (1, 0)
 
     def test_a_write_behind_the_controllers_back_is_seen_by_the_next_audit(
         self, controller
@@ -158,49 +178,104 @@ class TestNothingHandedOutIsMutable:
             controller.policy
         )
 
-    def test_the_shared_index_refuses_in_place_patches(self, controller):
+    def test_a_derived_index_shares_maps_it_never_edits(self, controller):
         index = controller.build_index()
         tenant, target, edited = _shared_filter(controller)
         tenant.filters[target.uid] = edited
-        with pytest.raises(TypeError, match="read-only"):
-            index.refresh_object(target.uid, ObjectType.FILTER)
+        derived = controller.build_index()
+        assert derived is not index
+        assert controller.compile_stats()["patches"] == 1
+        assert derived.filter(target.uid) is edited
         assert index.filter(target.uid) is target
-        # Lookups hand out copies.
+        assert derived.pairs_for_object(target.uid) == index.pairs_for_object(target.uid)
+        # Lookups hand out copies, so neither holder can edit the shared maps.
         index.pairs.clear()
         index.pairs_on_switch(index.all_switches()[0]).clear()
-        assert index.pairs and index.pairs_on_switch(index.all_switches()[0])
-        # A private index still patches.
-        assert PolicyIndex(controller.policy).refresh_object(target.uid, ObjectType.FILTER)
+        assert derived.pairs and derived.pairs_on_switch(index.all_switches()[0])
+        # Anything but a same-uid filter/VRF replacement is not derivable.
+        tables = index.object_tables()
+        assert index.with_payload(tables) is not None
+        assert index.with_payload([*tables[:3], tables[3][1:], tables[4]]) is None
+        assert index.with_payload([*tables[:4], tables[4][1:]]) is None
 
 
-class TestMonitorDoesNotAliasTheSharedIndex:
-    def test_monitor_absorbs_a_filter_modify_without_touching_the_controllers_index(
-        self, controller
-    ):
-        held = controller.build_index()
+class TestMonitorReadsTheControllersCompile:
+    """What ``TestMonitorDoesNotAliasTheSharedIndex`` protected, now that
+    the monitor has no index of its own to alias with."""
+
+    @staticmethod
+    def _indexes_held(monitor):
+        return [checker._compiled.index for checker in monitor.checkers]
+
+    def test_every_index_handed_out_earlier_keeps_the_old_filter(self, controller):
+        held = [controller.build_index()]
         controller.logical_rules()
-        monitor = NetworkMonitor(controller)
+        monitor = NetworkMonitor(controller, partitions=2)
         monitor.start()
         try:
-            checker = monitor.checkers[0]
-            assert checker.index is not held
+            held.extend(self._indexes_held(monitor))
+            # The monitor holds the controller's own index, not a copy.
+            assert all(index is held[0] for index in held)
             tenant, target, edited = _shared_filter(controller)
+            before = controller.compile_stats()
             controller.modify_object(tenant.name, edited)
             controller.clock.tick(5)
-            monitor.poll(force=True)
-            assert checker.stats()["index_patches"] == 1
-            # The monitor patched its own index in place; the one the
-            # controller handed out earlier is still the policy it indexed.
-            assert checker.index.filter(target.uid) is edited
-            assert held.filter(target.uid) is target
+            collector = TraceCollector()
+            with collector.activate():
+                monitor.poll(force=True)
+            # One compile request for the poll, whatever the partition count,
+            # and it is the payload derivation, visible in the monitor's stats.
+            spans = [recorded.name for recorded in collector.spans()]
+            assert spans.count("delta.compile") == 1
+            assert spans.count("monitor.partition") == 2
+            spent = _delta(controller, before)
+            assert (spent["patches"], spent["rebuilds"]) == (1, 0)
+            assert monitor.stats()["index_patches"] == 1
+            assert monitor.stats()["index_rebuilds"] == 0
+            current = controller.build_index()
+            assert all(index is current for index in self._indexes_held(monitor))
+            assert current.filter(target.uid) is edited
+            # The derived index shares maps with the old one but never
+            # mutates them: every earlier holder still sees the old policy.
+            assert all(index.filter(target.uid) is target for index in held)
             assert _as_lists(controller.logical_rules()) == compile_logical_rules(
                 controller.policy
             )
-            assert controller.build_index().filter(target.uid) is edited
+            fresh = ScoutSystem(controller).check()
+            assert (
+                monitor.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
         finally:
             monitor.close()
 
-    def test_a_restored_monitor_patches_a_private_index_too(self, controller):
+    def test_a_pass_makes_one_request_however_many_switches_violate(self, controller):
+        monitor = NetworkMonitor(controller, partitions=2)
+        monitor.start()
+        try:
+            degraded = sorted(controller.fabric.leaf_uids())[:3]
+            for leaf in degraded:
+                tcam = controller.fabric.switch(leaf).tcam
+                tcam.remove(tcam.match_keys()[0])
+            before = controller.compile_stats()
+            result = monitor.poll(force=True)
+            assert [incident.switch_uid for incident in result.opened] == degraded
+            # Refresh and every localization read the pass's one compile.
+            spent = _delta(controller, before)
+            assert spent["reuses"] + spent["rebuilds"] + spent["patches"] == 1
+        finally:
+            monitor.close()
+
+    def test_index_and_rules_of_one_request_are_of_one_policy(self, controller):
+        compiled = controller._compiled_rules()
+        assert compiled.index is controller.build_index()
+        tenant, target, edited = _shared_filter(controller)
+        tenant.filters[target.uid] = edited
+        moved = controller._compiled_rules()
+        assert moved.index is not compiled.index
+        assert moved.index.filter(target.uid) is edited
+        assert _as_lists(moved.by_switch) == compile_logical_rules(controller.policy)
+
+    def test_a_restored_monitor_holds_the_controllers_index_too(self, controller):
         monitor = NetworkMonitor(controller)
         monitor.start()
         document = monitor.snapshot()
@@ -208,13 +283,14 @@ class TestMonitorDoesNotAliasTheSharedIndex:
         shared = controller.build_index()
         restored = NetworkMonitor.from_snapshot(controller, document)
         try:
-            assert restored.checkers[0].index is not shared
+            assert self._indexes_held(restored) == [shared]
             tenant, target, edited = _shared_filter(controller)
             controller.modify_object(tenant.name, edited)
             controller.clock.tick(5)
             restored.poll(force=True)
-            assert restored.checkers[0].stats()["index_patches"] == 1
+            assert restored.stats()["index_patches"] == 1
             assert shared.filter(target.uid) is target
+            assert self._indexes_held(restored) == [controller.build_index()]
         finally:
             restored.close()
 
@@ -230,7 +306,12 @@ class TestAccounting:
             system.localize(parallel=True, trace=collector)
             spans = {recorded.name: recorded for recorded in collector.spans()}
             switches = len(controller.fabric.switches)
-            idle = {"rebuilds": 0, "pairs_recompiled": 0, "switches_reassembled": 0}
+            idle = {
+                "rebuilds": 0,
+                "patches": 0,
+                "pairs_recompiled": 0,
+                "switches_reassembled": 0,
+            }
             assert spans["scout.build_index"].counters == {"reuses": 1, **idle}
             assert spans["check.compile_logical"].counters == {"reuses": 1, **idle}
             assert spans["parallel.identity_proof"].counters == {
@@ -241,6 +322,30 @@ class TestAccounting:
             assert after["reuses"] - before["reuses"] == 2
             assert after["identity_proofs"] - before["identity_proofs"] == switches - 1
             assert after["dispatched"] - before["dispatched"] == 1
+
+    def test_a_compile_span_counts_its_own_requests_only(self, controller):
+        # The service compiles from audit threads and the monitor's poll at
+        # once: each is credited with what its own requests cost.
+        controller.logical_rules()
+        tenant, target, edited = _shared_filter(controller)
+
+        def audit_elsewhere():
+            controller.modify_object(tenant.name, edited)
+            controller.logical_rules()
+
+        with controller._compile_span("mine") as mine:
+            thread = threading.Thread(target=audit_elsewhere)
+            thread.start()
+            thread.join()
+            controller.build_index()
+        assert mine == {
+            "reuses": 1,
+            "rebuilds": 0,
+            "patches": 0,
+            "pairs_recompiled": 0,
+            "switches_reassembled": 0,
+        }
+        assert controller.compile_stats()["patches"] == 1
 
     def test_service_exports_the_counters(self):
         client = TestClient(service_for_profile("small", sync_audits=True))
@@ -267,22 +372,48 @@ class TestConcurrentReaders:
     def test_a_snapshot_is_filed_under_the_policy_its_index_really_saw(
         self, controller, monkeypatch
     ):
-        """An edit landing between the validity check and the re-index must
-        not leave an index of the new policy filed under the old tables."""
+        """An edit landing between the validity check and the new index must
+        not leave an index of one policy filed under another's tables — on
+        the payload-derivation route (the index is built from tables read
+        before the edit) and on the re-index route (it reads the policy
+        after it)."""
         tenant, target, edited = _shared_filter(controller)
         controller.logical_rules()
         interim = dataclasses.replace(edited, name="interim")
+
+        def racing(build):
+            def build_after_a_racing_edit(*args):
+                tenant.filters[target.uid] = edited  # another thread's write
+                return build(*args)
+
+            return build_after_a_racing_edit
+
+        # Payload only: derived from, and filed under, the tables read
+        # before the write, so the very next call sees the policy moved on.
         tenant.filters[target.uid] = interim
-
-        def index_after_a_racing_edit(policy):
-            tenant.filters[target.uid] = edited  # another thread's write
-            return PolicyIndex(policy)
-
-        monkeypatch.setattr(
-            "repro.controller.controller.PolicyIndex", index_after_a_racing_edit
-        )
-        assert controller.build_index().filter(target.uid) is edited
+        before = controller.compile_stats()
+        monkeypatch.setattr(PolicyIndex, "with_payload", racing(PolicyIndex.with_payload))
+        raced = controller.build_index()
         monkeypatch.undo()
+        assert raced.filter(target.uid) is interim
+        assert controller.build_index().filter(target.uid) is edited
+        assert _delta(controller, before)["patches"] == 2
+
+        # Structural (a new uid cannot be derived): the re-index reads the
+        # policy after the write and is filed under what it read.
+        tenant.filters[target.uid] = interim
+        added = dataclasses.replace(edited, uid="filter:added/one", name="one")
+        tenant.filters[added.uid] = added
+        before = controller.compile_stats()
+        monkeypatch.setattr(
+            "repro.controller.controller.PolicyIndex", racing(PolicyIndex)
+        )
+        raced = controller.build_index()
+        monkeypatch.undo()
+        assert raced.filter(target.uid) is edited
+        assert controller.build_index() is raced
+        assert _delta(controller, before)["rebuilds"] == 1
+
         for version in (interim, target, edited):
             tenant.filters[target.uid] = version
             assert controller.build_index().filter(target.uid) is version
@@ -342,5 +473,8 @@ class TestConcurrentReaders:
                 controller.policy
             )
         spent = _delta(controller, before)
-        assert spent["reuses"] + spent["rebuilds"] == readers * calls_per_reader + 3
-        assert spent["rebuilds"] >= 1
+        assert (
+            spent["reuses"] + spent["rebuilds"] + spent["patches"]
+            == readers * calls_per_reader + 3
+        )
+        assert spent["patches"] >= 1 and spent["rebuilds"] == 0

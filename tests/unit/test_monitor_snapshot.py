@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro import Controller
 from repro.core import ScoutSystem
-from repro.online import IncrementalChecker, NetworkMonitor
+from repro.online import SNAPSHOT_VERSION, IncrementalChecker, NetworkMonitor
+from repro.policy.objects import FilterEntry
 from repro.service import ScoutService, TestClient
+from repro.workloads import generate_workload, small_profile
 
 #: ``NetworkMonitor(three_tier.controller, debounce_ticks=1).snapshot()`` as
 #: the commit before every monitor carried a partition map wrote it (note
@@ -148,6 +152,11 @@ class TestSnapshotRestore:
         verdict = monitor.report().semantic_fingerprint()
         snap = json.loads(json.dumps(monitor.snapshot(), sort_keys=True))
         monitor.stop()
+        # Version 2 carries verdicts, digests, dirt and counters — no copy
+        # of L: the restoring side reads that from its own controller.
+        assert snap["version"] == SNAPSHOT_VERSION == 2
+        sections = {"results", "digests", "dirty_switches", "pending_objects", "stats"}
+        assert set(snap["checker"]) == sections
         # A document written before the engine ladder collapsed: labels are
         # opaque strings, not a vocabulary the restore validates.
         results = snap["checker"]["results"]
@@ -189,7 +198,7 @@ class TestSnapshotRestore:
         state = json.loads(json.dumps(source.snapshot_state()))
 
         target = IncrementalChecker(three_tier.controller)
-        broken = {**state, "pairs": [{"rules": []}]}
+        broken = {**state, "digests": {"leaf-3": {"logical": []}}}
         with pytest.raises(KeyError):
             target.restore_state(broken)
         assert target.results() == {} and target.stats()["full_checks"] == 0
@@ -214,8 +223,9 @@ class TestSnapshotRestore:
         monitor.stop()
         with pytest.raises(ValueError, match="kind"):
             monitor.restore({**snap, "kind": "something-else"})
-        with pytest.raises(ValueError, match="version"):
-            monitor.restore({**snap, "version": 999})
+        for version in (999, SNAPSHOT_VERSION + 1, 0, True, "2", None):
+            with pytest.raises(ValueError, match="version"):
+                monitor.restore({**snap, "version": version})
         # The two fields only from_snapshot reads.
         for field, value in (("partitions", "two"), ("partition_map", "leaf-1")):
             with pytest.raises(ValueError, match=field):
@@ -263,6 +273,144 @@ class TestSnapshotRestore:
         restored.close()
 
 
+class TestRestoreAgainstAMovedPolicy:
+    """The snapshot carries no L; what the policy did while the monitor was
+    down is found by comparing the current compile with the logical digests."""
+
+    @pytest.fixture
+    def controller(self):
+        workload = generate_workload(small_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        return controller
+
+    @staticmethod
+    def _switches_depending_on(index, uid):
+        pairs = index.pairs_for_object(uid)
+        return {leaf for pair in pairs for leaf in index.switches_for_pair(pair)}
+
+    def test_a_filter_edited_while_down_is_checked_against_the_current_l(
+        self, controller
+    ):
+        monitor = NetworkMonitor(controller, debounce_ticks=1)
+        monitor.start()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+
+        # Nobody is listening: no event will ever announce this edit.
+        index = controller.build_index()
+        target = max(
+            controller.policy.filters(),
+            key=lambda flt: len(self._switches_depending_on(index, flt.uid)),
+        )
+        stale = self._switches_depending_on(index, target.uid)
+        assert len(stale) > 1
+        edited = dataclasses.replace(
+            target, entries=target.entries + (FilterEntry(protocol="tcp", port=47000),)
+        )
+        controller.modify_object(controller.policy.tenant_of(target.uid).name, edited)
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            assert restored.stats()["full_checks"] == 1
+            # One unrelated TCAM event is all the first poll is told about.
+            unrelated = sorted(set(controller.fabric.leaf_uids()) - stale)
+            tcam = controller.fabric.switch((unrelated or sorted(stale))[0]).tcam
+            tcam.remove(tcam.match_keys()[0])
+            result = restored.poll(force=True)
+            assert stale <= set(result.switches_rechecked)
+            fresh = ScoutSystem(controller).check()
+            assert len(fresh.switches_with_violations()) >= len(stale)
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+            assert sorted(i.switch_uid for i in restored.store.active()) == (
+                fresh.switches_with_violations()
+            )
+            assert restored.stats()["full_checks"] == 1
+        finally:
+            restored.close()
+
+    def test_a_restore_in_a_fresh_process_leaves_the_counters_alone(self, controller):
+        monitor = NetworkMonitor(controller, partitions=2)
+        monitor.start()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        counters = ("index_rebuilds", "index_patches", "pair_recompiles")
+        taken = {key: monitor.stats()[key] for key in counters}
+
+        # A controller that has compiled nothing yet: the restore's own
+        # request is a full compile, and none of it is the monitor's history.
+        workload = generate_workload(small_profile())
+        elsewhere = Controller(workload.policy, workload.fabric)
+        elsewhere.deploy()
+        restored = NetworkMonitor.from_snapshot(elsewhere, document)
+        try:
+            assert elsewhere.compile_stats()["pairs_recompiled"] > 0
+            assert {key: restored.stats()[key] for key in counters} == taken
+            assert restored.poll(force=True) is None
+            assert restored.report().equivalent
+        finally:
+            restored.close()
+
+    def test_a_policy_that_does_not_compile_fails_the_restore_before_any_change(
+        self, controller, monkeypatch
+    ):
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        tcam = controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0]).tcam
+        tcam.remove(tcam.match_keys()[0])
+        monitor.poll(force=True)
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        assert document["incidents"]["incidents"]
+
+        fresh = NetworkMonitor(controller)
+        clock_before = controller.clock.peek()
+
+        def broken():
+            raise RuntimeError("policy does not compile")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(controller, "_compiled_rules", broken)
+            with pytest.raises(RuntimeError, match="does not compile"):
+                fresh.restore(document)
+        assert not fresh.running
+        assert len(fresh.store) == 0
+        assert controller.clock.peek() == clock_before
+        fresh.start()
+        fresh.close()
+
+    def test_policy_dirt_pending_at_snapshot_time_restores_as_dirty_switches(
+        self, three_tier
+    ):
+        controller = three_tier.controller
+        monitor = NetworkMonitor(controller, debounce_ticks=1)
+        monitor.start()
+        # Delete the filter and leave the batch unpolled: after a restart
+        # only the index held *before* the edit still knows its dependents.
+        tenant = three_tier.policy.tenants["webshop"]
+        flt = tenant.filters[three_tier.uids["filter_extra_0"]]
+        controller.delete_object("webshop", flt, detail="drop filter")
+        assert monitor.pending_events()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        assert document["checker"]["dirty_switches"] == ["leaf-2", "leaf-3"]
+        assert document["checker"]["pending_objects"] == [[flt.uid, "filter"]]
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            controller.clock.tick(2)
+            result = restored.poll()
+            assert result.switches_rechecked == ["leaf-2", "leaf-3"]
+            fresh = ScoutSystem(controller).check()
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+        finally:
+            restored.close()
+
+
 class TestParentFormatSnapshot:
     @pytest.mark.parametrize("partitions", (None, 2))
     def test_parent_commit_snapshot_restores(self, three_tier, partitions):
@@ -293,6 +441,58 @@ class TestParentFormatSnapshot:
             restored.close()
 
 
+    def test_version_1_policy_dirt_is_rechecked_by_the_first_poll(self, three_tier):
+        """A version-1 document taken with a policy batch still pending:
+        ``dirty_pairs`` + ``index_dirty`` described that dirt against the
+        snapshotting checker's private compile, which no longer exists."""
+        controller = three_tier.controller
+        document = json.loads(json.dumps(PARENT_FORMAT_SNAPSHOT))
+        assert document["version"] == 1
+        _wipe(three_tier, "leaf-2")  # the fabric state the document was taken in
+        # What the version-1 monitor had been told when it was stopped: the
+        # port-700 filter widened (never deployed), batch unpolled.
+        filter_uid = three_tier.uids["filter_extra_0"]
+        widened = dataclasses.replace(
+            three_tier.policy.tenants["webshop"].filters[filter_uid],
+            entries=(
+                FilterEntry(protocol="tcp", port=700),
+                FilterEntry(protocol="tcp", port=701),
+            ),
+        )
+        controller.modify_object("webshop", widened, detail="add port 701")
+        checker = document["checker"]
+        checker["dirty_pairs"] = [["epg:webshop/App", "epg:webshop/DB"]]
+        checker["pending_objects"] = [[filter_uid, "filter"]]
+        checker["index_dirty"] = True
+        document["pending_events"] = [
+            {
+                "kind": "policy-changed",
+                "timestamp": controller.clock.peek(),
+                "object_uid": filter_uid,
+                "object_type": "filter",
+                "operation": "modify",
+            }
+        ]
+        document["first_event_at"] = document["last_event_at"] = controller.clock.peek()
+        document["clock"] = controller.clock.peek()
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            assert restored.stats()["full_checks"] == 1
+            assert restored.pending_events() == 1
+            result = restored.poll(force=True)
+            assert result.switches_rechecked == ["leaf-2", "leaf-3"]
+            fresh = ScoutSystem(controller).check()
+            assert fresh.switches_with_violations() == ["leaf-2", "leaf-3"]
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+            assert restored.stats()["full_checks"] == 1
+            assert restored.snapshot()["version"] == SNAPSHOT_VERSION
+        finally:
+            restored.close()
+
+
 def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
@@ -318,24 +518,30 @@ def _drop_result_key(results):
     return {**results, last: broken}
 
 
+def _break_result_rule(results):
+    last = sorted(results)[-1]
+    return {**results, last: {**results[last], "missing_rules": [{"vrf_scope": 1}]}}
+
+
+def _break_digest_key(digests):
+    last = sorted(digests)[-1]
+    return {**digests, last: {**digests[last], "logical": [101]}}
+
+
 MALFORMED_SNAPSHOTS = {
     "not-an-object": (lambda doc: [doc], "kind"),
     "no-checker": (_without("checker"), "checker"),
     "checker-not-an-object": (_with("checker", "state"), "checker"),
-    "pair-without-pair": (
-        _in_checker(
-            "pairs",
-            lambda pairs: pairs[:-1]
-            + [{k: v for k, v in pairs[-1].items() if k != "pair"}],
-        ),
-        "'checker': KeyError: 'pair'",
+    "digest-key-not-a-list": (
+        _in_checker("digests", _break_digest_key),
+        "'checker': TypeError: 'int' object is not iterable",
     ),
     "result-without-switch-uid": (
         _in_checker("results", _drop_result_key),
         "'checker': KeyError: 'switch_uid'",
     ),
-    "rule-without-port": (
-        _in_checker("switch_rules", lambda rules: {**rules, "leaf-3": [{"vrf_scope": 1}]}),
+    "result-rule-without-src-epg": (
+        _in_checker("results", _break_result_rule),
         "'checker': KeyError: 'src_epg'",
     ),
     "unknown-pending-event": (

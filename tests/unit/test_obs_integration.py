@@ -220,12 +220,11 @@ class TestTracedRefresh:
         assert "delta.bootstrap" in names
 
         from repro.policy.objects import Filter, FilterEntry, ObjectType
-        from repro.protocol import Operation
 
         target = next(
             f
             for f in workload.policy.filters()
-            if checker.index.pairs_for_object(f.uid)
+            if controller.build_index().pairs_for_object(f.uid)
         )
         tenant = workload.policy.tenant_of(target.uid).name
         changed = Filter(
@@ -234,15 +233,18 @@ class TestTracedRefresh:
             entries=target.entries + (FilterEntry(protocol="tcp", port=47000),),
         )
         controller.modify_object(tenant, changed, detail="trace test")
-        checker.note_policy_change(target.uid, ObjectType.FILTER, Operation.MODIFY)
+        checker.note_policy_change(target.uid, ObjectType.FILTER)
         collector.clear()
         with collector.activate():
             refreshed = checker.refresh()
         assert refreshed
         by_name = {recorded.name: recorded for recorded in collector.spans()}
         assert "delta.refresh" in by_name
-        # The policy change dirties dependent pairs; switches become dirty
-        # only after those pairs recompile, so assert on pairs + checks.
-        assert by_name["delta.recompile_pairs"].attrs["pairs"] >= 1
+        # The refresh's one compile request says what it cost the controller:
+        # a payload-only edit derives the index and re-renders its pairs.
+        compiled = by_name["delta.compile"].counters
+        assert compiled["patches"] == 1 and compiled["rebuilds"] == 0
+        assert compiled["pairs_recompiled"] >= 1
+        assert compiled["switches_reassembled"] >= 1
         refresh_span = by_name["delta.refresh"]
         assert refresh_span.counters.get("switch_checks", 0) >= 1

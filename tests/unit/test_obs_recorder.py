@@ -122,7 +122,7 @@ class TestFailureTriggers:
             semantic_fingerprint=lambda: "deadbeef",
             switches_with_violations=lambda: [],
         )
-        driver.system.check = lambda **kwargs: fake
+        driver._full_check = lambda: fake
         recorder = FlightRecorder()
         with recording(recorder):
             with pytest.raises(ChurnDivergenceError):

@@ -9,7 +9,6 @@ from repro.controller.compiler import (
 from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
 from repro.policy.objects import Filter, FilterEntry, ObjectType
-from repro.protocol import Operation
 from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker, RuleSpace
 
@@ -114,7 +113,7 @@ class TestSwitchEvents:
         assert delta.digest_for(leaf).logical - delta.digest_for(leaf).deployed == dropped
         # Same verdict, rules and order as a from-scratch check of that leaf.
         fresh = EquivalenceChecker().check_switch(
-            leaf, delta.logical_rules_for(leaf), tcam.rules()
+            leaf, controller.logical_rules()[leaf], tcam.rules()
         )
         assert result == fresh
 
@@ -135,7 +134,7 @@ class TestSwitchEvents:
         )
         three_tier.controller.modify_object("webshop", widened, detail="port 2000")
         three_tier.controller.deploy()
-        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.MODIFY)
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
         with pytest.raises(VerificationError, match="port value 2000"):
             delta.refresh()
 
@@ -181,8 +180,6 @@ class TestPolicyBlastRadius:
         assert delta.refresh() == {}
 
     def test_filter_modify_takes_the_index_patch_fast_path(self, three_tier):
-        from repro.protocol import Operation
-
         delta = checker_for(three_tier)
         filter_uid = three_tier.uids["filter_extra_0"]
         flt = Filter(
@@ -191,23 +188,25 @@ class TestPolicyBlastRadius:
             entries=(FilterEntry(protocol="tcp", port=700), FilterEntry(protocol="tcp", port=702)),
         )
         three_tier.controller.modify_object("webshop", flt, detail="widen filter")
-        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.MODIFY)
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
         refreshed = delta.refresh()
         # Same blast radius and verdict as the rebuild path ...
         assert set(refreshed) == {"leaf-2", "leaf-3"}
         assert all(not result.equivalent for result in refreshed.values())
-        # ... but the index was patched in place, not rebuilt.
+        # ... but the controller derived its index from the held one (what
+        # this checker's compile request cost it), it did not re-index.
         assert delta.index_patches == 1
         assert delta.index_rebuilds == 0
+        assert three_tier.controller.compile_stats()["patches"] == 1
         # The new logical rules picked up the widened filter.
         ports = {
-            rule.port for rule in delta.logical_rules_for("leaf-3") if rule.filter_uid == filter_uid
+            rule.port
+            for rule in three_tier.controller.logical_rules()["leaf-3"]
+            if rule.filter_uid == filter_uid
         }
         assert 702 in ports
 
     def test_add_operation_falls_back_to_rebuild(self, three_tier):
-        from repro.protocol import Operation
-
         delta = checker_for(three_tier)
         flt = Filter(
             uid="filter:webshop/new-port",
@@ -215,7 +214,7 @@ class TestPolicyBlastRadius:
             entries=(FilterEntry(protocol="tcp", port=900),),
         )
         three_tier.controller.add_object("webshop", flt, detail="brand new filter")
-        delta.note_policy_change(flt.uid, ObjectType.FILTER, Operation.ADD)
+        delta.note_policy_change(flt.uid, ObjectType.FILTER)
         delta.refresh()
         assert delta.index_rebuilds == 1
         assert delta.index_patches == 0

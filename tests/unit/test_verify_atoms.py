@@ -6,7 +6,6 @@ from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
 from repro.parallel.memo import WORKER_CACHE, CompiledStateCache, reset_worker_cache
 from repro.policy.objects import Filter, FilterEntry, ObjectType
-from repro.protocol import Operation
 from repro.rules import TcamRule
 from repro.verify import AtomTable, EquivalenceChecker, RuleSpace
 
@@ -164,7 +163,7 @@ class TestIncrementalAtomPatching:
             entries=(FilterEntry(protocol="tcp", port=900),),
         )
         three_tier.controller.add_object("webshop", flt, detail="brand new filter")
-        delta.note_policy_change(flt.uid, ObjectType.FILTER, Operation.ADD)
+        delta.note_policy_change(flt.uid, ObjectType.FILTER)
         # No contract references the new filter yet: nothing to re-check,
         # nothing observed, the table is untouched.
         assert delta.refresh() == {}
@@ -182,7 +181,7 @@ class TestIncrementalAtomPatching:
             ),
         )
         three_tier.controller.modify_object("webshop", widened, detail="widen filter")
-        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.MODIFY)
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
         refreshed = delta.refresh()
         assert set(refreshed) == {"leaf-2", "leaf-3"}
         assert delta.checker.atoms is table
@@ -202,7 +201,7 @@ class TestIncrementalAtomPatching:
             ),
         )
         three_tier.controller.modify_object("webshop", flt, detail="add port 701")
-        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.MODIFY)
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
         delta.refresh()
         version_after_modify = table.version
         assert delta.checker.atoms is table
@@ -212,7 +211,7 @@ class TestIncrementalAtomPatching:
         three_tier.controller.delete_object(
             "webshop", tenant.filters[filter_uid], detail="drop filter"
         )
-        delta.note_policy_change(filter_uid, ObjectType.FILTER, Operation.DELETE)
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
         delta.refresh()
         assert delta.checker.atoms is table
         assert table.version == version_after_modify
