@@ -135,12 +135,9 @@ class ScoutLocalizer:
         """
         hit_set: dict[Hashable, Set[Hashable]] = {}
         for risk in risks:
-            dependents = model.elements_for_risk(risk)
-            if not dependents:
-                continue
-            failed = model.failed_elements_for_risk(risk)
-            if len(failed) == len(dependents):  # hit ratio == 1
-                gain = failed & unexplained
+            # |O_i| == |G_i| exactly: a ratio of two different counts is never 1.0.
+            if model.hit_ratio(risk) == 1.0:
+                gain = model.failed_elements_for_risk(risk) & unexplained
                 if gain:
                     hit_set[risk] = gain
         if not hit_set:

@@ -170,6 +170,10 @@ class ScoutSystem:
         #: Derived checkers for per-call ``engine=`` overrides, cached so a
         #: repeated override (a ``bdd`` cross-check audit) reuses its state.
         self._engine_checkers: Dict[str, EquivalenceChecker] = {}
+        #: Risk models :meth:`localize` asked for whose structure had to be
+        #: computed from the index / was already held by it.
+        self.risk_structures_built = 0
+        self.risk_structures_reused = 0
 
     def _checker_for(self, engine: Optional[str]) -> EquivalenceChecker:
         """The system checker, or a derived one pinned to ``engine``.
@@ -226,13 +230,17 @@ class ScoutSystem:
         The controller's compiled-policy counters
         (:meth:`Controller.compile_stats`) plus, summed over this system's
         checkers, how parallel sweeps split between key-set identity proofs
-        and switches dispatched to an engine.
+        and switches dispatched to an engine, plus how many of the risk
+        models :meth:`localize` built found their structure on the index
+        (``risk_structures_reused``) or had to compute it (``…_built``).
         """
         checkers = [self.checker, *self._engine_checkers.values()]
         return {
             **self.controller.compile_stats(),
             "identity_proofs": sum(checker.identity_proofs for checker in checkers),
             "dispatched": sum(checker.dispatched for checker in checkers),
+            "risk_structures_built": self.risk_structures_built,
+            "risk_structures_reused": self.risk_structures_reused,
         }
 
     # ------------------------------------------------------------------ #
@@ -388,6 +396,13 @@ class ScoutSystem:
                     risk_span.count("observations", len(missing_by_switch))
                     with span("scout.localize", scope=scope):
                         hypothesis = self.localizer.localize(model)
+                if risk_models:
+                    reused = sum(model.structure_reused for model in risk_models.values())
+                    self.risk_structures_reused += reused
+                    self.risk_structures_built += len(risk_models) - reused
+                    risk_span.set(
+                        "structure", "reused" if reused == len(risk_models) else "built"
+                    )
 
             correlation = None
             if correlate and hypothesis.objects():

@@ -16,6 +16,8 @@ from typing import Dict, List, Literal, Optional, Sequence
 from ..core.metrics import accuracy
 from ..faults.injector import FaultInjector
 from ..risk.augment import augment_controller_model, augment_switch_model
+from ..risk.controller_model import build_controller_risk_model
+from ..risk.switch_model import build_switch_risk_model
 from .common import DeployedWorkload, make_localizers, mean_and_stdev
 
 __all__ = ["AccuracyCell", "AccuracySweepResult", "run_accuracy_sweep", "format_accuracy_table"]
@@ -83,11 +85,6 @@ def run_accuracy_sweep(
     )
     rng = random.Random(seed)
 
-    base_controller_model = None
-    if scope == "controller":
-        base_controller_model = deployed.base_controller_model(include_switch_risks=False)
-    switch_model_cache: Dict[str, object] = {}
-
     # Per (algorithm, count) lists of precision/recall/f1 samples.
     samples: Dict[tuple, Dict[str, List[float]]] = {}
 
@@ -109,16 +106,16 @@ def run_accuracy_sweep(
                 if not faults:
                     continue
                 missing = deployed.missing_rules(switches=[switch_uid])
-                if switch_uid not in switch_model_cache:
-                    switch_model_cache[switch_uid] = deployed.base_switch_model(switch_uid)
-                model = switch_model_cache[switch_uid].copy()
+                model = build_switch_risk_model(deployed.index, switch_uid)
                 augment_switch_model(model, missing.get(switch_uid, []))
             else:
                 faults = injector.inject_random_faults(num_faults, strict=False)
                 if not faults:
                     continue
                 missing = deployed.missing_rules()
-                model = base_controller_model.copy()
+                model = build_controller_risk_model(
+                    deployed.policy, index=deployed.index, include_switch_risks=False
+                )
                 augment_controller_model(model, missing, include_switch_risks=False)
 
             ground_truth = injector.ground_truth()

@@ -24,9 +24,6 @@ from ..controller.controller import Controller
 from ..core.score import ScoreLocalizer
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..policy.graph import PolicyIndex
-from ..risk.controller_model import build_controller_risk_model
-from ..risk.model import RiskModel
-from ..risk.switch_model import build_switch_risk_model
 from ..rules import TcamRule
 from ..verify.checker import EquivalenceChecker
 from ..workloads.generator import GeneratedWorkload, generate_workload
@@ -68,16 +65,6 @@ class DeployedWorkload:
     def restore(self) -> None:
         """Reset every TCAM to the post-deployment snapshot."""
         restore_tcam(self.fabric, self.snapshot)
-
-    def base_controller_model(self, include_switch_risks: bool = False) -> RiskModel:
-        """The unaugmented controller risk model (copy before augmenting)."""
-        return build_controller_risk_model(
-            self.policy, index=self.index, include_switch_risks=include_switch_risks
-        )
-
-    def base_switch_model(self, switch_uid: str) -> RiskModel:
-        """The unaugmented switch risk model for one leaf."""
-        return build_switch_risk_model(self.index, switch_uid)
 
     def missing_rules(self, switches: Optional[Sequence[str]] = None) -> Dict[str, List[TcamRule]]:
         """Run the L-T check and return the per-switch missing rules."""

@@ -19,6 +19,7 @@ from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
 from ..risk.augment import augment_controller_model
+from ..risk.controller_model import build_controller_risk_model
 from .common import DeployedWorkload, prepare_workload
 from ..workloads.profiles import WorkloadProfile, simulation_profile, testbed_profile
 
@@ -80,7 +81,6 @@ def run_suspect_reduction(
             change_log=controller.change_log, window=change_window, fallback_latest=False
         )
     )
-    base_model = deployed.base_controller_model(include_switch_risks=False)
     result = Figure7Result(setting=setting, bins=bins)
 
     probe_injector = FaultInjector(controller, rng=rng)
@@ -99,7 +99,9 @@ def run_suspect_reduction(
         except Exception:
             continue
         missing = deployed.missing_rules(switches=fault.switches)
-        model = base_model.copy()
+        model = build_controller_risk_model(
+            deployed.policy, index=deployed.index, include_switch_risks=False
+        )
         augment_controller_model(model, missing, include_switch_risks=False)
         hypothesis = localizer.localize(model)
         suspects = model.suspect_risks()

@@ -20,6 +20,7 @@ compiled rules are non-overlapping exact matches plus the implicit deny).
 from __future__ import annotations
 
 import enum
+from operator import is_
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import random
@@ -61,6 +62,8 @@ class TcamTable:
         self.capacity = capacity
         self.evict_on_overflow = evict_on_overflow
         self._entries: Dict[MatchKey, TcamRule] = {}
+        #: What :meth:`rule_sequence` last handed out.
+        self._snapshot: Optional[RuleSequence] = None
         self._listeners: List[TcamListener] = []
         # Counters exposed for tests and the experiments.
         self.install_attempts = 0
@@ -106,9 +109,21 @@ class TcamTable:
         """:meth:`rules` as an immutable sequence carrying :meth:`match_keys`.
 
         The table is keyed by match key, so the sequence's key set is read
-        off it instead of being recomputed rule by rule.
+        off it instead of being recomputed rule by rule.  The sequence last
+        handed out is returned again for as long as the table holds the very
+        same rule objects in the same order — compared on every call, so no
+        write has to announce itself; rules are immutable and keyed by their
+        own match key, so that is the same content.  A table nobody wrote
+        to, or one rewritten with what it held, costs that one pass.
         """
-        return RuleSequence.keyed(self._entries)
+        held, entries = self._snapshot, self._entries
+        if (
+            held is None
+            or len(held) != len(entries)
+            or not all(map(is_, held, entries.values()))
+        ):
+            held = self._snapshot = RuleSequence.keyed(entries)
+        return held
 
     def utilization(self) -> float:
         """Fraction of capacity in use (0.0 when capacity is unlimited)."""

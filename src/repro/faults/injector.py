@@ -68,7 +68,16 @@ class FaultInjector:
         targets = switches if switches is not None else self.fabric.leaf_uids()
         for switch_uid in targets:
             for rule in self.fabric.switch(switch_uid).deployed_rules():
-                deployed_objects.update(rule.objects())
+                deployed_objects.update(
+                    (
+                        rule.vrf_uid,
+                        rule.src_epg_uid,
+                        rule.dst_epg_uid,
+                        rule.contract_uid,
+                        rule.filter_uid,
+                    )
+                )
+        deployed_objects.discard("")
         wanted = {object_type.value for object_type in object_types}
         selected = [
             uid

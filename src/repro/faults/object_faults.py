@@ -30,7 +30,7 @@ def rules_for_object(
     found: Dict[str, List[TcamRule]] = {}
     for switch_uid in targets:
         switch = fabric.switch(switch_uid)
-        matching = [rule for rule in switch.deployed_rules() if object_uid in rule.objects()]
+        matching = [rule for rule in switch.deployed_rules() if rule.references(object_uid)]
         if matching:
             found[switch_uid] = matching
     return found

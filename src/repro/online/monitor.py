@@ -559,8 +559,9 @@ class NetworkMonitor:
     ) -> Hypothesis:
         """Scoped SCOUT: one switch risk model under ``index`` (the one the
         verdict was checked against), augmented with its misses."""
-        with span("monitor.localize", switch=switch_uid):
+        with span("monitor.localize", switch=switch_uid) as localize_span:
             model = build_switch_risk_model(index, switch_uid)
+            localize_span.set("structure", "reused" if model.structure_reused else "built")
             augment_switch_model(model, result.missing_rules)
             return self.localizer.localize(model)
 

@@ -130,20 +130,16 @@ def plan_shards(
     if not uids:
         return ShardPlan(shards=(), weights=())
 
-    def weight_of(uid: str) -> int:
-        return max(1, int(weights.get(uid, 1))) if weights else 1
-
-    # LPT: heaviest switches first, each onto the lightest shard so far.
-    ordered = sorted(uids, key=lambda uid: (-weight_of(uid), uid))
+    weight = {uid: max(1, int(weights.get(uid, 1))) if weights else 1 for uid in uids}
+    # LPT: heaviest switches first (the sort is stable over the sorted uids,
+    # so ties break on the uid), each onto the lightest shard so far.
     heap = [(0, shard) for shard in range(num_shards)]
-    heapq.heapify(heap)
     assignment: Dict[int, list] = {shard: [] for shard in range(num_shards)}
-    loads: Dict[int, int] = {shard: 0 for shard in range(num_shards)}
-    for uid in ordered:
-        load, shard = heapq.heappop(heap)
+    for uid in sorted(uids, key=weight.__getitem__, reverse=True):
+        load, shard = heap[0]
         assignment[shard].append(uid)
-        loads[shard] = load + weight_of(uid)
-        heapq.heappush(heap, (loads[shard], shard))
+        heapq.heapreplace(heap, (load + weight[uid], shard))
+    loads = {shard: load for load, shard in heap}
     return ShardPlan(
         shards=tuple(tuple(sorted(assignment[shard])) for shard in range(num_shards)),
         weights=tuple(loads[shard] for shard in range(num_shards)),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -84,6 +84,9 @@ class PolicyIndex:
         self._epg_switches: Dict[str, List[str]] = {}
         self._switch_pairs: Dict[str, List[EpgPair]] = defaultdict(list)
         self._pair_switches: Dict[EpgPair, List[str]] = {}
+        #: What :meth:`risk_structure` holds.  A function of the maps above,
+        #: so an index derived by :meth:`with_payload` shares it with them.
+        self._risk_structures: Dict[Hashable, object] = {}
 
         self._build()
 
@@ -202,6 +205,25 @@ class PolicyIndex:
         derived._vrfs = {vrf.uid: vrf for vrf in vrfs}
         derived._filters = {flt.uid: flt for flt in filters}
         return derived
+
+    def risk_structure(self, key: Hashable, build: Callable[[], object]) -> Tuple[object, bool]:
+        """The value held under ``key`` — ``build()`` the first time — and
+        whether it was already there.
+
+        The slot the risk-model builders keep their element ↔ risk structure
+        in (:func:`repro.risk.model.cached_model`): which pair relies on what
+        and where it is placed is fixed for the life of the dependency maps,
+        so the structure is valid exactly as long as they are — a payload
+        edit derives an index that shares both, a structural edit re-indexes
+        and starts empty.  ``build`` must return something nobody edits
+        afterwards; it is stored by one assignment, so two threads asking at
+        once both get a complete value (one of them builds in vain).
+        """
+        held = self._risk_structures.get(key)
+        if held is not None:
+            return held, True
+        held = self._risk_structures[key] = build()
+        return held, False
 
     # ------------------------------------------------------------------ #
     # Lookup API

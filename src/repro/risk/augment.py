@@ -126,7 +126,9 @@ def augment_controller_model_sharded(
     flips: Dict[int, int] = {}
     for batch_no, shard_uids in enumerate(plan.group(missing_by_switch)):
         subset = {
-            uid: missing_by_switch[uid] for uid in shard_uids if uid in missing_by_switch
+            uid: missing_by_switch[uid]
+            for uid in shard_uids
+            if uid in missing_by_switch
         }
         flips[batch_no] = augment_controller_model(
             model, subset, include_switch_risks=include_switch_risks

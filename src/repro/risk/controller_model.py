@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair
 from ..policy.tenant import NetworkPolicy
-from .model import RiskModel
+from .model import RiskModel, cached_model
 
 __all__ = ["ControllerElement", "build_controller_risk_model"]
 
@@ -35,14 +35,22 @@ def build_controller_risk_model(
     include_switch_risks: bool = True,
     name: str = "controller-risk-model",
 ) -> RiskModel:
-    """Build the (unaugmented) network-wide controller risk model."""
+    """The (unaugmented) network-wide controller risk model.
+
+    The caller's own to augment, prune or extend; its structure is computed
+    once per ``index`` (see :func:`~repro.risk.model.cached_model`).
+    """
     index = index or PolicyIndex(policy)
-    model = RiskModel(name=name)
-    for switch_uid in index.all_switches():
-        for pair in index.pairs_on_switch(switch_uid):
-            risks = list(index.risks_for_pair(pair))
-            if include_switch_risks:
-                risks.append(switch_uid)
-            if risks:
-                model.add_element((switch_uid, pair), risks)
-    return model
+
+    def build() -> RiskModel:
+        model = RiskModel()
+        for switch_uid in index.all_switches():
+            for pair in index.pairs_on_switch(switch_uid):
+                risks = list(index.risks_for_pair(pair))
+                if include_switch_risks:
+                    risks.append(switch_uid)
+                if risks:
+                    model.add_element((switch_uid, pair), risks)
+        return model
+
+    return cached_model(index, ("controller", include_switch_risks), build, name)

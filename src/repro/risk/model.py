@@ -21,17 +21,26 @@ whether an element is an :class:`~repro.policy.objects.EpgPair` or a
 the implementation.  All failure state is kept in per-element and per-risk
 indexes so hit/coverage ratio queries stay cheap on production-scale models
 (tens of thousands of elements).
+
+A model is two layers.  The *structure* — which element relies on which
+risk — depends only on the policy, so the builders compute it once per
+:class:`~repro.policy.graph.PolicyIndex` and every model of that policy
+reads the same two maps (:func:`cached_model`).  What one audit adds — failed
+edges, pruned elements — lives in the model itself, as an overlay every query
+reads through.  Nothing edits a structure more than one model can see:
+:meth:`RiskModel.add_element` takes a private copy first, so whatever is done
+to one model, no other model notices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from ..exceptions import RiskModelError
 
-__all__ = ["EdgeStatus", "RiskModel"]
+__all__ = ["EdgeStatus", "RiskModel", "cached_model"]
 
 ElementKey = Hashable
 RiskKey = Hashable
@@ -49,11 +58,20 @@ class RiskModel:
 
     def __init__(self, name: str = "risk-model") -> None:
         self.name = name
+        #: True when a builder handed this model out over a structure its
+        #: index already held (see :func:`cached_model`).
+        self.structure_reused = False
+        # Structure.  Written only while no other model can see it.
         self._element_risks: Dict[ElementKey, Set[RiskKey]] = {}
         self._risk_elements: Dict[RiskKey, Set[ElementKey]] = {}
+        self._structure_shared = False
         # Failure state, indexed from both sides for O(1) ratio queries.
         self._failed_risks_by_element: Dict[ElementKey, Set[RiskKey]] = {}
         self._failed_elements_by_risk: Dict[RiskKey, Set[ElementKey]] = {}
+        # Pruning: the removed elements and, per risk, how many of its
+        # dependents they are.  Always a subset of the structure's elements.
+        self._pruned: Set[ElementKey] = set()
+        self._pruned_dependents: Dict[RiskKey, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -62,18 +80,43 @@ class RiskModel:
         """Register an element and the shared risks it relies on."""
         risk_set = set(risks)
         if not risk_set:
-            raise RiskModelError(f"element {element!r} must depend on at least one risk")
+            raise RiskModelError(
+                f"element {element!r} must depend on at least one risk"
+            )
+        self._own_structure()
         existing = self._element_risks.setdefault(element, set())
         existing.update(risk_set)
         for risk in risk_set:
             self._risk_elements.setdefault(risk, set()).add(element)
 
+    def _own_structure(self) -> None:
+        """Before an edit: make the structure this model's alone and exactly
+        its live part (what pruning removed really goes)."""
+        if not (self._structure_shared or self._pruned):
+            return
+        pruned = self._pruned
+        self._element_risks = {
+            element: set(risks)
+            for element, risks in self._element_risks.items()
+            if element not in pruned
+        }
+        self._risk_elements = {
+            risk: live
+            for risk, dependents in self._risk_elements.items()
+            if (live := dependents - pruned)
+        }
+        self._structure_shared = False
+        self._pruned = set()
+        self._pruned_dependents = {}
+
     def mark_edge_failed(self, element: ElementKey, risk: RiskKey) -> None:
         """Flag the (element, risk) edge as fail; the element becomes an observation."""
-        if element not in self._element_risks:
+        if element not in self:
             raise RiskModelError(f"unknown element {element!r}")
         if risk not in self._element_risks[element]:
-            raise RiskModelError(f"element {element!r} does not depend on risk {risk!r}")
+            raise RiskModelError(
+                f"element {element!r} does not depend on risk {risk!r}"
+            )
         self._failed_risks_by_element.setdefault(element, set()).add(risk)
         self._failed_elements_by_risk.setdefault(risk, set()).add(element)
 
@@ -81,7 +124,7 @@ class RiskModel:
         self, element: ElementKey, risks: Optional[Iterable[RiskKey]] = None
     ) -> None:
         """Flag several of an element's edges as fail (all of them by default)."""
-        targets = set(risks) if risks is not None else set(self._element_risks.get(element, ()))
+        targets = set(risks) if risks is not None else self.risks_for_element(element)
         for risk in targets:
             self.mark_edge_failed(element, risk)
 
@@ -89,23 +132,42 @@ class RiskModel:
     # Structure queries
     # ------------------------------------------------------------------ #
     def elements(self) -> List[ElementKey]:
-        return list(self._element_risks)
+        if not self._pruned:
+            return list(self._element_risks)
+        return [
+            element for element in self._element_risks if element not in self._pruned
+        ]
 
     def risks(self) -> List[RiskKey]:
-        return list(self._risk_elements)
+        """Every risk at least one (un-pruned) element depends on."""
+        if not self._pruned:
+            return list(self._risk_elements)
+        pruned = self._pruned_dependents
+        return [
+            risk
+            for risk, dependents in self._risk_elements.items()
+            if len(dependents) > pruned.get(risk, 0)
+        ]
 
     def __contains__(self, element: ElementKey) -> bool:
-        return element in self._element_risks
+        return element in self._element_risks and element not in self._pruned
 
     def risks_for_element(self, element: ElementKey) -> Set[RiskKey]:
+        if element in self._pruned:
+            return set()
         return set(self._element_risks.get(element, ()))
 
     def elements_for_risk(self, risk: RiskKey) -> Set[ElementKey]:
         """``G_i`` — every element that depends on ``risk``."""
-        return set(self._risk_elements.get(risk, ()))
+        dependents = self._risk_elements.get(risk)
+        if dependents is None:
+            return set()
+        if risk in self._pruned_dependents:
+            return dependents - self._pruned
+        return set(dependents)
 
     def edge_status(self, element: ElementKey, risk: RiskKey) -> str:
-        if element not in self._element_risks or risk not in self._element_risks[element]:
+        if element not in self or risk not in self._element_risks[element]:
             raise RiskModelError(f"no edge between {element!r} and {risk!r}")
         failed = risk in self._failed_risks_by_element.get(element, ())
         return EdgeStatus.FAIL if failed else EdgeStatus.SUCCESS
@@ -115,7 +177,11 @@ class RiskModel:
     # ------------------------------------------------------------------ #
     def failure_signature(self) -> Set[ElementKey]:
         """``F`` — the set of observations (elements with at least one failed edge)."""
-        return {element for element, risks in self._failed_risks_by_element.items() if risks}
+        return {
+            element
+            for element, risks in self._failed_risks_by_element.items()
+            if risks
+        }
 
     def is_failed(self, element: ElementKey) -> bool:
         return bool(self._failed_risks_by_element.get(element))
@@ -140,17 +206,22 @@ class RiskModel:
     # ------------------------------------------------------------------ #
     def hit_ratio(self, risk: RiskKey) -> float:
         """``|O_i| / |G_i|`` — fraction of the risk's dependents that failed."""
-        dependents = self._risk_elements.get(risk)
+        dependents = len(self._risk_elements.get(risk, ()))
+        dependents -= self._pruned_dependents.get(risk, 0)
         if not dependents:
             return 0.0
         failed = self._failed_elements_by_risk.get(risk, ())
-        return len(failed) / len(dependents)
+        return len(failed) / dependents
 
     def coverage_ratio(
         self, risk: RiskKey, failure_signature: Optional[Set[ElementKey]] = None
     ) -> float:
         """``|O_i| / |F|`` — fraction of the failure signature the risk explains."""
-        signature = failure_signature if failure_signature is not None else self.failure_signature()
+        signature = (
+            failure_signature
+            if failure_signature is not None
+            else self.failure_signature()
+        )
         if not signature:
             return 0.0
         failed = self._failed_elements_by_risk.get(risk, set()) & signature
@@ -164,20 +235,18 @@ class RiskModel:
 
         SCOUT prunes every element that depends on a risk it has just added
         to the hypothesis, so the next iteration's hit and coverage ratios
-        are computed on the reduced model (Algorithm 1, line 16).
+        are computed on the reduced model (Algorithm 1, line 16).  The
+        structure is left alone: the removal is recorded beside it, at the
+        cost of the pruned elements' edges.
         """
         removed = 0
         for element in list(elements):
-            risks = self._element_risks.pop(element, None)
-            if risks is None:
+            if element not in self:
                 continue
             removed += 1
-            for risk in risks:
-                dependents = self._risk_elements.get(risk)
-                if dependents is not None:
-                    dependents.discard(element)
-                    if not dependents:
-                        del self._risk_elements[risk]
+            self._pruned.add(element)
+            for risk in self._element_risks[element]:
+                self._pruned_dependents[risk] = self._pruned_dependents.get(risk, 0) + 1
             failed_risks = self._failed_risks_by_element.pop(element, set())
             for risk in failed_risks:
                 failed_set = self._failed_elements_by_risk.get(risk)
@@ -188,16 +257,26 @@ class RiskModel:
         return removed
 
     def copy(self) -> "RiskModel":
-        """Deep-enough copy for algorithms that prune while iterating."""
+        """An independent model over the same structure.
+
+        Costs what the overlay holds (failed edges and pruned elements), not
+        what the fabric does: the structure is shared, and from here on
+        neither model edits it in place (see :meth:`add_element`).
+        """
         clone = RiskModel(name=self.name)
-        clone._element_risks = {el: set(risks) for el, risks in self._element_risks.items()}
-        clone._risk_elements = {risk: set(els) for risk, els in self._risk_elements.items()}
+        if not self._structure_shared:
+            self._structure_shared = True
+        clone._structure_shared = True
+        clone._element_risks = self._element_risks
+        clone._risk_elements = self._risk_elements
         clone._failed_risks_by_element = {
             el: set(risks) for el, risks in self._failed_risks_by_element.items()
         }
         clone._failed_elements_by_risk = {
             risk: set(els) for risk, els in self._failed_elements_by_risk.items()
         }
+        clone._pruned = set(self._pruned)
+        clone._pruned_dependents = dict(self._pruned_dependents)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -219,6 +298,8 @@ class RiskModel:
         """Export the model as a ``networkx`` bipartite graph (for inspection)."""
         graph = nx.Graph()
         for element, risks in self._element_risks.items():
+            if element in self._pruned:
+                continue
             graph.add_node(("element", element), bipartite=0)
             failed = self._failed_risks_by_element.get(element, set())
             for risk in risks:
@@ -229,16 +310,45 @@ class RiskModel:
 
     def summary(self) -> Dict[str, int]:
         return {
-            "elements": len(self._element_risks),
-            "risks": len(self._risk_elements),
-            "edges": sum(len(risks) for risks in self._element_risks.values()),
+            "elements": len(self._element_risks) - len(self._pruned),
+            "risks": len(self.risks()),
+            "edges": sum(
+                len(risks)
+                for element, risks in self._element_risks.items()
+                if element not in self._pruned
+            ),
             "failed_elements": len(self.failure_signature()),
-            "failed_edges": sum(len(risks) for risks in self._failed_risks_by_element.values()),
+            "failed_edges": sum(
+                len(risks) for risks in self._failed_risks_by_element.values()
+            ),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.summary()
         return (
-            f"RiskModel(name={self.name!r}, elements={s['elements']}, risks={s['risks']}, "
-            f"failed_elements={s['failed_elements']})"
+            f"RiskModel(name={self.name!r}, elements={s['elements']}, "
+            f"risks={s['risks']}, failed_elements={s['failed_elements']})"
         )
+
+
+def cached_model(
+    index, key: Hashable, build: Callable[[], RiskModel], name: str
+) -> RiskModel:
+    """A fresh model named ``name`` over the structure ``index`` holds under
+    ``key``, which ``build`` computes the first time it is asked for.
+
+    ``index`` is a :class:`~repro.policy.graph.PolicyIndex`; it keeps the
+    built model — never handed out, so never touched again — for as long as
+    it describes the policy, and callers get overlays on it.
+    """
+
+    def structure() -> RiskModel:
+        held = build()
+        held._structure_shared = True  # before anyone else can see it
+        return held
+
+    held, reused = index.risk_structure(key, structure)
+    model = held.copy()
+    model.name = name
+    model.structure_reused = reused
+    return model

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from ..policy.graph import PolicyIndex
 from ..policy.tenant import NetworkPolicy
-from .model import RiskModel
+from .model import RiskModel, cached_model
 
 __all__ = ["build_switch_risk_model", "build_all_switch_risk_models"]
 
@@ -28,14 +28,22 @@ def build_switch_risk_model(
     The left-hand side holds every EPG pair with at least one endpoint on the
     switch; each pair has an edge to every policy object it relies on.  All
     edges start as ``success``; :mod:`repro.risk.augment` flips edges to
-    ``fail`` from the equivalence checker's missing rules.
+    ``fail`` from the equivalence checker's missing rules.  The model is the
+    caller's own; its structure is computed once per ``index`` (see
+    :func:`~repro.risk.model.cached_model`).
     """
-    model = RiskModel(name=name or f"switch-risk-model:{switch_uid}")
-    for pair in index.pairs_on_switch(switch_uid):
-        risks = index.risks_for_pair(pair)
-        if risks:
-            model.add_element(pair, risks)
-    return model
+
+    def build() -> RiskModel:
+        model = RiskModel()
+        for pair in index.pairs_on_switch(switch_uid):
+            risks = index.risks_for_pair(pair)
+            if risks:
+                model.add_element(pair, risks)
+        return model
+
+    return cached_model(
+        index, ("switch", switch_uid), build, name or f"switch-risk-model:{switch_uid}"
+    )
 
 
 def build_all_switch_risk_models(

@@ -124,6 +124,17 @@ class TcamRule:
                 uids.append(uid)
         return uids
 
+    def references(self, uid: str) -> bool:
+        """``uid in self.objects()`` without building the list (an empty uid
+        names no object, so it never matches)."""
+        return bool(uid) and (
+            uid == self.vrf_uid
+            or uid == self.src_epg_uid
+            or uid == self.dst_epg_uid
+            or uid == self.contract_uid
+            or uid == self.filter_uid
+        )
+
     def describe(self) -> str:
         """Figure 2 style description, e.g. ``"VRF:101,Web,App,tcp/80 -> allow"``."""
         port = "any" if self.port is None else str(self.port)

@@ -7,7 +7,9 @@ edit (through the controller or behind its back) is seen by the very next
 call, an edit recompiles its own pairs and switches only (a filter- or
 VRF-payload edit without re-indexing), nothing the cache hands out can be
 used to change what the next caller gets, and the online monitor reads the
-same compile instead of keeping one of its own.
+same compile instead of keeping one of its own.  The risk models' structure
+rides on the index, so it lives by the same rule: reused while the index
+(or one derived from it) stands, recomputed after a re-index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.core import ScoutSystem
 from repro.obs import TraceCollector
 from repro.online import NetworkMonitor
 from repro.policy.graph import PolicyIndex
-from repro.policy.objects import FilterEntry
+from repro.policy.objects import Endpoint, FilterEntry
+from repro.risk import build_controller_risk_model, build_switch_risk_model
 from repro.rules import RuleSequence
 from repro.service import TestClient, service_for_profile
 from repro.verify import EquivalenceChecker
@@ -478,3 +481,184 @@ class TestConcurrentReaders:
             == readers * calls_per_reader + 3
         )
         assert spent["patches"] >= 1 and spent["rebuilds"] == 0
+
+
+def _degrade(controller, leaves=3):
+    """Drop one rule on each of the first ``leaves`` leaves; returns them."""
+    removed = {}
+    for leaf in sorted(controller.fabric.leaf_uids())[:leaves]:
+        tcam = controller.fabric.switch(leaf).tcam
+        removed[leaf] = tcam.remove(tcam.match_keys()[0])
+    return removed
+
+
+def _unattached_endpoint(controller, serial):
+    """A structural edit that moves no rule and no placement: one more
+    endpoint, on no switch, written straight into its tenant's table."""
+    epg = next(iter(controller.policy.epgs()))
+    tenant = controller.policy.tenant_of(epg.uid)
+    uid = f"ep:{tenant.name}/spare-{serial}"
+    tenant.endpoints[uid] = Endpoint(uid=uid, name=f"spare-{serial}", epg_uid=epg.uid)
+
+
+class TestRiskStructureRidesTheIndex:
+    def test_a_payload_edit_keeps_the_structure_and_a_structural_edit_drops_it(
+        self, controller
+    ):
+        policy = controller.policy
+        leaf = sorted(controller.fabric.leaf_uids())[0]
+        first = controller.build_index()
+        assert not build_controller_risk_model(policy, index=first).structure_reused
+        assert not build_switch_risk_model(first, leaf).structure_reused
+
+        tenant, target, edited = _shared_filter(controller)
+        controller.modify_object(tenant.name, edited)
+        derived = controller.build_index()
+        assert derived is not first and derived.filter(target.uid) is edited
+        assert build_controller_risk_model(policy, index=derived).structure_reused
+        assert build_switch_risk_model(derived, leaf).structure_reused
+        # ... in both directions: what a derived index builds, its source has.
+        other = sorted(controller.fabric.leaf_uids())[1]
+        assert not build_switch_risk_model(derived, other).structure_reused
+        assert build_switch_risk_model(first, other).structure_reused
+
+        _unattached_endpoint(controller, 0)
+        rebuilt = controller.build_index()
+        assert rebuilt is not derived
+        cold = build_controller_risk_model(policy, index=rebuilt)
+        assert not cold.structure_reused
+        assert cold.elements() == build_controller_risk_model(policy, index=first).elements()
+
+    def test_stats_and_spans_say_built_once_then_reused(self, controller):
+        _degrade(controller, leaves=2)
+        with ScoutSystem(controller) as system:
+            monitor = NetworkMonitor(controller)
+            monitor.start()
+            try:
+
+                def traced(run, name):
+                    collector = TraceCollector()
+                    with collector.activate():
+                        run()
+                    return [
+                        recorded.attrs["structure"]
+                        for recorded in collector.spans()
+                        if recorded.name == name
+                    ]
+
+                # The monitor's bootstrap localized both leaves already: a
+                # switch-scope audit finds their structures on the index.
+                assert traced(lambda: system.localize(scope="switch"), "scout.risk_model") == [
+                    "reused"
+                ]
+                assert traced(system.localize, "scout.risk_model") == ["built"]
+                before = system.stats()
+                assert traced(system.localize, "scout.risk_model") == ["reused"]
+                after = system.stats()
+                moved = {key for key in after if after[key] != before[key]}
+                assert moved <= {"reuses", "identity_proofs", "dispatched", "risk_structures_reused"}
+                assert after["risk_structures_reused"] - before["risk_structures_reused"] == 1
+                assert (after["risk_structures_built"], after["risk_structures_reused"]) == (1, 3)
+
+                # A re-index starts over, for the monitor and the audit alike.
+                _unattached_endpoint(controller, 0)
+                leaf, rule = next(iter(_degrade(controller, leaves=1).items()))
+                assert traced(lambda: monitor.poll(force=True), "monitor.localize") == ["built"]
+                controller.fabric.switch(leaf).tcam.install(rule)
+                controller.fabric.switch(leaf).tcam.remove(rule.match_key())
+                assert traced(lambda: monitor.poll(force=True), "monitor.localize") == ["reused"]
+                assert traced(lambda: system.localize(scope="switch"), "scout.risk_model") == [
+                    "built"  # the second degraded leaf is new to this index
+                ]
+            finally:
+                monitor.close()
+
+    def test_an_audit_and_a_poll_localizing_at_once_agree_with_the_serial_run(
+        self, controller
+    ):
+        """Structures are published by one assignment and never written
+        again: an audit thread and the monitor's poll racing to build them on
+        a fresh index each get complete ones, and nothing one of them marks
+        or prunes shows in the other's model."""
+        removed = _degrade(controller)
+        rounds = 6
+        with ScoutSystem(controller) as system:
+            monitor = NetworkMonitor(controller)
+            monitor.start()
+            try:
+                expected = {
+                    "controller": system.localize().hypothesis.to_dict(),
+                    "switch": {
+                        leaf: hypothesis.to_dict()
+                        for leaf, hypothesis in system.localize(scope="switch").per_switch.items()
+                    },
+                    "suspects": {
+                        leaf: monitor.store.active_for(leaf).suspects for leaf in removed
+                    },
+                }
+                assert all(expected["suspects"].values())
+                seen, failures = [], []
+
+                def guarded(run):
+                    def target():
+                        try:
+                            run()
+                        except BaseException as exc:  # noqa: BLE001 - reported below
+                            failures.append(exc)
+
+                    return threading.Thread(target=target)
+
+                def audit():
+                    report = system.localize(scope="switch")
+                    seen.append(
+                        (
+                            "switch",
+                            {leaf: hyp.to_dict() for leaf, hyp in report.per_switch.items()},
+                        )
+                    )
+                    seen.append(("controller", system.localize().hypothesis.to_dict()))
+
+                def poll():
+                    result = monitor.poll(force=True)
+                    assert sorted(result.switches_rechecked) == sorted(removed)
+                    seen.append(
+                        (
+                            "suspects",
+                            {leaf: monitor.store.active_for(leaf).suspects for leaf in removed},
+                        )
+                    )
+
+                built = system.stats()["risk_structures_built"]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for serial in range(rounds):
+                        # A new index — no structure yet — and every degraded
+                        # leaf dirty again, before either thread starts.
+                        _unattached_endpoint(controller, serial)
+                        for leaf, rule in removed.items():
+                            tcam = controller.fabric.switch(leaf).tcam
+                            tcam.install(rule)
+                            tcam.remove(rule.match_key())
+                        threads = [guarded(run) for run in (audit, poll)]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=60)
+                        assert not any(thread.is_alive() for thread in threads)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not failures
+                assert len(seen) == 3 * rounds
+                assert all(result == expected[kind] for kind, result in seen)
+                assert system.stats()["risk_structures_built"] - built >= rounds
+                # And none of those marks outlives its audit: repaired, the
+                # fabric reads clean on the structures all of them shared.
+                for leaf, rule in removed.items():
+                    controller.fabric.switch(leaf).tcam.install(rule)
+                healthy = system.localize()
+                assert healthy.consistent
+                assert not healthy.risk_models["controller"].failure_signature()
+                assert monitor.poll(force=True).resolved
+            finally:
+                monitor.close()

@@ -87,6 +87,53 @@ class TestTcamTable:
         tcam.remove(_rule(80).match_key())
         assert len(sequence) == 2 and len(sequence.key_set()) == 2
 
+    def test_rule_sequence_is_handed_out_again_only_for_the_very_same_content(self):
+        tcam = TcamTable()
+        rules = [_rule(port) for port in (80, 81, 82)]
+        for rule in rules:
+            tcam.install(rule)
+        held = tcam.rule_sequence()
+        assert tcam.rule_sequence() is held
+        # Rewritten with what it held (how a snapshot restore leaves it).
+        tcam.clear()
+        assert tcam.rule_sequence() == ()
+        for rule in rules:
+            tcam.install(rule)
+        assert list(tcam.rule_sequence()) == rules
+        assert tcam.rule_sequence() is tcam.rule_sequence()
+        # Same keys, another order or another rule object: a new snapshot.
+        held = tcam.rule_sequence()
+        tcam.remove(rules[0].match_key())
+        tcam.install(rules[0])
+        assert tcam.rule_sequence() is not held
+        assert list(tcam.rule_sequence().keys()) == tcam.match_keys()
+        held = tcam.rule_sequence()
+        refreshed = TcamRule(101, 1, 2, "tcp", 81, src_epg_uid="epg:other")
+        tcam.install(refreshed)  # already present: provenance refresh
+        assert tcam.rule_sequence() is not held
+        assert refreshed in tcam.rule_sequence() and refreshed not in held
+
+    def test_rule_sequence_follows_every_kind_of_write(self):
+        rng = random.Random(7)
+        tcam = TcamTable(capacity=12, evict_on_overflow=True)
+        for step in range(400):
+            kind = rng.choice(["install", "install", "remove", "remove_where", "corrupt", "clear"])
+            if kind == "install":
+                tcam.install(_rule(rng.randrange(20), src=rng.randrange(1, 3)))
+            elif kind == "remove" and len(tcam):
+                tcam.remove(rng.choice(tcam.match_keys()))
+            elif kind == "remove_where":
+                tcam.remove_where(lambda rule: rule.port % 5 == step % 5)
+            elif kind == "corrupt":
+                tcam.corrupt(rng, count=rng.randrange(3))
+            elif kind == "clear" and rng.random() < 0.2:
+                tcam.clear()
+            sequence = tcam.rule_sequence()
+            assert list(sequence) == tcam.rules()
+            assert list(sequence.keys()) == tcam.match_keys()
+            assert sequence.key_set() == frozenset(tcam.match_keys())
+            assert [rule.match_key() for rule in sequence] == tcam.match_keys()
+
     def test_corruption_changes_match_key(self):
         tcam = TcamTable()
         tcam.install(_rule(80))

@@ -30,6 +30,30 @@ class TestObjectFaults:
         assert set(found) == {"leaf-2", "leaf-3"}
         assert all(target in rule.objects() for rules in found.values() for rule in rules)
 
+    def test_the_provenance_scan_is_membership_in_objects(self, three_tier):
+        """The scan reads the five provenance fields directly; it must find
+        what ``uid in rule.objects()`` finds, in table order, and nothing
+        for the empty uid (un-set provenance names no object)."""
+        fabric = three_tier.fabric
+        for uid in [*sorted(three_tier.uids.values()), "filter:webshop/ghost", ""]:
+            expected = {}
+            for switch_uid in fabric.leaf_uids():
+                rules = fabric.switch(switch_uid).deployed_rules()
+                matching = [rule for rule in rules if uid in rule.objects()]
+                if matching:
+                    expected[switch_uid] = matching
+            assert rules_for_object(fabric, uid) == expected
+        assert rules_for_object(fabric, "") == {}
+        deployed = {
+            uid
+            for switch_uid in fabric.leaf_uids()
+            for rule in fabric.switch(switch_uid).deployed_rules()
+            for uid in rule.objects()
+        }
+        faultable = FaultInjector(three_tier.controller).faultable_objects()
+        assert faultable == sorted(faultable) and set(faultable) <= deployed
+        assert "" not in faultable
+
     def test_full_object_fault_removes_every_rule(self, three_tier):
         target = three_tier.uids["filter_extra_0"]
         before = three_tier.fabric.total_installed_rules()

@@ -28,6 +28,7 @@ from repro.risk.augment import (
     augment_controller_model,
     augment_controller_model_sharded,
 )
+from repro.risk.controller_model import build_controller_risk_model
 from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker
 from repro.workloads import simulation_profile
@@ -252,8 +253,9 @@ class TestScoutSystemParallel:
         deployed = faulty_simulation
         missing = deployed.missing_rules()
         plan = plan_shards(missing, 3)
-        global_model = deployed.base_controller_model(include_switch_risks=True)
-        sharded_model = deployed.base_controller_model(include_switch_risks=True)
+        policy, index = deployed.policy, deployed.index
+        global_model = build_controller_risk_model(policy, index=index)
+        sharded_model = build_controller_risk_model(policy, index=index)
         total = augment_controller_model(global_model, missing)
         per_shard = augment_controller_model_sharded(sharded_model, missing, plan)
         assert sum(per_shard.values()) == total

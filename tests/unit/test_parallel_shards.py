@@ -1,5 +1,8 @@
 """Unit tests for the shard planner and worker-count clamping."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.parallel import clamp_workers, plan_shards
@@ -55,6 +58,30 @@ class TestPlanShards:
         plan = plan_shards(weights, 3, weights=weights)
         border_shard = plan.shards[plan.shard_of("border")]
         assert border_shard == ("border",)
+
+    def test_plan_is_the_textbook_lpt_with_uid_and_shard_tie_breaks(self):
+        """Heaviest first (ties by uid), each onto the lightest shard so far
+        (ties by shard number), spelled out the slow way."""
+        rng = random.Random(3)
+        for _ in range(50):
+            uids = [f"leaf-{rng.randrange(40)}" for _ in range(rng.randrange(1, 30))]
+            weights = {uid: rng.choice([0, 1, 5, 5, 90]) for uid in uids[::2]}
+            shards = rng.randrange(1, 6)
+            distinct = sorted(set(uids))
+
+            def weight(uid):
+                return max(1, weights.get(uid, 1))
+
+            heap = [(0, shard) for shard in range(min(shards, len(distinct)))]
+            members = {shard: [] for _, shard in heap}
+            for uid in sorted(distinct, key=lambda uid: (-weight(uid), uid)):
+                load, shard = heapq.heappop(heap)
+                members[shard].append(uid)
+                heapq.heappush(heap, (load + weight(uid), shard))
+            by_shard = sorted(heap, key=lambda entry: entry[1])
+            plan = plan_shards(uids, shards, weights=weights)
+            assert plan.shards == tuple(tuple(sorted(members[s])) for s in members)
+            assert plan.weights == tuple(load for load, _ in by_shard)
 
     def test_more_shards_than_switches(self):
         plan = plan_shards(["a", "b"], 8)

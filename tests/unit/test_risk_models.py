@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import ScoutLocalizer, ScoutSystem
 from repro.exceptions import RiskModelError
+from repro.experiments import prepare_workload
+from repro.faults.injector import FaultInjector
 from repro.policy import EpgPair, PolicyIndex, three_tier_policy
 from repro.risk import (
     EdgeStatus,
@@ -14,6 +17,7 @@ from repro.risk import (
     build_switch_risk_model,
 )
 from repro.rules import TcamRule
+from repro.workloads import small_profile
 
 
 @pytest.fixture
@@ -182,3 +186,106 @@ class TestAugmentation:
         assert "leaf-2" in model.failed_risks_for_element(
             ("leaf-2", EpgPair(uids["web"], uids["app"]))
         )
+
+
+def _cold_controller_model(index, include_switch_risks=True):
+    """The controller risk model built element by element, sharing nothing."""
+    model = RiskModel("controller-risk-model")
+    for switch_uid in index.all_switches():
+        for pair in index.pairs_on_switch(switch_uid):
+            risks = list(index.risks_for_pair(pair))
+            if include_switch_risks:
+                risks.append(switch_uid)
+            model.add_element((switch_uid, pair), risks)
+    return model
+
+
+def _assert_identical(model, cold):
+    assert model.name == cold.name
+    assert model.elements() == cold.elements()
+    assert model.risks() == cold.risks()
+    assert model.summary() == cold.summary()
+    assert model.failed_edges() == cold.failed_edges()
+    for element in cold.elements():
+        assert model.risks_for_element(element) == cold.risks_for_element(element)
+    for risk in cold.risks():
+        assert model.elements_for_risk(risk) == cold.elements_for_risk(risk)
+        assert model.hit_ratio(risk) == cold.hit_ratio(risk)
+
+
+class TestSharedStructure:
+    """A builder's model is an overlay on a structure its index holds; no
+    use of one model may reach another model, the index, or the next audit."""
+
+    @pytest.fixture
+    def deployed(self):
+        return prepare_workload(small_profile())
+
+    def test_the_second_model_of_an_index_reuses_the_structure(self, deployed):
+        first = build_controller_risk_model(deployed.policy, index=deployed.index)
+        second = build_controller_risk_model(deployed.policy, index=deployed.index)
+        assert not first.structure_reused and second.structure_reused
+        # Another shape of model is another structure.
+        bare = build_controller_risk_model(
+            deployed.policy, index=deployed.index, include_switch_risks=False
+        )
+        assert not bare.structure_reused
+        assert set(bare.risks()) < set(first.risks())
+        leaf = deployed.index.all_switches()[0]
+        assert not build_switch_risk_model(deployed.index, leaf).structure_reused
+        assert build_switch_risk_model(deployed.index, leaf).structure_reused
+        # No index given: nothing to share with.
+        assert not build_controller_risk_model(deployed.policy).structure_reused
+        _assert_identical(second, _cold_controller_model(deployed.index))
+
+    def test_every_public_mutation_stays_in_the_model_it_was_made_on(self, deployed):
+        index = deployed.index
+        cold = _cold_controller_model(index)
+        used = build_controller_risk_model(deployed.policy, index=index)
+        bystander = build_controller_risk_model(deployed.policy, index=index)
+        elements = used.elements()
+        risk = sorted(used.risks_for_element(elements[0]))[0]
+
+        used.mark_edge_failed(elements[0], risk)
+        used.mark_element_failed(elements[1])
+        assert used.prune_elements(used.elements_for_risk(risk)) > 0
+        used.add_element(elements[0], ["risk:new"])  # was pruned: comes back bare
+        used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
+        assert used.risks_for_element(elements[0]) == {"risk:new"}
+        assert ("leaf-x", "pair-x") in used and ("leaf-x", "pair-x") not in bystander
+        # A clone of a handed-out model, edited, is as private as its source.
+        clone = bystander.copy()
+        clone.add_element(("leaf-y", "pair-y"), ["risk:other"])
+        clone.prune_elements(clone.elements()[:5])
+
+        _assert_identical(bystander, cold)
+        _assert_identical(build_controller_risk_model(deployed.policy, index=index), cold)
+
+    def test_scout_leaves_the_model_it_ran_on_unpruned(self, deployed):
+        controller = deployed.controller
+        FaultInjector(controller).inject_random_faults(3, seed=5, strict=False)
+        cold = _cold_controller_model(deployed.index)
+        with ScoutSystem(controller) as system:
+            report = system.localize()
+            assert report.hypothesis.objects()
+            model = report.risk_models["controller"]
+            assert model.failure_signature()
+            assert len(model.elements()) == len(cold.elements())
+            assert len(model.risks()) == len(cold.risks())
+            assert model.summary()["edges"] == cold.summary()["edges"]
+            # Nor does running SCOUT again on the reported model — or marking
+            # it up further — reach the next audit.
+            again = ScoutLocalizer(change_oracle=system.localizer.change_oracle).localize(model)
+            assert again.to_dict() == report.hypothesis.to_dict()
+            gamma, summary = report.suspect_reduction(), model.summary()
+            model.prune_elements(model.failure_signature())
+            model.add_element(("leaf-x", "pair-x"), ["risk:new"])
+            assert model.summary() != summary
+            following = system.localize()
+            assert following.hypothesis.to_dict() == report.hypothesis.to_dict()
+            assert following.suspect_reduction() == gamma
+            assert following.risk_models["controller"].summary() == summary
+            deployed.restore()
+            _assert_identical(
+                system.localize().risk_models["controller"], cold
+            )

@@ -34,6 +34,16 @@ class TestTcamRule:
                         dst_epg_uid="b", contract_uid="c", filter_uid="f")
         assert rule.objects() == ["v", "a", "b", "c", "f"]
 
+    def test_references_is_membership_in_objects(self):
+        full = TcamRule(101, 1, 2, "tcp", 80, vrf_uid="v", src_epg_uid="a",
+                        dst_epg_uid="b", contract_uid="c", filter_uid="f")
+        bare = TcamRule(101, 1, 2, "tcp", 80, vrf_uid="v")
+        for rule in (full, bare):
+            for uid in ("v", "a", "b", "c", "f", "ghost", ""):
+                assert rule.references(uid) == (uid in rule.objects())
+        # Provenance left empty is no object: the empty uid matches nothing.
+        assert not bare.references("")
+
     def test_epg_pair_from_provenance(self):
         rule = TcamRule(101, 1, 2, "tcp", 80, src_epg_uid="epg:t/a", dst_epg_uid="epg:t/b")
         assert rule.epg_pair() == EpgPair("epg:t/a", "epg:t/b")
