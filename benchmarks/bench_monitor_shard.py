@@ -9,11 +9,12 @@ The benchmark soaks both configurations over identical wipe/resync cycles
 on the simulation profile (10 leaves, ~63k bus events per cycle, so two
 cycles clear the 100k-event floor):
 
-* **single** — ``partitions=1``, no worker budget: the pre-partitioning
-  default, one inline checker;
+* **single** — ``partitions=1``, no ``max_workers``: the default, one
+  checker refreshed in the polling thread;
 * **partitioned** — ``partitions=4, max_workers=4``: four ownership
-  shards refreshed on concurrent threads; each shard's two or three
-  leaves are below ``SMALL_FABRIC_SWITCHES``, so their checks run inline.
+  shards refreshed on four concurrent threads, each checker re-checking
+  its two or three leaves in place on its own atom table (no shard plan,
+  no worker memo, no process: the online path has none).
 
 Reported per configuration: ``events_per_second`` over the whole soak
 (publication + polls), with ``speedup`` = partitioned / single.  The
@@ -26,8 +27,7 @@ With ``REPRO_BENCH_JSON`` set, results land in ``BENCH_monitor_shard.json``
 key).  ``speedup`` is recorded, not gated: while one leaf of ten was
 BDD-checked on every storm the partitioned run won ~2.5x; with every leaf
 on the atomic-predicate engine a refresh is too cheap to repay the thread
-fan-out, and the single checker is the faster one (~0.8x on 2 cores, with
-or without worker round trips).
+fan-out, and the single checker is the faster one (~0.8–0.9x on 2 cores).
 """
 
 from __future__ import annotations

@@ -196,25 +196,19 @@ class ChurnDriver:
         strict: bool = True,
         change_window: int = 100,
         fault_kinds: Tuple[str, ...] = ("full", "partial"),
-        max_workers: Optional[int] = None,
         partitions: int = 1,
     ) -> None:
         self.controller = controller
         self.profile = profile
         self.clock = controller.clock
         self.strict = strict
-        #: When set, checkpoint full checks run through the system's
-        #: persistent warm-worker pool — churn rounds are exactly where
-        #: worker memoization pays, since most switches are unchanged
-        #: between checkpoints.  ``None`` keeps the serial oracle.
-        self.max_workers = max_workers
         self.monitor = monitor or NetworkMonitor(
             controller, debounce_ticks=1, partitions=partitions
         )
         if not self.monitor.running:
             self.monitor.start()
-        #: Fresh-check side of the differential oracle: its checker and pool
-        #: (the L it checks is compiled from scratch, see :meth:`_full_check`).
+        #: Fresh-check side of the differential oracle: its checker (the L it
+        #: checks is compiled from scratch, see :meth:`_full_check`).
         self.system = ScoutSystem(controller, change_window=change_window)
         self.injector = FaultInjector(controller)
         #: Full/partial draw for FaultBurst events (campaign cells pass the
@@ -232,9 +226,9 @@ class ChurnDriver:
         self._last_full_report: Optional[EquivalenceReport] = None
 
     def close(self) -> None:
-        """Release both sides' worker pools (oracle system and monitor)."""
+        """Release the oracle system's worker pool, if a caller's parallel
+        sweep over :attr:`system` made one (the monitor stays attached)."""
         self.system.close()
-        self.monitor.release_workers()
 
     def __enter__(self) -> "ChurnDriver":
         return self
@@ -255,7 +249,6 @@ class ChurnDriver:
         strict: bool = True,
         change_window: int = 100,
         fault_kinds: Tuple[str, ...] = ("full", "partial"),
-        max_workers: Optional[int] = None,
         partitions: int = 1,
     ) -> "ChurnDriver":
         """Generate + deploy ``workload`` and wrap it in a churn driver.
@@ -278,7 +271,6 @@ class ChurnDriver:
             strict=strict,
             change_window=change_window,
             fault_kinds=fault_kinds,
-            max_workers=max_workers,
             partitions=partitions,
         )
 
@@ -651,15 +643,11 @@ class ChurnDriver:
     def _full_check(self) -> EquivalenceReport:
         """Every switch's T against the from-scratch compile of L — never the
         compiled policy the monitor reads, or the oracle would vouch for a
-        stale compile.  With ``max_workers`` set the sweep reuses the
-        system's warm pool across checkpoints; semantic fingerprints are
-        identical whatever executor (or cache state) ran the check.
+        stale compile.
         """
-        return self.system._sweep(
+        return self.system.checker.check_network(
             compile_logical_rules(self.controller.policy),
             self.controller.collect_deployed_rules(),
-            parallel=self.max_workers is not None,
-            max_workers=self.max_workers,
         )
 
     def checkpoint(self, seq: int = 0) -> CheckpointRecord:

@@ -283,37 +283,25 @@ class ScoutSystem:
                 logical = self.controller.logical_rules(index=index)
             with span("check.collect_deployed"):
                 deployed = self.controller.collect_deployed_rules()
-            report = self._sweep(
-                logical, deployed, parallel, max_workers, executor, checker
-            )
+            if parallel or executor is not None:
+                switches = [
+                    (uid, logical.get(uid, ()), deployed.get(uid, ()))
+                    for uid in sorted(set(logical) | set(deployed))
+                ]
+                if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
+                    # Large fabrics go through the persistent pool so the
+                    # workers' memo caches survive into the next round;
+                    # small ones run inline (no processes to keep warm).
+                    executor = self.worker_pool(max_workers)
+                report = checker.check_many(
+                    switches, executor=executor, max_workers=max_workers
+                )
+            else:
+                with span("check.network", switches=len(set(logical) | set(deployed))):
+                    report = checker.check_network(logical, deployed)
         if trace is not None:
             report.trace = trace
         return report
-
-    def _sweep(
-        self,
-        logical: Dict[str, Sequence[TcamRule]],
-        deployed: Dict[str, Sequence[TcamRule]],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-        executor=None,
-        checker: Optional[EquivalenceChecker] = None,
-    ) -> EquivalenceReport:
-        """:meth:`check` over rule maps the caller already holds."""
-        checker = checker or self.checker
-        if not parallel and executor is None:
-            with span("check.network", switches=len(set(logical) | set(deployed))):
-                return checker.check_network(logical, deployed)
-        switches = [
-            (uid, logical.get(uid, ()), deployed.get(uid, ()))
-            for uid in sorted(set(logical) | set(deployed))
-        ]
-        if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
-            # Large fabrics go through the persistent pool so the workers'
-            # memo caches survive into the next round; small ones run
-            # inline (no processes to keep warm).
-            executor = self.worker_pool(max_workers)
-        return checker.check_many(switches, executor=executor, max_workers=max_workers)
 
     # ------------------------------------------------------------------ #
     # Step 2: fault localization

@@ -31,7 +31,7 @@ from ..clock import LogicalClock
 from ..exceptions import FabricError
 from ..policy.objects import Contract, Epg, Filter, PolicyObject, Vrf
 from ..protocol import AttachEndpoint, Instruction, Operation
-from ..rules import TcamRule, rules_for_pair_entry
+from ..rules import MatchKey, TcamRule, rules_for_pair_entry
 from .faultlog import FaultCode, FaultLogBook
 from .tcam import InstallOutcome, TcamTable
 from .topology import SwitchRole
@@ -123,8 +123,9 @@ class SwitchAgent:
         """EPGs with at least one endpoint attached to this switch."""
         return set(self.local_attachments.values())
 
-    def desired_rules(self) -> List[TcamRule]:
-        """Render the local logical view into the rule set this switch needs.
+    def desired_rules(self) -> Dict[MatchKey, TcamRule]:
+        """Render the local logical view into the rule set this switch needs,
+        keyed by match key in rendering order (first provenance wins).
 
         For every contract in the view, every (provider, consumer) EPG pair
         in which at least one EPG is locally attached produces two rules per
@@ -146,8 +147,7 @@ class SwitchAgent:
             for contract_uid in epg.consumes:
                 consumers.setdefault(contract_uid, []).append(epg)
 
-        rules: list[TcamRule] = []
-        seen: set = set()
+        rules: Dict[MatchKey, TcamRule] = {}
         for contract_uid, contract in contracts.items():
             for provider in providers.get(contract_uid, ()):
                 for consumer in consumers.get(contract_uid, ()):
@@ -170,10 +170,7 @@ class SwitchAgent:
                             for rule in rules_for_pair_entry(
                                 vrf, consumer, provider, contract_uid, filter_uid, entry
                             ):
-                                key = rule.match_key()
-                                if key not in seen:
-                                    seen.add(key)
-                                    rules.append(rule)
+                                rules.setdefault(rule.match_key(), rule)
         return rules
 
 
@@ -235,7 +232,7 @@ class Switch:
         irreproducible across runs.  The campaign record/replay gate depends
         on this being a pure function of the instruction stream.
         """
-        desired = {rule.match_key(): rule for rule in self.agent.desired_rules()}
+        desired = self.agent.desired_rules()
         installed_keys = set(self.tcam.match_keys())
 
         removed = 0

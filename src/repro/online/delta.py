@@ -41,8 +41,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..obs import span
-from ..parallel.executor import SMALL_FABRIC_SWITCHES
-from ..parallel.pool import WarmWorkerPool
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
 from ..rules import MatchKey, RuleSequence, TcamRule
@@ -92,9 +90,6 @@ class IncrementalChecker:
         #: only for switches the predicate accepts.  ``None`` (the default)
         #: owns the whole fabric.
         self._owned = owned
-        #: Lazily created warm pool for large batched refreshes; kept across
-        #: refreshes so a churn storm's repeat offenders hit warm workers.
-        self.pool: Optional[WarmWorkerPool] = None
         #: The controller's compile as of the last refresh: its index knows
         #: the "before" half of a policy blast radius, its sequences are
         #: what the next compile's are compared with, by identity.
@@ -241,7 +236,6 @@ class IncrementalChecker:
     def refresh(
         self,
         switch_uids: Optional[Sequence[str]] = None,
-        max_workers: Optional[int] = None,
         compiled: Optional[CompiledRules] = None,
     ) -> Dict[str, SwitchCheckResult]:
         """Re-check the dirty switches (plus any explicitly named ones).
@@ -254,12 +248,10 @@ class IncrementalChecker:
         standalone caller leaves it out and the checker makes that request
         first.  Everything after that point is the same code.
 
-        Digest short-circuits always happen inline; only switches whose
-        fingerprints disagree reach an engine, and :meth:`_check_pending`
-        decides where that runs.  A multi-event burst (a deployment storm,
-        a rack losing power) can dirty a large slice of the fabric at once;
-        ``max_workers`` lets such a batch use this checker's warm pool.
-        Results are identical whichever route answers.
+        Every dirty switch is re-checked where it stands, however many a
+        burst (a deployment storm, a rack losing power) dirtied at once: the
+        identity proof first, and this checker's engine only for a switch
+        whose fingerprints disagree.
         """
         if self._compiled is None:
             return dict(self.bootstrap(compiled).results)
@@ -270,7 +262,6 @@ class IncrementalChecker:
         with span("delta.refresh", dirty=len(self._dirty)) as refresh_span:
             self._rebase(compiled or self.compile())
             refreshed: Dict[str, SwitchCheckResult] = {}
-            pending: List[Tuple[str, RuleSequence, RuleSequence]] = []
             switches = self.controller.fabric.switches
             for switch_uid in sorted(self._dirty):
                 switch = switches.get(switch_uid)
@@ -295,55 +286,16 @@ class IncrementalChecker:
                 )
                 if result is not None:
                     self.digest_short_circuits += 1
-                    refreshed[switch_uid] = self._results[switch_uid] = result
                 else:
-                    pending.append((switch_uid, logical, deployed))
-            if pending:
-                refreshed.update(self._check_pending(pending, max_workers))
+                    result = self.checker.check_switch(switch_uid, logical, deployed)
+                    self.switch_checks += 1
+                refreshed[switch_uid] = self._results[switch_uid] = result
             self._dirty.clear()
             refresh_span.count(
                 "digest_short_circuits", self.digest_short_circuits - digests_before
             )
             refresh_span.count("switch_checks", self.switch_checks - checks_before)
         return refreshed
-
-    def _check_pending(
-        self, pending: Sequence[tuple], max_workers: Optional[int]
-    ) -> Dict[str, SwitchCheckResult]:
-        """Run the engine over a refresh's digest-failing switches.
-
-        The one place that decides *where*: without a worker budget, this
-        checker's engine, switch by switch; with one, ``check_many`` — which
-        plans the shards itself (rule-count-weighted LPT, the planner the
-        full-fabric sweep uses) — inline below ``SMALL_FABRIC_SWITCHES``,
-        and on this checker's persistent
-        :class:`~repro.parallel.pool.WarmWorkerPool` at or above it, so
-        repeat offenders (a flapping switch re-dirtied every few events)
-        are answered from warm worker caches.
-        """
-        if max_workers is None or max_workers == 1:
-            results = {
-                switch_uid: self.checker.check_switch(switch_uid, logical, deployed)
-                for switch_uid, logical, deployed in pending
-            }
-        else:
-            executor = None
-            if len(pending) >= SMALL_FABRIC_SWITCHES:
-                if self.pool is None or self.pool.closed:
-                    self.pool = WarmWorkerPool(max_workers=max_workers)
-                executor = self.pool
-            results = self.checker.check_many(
-                pending, executor=executor, max_workers=max_workers
-            ).results
-        self.switch_checks += len(results)
-        self._results.update(results)
-        return dict(results)
-
-    def close(self) -> None:
-        """Release the batch worker pool (and its warm caches), if any."""
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
 
     # ------------------------------------------------------------------ #
     # State access

@@ -29,13 +29,12 @@ same code.  A :class:`~repro.online.partition.PartitionMap` (rule-count-
 weighted LPT, same planner as the parallel sweep) assigns every switch an
 owner, each of the ``partitions=N`` slots runs its own
 :class:`IncrementalChecker` scoped to its slice, and a poll refreshes the
-partitions (concurrently when ``max_workers`` allows) before merging their
-disjoint results into one deterministic, uid-sorted incident pass.  The
-monitor owns no worker pool: each checker decides where its digest-failing
-switches run (``IncrementalChecker._check_pending``) and keeps its own warm
-pool for batches big enough to pay for one.  Verdicts are partition-
-independent — each switch is judged from the same logical/deployed state
-whoever owns it — so any partition count is fingerprint-identical to one.
+partitions (on concurrent threads when ``max_workers`` allows) before
+merging their disjoint results into one deterministic, uid-sorted incident
+pass.  No poll spawns a process: each checker re-checks its dirty switches
+where it stands, on its own engine.  Verdicts are partition-independent —
+each switch is judged from the same logical/deployed state whoever owns it
+— so any partition count is fingerprint-identical to one.
 
 Snapshot / restore
 ------------------
@@ -67,7 +66,6 @@ from ..controller.controller import Controller
 from ..core.hypothesis import Hypothesis
 from ..obs import correlated, current_corr_id, span
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
-from ..parallel.pool import WarmWorkerPool
 from ..policy.graph import PolicyIndex
 from ..risk.augment import augment_switch_model
 from ..risk.switch_model import build_switch_risk_model
@@ -235,10 +233,8 @@ class NetworkMonitor:
             )
         )
         self.store = store or IncidentStore()
-        #: Worker budget for refresh passes.  ``None`` keeps every recheck
-        #: inline; a value lets partitions refresh on concurrent threads and
-        #: large blast radii use each checker's warm pool (small ones still
-        #: run inline via the small-fabric cutoff).
+        #: Threads that refresh partitions concurrently.  ``None`` (or one
+        #: partition) refreshes them in a plain loop.
         self.max_workers = max_workers
         self.debounce_ticks = debounce_ticks
         #: Upper bound on how long a pending batch may wait for the burst to
@@ -319,16 +315,9 @@ class NetworkMonitor:
         self.bus.unsubscribe(self._on_event)
 
     def close(self) -> None:
-        """Detach (if attached) and release every worker pool."""
-        if self.running:
-            self.stop()
-        self.release_workers()
-
-    def release_workers(self) -> None:
-        """Shut down every checker's warm pool; the monitor stays attached
-        and usable (pools are re-created lazily on the next need)."""
-        for checker in self.checkers:
-            checker.close()
+        """Detach, if attached (:meth:`stop` — a monitor holds nothing else
+        to release)."""
+        self.stop()
 
     # ------------------------------------------------------------------ #
     # Event intake
@@ -394,7 +383,7 @@ class NetworkMonitor:
         self._first_event_at = None
         self._poll_seq += 1
         # The correlated() wrapper opens before the span so the poll span and
-        # everything beneath it — localization, worker shards, the incident
+        # everything beneath it — the checks, localization, the incident
         # the pass may open — share one id: the caller's, when an HTTP
         # request triggered the poll, else a *deterministic* poll id (clock
         # time + poll sequence number, both snapshot-carried), so the corr
@@ -417,7 +406,7 @@ class NetworkMonitor:
                     compiled = self.checkers[0].compile()
                     refreshed = self._refresh_all(compiled)
                 except BaseException:
-                    # A failed refresh (broken worker pool, engine bug) must
+                    # A failed refresh (an engine bug, an invalid rule) must
                     # not lose the batch: put the events back in front of
                     # anything that arrived meanwhile and restore the
                     # debounce timestamps, so due() fires again and the next
@@ -438,9 +427,8 @@ class NetworkMonitor:
         """Refresh every partition against ``compiled`` and merge their
         disjoint result maps.
 
-        With a worker budget the partitions refresh on concurrent threads;
-        otherwise (or with one partition) they run in a plain loop.  Where
-        a partition's digest-failing switches run is the checker's call.
+        With ``max_workers`` the partitions refresh on concurrent threads;
+        otherwise (or with one partition) they run in a plain loop.
         If any partition fails (the plain loop stops there; threads have
         all run by then), switches the *successful* partitions re-checked
         are re-dirtied before the first error propagates, so the retry
@@ -448,17 +436,10 @@ class NetworkMonitor:
         as the recovered partition's — no incident transition is lost or
         split.
         """
-        budget = self.max_workers
-        if budget is not None and budget != 1:
-            # Each partition gets its share of the budget, floored at two —
-            # a warm pool needs two workers to leave inline mode (and to
-            # populate its memo caches).  Mild oversubscription is
-            # deliberate: memo hits keep most workers idle.
-            budget = max(2, budget // self.partitions)
 
         def run_partition(index: int, checker: IncrementalChecker):
             with span("monitor.partition", partition=index):
-                return checker.refresh(max_workers=budget, compiled=compiled)
+                return checker.refresh(compiled=compiled)
 
         attempts = [
             # copy_context() ships the ambient corr id and span down to a
@@ -487,11 +468,6 @@ class NetworkMonitor:
                 self._checker_for(switch_uid).note_switch_change(switch_uid)
             raise failures[0]
         return refreshed
-
-    def worker_pools(self) -> List[WarmWorkerPool]:
-        """Every live warm pool under the monitor — one per checker that
-        has needed one (health/metrics rollups read these)."""
-        return [checker.pool for checker in self.checkers if checker.pool is not None]
 
     def _apply_results(
         self,

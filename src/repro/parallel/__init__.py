@@ -16,10 +16,10 @@ The entry points most callers want live on the existing classes:
 * :meth:`repro.verify.checker.EquivalenceChecker.check_many` — the batch
   API over (uid, logical, deployed) triples;
 * :meth:`repro.core.system.ScoutSystem.check` with ``parallel=True`` —
-  the full-fabric sweep, sharded;
-* :meth:`repro.online.delta.IncrementalChecker.refresh` with
-  ``max_workers`` — multi-event blast radii batched through the same shard
-  planner, inline or on the checker's own pool by batch size.
+  the full-fabric sweep, sharded.
+
+This is the audit path's machinery only: the online monitor re-checks its
+dirty switches in place and never enters this package.
 """
 
 from .engine import (

@@ -197,8 +197,8 @@ def run_shard(task: ShardTask) -> ShardResult:
                 return rules
 
             resolved: List[CompiledOutcome] = []
-            # Inline shards can run on sibling monitor-partition threads; the
-            # cache and its atom tables take one writer at a time.
+            # Inline shards can run on sibling threads (the service's job
+            # threads); the cache and its atom tables take one writer at a time.
             with span("worker.check"), WORKER_CACHE.lock:
                 # The atom table outlives the shard: a warm worker patches
                 # atoms only for genuinely new protocol/port values.

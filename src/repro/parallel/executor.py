@@ -3,10 +3,8 @@
 There are two routes and the batch size picks between them: below
 :data:`SMALL_FABRIC_SWITCHES` (or whenever the caller passes no executor)
 :func:`~repro.parallel.engine.check_switches` runs the shards inline in the
-calling process; at or above it the two pool owners
-(:class:`~repro.core.system.ScoutSystem`,
-:class:`~repro.online.delta.IncrementalChecker` — for any number of monitor
-partitions) pass their persistent
+calling process; at or above it the one pool owner
+(:class:`~repro.core.system.ScoutSystem`) passes its persistent
 :class:`~repro.parallel.pool.WarmWorkerPool`, whose memo caches survive from
 round to round.
 """

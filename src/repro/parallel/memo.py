@@ -1,8 +1,8 @@
 """The worker-resident compiled-state cache behind the warm pool.
 
 A shard worker's dominant cost is re-checking rule sets it has already
-seen: across churn rounds, monitor refreshes and repeated audits the
-overwhelming majority of switches are byte-identical to the previous round.
+seen: across repeated audits the overwhelming majority of switches are
+byte-identical to the previous round.
 
 :class:`CompiledStateCache` memoizes the *outcome* of one switch check —
 equivalence verdict plus missing/extra match keys — keyed by digests of the
@@ -23,7 +23,8 @@ runs :func:`repro.parallel.engine.run_shard` — a long-lived pool worker
 under :class:`repro.parallel.pool.WarmWorkerPool`, or the parent itself
 when the shards run inline (which is how the warm path stays testable, and
 covered, on single-core machines).  The parent may run inline shards on
-several threads at once (a partitioned monitor's), so ``run_shard`` holds
+several threads at once (the service's job threads: an audit beside a
+campaign's parallel cells), so ``run_shard`` holds
 :attr:`CompiledStateCache.lock` while it touches the LRU or an atom table.
 """
 

@@ -27,10 +27,9 @@ single-core machines).
 The pool is executor-shaped (``map`` / ``shutdown`` / context manager) and
 always caller-owned: :func:`~repro.parallel.engine.check_switches` never
 shuts it down, and the owner decides when the warm state dies.  The
-library has two owners, each holding at most one pool as ``.pool``:
-:class:`~repro.core.system.ScoutSystem` and
-:class:`~repro.online.delta.IncrementalChecker` (the monitor owns none; it
-closes its checkers').  Benches build their own.
+library has one owner, holding at most one pool as ``.pool``:
+:class:`~repro.core.system.ScoutSystem` (the online monitor owns none and
+spawns nothing).  Benches build their own.
 """
 
 from __future__ import annotations

@@ -160,9 +160,11 @@ class RuleSequence(tuple):
     _keys: Optional[Tuple[MatchKey, ...]] = None
     _key_set: Optional[FrozenSet[MatchKey]] = None
     _by_triple: Optional[Dict[Tuple[int, int, int], List[MatchKey]]] = None
-    #: The last atom table that validated and folded in every key of this
-    #: sequence (set by the checker; an immutable sequence is vouched once).
-    observed_by: Optional[object] = None
+    #: Every atom table that validated and folded in every key of this
+    #: sequence (appended by its checker; an immutable sequence is vouched
+    #: once per table, and the checkers sharing one compiled L are a handful:
+    #: the audit system's, each monitor partition's).
+    observed_by: Tuple[object, ...] = ()
 
     @classmethod
     def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":

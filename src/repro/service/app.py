@@ -292,24 +292,16 @@ class ScoutService:
         self.controller = controller
         self.name = name
         self.system = system or ScoutSystem(controller)
-        # max_workers=2 routes monitor refreshes through the sharded engine
-        # (still inline below its small-fabric cutoff), so poll traces carry
-        # the adopted worker.* spans operators debug incidents with.
         # A restore snapshot replaces the bootstrap sweep entirely: the
         # monitor comes up already attached (``running``), so :meth:`start`
         # below leaves it alone and ``full_checks`` never moves.
         if monitor is None:
             if restore_snapshot is not None:
                 monitor = NetworkMonitor.from_snapshot(
-                    controller,
-                    restore_snapshot,
-                    partitions=partitions,
-                    max_workers=2,
+                    controller, restore_snapshot, partitions=partitions
                 )
             else:
-                monitor = NetworkMonitor(
-                    controller, max_workers=2, partitions=partitions or 1
-                )
+                monitor = NetworkMonitor(controller, partitions=partitions or 1)
         self.monitor = monitor
         self.store = self.monitor.store
         self.metrics = MetricsRegistry()
@@ -361,7 +353,7 @@ class ScoutService:
                 self._dump_incident_open(incident)
 
     def close(self) -> None:
-        """Stop the job workers, detach the monitor, release worker pools."""
+        """Stop the job workers, detach the monitor, release the audit pool."""
         for queue in self.queues.values():
             queue.shutdown()
         self.monitor.close()
@@ -553,20 +545,19 @@ class ScoutService:
         )
 
     def _pool_stats(self) -> Dict:
-        """Merged lifetime stats over every live warm pool (system + monitor)."""
-        merged = {"workers": 0, "rounds": 0, "respawns": 0, "hits": 0, "misses": 0}
-        pools = [self.system.pool]
-        pools.extend(self.monitor.worker_pools())
-        for pool in pools:
-            if pool is None or pool.closed:
-                continue
-            stats = pool.stats()
-            merged["workers"] += stats["workers"]
-            merged["rounds"] += stats["rounds"]
-            merged["respawns"] += stats["respawns"]
-            merged["hits"] += stats["cache_hits"]
-            merged["misses"] += stats["cache_misses"]
-        return merged
+        """Lifetime stats of the audit system's warm pool (the one pool the
+        service can own), zeros while none is live."""
+        pool = self.system.pool
+        if pool is None or pool.closed:
+            return {"workers": 0, "rounds": 0, "respawns": 0, "hits": 0, "misses": 0}
+        stats = pool.stats()
+        return {
+            "workers": stats["workers"],
+            "rounds": stats["rounds"],
+            "respawns": stats["respawns"],
+            "hits": stats["cache_hits"],
+            "misses": stats["cache_misses"],
+        }
 
     def _probe_monitor(self) -> ComponentHealth:
         pending = self.monitor.pending_events()

@@ -224,8 +224,8 @@ def _self_check(service: ScoutService) -> int:
             if entry.get("attrs", {}).get("corr_id") == corr
         }
         check(
-            "poll corr id spans monitor.poll and adopted worker.shard",
-            {"monitor.poll", "worker.shard"} <= correlated_names,
+            "poll corr id spans monitor.poll and its check.switch",
+            {"monitor.poll", "check.switch"} <= correlated_names,
             f"{len(correlated_names)} correlated span name(s)",
         )
         bus_events = [

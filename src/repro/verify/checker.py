@@ -472,9 +472,9 @@ class EquivalenceChecker:
     ) -> Tuple[FrozenSet[MatchKey], FrozenSet[MatchKey]]:
         """``(L - T, T - L)`` over match keys, both sides validated first."""
         table = self.atoms
-        if logical.observed_by is not table:
+        if table not in logical.observed_by:
             table.observe_keys(logical.keys())
-            logical.observed_by = table
+            logical.observed_by += (table,)
         l_keys, t_keys = logical.key_set(), deployed.key_set()
         t_only = t_keys - l_keys
         table.observe_keys(t_only)

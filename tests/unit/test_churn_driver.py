@@ -282,3 +282,11 @@ class TestRun:
         first = ChurnDriver.for_workload("small", events=30, seed=6).run()
         second = ChurnDriver.for_workload("small", events=30, seed=7).run()
         assert first.identity() != second.identity()
+
+    def test_close_releases_the_oracle_systems_pool_and_leaves_the_monitor(self):
+        with ChurnDriver.for_workload("small", events=10, seed=6) as driver:
+            pool = driver.system.worker_pool(max_workers=1)
+            assert driver.run().divergence_count == 0
+        assert pool.closed and driver.system.pool is None
+        assert driver.monitor.running
+        driver.monitor.close()

@@ -9,7 +9,6 @@ import pytest
 from repro.churn import ChurnDriver
 from repro.experiments import prepare_workload
 from repro.online import NetworkMonitor, PartitionMap
-from repro.parallel import WarmWorkerPool
 from repro.parallel.executor import SMALL_FABRIC_SWITCHES
 from repro.policy.objects import Filter, FilterEntry
 from repro.workloads import simulation_profile, three_tier_scenario
@@ -91,8 +90,7 @@ class TestPartitionedMonitor:
 
     def test_new_ports_on_both_partitions_in_one_poll_match_a_single_checker(self):
         # Both shards see a never-observed port in the same poll, on sibling
-        # threads, inline (3 leaves < SMALL_FABRIC_SWITCHES): the shared
-        # worker cache's atom table is patched from both.
+        # threads: each patches its own engine clone's atom table.
         def drift(**monitor_kwargs):
             scenario = three_tier_scenario()
             controller = scenario.controller
@@ -113,11 +111,7 @@ class TestPartitionedMonitor:
                 controller.clock.tick(2)
                 result = monitor.poll()
                 assert result.switches_rechecked == ["leaf-2", "leaf-3"]
-                return (
-                    monitor.store.to_jsonl(),
-                    monitor.report().fingerprint(),
-                    monitor.worker_pools(),
-                )
+                return monitor.store.to_jsonl(), monitor.report().fingerprint()
             finally:
                 monitor.close()
 
@@ -146,61 +140,56 @@ class TestPartitionedMonitor:
             sharded.close()
 
 
-class TestPoolOwnership:
-    """The checker, not the monitor, owns the warm pool — and only a batch
-    big enough to pay for one ever creates it, on every partition count."""
+class TestSpawnFree:
+    """No monitor poll spawns a process: every dirty switch is re-checked
+    where it stands, for any ``partitions`` / ``max_workers`` / batch size."""
 
     @staticmethod
-    def storm(controller):
-        """Every leaf loses one rule: ten digest-failing switches."""
-        for switch in controller.fabric.switches.values():
-            victim = switch.tcam.rules()[0]
-            assert switch.tcam.remove_where(lambda rule: rule == victim)
-        controller.clock.tick(2)
-
-    def test_small_partition_batches_run_inline(self):
+    def two_storms(lopsided=False, **monitor_kwargs):
+        """Two storms under one monitor — every leaf loses a rule, so all ten
+        fail their digest at once: everything the monitor produced, read
+        while it is still open."""
         controller = prepare_workload(simulation_profile()).controller
-        monitor = NetworkMonitor(controller, partitions=2, max_workers=2)
-        monitor.start()
-        try:
-            assert all(
-                len(monitor.partition_map.owned(index)) < SMALL_FABRIC_SWITCHES
-                for index in range(2)
+        if lopsided:
+            # One partition holds enough leaves for a batch that used to
+            # warrant a worker pool; the other stays far below that.
+            leaves = sorted(controller.fabric.switches)
+            monitor_kwargs["partition_map"] = PartitionMap(
+                [leaves[:SMALL_FABRIC_SWITCHES], leaves[SMALL_FABRIC_SWITCHES:]]
             )
-            self.storm(controller)
-            result = monitor.poll()
-            assert len(result.opened) == len(controller.fabric.switches)
-            assert monitor.worker_pools() == []
-            assert multiprocessing.active_children() == []
-        finally:
-            monitor.close()
-
-    def test_large_partition_batch_uses_the_owning_checkers_pool(self):
-        controller = prepare_workload(simulation_profile()).controller
-        leaves = sorted(controller.fabric.switches)
-        lopsided = PartitionMap(
-            [leaves[:SMALL_FABRIC_SWITCHES], leaves[SMALL_FABRIC_SWITCHES:]]
-        )
-        monitor = NetworkMonitor(controller, partition_map=lopsided, max_workers=2)
+        monitor = NetworkMonitor(controller, **monitor_kwargs)
         monitor.start()
         try:
-            big, small = monitor.checkers
-            self.storm(controller)
-            monitor.poll()
-            pool = big.pool
-            assert isinstance(pool, WarmWorkerPool) and not pool.closed
-            assert small.pool is None
-            assert monitor.worker_pools() == [pool]
-
-            self.storm(controller)
-            updated = monitor.poll()
-            assert len(updated.updated) == len(leaves)
-            assert big.pool is pool and pool.rounds == 2  # reused, not rebuilt
-
-            monitor.release_workers()
-            assert pool.closed and big.pool is None
-            assert monitor.worker_pools() == []
-            assert monitor.running  # still attached; pools come back lazily
+            for _ in range(2):
+                for switch in controller.fabric.switches.values():
+                    assert switch.tcam.remove(switch.tcam.match_keys()[0])
+                controller.clock.tick(2)
+                monitor.poll()
+            opened, updated = monitor.passes
+            assert len(opened.opened) == len(updated.updated) == len(
+                controller.fabric.switches
+            )
+            assert multiprocessing.active_children() == []
+            return (
+                [monitor_pass.to_dict() for monitor_pass in monitor.passes],
+                monitor.store.to_jsonl(),
+                monitor.report().fingerprint(),
+            )
         finally:
             monitor.close()
-        assert multiprocessing.active_children() == []
+
+    @pytest.fixture(scope="class")
+    def default_monitor_output(self):
+        return self.two_storms()
+
+    def test_small_partition_batches_run_inline(self, default_monitor_output):
+        assert self.two_storms(partitions=2, max_workers=2) == default_monitor_output
+
+    @pytest.mark.parametrize("max_workers", [None, 2, 4])
+    def test_large_partition_batches_spawn_nothing_and_match_the_default_monitor(
+        self, max_workers, default_monitor_output
+    ):
+        assert (
+            self.two_storms(lopsided=True, max_workers=max_workers)
+            == default_monitor_output
+        )

@@ -4,8 +4,8 @@ The pool's correctness story is that *nothing semantic* rides on worker
 lifetime: a crash mid-shard, a cache hit, a cache invalidation or a pool
 shutdown may change wall-clock, never the merged report's fingerprint.
 These tests pin each of those edges — crash/respawn/retry, digest-keyed
-invalidation, cold-vs-warm identity, and shutdown through every owner
-(`ScoutSystem.close`, `IncrementalChecker.close`, `ChurnDriver.close`).
+invalidation, cold-vs-warm identity, and shutdown through the one owner
+(`ScoutSystem.close`).
 
 The crash helpers are module-level functions (picklable by reference) that
 ``os._exit`` the worker process — the closest cheap stand-in for an OOM
@@ -16,11 +16,9 @@ import os
 
 import pytest
 
-from repro.churn import ChurnDriver
 from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
-from repro.online import IncrementalChecker
 from repro.parallel import BrokenWorkerPool, WarmWorkerPool
 from repro.parallel.engine import run_shard
 from repro.parallel.memo import WORKER_CACHE, reset_worker_cache
@@ -215,34 +213,6 @@ class TestOwnerLifecycles:
         assert system.worker_pool() is not pool
         assert second.fingerprint() == first.fingerprint()
         system.close()
-
-    def test_incremental_batch_uses_a_persistent_pool(self, faulty_simulation):
-        checker = IncrementalChecker(faulty_simulation.controller)
-        checker.bootstrap()
-        # Eight degraded switches: enough pending work to clear the
-        # small-fabric threshold, so the batch goes through the warm pool.
-        pending = [(f"leaf-{i}", [_rule(8000 + i)], []) for i in range(8)]
-        results = checker._check_pending(pending, 2)
-        assert isinstance(checker.pool, WarmWorkerPool)
-        assert all(not result.equivalent for result in results.values())
-        pool = checker.pool
-        again = checker._check_pending(pending, 2)
-        assert checker.pool is pool  # reused, not rebuilt
-        assert {uid: r.missing_rules for uid, r in again.items()} == {
-            uid: r.missing_rules for uid, r in results.items()
-        }
-        checker.close()
-        assert checker.pool is None
-
-    def test_churn_driver_warm_checkpoints_and_close(self):
-        driver = ChurnDriver.for_workload("small", events=30, seed=7, max_workers=2)
-        try:
-            report = driver.run()
-        finally:
-            driver.close()
-        assert report.divergence_count == 0
-        assert report.checkpoints, "stream should contain checkpoints"
-        assert driver.system.pool is None or driver.system.pool.closed
 
 
 def test_worker_cache_is_bounded():

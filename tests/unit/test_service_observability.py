@@ -76,16 +76,19 @@ class TestIncidentFlightRecord:
         assert bundle["incident_id"] == incident["incident_id"]
         assert bundle["context"]["switch"] == "leaf-2"
 
-        # The poll's span tree shares the request's id — including the
-        # worker spans the sharded refresh adopted across the engine.  (The
-        # http.request span itself is still open at dump time, so it cannot
-        # appear in its own bundle; its stamping is asserted via the tracer.)
+        # The poll's span tree shares the request's id — the in-place check
+        # of the degraded leaf included, and nothing of the sharded engine:
+        # the daemon runs the library-default monitor.  (The http.request
+        # span itself is still open at dump time, so it cannot appear in its
+        # own bundle; its stamping is asserted via the tracer.)
+        assert env.service.monitor.max_workers is None
         names = {
             entry["name"]
             for entry in bundle["spans"]
             if entry.get("attrs", {}).get("corr_id") == corr
         }
-        assert {"monitor.poll", "worker.shard"} <= names
+        assert {"monitor.poll", "check.switch"} <= names
+        assert not [n for n in names if n.startswith(("worker.", "parallel."))]
 
         # The change events that triggered the incident are in the ring.
         kinds = {entry["kind"] for entry in bundle["events"]}

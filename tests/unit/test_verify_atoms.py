@@ -6,7 +6,7 @@ from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
 from repro.parallel.memo import WORKER_CACHE, CompiledStateCache, reset_worker_cache
 from repro.policy.objects import Filter, FilterEntry, ObjectType
-from repro.rules import TcamRule
+from repro.rules import RuleSequence, TcamRule
 from repro.verify import AtomTable, EquivalenceChecker, RuleSpace
 
 
@@ -130,6 +130,39 @@ class TestApEngine:
         bdd = EquivalenceChecker(engine="bdd").check_network(logical, deployed)
         ap = EquivalenceChecker(engine="ap").check_network(logical, deployed)
         assert ap.semantic_fingerprint() == bdd.semantic_fingerprint()
+
+
+class TestSharedLogicalSequences:
+    """One compiled L sequence is read by several checkers (the audit
+    system's, each monitor partition's): each folds it in once."""
+
+    def test_alternating_checkers_fold_one_sequence_once_each(self):
+        logical = RuleSequence([_rule(80), _rule(443), _rule(None, protocol="udp")])
+        deployed = RuleSequence([_rule(80), _rule(443)])
+        checkers = [EquivalenceChecker(), EquivalenceChecker()]
+
+        def observations():
+            return [c.atoms.patches + c.atoms.noop_observations for c in checkers]
+
+        for checker in checkers:
+            assert not checker.check_switch("s", logical, deployed).equivalent
+        settled = observations()
+        for _ in range(3):
+            for checker in checkers:
+                assert not checker.check_switch("s", logical, deployed).equivalent
+            # The one observation a repeat check still makes is the per-call
+            # T - L validation; L is not folded in again by either side.
+            previous, settled = settled, observations()
+            assert settled == [count + 1 for count in previous]
+
+    def test_an_invalid_key_raises_from_every_checker_that_sees_the_sequence(self):
+        logical = RuleSequence([_rule(80), _rule(70000)])
+        deployed = RuleSequence([_rule(80)])
+        for checker in (EquivalenceChecker(), EquivalenceChecker()):
+            for _ in range(2):
+                with pytest.raises(VerificationError):
+                    checker.check_switch("s", logical, deployed)
+        assert not logical.observed_by  # nobody vouched for it
 
 
 class TestIncrementalAtomPatching:
