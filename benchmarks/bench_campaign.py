@@ -10,8 +10,7 @@ every fault class, records its trace, replays it, and measures:
 * **replay overhead** — replay wall-clock over record wall-clock.
 
 With ``REPRO_BENCH_JSON`` set, results land in ``BENCH_campaign.json``
-(validated by ``check_bench_json.py``).  Floors are skipped under
-``REPRO_BENCH_LAX`` like every other wall-clock gate.
+(validated by ``check_bench_json.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import time
 
 from repro.campaign import CampaignSpec, FaultSpec, record_campaign, replay_trace
 
-from conftest import emit_bench_json, full_scale, lax
+from conftest import emit_bench_json, full_scale
 
 #: Small-profile cells run in fractions of a second each; the floor only has
 #: to catch a pathological regression (e.g. a cell regenerating its workload
@@ -73,7 +72,6 @@ def test_campaign_record_and_replay(tmp_path):
         "cells_per_second": round(cells_per_second, 2),
         "replay_overhead": round(replay_overhead, 3),
         "fingerprint_chain": report.fingerprint_chain(),
-        "lax": lax(),
     }
     emitted = emit_bench_json("campaign", payload)
     print(
@@ -83,10 +81,9 @@ def test_campaign_record_and_replay(tmp_path):
     if emitted:
         print(f"wrote {emitted}")
 
-    if not lax():
-        assert cells_per_second >= CELLS_PER_SECOND_FLOOR, (
-            f"campaign throughput regressed: {cells_per_second:.2f} cells/s"
-        )
-        assert replay_overhead <= REPLAY_OVERHEAD_CEILING, (
-            f"replay-vs-record overhead regressed: {replay_overhead:.2f}x"
-        )
+    assert cells_per_second >= CELLS_PER_SECOND_FLOOR, (
+        f"campaign throughput regressed: {cells_per_second:.2f} cells/s"
+    )
+    assert replay_overhead <= REPLAY_OVERHEAD_CEILING, (
+        f"replay-vs-record overhead regressed: {replay_overhead:.2f}x"
+    )

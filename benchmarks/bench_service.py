@@ -12,8 +12,7 @@ query an operator tool makes.  This benchmark boots a service on the
   the sharded parallel engine, the service's slowest endpoint.
 
 With ``REPRO_BENCH_JSON`` set, results land in ``BENCH_service.json``
-(validated by ``check_bench_json.py``).  Floors are skipped under
-``REPRO_BENCH_LAX`` like every other wall-clock gate.
+(validated by ``check_bench_json.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 
 from repro.service import TestClient, service_for_profile
 
-from conftest import emit_bench_json, full_scale, lax
+from conftest import emit_bench_json, full_scale
 
 #: In-process dispatch comfortably clears thousands of requests per second;
 #: the floor only has to catch a pathological regression (e.g. an audit
@@ -90,7 +89,6 @@ def test_service_throughput_and_audit_latency():
         "requests_per_second": round(rps, 1),
         "audit_runs": audit_rounds,
         "audit_p50_ms": round(audit_p50 * 1000.0, 3),
-        "lax": lax(),
     }
     emitted = emit_bench_json("service", payload)
     print(
@@ -101,8 +99,7 @@ def test_service_throughput_and_audit_latency():
         print(f"wrote {emitted}")
 
     service.close()
-    if not lax():
-        assert rps >= RPS_FLOOR, f"dispatch throughput regressed: {rps:.0f} req/s"
-        assert audit_p50 <= AUDIT_P50_CEILING_SECONDS, (
-            f"sync audit p50 regressed: {audit_p50:.3f}s"
-        )
+    assert rps >= RPS_FLOOR, f"dispatch throughput regressed: {rps:.0f} req/s"
+    assert audit_p50 <= AUDIT_P50_CEILING_SECONDS, (
+        f"sync audit p50 regressed: {audit_p50:.3f}s"
+    )

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Sanity-check emitted ``BENCH_*.json`` files (used as a CI gate).
 
-``REPRO_BENCH_LAX=1`` keeps the wall-clock *floors* from failing noisy
-shared runners, but a benchmark whose emitter broke — missing file, empty
-payload, absent or non-positive gate metric — must fail the build even
-there.  Usage::
+A benchmark whose emitter broke — missing file, empty payload, absent or
+non-positive gate metric — must fail the build even when its own assertions
+passed.  Usage::
 
-    python check_bench_json.py BENCH_online.json BENCH_parallel.json BENCH_service.json
+    python check_bench_json.py BENCH_service.json BENCH_campaign.json BENCH_ap.json
 
 Exits non-zero (listing every problem) unless each file exists, parses as a
 JSON object, carries at least one *gate metric* (``speedup`` for the
-comparative benchmarks, ``requests_per_second`` for the service benchmark)
+engine benchmark, ``requests_per_second`` for the service benchmark)
 and every gate metric present is a finite number strictly greater than 0.
 Files whose names appear in ``EXPECTED_KEYS`` must additionally carry
 *their* gate metrics specifically — "some metric was present" is not enough
@@ -31,7 +30,6 @@ GATE_KEYS = (
     "requests_per_second",
     "audit_p50_ms",
     "cells_per_second",
-    "events_per_second",
     "overhead_ratio",
     "recorder_ratio",
     "rules_per_second",
@@ -41,19 +39,11 @@ GATE_KEYS = (
 #: dropped key must fail loudly here, not slide through because some other
 #: numeric key happened to satisfy the generic check above.
 EXPECTED_KEYS = {
-    "BENCH_online.json": ("speedup",),
-    "BENCH_parallel.json": ("speedup",),
     "BENCH_service.json": ("requests_per_second",),
     "BENCH_campaign.json": ("cells_per_second",),
-    "BENCH_churn.json": ("events_per_second",),
     "BENCH_trace_overhead.json": ("overhead_ratio", "recorder_ratio"),
     "BENCH_ap.json": ("rules_per_second",),
-    "BENCH_monitor_shard.json": ("events_per_second",),
 }
-
-#: A parallel benchmark that ships a stage attribution must have tiled most
-#: of the measured wall time, or the "dominant stage" claim is meaningless.
-ATTRIBUTION_COVERAGE_FLOOR = 0.9
 
 
 def check_file(path: Path) -> list:
@@ -81,27 +71,6 @@ def check_file(path: Path) -> list:
             problems.append(f"{path}: {key!r} is not a number: {value!r}")
         elif not math.isfinite(value) or value <= 0:
             problems.append(f"{path}: {key!r} must be finite and > 0, got {value}")
-    # An unenforced wall-clock floor passes silently in the test run; surface
-    # the measured ratio as a GitHub annotation so it lands in the job summary.
-    if payload.get("floor_enforced") is False and "speedup" in payload:
-        print(
-            f"::warning title={path.name} speedup floor not enforced::"
-            f"measured {payload['speedup']:.2f}x vs floor "
-            f"{payload.get('speedup_floor', '?')}x — a regression here does "
-            "not fail the build; check the attribution breakdown"
-        )
-    attribution = payload.get("attribution")
-    if attribution is not None:
-        coverage = (
-            attribution.get("coverage") if isinstance(attribution, dict) else None
-        )
-        if not isinstance(coverage, (int, float)) or isinstance(coverage, bool):
-            problems.append(f"{path}: attribution present but 'coverage' missing")
-        elif coverage < ATTRIBUTION_COVERAGE_FLOOR:
-            problems.append(
-                f"{path}: attribution covers only {coverage:.1%} of wall time "
-                f"(floor {ATTRIBUTION_COVERAGE_FLOOR:.0%})"
-            )
     return problems
 
 

@@ -57,9 +57,6 @@ class ControlChannel:
     def is_connected(self, switch_uid: str) -> bool:
         return switch_uid not in self._disconnected
 
-    def disconnected_switches(self) -> List[str]:
-        return sorted(self._disconnected)
-
     # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ from ..clock import LogicalClock
 from ..exceptions import FabricError, UnknownObjectError
 from ..policy.tenant import NetworkPolicy
 from ..rules import RuleSequence
-from .faultlog import FaultLogBook, FaultRecord
+from .faultlog import FaultRecord
 from .switch import Switch
 from .tcam import TcamTable
 from .topology import LeafSpineTopology, SwitchRole
@@ -128,12 +128,6 @@ class Fabric:
         for switch in self.switches.values():
             records.extend(switch.fault_log.records())
         return sorted(records, key=lambda record: (record.raised_at, record.device_uid))
-
-    def fault_book(self) -> FaultLogBook:
-        """A merged fault-log book (convenience for the correlation engine)."""
-        book = FaultLogBook()
-        book.extend(self.fault_records())
-        return book
 
     def summary(self) -> Dict[str, int]:
         topo = self.topology.summary()

@@ -11,8 +11,7 @@ Three subcommands:
   wall-clock decomposition (plan / pickle / worker spawn+IPC / in-worker
   BDD build / check / serialize / merge) with its coverage of measured
   wall time.  ``--json`` writes the same breakdown as machine-readable
-  JSON (the shape ``benchmarks/bench_parallel.py`` embeds in
-  ``BENCH_parallel.json``).
+  JSON.
 * ``flightrecord`` — pretty-print a dumped black-box bundle (from
   ``GET /incidents/{id}/flightrecord`` or the service logs): trigger,
   correlation id, the buffered span tree, and the events leading up to

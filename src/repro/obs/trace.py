@@ -42,7 +42,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -369,11 +368,3 @@ def traced(name: Optional[str] = None, **attrs: AttrValue) -> Callable:
         return wrapper
 
     return decorate
-
-
-def export_stack_spans() -> Tuple[Dict[str, Any], ...]:  # pragma: no cover
-    """Snapshot of the active collector's spans as plain dicts."""
-    collector = _ACTIVE.get()
-    if collector is None:
-        return ()
-    return tuple(recorded.to_dict() for recorded in collector.spans())

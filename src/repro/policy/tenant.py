@@ -89,13 +89,6 @@ class Tenant:
         self.endpoints[endpoint.uid] = endpoint
         return endpoint
 
-    def remove_filter(self, filter_uid: str) -> Filter:
-        """Remove a filter from the tenant (the contract references are untouched)."""
-        try:
-            return self.filters.pop(filter_uid)
-        except KeyError as exc:
-            raise UnknownObjectError(f"filter {filter_uid!r} not found") from exc
-
     def objects(self) -> Iterator[PolicyObject]:
         """Iterate over every policy object owned by the tenant."""
         yield from self.vrfs.values()
@@ -206,17 +199,6 @@ class NetworkPolicy:
         assert isinstance(epg_a, Epg) and isinstance(epg_b, Epg)
         shared = (epg_a.consumes & epg_b.provides) | (epg_b.consumes & epg_a.provides)
         return [self.get(uid) for uid in sorted(shared)]  # type: ignore[misc]
-
-    def filters_between(self, pair: EpgPair) -> List[Filter]:
-        """Filters applied to traffic between the two EPGs of ``pair``."""
-        filter_uids: list[str] = []
-        seen: set[str] = set()
-        for contract in self.contracts_between(pair):
-            for filter_uid in contract.filter_uids:
-                if filter_uid not in seen and filter_uid in self:
-                    seen.add(filter_uid)
-                    filter_uids.append(filter_uid)
-        return [self.get(uid) for uid in filter_uids]  # type: ignore[misc]
 
     def shared_risks_for_pair(self, pair: EpgPair) -> List[str]:
         """Uids of every policy object the pair relies on (§III).

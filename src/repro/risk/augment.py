@@ -28,7 +28,6 @@ __all__ = [
     "augment_switch_model",
     "augment_controller_model",
     "augment_controller_model_sharded",
-    "augment_switch_models",
 ]
 
 
@@ -59,18 +58,6 @@ def augment_switch_model(model: RiskModel, missing_rules: Iterable[TcamRule]) ->
                 model.mark_edge_failed(pair, uid)
                 flipped += 1
     return flipped
-
-
-def augment_switch_models(
-    models: Mapping[str, RiskModel],
-    missing_by_switch: Mapping[str, Sequence[TcamRule]],
-) -> Dict[str, int]:
-    """Augment a collection of per-switch models; returns flips per switch."""
-    return {
-        switch_uid: augment_switch_model(models[switch_uid], missing)
-        for switch_uid, missing in missing_by_switch.items()
-        if switch_uid in models
-    }
 
 
 def augment_controller_model(

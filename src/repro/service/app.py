@@ -464,7 +464,7 @@ class ScoutService:
         )
         gauge(
             "repro_monitor_passes_total",
-            lambda: float(len(self.monitor.passes)),
+            lambda: float(self.monitor.stats()["passes"]),
             help="Monitor processing passes executed.",
         )
         gauge(
@@ -575,7 +575,7 @@ class ScoutService:
             metrics={
                 "running": self.monitor.running,
                 "pending_events": pending,
-                "passes": len(self.monitor.passes),
+                "passes": self.monitor.stats()["passes"],
             },
         )
 

@@ -202,12 +202,6 @@ class MetricsRegistry:
                 return series.count if series is not None else 0
             return sum(series.count for series in by_label.values())
 
-    def gauge_value(self, name: str, labels: Optional[Dict[str, str]] = None) -> float:
-        """Evaluate one registered gauge now (raises KeyError when unknown)."""
-        with self._lock:
-            fn = self._gauges[name][_label_key(labels)]
-        return float(fn())
-
     # ------------------------------------------------------------------ #
     # Rendering
     # ------------------------------------------------------------------ #

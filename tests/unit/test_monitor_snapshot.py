@@ -691,3 +691,26 @@ class TestSnapshotRoute:
             assert reborn.monitor.report().semantic_fingerprint() == verdict
         finally:
             reborn.close()
+
+    def test_pass_count_continues_across_a_restart_on_every_surface(self, served):
+        scenario, service, client = served
+        for uid in ("leaf-2", "leaf-3"):
+            _wipe(scenario, uid)
+            scenario.controller.clock.tick(2)
+            assert client.post("/monitor/poll", json={}).json()["pass"] is not None
+        snap = client.post("/monitor/snapshot", json={}).json()["snapshot"]
+        assert snap["passes"] == 2
+        assert client.post("/monitor/stop", json={}).status == 200
+
+        reborn = ScoutService(
+            scenario.controller, sync_audits=True, restore_snapshot=snap
+        )
+        try:
+            restarted = TestClient(reborn)
+            status = restarted.get("/monitor/status").json()["stats"]
+            health = restarted.get("/health").json()["components"]["monitor"]
+            assert status["passes"] == health["metrics"]["passes"] == 2
+            metrics = restarted.get("/metrics").text.splitlines()
+            assert "repro_monitor_passes_total 2" in metrics
+        finally:
+            reborn.close()

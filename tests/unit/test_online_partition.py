@@ -185,6 +185,11 @@ class TestSpawnFree:
     def test_small_partition_batches_run_inline(self, default_monitor_output):
         assert self.two_storms(partitions=2, max_workers=2) == default_monitor_output
 
+    def test_four_threaded_partitions_match_the_default_monitor(
+        self, default_monitor_output
+    ):
+        assert self.two_storms(partitions=4, max_workers=4) == default_monitor_output
+
     @pytest.mark.parametrize("max_workers", [None, 2, 4])
     def test_large_partition_batches_spawn_nothing_and_match_the_default_monitor(
         self, max_workers, default_monitor_output
