@@ -8,8 +8,8 @@ query an operator tool makes.  This benchmark boots a service on the
 * **/incidents throughput** — repeated ``GET /incidents?status=open``
   through the in-process client (the exact dispatch path the WSGI daemon
   serves, minus socket I/O);
-* **sync audit latency** — ``POST /audits`` with inline execution through
-  the sharded parallel engine, the service's slowest endpoint.
+* **sync audit latency** — ``POST /audits`` with inline execution, the
+  service's slowest endpoint.
 
 With ``REPRO_BENCH_JSON`` set, results land in ``BENCH_service.json``
 (validated by ``check_bench_json.py``).
@@ -73,7 +73,7 @@ def test_service_throughput_and_audit_latency():
     latencies = []
     for _ in range(audit_rounds):
         start = time.perf_counter()
-        response = client.post("/audits", json={"parallel": True, "sync": True})
+        response = client.post("/audits", json={"sync": True})
         latencies.append(time.perf_counter() - start)
         assert response.status == 200
         assert response.json()["job"]["status"] == "done"
@@ -93,7 +93,7 @@ def test_service_throughput_and_audit_latency():
     emitted = emit_bench_json("service", payload)
     print(
         f"\nservice: {rps:,.0f} req/s over GET /incidents, "
-        f"sync parallel audit p50 {audit_p50 * 1000.0:.1f} ms"
+        f"sync audit p50 {audit_p50 * 1000.0:.1f} ms"
     )
     if emitted:
         print(f"wrote {emitted}")

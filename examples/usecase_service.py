@@ -9,7 +9,7 @@ a paging pipeline) would use:
    (monitor attached, audits executed synchronously for determinism);
 2. a TCAM glitch drops leaf-2's App-DB rules — ``POST /monitor/poll``
    processes the event burst and opens an incident with SCOUT suspects;
-3. ``POST /audits`` runs a full parallel audit whose fingerprint is asserted
+3. ``POST /audits`` runs a full audit whose fingerprint is asserted
    byte-identical to a direct ``ScoutSystem.check()``;
 4. the agent resyncs its TCAM — the next poll resolves the incident, and a
    second operator ack over the API answers 409 Conflict;
@@ -57,10 +57,8 @@ def main() -> None:
     listing = client.get("/incidents?status=open").json()["incidents"]
     assert len(listing) == 1
 
-    # -- Act 2: a full parallel audit over the API ---------------------- #
-    job = client.post(
-        "/audits", json={"parallel": True, "max_workers": 2}
-    ).json()["job"]
+    # -- Act 2: a full audit over the API ------------------------------- #
+    job = client.post("/audits", json={}).json()["job"]
     assert job["status"] == "done", job
     direct = service.system.check().fingerprint()
     assert job["result"]["fingerprint"] == direct, (

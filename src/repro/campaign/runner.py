@@ -3,8 +3,7 @@
 Each cell is run hermetically: a fresh workload is generated from the cell's
 profile and seed, deployed through a fresh controller, faulted according to
 the cell's fault class, checked through the requested verification engine
-(serial sweep, sharded parallel sweep, the event-driven incremental
-checker, or a serial sweep pinned to the atomic-predicate backend) and
+(serial sweep or the event-driven incremental checker) and
 localized with SCOUT; the hypothesis is scored against the
 injector's ground truth.  Everything observable about a cell — the
 equivalence-report fingerprint, the injected events, the localization output
@@ -47,11 +46,6 @@ __all__ = [
 #: not alias with the injected faults' records (matching the accuracy
 #: experiments' methodology).
 CHANGE_WINDOW = 50
-
-#: ``max_workers`` for cells running the sharded parallel engine.  Small
-#: fabrics fall back to the deterministic in-process path; either way the
-#: merged report is fingerprint-identical to a serial sweep.
-PARALLEL_WORKERS = 2
 
 
 @dataclass
@@ -268,8 +262,6 @@ def _check_with_engine(
         assert incremental is not None
         incremental.refresh(switch_uids=sorted(touched))
         return incremental.report()
-    if cell.engine == "parallel":
-        return system.check(parallel=True, max_workers=PARALLEL_WORKERS)
     return system.check()
 
 
@@ -283,9 +275,9 @@ def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
     derive from the cell's seed, so the whole run — every churn event record
     and every checkpoint fingerprint — is replay-comparable.  The cell's
     ``fingerprint`` is the *canonical* (engine-agnostic) form, because churn
-    cells exist to compare engines against each other: a serial sweep, a
-    sharded sweep and the monitor's incremental state must all agree on the
-    network's final verdict.  The driver runs strict, so a differential
+    cells exist to compare engines against each other: a serial sweep and
+    the monitor's incremental state must agree on the network's final
+    verdict.  The driver runs strict, so a differential
     divergence fails the cell loudly rather than recording bad behavior.
     """
     with span("campaign.deploy"):
@@ -305,8 +297,6 @@ def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
     with span("campaign.check", engine=cell.engine):
         if cell.engine == "incremental":
             report = driver.monitor.report()
-        elif cell.engine == "parallel":
-            report = system.check(parallel=True, max_workers=PARALLEL_WORKERS)
         else:
             report = system.check()
         canonical = report.canonical()

@@ -60,9 +60,9 @@ OBJECT_FAULT_CLASSES = ("object-fault", "multi-fault")
 #: simultaneous object faults; churn: number of churn-stream events).
 COUNTED_FAULT_CLASSES = ("multi-fault", "churn")
 #: Verification engine modes a cell can run under: *how* checks execute
-#: (one sweep, sharded workers, delta-driven refresh), not which checker
-#: engine proves a switch.
-ENGINE_MODES = ("serial", "parallel", "incremental")
+#: (one sweep, delta-driven refresh), not which checker engine proves a
+#: switch.
+ENGINE_MODES = ("serial", "incremental")
 #: Localization scopes (see :class:`~repro.core.system.ScoutSystem`).
 SCOPES = ("controller", "switch")
 

@@ -196,15 +196,12 @@ class ChurnDriver:
         strict: bool = True,
         change_window: int = 100,
         fault_kinds: Tuple[str, ...] = ("full", "partial"),
-        partitions: int = 1,
     ) -> None:
         self.controller = controller
         self.profile = profile
         self.clock = controller.clock
         self.strict = strict
-        self.monitor = monitor or NetworkMonitor(
-            controller, debounce_ticks=1, partitions=partitions
-        )
+        self.monitor = monitor or NetworkMonitor(controller, debounce_ticks=1)
         if not self.monitor.running:
             self.monitor.start()
         #: Fresh-check side of the differential oracle: its checker (the L it
@@ -249,7 +246,6 @@ class ChurnDriver:
         strict: bool = True,
         change_window: int = 100,
         fault_kinds: Tuple[str, ...] = ("full", "partial"),
-        partitions: int = 1,
     ) -> "ChurnDriver":
         """Generate + deploy ``workload`` and wrap it in a churn driver.
 
@@ -271,7 +267,6 @@ class ChurnDriver:
             strict=strict,
             change_window=change_window,
             fault_kinds=fault_kinds,
-            partitions=partitions,
         )
 
     def _attachment_map(self) -> Dict[str, Tuple[str, ...]]:
@@ -581,7 +576,6 @@ class ChurnDriver:
         agent = switch.agent
         agent.logical_view.clear()
         agent.local_attachments.clear()
-        agent.applied_instructions.clear()
         agent.state = AgentState.RUNNING
         agent.crash_after = None
         switch.fault_log.raise_fault(

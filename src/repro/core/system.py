@@ -25,7 +25,7 @@ from ..obs import TraceCollector, activated, span
 from ..parallel.engine import plan_for_report
 from ..parallel.executor import SMALL_FABRIC_SWITCHES
 from ..parallel.pool import WarmWorkerPool
-from ..parallel.shards import ShardPlan, clamp_workers
+from ..parallel.shards import clamp_workers
 from ..policy.graph import PolicyIndex
 from ..risk.augment import (
     augment_controller_model,
@@ -251,7 +251,6 @@ class ScoutSystem:
         index: Optional[PolicyIndex] = None,
         parallel: bool = False,
         max_workers: Optional[int] = None,
-        executor=None,
         trace: Optional[TraceCollector] = None,
         engine: Optional[str] = None,
     ) -> EquivalenceReport:
@@ -262,8 +261,8 @@ class ScoutSystem:
         ``"bdd"`` oracle cross-check); the derived checker shares the base
         checker's atom table.
 
-        With ``parallel=True`` (or an explicit ``executor``) the per-switch
-        checks run through the sharded engine — the system's persistent
+        With ``parallel=True`` the per-switch checks run through the
+        sharded engine — the system's persistent
         :class:`~repro.parallel.pool.WarmWorkerPool` of ``max_workers`` on
         large fabrics (workers and their memo caches survive across calls
         until :meth:`close`), inline in this process on small ones.  Leaves
@@ -283,12 +282,13 @@ class ScoutSystem:
                 logical = self.controller.logical_rules(index=index)
             with span("check.collect_deployed"):
                 deployed = self.controller.collect_deployed_rules()
-            if parallel or executor is not None:
+            if parallel:
                 switches = [
                     (uid, logical.get(uid, ()), deployed.get(uid, ()))
                     for uid in sorted(set(logical) | set(deployed))
                 ]
-                if executor is None and len(switches) >= SMALL_FABRIC_SWITCHES:
+                executor = None
+                if len(switches) >= SMALL_FABRIC_SWITCHES:
                     # Large fabrics go through the persistent pool so the
                     # workers' memo caches survive into the next round;
                     # small ones run inline (no processes to keep warm).
@@ -313,7 +313,6 @@ class ScoutSystem:
         correlate: bool = True,
         parallel: bool = False,
         max_workers: Optional[int] = None,
-        shard_plan: Optional[ShardPlan] = None,
         trace: Optional[TraceCollector] = None,
         engine: Optional[str] = None,
     ) -> ScoutReport:
@@ -325,8 +324,8 @@ class ScoutSystem:
 
         ``parallel=True`` shards the equivalence sweep across
         ``max_workers`` processes and applies the risk-model augmentation
-        shard batch by shard batch (along ``shard_plan``, or a plan derived
-        from the report): SCOUT itself consumes the merged observations
+        shard batch by shard batch (along a plan derived from the report):
+        SCOUT itself consumes the merged observations
         unchanged, so the hypothesis is identical to a serial run.
 
         ``trace`` activates the collector for the whole pipeline; it is
@@ -339,7 +338,8 @@ class ScoutSystem:
             equivalence = report or self.check(
                 index=index, parallel=parallel, max_workers=max_workers, engine=engine
             )
-            if shard_plan is None and parallel:
+            shard_plan = None
+            if parallel:
                 shard_plan = plan_for_report(
                     equivalence,
                     clamp_workers(max_workers, total_items=len(equivalence.results)),

@@ -60,8 +60,6 @@ class SwitchAgent:
         self.logical_view: Dict[str, PolicyObject] = {}
         #: Locally attached endpoints: endpoint uid -> EPG uid.
         self.local_attachments: Dict[str, str] = {}
-        #: Instructions applied so far (for inspection/testing).
-        self.applied_instructions: List[Instruction] = []
         #: If set, the agent crashes after applying this many more instructions.
         self.crash_after: Optional[int] = None
         #: Object uids a buggy agent silently drops from its logical view.
@@ -100,7 +98,6 @@ class SwitchAgent:
                 continue
             self._apply(instruction)
             applied += 1
-            self.applied_instructions.append(instruction)
             if self.crash_after is not None:
                 self.crash_after -= 1
         return applied, dropped

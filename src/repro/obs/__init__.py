@@ -38,7 +38,6 @@ from .report import (
     StageStat,
     attribution,
     format_attribution,
-    format_stage_breakdown,
     parallel_stage_breakdown,
 )
 from .trace import (
@@ -73,7 +72,6 @@ __all__ = [
     "dump_flightrecord",
     "format_attribution",
     "format_flightrecord",
-    "format_stage_breakdown",
     "install",
     "new_corr_id",
     "parallel_stage_breakdown",

@@ -1,17 +1,11 @@
 """``repro-trace``: run a traced workload and print an attribution report.
 
-Three subcommands:
+Two subcommands:
 
 * ``check`` — deploy a profile, run the SCOUT pipeline under a collector
   and print the stage → total/self time table.  ``--chrome``/``--jsonl``
   additionally export the raw trace for ``chrome://tracing`` / Perfetto or
   offline analysis.
-* ``parallel`` — the ROADMAP-item-1 measurement from the command line:
-  time a serial full check, then a traced parallel check, and print the
-  wall-clock decomposition (plan / pickle / worker spawn+IPC / in-worker
-  BDD build / check / serialize / merge) with its coverage of measured
-  wall time.  ``--json`` writes the same breakdown as machine-readable
-  JSON.
 * ``flightrecord`` — pretty-print a dumped black-box bundle (from
   ``GET /incidents/{id}/flightrecord`` or the service logs): trigger,
   correlation id, the buffered span tree, and the events leading up to
@@ -30,12 +24,7 @@ from ..workloads.profiles import profile_names
 from ..workloads.scenarios import deploy_profile
 from .export import write_chrome, write_jsonl
 from .recorder import format_flightrecord
-from .report import (
-    attribution,
-    format_attribution,
-    format_stage_breakdown,
-    parallel_stage_breakdown,
-)
+from .report import attribution, format_attribution
 from .trace import TraceCollector
 
 __all__ = ["main"]
@@ -56,9 +45,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     system = ScoutSystem(deploy_profile(args.profile, seed=args.seed))
     collector = TraceCollector()
     start = time.perf_counter()
-    report = system.localize(
-        parallel=args.parallel, max_workers=args.workers, trace=collector
-    )
+    report = system.localize(trace=collector)
     wall = time.perf_counter() - start
     spans = collector.spans()
     print(
@@ -76,42 +63,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "(open in chrome://tracing or https://ui.perfetto.dev)"
         )
     return 0
-
-
-def _cmd_parallel(args: argparse.Namespace) -> int:
-    system = ScoutSystem(deploy_profile(args.profile, seed=args.seed))
-
-    serial_start = time.perf_counter()
-    serial_report = system.check()
-    serial_wall = time.perf_counter() - serial_start
-
-    collector = TraceCollector()
-    parallel_start = time.perf_counter()
-    parallel_report = system.check(
-        parallel=True, max_workers=args.workers, trace=collector
-    )
-    parallel_wall = time.perf_counter() - parallel_start
-
-    identical = parallel_report.fingerprint() == serial_report.fingerprint()
-    breakdown = parallel_stage_breakdown(
-        collector.spans(), parallel_wall, args.workers
-    )
-    breakdown["serial_seconds"] = serial_wall
-    breakdown["speedup"] = serial_wall / parallel_wall if parallel_wall > 0 else 0.0
-    breakdown["reports_identical"] = identical
-
-    print(
-        f"[repro-trace] profile {args.profile!r}: serial {serial_wall:.3f}s, "
-        f"parallel {parallel_wall:.3f}s ({breakdown['speedup']:.2f}x), "
-        f"reports identical: {identical}"
-    )
-    print(format_stage_breakdown(breakdown))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(breakdown, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"[repro-trace] wrote breakdown to {args.json}")
-    return 0 if identical else 1
 
 
 def _cmd_flightrecord(args: argparse.Namespace) -> int:
@@ -138,24 +89,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check", help="trace the SCOUT pipeline and print stage attribution"
     )
     _add_profile_arguments(check)
-    check.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the equivalence sweep through the sharded parallel engine",
-    )
-    check.add_argument("--workers", type=int, default=None, help="parallel workers")
     check.add_argument("--chrome", default=None, help="write a Chrome trace JSON here")
     check.add_argument("--jsonl", default=None, help="write raw spans as JSONL here")
     check.set_defaults(func=_cmd_check)
-
-    par = commands.add_parser(
-        "parallel",
-        help="decompose one parallel check's wall time into named stages",
-    )
-    _add_profile_arguments(par)
-    par.add_argument("--workers", type=int, default=4, help="parallel workers")
-    par.add_argument("--json", default=None, help="write the breakdown JSON here")
-    par.set_defaults(func=_cmd_parallel)
 
     flight = commands.add_parser(
         "flightrecord",

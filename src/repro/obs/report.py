@@ -26,7 +26,6 @@ __all__ = [
     "StageStat",
     "attribution",
     "format_attribution",
-    "format_stage_breakdown",
     "parallel_stage_breakdown",
 ]
 
@@ -216,26 +215,3 @@ def parallel_stage_breakdown(
             "hit_rate": cache_hits / cache_total if cache_total else 0.0,
         },
     }
-
-
-def format_stage_breakdown(breakdown: Dict[str, Any]) -> str:
-    """Render a :func:`parallel_stage_breakdown` result as a text table."""
-    wall = breakdown["wall_seconds"]
-    stages: Dict[str, float] = breakdown["stages"]
-    name_width = max(len("stage"), max(len(name) for name in stages))
-    header = f"{'stage':<{name_width}}  {'seconds':>10}  {'% wall':>7}"
-    lines = [
-        f"parallel wall: {wall:.4f}s  workers: {breakdown['workers']}"
-        f" (used {breakdown['workers_used']}, {breakdown['shards']} shards)",
-        header,
-        "-" * len(header),
-    ]
-    for name, seconds in sorted(stages.items(), key=lambda item: -item[1]):
-        share = 100.0 * seconds / wall if wall > 0 else 0.0
-        lines.append(f"{name:<{name_width}}  {seconds:>10.4f}  {share:>6.1f}%")
-    lines.append(
-        f"accounted: {breakdown['accounted_seconds']:.4f}s"
-        f" ({100.0 * breakdown['coverage']:.1f}% of wall)"
-        f"  dominant: {breakdown['dominant_stage']}"
-    )
-    return "\n".join(lines)

@@ -195,6 +195,11 @@ class IncrementalChecker:
     def dirty_switches(self) -> Set[str]:
         return set(self._dirty)
 
+    def has_pending_work(self) -> bool:
+        """True while a refresh has something to re-check: dirty switches,
+        or policy changes whose blast radius is not resolved yet."""
+        return bool(self._dirty or self._pending_objects)
+
     def _owns(self, switch_uid: str) -> bool:
         return self._owned is None or self._owned(switch_uid)
 

@@ -344,15 +344,24 @@ class NetworkMonitor:
     def pending_events(self) -> int:
         return len(self._pending)
 
+    def _checker_dirt(self) -> bool:
+        """True while any checker holds dirty switches or unresolved policy
+        changes.  Dirt normally arrives with an event; a restore that finds
+        the policy moved leaves dirt no event announced, and the next poll —
+        not the next unrelated bus event — is what must re-check it."""
+        return any(checker.has_pending_work() for checker in self.checkers)
+
     def due(self, now: Optional[int] = None) -> bool:
         """True when the pending burst has settled for ``debounce_ticks``.
 
         A batch also comes due once its *oldest* event has waited
         ``max_wait_ticks``, so a steady event stream (which never settles)
-        cannot starve detection indefinitely.
+        cannot starve detection indefinitely.  With no event pending, dirt
+        a restore left on a checker is due at once: it has no burst to
+        wait out.
         """
         if not self._pending:
-            return False
+            return self._checker_dirt()
         if self._last_event_at is None:
             return True
         now = self.clock.peek() if now is None else now
@@ -370,9 +379,11 @@ class NetworkMonitor:
         """Process the pending event batch if it is due (or ``force`` is set).
 
         Returns the :class:`MonitorPass` describing what happened, or
-        ``None`` when there was nothing (ready) to do.
+        ``None`` when there was nothing (ready) to do: no pending event and
+        no checker holding dirt (a pass over dirt alone records
+        ``events=0``).
         """
-        if not self._pending:
+        if not self._pending and not self._checker_dirt():
             return None
         now = self.clock.peek()
         if not force and not self.due(now):

@@ -1,8 +1,7 @@
 """Operator service layer: the system's front door.
 
-The batch pipeline (:class:`~repro.core.system.ScoutSystem`), the online
-monitor (:mod:`repro.online`) and the sharded parallel engine
-(:mod:`repro.parallel`) become a long-running daemon here:
+The batch pipeline (:class:`~repro.core.system.ScoutSystem`) and the online
+monitor (:mod:`repro.online`) become a long-running daemon here:
 
 * :mod:`~repro.service.http` — dependency-free router, typed
   request/response, structured 400/404/409 errors;

@@ -2,7 +2,7 @@
 
 :class:`ScoutService` is the front door the ROADMAP's "serve heavy traffic"
 step calls for.  It owns one :class:`~repro.core.system.ScoutSystem` (batch
-audits through the sharded parallel engine), one
+audits), one
 :class:`~repro.online.monitor.NetworkMonitor` (continuous detection with the
 incident lifecycle) and one :class:`~repro.service.jobs.AuditQueue` per row
 of the job table (:data:`JOB_KINDS`), and exposes them as the JSON API that
@@ -11,13 +11,11 @@ and the live ``service.router.routes`` to the same set).
 
 Every request runs under a **correlation id** (honoring an inbound
 ``X-Repro-Corr-Id`` header, minting a ``req-...`` id otherwise) that is
-stamped on every span the request produces — including worker-process spans
-adopted across the pool boundary — on any incident the request's monitor
-poll opens, and on the ``X-Repro-Corr-Id`` response header.  A
+stamped on every span the request produces, on any incident the request's
+monitor poll opens, and on the ``X-Repro-Corr-Id`` response header.  A
 :class:`~repro.obs.recorder.FlightRecorder` rides along: bounded rings of
 recent spans/events/metric deltas, dumped as a black-box bundle whenever an
-incident opens, a warm worker respawns, a churn checkpoint diverges, or a
-handler 500s.
+incident opens, a churn checkpoint diverges, or a handler 500s.
 
 The service is transport-independent (see :mod:`.http`): the same instance
 serves unit tests through :class:`~repro.service.testing.TestClient` and
@@ -99,6 +97,16 @@ def _int_param(
     return value
 
 
+def _bool_param(body: Dict, key: str, default: Optional[bool] = None) -> Optional[bool]:
+    """``body[key]`` as a JSON boolean, nothing coerced; absent → ``default``."""
+    value = body.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise BadRequest(f"{key} must be a boolean, got {value!r}")
+    return value
+
+
 def _parse_audit(body: Dict) -> Dict:
     scope = body.get("scope", "controller")
     if scope not in ("controller", "switch"):
@@ -108,9 +116,7 @@ def _parse_audit(body: Dict) -> Dict:
         raise BadRequest(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     return {
         "scope": scope,
-        "parallel": bool(body.get("parallel", False)),
-        "max_workers": _int_param(body, "max_workers", minimum=1),
-        "correlate": bool(body.get("correlate", True)),
+        "correlate": _bool_param(body, "correlate", default=True),
         "engine": engine,
     }
 
@@ -224,7 +230,7 @@ JOB_KINDS = (
         route="/audits",
         prefix="AUD",
         sync=False,
-        fields=frozenset({"scope", "parallel", "max_workers", "correlate", "engine"}),
+        fields=frozenset({"scope", "correlate", "engine"}),
         parse=_parse_audit,
         run=_run_audit,
     ),
@@ -285,8 +291,6 @@ class ScoutService:
         monitor: Optional[NetworkMonitor] = None,
         system: Optional[ScoutSystem] = None,
         auto_start: bool = True,
-        tracing: bool = True,
-        partitions: Optional[int] = None,
         restore_snapshot: Optional[Dict] = None,
     ) -> None:
         self.controller = controller
@@ -294,14 +298,16 @@ class ScoutService:
         self.system = system or ScoutSystem(controller)
         # A restore snapshot replaces the bootstrap sweep entirely: the
         # monitor comes up already attached (``running``), so :meth:`start`
-        # below leaves it alone and ``full_checks`` never moves.
+        # below leaves it alone and ``full_checks`` never moves.  Whatever
+        # partition count wrote the snapshot, it restores into one (the
+        # rebalance path: per-switch verdicts are partition-independent).
         if monitor is None:
             if restore_snapshot is not None:
                 monitor = NetworkMonitor.from_snapshot(
-                    controller, restore_snapshot, partitions=partitions
+                    controller, restore_snapshot, partitions=1
                 )
             else:
-                monitor = NetworkMonitor(controller, partitions=partitions or 1)
+                monitor = NetworkMonitor(controller)
         self.monitor = monitor
         self.store = self.monitor.store
         self.metrics = MetricsRegistry()
@@ -309,7 +315,7 @@ class ScoutService:
         # every job runs under it, and each finished span feeds the
         # ``repro_stage_seconds`` summary so /metrics carries per-stage
         # latency quantiles even after the span buffer rolls over.
-        self.tracer = TraceCollector(enabled=tracing, max_spans=20_000)
+        self.tracer = TraceCollector(max_spans=20_000)
         self.tracer.add_sink(self._record_stage)
         # The flight recorder rides every request and job: spans via a
         # collector sink, metric deltas via the registry observer, bus
@@ -353,11 +359,10 @@ class ScoutService:
                 self._dump_incident_open(incident)
 
     def close(self) -> None:
-        """Stop the job workers, detach the monitor, release the audit pool."""
+        """Stop the job workers and detach the monitor."""
         for queue in self.queues.values():
             queue.shutdown()
         self.monitor.close()
-        self.system.close()
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -367,7 +372,7 @@ class ScoutService:
 
         An inbound ``X-Repro-Corr-Id`` header joins the caller's trail;
         otherwise a fresh ``req-...`` id is minted.  Everything the request
-        does — dispatch, monitor polls, worker shards, incident opens —
+        does — dispatch, monitor polls, incident opens —
         runs under that id, and the response echoes it back.
         """
         corr_id = request.header("x-repro-corr-id") or new_corr_id("req")
@@ -478,11 +483,6 @@ class ScoutService:
             help="Switches in the monitored fabric.",
         )
         gauge(
-            "repro_monitor_partitions",
-            lambda: float(self.monitor.partitions),
-            help="Ownership partitions the monitor's checker is sharded into.",
-        )
-        gauge(
             "repro_monitor_restores",
             lambda: float(self.monitor.stats().get("restores", 0)),
             help="Snapshot restores this monitor has absorbed.",
@@ -528,9 +528,7 @@ class ScoutService:
     def _register_health(self) -> None:
         """Wire the component probes and define the service's objectives."""
         self.health.register("monitor", self._probe_monitor)
-        self.health.register("worker-pool", self._probe_worker_pool)
         self.health.register("job-queues", self._probe_job_queues)
-        self.health.register("memo-cache", self._probe_memo_cache)
         self.health.register("bus", self._probe_bus)
         self.slo.define(
             "http-availability",
@@ -543,21 +541,6 @@ class ScoutService:
             0.95,
             "Polls leaving no event backlog behind.",
         )
-
-    def _pool_stats(self) -> Dict:
-        """Lifetime stats of the audit system's warm pool (the one pool the
-        service can own), zeros while none is live."""
-        pool = self.system.pool
-        if pool is None or pool.closed:
-            return {"workers": 0, "rounds": 0, "respawns": 0, "hits": 0, "misses": 0}
-        stats = pool.stats()
-        return {
-            "workers": stats["workers"],
-            "rounds": stats["rounds"],
-            "respawns": stats["respawns"],
-            "hits": stats["cache_hits"],
-            "misses": stats["cache_misses"],
-        }
 
     def _probe_monitor(self) -> ComponentHealth:
         pending = self.monitor.pending_events()
@@ -579,29 +562,6 @@ class ScoutService:
             },
         )
 
-    def _probe_worker_pool(self) -> ComponentHealth:
-        stats = self._pool_stats()
-        respawn_rate = stats["respawns"] / stats["rounds"] if stats["rounds"] else 0.0
-        if stats["respawns"] and respawn_rate > 0.5:
-            status = HealthStatus.FAILING
-            detail = f"workers dying faster than rounds complete ({respawn_rate:.2f})"
-        elif stats["respawns"]:
-            status = HealthStatus.DEGRADED
-            detail = f"{stats['respawns']} respawn(s) over {stats['rounds']} round(s)"
-        else:
-            status = HealthStatus.OK
-            detail = (
-                "no worker loss"
-                if stats["workers"]
-                else "no warm pool active (inline execution)"
-            )
-        return ComponentHealth(
-            name="worker-pool",
-            status=status,
-            detail=detail,
-            metrics={**stats, "respawn_rate": respawn_rate},
-        )
-
     def _probe_job_queues(self) -> ComponentHealth:
         pending = {name: queue.pending() for name, queue in self.queues.items()}
         depth = sum(pending.values())
@@ -618,39 +578,6 @@ class ScoutService:
             metrics={
                 "pending": depth,
                 **{f"{name}_pending": count for name, count in pending.items()},
-            },
-        )
-
-    def _probe_memo_cache(self) -> ComponentHealth:
-        """Share of swept switches answered without running an engine.
-
-        A healthy leaf is settled by key-set identity before the pool, so
-        the worker memo only ever sees failing leaves; judged alone, its
-        hit rate would read "cold" on a fabric whose faults keep moving.
-        """
-        stats = self._pool_stats()
-        audit = self.system.stats()
-        proofs = audit["identity_proofs"] + sum(
-            checker.checker.identity_proofs for checker in self.monitor.checkers
-        )
-        total = proofs + stats["hits"] + stats["misses"]
-        hit_rate = (proofs + stats["hits"]) / total if total else 0.0
-        if total >= 100 and hit_rate < 0.1:
-            status = HealthStatus.DEGRADED
-            detail = f"sweeps barely reusing anything ({hit_rate:.0%})"
-        else:
-            status = HealthStatus.OK
-            detail = f"hit rate {hit_rate:.0%}" if total else "no batched sweeps yet"
-        return ComponentHealth(
-            name="memo-cache",
-            status=status,
-            detail=detail,
-            metrics={
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-                "identity_proofs": proofs,
-                "compiled_policy_reuses": audit["reuses"],
-                "compiled_policy_rebuilds": audit["rebuilds"],
             },
         )
 
@@ -707,11 +634,10 @@ class ScoutService:
     def _post_job(self, kind: JobKind, request: Request) -> Response:
         body = dict(request.json_body())
         # Absent → the kind's default; an explicit true/false overrides either way.
-        sync = body.pop("sync", None)
+        sync = _bool_param(body, "sync")
+        body.pop("sync", None)
         _reject_unknown(body, kind.fields, kind.name)
-        job = self.queues[kind.name].submit(
-            kind.parse(body), sync=None if sync is None else bool(sync)
-        )
+        job = self.queues[kind.name].submit(kind.parse(body), sync=sync)
         return _job_response(job)
 
     def _list_jobs(self, kind: JobKind, request: Request) -> Dict:
@@ -790,7 +716,7 @@ class ScoutService:
     def _post_monitor_poll(self, request: Request) -> Dict:
         if not self.monitor.running:
             raise Conflict("monitor is not running (POST /monitor/start first)")
-        force = bool(request.json_body().get("force", False))
+        force = _bool_param(request.json_body(), "force", default=False)
         monitor_pass = self.monitor.poll(force=force)
         if monitor_pass is not None:
             for incident in monitor_pass.opened:
@@ -902,7 +828,7 @@ def service_for_profile(
     (``ValueError`` for unknown names), then a service over the deployed
     controller, named after the profile.  ``service_options`` are
     :class:`ScoutService`'s keyword arguments (``sync_audits``,
-    ``partitions``, ``restore_snapshot`` — the restart path — ...).
+    ``restore_snapshot`` — the restart path — ...).
     """
     controller = deploy_profile(name, seed=seed)
     service_options.setdefault("name", resolve_profile(name, seed=seed).name)

@@ -59,17 +59,6 @@ def main_service(argv: Optional[Sequence[str]] = None) -> int:
         help="self-check every core endpoint in-process and exit (no sockets)",
     )
     parser.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable the service trace collector (GET /traces stays empty)",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="shard the monitor's checker into N switch-ownership partitions",
-    )
-    parser.add_argument(
         "--restore",
         metavar="PATH",
         default=None,
@@ -78,8 +67,6 @@ def main_service(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.partitions is not None and args.partitions < 1:
-        parser.error(f"--partitions must be >= 1, got {args.partitions}")
     restore_snapshot = None
     if args.restore is not None:
         try:
@@ -91,8 +78,6 @@ def main_service(argv: Optional[Sequence[str]] = None) -> int:
             args.profile,
             seed=args.seed,
             sync_audits=args.sync_audits or args.once,
-            tracing=not args.no_trace,
-            partitions=args.partitions,
             restore_snapshot=restore_snapshot,
         )
     except ValueError as exc:
@@ -113,7 +98,7 @@ def _self_check(service: ScoutService) -> int:
     """Drive every core endpoint through the in-process client, no sockets.
 
     Each step prints ``PASS``/``FAIL``; the exit code is non-zero when any
-    response — or the parallel-audit fingerprint identity against a direct
+    response — or the audit fingerprint identity against a direct
     ``ScoutSystem.check()`` — is off.
     """
     client = TestClient(service)
@@ -129,10 +114,8 @@ def _self_check(service: ScoutService) -> int:
     health = client.get("/healthz")
     check("GET /healthz", health.status == 200, f"status={health.status}")
 
-    audit = client.post(
-        "/audits", json={"parallel": True, "max_workers": 2, "sync": True}
-    )
-    check("POST /audits (sync, parallel)", audit.status == 200)
+    audit = client.post("/audits", json={"sync": True})
+    check("POST /audits (sync)", audit.status == 200)
     job = audit.json().get("job", {})
     check("audit job finished", job.get("status") == "done", job.get("error") or "")
 
@@ -169,8 +152,7 @@ def _self_check(service: ScoutService) -> int:
     trace_body = traces.json() if traces.status == 200 else {}
     check(
         "GET /traces",
-        traces.status == 200
-        and (not service.tracer.enabled or trace_body.get("span_count", 0) > 0),
+        traces.status == 200 and trace_body.get("span_count", 0) > 0,
         f"{trace_body.get('span_count', 0)} span(s)",
     )
     missing = client.get("/audits/AUD-9999")
@@ -289,12 +271,6 @@ def main_audit(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--scope", choices=("controller", "switch"), default="controller"
     )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the equivalence sweep through the sharded parallel engine",
-    )
-    parser.add_argument("--max-workers", type=int, default=None)
     parser.add_argument("--indent", type=int, default=2, help="JSON indentation")
     args = parser.parse_args(argv)
 
@@ -302,9 +278,7 @@ def main_audit(argv: Optional[Sequence[str]] = None) -> int:
         controller = deploy_profile(args.profile, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    report = ScoutSystem(controller).localize(
-        scope=args.scope, parallel=args.parallel, max_workers=args.max_workers
-    )
+    report = ScoutSystem(controller).localize(scope=args.scope)
     payload = report.to_dict()
     payload["fingerprint"] = report.equivalence.fingerprint()
     print(json.dumps(payload, indent=args.indent, sort_keys=True))

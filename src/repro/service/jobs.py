@@ -4,9 +4,8 @@ A full SCOUT audit (equivalence sweep → localization → correlation) takes
 seconds to minutes at datacenter scale, far too long to hold an HTTP request
 open.  ``POST /audits`` therefore enqueues an :class:`AuditJob` and returns
 immediately; a single daemon worker thread drains the queue FIFO and runs
-each job through the sharded parallel engine; ``GET /audits/{id}`` polls
-status until the serialized :class:`~repro.core.system.ScoutReport` is
-attached.  The queue knows nothing about audits beyond its name: the
+each job; ``GET /audits/{id}`` polls status until the serialized
+:class:`~repro.core.system.ScoutReport` is attached.  The queue knows nothing about audits beyond its name: the
 service builds one per row of its job table
 (:data:`repro.service.app.JOB_KINDS`), each with that kind's runner, id
 prefix and metric prefix, so kinds never wait on one another.
@@ -19,9 +18,8 @@ Two execution modes share the code path:
   returning, which is what makes unit tests, the ``--once`` self-check and
   CI smoke runs deterministic without sleeps or polling loops.
 
-One worker thread (not a pool) is deliberate: audits already parallelize
-internally across a process pool, and FIFO execution keeps results in
-submission order.
+One worker thread (not a pool) is deliberate: FIFO execution keeps results
+in submission order.
 """
 
 from __future__ import annotations

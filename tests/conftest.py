@@ -7,7 +7,11 @@ import random
 import pytest
 
 from repro import Controller
+from repro.churn import ChurnDriver
+from repro.online import NetworkMonitor
 from repro.workloads import (
+    churn_profile_for,
+    deploy_profile,
     generate_workload,
     testbed_profile,
     three_tier_scenario,
@@ -70,3 +74,23 @@ def deployed_testbed_session():
     from repro.experiments import prepare_workload
 
     return prepare_workload(testbed_profile())
+
+
+@pytest.fixture
+def partitioned_churn_driver():
+    """``ChurnDriver.for_workload`` over a monitor of N partitions: the same
+    profile, deployment and clock ageing, the monitor handed in (no entry
+    point builds a partitioned monitor any more; the library still can)."""
+
+    def build(workload, partitions, seed, change_window=100, **stream):
+        controller = deploy_profile(workload, seed=seed)
+        controller.clock.tick(change_window + 1)
+        monitor = NetworkMonitor(controller, debounce_ticks=1, partitions=partitions)
+        return ChurnDriver(
+            controller,
+            churn_profile_for(workload, seed=seed, **stream),
+            monitor=monitor,
+            change_window=change_window,
+        )
+
+    return build

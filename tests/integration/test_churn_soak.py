@@ -60,14 +60,14 @@ def test_soak_simulation_profile():
     _soak("simulation")
 
 
-def test_soak_partitioned_simulation_matches_single():
+def test_soak_partitioned_simulation_matches_single(partitioned_churn_driver):
     """Satellite contract: partitioned-vs-unpartitioned incident identity on
     the ``simulation`` profile (the ``small`` half runs in the unit lane)."""
     single = ChurnDriver.for_workload(
         "simulation", events=300, seed=SOAK_SEED, checkpoint_interval=100
     )
-    sharded = ChurnDriver.for_workload(
-        "simulation", events=300, seed=SOAK_SEED, checkpoint_interval=100, partitions=4
+    sharded = partitioned_churn_driver(
+        "simulation", 4, seed=SOAK_SEED, events=300, checkpoint_interval=100
     )
     try:
         report_single = single.run()

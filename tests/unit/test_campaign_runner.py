@@ -50,13 +50,6 @@ class TestRunCell:
         assert first.identity() == second.identity()
         assert first.events == second.events
 
-    def test_serial_and_parallel_engines_are_fingerprint_identical(self):
-        serial = run_cell(_cell(FaultSpec("object-fault"), engine="serial"))
-        parallel = run_cell(_cell(FaultSpec("object-fault"), engine="parallel"))
-        assert serial.fingerprint == parallel.fingerprint
-        assert serial.hypothesis == parallel.hypothesis
-        assert serial.metrics == parallel.metrics
-
     def test_incremental_engine_matches_serial_verdicts(self):
         serial = run_cell(_cell(FaultSpec("object-fault"), engine="serial"))
         incremental = run_cell(_cell(FaultSpec("object-fault"), engine="incremental"))

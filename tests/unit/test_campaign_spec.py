@@ -70,9 +70,10 @@ class TestCampaignCell:
             )
 
     def test_unknown_engine_rejected(self):
-        # "ap" was a mode once (a serial sweep pinned to one checker engine).
-        for engine in ("gpu", "ap"):
-            with pytest.raises(ValueError, match="unknown engine mode"):
+        # "ap" (a serial sweep pinned to one checker engine) and "parallel"
+        # (the sharded sweep) were modes once.
+        for engine in ("gpu", "ap", "parallel"):
+            with pytest.raises(ValueError, match=f"unknown engine mode '{engine}'"):
                 CampaignCell(
                     profile="small",
                     seed=1,
@@ -104,16 +105,23 @@ class TestCampaignSpec:
             profiles=("small", "testbed"),
             seeds=(1, 2),
             faults=(FaultSpec("object-fault"), FaultSpec("tcam-overflow")),
-            engines=("serial", "parallel"),
+            engines=("serial", "incremental"),
         )
         cells = spec.cells()
         assert len(cells) == 16
         # Canonical order: profile -> fault -> engine -> seed.
         assert cells[0].cell_id == "small/seed1/object-fault/serial/controller"
         assert cells[1].cell_id == "small/seed2/object-fault/serial/controller"
-        assert cells[2].cell_id == "small/seed1/object-fault/parallel/controller"
+        assert cells[2].cell_id == "small/seed1/object-fault/incremental/controller"
         assert cells[8].cell_id == "testbed/seed1/object-fault/serial/controller"
         assert len({cell.cell_id for cell in cells}) == 16
+
+    def test_removed_parallel_mode_is_refused_by_name(self):
+        with pytest.raises(ValueError) as refusal:
+            CampaignSpec(name="old", profiles=("small",), engines=("parallel",))
+        assert str(refusal.value) == (
+            "unknown engine mode 'parallel' (known: serial, incremental)"
+        )
 
     def test_empty_dimensions_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

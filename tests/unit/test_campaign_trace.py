@@ -105,6 +105,21 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="unsupported trace version"):
             read_trace(path)
 
+    def test_header_listing_the_removed_parallel_mode_is_refused_by_name(
+        self, recorded, tmp_path
+    ):
+        """A trace recorded with the mode is refused whole at the header,
+        never replayed without its ``parallel`` cells."""
+        _, path, _ = recorded
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["spec"]["engines"] = ["serial", "parallel"]
+        old = self._write(tmp_path, [json.dumps(header)] + lines[1:])
+        with pytest.raises(
+            ValueError, match=r"bad\.jsonl:1: bad campaign spec .*'parallel'"
+        ):
+            read_trace(old)
+
     def test_truncated_trace_rejected(self, recorded, tmp_path):
         _, path, _ = recorded
         truncated = tmp_path / "truncated.jsonl"

@@ -289,6 +289,20 @@ class TestRestoreAgainstAMovedPolicy:
         pairs = index.pairs_for_object(uid)
         return {leaf for pair in pairs for leaf in index.switches_for_pair(pair)}
 
+    def _edit_the_widest_filter_unannounced(self, controller):
+        """Widen the filter most leaves depend on while nothing listens;
+        the leaves whose L moved."""
+        index = controller.build_index()
+        target = max(
+            controller.policy.filters(),
+            key=lambda flt: len(self._switches_depending_on(index, flt.uid)),
+        )
+        edited = dataclasses.replace(
+            target, entries=target.entries + (FilterEntry(protocol="tcp", port=47000),)
+        )
+        controller.modify_object(controller.policy.tenant_of(target.uid).name, edited)
+        return sorted(self._switches_depending_on(index, target.uid))
+
     def test_a_filter_edited_while_down_is_checked_against_the_current_l(
         self, controller
     ):
@@ -298,17 +312,8 @@ class TestRestoreAgainstAMovedPolicy:
         monitor.close()
 
         # Nobody is listening: no event will ever announce this edit.
-        index = controller.build_index()
-        target = max(
-            controller.policy.filters(),
-            key=lambda flt: len(self._switches_depending_on(index, flt.uid)),
-        )
-        stale = self._switches_depending_on(index, target.uid)
+        stale = set(self._edit_the_widest_filter_unannounced(controller))
         assert len(stale) > 1
-        edited = dataclasses.replace(
-            target, entries=target.entries + (FilterEntry(protocol="tcp", port=47000),)
-        )
-        controller.modify_object(controller.policy.tenant_of(target.uid).name, edited)
 
         restored = NetworkMonitor.from_snapshot(controller, document)
         try:
@@ -330,6 +335,70 @@ class TestRestoreAgainstAMovedPolicy:
             assert restored.stats()["full_checks"] == 1
         finally:
             restored.close()
+
+    def test_drift_found_by_a_restore_is_rechecked_by_a_poll_with_no_event(
+        self, controller
+    ):
+        """The dirt a restore finds came with no event; the first poll that
+        runs re-checks it all the same — not the next unrelated bus event."""
+        monitor = NetworkMonitor(controller, debounce_ticks=1)
+        monitor.start()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        drifted = self._edit_the_widest_filter_unannounced(controller)
+        assert len(drifted) > 1
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            assert restored.pending_events() == 0
+            assert restored.stats()["dirty_switches"] == len(drifted)
+            assert restored.due()  # no burst to wait out
+            result = restored.poll()
+            assert result.events == 0
+            assert result.switches_rechecked == drifted
+            assert sorted(i.switch_uid for i in result.opened) == drifted
+            fresh = ScoutSystem(controller).check()
+            assert fresh.switches_with_violations() == drifted
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+            stats = restored.stats()
+            assert stats["dirty_switches"] == 0 and stats["full_checks"] == 1
+            # Clean again: nothing is due and a forced poll has nothing to do.
+            assert not restored.due()
+            assert restored.poll(force=True) is None
+        finally:
+            restored.close()
+
+    def test_a_restarted_daemon_rechecks_the_drift_on_its_first_poll(self, controller):
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        drifted = self._edit_the_widest_filter_unannounced(controller)
+
+        service = ScoutService(controller, sync_audits=True, restore_snapshot=document)
+        try:
+            client = TestClient(service)
+            assert client.get("/monitor/status").json()["due"] is True
+            polled = client.post("/monitor/poll", json={}).json()["pass"]
+            assert polled["events"] == 0
+            assert polled["switches_rechecked"] == drifted
+            status = client.get("/monitor/status").json()
+            assert status["stats"]["dirty_switches"] == 0
+            assert status["stats"]["full_checks"] == 1
+            open_on = sorted(
+                incident["switch_uid"]
+                for incident in client.get("/incidents?status=open").json()["incidents"]
+            )
+            assert open_on == drifted
+            fresh = ScoutSystem(controller).check()
+            assert (
+                service.monitor.report().semantic_fingerprint()
+                == fresh.semantic_fingerprint()
+            )
+        finally:
+            service.close()
 
     def test_a_restore_in_a_fresh_process_leaves_the_counters_alone(self, controller):
         monitor = NetworkMonitor(controller, partitions=2)
@@ -689,6 +758,42 @@ class TestSnapshotRoute:
             }
             assert restored_ids == open_ids
             assert reborn.monitor.report().semantic_fingerprint() == verdict
+        finally:
+            reborn.close()
+
+    def test_a_four_partition_snapshot_restores_into_one_partition(self, served):
+        """Decision (i): whatever partition count wrote the document, the
+        daemon restores it into one — no sweep, same verdict and incidents."""
+        scenario, service, client = served
+        assert client.post("/monitor/stop", json={}).status == 200
+        sharded = NetworkMonitor(scenario.controller, debounce_ticks=1, partitions=4)
+        sharded.start()
+        _wipe(scenario, "leaf-2")
+        scenario.controller.clock.tick(2)
+        assert sharded.poll().opened
+        snap = json.loads(json.dumps(sharded.snapshot()))
+        assert snap["partitions"] == 4 and len(snap["partition_map"]["shards"]) == 4
+        taken = sharded.stats()
+        assert taken["full_checks"] == 4  # one bootstrap per partition
+        verdict = sharded.report().semantic_fingerprint()
+        open_ids = {incident.incident_id for incident in sharded.store.active()}
+        sharded.close()
+
+        reborn = ScoutService(
+            scenario.controller, sync_audits=True, restore_snapshot=snap
+        )
+        try:
+            assert reborn.monitor.running
+            assert reborn.monitor.partitions == len(reborn.monitor.checkers) == 1
+            restarted = TestClient(reborn)
+            stats = restarted.get("/monitor/status").json()["stats"]
+            assert stats["partitions"] == 1
+            assert stats["full_checks"] == taken["full_checks"]
+            assert stats["dirty_switches"] == 0
+            assert reborn.monitor.report().semantic_fingerprint() == verdict
+            restored_ids = {item.incident_id for item in reborn.monitor.store.active()}
+            assert restored_ids == open_ids
+            assert restarted.post("/monitor/poll", json={}).json()["pass"] is None
         finally:
             reborn.close()
 

@@ -62,40 +62,6 @@ class TestCheckSubcommand:
             main(["check", "--profile", "nope"])
 
 
-class TestParallelSubcommand:
-    def test_breakdown_report_and_json(self, tmp_path, capsys):
-        out_json = tmp_path / "breakdown.json"
-        assert (
-            main(
-                [
-                    "parallel",
-                    "--profile",
-                    "small",
-                    "--workers",
-                    "2",
-                    "--json",
-                    str(out_json),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "reports identical: True" in out
-        assert "dominant:" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["reports_identical"] is True
-        assert payload["workers"] == 2
-        assert set(payload["stages"]) >= {
-            "pickle",
-            "worker_spawn_and_ipc",
-            "worker_bdd_build",
-            "worker_check",
-            "merge",
-        }
-        assert payload["accounted_seconds"] <= payload["wall_seconds"] * 1.01
-        assert payload["speedup"] > 0
-
-
 class TestFlightrecordSubcommand:
     def _bundle(self):
         from repro.obs import FlightRecorder, TraceCollector, correlated
@@ -141,3 +107,18 @@ class TestFlightrecordSubcommand:
 def test_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["parallel"], "'parallel'"),
+        (["check", "--parallel"], "--parallel"),
+        (["check", "--workers", "2"], "--workers"),
+    ],
+)
+def test_the_removed_parallel_surface_is_a_usage_error(argv, named, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err

@@ -10,6 +10,7 @@ from repro.controller.controller import Controller
 from repro.core import ScoutSystem
 from repro.obs import (
     TraceCollector,
+    activated,
     correlated,
     current_corr_id,
     new_corr_id,
@@ -119,9 +120,13 @@ class TestCrossProcess:
     def test_worker_spans_carry_the_corr_id_across_the_pool(self, system):
         """The id survives the pickle boundary into real worker processes."""
         collector = TraceCollector()
+        controller = system.controller
+        logical = controller.logical_rules()
+        deployed = controller.collect_deployed_rules()
+        switches = [(uid, logical[uid], deployed[uid]) for uid in sorted(logical)]
         with WarmWorkerPool(max_workers=2) as pool:
-            with correlated("corr-pool-1"):
-                report = system.check(parallel=True, executor=pool, trace=collector)
+            with correlated("corr-pool-1"), activated(collector):
+                report = system.checker.check_many(switches, executor=pool)
         assert len(report.switches_with_violations()) == 1
         workers = [
             recorded

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs import (
-    attribution,
-    format_attribution,
-    format_stage_breakdown,
-    parallel_stage_breakdown,
-)
+from repro.obs import attribution, format_attribution, parallel_stage_breakdown
 
 
 def _span(name, span_id, start, end, parent_id=None, counters=None, **extra):
@@ -145,14 +140,9 @@ class TestParallelStageBreakdown:
         breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.5, workers=8)
         assert breakdown["workers_used"] == 2
 
-    def test_dominant_stage_and_format(self):
+    def test_dominant_stage(self):
         breakdown = parallel_stage_breakdown(self._synthetic_trace(), 1.5, workers=2)
         assert breakdown["dominant_stage"] in breakdown["stages"]
-        text = format_stage_breakdown(breakdown)
-        assert "parallel wall: 1.5000s" in text
-        assert "dominant:" in text
-        for stage in breakdown["stages"]:
-            assert stage in text
 
     def test_empty_trace_has_zero_coverage(self):
         breakdown = parallel_stage_breakdown([], 1.0, workers=4)

@@ -118,12 +118,14 @@ class TestPartitionedMonitor:
         split = PartitionMap([["leaf-1", "leaf-2"], ["leaf-3"]])
         assert drift(partition_map=split) == drift()
 
-    def test_partitioned_run_identical_to_single_on_small(self):
+    def test_partitioned_run_identical_to_single_on_small(
+        self, partitioned_churn_driver
+    ):
         # Satellite contract: the partitioned monitor's incident stream and
         # final verdict are byte-identical to the single checker's on the
         # ``small`` profile (``simulation`` runs in the soak lane).
         single = ChurnDriver.for_workload("small", events=20, seed=7)
-        sharded = ChurnDriver.for_workload("small", events=20, seed=7, partitions=3)
+        sharded = partitioned_churn_driver("small", 3, seed=7, events=20)
         try:
             report_single = single.run()
             report_sharded = sharded.run()

@@ -84,11 +84,9 @@ class TestAudits:
         assert job["error"] is None
         assert job["result"]["consistent"] is True
 
-    def test_parallel_audit_fingerprint_matches_direct_check(self, env):
+    def test_audit_fingerprint_matches_direct_check(self, env):
         _break_leaf2(env)
-        response = env.client.post(
-            "/audits", json={"parallel": True, "max_workers": 2}
-        )
+        response = env.client.post("/audits", json={})
         job = response.json()["job"]
         assert job["status"] == "done"
         direct = env.service.system.check().fingerprint()
@@ -101,17 +99,29 @@ class TestAudits:
         [
             ({"bogus": 1}, "unknown audit parameter"),
             ({"scope": "network"}, "scope"),
-            ({"max_workers": 0}, "max_workers"),
-            ({"max_workers": "two"}, "max_workers"),
-            ({"max_workers": True}, "max_workers"),
+            # Removed fields are refused by name, never silently ignored.
+            ({"parallel": True}, "unknown audit parameter(s): parallel"),
+            ({"max_workers": 2}, "unknown audit parameter(s): max_workers"),
+            (
+                {"parallel": False, "max_workers": None},
+                "unknown audit parameter(s): max_workers, parallel",
+            ),
             ({"engine": "auto"}, "engine must be one of ap, bdd"),
             ({"engine": "hash"}, "engine must be one of ap, bdd"),
+            # Booleans are JSON booleans: nothing is coerced by truthiness.
+            ({"correlate": "false"}, "correlate must be a boolean, got 'false'"),
+            ({"correlate": 0}, "correlate must be a boolean, got 0"),
+            ({"sync": "no"}, "sync must be a boolean, got 'no'"),
         ],
     )
     def test_bad_audit_parameters_are_400(self, env, body, fragment):
+        verdict_before = env.service.monitor.report().fingerprint()
         response = env.client.post("/audits", json=body)
         assert response.status == 400
         assert fragment in response.json()["error"]["detail"]
+        # A rejected request ran nothing and queued nothing.
+        assert env.client.get("/audits").json()["jobs"] == []
+        assert env.service.monitor.report().fingerprint() == verdict_before
 
     def test_async_queue_executes_on_worker_thread(self):
         scenario = three_tier_scenario()
@@ -290,6 +300,15 @@ class TestMonitor:
         response = env.client.post("/monitor/poll", json={"force": True})
         assert response.status == 200
         assert response.json()["pass"] is None
+
+    def test_force_must_be_a_json_boolean(self, env):
+        _break_leaf2(env)
+        response = env.client.post("/monitor/poll", json={"force": "false"})
+        assert response.status == 400
+        assert "force must be a boolean, got 'false'" in (
+            response.json()["error"]["detail"]
+        )
+        assert env.service.monitor.pending_events() > 0  # nothing was polled
 
     def test_poll_detects_and_resolves(self, env):
         incident = _open_incident(env)

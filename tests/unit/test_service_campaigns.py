@@ -62,6 +62,11 @@ class TestPostCampaign:
         assert response.status == 400
         assert "bad campaign spec" in response.json()["error"]["detail"]
 
+    def test_removed_parallel_engine_mode_is_a_400_naming_it(self, client):
+        response = client.post("/campaigns", json=_small_spec(engines=["parallel"]))
+        assert response.status == 400
+        assert "unknown engine mode 'parallel'" in response.json()["error"]["detail"]
+
     def test_wrong_typed_spec_fields_are_a_400_not_a_500(self, client):
         null_count = _small_spec(faults=[{"kind": "object-fault", "count": None}])
         response = client.post("/campaigns", json=null_count)

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
+from repro.online import NetworkMonitor
+from repro.service import cli
 from repro.service.cli import main_audit, main_service
-from repro.workloads import profile_names, resolve_profile, small_profile
+from repro.workloads import (
+    deploy_profile,
+    profile_names,
+    resolve_profile,
+    small_profile,
+)
 
 
 class TestProfileRegistry:
@@ -36,6 +44,7 @@ class TestServiceOnce:
         assert "GET /healthz" in out
         assert "audit fingerprint == direct ScoutSystem.check()" in out
         assert "self-check ok" in out
+        assert multiprocessing.active_children() == []
 
     def test_unknown_profile_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -43,16 +52,61 @@ class TestServiceOnce:
         assert excinfo.value.code == 2
         assert "unknown workload profile" in capsys.readouterr().err
 
+    def test_once_restores_a_four_partition_snapshot_into_one_partition(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A document written under the removed ``--partitions 4`` still
+        restores — into the one partition the daemon runs — with no sweep."""
+        sharded = NetworkMonitor(deploy_profile("small"), partitions=4)
+        sharded.start()
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(sharded.snapshot()))
+        verdict = sharded.report().semantic_fingerprint()
+        sharded.close()
+        assert sharded.stats()["full_checks"] == 4  # one bootstrap per partition
+
+        restored = []
+
+        def self_check(service):
+            monitor = service.monitor
+            restored.append((monitor.stats(), monitor.report().semantic_fingerprint()))
+            return run_self_check(service)
+
+        run_self_check = cli._self_check
+        monkeypatch.setattr(cli, "_self_check", self_check)
+        code = main_service(["--profile", "small", "--once", "--restore", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "FAIL" not in out
+        assert "monitor restored" in out
+        [(stats, fingerprint)] = restored
+        assert stats["partitions"] == 1 and stats["restores"] == 1
+        assert stats["full_checks"] == 4 and stats["active_incidents"] == 0
+        assert fingerprint == verdict
+
+    @pytest.mark.parametrize("flag", [["--partitions", "2"], ["--no-trace"]])
+    def test_removed_daemon_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(["--profile", "small", "--once", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestAuditCli:
     def test_audit_prints_report_json_and_exits_zero_when_consistent(self, capsys):
-        code = main_audit(["--profile", "small", "--parallel", "--max-workers", "2"])
+        code = main_audit(["--profile", "small"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["consistent"] is True
         assert payload["scope"] == "controller"
         assert payload["fingerprint"] == payload["equivalence"]["fingerprint"]
         assert payload["hypothesis"]["entries"] == []
+
+    @pytest.mark.parametrize("flag", [["--parallel"], ["--max-workers", "2"]])
+    def test_removed_audit_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_audit(["--profile", "small", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_audit_switch_scope(self, capsys):
         code = main_audit(["--profile", "small", "--scope", "switch"])

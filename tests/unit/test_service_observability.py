@@ -133,9 +133,7 @@ class TestHealthRoutes:
         assert sorted(payload["components"]) == [
             "bus",
             "job-queues",
-            "memo-cache",
             "monitor",
-            "worker-pool",
         ]
         monitor = payload["components"]["monitor"]
         assert monitor["status"] == "ok"

@@ -20,16 +20,6 @@ def env():
     service.close()
 
 
-@pytest.fixture
-def untraced_env():
-    scenario = three_tier_scenario()
-    service = ScoutService(
-        scenario.controller, name="three-tier", sync_audits=True, tracing=False
-    )
-    yield SimpleNamespace(service=service, client=TestClient(service))
-    service.close()
-
-
 class TestGetTraces:
     def test_audit_spans_land_in_the_service_trace(self, env):
         # A healthy leaf is an identity proof; the engine spans need a miss.
@@ -64,13 +54,6 @@ class TestGetTraces:
         assert response.status == 400
         assert "limit" in response.json()["error"]["detail"]
 
-    def test_disabled_tracer_serves_empty_trace(self, untraced_env):
-        untraced_env.client.post("/audits", json={})
-        payload = untraced_env.client.get("/traces").json()
-        assert payload["enabled"] is False
-        assert payload["span_count"] == 0
-        assert payload["attribution"] == []
-
 
 class TestStageMetrics:
     def test_stage_summary_appears_on_metrics(self, env):
@@ -92,8 +75,3 @@ class TestStageMetrics:
             for stat in env.client.get("/traces").json()["attribution"]
         }
         assert "monitor.poll" in stage_names
-
-    def test_no_stage_metrics_when_tracing_disabled(self, untraced_env):
-        untraced_env.client.post("/audits", json={})
-        text = untraced_env.client.get("/metrics").text
-        assert "repro_stage_seconds" not in text
