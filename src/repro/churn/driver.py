@@ -647,8 +647,9 @@ class ChurnDriver:
     def checkpoint(self, seq: int = 0) -> CheckpointRecord:
         """Compare the incremental state against a from-scratch full check."""
         with span("churn.checkpoint.incremental"):
-            if self.monitor.pending_events():
-                self.monitor.poll(force=True)
+            # None when there is nothing to do; dirt a restore left comes
+            # with no pending event.
+            self.monitor.poll(force=True)
             incremental = self.monitor.report()
         with span("churn.checkpoint.full_check"):
             full = self._full_check()

@@ -2,9 +2,10 @@
 
 A sweep varies the number of simultaneous object faults (1..10 in the paper)
 and, for every fault count, runs many independent trials.  Each trial
-injects the faults into a freshly restored deployment, runs the L-T check,
-augments the appropriate risk model and scores every localizer (SCOUT and
-SCORE at one or more thresholds) against the injected ground truth.
+injects the faults into a freshly restored deployment, runs the system's
+L-T check once and its localization (:meth:`ScoutSystem.localize`: risk
+model, augmentation, algorithm) once per localizer — SCOUT and SCORE at one
+or more thresholds — and scores each against the injected ground truth.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Sequence
 
 from ..core.metrics import accuracy
+from ..core.system import ScoutSystem
 from ..faults.injector import FaultInjector
-from ..risk.augment import augment_controller_model, augment_switch_model
-from ..risk.controller_model import build_controller_risk_model
-from ..risk.switch_model import build_switch_risk_model
 from .common import DeployedWorkload, make_localizers, mean_and_stdev
 
 __all__ = ["AccuracyCell", "AccuracySweepResult", "run_accuracy_sweep", "format_accuracy_table"]
@@ -83,6 +82,12 @@ def run_accuracy_sweep(
     localizers = make_localizers(
         controller, score_thresholds=score_thresholds, change_window=change_window
     )
+    # One system per localizer, object risks only: the injected ground truth
+    # is policy objects, never a switch.
+    systems = {
+        name: ScoutSystem(controller, localizer=localizer, include_switch_risks=False)
+        for name, localizer in localizers.items()
+    }
     rng = random.Random(seed)
 
     # Per (algorithm, count) lists of precision/recall/f1 samples.
@@ -103,25 +108,16 @@ def run_accuracy_sweep(
                 faults = injector.inject_random_faults(
                     num_faults, switches=[switch_uid], strict=False
                 )
-                if not faults:
-                    continue
-                missing = deployed.missing_rules(switches=[switch_uid])
-                model = build_switch_risk_model(deployed.index, switch_uid)
-                augment_switch_model(model, missing.get(switch_uid, []))
             else:
                 faults = injector.inject_random_faults(num_faults, strict=False)
-                if not faults:
-                    continue
-                missing = deployed.missing_rules()
-                model = build_controller_risk_model(
-                    deployed.policy, index=deployed.index, include_switch_risks=False
-                )
-                augment_controller_model(model, missing, include_switch_risks=False)
+            if not faults:
+                continue
 
             ground_truth = injector.ground_truth()
-            for name, localizer in localizers.items():
-                hypothesis = localizer.localize(model)
-                result = accuracy(ground_truth, hypothesis.objects())
+            equivalence = systems["SCOUT"].check()
+            for name, system in systems.items():
+                report = system.localize(scope=scope, report=equivalence, correlate=False)
+                result = accuracy(ground_truth, report.faulty_objects())
                 bucket = samples.setdefault((name, num_faults), {"p": [], "r": [], "f": []})
                 bucket["p"].append(result.precision)
                 bucket["r"].append(result.recall)

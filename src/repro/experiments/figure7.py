@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.metrics import bin_by_suspect_count
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
+from ..core.system import ScoutSystem
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
-from ..risk.augment import augment_controller_model
-from ..risk.controller_model import build_controller_risk_model
 from .common import DeployedWorkload, prepare_workload
 from ..workloads.profiles import WorkloadProfile, simulation_profile, testbed_profile
 
@@ -81,6 +80,7 @@ def run_suspect_reduction(
             change_log=controller.change_log, window=change_window, fallback_latest=False
         )
     )
+    system = ScoutSystem(controller, localizer=localizer, include_switch_risks=False)
     result = Figure7Result(setting=setting, bins=bins)
 
     probe_injector = FaultInjector(controller, rng=rng)
@@ -98,23 +98,17 @@ def run_suspect_reduction(
             fault = injector.inject_object_fault(object_uid, kind=kind)
         except Exception:
             continue
-        missing = deployed.missing_rules(switches=fault.switches)
-        model = build_controller_risk_model(
-            deployed.policy, index=deployed.index, include_switch_risks=False
-        )
-        augment_controller_model(model, missing, include_switch_risks=False)
-        hypothesis = localizer.localize(model)
-        suspects = model.suspect_risks()
+        report = system.localize(correlate=False)
+        suspects = report.risk_models["controller"].suspect_risks()
         if not suspects:
             continue
-        gamma = len(hypothesis.objects()) / len(suspects)
         result.samples.append(
             GammaSample(
                 object_uid=object_uid,
                 kind=fault.kind.value,
                 suspect_count=len(suspects),
-                hypothesis_size=len(hypothesis.objects()),
-                gamma=gamma,
+                hypothesis_size=len(report.faulty_objects()),
+                gamma=report.suspect_reduction(),
             )
         )
     deployed.restore()

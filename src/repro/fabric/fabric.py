@@ -91,10 +91,11 @@ class Fabric:
         leaves = list(leaves or self.leaf_uids())
         if not leaves:
             raise FabricError("fabric has no leaf switches to attach endpoints to")
+        wanted = None if endpoints is None else set(endpoints)
         chosen = {}
         cycle = itertools.cycle(leaves)
         for endpoint in policy.endpoints():
-            if endpoints is not None and endpoint.uid not in set(endpoints):
+            if wanted is not None and endpoint.uid not in wanted:
                 continue
             if endpoint.switch_uid is not None:
                 chosen[endpoint.uid] = endpoint.switch_uid

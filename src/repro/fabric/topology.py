@@ -7,15 +7,15 @@ deployment only involve leaf switches; the topology still models spines and
 links because the scalability experiment and the use-case scenarios reason
 about fabric size and reachability.
 
-The topology is a thin, validated wrapper around a ``networkx.Graph``.
+The topology is a validated adjacency map: a two-tier fabric needs nothing a
+breadth-first walk does not give.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
-
-import networkx as nx
+from collections import deque
+from typing import Dict, List, Optional
 
 from ..exceptions import FabricError
 
@@ -36,15 +36,18 @@ class LeafSpineTopology:
     """A two-tier Clos (leaf-spine) topology."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self._roles: Dict[str, SwitchRole] = {}
+        #: Per switch, its linked switches → the link's capacity (Gbps).
+        self._links: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add_switch(self, uid: str, role: SwitchRole) -> str:
-        if uid in self.graph:
+        if uid in self._roles:
             raise FabricError(f"switch {uid!r} already present in topology")
-        self.graph.add_node(uid, role=role.value)
+        self._roles[uid] = role
+        self._links[uid] = {}
         return uid
 
     def add_leaf(self, uid: str) -> str:
@@ -55,15 +58,15 @@ class LeafSpineTopology:
 
     def add_link(self, a: str, b: str, capacity_gbps: float = 40.0) -> None:
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self._roles:
                 raise FabricError(f"cannot link unknown switch {node!r}")
-        role_a = self.graph.nodes[a]["role"]
-        role_b = self.graph.nodes[b]["role"]
+        role_a = self._roles[a]
+        role_b = self._roles[b]
         if role_a == role_b:
             raise FabricError(
                 f"leaf-spine topology only links leaves to spines, got {role_a}-{role_b}"
             )
-        self.graph.add_edge(a, b, capacity_gbps=capacity_gbps)
+        self._links[a][b] = self._links[b][a] = capacity_gbps
 
     @classmethod
     def build(
@@ -91,9 +94,7 @@ class LeafSpineTopology:
     # Queries
     # ------------------------------------------------------------------ #
     def _by_role(self, role: SwitchRole) -> List[str]:
-        return sorted(
-            node for node, data in self.graph.nodes(data=True) if data["role"] == role.value
-        )
+        return sorted(node for node, held in self._roles.items() if held == role)
 
     def leaves(self) -> List[str]:
         return self._by_role(SwitchRole.LEAF)
@@ -102,26 +103,42 @@ class LeafSpineTopology:
         return self._by_role(SwitchRole.SPINE)
 
     def role_of(self, uid: str) -> SwitchRole:
-        if uid not in self.graph:
+        if uid not in self._roles:
             raise FabricError(f"unknown switch {uid!r}")
-        return SwitchRole(self.graph.nodes[uid]["role"])
+        return self._roles[uid]
 
     def neighbors(self, uid: str) -> List[str]:
-        if uid not in self.graph:
+        if uid not in self._roles:
             raise FabricError(f"unknown switch {uid!r}")
-        return sorted(self.graph.neighbors(uid))
+        return sorted(self._links[uid])
+
+    def _walk(self, src: str) -> Dict[str, Optional[str]]:
+        """Breadth-first from ``src``: every switch reached → the one it was
+        reached from (``None`` for ``src`` itself)."""
+        reached: Dict[str, Optional[str]] = {src: None}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            for neighbor in self._links[node]:
+                if neighbor not in reached:
+                    reached[neighbor] = node
+                    queue.append(neighbor)
+        return reached
 
     def path(self, src: str, dst: str) -> List[str]:
         """Shortest switch path between two leaves (via a spine)."""
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise FabricError(f"no path between {src!r} and {dst!r}") from exc
+        reached = self._walk(src) if src in self._roles else {}
+        if dst not in reached:
+            raise FabricError(f"no path between {src!r} and {dst!r}")
+        path = [dst]
+        while reached[path[-1]] is not None:
+            path.append(reached[path[-1]])
+        return path[::-1]
 
     def is_connected(self) -> bool:
-        if self.graph.number_of_nodes() == 0:
+        if not self._roles:
             return False
-        return nx.is_connected(self.graph)
+        return len(self._walk(next(iter(self._roles)))) == len(self._roles)
 
     def validate(self) -> None:
         """Raise :class:`FabricError` if the fabric is not a usable leaf-spine."""
@@ -136,7 +153,7 @@ class LeafSpineTopology:
         return {
             "leaves": len(self.leaves()),
             "spines": len(self.spines()),
-            "links": self.graph.number_of_edges(),
+            "links": sum(len(linked) for linked in self._links.values()) // 2,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,12 +31,14 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import (
     Any,
     Callable,
     ContextManager,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -202,8 +204,9 @@ class TraceCollector:
 
     ``enabled=False`` makes every :meth:`span` call return :data:`NOOP_SPAN`,
     so instrumentation left in hot paths costs one boolean check.
-    ``max_spans`` bounds memory; spans finished past the cap are counted in
-    :attr:`dropped` instead of stored.
+    ``max_spans`` bounds memory: a full buffer rolls, each span finished past
+    the cap evicting the oldest one held, and :attr:`dropped` counts the
+    evictions.
     """
 
     def __init__(self, enabled: bool = True, max_spans: int = 200_000) -> None:
@@ -211,7 +214,7 @@ class TraceCollector:
         self.max_spans = max_spans
         self.dropped = 0
         self._ids = itertools.count(1)
-        self._spans: List[Span] = []
+        self._spans: Deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._sinks: List[Callable[[Span], None]] = []
@@ -231,12 +234,15 @@ class TraceCollector:
             self._local.stack = stack
         return stack
 
+    def _keep(self, finished: Span) -> None:
+        """Buffer ``finished`` (the caller holds the lock)."""
+        if len(self._spans) == self.max_spans:
+            self.dropped += 1
+        self._spans.append(finished)
+
     def _finish(self, finished: Span) -> None:
         with self._lock:
-            if len(self._spans) < self.max_spans:
-                self._spans.append(finished)
-            else:
-                self.dropped += 1
+            self._keep(finished)
             sinks = list(self._sinks)
         for sink in sinks:
             sink(finished)
@@ -295,10 +301,7 @@ class TraceCollector:
                 restored.parent_id = parent_id
         with self._lock:
             for restored in adopted:
-                if len(self._spans) < self.max_spans:
-                    self._spans.append(restored)
-                else:
-                    self.dropped += 1
+                self._keep(restored)
             sinks = list(self._sinks)
         for sink in sinks:
             for restored in adopted:

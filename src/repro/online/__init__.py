@@ -9,7 +9,7 @@ turns it into a continuous monitor running against a live controller:
 * :mod:`~repro.online.instrument` — listener wiring that republishes change
   log, fault log and TCAM writes as events;
 * :mod:`~repro.online.delta` — the incremental L-T equivalence checker
-  (per-switch digests, blast-radius re-checks);
+  (identity proofs, blast-radius re-checks);
 * :mod:`~repro.online.monitor` — the debouncing daemon driving scoped SCOUT
   runs and the incident lifecycle (partitionable, snapshot/restorable);
 * :mod:`~repro.online.partition` — deterministic switch-ownership maps for
@@ -18,7 +18,7 @@ turns it into a continuous monitor running against a live controller:
 """
 
 from .bus import EventBus
-from .delta import IncrementalChecker, SwitchDigest, merge_checker_states
+from .delta import IncrementalChecker, merge_checker_states
 from .events import (
     DeviceFault,
     Event,
@@ -48,7 +48,6 @@ __all__ = [
     "RuleInstalled",
     "RuleLost",
     "SNAPSHOT_VERSION",
-    "SwitchDigest",
     "event_from_dict",
     "instrument",
     "merge_checker_states",

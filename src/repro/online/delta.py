@@ -10,11 +10,9 @@ query.  :class:`IncrementalChecker` instead maintains a *live* verdict:
   policy, from the one incremental compiler of L, which hands back the
   *same* per-switch :class:`~repro.rules.RuleSequence` for a switch it did
   not re-assemble; the checker compiles nothing and owns no index;
-* each switch carries a :class:`SwitchDigest` — the match-key fingerprints
-  of its logical and deployed rule sets as of its last check — and the
-  checker's identity proof settles a switch whose two sets are equal without
-  running an engine at all (identical match/action sets have identical
-  semantics; the rule itself lives in
+* the checker's identity proof settles a switch whose logical and deployed
+  match-key sets are equal without running an engine at all (identical
+  match/action sets have identical semantics; the rule itself lives in
   :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`);
 * a dirty set makes :meth:`refresh` re-check only the switches inside the
   blast radius of what actually happened.
@@ -31,23 +29,25 @@ leaving the switch's rules alone, and the re-check is what re-localizes it.
 A switch whose compiled sequence is not the object held since the last
 refresh is dirty as well, so L is right even for an edit no event announced.
 The one full sweep is :meth:`bootstrap`, which establishes the baseline.
+
+A snapshot holds only what a sweep cannot recompute — which switches were
+violating and how, dirt, counters — and a restore runs that same sweep: a
+stored copy of L or T would be trusted over the network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..obs import span
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
-from ..rules import MatchKey, RuleSequence, TcamRule
+from ..rules import RuleSequence, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 
 __all__ = [
-    "SwitchDigest",
     "IncrementalChecker",
     "merge_checker_states",
 ]
@@ -64,14 +64,16 @@ _STAT_KEYS = (
     "index_patches",
 )
 
-@dataclass(frozen=True)
-class SwitchDigest:
-    """Match-key fingerprints of one switch's logical and deployed rule sets
-    as of its last check (what a snapshot records; the comparison itself is
-    :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`)."""
 
-    logical: FrozenSet[MatchKey]
-    deployed: FrozenSet[MatchKey]
+def _verdicts(results: Dict[str, SwitchCheckResult]) -> Dict[str, str]:
+    """What a snapshot records of ``results``: per *violating* switch, the
+    canonical fingerprint of its result alone (a healthy switch is the
+    absence of one)."""
+    return {
+        uid: EquivalenceReport({uid: result}).semantic_fingerprint()
+        for uid, result in sorted(results.items())
+        if not result.equivalent
+    }
 
 
 class IncrementalChecker:
@@ -86,7 +88,7 @@ class IncrementalChecker:
         self.controller = controller
         self.checker = checker or EquivalenceChecker()
         #: Ownership predicate for partitioned monitors: when set, this
-        #: checker maintains switch-level state (digests, results, dirt)
+        #: checker maintains switch-level state (results, dirt)
         #: only for switches the predicate accepts.  ``None`` (the default)
         #: owns the whole fabric.
         self._owned = owned
@@ -95,7 +97,6 @@ class IncrementalChecker:
         #: what the next compile's are compared with, by identity.
         self._compiled: Optional[CompiledRules] = None
         self._results: Dict[str, SwitchCheckResult] = {}
-        self._digests: Dict[str, SwitchDigest] = {}
         # Pending work.
         self._dirty: Set[str] = set()
         #: Changed objects whose blast radius the next refresh resolves.
@@ -209,11 +210,18 @@ class IncrementalChecker:
     def bootstrap(self, compiled: Optional[CompiledRules] = None) -> EquivalenceReport:
         """Full sweep establishing the baseline; clears all dirt."""
         with span("delta.bootstrap"):
-            return self._bootstrap(compiled or self.compile())
-
-    def _bootstrap(self, compiled: CompiledRules) -> EquivalenceReport:
+            compiled = compiled or self.compile()
+            report = self._sweep(compiled)
         self._compiled = compiled
         self._pending_objects.clear()
+        self.full_checks += 1
+        self._results = dict(report.results)
+        self._dirty.clear()
+        return report
+
+    def _sweep(self, compiled: CompiledRules) -> EquivalenceReport:
+        """Check every owned switch, ``compiled``'s L against the fabric's
+        current T, and assign nothing: a restore sweeps before it adopts."""
         logical = {
             switch_uid: rules
             for switch_uid, rules in compiled.by_switch.items()
@@ -224,19 +232,7 @@ class IncrementalChecker:
             for switch_uid, rules in self.controller.collect_deployed_rules().items()
             if self._owns(switch_uid)
         }
-        report = self.checker.check_network(logical, deployed)
-        self.full_checks += 1
-        self._results = dict(report.results)
-        empty = RuleSequence()
-        self._digests = {
-            switch_uid: SwitchDigest(
-                logical=logical.get(switch_uid, empty).key_set(),
-                deployed=deployed.get(switch_uid, empty).key_set(),
-            )
-            for switch_uid in set(logical) | set(deployed)
-        }
-        self._dirty.clear()
-        return report
+        return self.checker.check_network(logical, deployed)
 
     def refresh(
         self,
@@ -276,16 +272,12 @@ class IncrementalChecker:
                     # switch): fabricating a clean verdict would mask the mistake,
                     # and a serial check_network would emit nothing for it either.
                     self._results.pop(switch_uid, None)
-                    self._digests.pop(switch_uid, None)
                     continue
                 if logical is None:
                     logical = RuleSequence()
                 deployed = RuleSequence()
                 if switch is not None:
                     deployed = switch.tcam.rule_sequence()
-                self._digests[switch_uid] = SwitchDigest(
-                    logical=logical.key_set(), deployed=deployed.key_set()
-                )
                 result = self.checker.identity_proof(
                     switch_uid, logical, deployed, engine="digest"
                 )
@@ -319,9 +311,6 @@ class IncrementalChecker:
         """Every per-switch result this checker currently holds (a copy)."""
         return dict(self._results)
 
-    def digest_for(self, switch_uid: str) -> Optional[SwitchDigest]:
-        return self._digests.get(switch_uid)
-
     def missing_rules_for(self, switch_uid: str) -> List[TcamRule]:
         result = self._results.get(switch_uid)
         return list(result.missing_rules) if result is not None else []
@@ -341,8 +330,9 @@ class IncrementalChecker:
     # Snapshot / restore
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """The checker state as one JSON-ready dict: results, digests, dirt
-        and counters — not L, which a restore reads from its own controller.
+        """The checker state as one JSON-ready dict: what a sweep cannot
+        recompute.  The last verdict of every violating switch, dirt and
+        counters — not L or T, which a restore reads where they live.
 
         Policy changes still waiting for a refresh are resolved into
         ``dirty_switches`` here, while the index from before them is still
@@ -356,16 +346,7 @@ class IncrementalChecker:
         if self._pending_objects:
             dirty |= self._policy_dirt(self.controller.build_index())
         return {
-            "results": {
-                uid: self._results[uid].to_dict() for uid in sorted(self._results)
-            },
-            "digests": {
-                uid: {
-                    "logical": [list(key) for key in _ordered_keys(digest.logical)],
-                    "deployed": [list(key) for key in _ordered_keys(digest.deployed)],
-                }
-                for uid, digest in sorted(self._digests.items())
-            },
+            "verdicts": _verdicts(self._results),
             "dirty_switches": sorted(dirty),
             "pending_objects": [
                 [uid, object_type.value if object_type is not None else None]
@@ -374,48 +355,46 @@ class IncrementalChecker:
             "stats": {key: getattr(self, key) for key in _STAT_KEYS},
         }
 
-    def restore_state(self, state: Dict, with_stats: bool = True) -> None:
-        """Adopt a :meth:`snapshot_state` payload (scoped to owned switches).
-
-        L comes from the controller's *current* policy, and a switch stays
-        clean only if that compile's key set equals the logical digest the
-        payload recorded for it: what moved while no checker was watching
-        is re-checked by the first refresh, with the payload's own dirt.
-        No full sweep runs and the restore's compile request is booked to no
-        counter: the counters move only by what ``with_stats`` restores.  A
-        malformed payload raises before anything changes.
-        """
-        self.parse_state(state, with_stats)()
-
     def parse_state(
         self,
         state: Dict,
         with_stats: bool = True,
         compiled: Optional[CompiledRules] = None,
     ) -> Callable[[], None]:
-        """Parse a :meth:`snapshot_state` payload against ``compiled`` (the
-        controller's current compile when left out) and return the step that
-        adopts it — :meth:`restore_state` in two halves, so a monitor can
-        parse every partition's slice before any checker changes.  Parsing
-        raises on a malformed payload and touches nothing; the returned step
-        only assigns.
+        """Parse a :meth:`snapshot_state` payload, sweep the owned switches
+        against ``compiled`` (the controller's current compile when left
+        out) and return the step that adopts both, so a monitor can do this
+        for every partition's slice before any checker changes.  A
+        malformed payload or a fabric that cannot be checked raises here and
+        touches nothing; the returned step only assigns.
 
-        Version-1 payloads also carried a private compile of L (ignored)
-        and ``dirty_pairs`` (the switches those pairs are placed on now).
+        The sweep is the bootstrap's, applied to no incident: a switch whose
+        fresh verdict is not the recorded one — L or T moved while no
+        checker was watching — is dirty beside the payload's own dirt, for
+        the first refresh.  The compile request is booked to no counter;
+        ``full_checks`` reads what ``with_stats`` restores plus this sweep.
+
+        Version-1 and -2 payloads carried whole ``results`` (the verdicts
+        are derived from them) and both key sets of every switch (ignored);
+        version 1 also a private compile of L (ignored) and ``dirty_pairs``
+        (the switches those pairs are placed on now).
         """
-        results = {
-            uid: SwitchCheckResult.from_dict(data)
-            for uid, data in state.get("results", {}).items()
-            if self._owns(uid)
-        }
-        digests = {
-            uid: SwitchDigest(
-                logical=frozenset(tuple(key) for key in digest["logical"]),
-                deployed=frozenset(tuple(key) for key in digest["deployed"]),
+        if "verdicts" in state:
+            verdicts = {
+                uid: verdict
+                for uid, verdict in state["verdicts"].items()
+                if self._owns(uid)
+            }
+            if not all(type(verdict) is str for verdict in verdicts.values()):
+                raise ValueError(f"verdicts must be strings, got {verdicts!r}")
+        else:
+            verdicts = _verdicts(
+                {
+                    uid: SwitchCheckResult.from_dict(data)
+                    for uid, data in state.get("results", {}).items()
+                    if self._owns(uid)
+                }
             )
-            for uid, digest in state.get("digests", {}).items()
-            if self._owns(uid)
-        }
         dirty = {uid for uid in state.get("dirty_switches", ()) if self._owns(uid)}
         dirty_pairs = [EpgPair(*pair) for pair in state.get("dirty_pairs", ())]
         pending_objects = [
@@ -428,22 +407,21 @@ class IncrementalChecker:
             raise ValueError(f"stats must be integers, got {counters!r}")
 
         compiled = compiled or self.controller._compiled_rules()
-        logical = compiled.by_switch
-        empty = RuleSequence()
-        for switch_uid in filter(self._owns, logical.keys() | digests.keys()):
-            digest = digests.get(switch_uid)
-            if (
-                digest is None
-                or digest.logical != logical.get(switch_uid, empty).key_set()
-            ):
-                dirty.add(switch_uid)
+        results = self._sweep(compiled).results
+        fresh = _verdicts(results)
+        dirty.update(
+            switch_uid
+            for switch_uid in fresh.keys() | verdicts.keys()
+            if fresh.get(switch_uid) != verdicts.get(switch_uid)
+        )
         for pair in dirty_pairs:
             dirty.update(filter(self._owns, compiled.index.switches_for_pair(pair)))
 
         def adopt() -> None:
             for key, value in counters.items():
                 setattr(self, key, value)
-            self._results, self._digests = results, digests
+            self.full_checks += 1
+            self._results = results
             self._dirty, self._pending_objects = dirty, pending_objects
             self._compiled = compiled
 
@@ -453,44 +431,25 @@ class IncrementalChecker:
 # ---------------------------------------------------------------------- #
 # Snapshot plumbing
 # ---------------------------------------------------------------------- #
-def _ordered_keys(keys: FrozenSet[MatchKey]) -> List[MatchKey]:
-    """Match keys in a stable order (``port`` may be ``None``, so a plain
-    sort over the tuples would compare ``None`` with ``int``)."""
-    return sorted(
-        keys,
-        key=lambda key: (
-            key[0],
-            key[1],
-            key[2],
-            key[3],
-            key[4] is not None,
-            key[4] if key[4] is not None else 0,
-            key[5],
-        ),
-    )
-
-
 def merge_checker_states(states: Sequence[Dict]) -> Dict:
     """Merge per-partition :meth:`IncrementalChecker.snapshot_state` payloads.
 
-    Switch-keyed maps are disjoint by ownership and merge trivially.  Dirty
-    sets union; pending policy changes were broadcast to every partition
-    and dedupe in first-seen order; counters sum, so aggregated monitor
-    stats survive a restore.
+    Verdicts are disjoint by ownership and merge trivially.  Dirty sets
+    union; pending policy changes were broadcast to every partition and
+    dedupe in first-seen order; counters sum, so aggregated monitor stats
+    survive a restore.
     """
     if not states:
         raise ValueError("cannot merge zero checker states")
     merged: Dict = {
-        "results": {},
-        "digests": {},
+        "verdicts": {},
         "dirty_switches": set(),
         "pending_objects": [],
         "stats": {key: 0 for key in _STAT_KEYS},
     }
     seen_pending = set()
     for state in states:
-        merged["results"].update(state.get("results", {}))
-        merged["digests"].update(state.get("digests", {}))
+        merged["verdicts"].update(state.get("verdicts", {}))
         merged["dirty_switches"].update(state.get("dirty_switches", ()))
         for uid, type_value in state.get("pending_objects", ()):
             if (uid, type_value) not in seen_pending:
@@ -498,7 +457,6 @@ def merge_checker_states(states: Sequence[Dict]) -> Dict:
                 merged["pending_objects"].append([uid, type_value])
         for key in _STAT_KEYS:
             merged["stats"][key] += state.get("stats", {}).get(key, 0)
-    for section in ("results", "digests"):
-        merged[section] = dict(sorted(merged[section].items()))
+    merged["verdicts"] = dict(sorted(merged["verdicts"].items()))
     merged["dirty_switches"] = sorted(merged["dirty_switches"])
     return merged

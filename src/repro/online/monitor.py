@@ -38,19 +38,20 @@ each switch is judged from the same logical/deployed state whoever owns it
 
 Snapshot / restore
 ------------------
-:meth:`NetworkMonitor.snapshot` captures checker state (all partitions,
-merged: results, digests, dirt, counters — no copy of L), the incident
-store, the pending event batch and the debounce bookkeeping as one
-JSON-ready dict; :meth:`NetworkMonitor.restore` (or
-:meth:`NetworkMonitor.from_snapshot`) adopts it without a full-fabric
-recheck — ``full_checks`` does not move — and the restored monitor's
-report and incident journal stay byte-identical to a never-restarted
-monitor consuming the same stream.  L is read from the restoring
-controller: a switch whose compiled key set no longer equals its
-snapshotted logical digest (the policy moved while the monitor was down) is
-re-checked by the first poll that runs.  Restoring into a different
-partition count is a rebalance: the merged state reshards along the new
-map.  Version-1 documents still restore; their copy of L is ignored.
+:meth:`NetworkMonitor.snapshot` captures what cannot be recomputed — checker
+state (all partitions, merged: the verdict fingerprint of every violating
+switch, dirt, counters — no copy of L or T), the incident store, the pending
+event batch and the debounce bookkeeping — as one JSON-ready dict;
+:meth:`NetworkMonitor.restore` (or :meth:`NetworkMonitor.from_snapshot`)
+adopts it around one ordinary bootstrap sweep applied to no incident —
+``full_checks`` moves by one per checker — and the restored monitor's report
+and incident journal stay byte-identical to a never-restarted monitor
+consuming the same stream.  A switch whose fresh verdict is not the recorded
+one (the policy or a TCAM moved while the monitor was down) is re-checked by
+the first poll that runs, which opens, updates or resolves its incident.
+Restoring into a different partition count is a rebalance: the merged state
+reshards along the new map.  Version-1 and -2 documents still restore: their
+whole results are read for the verdicts, their copies of L and T ignored.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ from .partition import PartitionMap
 
 __all__ = ["MonitorPass", "NetworkMonitor", "SNAPSHOT_VERSION"]
 
-#: Version tag stamped into monitor snapshots.  Version 1 also carried the
-#: checker's own compile of L; :meth:`NetworkMonitor.restore` still reads it.
-SNAPSHOT_VERSION = 2
-_READABLE_VERSIONS = (1, SNAPSHOT_VERSION)
+#: Version tag stamped into monitor snapshots.  Version 2 carried every
+#: switch's whole result and both its key sets, version 1 the checker's own
+#: compile of L as well; :meth:`NetworkMonitor.restore` still reads both.
+SNAPSHOT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, SNAPSHOT_VERSION)
 
 
 #: Snapshot fields that must hold a (non-bool) integer when present ...
@@ -562,7 +564,7 @@ class NetworkMonitor:
         store, the pending (not yet polled) event batch with its debounce
         timestamps, the partition map and the poll/clock counters — enough
         for :meth:`restore` to resume exactly where this monitor stands,
-        with no full-fabric recheck and byte-identical downstream output.
+        with byte-identical downstream output.
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -588,8 +590,9 @@ class NetworkMonitor:
         """Adopt a :meth:`snapshot` payload and attach to the controller.
 
         Must be called *instead of* :meth:`start` (on a monitor that is not
-        running): the checker state deserializes in place of the bootstrap
-        sweep, so ``full_checks`` does not move; the incident store refills
+        running): the bootstrap sweep runs, but against the recorded
+        verdicts instead of the incident store — what it finds changed is
+        left dirty for the first poll; the incident store refills
         in place (references held by the service stay valid); pending events
         and debounce timestamps come back so not even an unprocessed batch
         is lost; and instrumentation attaches last, after all state is in
@@ -599,11 +602,12 @@ class NetworkMonitor:
         if self.running:
             raise RuntimeError("cannot restore a running monitor (stop it first)")
         _require_snapshot(snapshot)
-        # Parse every section before touching anything: a malformed document
-        # (or a policy that does not compile) must leave the monitor
-        # un-attached, the shared clock unmoved and a following start()
-        # working.  The compile is booked to no counter: a restore leaves
-        # the snapshot's counters as they were.
+        # Parse every section, and sweep, before touching anything: a
+        # malformed document (or a policy that does not compile, or a fabric
+        # that cannot be checked) must leave the monitor un-attached, the
+        # shared clock unmoved and a following start() working.  The compile
+        # is booked to no counter: of the snapshot's counters a restore
+        # moves ``full_checks`` only.
         compiled = self.controller._compiled_rules()
         adoptions = _parse_field(
             "checker",

@@ -6,7 +6,7 @@ queries the risk models are built from.
 """
 
 from .builder import PolicyBuilder, three_tier_policy
-from .graph import PolicyIndex, build_dependency_graph, epg_pairs_per_object
+from .graph import PolicyIndex, epg_pairs_per_object
 from .objects import (
     ANY_PORT,
     Contract,
@@ -45,7 +45,6 @@ __all__ = [
     "PolicyObject",
     "Tenant",
     "Vrf",
-    "build_dependency_graph",
     "epg_pairs_per_object",
     "object_sort_key",
     "pairs_from_epgs",

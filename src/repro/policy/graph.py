@@ -1,15 +1,10 @@
-"""Policy dependency graph and cached dependency index.
+"""Cached policy dependency index.
 
-Two complementary views of the same information:
-
-* :class:`PolicyIndex` — flat, cached maps between EPG pairs, policy objects
-  and switches.  The risk models, the rule compiler and the experiments all
-  go through the index because the naive per-query traversals in
-  :class:`~repro.policy.tenant.NetworkPolicy` become too slow at the paper's
-  production-cluster scale (hundreds of EPGs, tens of thousands of pairs).
-* :func:`build_dependency_graph` — a ``networkx`` directed graph of object
-  dependencies (endpoint → EPG → VRF, EPG → contract → filter) used for
-  visualisation, reachability queries and the Figure 3 study.
+:class:`PolicyIndex` — flat, cached maps between EPG pairs, policy objects
+and switches.  The risk models, the rule compiler and the experiments all
+go through the index because the naive per-query traversals in
+:class:`~repro.policy.tenant.NetworkPolicy` become too slow at the paper's
+production-cluster scale (hundreds of EPGs, tens of thousands of pairs).
 """
 
 from __future__ import annotations
@@ -17,8 +12,6 @@ from __future__ import annotations
 import copy
 from collections import defaultdict
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
-
-import networkx as nx
 
 from .objects import (
     Contract,
@@ -34,7 +27,6 @@ from .tenant import NetworkPolicy
 
 __all__ = [
     "PolicyIndex",
-    "build_dependency_graph",
     "epg_pairs_per_object",
     "object_tables",
 ]
@@ -285,37 +277,6 @@ class PolicyIndex:
         for switch_uid in self._switch_pairs:
             types[switch_uid] = ObjectType.SWITCH
         return types
-
-
-def build_dependency_graph(policy: NetworkPolicy) -> nx.DiGraph:
-    """Build a directed dependency graph of the policy.
-
-    Edges point from the dependent object to the object it relies on:
-    endpoint → EPG, EPG → VRF, EPG → contract (provides/consumes annotated on
-    the edge), contract → filter.  Node attributes carry ``object_type`` and
-    ``name`` so the graph can be exported (e.g. to GraphML) for inspection.
-    """
-    graph = nx.DiGraph()
-    for obj in policy.objects():
-        graph.add_node(obj.uid, object_type=obj.object_type.value, name=obj.name)
-
-    for endpoint in policy.endpoints():
-        if endpoint.epg_uid in policy:
-            graph.add_edge(endpoint.uid, endpoint.epg_uid, relation="member-of")
-    for epg in policy.epgs():
-        if epg.vrf_uid in policy:
-            graph.add_edge(epg.uid, epg.vrf_uid, relation="scoped-by")
-        for contract_uid in epg.provides:
-            if contract_uid in policy:
-                graph.add_edge(epg.uid, contract_uid, relation="provides")
-        for contract_uid in epg.consumes:
-            if contract_uid in policy:
-                graph.add_edge(epg.uid, contract_uid, relation="consumes")
-    for contract in policy.contracts():
-        for filter_uid in contract.filter_uids:
-            if filter_uid in policy:
-                graph.add_edge(contract.uid, filter_uid, relation="uses-filter")
-    return graph
 
 
 def epg_pairs_per_object(

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..exceptions import RiskModelError
 
 __all__ = ["EdgeStatus", "RiskModel", "cached_model"]
@@ -293,20 +291,6 @@ class RiskModel:
         for element in self.failure_signature():
             suspects.update(self._element_risks.get(element, ()))
         return suspects
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the model as a ``networkx`` bipartite graph (for inspection)."""
-        graph = nx.Graph()
-        for element, risks in self._element_risks.items():
-            if element in self._pruned:
-                continue
-            graph.add_node(("element", element), bipartite=0)
-            failed = self._failed_risks_by_element.get(element, set())
-            for risk in risks:
-                graph.add_node(("risk", risk), bipartite=1)
-                status = EdgeStatus.FAIL if risk in failed else EdgeStatus.SUCCESS
-                graph.add_edge(("element", element), ("risk", risk), status=status)
-        return graph
 
     def summary(self) -> Dict[str, int]:
         return {

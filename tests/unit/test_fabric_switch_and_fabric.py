@@ -168,6 +168,16 @@ class TestFabric:
         assert len(placement) == 6
         assert {ep.switch_uid for ep in policy.endpoints()} == {"leaf-1", "leaf-2", "leaf-3"}
 
+    def test_attach_round_robin_takes_any_iterable_of_endpoints(self):
+        builder, uids = three_tier_policy()
+        eps = [builder.endpoint(f"EP{i}", uids["web"]) for i in range(6)]
+        policy = builder.build()
+        fabric = Fabric(num_leaves=3)
+        # A generator can be read once: the subset must be materialised once.
+        placement = fabric.attach_round_robin(policy, endpoints=(ep for ep in eps[:4]))
+        assert sorted(placement) == sorted(eps[:4])
+        assert [policy.get(ep).switch_uid for ep in eps[4:]] == [None, None]
+
     def test_collect_tcam_and_fault_records(self, three_tier):
         fabric = three_tier.fabric
         collected = fabric.collect_tcam_rules()

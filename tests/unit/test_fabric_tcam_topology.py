@@ -199,7 +199,7 @@ class TestLeafSpineTopology:
         topo = LeafSpineTopology.build(num_leaves=4, num_spines=2)
         assert len(topo.leaves()) == 4
         assert len(topo.spines()) == 2
-        assert topo.graph.number_of_edges() == 8
+        assert topo.summary()["links"] == 8
         topo.validate()
 
     def test_leaf_to_leaf_path_goes_through_spine(self):

@@ -1,4 +1,5 @@
-"""Monitor snapshot/restore: resume after a restart with zero full sweeps."""
+"""Monitor snapshot/restore: resume after a restart around one sweep that is
+applied to no incident."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ import pytest
 
 from repro import Controller
 from repro.core import ScoutSystem
-from repro.online import SNAPSHOT_VERSION, IncrementalChecker, NetworkMonitor
+from repro.exceptions import VerificationError
+from repro.online import SNAPSHOT_VERSION, NetworkMonitor
 from repro.policy.objects import FilterEntry
 from repro.service import ScoutService, TestClient
-from repro.workloads import generate_workload, small_profile
+from repro.workloads import generate_workload, simulation_profile, small_profile
 
 #: ``NetworkMonitor(three_tier.controller, debounce_ticks=1).snapshot()`` as
 #: the commit before every monitor carried a partition map wrote it (note
@@ -127,6 +129,46 @@ PARENT_FORMAT_SNAPSHOT = json.loads(
 '''
 )
 
+#: The same history as the commit before version 3 wrote it: whole results
+#: and both key sets of every switch.
+VERSION_2_SNAPSHOT = json.loads(
+    '''
+{"checker": {"digests": {"leaf-1": {"deployed": [[101, 1, 2, "tcp", 80, "allow"], [101,
+2, 1, "tcp", 80, "allow"]], "logical": [[101, 1, 2, "tcp", 80, "allow"], [101, 2, 1,
+"tcp", 80, "allow"]]}, "leaf-2": {"deployed": [[101, 1, 2, "tcp", 80, "allow"], [101, 2,
+1, "tcp", 80, "allow"], [101, 2, 3, "tcp", 80, "allow"], [101, 3, 2, "tcp", 80,
+"allow"]], "logical": [[101, 1, 2, "tcp", 80, "allow"], [101, 2, 1, "tcp", 80, "allow"],
+[101, 2, 3, "tcp", 80, "allow"], [101, 2, 3, "tcp", 700, "allow"], [101, 3, 2, "tcp",
+80, "allow"], [101, 3, 2, "tcp", 700, "allow"]]}, "leaf-3": {"deployed": [[101, 2, 3,
+"tcp", 80, "allow"], [101, 2, 3, "tcp", 700, "allow"], [101, 3, 2, "tcp", 80, "allow"],
+[101, 3, 2, "tcp", 700, "allow"]], "logical": [[101, 2, 3, "tcp", 80, "allow"], [101, 2,
+3, "tcp", 700, "allow"], [101, 3, 2, "tcp", 80, "allow"], [101, 3, 2, "tcp", 700,
+"allow"]]}}, "dirty_switches": [], "pending_objects": [], "results": {"leaf-1":
+{"deployed_count": 2, "engine": "ap", "equivalent": true, "extra_rules": [],
+"logical_count": 2, "missing_rules": [], "switch_uid": "leaf-1"}, "leaf-2":
+{"deployed_count": 4, "engine": "ap", "equivalent": false, "extra_rules": [],
+"logical_count": 6, "missing_rules": [{"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid": "epg:webshop/DB", "filter_uid":
+"filter:webshop/port700", "port": 700, "protocol": "tcp", "src_epg": 2, "src_epg_uid":
+"epg:webshop/App", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid":
+"epg:webshop/App", "filter_uid": "filter:webshop/port700", "port": 700, "protocol":
+"tcp", "src_epg": 3, "src_epg_uid": "epg:webshop/DB", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}], "switch_uid": "leaf-2"}, "leaf-3": {"deployed_count": 4, "engine":
+"ap", "equivalent": true, "extra_rules": [], "logical_count": 4, "missing_rules": [],
+"switch_uid": "leaf-3"}}, "stats": {"digest_short_circuits": 0, "full_checks": 1,
+"index_patches": 0, "index_rebuilds": 0, "pair_recompiles": 2, "switch_checks": 1}},
+"clock": 3, "debounce_ticks": 1, "events_seen": 2, "first_event_at": null, "incidents":
+{"counter": 1, "incidents": [{"corr_id": "poll-t3-000001", "extra_rules": 0,
+"fault_codes": [], "incident_id": "INC-0001", "missing_rules": 2, "opened_at": 3,
+"resolved_at": null, "status": "open", "suspects": ["contract:webshop/App-DB",
+"epg:webshop/DB", "filter:webshop/port700"], "switch_uid": "leaf-2", "updated_at": 3,
+"updates": 0}]}, "kind": "monitor-snapshot", "last_event_at": 1, "max_wait_ticks": 5,
+"partition_map": {"shards": [["leaf-1", "leaf-2", "leaf-3"]]}, "partitions": 1,
+"passes": 1, "pending_events": [], "poll_seq": 1, "version": 2}
+'''
+)
+
 
 def _wipe(scenario, uid, port=700):
     removed = scenario.fabric.switch(uid).tcam.remove_where(
@@ -136,8 +178,18 @@ def _wipe(scenario, uid, port=700):
     return removed
 
 
+@pytest.fixture
+def controller():
+    workload = generate_workload(small_profile())
+    controller = Controller(workload.policy, workload.fabric)
+    controller.deploy()
+    return controller
+
+
 class TestSnapshotRestore:
-    def test_round_trip_resumes_without_a_full_sweep(self, three_tier):
+    def test_round_trip_resumes_after_one_sweep_applied_to_no_incident(
+        self, three_tier
+    ):
         monitor = NetworkMonitor(three_tier.controller, debounce_ticks=1)
         monitor.start()
         _wipe(three_tier, "leaf-2")
@@ -149,29 +201,29 @@ class TestSnapshotRestore:
         _wipe(three_tier, "leaf-3")
         pending = monitor.pending_events()
         assert pending > 0
-        verdict = monitor.report().semantic_fingerprint()
         snap = json.loads(json.dumps(monitor.snapshot(), sort_keys=True))
         monitor.stop()
-        # Version 2 carries verdicts, digests, dirt and counters — no copy
-        # of L: the restoring side reads that from its own controller.
-        assert snap["version"] == SNAPSHOT_VERSION == 2
-        sections = {"results", "digests", "dirty_switches", "pending_objects", "stats"}
+        # Version 3 carries the violating switches' verdict fingerprints,
+        # dirt and counters — no copy of L or T: the restoring side reads
+        # those where they live.
+        assert snap["version"] == SNAPSHOT_VERSION == 3
+        sections = {"verdicts", "dirty_switches", "pending_objects", "stats"}
         assert set(snap["checker"]) == sections
-        # A document written before the engine ladder collapsed: labels are
-        # opaque strings, not a vocabulary the restore validates.
-        results = snap["checker"]["results"]
-        results["leaf-1"]["engine"] = "hash"
-        results["leaf-2"]["engine"] = "bdd"
+        assert sorted(snap["checker"]["verdicts"]) == ["leaf-2"]
+        assert snap["checker"]["dirty_switches"] == ["leaf-3"]
 
         restored = NetworkMonitor.from_snapshot(three_tier.controller, snap)
         assert restored.running
-        assert restored.report().results["leaf-1"].engine == "hash"
         stats = restored.stats()
-        # The snapshot's bootstrap is the only full sweep there ever was.
-        assert stats["full_checks"] == 1
+        # The snapshot's bootstrap, and the restore's own sweep.
+        assert stats["full_checks"] == 2
         assert stats["restores"] == 1
         assert restored.pending_events() == pending
-        assert restored.report().semantic_fingerprint() == verdict
+        # The report reads live state — ahead of the un-polled batch — but
+        # the incident ledger waits for the poll.
+        live = ScoutSystem(three_tier.controller).check()
+        assert restored.report().semantic_fingerprint() == live.semantic_fingerprint()
+        assert [item.switch_uid for item in restored.store.active()] == ["leaf-2"]
 
         # The incident came through byte-for-byte, still open, in a store
         # that keeps allocating fresh ids after it.
@@ -183,30 +235,10 @@ class TestSnapshotRestore:
         three_tier.controller.clock.tick(2)
         result = restored.poll()
         assert [opened.switch_uid for opened in result.opened] == ["leaf-3"]
-        assert restored.stats()["full_checks"] == 1
+        assert restored.stats()["full_checks"] == 2
         fresh = ScoutSystem(three_tier.controller).check()
         assert restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
         restored.close()
-
-    def test_standalone_checker_restore_state_restores(self, three_tier):
-        # The checker is also used on its own (campaign runner, benches):
-        # restore_state adopts the payload itself, all-or-nothing.
-        source = IncrementalChecker(three_tier.controller)
-        source.bootstrap()
-        _wipe(three_tier, "leaf-2")
-        source.refresh(["leaf-2"])
-        state = json.loads(json.dumps(source.snapshot_state()))
-
-        target = IncrementalChecker(three_tier.controller)
-        broken = {**state, "digests": {"leaf-3": {"logical": []}}}
-        with pytest.raises(KeyError):
-            target.restore_state(broken)
-        assert target.results() == {} and target.stats()["full_checks"] == 0
-        assert target.restore_state(state) is None
-        assert target.report().fingerprint() == source.report().fingerprint()
-        for counter in ("full_checks", "switch_checks", "digest_short_circuits"):
-            assert target.stats()[counter] == source.stats()[counter]
-        assert target.refresh() == {}  # nothing dirty, no bootstrap sweep
 
     def test_restore_while_running_rejected(self, three_tier):
         monitor = NetworkMonitor(three_tier.controller)
@@ -223,7 +255,7 @@ class TestSnapshotRestore:
         monitor.stop()
         with pytest.raises(ValueError, match="kind"):
             monitor.restore({**snap, "kind": "something-else"})
-        for version in (999, SNAPSHOT_VERSION + 1, 0, True, "2", None):
+        for version in (999, SNAPSHOT_VERSION + 1, 0, True, "3", None):
             with pytest.raises(ValueError, match="version"):
                 monitor.restore({**snap, "version": version})
         # The two fields only from_snapshot reads.
@@ -250,15 +282,15 @@ class TestSnapshotRestore:
             three_tier.controller, snap, partitions=2
         )
         assert resharded.partitions == 2
-        assert resharded.stats()["full_checks"] == 1
+        assert resharded.stats()["full_checks"] == 1 + 2  # one per new checker
         assert resharded.report().semantic_fingerprint() == verdict
         # The restored state drives the lifecycle across the new shards: a
-        # repair resolves the carried incident without any full sweep.
+        # repair resolves the carried incident without a further sweep.
         three_tier.fabric.switch("leaf-2").sync_tcam()
         three_tier.controller.clock.tick(2)
         result = resharded.poll()
         assert [done.incident_id for done in result.resolved] == [incident.incident_id]
-        assert resharded.stats()["full_checks"] == 1
+        assert resharded.stats()["full_checks"] == 3
         resharded.close()
 
     def test_snapshot_reuses_the_stored_partition_map(self, three_tier):
@@ -275,14 +307,7 @@ class TestSnapshotRestore:
 
 class TestRestoreAgainstAMovedPolicy:
     """The snapshot carries no L; what the policy did while the monitor was
-    down is found by comparing the current compile with the logical digests."""
-
-    @pytest.fixture
-    def controller(self):
-        workload = generate_workload(small_profile())
-        controller = Controller(workload.policy, workload.fabric)
-        controller.deploy()
-        return controller
+    down is found by the restore's sweep against the current compile."""
 
     @staticmethod
     def _switches_depending_on(index, uid):
@@ -317,7 +342,7 @@ class TestRestoreAgainstAMovedPolicy:
 
         restored = NetworkMonitor.from_snapshot(controller, document)
         try:
-            assert restored.stats()["full_checks"] == 1
+            assert restored.stats()["full_checks"] == 2
             # One unrelated TCAM event is all the first poll is told about.
             unrelated = sorted(set(controller.fabric.leaf_uids()) - stale)
             tcam = controller.fabric.switch((unrelated or sorted(stale))[0]).tcam
@@ -332,7 +357,7 @@ class TestRestoreAgainstAMovedPolicy:
             assert sorted(i.switch_uid for i in restored.store.active()) == (
                 fresh.switches_with_violations()
             )
-            assert restored.stats()["full_checks"] == 1
+            assert restored.stats()["full_checks"] == 2
         finally:
             restored.close()
 
@@ -363,7 +388,7 @@ class TestRestoreAgainstAMovedPolicy:
                 restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
             )
             stats = restored.stats()
-            assert stats["dirty_switches"] == 0 and stats["full_checks"] == 1
+            assert stats["dirty_switches"] == 0 and stats["full_checks"] == 2
             # Clean again: nothing is due and a forced poll has nothing to do.
             assert not restored.due()
             assert restored.poll(force=True) is None
@@ -386,7 +411,7 @@ class TestRestoreAgainstAMovedPolicy:
             assert polled["switches_rechecked"] == drifted
             status = client.get("/monitor/status").json()
             assert status["stats"]["dirty_switches"] == 0
-            assert status["stats"]["full_checks"] == 1
+            assert status["stats"]["full_checks"] == 2
             open_on = sorted(
                 incident["switch_uid"]
                 for incident in client.get("/incidents?status=open").json()["incidents"]
@@ -480,22 +505,205 @@ class TestRestoreAgainstAMovedPolicy:
             restored.close()
 
 
+class TestRestoreAgainstAMovedFabric:
+    """The snapshot carries no T either: where the fabric and the document
+    disagree, the restore's sweep sides with the fabric and the first poll
+    settles the ledger."""
+
+    @staticmethod
+    def _first_leaf(controller):
+        return controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0])
+
+    def _snapshot_then_wipe_a_leaf(self, controller):
+        monitor = NetworkMonitor(controller, debounce_ticks=1)
+        monitor.start()
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        # Nobody is listening: no event will ever announce this loss.
+        leaf = self._first_leaf(controller)
+        assert leaf.tcam.remove_where(lambda rule: True)
+        return document, leaf.uid
+
+    def test_a_leaf_wiped_while_down_is_opened_by_the_first_poll(self, controller):
+        document, leaf = self._snapshot_then_wipe_a_leaf(controller)
+        assert document["checker"]["verdicts"] == {}
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            assert restored.pending_events() == 0
+            assert restored.stats()["dirty_switches"] == 1
+            assert len(restored.store) == 0  # the sweep itself opens nothing
+            assert restored.due()
+            result = restored.poll()
+            assert result.events == 0
+            assert result.switches_rechecked == [leaf]
+            assert [incident.switch_uid for incident in result.opened] == [leaf]
+            fresh = ScoutSystem(controller).check()
+            assert fresh.switches_with_violations() == [leaf]
+            assert (
+                restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+            )
+            assert not restored.due()
+            assert restored.poll(force=True) is None
+        finally:
+            restored.close()
+
+    def test_a_restarted_daemon_opens_the_wiped_leaf_on_its_first_poll(
+        self, controller
+    ):
+        document, leaf = self._snapshot_then_wipe_a_leaf(controller)
+        service = ScoutService(controller, sync_audits=True, restore_snapshot=document)
+        try:
+            client = TestClient(service)
+            assert client.get("/monitor/status").json()["due"] is True
+            polled = client.post("/monitor/poll", json={}).json()["pass"]
+            assert polled["events"] == 0
+            assert polled["switches_rechecked"] == [leaf]
+            incidents = client.get("/incidents?status=open").json()["incidents"]
+            assert [incident["switch_uid"] for incident in incidents] == [leaf]
+            fresh = ScoutSystem(controller).check()
+            assert (
+                service.monitor.report().semantic_fingerprint()
+                == fresh.semantic_fingerprint()
+            )
+        finally:
+            service.close()
+
+    def test_a_violation_repaired_while_down_is_resolved_by_the_first_poll(
+        self, controller
+    ):
+        monitor = NetworkMonitor(controller, debounce_ticks=1)
+        monitor.start()
+        leaf = self._first_leaf(controller)
+        assert leaf.tcam.remove_where(lambda rule: True)
+        [incident] = monitor.poll(force=True).opened
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        assert sorted(document["checker"]["verdicts"]) == [leaf.uid]
+        leaf.sync_tcam()  # what a restart on a regenerated fabric finds
+
+        restored = NetworkMonitor.from_snapshot(controller, document)
+        try:
+            # The restore resolved nothing: the incident waits for the poll.
+            assert [item.switch_uid for item in restored.store.active()] == [leaf.uid]
+            assert restored.report().equivalent
+            assert restored.due()
+            result = restored.poll()
+            assert result.events == 0
+            assert [item.incident_id for item in result.resolved] == [
+                incident.incident_id
+            ]
+            assert restored.store.active() == []
+            assert restored.poll(force=True) is None
+        finally:
+            restored.close()
+
+    def test_an_acked_incident_is_not_reopened_by_a_restart(self, three_tier):
+        service = ScoutService(three_tier.controller, sync_audits=True)
+        client = TestClient(service)
+        _wipe(three_tier, "leaf-2")
+        three_tier.controller.clock.tick(2)
+        [opened] = client.post("/monitor/poll", json={}).json()["pass"]["opened"]
+        acked = client.post(f"/incidents/{opened['incident_id']}/resolve", json={})
+        assert acked.status == 200
+        snap = client.post("/monitor/snapshot", json={}).json()["snapshot"]
+        service.close()
+
+        # Still violating, verdict unchanged: no dirt, so nothing re-opens it.
+        reborn = ScoutService(
+            three_tier.controller, sync_audits=True, restore_snapshot=snap
+        )
+        try:
+            restarted = TestClient(reborn)
+            assert not reborn.monitor.report().equivalent
+            status = restarted.get("/monitor/status").json()
+            assert status["due"] is False
+            assert status["stats"]["dirty_switches"] == 0
+            assert restarted.post("/monitor/poll", json={}).json()["pass"] is None
+            assert restarted.get("/incidents?status=open").json()["incidents"] == []
+            assert len(reborn.store) == 1
+        finally:
+            reborn.close()
+
+    def test_a_sweep_that_raises_fails_the_restore_before_any_change(
+        self, controller
+    ):
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        leaf = self._first_leaf(controller)
+        leaf.tcam.remove(leaf.tcam.match_keys()[0])
+        monitor.poll(force=True)
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        assert document["incidents"]["incidents"]
+        document["clock"] = controller.clock.peek() + 50
+
+        # A rule no engine can encode: the fabric cannot be checked.
+        unencodable = dataclasses.replace(leaf.tcam.rules()[0], port=70_000)
+        leaf.tcam.install(unencodable)
+        fresh = NetworkMonitor(controller)
+        clock_before = controller.clock.peek()
+        with pytest.raises(VerificationError, match="port value 70000"):
+            fresh.restore(document)
+        assert not fresh.running
+        assert len(fresh.store) == 0 and fresh.pending_events() == 0
+        assert fresh.stats()["restores"] == 0 and fresh.stats()["full_checks"] == 0
+        assert controller.clock.peek() == clock_before
+
+        leaf.tcam.remove(unencodable.match_key())
+        fresh.start()
+        assert [item.switch_uid for item in fresh.store.active()] == [leaf.uid]
+        fresh.close()
+
+
+class TestSnapshotSize:
+    def test_a_healthy_simulation_snapshot_is_a_few_kilobytes(self):
+        """No section of the document grows with the rules a switch holds."""
+        workload = generate_workload(simulation_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        document = monitor.snapshot()
+        monitor.close()
+        assert set(document["checker"]) == {
+            "verdicts",
+            "dirty_switches",
+            "pending_objects",
+            "stats",
+        }
+        assert document["checker"]["verdicts"] == {}
+        assert len(json.dumps(document)) < 16 * 1024
+
+
 class TestParentFormatSnapshot:
     @pytest.mark.parametrize("partitions", (None, 2))
-    def test_parent_commit_snapshot_restores(self, three_tier, partitions):
+    @pytest.mark.parametrize(
+        "parent_format", (PARENT_FORMAT_SNAPSHOT, VERSION_2_SNAPSHOT), ids=("v1", "v2")
+    )
+    def test_parent_commit_snapshot_restores(
+        self, three_tier, parent_format, partitions
+    ):
         assert PARENT_FORMAT_SNAPSHOT["partition_map"] is None
-        assert PARENT_FORMAT_SNAPSHOT["partitions"] == 1
+        assert parent_format["version"] < SNAPSHOT_VERSION
+        assert parent_format["partitions"] == 1
         _wipe(three_tier, "leaf-2")  # the fabric state the document was taken in
+        document = json.loads(json.dumps(parent_format))
+        # Written before the engine ladder collapsed: labels are opaque
+        # strings, not a vocabulary the restore validates.
+        document["checker"]["results"]["leaf-1"]["engine"] = "hash"
+        document["checker"]["results"]["leaf-2"]["engine"] = "bdd"
         restored = NetworkMonitor.from_snapshot(
-            three_tier.controller,
-            json.loads(json.dumps(PARENT_FORMAT_SNAPSHOT)),
-            partitions=partitions,
+            three_tier.controller, document, partitions=partitions
         )
         try:
             assert restored.running
             assert restored.partitions == (partitions or 1)
             stats = restored.stats()
-            assert stats["full_checks"] == 1  # the document's bootstrap, unmoved
+            # The document's bootstrap plus one sweep per restoring checker;
+            # its verdicts matched, so nothing is left to re-check.
+            assert stats["full_checks"] == 1 + (partitions or 1)
+            assert stats["dirty_switches"] == 0
             assert stats["restores"] == 1
             assert [item.switch_uid for item in restored.store.active()] == ["leaf-2"]
             fresh = ScoutSystem(three_tier.controller).check()
@@ -547,7 +755,7 @@ class TestParentFormatSnapshot:
 
         restored = NetworkMonitor.from_snapshot(controller, document)
         try:
-            assert restored.stats()["full_checks"] == 1
+            assert restored.stats()["full_checks"] == 2
             assert restored.pending_events() == 1
             result = restored.poll(force=True)
             assert result.switches_rechecked == ["leaf-2", "leaf-3"]
@@ -556,7 +764,7 @@ class TestParentFormatSnapshot:
             assert (
                 restored.report().semantic_fingerprint() == fresh.semantic_fingerprint()
             )
-            assert restored.stats()["full_checks"] == 1
+            assert restored.stats()["full_checks"] == 2
             assert restored.snapshot()["version"] == SNAPSHOT_VERSION
         finally:
             restored.close()
@@ -579,6 +787,17 @@ def _in_checker(section, mutate):
     return apply
 
 
+def _in_version_2_results(mutate):
+    """The ``results`` section is only read from a parent-format document."""
+
+    def apply(doc):
+        checker = dict(VERSION_2_SNAPSHOT["checker"])
+        checker["results"] = mutate(checker["results"])
+        return {**doc, "version": 2, "checker": checker}
+
+    return apply
+
+
 def _drop_result_key(results):
     # The alphabetically last switch: refused even when an earlier one —
     # possibly another partition's — parsed fine.
@@ -592,25 +811,24 @@ def _break_result_rule(results):
     return {**results, last: {**results[last], "missing_rules": [{"vrf_scope": 1}]}}
 
 
-def _break_digest_key(digests):
-    last = sorted(digests)[-1]
-    return {**digests, last: {**digests[last], "logical": [101]}}
-
-
 MALFORMED_SNAPSHOTS = {
     "not-an-object": (lambda doc: [doc], "kind"),
     "no-checker": (_without("checker"), "checker"),
     "checker-not-an-object": (_with("checker", "state"), "checker"),
-    "digest-key-not-a-list": (
-        _in_checker("digests", _break_digest_key),
-        "'checker': TypeError: 'int' object is not iterable",
+    "verdicts-not-an-object": (
+        _in_checker("verdicts", list),
+        "'checker': AttributeError: 'list' object has no attribute 'items'",
+    ),
+    "verdict-not-a-string": (
+        _in_checker("verdicts", lambda verdicts: {uid: 7 for uid in verdicts}),
+        "'checker': ValueError: verdicts must be strings",
     ),
     "result-without-switch-uid": (
-        _in_checker("results", _drop_result_key),
+        _in_version_2_results(_drop_result_key),
         "'checker': KeyError: 'switch_uid'",
     ),
     "result-rule-without-src-epg": (
-        _in_checker("results", _break_result_rule),
+        _in_version_2_results(_break_result_rule),
         "'checker': KeyError: 'src_epg'",
     ),
     "unknown-pending-event": (
@@ -733,7 +951,7 @@ class TestSnapshotRoute:
         availability = client.get("/slo").json()["slos"]["http-availability"]
         assert availability["attainment"] == 1.0
 
-    def test_service_restore_on_start_skips_the_bootstrap(self, served):
+    def test_service_restore_on_start_replaces_the_bootstrap(self, served):
         scenario, service, client = served
         _wipe(scenario, "leaf-2")
         scenario.controller.clock.tick(2)
@@ -751,7 +969,7 @@ class TestSnapshotRoute:
         try:
             assert reborn.monitor.running
             stats = reborn.monitor.stats()
-            assert stats["full_checks"] == full_before
+            assert stats["full_checks"] == full_before + 1
             assert stats["restores"] == 1
             restored_ids = {
                 incident.incident_id for incident in reborn.monitor.store.active()
@@ -763,7 +981,7 @@ class TestSnapshotRoute:
 
     def test_a_four_partition_snapshot_restores_into_one_partition(self, served):
         """Decision (i): whatever partition count wrote the document, the
-        daemon restores it into one — no sweep, same verdict and incidents."""
+        daemon restores it into one — one sweep, same verdict and incidents."""
         scenario, service, client = served
         assert client.post("/monitor/stop", json={}).status == 200
         sharded = NetworkMonitor(scenario.controller, debounce_ticks=1, partitions=4)
@@ -788,7 +1006,7 @@ class TestSnapshotRoute:
             restarted = TestClient(reborn)
             stats = restarted.get("/monitor/status").json()["stats"]
             assert stats["partitions"] == 1
-            assert stats["full_checks"] == taken["full_checks"]
+            assert stats["full_checks"] == taken["full_checks"] + 1
             assert stats["dirty_switches"] == 0
             assert reborn.monitor.report().semantic_fingerprint() == verdict
             restored_ids = {item.incident_id for item in reborn.monitor.store.active()}

@@ -128,6 +128,25 @@ class TestCollector:
         assert len(collector) == 0
         assert collector.dropped == 0
 
+    def test_a_full_buffer_rolls_and_keeps_the_newest_spans(self):
+        collector = TraceCollector(max_spans=3)
+        seen = []
+        collector.add_sink(lambda finished: seen.append(finished.name))
+        for index in range(6):
+            with collector.span(f"s{index}"):
+                pass
+        assert [held.name for held in collector.spans()] == ["s3", "s4", "s5"]
+        assert collector.dropped == 3
+        # Adopted spans roll the same buffer; the sinks still see everything.
+        worker_side = TraceCollector()
+        for name in ("w0", "w1"):
+            with worker_side.span(name):
+                pass
+        collector.adopt([held.to_dict() for held in worker_side.spans()])
+        assert [held.name for held in collector.spans()] == ["s5", "w0", "w1"]
+        assert collector.dropped == 5
+        assert seen == ["s0", "s1", "s2", "s3", "s4", "s5", "w0", "w1"]
+
     def test_sink_sees_every_finished_span(self):
         collector = TraceCollector()
         names = []

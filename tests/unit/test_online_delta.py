@@ -35,9 +35,6 @@ class TestBootstrapAndDigests:
         report = delta.report()
         assert report.equivalent
         assert delta.full_checks == 1
-        for switch_uid in three_tier.fabric.leaf_uids():
-            digest = delta.digest_for(switch_uid)
-            assert digest is not None and digest.logical == digest.deployed
         assert delta.dirty_switches() == set()
 
     def test_refresh_without_bootstrap_bootstraps(self, three_tier):
@@ -110,7 +107,6 @@ class TestSwitchEvents:
         assert calls == []
         assert not result.equivalent and result.engine == "ap"
         assert {rule.match_key() for rule in result.missing_rules} == dropped
-        assert delta.digest_for(leaf).logical - delta.digest_for(leaf).deployed == dropped
         # Same verdict, rules and order as a from-scratch check of that leaf.
         fresh = EquivalenceChecker().check_switch(
             leaf, controller.logical_rules()[leaf], tcam.rules()

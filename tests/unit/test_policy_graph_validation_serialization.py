@@ -6,7 +6,6 @@ from repro.exceptions import ValidationError
 from repro.policy import (
     EpgPair,
     PolicyIndex,
-    build_dependency_graph,
     epg_pairs_per_object,
     policy_from_dict,
     policy_from_json,
@@ -68,13 +67,6 @@ class TestPolicyIndex:
 
 
 class TestDependencyGraph:
-    def test_graph_nodes_and_edges(self, web_policy):
-        policy, uids = web_policy
-        graph = build_dependency_graph(policy)
-        assert graph.number_of_nodes() == policy.object_count()
-        assert graph.has_edge(uids["web"], uids["vrf"])
-        assert graph.has_edge(uids["web_app_contract"], uids["filter_http"])
-
     def test_epg_pairs_per_object_series(self, web_policy):
         policy, uids = web_policy
         counts = epg_pairs_per_object(policy)

@@ -98,12 +98,6 @@ class TestRiskModel:
         simple_model.mark_edge_failed("E5-E6", "C3")
         assert simple_model.suspect_risks() == {"C2", "C3"}
 
-    def test_to_networkx_statuses(self, simple_model):
-        simple_model.mark_edge_failed("E1-E2", "C1")
-        graph = simple_model.to_networkx()
-        assert graph.edges[("element", "E1-E2"), ("risk", "C1")]["status"] == EdgeStatus.FAIL
-        assert graph.edges[("element", "E1-E2"), ("risk", "F1")]["status"] == EdgeStatus.SUCCESS
-
     def test_summary(self, simple_model):
         summary = simple_model.summary()
         assert summary["elements"] == 6

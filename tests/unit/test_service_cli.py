@@ -56,7 +56,7 @@ class TestServiceOnce:
         self, tmp_path, capsys, monkeypatch
     ):
         """A document written under the removed ``--partitions 4`` still
-        restores — into the one partition the daemon runs — with no sweep."""
+        restores — into the one partition the daemon runs — around one sweep."""
         sharded = NetworkMonitor(deploy_profile("small"), partitions=4)
         sharded.start()
         path = tmp_path / "snap.json"
@@ -80,8 +80,46 @@ class TestServiceOnce:
         assert "monitor restored" in out
         [(stats, fingerprint)] = restored
         assert stats["partitions"] == 1 and stats["restores"] == 1
-        assert stats["full_checks"] == 4 and stats["active_incidents"] == 0
+        assert stats["full_checks"] == 4 + 1 and stats["active_incidents"] == 0
         assert fingerprint == verdict
+
+    def test_once_restore_reconciles_the_ledger_with_the_regenerated_fabric(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--restore`` deploys the profile afresh: a leaf the document
+        records as violating is healthy there, and the first poll — not the
+        restore — resolves its incident."""
+        controller = deploy_profile("small")
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        leaf = sorted(controller.fabric.leaf_uids())[-1]
+        assert controller.fabric.switch(leaf).tcam.remove_where(lambda rule: True)
+        [incident] = monitor.poll(force=True).opened
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(monitor.snapshot()))
+        monitor.close()
+
+        seen = []
+
+        def self_check(service):
+            monitor = service.monitor
+            seen.append(
+                (
+                    monitor.due(),
+                    monitor.stats()["dirty_switches"],
+                    [item.incident_id for item in monitor.store.active()],
+                )
+            )
+            resolved = monitor.poll().resolved
+            seen.append([item.incident_id for item in resolved])
+            return run_self_check(service)
+
+        run_self_check = cli._self_check
+        monkeypatch.setattr(cli, "_self_check", self_check)
+        code = main_service(["--profile", "small", "--once", "--restore", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0 and "FAIL" not in out
+        assert seen == [(True, 1, [incident.incident_id]), [incident.incident_id]]
 
     @pytest.mark.parametrize("flag", [["--partitions", "2"], ["--no-trace"]])
     def test_removed_daemon_flags_are_usage_errors(self, flag, capsys):
