@@ -4,7 +4,7 @@ Sweeps 1-10 simultaneous faults on the low-sharing testbed policy (SCORE's
 threshold fixed at 1.0, 10 runs per point in the paper).
 """
 
-from repro.experiments import format_figure10, run_figure10
+from repro.experiments import format_accuracy_figure, run_accuracy_figure
 
 from conftest import full_scale
 
@@ -12,7 +12,8 @@ from conftest import full_scale
 def test_figure10_testbed_accuracy(benchmark, deployed_testbed, bench_fault_counts):
     runs = 10 if full_scale() else 5
     sweep = benchmark.pedantic(
-        run_figure10,
+        run_accuracy_figure,
+        args=(10,),
         kwargs=dict(
             deployed=deployed_testbed,
             fault_counts=bench_fault_counts,
@@ -22,7 +23,7 @@ def test_figure10_testbed_accuracy(benchmark, deployed_testbed, bench_fault_coun
         iterations=1,
     )
     print()
-    print(format_figure10(sweep))
+    print(format_accuracy_figure(sweep))
 
     counts = sweep.fault_counts()
     scout_recall = sum(sweep.cell("SCOUT", c).recall_mean for c in counts) / len(counts)

@@ -5,14 +5,15 @@ simulated cluster policy and prints precision/recall for SCOUT, SCORE-1 and
 SCORE-0.6.
 """
 
-from repro.experiments import format_figure8, run_figure8
+from repro.experiments import format_accuracy_figure, run_accuracy_figure
 
 
 def test_figure8_switch_risk_model_accuracy(
     benchmark, deployed_simulation, bench_runs, bench_fault_counts
 ):
     sweep = benchmark.pedantic(
-        run_figure8,
+        run_accuracy_figure,
+        args=(8,),
         kwargs=dict(
             deployed=deployed_simulation,
             fault_counts=bench_fault_counts,
@@ -22,7 +23,7 @@ def test_figure8_switch_risk_model_accuracy(
         iterations=1,
     )
     print()
-    print(format_figure8(sweep))
+    print(format_accuracy_figure(sweep))
 
     # Shape check: SCOUT's mean recall across the sweep beats SCORE-1's and
     # its precision stays comparable (within 10% absolute), as in the paper.

@@ -4,14 +4,15 @@ Sweeps 1-10 simultaneous object faults across switches of the simulated
 cluster policy, localized on the network-wide controller risk model.
 """
 
-from repro.experiments import format_figure9, run_figure9
+from repro.experiments import format_accuracy_figure, run_accuracy_figure
 
 
 def test_figure9_controller_risk_model_accuracy(
     benchmark, deployed_simulation, bench_runs, bench_fault_counts
 ):
     sweep = benchmark.pedantic(
-        run_figure9,
+        run_accuracy_figure,
+        args=(9,),
         kwargs=dict(
             deployed=deployed_simulation,
             fault_counts=bench_fault_counts,
@@ -21,7 +22,7 @@ def test_figure9_controller_risk_model_accuracy(
         iterations=1,
     )
     print()
-    print(format_figure9(sweep))
+    print(format_accuracy_figure(sweep))
 
     counts = sweep.fault_counts()
     scout_recall = sum(sweep.cell("SCOUT", c).recall_mean for c in counts) / len(counts)

@@ -7,8 +7,8 @@ attaches a :class:`~repro.online.NetworkMonitor` to the running 3-tier
 deployment and lets faults announce themselves:
 
 1. the monitor bootstraps once (the only full sweep it will ever run);
-2. a TCAM glitch silently drops leaf-2's App-DB rules — the table write
-   hooks publish ``RuleLost`` events;
+2. a TCAM glitch silently drops leaf-2's App-DB rules — the table's write
+   hook publishes one ``TcamChanged`` event for the whole loss;
 3. after the debounce window, one ``poll()`` re-checks *only leaf-2*,
    runs a scoped SCOUT localization and opens an incident naming the
    policy objects involved;

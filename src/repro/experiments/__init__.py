@@ -1,9 +1,12 @@
 """Evaluation harness: one module per table/figure of the paper (§VI)."""
 
 from .accuracy import (
+    ACCURACY_FIGURES,
     AccuracyCell,
     AccuracySweepResult,
+    format_accuracy_figure,
     format_accuracy_table,
+    run_accuracy_figure,
     run_accuracy_sweep,
 )
 from .common import DeployedWorkload, prepare_workload, restore_tcam, snapshot_tcam
@@ -14,16 +17,12 @@ from .figure7 import (
     SIMULATION_BINS,
     TESTBED_BINS,
     format_figure7,
-    run_figure7_simulation,
-    run_figure7_testbed,
     run_suspect_reduction,
 )
-from .figure8 import format_figure8, run_figure8
-from .figure9 import format_figure9, run_figure9
-from .figure10 import format_figure10, run_figure10
 from .scalability import ScalabilityPoint, format_scalability, run_scalability
 
 __all__ = [
+    "ACCURACY_FIGURES",
     "AccuracyCell",
     "AccuracySweepResult",
     "DeployedWorkload",
@@ -33,22 +32,16 @@ __all__ = [
     "SIMULATION_BINS",
     "ScalabilityPoint",
     "TESTBED_BINS",
+    "format_accuracy_figure",
     "format_accuracy_table",
-    "format_figure10",
     "format_figure3",
     "format_figure7",
-    "format_figure8",
-    "format_figure9",
     "format_scalability",
     "prepare_workload",
     "restore_tcam",
+    "run_accuracy_figure",
     "run_accuracy_sweep",
-    "run_figure10",
     "run_figure3",
-    "run_figure7_simulation",
-    "run_figure7_testbed",
-    "run_figure8",
-    "run_figure9",
     "run_scalability",
     "run_suspect_reduction",
     "snapshot_tcam",

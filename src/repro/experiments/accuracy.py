@@ -1,4 +1,4 @@
-"""Shared accuracy-sweep machinery for Figures 8, 9 and 10.
+"""The accuracy sweeps of Figures 8, 9 and 10: one loop, one table of figures.
 
 A sweep varies the number of simultaneous object faults (1..10 in the paper)
 and, for every fault count, runs many independent trials.  Each trial
@@ -17,11 +17,34 @@ from typing import Dict, List, Literal, Optional, Sequence
 from ..core.metrics import accuracy
 from ..core.system import ScoutSystem
 from ..faults.injector import FaultInjector
-from .common import DeployedWorkload, make_localizers, mean_and_stdev
+from ..workloads.profiles import simulation_profile, testbed_profile
+from .common import DeployedWorkload, make_localizers, mean_and_stdev, prepare_workload
 
-__all__ = ["AccuracyCell", "AccuracySweepResult", "run_accuracy_sweep", "format_accuracy_table"]
+__all__ = [
+    "ACCURACY_FIGURES",
+    "AccuracyCell",
+    "AccuracySweepResult",
+    "format_accuracy_figure",
+    "format_accuracy_table",
+    "run_accuracy_figure",
+    "run_accuracy_sweep",
+]
 
 Scope = Literal["switch", "controller"]
+
+#: Figure number -> its sweep: ``profile`` plus :func:`run_accuracy_sweep`'s
+#: keyword arguments.  Fig. 8 (E4) injects the faults into one switch's scope
+#: of the simulated cluster policy (the paper: SCOUT's recall 20-30% above
+#: SCORE's at equal precision, SCORE's threshold barely helping); Fig. 9 (E5)
+#: across switches, localized on the controller risk model (same trends);
+#: Fig. 10 (E6) into the small low-sharing testbed policy, SCORE's threshold
+#: fixed at 1.0 (SCOUT at 100% recall / ~98% precision below four faults,
+#: degrading beyond five, SCORE's recall trailing by 20-50%).
+ACCURACY_FIGURES: Dict[int, Dict] = {
+    8: dict(scope="switch", profile=simulation_profile, runs=30, seed=8, score_thresholds=(1.0, 0.6)),
+    9: dict(scope="controller", profile=simulation_profile, runs=30, seed=9, score_thresholds=(1.0, 0.6)),
+    10: dict(scope="controller", profile=testbed_profile, runs=10, seed=10, score_thresholds=(1.0,)),
+}
 
 
 @dataclass(frozen=True)
@@ -58,14 +81,6 @@ class AccuracySweepResult:
 
     def fault_counts(self) -> List[int]:
         return sorted({cell.num_faults for cell in self.cells})
-
-    def series(self, algorithm: str, metric: str = "recall_mean") -> List[float]:
-        """One plotted line: the metric for ``algorithm`` across fault counts."""
-        values = []
-        for count in self.fault_counts():
-            cell = self.cell(algorithm, count)
-            values.append(getattr(cell, metric) if cell is not None else float("nan"))
-        return values
 
 
 def run_accuracy_sweep(
@@ -144,6 +159,23 @@ def run_accuracy_sweep(
     return sweep
 
 
+def run_accuracy_figure(
+    number: int,
+    fault_counts: Sequence[int] = tuple(range(1, 11)),
+    runs: Optional[int] = None,
+    deployed: Optional[DeployedWorkload] = None,
+) -> AccuracySweepResult:
+    """Run Figure ``number``'s sweep (:data:`ACCURACY_FIGURES`), on its own
+    profile unless an already ``deployed`` workload is handed in."""
+    figure = dict(ACCURACY_FIGURES[number])
+    profile = figure.pop("profile")
+    if runs is not None:
+        figure["runs"] = runs
+    return run_accuracy_sweep(
+        deployed or prepare_workload(profile()), fault_counts=fault_counts, **figure
+    )
+
+
 def _pick_switch(
     deployed: DeployedWorkload,
     injector: FaultInjector,
@@ -182,3 +214,9 @@ def format_accuracy_table(sweep: AccuracySweepResult, metric: str = "recall") ->
         )
         lines.append(f"{count:>8} | {values}")
     return "\n".join(lines)
+
+
+def format_accuracy_figure(sweep: AccuracySweepResult) -> str:
+    """Both panels of an accuracy figure: precision and recall versus fault count."""
+    panels = (format_accuracy_table(sweep, metric=m) for m in ("precision", "recall"))
+    return "\n\n".join(panels)

@@ -17,15 +17,14 @@ restored state is byte-identical to a fresh deployment.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..controller.controller import Controller
 from ..core.score import ScoreLocalizer
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..policy.graph import PolicyIndex
 from ..rules import TcamRule
-from ..verify.checker import EquivalenceChecker
 from ..workloads.generator import GeneratedWorkload, generate_workload
 from ..workloads.profiles import WorkloadProfile
 
@@ -50,9 +49,7 @@ class DeployedWorkload:
     workload: GeneratedWorkload
     controller: Controller
     index: PolicyIndex
-    logical_rules: Dict[str, List[TcamRule]]
     snapshot: TcamSnapshot
-    checker: EquivalenceChecker = field(default_factory=EquivalenceChecker)
 
     @property
     def policy(self):
@@ -66,17 +63,6 @@ class DeployedWorkload:
         """Reset every TCAM to the post-deployment snapshot."""
         restore_tcam(self.fabric, self.snapshot)
 
-    def missing_rules(self, switches: Optional[Sequence[str]] = None) -> Dict[str, List[TcamRule]]:
-        """Run the L-T check and return the per-switch missing rules."""
-        deployed = self.controller.collect_deployed_rules()
-        logical = self.logical_rules
-        if switches is not None:
-            wanted = set(switches)
-            logical = {uid: rules for uid, rules in logical.items() if uid in wanted}
-            deployed = {uid: rules for uid, rules in deployed.items() if uid in wanted}
-        report = self.checker.check_network(logical, deployed)
-        return report.missing_rules()
-
 
 def prepare_workload(
     profile: WorkloadProfile,
@@ -88,13 +74,11 @@ def prepare_workload(
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
     index = controller.build_index()
-    logical = controller.logical_rules(index=index)
     snapshot = snapshot_tcam(workload.fabric)
     return DeployedWorkload(
         workload=workload,
         controller=controller,
         index=index,
-        logical_rules=logical,
         snapshot=snapshot,
     )
 

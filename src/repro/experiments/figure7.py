@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.metrics import bin_by_suspect_count
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..core.system import ScoutSystem
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
-from .common import DeployedWorkload, prepare_workload
-from ..workloads.profiles import WorkloadProfile, simulation_profile, testbed_profile
+from .common import DeployedWorkload
 
 __all__ = [
     "GammaSample",
@@ -113,30 +112,6 @@ def run_suspect_reduction(
         )
     deployed.restore()
     return result
-
-
-def run_figure7_testbed(
-    profile: Optional[WorkloadProfile] = None,
-    num_faults: int = 200,
-    seed: int = 11,
-) -> Figure7Result:
-    """Figure 7(a): γ for faults injected into the testbed policy."""
-    deployed = prepare_workload(profile or testbed_profile())
-    return run_suspect_reduction(
-        deployed, num_faults=num_faults, seed=seed, bins=TESTBED_BINS, setting="testbed"
-    )
-
-
-def run_figure7_simulation(
-    profile: Optional[WorkloadProfile] = None,
-    num_faults: int = 1500,
-    seed: int = 13,
-) -> Figure7Result:
-    """Figure 7(b): γ for faults injected into the simulated cluster policy."""
-    deployed = prepare_workload(profile or simulation_profile())
-    return run_suspect_reduction(
-        deployed, num_faults=num_faults, seed=seed, bins=SIMULATION_BINS, setting="simulation"
-    )
 
 
 def format_figure7(result: Figure7Result) -> str:

@@ -232,48 +232,50 @@ class Switch:
         desired = self.agent.desired_rules()
         installed_keys = set(self.tcam.match_keys())
 
-        removed = 0
-        for key in self.tcam.match_keys():
-            if key in desired:
-                continue
-            # Only remove rules this agent owns (rendered from its view);
-            # corrupted entries keep provenance and are cleaned up as well,
-            # which mirrors an agent reconciling unexpected TCAM content.
-            if self.tcam.remove(key) is not None:
-                removed += 1
+        # One write transaction: listeners hear of the whole reconcile once.
+        with self.tcam.transaction():
+            removed = 0
+            for key in self.tcam.match_keys():
+                if key in desired:
+                    continue
+                # Only remove rules this agent owns (rendered from its view);
+                # corrupted entries keep provenance and are cleaned up as well,
+                # which mirrors an agent reconciling unexpected TCAM content.
+                if self.tcam.remove(key) is not None:
+                    removed += 1
 
-        installed = 0
-        rejected = 0
-        evicted = 0
-        overflow_logged = False
-        for key, rule in desired.items():
-            if key in installed_keys:
-                continue
-            outcome, evicted_rule = self.tcam.install(rule)
-            if outcome is InstallOutcome.REJECTED_FULL:
-                rejected += 1
-                if not overflow_logged:
+            installed = 0
+            rejected = 0
+            evicted = 0
+            overflow_logged = False
+            for key, rule in desired.items():
+                if key in installed_keys:
+                    continue
+                outcome, evicted_rule = self.tcam.install(rule)
+                if outcome is InstallOutcome.REJECTED_FULL:
+                    rejected += 1
+                    if not overflow_logged:
+                        self.fault_log.raise_fault(
+                            self.clock.peek(),
+                            self.uid,
+                            FaultCode.TCAM_OVERFLOW,
+                            detail=(
+                                f"TCAM full ({self.tcam.capacity} entries); "
+                                f"rule install rejected"
+                            ),
+                        )
+                        overflow_logged = True
+                elif outcome is InstallOutcome.INSTALLED_WITH_EVICTION:
+                    installed += 1
+                    evicted += 1
                     self.fault_log.raise_fault(
                         self.clock.peek(),
                         self.uid,
-                        FaultCode.TCAM_OVERFLOW,
-                        detail=(
-                            f"TCAM full ({self.tcam.capacity} entries); "
-                            f"rule install rejected"
-                        ),
+                        FaultCode.RULE_EVICTION,
+                        detail=f"evicted {evicted_rule.describe() if evicted_rule else 'rule'}",
                     )
-                    overflow_logged = True
-            elif outcome is InstallOutcome.INSTALLED_WITH_EVICTION:
-                installed += 1
-                evicted += 1
-                self.fault_log.raise_fault(
-                    self.clock.peek(),
-                    self.uid,
-                    FaultCode.RULE_EVICTION,
-                    detail=f"evicted {evicted_rule.describe() if evicted_rule else 'rule'}",
-                )
-            else:
-                installed += 1
+                else:
+                    installed += 1
         return {
             "installed": installed,
             "removed": removed,

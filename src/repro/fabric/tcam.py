@@ -15,13 +15,18 @@ lists in §II-B:
 
 The table is keyed by the rule's match key; priorities are implicit (all
 compiled rules are non-overlapping exact matches plus the implicit deny).
+
+Listeners hear about writes per *transaction*, not per rule: one call with
+how many rules went in and how many were lost once the outermost mutating
+call — or :meth:`TcamTable.transaction` scope around several — returns.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from operator import is_
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import random
 
@@ -30,11 +35,11 @@ from ..rules import MatchKey, RuleSequence, TcamRule
 
 __all__ = ["InstallOutcome", "TcamTable", "TcamListener"]
 
-#: Listener called on every table write: ``listener(kind, rule)`` with
-#: ``kind`` one of ``"installed"``, ``"removed"``, ``"evicted"``,
-#: ``"rejected"`` or ``"corrupted"``.  The online monitoring subsystem uses
-#: this hook to turn TCAM writes into ``RuleInstalled``/``RuleLost`` events.
-TcamListener = Callable[[str, TcamRule], None]
+#: Listener called once per write transaction: ``listener(installed, lost)``
+#: with the number of rules written and the number lost — removed, evicted,
+#: corrupted or rejected at install time.  The online monitoring subsystem
+#: uses this hook to turn a TCAM transaction into one ``TcamChanged`` event.
+TcamListener = Callable[[int, int], None]
 
 
 class InstallOutcome(str, enum.Enum):
@@ -65,6 +70,8 @@ class TcamTable:
         #: What :meth:`rule_sequence` last handed out.
         self._snapshot: Optional[RuleSequence] = None
         self._listeners: List[TcamListener] = []
+        # The open transaction: nesting depth and the writes it made so far.
+        self._open = self._installed = self._lost = 0
         # Counters exposed for tests and the experiments.
         self.install_attempts = 0
         self.rejected_installs = 0
@@ -75,7 +82,7 @@ class TcamTable:
     # Listeners (used by the online monitoring instrumentation)
     # ------------------------------------------------------------------ #
     def subscribe(self, listener: TcamListener) -> TcamListener:
-        """Call ``listener`` with every table write from now on."""
+        """Call ``listener`` after every write transaction from now on."""
         self._listeners.append(listener)
         return listener
 
@@ -85,9 +92,32 @@ class TcamTable:
         except ValueError:
             pass
 
-    def _notify(self, kind: str, rule: TcamRule) -> None:
-        for listener in list(self._listeners):
-            listener(kind, rule)
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Announce the writes made inside the ``with`` block as one change:
+        listeners are called when the outermost scope exits, on an exception
+        too — the writes made before it still happened."""
+        self._open += 1
+        try:
+            yield
+        finally:
+            self._open -= 1
+            if not self._open:
+                self._flush()
+
+    def _wrote(self, installed: int, lost: int) -> None:
+        """Count one write; outside any transaction it is one of its own."""
+        self._installed += installed
+        self._lost += lost
+        if not self._open:
+            self._flush()
+
+    def _flush(self) -> None:
+        installed, lost = self._installed, self._lost
+        self._installed = self._lost = 0
+        if installed or lost:
+            for listener in list(self._listeners):
+                listener(installed, lost)
 
     # ------------------------------------------------------------------ #
     # Capacity and inspection
@@ -152,24 +182,23 @@ class TcamTable:
         if self.is_full():
             if not self.evict_on_overflow:
                 self.rejected_installs += 1
-                self._notify("rejected", rule)
+                self._wrote(0, 1)
                 return InstallOutcome.REJECTED_FULL, None
             evicted_key = next(iter(self._entries))
             evicted = self._entries.pop(evicted_key)
             self.evictions += 1
             self._entries[key] = rule
-            self._notify("evicted", evicted)
-            self._notify("installed", rule)
+            self._wrote(1, 1)
             return InstallOutcome.INSTALLED_WITH_EVICTION, evicted
         self._entries[key] = rule
-        self._notify("installed", rule)
+        self._wrote(1, 0)
         return InstallOutcome.INSTALLED, None
 
     def remove(self, key: MatchKey) -> Optional[TcamRule]:
         """Remove the rule with ``key``; returns it or ``None`` if absent."""
         rule = self._entries.pop(key, None)
         if rule is not None:
-            self._notify("removed", rule)
+            self._wrote(0, 1)
         return rule
 
     def remove_rule(self, rule: TcamRule) -> Optional[TcamRule]:
@@ -178,15 +207,15 @@ class TcamTable:
     def remove_where(self, predicate: Callable[[TcamRule], bool]) -> List[TcamRule]:
         """Remove every installed rule satisfying ``predicate``; returns them."""
         removed = [rule for rule in self._entries.values() if predicate(rule)]
-        for rule in removed:
-            self.remove(rule.match_key())
+        with self.transaction():
+            for rule in removed:
+                self.remove(rule.match_key())
         return removed
 
     def clear(self) -> None:
-        if self._listeners:
-            for rule in list(self._entries.values()):
-                self._notify("removed", rule)
+        lost = len(self._entries)
         self._entries.clear()
+        self._wrote(0, lost)
 
     # ------------------------------------------------------------------ #
     # Hardware faults
@@ -212,19 +241,18 @@ class TcamTable:
             return []
         rng.shuffle(victims)
         corrupted: list[Tuple[TcamRule, TcamRule]] = []
-        for original in victims[: max(0, count)]:
-            field_name = rng.choice(field_choices)
-            replacement = self._flip_field(original, field_name, rng)
-            self._entries.pop(original.match_key(), None)
-            # The corrupted entry may collide with another installed rule;
-            # in that case the original simply disappears, which is still a
-            # valid corruption outcome.
-            existing = self._entries.setdefault(replacement.match_key(), replacement)
-            self.corrupted_entries += 1
-            self._notify("corrupted", original)
-            if existing is replacement:
-                self._notify("installed", replacement)
-            corrupted.append((original, replacement))
+        with self.transaction():
+            for original in victims[: max(0, count)]:
+                field_name = rng.choice(field_choices)
+                replacement = self._flip_field(original, field_name, rng)
+                self._entries.pop(original.match_key(), None)
+                # The corrupted entry may collide with another installed rule;
+                # in that case the original simply disappears, which is still
+                # a valid corruption outcome.
+                existing = self._entries.setdefault(replacement.match_key(), replacement)
+                self.corrupted_entries += 1
+                self._wrote(int(existing is replacement), 1)
+                corrupted.append((original, replacement))
         return corrupted
 
     @staticmethod

@@ -36,6 +36,16 @@ def rules_for_object(
     return found
 
 
+def _remove(fabric: Fabric, per_switch: Dict[str, List[TcamRule]]) -> Dict[str, List[TcamRule]]:
+    """Remove the given rules, each switch's as one TCAM write transaction."""
+    removed: Dict[str, List[TcamRule]] = {}
+    for switch_uid, rules in per_switch.items():
+        tcam = fabric.switch(switch_uid).tcam
+        with tcam.transaction():
+            removed[switch_uid] = [rule for rule in rules if tcam.remove_rule(rule) is not None]
+    return removed
+
+
 def inject_full_object_fault(
     fabric: Fabric,
     object_uid: str,
@@ -53,14 +63,10 @@ def inject_full_object_fault(
         raise FaultInjectionError(
             f"object {object_uid!r} has no deployed rules on the selected switches"
         )
-    removed: Dict[str, List[TcamRule]] = {}
-    for switch_uid, rules in per_switch.items():
-        tcam = fabric.switch(switch_uid).tcam
-        removed[switch_uid] = [rule for rule in rules if tcam.remove_rule(rule) is not None]
     return InjectedFault(
         object_uid=object_uid,
         kind=FaultKind.FULL,
-        removed_rules=removed,
+        removed_rules=_remove(fabric, per_switch),
         injected_at=injected_at,
     )
 
@@ -94,14 +100,12 @@ def inject_partial_object_fault(
         target_count = min(target_count, len(all_rules) - 1)
     victims = all_rules[:target_count]
 
-    removed: Dict[str, List[TcamRule]] = {}
+    chosen: Dict[str, List[TcamRule]] = {}
     for switch_uid, rule in victims:
-        tcam = fabric.switch(switch_uid).tcam
-        if tcam.remove_rule(rule) is not None:
-            removed.setdefault(switch_uid, []).append(rule)
+        chosen.setdefault(switch_uid, []).append(rule)
     return InjectedFault(
         object_uid=object_uid,
         kind=FaultKind.PARTIAL,
-        removed_rules=removed,
+        removed_rules=_remove(fabric, chosen),
         injected_at=injected_at,
     )

@@ -23,8 +23,7 @@ from .events import (
     DeviceFault,
     Event,
     PolicyChanged,
-    RuleInstalled,
-    RuleLost,
+    TcamChanged,
     event_from_dict,
 )
 from .incidents import Incident, IncidentStatus, IncidentStore
@@ -45,9 +44,8 @@ __all__ = [
     "NetworkMonitor",
     "PartitionMap",
     "PolicyChanged",
-    "RuleInstalled",
-    "RuleLost",
     "SNAPSHOT_VERSION",
+    "TcamChanged",
     "event_from_dict",
     "instrument",
     "merge_checker_states",

@@ -6,14 +6,15 @@ events completes with every consumer fully up to date and no hidden
 concurrency.  (The future async/sharded monitor can swap this for a queue
 without touching producers — they only know :meth:`EventBus.publish`.)
 
-Besides dispatch the bus keeps a bounded history ring and per-type counters,
-which the examples and benchmarks use to show what the monitor reacted to.
+Besides dispatch the bus keeps per-type counters, which the monitor's stats
+and the benchmarks read to show how much it reacted to.  (The ring of recent
+events operators read is the service's flight recorder, a subscriber.)
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
+from collections import Counter
+from typing import Callable, Dict, List
 
 from .events import Event
 
@@ -25,18 +26,16 @@ Handler = Callable[[Event], None]
 class EventBus:
     """Publish/subscribe hub for :class:`~repro.online.events.Event`."""
 
-    def __init__(self, history_limit: int = 1024) -> None:
-        self._subscribers: List[Tuple[Optional[Type[Event]], Handler]] = []
-        self.history: Deque[Event] = deque(maxlen=history_limit)
+    def __init__(self) -> None:
+        self._subscribers: List[Handler] = []
         self.counts: Dict[str, int] = Counter()
 
     # ------------------------------------------------------------------ #
     # Subscription
     # ------------------------------------------------------------------ #
-    def subscribe(self, handler: Handler, event_type: Optional[Type[Event]] = None) -> Handler:
-        """Register ``handler``; with ``event_type`` set, only matching events
-        (including subclasses) are delivered to it."""
-        self._subscribers.append((event_type, handler))
+    def subscribe(self, handler: Handler) -> Handler:
+        """Deliver every event published from now on to ``handler``."""
+        self._subscribers.append(handler)
         return handler
 
     def unsubscribe(self, handler: Handler) -> None:
@@ -44,9 +43,7 @@ class EventBus:
         # creates a fresh bound-method object, so ``monitor.stop()`` passing
         # ``self._on_event`` must match by ``==`` (same function + instance).
         self._subscribers = [
-            (event_type, existing)
-            for event_type, existing in self._subscribers
-            if existing != handler
+            existing for existing in self._subscribers if existing != handler
         ]
 
     # ------------------------------------------------------------------ #
@@ -54,17 +51,11 @@ class EventBus:
     # ------------------------------------------------------------------ #
     def publish(self, event: Event) -> int:
         """Dispatch ``event``; returns the number of handlers invoked."""
-        self.history.append(event)
         self.counts[type(event).__name__] += 1
-        delivered = 0
-        for event_type, handler in list(self._subscribers):
-            if event_type is None or isinstance(event, event_type):
-                handler(event)
-                delivered += 1
-        return delivered
+        subscribers = list(self._subscribers)
+        for handler in subscribers:
+            handler(event)
+        return len(subscribers)
 
     def total_events(self) -> int:
         return sum(self.counts.values())
-
-    def __len__(self) -> int:
-        return len(self.history)

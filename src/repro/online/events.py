@@ -6,16 +6,17 @@ individual state transitions a live controller and fabric produce:
 
 * :class:`PolicyChanged` — a management action hit the controller change
   log (object added / modified / deleted);
-* :class:`RuleInstalled` — a switch agent wrote a rule into its TCAM;
-* :class:`RuleLost` — a rule left a TCAM (removed, evicted, rejected at
-  install time, or corrupted by a bit error);
+* :class:`TcamChanged` — one write transaction on one switch's TCAM ended
+  (an agent's reconcile, a wipe, an eviction, a bit error): which switch,
+  how many rules went in, how many were lost;
 * :class:`DeviceFault` — a device fault log raised a new record (agent
   crash, unresponsive switch, TCAM overflow, ...).
 
 Events are frozen dataclasses stamped with the shared logical clock, so an
-event trace is fully deterministic and replayable.  They carry enough
-provenance (object uid / rule / device uid) for the incremental checker to
-compute a blast radius without consulting global state.
+event trace is fully deterministic and replayable.  They carry what the
+incremental checker reads to compute a blast radius — the object, switch or
+device touched — and nothing per rule: the monitor observes the fabric per
+switch, so a TCAM event names the switch and sizes the change.
 
 Every event also round-trips through a kind-tagged dict
 (:meth:`Event.to_dict` / :func:`event_from_dict`), so a monitor snapshot can
@@ -30,13 +31,11 @@ from typing import Dict
 from ..fabric.faultlog import FaultCode
 from ..policy.objects import ObjectType
 from ..protocol import Operation
-from ..rules import TcamRule
 
 __all__ = [
     "Event",
     "PolicyChanged",
-    "RuleInstalled",
-    "RuleLost",
+    "TcamChanged",
     "DeviceFault",
     "event_from_dict",
 ]
@@ -80,46 +79,24 @@ class PolicyChanged(Event):
 
 
 @dataclass(frozen=True)
-class RuleInstalled(Event):
-    """A rule was written into one switch's TCAM."""
+class TcamChanged(Event):
+    """One write transaction on one switch's TCAM: ``installed`` rules went
+    in, ``lost`` left it (removed, evicted, corrupted) or bounced off it."""
 
     switch_uid: str
-    rule: TcamRule
+    installed: int
+    lost: int
 
     def describe(self) -> str:
-        return f"t={self.timestamp} rule-installed {self.switch_uid} {self.rule.describe()}"
+        return f"t={self.timestamp} tcam-changed {self.switch_uid} +{self.installed} -{self.lost}"
 
     def to_dict(self) -> Dict:
         return {
-            "kind": "rule-installed",
+            "kind": "tcam-changed",
             "timestamp": self.timestamp,
             "switch_uid": self.switch_uid,
-            "rule": self.rule.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class RuleLost(Event):
-    """A rule left one switch's TCAM (or never made it in).
-
-    ``cause`` is the TCAM write kind: ``"removed"``, ``"evicted"``,
-    ``"rejected"`` (install bounced off a full table) or ``"corrupted"``.
-    """
-
-    switch_uid: str
-    rule: TcamRule
-    cause: str = "removed"
-
-    def describe(self) -> str:
-        return f"t={self.timestamp} rule-lost({self.cause}) {self.switch_uid} {self.rule.describe()}"
-
-    def to_dict(self) -> Dict:
-        return {
-            "kind": "rule-lost",
-            "timestamp": self.timestamp,
-            "switch_uid": self.switch_uid,
-            "rule": self.rule.to_dict(),
-            "cause": self.cause,
+            "installed": self.installed,
+            "lost": self.lost,
         }
 
 
@@ -160,19 +137,16 @@ def event_from_dict(data: Dict) -> Event:
             operation=Operation(data["operation"]),
             detail=data.get("detail", ""),
         )
-    if kind == "rule-installed":
-        return RuleInstalled(
-            timestamp=data["timestamp"],
-            switch_uid=data["switch_uid"],
-            rule=TcamRule.from_dict(data["rule"]),
-        )
-    if kind == "rule-lost":
-        return RuleLost(
-            timestamp=data["timestamp"],
-            switch_uid=data["switch_uid"],
-            rule=TcamRule.from_dict(data["rule"]),
-            cause=data.get("cause", "removed"),
-        )
+    if kind == "tcam-changed":
+        installed, lost = data.get("installed", 0), data.get("lost", 0)
+        if type(installed) is not int or type(lost) is not int:
+            raise ValueError(f"tcam-changed counts must be integers, got {data!r}")
+        return TcamChanged(data["timestamp"], data["switch_uid"], installed, lost)
+    per_rule = {"rule-installed": (1, 0), "rule-lost": (0, 1)}.get(kind)
+    if per_rule is not None:
+        # Snapshot versions 1-3 carried one entry, rule body included, per
+        # rule written: each reads as a transaction of that one rule.
+        return TcamChanged(data["timestamp"], data["switch_uid"], *per_rule)
     if kind == "device-fault":
         return DeviceFault(
             timestamp=data["timestamp"],

@@ -11,9 +11,11 @@ source hook                       event published
 ================================  =================================
 ``ChangeLog.subscribe``           :class:`PolicyChanged`
 ``FaultLogBook.subscribe``        :class:`DeviceFault`
-``TcamTable.subscribe``           :class:`RuleInstalled` /
-                                  :class:`RuleLost`
+``TcamTable.subscribe``           :class:`TcamChanged`
 ================================  =================================
+
+Each hook fires once per thing that happened — a TCAM write transaction is
+a whole ``sync_tcam`` or wipe — so the bus never carries an event per rule.
 
 The returned :class:`Instrumentation` detaches every listener again, so a
 monitor can be stopped without leaving dangling callbacks on the fabric.
@@ -26,9 +28,8 @@ from typing import Callable, List
 from ..controller.changelog import ChangeRecord
 from ..controller.controller import Controller
 from ..fabric.faultlog import FaultRecord
-from ..rules import TcamRule
 from .bus import EventBus
-from .events import DeviceFault, PolicyChanged, RuleInstalled, RuleLost
+from .events import DeviceFault, PolicyChanged, TcamChanged
 
 __all__ = ["Instrumentation", "instrument"]
 
@@ -87,17 +88,8 @@ def instrument(controller: Controller, bus: EventBus) -> Instrumentation:
     for switch_uid in sorted(controller.fabric.switches):
         switch = controller.fabric.switches[switch_uid]
 
-        def on_tcam(kind: str, rule: TcamRule, _switch_uid: str = switch_uid) -> None:
-            if kind == "installed":
-                bus.publish(
-                    RuleInstalled(timestamp=clock.peek(), switch_uid=_switch_uid, rule=rule)
-                )
-            else:
-                bus.publish(
-                    RuleLost(
-                        timestamp=clock.peek(), switch_uid=_switch_uid, rule=rule, cause=kind
-                    )
-                )
+        def on_tcam(installed: int, lost: int, _switch_uid: str = switch_uid) -> None:
+            bus.publish(TcamChanged(clock.peek(), _switch_uid, installed, lost))
 
         switch.tcam.subscribe(on_tcam)
         inst.add(lambda s=switch, h=on_tcam: s.tcam.unsubscribe(h))

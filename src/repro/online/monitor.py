@@ -6,9 +6,9 @@ Figure 6) runs as a batch pipeline:
 1. :func:`~repro.online.instrument.instrument` turns controller/fabric state
    transitions into typed events on an :class:`~repro.online.bus.EventBus`;
 2. the monitor buffers events and *debounces* them against the shared
-   :class:`~repro.clock.LogicalClock` — a burst (one deployment touches
-   hundreds of rules) collapses into a single processing pass once the
-   clock has advanced ``debounce_ticks`` past the last event;
+   :class:`~repro.clock.LogicalClock` — a burst (one deployment is a TCAM
+   write transaction on every leaf) collapses into a single processing pass
+   once the clock has advanced ``debounce_ticks`` past the last event;
 3. a pass makes one request for the controller's compiled policy (the
    monitor compiles nothing itself), asks the
    :class:`~repro.online.delta.IncrementalChecker` to re-validate only the
@@ -41,7 +41,8 @@ Snapshot / restore
 :meth:`NetworkMonitor.snapshot` captures what cannot be recomputed — checker
 state (all partitions, merged: the verdict fingerprint of every violating
 switch, dirt, counters — no copy of L or T), the incident store, the pending
-event batch and the debounce bookkeeping — as one JSON-ready dict;
+event batch (a switch and two counts per TCAM transaction: kilobytes even
+mid-burst) and the debounce bookkeeping — as one JSON-ready dict;
 :meth:`NetworkMonitor.restore` (or :meth:`NetworkMonitor.from_snapshot`)
 adopts it around one ordinary bootstrap sweep applied to no incident —
 ``full_checks`` moves by one per checker — and the restored monitor's report
@@ -50,8 +51,9 @@ consuming the same stream.  A switch whose fresh verdict is not the recorded
 one (the policy or a TCAM moved while the monitor was down) is re-checked by
 the first poll that runs, which opens, updates or resolves its incident.
 Restoring into a different partition count is a rebalance: the merged state
-reshards along the new map.  Version-1 and -2 documents still restore: their
-whole results are read for the verdicts, their copies of L and T ignored.
+reshards along the new map.  Version-1 to -3 documents still restore: whole
+results (1, 2) are read for the verdicts, copies of L and T ignored, and
+each per-rule pending event counts as a transaction of one rule.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ from .events import (
     DeviceFault,
     Event,
     PolicyChanged,
-    RuleInstalled,
-    RuleLost,
+    TcamChanged,
     event_from_dict,
 )
 from .incidents import Incident, IncidentStore
@@ -87,11 +88,12 @@ from .partition import PartitionMap
 
 __all__ = ["MonitorPass", "NetworkMonitor", "SNAPSHOT_VERSION"]
 
-#: Version tag stamped into monitor snapshots.  Version 2 carried every
-#: switch's whole result and both its key sets, version 1 the checker's own
-#: compile of L as well; :meth:`NetworkMonitor.restore` still reads both.
-SNAPSHOT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, SNAPSHOT_VERSION)
+#: Version tag stamped into monitor snapshots.  Version 3 carried one pending
+#: event, rule body included, per rule written, version 2 also every switch's
+#: whole result and both its key sets, version 1 the checker's own compile of
+#: L as well; :meth:`NetworkMonitor.restore` still reads all three.
+SNAPSHOT_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, SNAPSHOT_VERSION)
 
 
 #: Snapshot fields that must hold a (non-bool) integer when present ...
@@ -335,7 +337,7 @@ class NetworkMonitor:
             # own slice.
             for checker in self.checkers:
                 checker.note_policy_change(event.object_uid, event.object_type)
-        elif isinstance(event, (RuleInstalled, RuleLost)):
+        elif isinstance(event, TcamChanged):
             self._checker_for(event.switch_uid).note_switch_change(event.switch_uid)
         elif isinstance(event, DeviceFault):
             if event.device_uid in self.controller.fabric:

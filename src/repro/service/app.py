@@ -415,7 +415,8 @@ class ScoutService:
             self.slo.record("job-success", labels["status"] == "done")
 
     def _record_bus_event(self, event: Event) -> None:
-        """Bus subscriber: every fabric/policy event lands in the black box."""
+        """Bus subscriber: every fabric/policy event lands in the black box, a
+        line per policy edit, fault record or TCAM write transaction."""
         self.recorder.record_event(
             "bus." + type(event).__name__,
             detail=event.describe(),
@@ -583,11 +584,13 @@ class ScoutService:
         )
 
     def _probe_bus(self) -> ComponentHealth:
+        # The backlog counts un-polled changes (a policy edit, a fault record,
+        # a TCAM write transaction), never the rules one of them moved.
         backlog = self.monitor.pending_events()
         seen = self.monitor.bus.total_events()
         status = HealthStatus.DEGRADED if backlog > 100 else HealthStatus.OK
         detail = (
-            f"{backlog} events awaiting a pass"
+            f"{backlog} event(s) awaiting a pass"
             if backlog
             else f"{seen} event(s) dispatched"
         )

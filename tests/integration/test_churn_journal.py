@@ -10,6 +10,12 @@ answered.  A change that moves the blast radius — re-checking a switch less
 (an open incident is no longer re-localized when its change-log evidence
 moves) or more — shows here before it shows anywhere else.
 
+The ``passes`` hashes were re-recorded in PR 23, which made a bus event a
+TCAM write *transaction* instead of a rule: every pass's ``events`` count
+fell, and with ``events`` removed the pass lists are those of ``9052e0a``
+(shown in that PR's CHANGES.md entry; ``journal`` and both counters did not
+move).
+
 Re-record only for a change that is *meant* to alter monitor behaviour, and
 say so in CHANGES.md.
 """
@@ -27,19 +33,19 @@ from repro.churn import ChurnDriver
 RECORDED = {
     ("small", 600, 11): {
         "journal": "dbf53877e3247df2a13e84f2f01d9414281b64a7021a4c034549cc66f9e98b06",
-        "passes": "8477679b386c7c65ad0ca36477ee38b97093a1e85cc7d5094fc48213ad3989e9",
+        "passes": "d31390b184198983ac88327233f2506a12ed05f9e2ced1f7f06cfffb41d47017",
         "switch_checks": 225,
         "digest_short_circuits": 1575,
     },
     ("simulation", 400, 7): {
         "journal": "6d66972ee7d7ef9b2713fa40f9aea05237ee12e9e0bd9bc91a7edaa2f385be3f",
-        "passes": "927c3944d7cf9e4f4557ca00547f05a478204a8e2cb3fa0584c60f958e0d4352",
+        "passes": "9b69038b8f87efe44afdc84872817f24fc93fd3b529515204a5eaa132a24450c",
         "switch_checks": 491,
         "digest_short_circuits": 1917,
     },
     ("simulation", 300, 2018): {
         "journal": "35e279f13814e7850be68e60fa4a1bd437d6a16d693f36785bc534d0304ef8ec",
-        "passes": "13fe774e3a085466f217adcf20249ce167c2fc1a11f34ddaaed8a0cab31b6de7",
+        "passes": "dda4da8ca9d5f9f989a7ecc37c85e56ef9c4502e2546d109185eb9cb4a3050c4",
         "switch_checks": 703,
         "digest_short_circuits": 1134,
     },

@@ -6,12 +6,14 @@ from repro.core import ScoutSystem
 from repro.experiments import (
     SIMULATION_BINS,
     TESTBED_BINS,
+    ACCURACY_FIGURES,
+    format_accuracy_figure,
     format_accuracy_table,
     format_figure3,
     format_figure7,
-    format_figure10,
     format_scalability,
     prepare_workload,
+    run_accuracy_figure,
     run_accuracy_sweep,
     run_figure3,
     run_scalability,
@@ -28,19 +30,22 @@ def deployed_testbed():
     return prepare_workload(make_testbed_profile())
 
 
+def missing_rules(deployed):
+    return ScoutSystem(deployed.controller).check().missing_rules()
+
+
 class TestCommon:
     def test_prepare_workload_is_consistent(self, deployed_testbed):
-        missing = deployed_testbed.missing_rules()
-        assert missing == {}
+        assert missing_rules(deployed_testbed) == {}
 
     def test_snapshot_restore_round_trip(self, deployed_testbed):
         fabric = deployed_testbed.fabric
         snapshot = snapshot_tcam(fabric)
         victim = fabric.leaf_uids()[0]
         fabric.switch(victim).tcam.clear()
-        assert deployed_testbed.missing_rules()
+        assert missing_rules(deployed_testbed)
         restore_tcam(fabric, snapshot)
-        assert deployed_testbed.missing_rules() == {}
+        assert missing_rules(deployed_testbed) == {}
 
     def test_make_localizers_lineup(self, deployed_testbed):
         localizers = make_localizers(deployed_testbed.controller, score_thresholds=(1.0, 0.6))
@@ -116,7 +121,30 @@ class TestAccuracySweep:
     def test_format_table(self, sweep):
         text = format_accuracy_table(sweep, "recall")
         assert "SCOUT" in text and "#faults" in text
-        assert format_figure10(sweep)  # both panels render
+        figure = format_accuracy_figure(sweep)  # both panels render
+        assert figure.count("#faults") == 2
+        assert "precision on the" in figure and "recall on the" in figure
+
+    def test_the_figure_table_runs_each_figure_as_the_paper_sets_it(self, deployed_testbed):
+        assert {
+            number: (figure["scope"], figure["seed"])
+            for number, figure in ACCURACY_FIGURES.items()
+        } == {8: ("switch", 8), 9: ("controller", 9), 10: ("controller", 10)}
+        figure10 = run_accuracy_figure(10, fault_counts=(1,), runs=2, deployed=deployed_testbed)
+        assert figure10.scope == "controller" and figure10.runs == 2
+        assert set(figure10.algorithms()) == {"SCOUT", "SCORE-1"}
+        by_hand = run_accuracy_sweep(
+            deployed_testbed,
+            scope="controller",
+            fault_counts=(1,),
+            runs=2,
+            seed=10,
+            score_thresholds=(1.0,),
+        )
+        assert figure10.cells == by_hand.cells
+        figure8 = run_accuracy_figure(8, fault_counts=(1,), runs=1, deployed=deployed_testbed)
+        assert figure8.scope == "switch"
+        assert set(figure8.algorithms()) == {"SCOUT", "SCORE-1", "SCORE-0.6"}
 
     def test_switch_scope_sweep_runs(self, deployed_testbed):
         sweep = run_accuracy_sweep(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 
 import pytest
 
@@ -169,6 +170,35 @@ VERSION_2_SNAPSHOT = json.loads(
 '''
 )
 
+#: The same history as ``9052e0a``, the commit before version 4, wrote it —
+#: then leaf-3 loses its port-700 rules too and the snapshot is taken with
+#: that batch un-polled: one ``rule-lost`` entry, rule body included, per rule.
+VERSION_3_SNAPSHOT = json.loads(
+    '''
+{"checker": {"dirty_switches": ["leaf-3"], "pending_objects": [], "stats":
+{"digest_short_circuits": 0, "full_checks": 1, "index_patches": 0, "index_rebuilds": 0,
+"pair_recompiles": 2, "switch_checks": 1}, "verdicts": {"leaf-2":
+"71f0ad6a22a45bc505e8428c25b305808fba5cff2f38ae452364a05556229728"}}, "clock": 3,
+"debounce_ticks": 1, "events_seen": 4, "first_event_at": 3, "incidents": {"counter": 1,
+"incidents": [{"corr_id": "poll-t3-000001", "extra_rules": 0, "fault_codes": [],
+"incident_id": "INC-0001", "missing_rules": 2, "opened_at": 3, "resolved_at": null,
+"status": "open", "suspects": ["contract:webshop/App-DB", "epg:webshop/DB",
+"filter:webshop/port700"], "switch_uid": "leaf-2", "updated_at": 3, "updates": 0}]},
+"kind": "monitor-snapshot", "last_event_at": 3, "max_wait_ticks": 5, "partition_map":
+{"shards": [["leaf-1", "leaf-2", "leaf-3"]]}, "partitions": 1, "passes": 1,
+"pending_events": [{"cause": "removed", "kind": "rule-lost", "rule": {"action": "allow",
+"contract_uid": "contract:webshop/App-DB", "dst_epg": 3, "dst_epg_uid":
+"epg:webshop/DB", "filter_uid": "filter:webshop/port700", "port": 700, "protocol":
+"tcp", "src_epg": 2, "src_epg_uid": "epg:webshop/App", "vrf_scope": 101, "vrf_uid":
+"vrf:webshop/101"}, "switch_uid": "leaf-3", "timestamp": 3}, {"cause": "removed",
+"kind": "rule-lost", "rule": {"action": "allow", "contract_uid":
+"contract:webshop/App-DB", "dst_epg": 2, "dst_epg_uid": "epg:webshop/App", "filter_uid":
+"filter:webshop/port700", "port": 700, "protocol": "tcp", "src_epg": 3, "src_epg_uid":
+"epg:webshop/DB", "vrf_scope": 101, "vrf_uid": "vrf:webshop/101"}, "switch_uid":
+"leaf-3", "timestamp": 3}], "poll_seq": 1, "version": 3}
+'''
+)
+
 
 def _wipe(scenario, uid, port=700):
     removed = scenario.fabric.switch(uid).tcam.remove_where(
@@ -203,10 +233,19 @@ class TestSnapshotRestore:
         assert pending > 0
         snap = json.loads(json.dumps(monitor.snapshot(), sort_keys=True))
         monitor.stop()
-        # Version 3 carries the violating switches' verdict fingerprints,
+        # The document carries the violating switches' verdict fingerprints,
         # dirt and counters — no copy of L or T: the restoring side reads
-        # those where they live.
-        assert snap["version"] == SNAPSHOT_VERSION == 3
+        # those where they live — and one pending entry for the one wipe.
+        assert snap["version"] == SNAPSHOT_VERSION == 4
+        assert snap["pending_events"] == [
+            {
+                "kind": "tcam-changed",
+                "timestamp": three_tier.controller.clock.peek(),
+                "switch_uid": "leaf-3",
+                "installed": 0,
+                "lost": 2,
+            }
+        ]
         sections = {"verdicts", "dirty_switches", "pending_objects", "stats"}
         assert set(snap["checker"]) == sections
         assert sorted(snap["checker"]["verdicts"]) == ["leaf-2"]
@@ -255,7 +294,7 @@ class TestSnapshotRestore:
         monitor.stop()
         with pytest.raises(ValueError, match="kind"):
             monitor.restore({**snap, "kind": "something-else"})
-        for version in (999, SNAPSHOT_VERSION + 1, 0, True, "3", None):
+        for version in (999, SNAPSHOT_VERSION + 1, 0, True, "4", None):
             with pytest.raises(ValueError, match="version"):
                 monitor.restore({**snap, "version": version})
         # The two fields only from_snapshot reads.
@@ -675,11 +714,51 @@ class TestSnapshotSize:
         assert document["checker"]["verdicts"] == {}
         assert len(json.dumps(document)) < 16 * 1024
 
+    def test_a_snapshot_taken_mid_burst_is_a_few_kilobytes_too(self):
+        """The pending batch is a switch and two counts per transaction: every
+        leaf half-wiped and un-polled adds ten short entries, not 15.9 k rule
+        bodies — and the batch still comes back whole."""
+        workload = generate_workload(simulation_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        draws = random.Random(2018)
+        leaves = controller.fabric.leaf_uids()
+        for uid in leaves:
+            assert controller.fabric.switch(uid).tcam.remove_where(
+                lambda rule: draws.random() < 0.5
+            )
+        assert monitor.pending_events() == len(leaves) == 10
+        text = json.dumps(monitor.snapshot())
+        assert len(text) < 16 * 1024
+
+        # Restored beside the monitor it was taken from: same batch, same
+        # debounce stamps, and one poll later the same incidents.
+        restored = NetworkMonitor.from_snapshot(controller, json.loads(text))
+        try:
+            assert restored.pending_events() == monitor.pending_events()
+            stamps = ("first_event_at", "last_event_at")
+            document = restored.snapshot()
+            assert [document[key] for key in stamps] == [controller.clock.peek()] * 2
+            assert document["pending_events"] == monitor.snapshot()["pending_events"]
+            assert not restored.due() and not monitor.due()
+            controller.clock.tick(2)
+            assert restored.due() and monitor.due()
+            assert restored.poll().to_dict() == monitor.poll().to_dict()
+            assert len(restored.store.active()) == len(leaves)
+            assert restored.store.to_jsonl() == monitor.store.to_jsonl()
+        finally:
+            restored.close()
+            monitor.close()
+
 
 class TestParentFormatSnapshot:
     @pytest.mark.parametrize("partitions", (None, 2))
     @pytest.mark.parametrize(
-        "parent_format", (PARENT_FORMAT_SNAPSHOT, VERSION_2_SNAPSHOT), ids=("v1", "v2")
+        "parent_format",
+        (PARENT_FORMAT_SNAPSHOT, VERSION_2_SNAPSHOT, VERSION_3_SNAPSHOT),
+        ids=("v1", "v2", "v3"),
     )
     def test_parent_commit_snapshot_restores(
         self, three_tier, parent_format, partitions
@@ -687,12 +766,18 @@ class TestParentFormatSnapshot:
         assert PARENT_FORMAT_SNAPSHOT["partition_map"] is None
         assert parent_format["version"] < SNAPSHOT_VERSION
         assert parent_format["partitions"] == 1
-        _wipe(three_tier, "leaf-2")  # the fabric state the document was taken in
+        # The fabric state the document was taken in: only the version-3 one
+        # was taken mid-burst, one pending entry per rule leaf-3 lost.
+        pending = len(parent_format["pending_events"])
+        assert pending == (2 if parent_format is VERSION_3_SNAPSHOT else 0)
+        for uid in ("leaf-2", "leaf-3") if pending else ("leaf-2",):
+            _wipe(three_tier, uid)
         document = json.loads(json.dumps(parent_format))
-        # Written before the engine ladder collapsed: labels are opaque
-        # strings, not a vocabulary the restore validates.
-        document["checker"]["results"]["leaf-1"]["engine"] = "hash"
-        document["checker"]["results"]["leaf-2"]["engine"] = "bdd"
+        if "results" in document["checker"]:
+            # Written before the engine ladder collapsed: labels are opaque
+            # strings, not a vocabulary the restore validates.
+            document["checker"]["results"]["leaf-1"]["engine"] = "hash"
+            document["checker"]["results"]["leaf-2"]["engine"] = "bdd"
         restored = NetworkMonitor.from_snapshot(
             three_tier.controller, document, partitions=partitions
         )
@@ -701,10 +786,12 @@ class TestParentFormatSnapshot:
             assert restored.partitions == (partitions or 1)
             stats = restored.stats()
             # The document's bootstrap plus one sweep per restoring checker;
-            # its verdicts matched, so nothing is left to re-check.
+            # its verdicts matched, so nothing but its own batch is left to
+            # re-check — counted as the writer counted it, one per rule.
             assert stats["full_checks"] == 1 + (partitions or 1)
-            assert stats["dirty_switches"] == 0
+            assert stats["dirty_switches"] == (1 if pending else 0)
             assert stats["restores"] == 1
+            assert restored.pending_events() == pending
             assert [item.switch_uid for item in restored.store.active()] == ["leaf-2"]
             fresh = ScoutSystem(three_tier.controller).check()
             assert (
@@ -714,9 +801,35 @@ class TestParentFormatSnapshot:
             assert len(restored.snapshot()["partition_map"]["shards"]) == (
                 partitions or 1
             )
+            if pending:
+                three_tier.controller.clock.tick(2)
+                carried = restored.poll()
+                assert carried.events == pending
+                assert [item.switch_uid for item in carried.opened] == ["leaf-3"]
         finally:
             restored.close()
 
+    def test_a_version_3_snapshot_restores_into_the_daemon(self, three_tier):
+        for uid in ("leaf-2", "leaf-3"):
+            _wipe(three_tier, uid)
+        reborn = ScoutService(
+            three_tier.controller,
+            sync_audits=True,
+            restore_snapshot=json.loads(json.dumps(VERSION_3_SNAPSHOT)),
+        )
+        try:
+            status = TestClient(reborn).get("/monitor/status").json()["stats"]
+            assert status["partitions"] == 1 and status["restores"] == 1
+            assert status["pending_events"] == 2
+            active = reborn.monitor.store.active()
+            assert [item.switch_uid for item in active] == ["leaf-2"]
+            fresh = ScoutSystem(three_tier.controller).check()
+            assert (
+                reborn.monitor.report().semantic_fingerprint()
+                == fresh.semantic_fingerprint()
+            )
+        finally:
+            reborn.close()
 
     def test_version_1_policy_dirt_is_rechecked_by_the_first_poll(self, three_tier):
         """A version-1 document taken with a policy batch still pending:
@@ -834,6 +947,21 @@ MALFORMED_SNAPSHOTS = {
     "unknown-pending-event": (
         _with("pending_events", [{"kind": "from-the-future", "timestamp": 1}]),
         "pending_events",
+    ),
+    "tcam-changed-without-switch-uid": (
+        _with("pending_events", [{"kind": "tcam-changed", "timestamp": 1, "lost": 2}]),
+        "'pending_events': KeyError: 'switch_uid'",
+    ),
+    "tcam-changed-with-a-string-count": (
+        _with(
+            "pending_events",
+            [{"kind": "tcam-changed", "timestamp": 1, "switch_uid": "s", "lost": "2"}],
+        ),
+        "'pending_events': ValueError: tcam-changed counts must be integers",
+    ),
+    "legacy-rule-lost-without-timestamp": (
+        _with("pending_events", [{"kind": "rule-lost", "switch_uid": "s", "rule": {}}]),
+        "'pending_events': KeyError: 'timestamp'",
     ),
     "incident-without-timestamps": (
         _with("incidents", {"incidents": [{"incident_id": "INC-1"}], "counter": 1}),

@@ -73,7 +73,7 @@ class TestFlightrecordSubcommand:
             with collector.span("monitor.poll"):
                 with collector.span("worker.shard"):
                     pass
-            recorder.record_event("bus.RuleLost", detail="leaf-1 lost a rule")
+            recorder.record_event("bus.TcamChanged", detail="leaf-1 lost a rule")
             return recorder.dump(
                 "incident-open", incident_id="INC-0001", switch="leaf-1"
             )
@@ -89,7 +89,7 @@ class TestFlightrecordSubcommand:
         assert "monitor.poll" in out
         assert "    worker.shard" in out  # indented under its parent
         assert "[corr-cli-1]" in out
-        assert "bus.RuleLost" in out
+        assert "bus.TcamChanged" in out
 
     def test_accepts_the_http_envelope(self, tmp_path, capsys):
         path = tmp_path / "envelope.json"

@@ -251,7 +251,7 @@ class TestScoutSystemParallel:
 
     def test_sharded_augmentation_builds_the_same_model(self, faulty_simulation):
         deployed = faulty_simulation
-        missing = deployed.missing_rules()
+        missing = ScoutSystem(deployed.controller).check().missing_rules()
         plan = plan_shards(missing, 3)
         policy, index = deployed.policy, deployed.index
         global_model = build_controller_risk_model(policy, index=index)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
-from repro.service import ScoutService, TestClient
+from repro.policy.objects import FilterEntry
+from repro.service import ScoutService, TestClient, service_for_profile
 from repro.workloads import three_tier_scenario
 
 
@@ -92,7 +94,41 @@ class TestIncidentFlightRecord:
 
         # The change events that triggered the incident are in the ring.
         kinds = {entry["kind"] for entry in bundle["events"]}
-        assert "bus.RuleLost" in kinds
+        assert "bus.TcamChanged" in kinds
+
+    def test_a_wiped_leaf_does_not_evict_what_preceded_it(self):
+        """One event per TCAM transaction: the bundle dumped for a 1.3 k-rule
+        wipe still holds the policy edit before it, and says how much went."""
+        service = service_for_profile("simulation", sync_audits=True)
+        try:
+            client, controller = TestClient(service), service.controller
+            target = next(iter(controller.policy.filters()))
+            widened = target.entries + (FilterEntry(protocol="tcp", port=47000),)
+            controller.modify_object(
+                controller.policy.tenant_of(target.uid).name,
+                dataclasses.replace(target, entries=widened),
+            )
+            controller.deploy(record_initial_changes=False)
+            victim = controller.fabric.leaf_uids()[0]
+            tcam = controller.fabric.switch(victim).tcam
+            wiped = tcam.remove_where(lambda rule: True)
+            assert len(wiped) > 512  # more rules than the event ring holds lines
+            controller.clock.tick(2)
+            poll = client.post("/monitor/poll", json={"force": True})
+            opened = poll.json()["pass"]["opened"]
+            assert [incident["switch_uid"] for incident in opened] == [victim]
+            path = f"/incidents/{opened[0]['incident_id']}/flightrecord"
+            events = client.get(path).json()["flightrecord"]["events"]
+            edits = [e["detail"] for e in events if e["kind"] == "bus.PolicyChanged"]
+            assert len(edits) == 1 and edits[0].endswith(f"modify {target.uid}")
+            wipes = [
+                e["detail"]
+                for e in events
+                if e["kind"] == "bus.TcamChanged" and f"-{len(wiped)}" in e["detail"]
+            ]
+            assert len(wipes) == 1 and f"{victim} +0 -{len(wiped)}" in wipes[0]
+        finally:
+            service.close()
 
     def test_unknown_incident_is_404(self, env):
         response = env.client.get("/incidents/INC-9999/flightrecord")
@@ -138,6 +174,18 @@ class TestHealthRoutes:
         monitor = payload["components"]["monitor"]
         assert monitor["status"] == "ok"
         assert monitor["metrics"]["running"] is True
+
+    def test_one_wiped_leaf_is_a_backlog_of_one(self):
+        """The bus probe counts things that happened, not rules they moved."""
+        service = service_for_profile("small", sync_audits=True)
+        try:
+            victim = service.controller.fabric.switch("leaf-1")
+            assert len(victim.tcam.remove_where(lambda rule: True)) > 100
+            bus = TestClient(service).get("/health").json()["components"]["bus"]
+            assert bus["status"] == "ok"
+            assert bus["metrics"]["backlog"] == 1
+        finally:
+            service.close()
 
     def test_stopped_monitor_fails_the_rollup(self, env):
         assert env.client.post("/monitor/stop").status == 200
