@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set
 
 __all__ = ["SelectionReason", "HypothesisEntry", "Hypothesis"]
 
@@ -68,11 +68,19 @@ class Hypothesis:
     iterations: int = 0
     algorithm: str = ""
 
+    def __post_init__(self) -> None:
+        # risk -> its first entry.  Not a field: ``entries`` is what is
+        # compared and serialised, and it only grows through :meth:`add`.
+        self._by_risk: Dict[Hashable, HypothesisEntry] = {}
+        for entry in self.entries:
+            self._by_risk.setdefault(entry.risk, entry)
+
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     def add(self, entry: HypothesisEntry) -> None:
-        if entry.risk not in self.objects():
+        if entry.risk not in self._by_risk:
+            self._by_risk[entry.risk] = entry
             self.entries.append(entry)
         self.explained.update(entry.explained)
 
@@ -81,29 +89,25 @@ class Hypothesis:
     # ------------------------------------------------------------------ #
     def objects(self) -> Set[Hashable]:
         """The set of risk keys (policy-object uids / switch uids) reported faulty."""
-        return {entry.risk for entry in self.entries}
+        return set(self._by_risk)
 
     def objects_by_reason(self, reason: SelectionReason) -> Set[Hashable]:
         return {entry.risk for entry in self.entries if entry.reason is reason}
 
     def entry_for(self, risk: Hashable) -> Optional[HypothesisEntry]:
-        for entry in self.entries:
-            if entry.risk == risk:
-                return entry
-        return None
+        return self._by_risk.get(risk)
 
     def __len__(self) -> int:
-        return len(self.objects())
+        return len(self._by_risk)
 
     def __contains__(self, risk: Hashable) -> bool:
-        return risk in self.objects()
+        return risk in self._by_risk
 
     def merge(self, other: "Hypothesis") -> "Hypothesis":
         """Union of two hypotheses (used to combine per-switch results)."""
         merged = Hypothesis(algorithm=self.algorithm or other.algorithm)
-        for entry in list(self.entries) + list(other.entries):
-            if entry.risk not in merged.objects():
-                merged.entries.append(entry)
+        for entry in (*self.entries, *other.entries):
+            merged.add(entry)
         merged.explained = set(self.explained) | set(other.explained)
         merged.unexplained = (set(self.unexplained) | set(other.unexplained)) - merged.explained
         merged.iterations = max(self.iterations, other.iterations)

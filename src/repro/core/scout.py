@@ -10,11 +10,19 @@ coverage of the still-unexplained observations (Algorithm 2), add them to the
 hypothesis, and prune every element that depends on them (Algorithm 1,
 lines 4-19).  The loop ends when no risk has hit ratio 1 anymore.
 
+The candidates of Algorithm 2 are kept, not re-derived: pruning changes
+``G_i``, ``O_i`` and the gain of exactly the risks the pruned elements relied
+on (:meth:`RiskModel.prune_elements` returns them), so only those are
+evaluated again and an iteration costs what it pruned.  The literal
+every-iteration rescan is the reference the differential suite holds this to
+(``tests/property/test_scout_reference.py``).
+
 **Stage 2 — change-log lookup.**  Observations left unexplained are caused by
 *partially* failed objects (hit ratio < 1), which is the case SCORE treats as
 noise.  For each residual observation SCOUT inspects the controller change
 log and selects the failed objects "to which some actions are recently
-applied" (lines 20-25).
+applied" (lines 20-25).  Observations with the same failed objects ask the
+same question, so within one run the oracle is asked once per distinct set.
 
 The change-log stage is pluggable: any object implementing
 :class:`ChangeLogOracle`'s interface can be supplied, the default adapter
@@ -35,7 +43,11 @@ __all__ = ["ChangeLogOracle", "RecentChangeOracle", "ScoutLocalizer"]
 
 
 class ChangeLogOracle(Protocol):
-    """The query SCOUT's second stage needs from the controller change log."""
+    """The query SCOUT's second stage needs from the controller change log.
+
+    The answer must be a function of the candidate *set*: one run asks once
+    per distinct set and reuses the answer for every observation that has it.
+    """
 
     def recently_changed(self, candidates: Iterable[Hashable]) -> Set[Hashable]:
         """Return the subset of ``candidates`` with recent management actions."""
@@ -120,34 +132,7 @@ class ScoutLocalizer:
         return "SCOUT"
 
     # ------------------------------------------------------------------ #
-    # Algorithm 2: pickCandidates
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pick_candidates(
-        model: RiskModel,
-        risks: Set[Hashable],
-        unexplained: Set[Hashable],
-    ) -> tuple[Set[Hashable], Dict[Hashable, Set[Hashable]]]:
-        """Risks with hit ratio 1 and maximal coverage of ``unexplained``.
-
-        Returns the chosen risk set and, for each chosen risk, the
-        observations it explains.
-        """
-        hit_set: dict[Hashable, Set[Hashable]] = {}
-        for risk in risks:
-            # |O_i| == |G_i| exactly: a ratio of two different counts is never 1.0.
-            if model.hit_ratio(risk) == 1.0:
-                gain = model.failed_elements_for_risk(risk) & unexplained
-                if gain:
-                    hit_set[risk] = gain
-        if not hit_set:
-            return set(), {}
-        max_gain = max(len(gain) for gain in hit_set.values())
-        chosen = {risk for risk, gain in hit_set.items() if len(gain) == max_gain}
-        return chosen, {risk: hit_set[risk] for risk in chosen}
-
-    # ------------------------------------------------------------------ #
-    # Algorithm 1: the main loop
+    # Algorithms 1-2: the main loop and pickCandidates
     # ------------------------------------------------------------------ #
     def localize(
         self,
@@ -169,47 +154,77 @@ class ScoutLocalizer:
         working = model.copy()
         unexplained = set(signature)
         iteration = 0
+        # Algorithm 2's candidates: risk -> O_i ∩ unexplained, for the risks
+        # with |O_i| == |G_i| (hit ratio exactly 1) that explain something.
+        gains: Dict[Hashable, Set[Hashable]] = {}
+
+        def evaluate(risks: Iterable[Hashable]) -> None:
+            for risk in risks:
+                gain = None
+                if working.hit_ratio(risk) == 1.0:
+                    gain = working.failed_elements_for_risk(risk) & unexplained
+                if gain:
+                    gains[risk] = gain
+                else:
+                    gains.pop(risk, None)
 
         with span("scout.stage1", observations=len(signature)) as stage1:
+            # K: risks with failed edges to unexplained observations.
+            candidate_risks: Set[Hashable] = set()
+            for observation in unexplained:
+                candidate_risks |= working.failed_risks_for_element(observation)
+            evaluate(candidate_risks)
+            reevaluated = 0
             while unexplained:
                 iteration += 1
-                # K: risks with failed edges to currently-unexplained observations.
-                candidate_risks: Set[Hashable] = set()
-                for observation in unexplained:
-                    candidate_risks |= working.failed_risks_for_element(observation)
-                faulty_set, gains = self._pick_candidates(working, candidate_risks, unexplained)
-                if not faulty_set:
+                if not gains:
                     break
+                max_gain = max(map(len, gains.values()))
+                faulty_set = sorted(
+                    (risk for risk, gain in gains.items() if len(gain) == max_gain),
+                    key=repr,
+                )
                 # Prune every element (failed or not) depending on a chosen risk.
                 affected: Set[Hashable] = set()
                 for risk in faulty_set:
                     affected |= working.elements_for_risk(risk)
-                for risk in sorted(faulty_set, key=repr):
+                for risk in faulty_set:
                     hypothesis.add(
                         HypothesisEntry(
                             risk=risk,
                             reason=SelectionReason.HIT_AND_COVERAGE,
                             hit_ratio=1.0,
-                            coverage_ratio=(len(gains[risk]) / len(unexplained)) if unexplained else 0.0,
+                            coverage_ratio=len(gains[risk]) / len(unexplained),
                             iteration=iteration,
                             explained=set(gains[risk]),
                         )
                     )
-                working.prune_elements(affected)
+                # A risk none of whose dependents went keeps its G_i, its O_i
+                # and its gain: only the risks pruning touched are looked at
+                # again, so an iteration costs what it pruned.
+                touched = working.prune_elements(affected)
                 unexplained -= affected
+                evaluate(touched)
+                reevaluated += len(touched)
             stage1.count("iterations", iteration)
+            stage1.count("reevaluated", reevaluated)
 
         # Stage 2: explain the residual observations via the change log.
         if unexplained and oracle is not None:
             with span("scout.stage2", residual=len(unexplained)):
+                # Observations with the same failed objects are the same
+                # question: the oracle answers for a candidate *set*.
+                answers: Dict[frozenset, Set[Hashable]] = {}
                 for observation in sorted(unexplained, key=repr):
                     failed_objects = model.failed_risks_for_element(observation)
-                    recent = oracle.recently_changed(failed_objects)
+                    evidence = frozenset(failed_objects)
+                    recent = answers.get(evidence)
+                    if recent is None:
+                        recent = answers[evidence] = oracle.recently_changed(failed_objects)
                     for risk in sorted(recent, key=repr):
-                        if risk in hypothesis:
-                            entry = hypothesis.entry_for(risk)
-                            if entry is not None:
-                                entry.explained.add(observation)
+                        entry = hypothesis.entry_for(risk)
+                        if entry is not None:
+                            entry.explained.add(observation)
                             hypothesis.explained.add(observation)
                             continue
                         hypothesis.add(

@@ -350,11 +350,12 @@ class ScoutSystem:
             per_switch: Dict[str, Hypothesis] = {}
 
             with span("scout.risk_model", scope=scope) as risk_span:
+                risk_span.count("missing_rules", sum(map(len, missing_by_switch.values())))
                 if scope == "switch":
                     merged = Hypothesis(algorithm=self.localizer.name)
                     for switch_uid, missing in sorted(missing_by_switch.items()):
                         model = build_switch_risk_model(index, switch_uid)
-                        augment_switch_model(model, missing)
+                        risk_span.count("edges_flipped", augment_switch_model(model, missing))
                         risk_models[switch_uid] = model
                         with span("scout.localize", switch=switch_uid):
                             hypothesis = self.localizer.localize(model)
@@ -368,18 +369,21 @@ class ScoutSystem:
                         include_switch_risks=self.include_switch_risks,
                     )
                     if shard_plan is not None:
-                        augment_controller_model_sharded(
-                            model,
-                            missing_by_switch,
-                            shard_plan,
-                            include_switch_risks=self.include_switch_risks,
+                        flipped = sum(
+                            augment_controller_model_sharded(
+                                model,
+                                missing_by_switch,
+                                shard_plan,
+                                include_switch_risks=self.include_switch_risks,
+                            ).values()
                         )
                     else:
-                        augment_controller_model(
+                        flipped = augment_controller_model(
                             model,
                             missing_by_switch,
                             include_switch_risks=self.include_switch_risks,
                         )
+                    risk_span.count("edges_flipped", flipped)
                     risk_models["controller"] = model
                     risk_span.count("observations", len(missing_by_switch))
                     with span("scout.localize", scope=scope):

@@ -553,7 +553,10 @@ class NetworkMonitor:
         with span("monitor.localize", switch=switch_uid) as localize_span:
             model = build_switch_risk_model(index, switch_uid)
             localize_span.set("structure", "reused" if model.structure_reused else "built")
-            augment_switch_model(model, result.missing_rules)
+            localize_span.count("missing_rules", len(result.missing_rules))
+            localize_span.count(
+                "edges_flipped", augment_switch_model(model, result.missing_rules)
+            )
             return self.localizer.localize(model)
 
     # ------------------------------------------------------------------ #

@@ -15,12 +15,23 @@ Edges to objects the pair relies on but that do not appear in any missing
 rule stay ``success``, which is precisely the information the localization
 algorithms exploit (Figure 4(a): only the Web-App edges fail when rule #1 is
 missing at S2).
+
+Augmentation is per pair, not per rule.  A rule contributes nothing but its
+provenance — ``(src, dst, vrf, contract, filter)`` — so the missing rules are
+counted per provenance tuple in one pass, the tuples of a pair are folded
+into one object set, and each pair's edges are flagged with one
+:meth:`RiskModel.mark_element_failed` call: a leaf that lost 1 664 rules is
+379 pairs and 2 839 edges, each touched once.  The flip count returned is
+still the per-rule one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from collections import Counter
+from operator import attrgetter
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence
 
+from ..policy.objects import EpgPair
 from ..rules import TcamRule
 from .model import RiskModel
 
@@ -31,9 +42,46 @@ __all__ = [
 ]
 
 
-def _failed_objects_of_rule(rule: TcamRule) -> list[str]:
-    """The policy-object uids implicated by one missing rule."""
-    return rule.objects()
+_PROVENANCE = attrgetter(
+    "src_epg_uid", "dst_epg_uid", "vrf_uid", "contract_uid", "filter_uid"
+)
+
+
+def _augment(
+    model: RiskModel,
+    missing_rules: Iterable[TcamRule],
+    element_of: Callable[[EpgPair], Hashable],
+    also: Sequence[str] = (),
+) -> int:
+    """Flag, for every pair ``missing_rules`` serve, the edges from
+    ``element_of(pair)`` to the rules' objects and to ``also``.
+
+    Returns the number of (element, object) edges the rules flip, counted per
+    rule.  Pairs and objects the model does not know are skipped: the policy
+    may have changed between compilation and collection.
+    """
+    by_pair: Dict[tuple, list] = {}  # (src, dst) sorted -> [(provenance, rules)]
+    for counted in Counter(map(_PROVENANCE, missing_rules)).items():
+        src, dst = counted[0][:2]
+        ends = (src, dst) if src <= dst else (dst, src)
+        by_pair.setdefault(ends, []).append(counted)
+    flipped = 0
+    for ends, counted_tuples in by_pair.items():
+        try:
+            pair = EpgPair(*ends)
+        except ValueError:  # src == dst: no pair, no element
+            continue
+        objects = set()
+        for provenance, _ in counted_tuples:
+            objects.update(provenance)
+        objects.discard("")  # an empty provenance field names no object
+        objects.update(also)
+        failed = model.mark_element_failed(element_of(pair), objects)
+        if failed:
+            shared = len(failed.intersection(also))
+            for provenance, rules in counted_tuples:
+                flipped += rules * (len(failed.intersection(provenance)) + shared)
+    return flipped
 
 
 def augment_switch_model(model: RiskModel, missing_rules: Iterable[TcamRule]) -> int:
@@ -44,20 +92,7 @@ def augment_switch_model(model: RiskModel, missing_rules: Iterable[TcamRule]) ->
     pair has no endpoint on this switch because the policy changed between
     compilation and collection) are skipped defensively.
     """
-    flipped = 0
-    for rule in missing_rules:
-        try:
-            pair = rule.epg_pair()
-        except (KeyError, ValueError):
-            continue
-        if pair not in model:
-            continue
-        pair_risks = model.risks_for_element(pair)
-        for uid in _failed_objects_of_rule(rule):
-            if uid in pair_risks:
-                model.mark_edge_failed(pair, uid)
-                flipped += 1
-    return flipped
+    return _augment(model, missing_rules, lambda pair: pair)
 
 
 def augment_controller_model(
@@ -73,22 +108,12 @@ def augment_controller_model(
     """
     flipped = 0
     for switch_uid, missing_rules in missing_by_switch.items():
-        for rule in missing_rules:
-            try:
-                pair = rule.epg_pair()
-            except (KeyError, ValueError):
-                continue
-            element = (switch_uid, pair)
-            if element not in model:
-                continue
-            element_risks = model.risks_for_element(element)
-            failed = _failed_objects_of_rule(rule)
-            if include_switch_risks and switch_uid in element_risks:
-                failed = failed + [switch_uid]
-            for uid in failed:
-                if uid in element_risks:
-                    model.mark_edge_failed(element, uid)
-                    flipped += 1
+        flipped += _augment(
+            model,
+            missing_rules,
+            lambda pair: (switch_uid, pair),
+            also=(switch_uid,) if include_switch_risks else (),
+        )
     return flipped
 
 

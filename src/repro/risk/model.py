@@ -111,20 +111,31 @@ class RiskModel:
         """Flag the (element, risk) edge as fail; the element becomes an observation."""
         if element not in self:
             raise RiskModelError(f"unknown element {element!r}")
-        if risk not in self._element_risks[element]:
+        if not self.mark_element_failed(element, (risk,)):
             raise RiskModelError(
                 f"element {element!r} does not depend on risk {risk!r}"
             )
-        self._failed_risks_by_element.setdefault(element, set()).add(risk)
-        self._failed_elements_by_risk.setdefault(risk, set()).add(element)
 
     def mark_element_failed(
         self, element: ElementKey, risks: Optional[Iterable[RiskKey]] = None
-    ) -> None:
-        """Flag several of an element's edges as fail (all of them by default)."""
-        targets = set(risks) if risks is not None else self.risks_for_element(element)
-        for risk in targets:
-            self.mark_edge_failed(element, risk)
+    ) -> Set[RiskKey]:
+        """Flag the edges from ``element`` to ``risks`` (by default, to every
+        risk it relies on) as fail, in one step; returns the risks flagged.
+
+        This is the defensive form augmentation needs: an element the model
+        does not hold (never added, or pruned) relies on nothing, and a risk
+        the element does not rely on is left out, neither being an error.
+        """
+        if element not in self:
+            return set()
+        relied_on = self._element_risks[element]
+        failed = set(relied_on) if risks is None else relied_on.intersection(risks)
+        if failed:
+            self._failed_risks_by_element.setdefault(element, set()).update(failed)
+            by_risk = self._failed_elements_by_risk
+            for risk in failed:
+                by_risk.setdefault(risk, set()).add(element)
+        return failed
 
     # ------------------------------------------------------------------ #
     # Structure queries
@@ -228,23 +239,27 @@ class RiskModel:
     # ------------------------------------------------------------------ #
     # Mutation used by the localization algorithms
     # ------------------------------------------------------------------ #
-    def prune_elements(self, elements: Iterable[ElementKey]) -> int:
-        """Remove elements (and their edges) from the model; returns how many.
+    def prune_elements(self, elements: Iterable[ElementKey]) -> Set[RiskKey]:
+        """Remove elements (and their edges) from the model; returns the
+        risks they relied on.
 
         SCOUT prunes every element that depends on a risk it has just added
         to the hypothesis, so the next iteration's hit and coverage ratios
-        are computed on the reduced model (Algorithm 1, line 16).  The
-        structure is left alone: the removal is recorded beside it, at the
-        cost of the pruned elements' edges.
+        are computed on the reduced model (Algorithm 1, line 16).  Only the
+        returned risks lost a dependent: ``G_i`` and ``O_i`` of every other
+        risk are what they were.  The structure is left alone: the removal
+        is recorded beside it, at the cost of the pruned elements' edges.
         """
-        removed = 0
+        touched: Set[RiskKey] = set()
+        pruned_dependents = self._pruned_dependents
         for element in list(elements):
             if element not in self:
                 continue
-            removed += 1
             self._pruned.add(element)
-            for risk in self._element_risks[element]:
-                self._pruned_dependents[risk] = self._pruned_dependents.get(risk, 0) + 1
+            risks = self._element_risks[element]
+            touched.update(risks)
+            for risk in risks:
+                pruned_dependents[risk] = pruned_dependents.get(risk, 0) + 1
             failed_risks = self._failed_risks_by_element.pop(element, set())
             for risk in failed_risks:
                 failed_set = self._failed_elements_by_risk.get(risk)
@@ -252,7 +267,7 @@ class RiskModel:
                     failed_set.discard(element)
                     if not failed_set:
                         del self._failed_elements_by_risk[risk]
-        return removed
+        return touched
 
     def copy(self) -> "RiskModel":
         """An independent model over the same structure.

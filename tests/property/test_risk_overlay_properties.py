@@ -7,10 +7,12 @@ differential gates hold that to the behaviour it replaced, with the
 references kept here, not in ``src/``:
 
 * a state machine drives random ``add_element`` / ``mark_edge_failed`` /
+  ``mark_element_failed`` (the bulk mark augmentation uses) /
   ``prune_elements`` / ``copy`` sequences against :class:`NaiveModel` — plain
   dicts of sets, deep copies, deletion on prune — and compares every public
-  query of every model alive after every step, starting from one hand-built
-  (owning) model and one overlay handed out by a builder;
+  query of every model alive after every step, what the bulk mark flagged
+  and which risks a prune touched, starting from one hand-built (owning)
+  model and one overlay handed out by a builder;
 * for seeded fault sets, what ``ScoutSystem.localize()`` reports — the
   hypothesis with its order, reasons and ratios, γ, the model summary — must
   equal what SCOUT makes of a model built from scratch with an explicit
@@ -81,19 +83,30 @@ class NaiveModel:
             raise RiskModelError("no such edge")
         self.failed.setdefault(element, set()).add(risk)
 
-    def prune_elements(self, elements: Iterable[Hashable]) -> int:
-        removed = 0
+    def mark_element_failed(self, element: Hashable, risks=None) -> Set[Hashable]:
+        """The bulk mark: whatever of ``risks`` the element relies on, one
+        edge at a time; a stranger relies on nothing."""
+        relied_on = self.element_risks.get(element, set())
+        wanted = relied_on if risks is None else risks
+        failed = {risk for risk in wanted if risk in relied_on}
+        for risk in failed:
+            self.mark_edge_failed(element, risk)
+        return failed
+
+    def prune_elements(self, elements: Iterable[Hashable]) -> Set[Hashable]:
+        """Returns the risks that lost a dependent."""
+        touched: Set[Hashable] = set()
         for element in list(elements):
             risks = self.element_risks.pop(element, None)
             if risks is None:
                 continue
-            removed += 1
+            touched |= risks
             self.failed.pop(element, None)
             for risk in risks:
                 self.risk_elements[risk].discard(element)
                 if not self.risk_elements[risk]:
                     del self.risk_elements[risk]
-        return removed
+        return touched
 
     def copy(self) -> "NaiveModel":
         clone = NaiveModel()
@@ -256,13 +269,18 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
             with pytest.raises(RiskModelError):
                 model.mark_edge_failed(element, risk)
 
-    @rule(which=_picks, element=_picks)
-    def mark_element_failed(self, which, element):
+    @rule(which=_picks, element=_picks, risks=st.none() | st.lists(_picks, max_size=4))
+    def mark_element_failed(self, which, element, risks):
+        """All of an element's edges, or the bulk mark augmentation uses:
+        any element (a stranger, a pruned one) and any risks (some it does
+        not rely on) — never an error, and the flagged risks come back."""
         model, naive = self._pick(which)
         element = self.elements[element % len(self.elements)]
-        model.mark_element_failed(element)
-        for risk in list(naive.element_risks.get(element, ())):
-            naive.mark_edge_failed(element, risk)
+        if risks is not None:
+            risks = [self.risks[risk % len(self.risks)] for risk in risks]
+            risks += sorted(naive.element_risks.get(element, ()), key=repr)[::2]
+        flagged = model.mark_element_failed(element, risks)
+        assert flagged == naive.mark_element_failed(element, risks)
 
     @rule(which=_picks, victims=st.lists(_picks, max_size=4), whole_risk=st.booleans())
     def prune_elements(self, which, victims, whole_risk):

@@ -205,6 +205,27 @@ class TestTracedLocalize:
         assert {"scout.build_index", "scout.risk_model", "scout.localize"} <= names
         assert report.trace is collector
 
+    @pytest.mark.parametrize("scope", ["controller", "switch"])
+    def test_the_trace_sizes_augmentation_and_selection(self, degraded_system, scope):
+        """One rule is gone from every leaf: the spans say how many rules
+        augmentation read and edges it flipped, and how many risks stage 1
+        looked at again after pruning — the two halves of a slow poll."""
+        collector = TraceCollector()
+        report = degraded_system.localize(scope=scope, trace=collector)
+        by_name = {}
+        for recorded in collector.spans():
+            by_name.setdefault(recorded.name, []).append(recorded)
+        (risk_model,) = by_name["scout.risk_model"]
+        leaves = len(report.equivalence.missing_rules())
+        models = report.risk_models.values()
+        flipped = sum(len(model.failed_edges()) for model in models)
+        assert leaves > 1 and risk_model.counters["missing_rules"] == leaves
+        assert risk_model.counters["edges_flipped"] == flipped > 0
+        stages = by_name["scout.stage1"]
+        assert len(stages) == len(models)
+        assert sum(stage.counters["iterations"] for stage in stages) >= len(stages)
+        assert sum(stage.counters["reevaluated"] for stage in stages) > 0
+
 
 class TestTracedRefresh:
     def test_incremental_refresh_spans(self):

@@ -81,8 +81,9 @@ class TestRiskModel:
     def test_prune_elements_updates_ratios(self, simple_model):
         for element in ("E2-E3", "E3-E4", "E4-E5"):
             simple_model.mark_edge_failed(element, "F2")
-        removed = simple_model.prune_elements(["E2-E3", "E3-E4", "E4-E5"])
-        assert removed == 3
+        touched = simple_model.prune_elements(["E2-E3", "E3-E4", "E4-E5", "ghost"])
+        assert touched == {"F1", "F2", "C2"}  # every risk that lost a dependent
+        assert simple_model.prune_elements(["E3-E4"]) == set()  # already gone
         assert simple_model.failure_signature() == set()
         assert "F2" not in simple_model.risks()  # no dependents left
         assert simple_model.hit_ratio("F2") == 0.0
@@ -242,7 +243,7 @@ class TestSharedStructure:
 
         used.mark_edge_failed(elements[0], risk)
         used.mark_element_failed(elements[1])
-        assert used.prune_elements(used.elements_for_risk(risk)) > 0
+        assert risk in used.prune_elements(used.elements_for_risk(risk))
         used.add_element(elements[0], ["risk:new"])  # was pruned: comes back bare
         used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
         assert used.risks_for_element(elements[0]) == {"risk:new"}

@@ -64,8 +64,23 @@ class TestChangeLogStage:
         assert hypothesis.explained == {"O1", "O2"}
         assert hypothesis.unexplained == set()
         assert entry.hit_ratio == 2 / 3
-        # One oracle query per residual observation.
-        assert len(oracle.queries) == 2
+        # O1 and O2 carry the same evidence: the oracle is asked once.
+        assert oracle.queries == [{"X"}]
+
+    def test_oracle_is_asked_once_per_distinct_evidence(self):
+        model = partial_risk_model()
+        model.mark_edge_failed("O2", "H2")
+        model.add_element("O4", ["X", "H2"])
+        model.mark_element_failed("O4")
+        model.add_element("O5", ["H2"])  # healthy: H2 stays below hit ratio 1
+        oracle = FixedOracle({"X", "H2"})
+        hypothesis = ScoutLocalizer(change_oracle=oracle).localize(model)
+
+        # Residual observations in order: O1 {X}, O2 {X, H2}, O4 {X, H2}.
+        assert oracle.queries == [{"X"}, {"X", "H2"}]
+        assert [entry.risk for entry in hypothesis.entries] == ["X", "H2"]
+        assert hypothesis.entry_for("X").explained == {"O1", "O2", "O4"}
+        assert hypothesis.entry_for("H2").explained == {"O2", "O4"}
 
     def test_oracle_returning_empty_leaves_observations_unexplained(self):
         model = partial_risk_model()
