@@ -49,7 +49,6 @@ from ..controller.controller import Controller
 from ..core.system import ScoutSystem
 from ..exceptions import ChurnDivergenceError, ChurnError
 from ..fabric.faultlog import FaultCode
-from ..fabric.switch import AgentState
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
 from ..faults.physical import make_switch_unresponsive, restore_switch
@@ -573,11 +572,7 @@ class ChurnDriver:
         victim = rng.choice(candidates)
         switch = self.controller.fabric.switch(victim)
         lost = switch.tcam.remove_where(lambda rule: True)
-        agent = switch.agent
-        agent.logical_view.clear()
-        agent.local_attachments.clear()
-        agent.state = AgentState.RUNNING
-        agent.crash_after = None
+        switch.agent.reset()
         switch.fault_log.raise_fault(
             self.clock.peek(),
             victim,

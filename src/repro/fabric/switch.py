@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..clock import LogicalClock
 from ..exceptions import FabricError
+from ..obs import span
 from ..policy.objects import Contract, Epg, Filter, PolicyObject, Vrf
 from ..protocol import AttachEndpoint, Instruction, Operation
 from ..rules import MatchKey, TcamRule, rules_for_pair_entry
@@ -37,6 +38,21 @@ from .tcam import InstallOutcome, TcamTable
 from .topology import SwitchRole
 
 __all__ = ["AgentState", "SwitchAgent", "Switch"]
+
+#: What the agent renders as one piece: ``(contract_uid, provider_uid,
+#: consumer_uid)``.
+RenderUnit = Tuple[str, str, str]
+
+#: A render as the agent remembers it.  Flat per-switch lists, so that it
+#: retains a handful of containers rather than a few per unit (every later
+#: full garbage collection walks each one): the position of each unit; the
+#: units' inputs, ``_UNIT_INPUTS`` apiece, in unit order; where each unit's
+#: slice of the last two lists ends, after a leading 0; every match key
+#: rendered, in rendering order; and its rule.
+LastRender = Tuple[Dict[RenderUnit, int], list, List[int], List[MatchKey], List[TcamRule]]
+
+#: Contract, provider, consumer, VRF, the contract's filters.
+_UNIT_INPUTS = 5
 
 
 class AgentState(str, enum.Enum):
@@ -64,6 +80,22 @@ class SwitchAgent:
         self.crash_after: Optional[int] = None
         #: Object uids a buggy agent silently drops from its logical view.
         self.buggy_dropped_objects: set[str] = set()
+        #: The last render (see :meth:`desired_rules`).
+        self._last_render: LastRender = ({}, [], [0], [], [])
+        #: Units :meth:`desired_rules` rendered and reused, since creation.
+        self.units_rendered = 0
+        self.units_reused = 0
+
+    def reset(self) -> None:
+        """Come back from a reboot: no view, no attachments, running, no
+        crash pending and nothing remembered of the last render.  The
+        agent's bugs (``buggy_dropped_objects``) are its software, not its
+        state, and survive."""
+        self.logical_view.clear()
+        self.local_attachments.clear()
+        self.state = AgentState.RUNNING
+        self.crash_after = None
+        self._last_render = ({}, [], [0], [], [])
 
     # ------------------------------------------------------------------ #
     # Instruction handling
@@ -129,6 +161,16 @@ class SwitchAgent:
         filter entry (Figure 2).  Objects missing from the view (because an
         instruction was lost or dropped) simply produce no rules — exactly
         the failure mode the equivalence checker later observes.
+
+        A ``(contract, provider, consumer)`` unit whose inputs — the
+        contract, both EPGs, the VRF and the contract's filters — compare
+        equal to those of the previous render is not rendered again: its
+        rules, and the match keys the TCAM will store, are reused.  The
+        comparison is made on every call, so nothing has to announce an
+        edit to the view (policy objects are frozen: an unchanged one costs
+        an identity check).  Each render replaces the memo wholesale, so it
+        holds exactly the live units, and the first-provenance-wins pass
+        runs over the whole render in order either way.
         """
         local_epgs = self.local_epg_uids()
         epgs = {uid: obj for uid, obj in self.logical_view.items() if isinstance(obj, Epg)}
@@ -144,8 +186,15 @@ class SwitchAgent:
             for contract_uid in epg.consumes:
                 consumers.setdefault(contract_uid, []).append(epg)
 
-        rules: Dict[MatchKey, TcamRule] = {}
+        held_units, held_inputs, held_bounds, held_keys, held_rules = self._last_render
+        units: Dict[RenderUnit, int] = {}
+        inputs: list = []
+        bounds = [0]
+        keys: List[MatchKey] = []
+        rendered: List[TcamRule] = []
+        reused = 0
         for contract_uid, contract in contracts.items():
+            contract_filters = tuple(map(filters.get, contract.filter_uids))
             for provider in providers.get(contract_uid, ()):
                 for consumer in consumers.get(contract_uid, ()):
                     if provider.uid == consumer.uid:
@@ -159,15 +208,39 @@ class SwitchAgent:
                     vrf = vrfs.get(provider.vrf_uid)
                     if vrf is None:
                         continue
-                    for filter_uid in contract.filter_uids:
-                        flt = filters.get(filter_uid)
-                        if flt is None:
-                            continue
-                        for entry in flt.entries:
-                            for rule in rules_for_pair_entry(
-                                vrf, consumer, provider, contract_uid, filter_uid, entry
-                            ):
-                                rules.setdefault(rule.match_key(), rule)
+                    unit = (contract_uid, provider.uid, consumer.uid)
+                    unit_inputs = [contract, provider, consumer, vrf, contract_filters]
+                    at = held_units.get(unit)
+                    if (
+                        at is not None
+                        and held_inputs[at * _UNIT_INPUTS : (at + 1) * _UNIT_INPUTS]
+                        == unit_inputs
+                    ):
+                        start, stop = held_bounds[at], held_bounds[at + 1]
+                        keys += held_keys[start:stop]
+                        rendered += held_rules[start:stop]
+                        reused += 1
+                    else:
+                        fresh: List[TcamRule] = []
+                        for filter_uid, flt in zip(contract.filter_uids, contract_filters):
+                            if flt is None:
+                                continue
+                            for entry in flt.entries:
+                                fresh += rules_for_pair_entry(
+                                    vrf, consumer, provider, contract_uid, filter_uid, entry
+                                )
+                        keys += map(TcamRule.match_key, fresh)
+                        rendered += fresh
+                    units[unit] = len(units)
+                    inputs += unit_inputs
+                    bounds.append(len(keys))
+        self._last_render = (units, inputs, bounds, keys, rendered)
+        self.units_reused += reused
+        self.units_rendered += len(units) - reused
+
+        rules: Dict[MatchKey, TcamRule] = {}
+        for key, rule in zip(keys, rendered):
+            rules.setdefault(key, rule)
         return rules
 
 
@@ -228,14 +301,30 @@ class Switch:
         sequence (and, on a capacity-limited TCAM, *which* rules overflow)
         irreproducible across runs.  The campaign record/replay gate depends
         on this being a pure function of the instruction stream.
+
+        Traced as one ``fabric.sync_tcam`` span counting the render's
+        ``units_rendered`` / ``units_reused`` and the writes' ``installed``
+        / ``removed``.
         """
-        desired = self.agent.desired_rules()
-        installed_keys = set(self.tcam.match_keys())
+        agent = self.agent
+        with span("fabric.sync_tcam", switch=self.uid) as sync_span:
+            rendered, reused = agent.units_rendered, agent.units_reused
+            counters = self._reconcile(agent.desired_rules())
+            sync_span.count("units_rendered", agent.units_rendered - rendered)
+            sync_span.count("units_reused", agent.units_reused - reused)
+            sync_span.count("installed", counters["installed"])
+            sync_span.count("removed", counters["removed"])
+        return counters
+
+    def _reconcile(self, desired: Dict[MatchKey, TcamRule]) -> Dict[str, int]:
+        """Make the TCAM hold ``desired``: :meth:`sync_tcam`'s writes."""
+        held_keys = self.tcam.match_keys()
+        installed_keys = set(held_keys)
 
         # One write transaction: listeners hear of the whole reconcile once.
         with self.tcam.transaction():
             removed = 0
-            for key in self.tcam.match_keys():
+            for key in held_keys:
                 if key in desired:
                     continue
                 # Only remove rules this agent owns (rendered from its view);
@@ -251,7 +340,8 @@ class Switch:
             for key, rule in desired.items():
                 if key in installed_keys:
                     continue
-                outcome, evicted_rule = self.tcam.install(rule)
+                # The agent's own key: the table stores it, derives no other.
+                outcome, evicted_rule = self.tcam._insert(key, rule)
                 if outcome is InstallOutcome.REJECTED_FULL:
                     rejected += 1
                     if not overflow_logged:

@@ -173,8 +173,14 @@ class TcamTable:
         Returns the outcome and, when an eviction occurred, the evicted rule
         so the switch can log it.
         """
+        return self._insert(rule.match_key(), rule)
+
+    def _insert(
+        self, key: MatchKey, rule: TcamRule
+    ) -> Tuple[InstallOutcome, Optional[TcamRule]]:
+        """:meth:`install` for a caller that already holds ``rule``'s match
+        key: the table stores that very tuple instead of deriving another."""
         self.install_attempts += 1
-        key = rule.match_key()
         if key in self._entries:
             # Refresh provenance but count as already present.
             self._entries[key] = rule

@@ -1,11 +1,14 @@
 """Unit tests for the switch agent, switch TCAM sync and the Fabric container."""
 
+import dataclasses
+
 import pytest
 
 from repro.clock import LogicalClock
 from repro.exceptions import FabricError
 from repro.fabric import AgentState, Fabric, FaultCode, Switch, SwitchRole, TcamTable
 from repro.policy import three_tier_policy
+from repro.policy.objects import FilterEntry
 from repro.protocol import AttachEndpoint, Instruction, Operation
 from repro.controller.compiler import build_instruction_batches, compile_logical_rules
 from repro.policy.graph import PolicyIndex
@@ -128,6 +131,57 @@ class TestSwitchAgent:
                              obj=switch.agent.logical_view[uids["filter_extra_0"]])
         switch.receive_deployment([delete], [])
         assert len(switch.deployed_rules()) < before
+
+    def test_an_edit_re_renders_only_the_units_it_touches(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        switch.receive_deployment(instructions, attachments)
+        agent = switch.agent
+        # leaf-2 hosts App: one unit under Web-App, one under App-DB.
+        assert (agent.units_rendered, agent.units_reused) == (2, 0)
+        flt = agent.logical_view[uids["filter_extra_0"]]
+        edited = dataclasses.replace(flt, entries=flt.entries + (FilterEntry("udp", 53),))
+        switch.receive_deployment([Instruction(operation=Operation.MODIFY, obj=edited)], [])
+        # Only App-DB uses the filter; Web-App's rules are reused as they were.
+        assert (agent.units_rendered, agent.units_reused) == (3, 1)
+        assert any(rule.port == 53 for rule in switch.deployed_rules())
+
+    def test_a_resync_reinstalls_without_rendering(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        switch.receive_deployment(instructions, attachments)
+        agent = switch.agent
+        lost = switch.tcam.remove_where(lambda rule: rule.filter_uid == uids["filter_extra_0"])
+        assert switch.sync_tcam() == {
+            "installed": len(lost),
+            "removed": 0,
+            "rejected": 0,
+            "evicted": 0,
+        }
+        assert len(lost) > 0 and (agent.units_rendered, agent.units_reused) == (2, 2)
+        # The table holds the agent's own key objects: derived once, at render.
+        desired = agent.desired_rules()
+        assert sorted(map(id, switch.tcam.match_keys())) == sorted(map(id, desired))
+
+    def test_reset_is_a_reboot(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        agent = switch.agent
+        agent.buggy_dropped_objects.add(uids["filter_extra_0"])
+        switch.receive_deployment(instructions, attachments)
+        agent.crash_after = 1
+        switch.make_unresponsive(log=False)
+        agent.reset()
+        assert agent.logical_view == {} and agent.local_attachments == {}
+        assert agent.state is AgentState.RUNNING and agent.crash_after is None
+        # A bug is the agent's software, not its state: it survives a reboot.
+        assert agent.buggy_dropped_objects == {uids["filter_extra_0"]}
+        # Nothing of the render before the wipe is reused after it.
+        switch.receive_deployment(instructions, attachments)
+        assert (agent.units_rendered, agent.units_reused) == (4, 0)
 
 
 class TestFabric:

@@ -9,6 +9,8 @@ span, and the incremental refresh records its blast radius.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.controller.controller import Controller
@@ -16,6 +18,7 @@ from repro.core import ScoutSystem
 from repro.obs import TraceCollector, attribution, parallel_stage_breakdown
 from repro.online import IncrementalChecker
 from repro.parallel.memo import reset_worker_cache
+from repro.policy.objects import FilterEntry
 from repro.workloads import small_profile
 from repro.workloads.generator import generate_workload
 
@@ -227,6 +230,47 @@ class TestTracedLocalize:
         assert sum(stage.counters["reevaluated"] for stage in stages) > 0
 
 
+class TestTracedSync:
+    def test_a_redeploy_splits_into_render_and_writes(self):
+        """One ``fabric.sync_tcam`` span per reconcile: a redeploy after a
+        filter edit re-renders the units under that filter's contracts,
+        reuses every other, and counts the rules it wrote beside them."""
+        workload = generate_workload(small_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        fabric = controller.fabric
+        index = controller.build_index()
+        target = next(
+            f for f in workload.policy.filters() if index.pairs_for_object(f.uid)
+        )
+        changed = dataclasses.replace(
+            target, entries=target.entries + (FilterEntry(protocol="tcp", port=47000),)
+        )
+        tenant = workload.policy.tenant_of(target.uid).name
+        controller.modify_object(tenant, changed, detail="trace test")
+        held = fabric.total_installed_rules()
+        collector = TraceCollector()
+        with collector.activate():
+            controller.deploy(record_initial_changes=False)
+        syncs = [span for span in collector.spans() if span.name == "fabric.sync_tcam"]
+        assert len(syncs) == len(fabric.leaf_uids())
+        touched = [span for span in syncs if span.counters["units_rendered"]]
+        assert touched and all(span.counters["units_reused"] for span in syncs)
+        assert all(span.counters["removed"] == 0 for span in syncs)
+        installed = sum(span.counters["installed"] for span in touched)
+        assert installed == fabric.total_installed_rules() - held > 0
+
+        # A resync after rule loss is all reuse: nothing moved in the view.
+        leaf = fabric.switch(touched[0].attrs["switch"])
+        lost = leaf.tcam.remove_where(lambda rule: rule.port == 47000)
+        collector.clear()
+        with collector.activate():
+            leaf.sync_tcam()
+        (resync,) = collector.spans()
+        assert resync.counters["units_rendered"] == 0 < resync.counters["units_reused"]
+        assert resync.counters["installed"] == len(lost) > 0
+
+
 class TestTracedRefresh:
     def test_incremental_refresh_spans(self):
         workload = generate_workload(small_profile())
@@ -240,7 +284,7 @@ class TestTracedRefresh:
         names = [recorded.name for recorded in collector.spans()]
         assert "delta.bootstrap" in names
 
-        from repro.policy.objects import Filter, FilterEntry, ObjectType
+        from repro.policy.objects import Filter, ObjectType
 
         target = next(
             f
