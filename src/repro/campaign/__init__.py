@@ -16,7 +16,7 @@ that sweep into a first-class subsystem:
   (``run`` / ``replay`` / ``diff``; ``python -m repro.campaign`` works too).
 """
 
-from .runner import CHANGE_WINDOW, CampaignReport, CellResult, run_campaign, run_cell
+from .runner import CampaignReport, CellResult, run_campaign, run_cell
 from .spec import (
     COUNTED_FAULT_CLASSES,
     ENGINE_MODES,
@@ -41,7 +41,6 @@ from .trace import (
 )
 
 __all__ = [
-    "CHANGE_WINDOW",
     "COUNTED_FAULT_CLASSES",
     "ENGINE_MODES",
     "FAULT_CLASSES",

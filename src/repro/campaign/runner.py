@@ -4,8 +4,9 @@ Each cell is run hermetically: a fresh workload is generated from the cell's
 profile and seed, deployed through a fresh controller, faulted according to
 the cell's fault class, checked through the requested verification engine
 (serial sweep or the event-driven incremental checker) and
-localized with SCOUT; the hypothesis is scored against the
-injector's ground truth.  Everything observable about a cell — the
+localized with SCOUT — the figures' trial,
+:func:`~repro.experiments.common.run_trial` — and the hypothesis is scored
+against the injector's ground truth.  Everything observable about a cell — the
 equivalence-report fingerprint, the injected events, the localization output
 and the accuracy metrics — is a pure function of the cell, which is what the
 trace recorder and the CI regression gate rely on.  Wall-clock timings are
@@ -17,35 +18,29 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..churn.driver import ChurnDriver
 from ..controller.controller import Controller
 from ..core.metrics import accuracy
 from ..core.system import ScoutReport, ScoutSystem
+from ..experiments.common import CHANGE_WINDOW, run_trial
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
-from ..faults.physical import make_switch_unresponsive
 from ..obs import correlated, span
 from ..online.delta import IncrementalChecker
 from ..verify.checker import EquivalenceReport
-from ..workloads.generator import GeneratedWorkload, generate_workload
+from ..workloads.generator import generate_workload
 from ..workloads.profiles import resolve_profile
+from ..workloads.scenarios import deploy_profile, large_unresponsive_switch_scenario
 from .spec import OBJECT_FAULT_CLASSES, CampaignCell, CampaignSpec
 
 __all__ = [
-    "CHANGE_WINDOW",
     "CampaignReport",
     "CellResult",
     "run_campaign",
     "run_cell",
 ]
-
-#: SCOUT's stage-2 recency window for campaign runs.  After deployment the
-#: clock is aged past the window so the initial-deployment change records do
-#: not alias with the injected faults' records (matching the accuracy
-#: experiments' methodology).
-CHANGE_WINDOW = 50
 
 
 @dataclass
@@ -141,36 +136,18 @@ class CampaignReport:
 
 
 # --------------------------------------------------------------------- #
-# Deployment + fault application per fault class
+# Deployment per fault class
 # --------------------------------------------------------------------- #
-def _deploy_workload(cell: CampaignCell) -> Tuple[GeneratedWorkload, Controller]:
-    profile = resolve_profile(cell.profile, seed=cell.seed)
-    workload = generate_workload(profile)
-    controller = Controller(workload.policy, workload.fabric)
-    return workload, controller
-
-
-def _busiest_leaf(workload: GeneratedWorkload) -> str:
-    """The leaf hosting the most endpoints (uid-sorted tie-break)."""
-    per_leaf: Dict[str, int] = {}
-    for endpoint in workload.policy.endpoints():
-        if endpoint.switch_uid is not None:
-            per_leaf[endpoint.switch_uid] = per_leaf.get(endpoint.switch_uid, 0) + 1
-    if not per_leaf:
-        raise ValueError("workload has no attached endpoints")
-    return min(per_leaf, key=lambda uid: (-per_leaf[uid], uid))
-
-
 def _deploy_unresponsive_switch(
     cell: CampaignCell,
 ) -> Tuple[Controller, List[Dict], Set[str]]:
     """§V-B: silence the busiest leaf before the first push, then deploy."""
-    workload, controller = _deploy_workload(cell)
-    victim = _busiest_leaf(workload)
-    make_switch_unresponsive(controller, victim)
-    controller.deploy()
+    scenario = large_unresponsive_switch_scenario(
+        resolve_profile(cell.profile, seed=cell.seed), seed=cell.seed
+    )
+    victim = scenario.facts["unresponsive_switch"]
     events = [{"event": "unresponsive-switch", "switch": victim}]
-    return controller, events, {victim}
+    return scenario.controller, events, {victim}
 
 
 def _deploy_tcam_overflow(
@@ -183,12 +160,8 @@ def _deploy_tcam_overflow(
     with ``capacity_fraction`` of that peak, so the most-loaded leaves
     reject installs and raise ``TCAM_OVERFLOW`` faults.
     """
-    probe_workload, probe_controller = _deploy_workload(cell)
-    probe_controller.deploy()
-    peak = max(
-        len(probe_workload.fabric.switch(uid).deployed_rules())
-        for uid in probe_workload.fabric.leaf_uids()
-    )
+    probe = deploy_profile(cell.profile, seed=cell.seed).fabric
+    peak = max(len(probe.switch(uid).deployed_rules()) for uid in probe.leaf_uids())
     capacity = max(1, int(peak * cell.fault.capacity_fraction))
 
     profile = resolve_profile(cell.profile, seed=cell.seed)
@@ -214,27 +187,70 @@ def _deploy_tcam_overflow(
     return controller, events, set(overflowed)
 
 
-def _inject_object_faults(
-    cell: CampaignCell, controller: Controller
-) -> Tuple[List[Dict], Set[str], Set[str]]:
-    """Inject the cell's object faults with the cell-seeded RNG.
+def _incremental_check(
+    controller: Controller,
+) -> Callable[[FaultInjector], EquivalenceReport]:
+    """The incremental engine as a trial's check.
 
-    Returns the recorded fault events, the ground-truth object uids and the
-    switches whose TCAM state changed (the incremental engine's dirty set).
+    It bootstraps here, before the trial injects, so its baseline is the
+    deployment and the check re-validates only the switches the injected
+    faults touched (every leaf when the cell injects nothing) — the path the
+    online monitor exercises in production.
     """
-    # Age the initial-deployment change records out of SCOUT's recency
-    # window so stage 2 only sees this cell's injections.
-    controller.clock.tick(CHANGE_WINDOW + 1)
-    injector = FaultInjector(controller)
-    kinds = tuple(FaultKind(name) for name in cell.fault.fault_kinds)
-    faults = injector.inject_random_faults(
-        cell.fault.count, kinds=kinds, strict=False, seed=cell.seed
-    )
-    events: List[Dict] = []
-    touched: Set[str] = set()
-    for fault in faults:
-        touched.update(fault.removed_rules)
-        events.append(
+    incremental = IncrementalChecker(controller)
+    incremental.bootstrap()
+
+    def check(injector: FaultInjector) -> EquivalenceReport:
+        touched = {uid for fault in injector.injected for uid in fault.removed_rules}
+        incremental.refresh(
+            switch_uids=sorted(touched or controller.fabric.leaf_uids())
+        )
+        return incremental.report()
+
+    return check
+
+
+# --------------------------------------------------------------------- #
+# Cell execution
+# --------------------------------------------------------------------- #
+#: What running a cell yields for :func:`run_cell` to score: the verdict,
+#: SCOUT's report, the ground truth and the recorded events.
+CellRun = Tuple[EquivalenceReport, ScoutReport, Collection[str], List[Dict]]
+
+
+def _run_fault_cell(cell: CampaignCell) -> CellRun:
+    """One non-churn cell: deploy per fault class, then one trial.
+
+    Object-fault classes inject the cell's faults with the cell-seeded RNG;
+    the §V-B classes fault the deployment itself and inject nothing, but are
+    checked and localized the same way.
+    """
+    with span("campaign.deploy"):
+        if cell.fault.kind == "unresponsive-switch":
+            controller, events, ground_truth = _deploy_unresponsive_switch(cell)
+        elif cell.fault.kind == "tcam-overflow":
+            controller, events, ground_truth = _deploy_tcam_overflow(cell)
+        else:
+            controller = deploy_profile(cell.profile, seed=cell.seed)
+            events, ground_truth = [], set()
+    check = _incremental_check(controller) if cell.engine == "incremental" else None
+
+    def inject(injector: FaultInjector) -> None:
+        if cell.fault.kind in OBJECT_FAULT_CLASSES:
+            kinds = tuple(FaultKind(name) for name in cell.fault.fault_kinds)
+            injector.inject_random_faults(
+                cell.fault.count, kinds=kinds, strict=False, seed=cell.seed
+            )
+
+    system = ScoutSystem(controller, change_window=CHANGE_WINDOW)
+    with span("campaign.trial", kind=cell.fault.kind, engine=cell.engine):
+        injector, reports = run_trial(
+            controller, {"SCOUT": system}, inject, cell.scope, check=check
+        )
+    scout = reports["SCOUT"]
+    if cell.fault.kind in OBJECT_FAULT_CLASSES:
+        ground_truth = injector.ground_truth()
+        events = [
             {
                 "event": "object-fault",
                 "object": fault.object_uid,
@@ -245,30 +261,12 @@ def _inject_object_faults(
                     for uid in sorted(fault.removed_rules)
                 },
             }
-        )
-    return events, injector.ground_truth(), touched
+            for fault in injector.injected
+        ]
+    return scout.equivalence, scout, ground_truth, events
 
 
-# --------------------------------------------------------------------- #
-# Engines
-# --------------------------------------------------------------------- #
-def _check_with_engine(
-    cell: CampaignCell,
-    system: ScoutSystem,
-    incremental: Optional[IncrementalChecker],
-    touched: Set[str],
-) -> EquivalenceReport:
-    if cell.engine == "incremental":
-        assert incremental is not None
-        incremental.refresh(switch_uids=sorted(touched))
-        return incremental.report()
-    return system.check()
-
-
-# --------------------------------------------------------------------- #
-# Cell execution
-# --------------------------------------------------------------------- #
-def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
+def _run_churn_cell(cell: CampaignCell) -> CellRun:
     """One ``churn`` cell: drive a seeded stream, then check + localize.
 
     The stream length is the fault spec's ``count``; workload and stream both
@@ -303,9 +301,6 @@ def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
     with span("campaign.localize"):
         scout: ScoutReport = system.localize(scope=cell.scope, report=report)
 
-    with span("campaign.score"):
-        ground_truth = driver.effective_ground_truth(report=canonical)
-        result = accuracy(ground_truth, scout.hypothesis.objects())
     events = list(churn_report.records)
     events.append(
         {
@@ -319,62 +314,16 @@ def _run_churn_cell(cell: CampaignCell, start: float) -> CellResult:
             "divergences": churn_report.divergence_count,
         }
     )
-    return CellResult(
-        cell=cell,
-        fingerprint=canonical.fingerprint(),
-        consistent=canonical.equivalent,
-        missing_rules=canonical.total_missing(),
-        ground_truth=sorted(str(uid) for uid in ground_truth),
-        hypothesis=sorted(str(risk) for risk in scout.hypothesis.objects()),
-        metrics={
-            "precision": result.precision,
-            "recall": result.recall,
-            "f1": result.f1,
-        },
-        events=events,
-        duration_seconds=time.perf_counter() - start,
-    )
+    ground_truth = driver.effective_ground_truth(report=canonical)
+    return canonical, scout, ground_truth, events
 
 
 def run_cell(cell: CampaignCell) -> CellResult:
     """Run one cell hermetically and return its :class:`CellResult`."""
     start = time.perf_counter()
-
+    run = _run_churn_cell if cell.fault.kind == "churn" else _run_fault_cell
     with correlated(prefix="cell"), span("campaign.cell", cell=cell.cell_id):
-        if cell.fault.kind == "churn":
-            return _run_churn_cell(cell, start)
-
-        with span("campaign.deploy"):
-            if cell.fault.kind == "unresponsive-switch":
-                controller, events, ground_truth = _deploy_unresponsive_switch(cell)
-                touched = set(controller.fabric.leaf_uids())
-            elif cell.fault.kind == "tcam-overflow":
-                controller, events, ground_truth = _deploy_tcam_overflow(cell)
-                touched = set(controller.fabric.leaf_uids())
-            else:
-                _, controller = _deploy_workload(cell)
-                controller.deploy()
-                events, ground_truth, touched = [], set(), set()
-
-        # The incremental engine is attached before object faults are injected
-        # so its baseline is the clean deployment and the faults arrive as
-        # events — the path the online monitor exercises in production.
-        incremental = (
-            IncrementalChecker(controller) if cell.engine == "incremental" else None
-        )
-        if incremental is not None:
-            incremental.bootstrap()
-
-        with span("campaign.inject", kind=cell.fault.kind):
-            if cell.fault.kind in OBJECT_FAULT_CLASSES:
-                events, ground_truth, touched = _inject_object_faults(cell, controller)
-
-        system = ScoutSystem(controller, change_window=CHANGE_WINDOW)
-        with span("campaign.check", engine=cell.engine):
-            report = _check_with_engine(cell, system, incremental, touched)
-        with span("campaign.localize"):
-            scout: ScoutReport = system.localize(scope=cell.scope, report=report)
-
+        report, scout, ground_truth, events = run(cell)
         with span("campaign.score"):
             result = accuracy(ground_truth, scout.hypothesis.objects())
     return CellResult(

@@ -200,7 +200,9 @@ class ChurnDriver:
         self.profile = profile
         self.clock = controller.clock
         self.strict = strict
-        self.monitor = monitor or NetworkMonitor(controller, debounce_ticks=1)
+        self.monitor = monitor or NetworkMonitor(
+            controller, debounce_ticks=1, change_window=change_window
+        )
         if not self.monitor.running:
             self.monitor.start()
         #: Fresh-check side of the differential oracle: its checker (the L it

@@ -2,11 +2,7 @@
 
 from .changelog import ChangeLog, ChangeRecord
 from .channel import ControlChannel
-from .compiler import (
-    build_instruction_batches,
-    compile_logical_rules,
-    compile_logical_rules_for_switch,
-)
+from .compiler import build_instruction_batches, compile_logical_rules
 from .controller import Controller
 
 __all__ = [
@@ -16,5 +12,4 @@ __all__ = [
     "Controller",
     "build_instruction_batches",
     "compile_logical_rules",
-    "compile_logical_rules_for_switch",
 ]

@@ -30,7 +30,6 @@ from ..rules import MatchKey, RuleSequence, TcamRule, rules_for_pair
 __all__ = [
     "CompiledRules",
     "compile_logical_rules",
-    "compile_logical_rules_for_switch",
     "compile_pair_rules",
     "pair_inputs",
     "build_instruction_batch_for_switch",
@@ -166,21 +165,6 @@ class CompiledRules:
             pairs_recompiled=pairs_recompiled,
             switches_reassembled=switches_reassembled,
         )
-
-
-def compile_logical_rules_for_switch(index: PolicyIndex, switch_uid: str) -> List[TcamRule]:
-    """Compile the logical rule set of a single leaf switch.
-
-    The scoped counterpart of :func:`compile_logical_rules`: only the EPG
-    pairs present on ``switch_uid`` are compiled.  For any switch the result
-    equals the corresponding entry of :func:`compile_logical_rules` — useful
-    for one-off per-switch queries.
-    """
-    bucket: Dict = {}
-    for pair in index.pairs_on_switch(switch_uid):
-        for rule in compile_pair_rules(index, pair):
-            bucket.setdefault(rule.match_key(), rule)
-    return list(bucket.values())
 
 
 def _switch_batch(

@@ -2,23 +2,31 @@
 
 A sweep varies the number of simultaneous object faults (1..10 in the paper)
 and, for every fault count, runs many independent trials.  Each trial
-injects the faults into a freshly restored deployment, runs the system's
-L-T check once and its localization (:meth:`ScoutSystem.localize`: risk
-model, augmentation, algorithm) once per localizer — SCOUT and SCORE at one
-or more thresholds — and scores each against the injected ground truth.
+(:func:`~repro.experiments.common.run_trial`) injects the faults into a
+freshly restored deployment, runs the system's L-T check once and its
+localization (:meth:`ScoutSystem.localize`: risk model, augmentation,
+algorithm) once per localizer — SCOUT and SCORE at one or more thresholds —
+and each is scored against the injected ground truth.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Literal, Optional, Sequence
 
 from ..core.metrics import accuracy
 from ..core.system import ScoutSystem
 from ..faults.injector import FaultInjector
 from ..workloads.profiles import simulation_profile, testbed_profile
-from .common import DeployedWorkload, make_localizers, mean_and_stdev, prepare_workload
+from .common import (
+    DeployedWorkload,
+    make_localizers,
+    mean_and_stdev,
+    prepare_workload,
+    run_trial,
+)
 
 __all__ = [
     "ACCURACY_FIGURES",
@@ -41,9 +49,27 @@ Scope = Literal["switch", "controller"]
 #: fixed at 1.0 (SCOUT at 100% recall / ~98% precision below four faults,
 #: degrading beyond five, SCORE's recall trailing by 20-50%).
 ACCURACY_FIGURES: Dict[int, Dict] = {
-    8: dict(scope="switch", profile=simulation_profile, runs=30, seed=8, score_thresholds=(1.0, 0.6)),
-    9: dict(scope="controller", profile=simulation_profile, runs=30, seed=9, score_thresholds=(1.0, 0.6)),
-    10: dict(scope="controller", profile=testbed_profile, runs=10, seed=10, score_thresholds=(1.0,)),
+    8: dict(
+        scope="switch",
+        profile=simulation_profile,
+        runs=30,
+        seed=8,
+        score_thresholds=(1.0, 0.6),
+    ),
+    9: dict(
+        scope="controller",
+        profile=simulation_profile,
+        runs=30,
+        seed=9,
+        score_thresholds=(1.0, 0.6),
+    ),
+    10: dict(
+        scope="controller",
+        profile=testbed_profile,
+        runs=10,
+        seed=10,
+        score_thresholds=(1.0,),
+    ),
 }
 
 
@@ -90,13 +116,10 @@ def run_accuracy_sweep(
     runs: int = 30,
     seed: int = 1,
     score_thresholds: Sequence[float] = (1.0, 0.6),
-    change_window: int = 50,
 ) -> AccuracySweepResult:
     """Run the full sweep on an already deployed workload."""
     controller = deployed.controller
-    localizers = make_localizers(
-        controller, score_thresholds=score_thresholds, change_window=change_window
-    )
+    localizers = make_localizers(controller, score_thresholds=score_thresholds)
     # One system per localizer, object risks only: the injected ground truth
     # is policy objects, never a switch.
     systems = {
@@ -111,35 +134,30 @@ def run_accuracy_sweep(
     for num_faults in fault_counts:
         for _ in range(runs):
             deployed.restore()
-            # Age out the previous trial's change records so SCOUT's recency
-            # window only sees this trial's injections.
-            controller.clock.tick(change_window + 1)
-            injector = FaultInjector(controller, rng=random.Random(rng.randint(0, 2**31)))
-
-            if scope == "switch":
-                switch_uid = _pick_switch(deployed, injector, num_faults, rng)
-                if switch_uid is None:
-                    continue
-                faults = injector.inject_random_faults(
-                    num_faults, switches=[switch_uid], strict=False
-                )
-            else:
-                faults = injector.inject_random_faults(num_faults, strict=False)
-            if not faults:
+            injector, reports = run_trial(
+                controller,
+                systems,
+                partial(_inject_faults, deployed, scope, num_faults, rng),
+                scope,
+                rng=random.Random(rng.randint(0, 2**31)),
+            )
+            if not injector.injected:
                 continue
 
             ground_truth = injector.ground_truth()
-            equivalence = systems["SCOUT"].check()
-            for name, system in systems.items():
-                report = system.localize(scope=scope, report=equivalence, correlate=False)
+            for name, report in reports.items():
                 result = accuracy(ground_truth, report.faulty_objects())
-                bucket = samples.setdefault((name, num_faults), {"p": [], "r": [], "f": []})
+                bucket = samples.setdefault(
+                    (name, num_faults), {"p": [], "r": [], "f": []}
+                )
                 bucket["p"].append(result.precision)
                 bucket["r"].append(result.recall)
                 bucket["f"].append(result.f1)
 
     deployed.restore()
-    sweep = AccuracySweepResult(scope=scope, profile_name=deployed.workload.profile.name, runs=runs)
+    sweep = AccuracySweepResult(
+        scope=scope, profile_name=deployed.workload.profile.name, runs=runs
+    )
     for (name, num_faults), bucket in sorted(samples.items()):
         p_mean, p_std = mean_and_stdev(bucket["p"])
         r_mean, r_std = mean_and_stdev(bucket["r"])
@@ -176,20 +194,26 @@ def run_accuracy_figure(
     )
 
 
-def _pick_switch(
+def _inject_faults(
     deployed: DeployedWorkload,
-    injector: FaultInjector,
+    scope: Scope,
     num_faults: int,
     rng: random.Random,
-) -> Optional[str]:
-    """A random leaf with enough faultable objects for this trial."""
-    candidates = []
-    for switch_uid in deployed.fabric.leaf_uids():
-        if len(injector.faultable_objects(switches=[switch_uid])) >= num_faults:
-            candidates.append(switch_uid)
-    if not candidates:
-        return None
-    return rng.choice(candidates)
+    injector: FaultInjector,
+) -> None:
+    """One trial's faults: anywhere, or on a random leaf with enough
+    faultable objects for the switch-scope figure (none if no leaf has)."""
+    switches = None
+    if scope == "switch":
+        candidates = [
+            switch_uid
+            for switch_uid in deployed.fabric.leaf_uids()
+            if len(injector.faultable_objects(switches=[switch_uid])) >= num_faults
+        ]
+        if not candidates:
+            return
+        switches = [rng.choice(candidates)]
+    injector.inject_random_faults(num_faults, switches=switches, strict=False)
 
 
 def format_accuracy_table(sweep: AccuracySweepResult, metric: str = "recall") -> str:
@@ -210,7 +234,8 @@ def format_accuracy_table(sweep: AccuracySweepResult, metric: str = "recall") ->
     for count in sweep.fault_counts():
         cells = [sweep.cell(name, count) for name in algorithms]
         values = " | ".join(
-            f"{getattr(cell, metric_attr):>10.3f}" if cell else f"{'n/a':>10}" for cell in cells
+            f"{getattr(cell, metric_attr):>10.3f}" if cell else f"{'n/a':>10}"
+            for cell in cells
         )
         lines.append(f"{count:>8} | {values}")
     return "\n".join(lines)

@@ -4,8 +4,8 @@ The accuracy and suspect-set experiments all follow the same loop:
 
 1. generate a workload and deploy it once;
 2. snapshot the deployed TCAM state;
-3. for every trial: restore the snapshot, inject object faults, run the L-T
-   check, build + augment the risk model, run the localizers, score them
+3. for every trial: restore the snapshot, then :func:`run_trial` — inject
+   object faults, run the L-T check, localize with every system — and score
    against the injected ground truth;
 4. aggregate across trials.
 
@@ -16,19 +16,24 @@ restored state is byte-identical to a fresh deployment.
 
 from __future__ import annotations
 
+import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..controller.controller import Controller
 from ..core.score import ScoreLocalizer
 from ..core.scout import RecentChangeOracle, ScoutLocalizer
+from ..core.system import ScoutReport, ScoutSystem
+from ..faults.injector import FaultInjector
 from ..policy.graph import PolicyIndex
 from ..rules import TcamRule
+from ..verify.checker import EquivalenceReport
 from ..workloads.generator import GeneratedWorkload, generate_workload
 from ..workloads.profiles import WorkloadProfile
 
 __all__ = [
+    "CHANGE_WINDOW",
     "DeployedWorkload",
     "TcamSnapshot",
     "prepare_workload",
@@ -36,10 +41,14 @@ __all__ = [
     "restore_tcam",
     "make_localizers",
     "mean_and_stdev",
+    "run_trial",
 ]
 
 #: Per-switch snapshot of installed rules keyed by match key.
 TcamSnapshot = Dict[str, Dict[tuple, TcamRule]]
+
+#: SCOUT's stage-2 recency window for every trial, in ticks of the logical clock.
+CHANGE_WINDOW = 50
 
 
 @dataclass
@@ -103,14 +112,13 @@ def restore_tcam(fabric, snapshot: TcamSnapshot) -> None:
 def make_localizers(
     controller: Controller,
     score_thresholds: Sequence[float] = (1.0, 0.6),
-    change_window: int = 50,
 ) -> Dict[str, object]:
     """The localizer line-up used by the accuracy figures: SCOUT vs SCORE-X."""
     localizers: Dict[str, object] = {
         "SCOUT": ScoutLocalizer(
             change_oracle=RecentChangeOracle(
                 change_log=controller.change_log,
-                window=change_window,
+                window=CHANGE_WINDOW,
                 fallback_latest=False,
             )
         )
@@ -119,6 +127,38 @@ def make_localizers(
         localizer = ScoreLocalizer(hit_threshold=threshold)
         localizers[localizer.name] = localizer
     return localizers
+
+
+def run_trial(
+    controller: Controller,
+    systems: Mapping[str, ScoutSystem],
+    inject: Callable[[FaultInjector], object],
+    scope: str,
+    rng: Optional[random.Random] = None,
+    check: Optional[Callable[[FaultInjector], EquivalenceReport]] = None,
+) -> Tuple[FaultInjector, Dict[str, ScoutReport]]:
+    """One §VI trial: age the clock, inject, check once, localize per system.
+
+    The clock first moves past :data:`CHANGE_WINDOW`, so SCOUT's stage 2
+    sees this trial's change records and none of the deployment's or an
+    earlier trial's.  ``inject`` faults the fabric through the trial's
+    :class:`FaultInjector` (drawing from ``rng``); the L-T report is
+    ``check(injector)`` when given, else the first system's sweep, and every
+    system localizes that one report.  Returns the injector — its
+    ``injected`` faults are the ground truth — and each system's report.
+    """
+    controller.clock.tick(CHANGE_WINDOW + 1)
+    injector = FaultInjector(controller, rng=rng)
+    inject(injector)
+    if check is not None:
+        report = check(injector)
+    else:
+        report = next(iter(systems.values())).check()
+    reports = {
+        name: system.localize(scope=scope, report=report, correlate=False)
+        for name, system in systems.items()
+    }
+    return injector, reports
 
 
 def mean_and_stdev(values: Iterable[float]) -> Tuple[float, float]:

@@ -48,7 +48,8 @@ class Figure3Series:
         """Fraction of objects shared by at least ``threshold`` EPG pairs."""
         if not self.pair_counts:
             return 0.0
-        return sum(1 for count in self.pair_counts if count >= threshold) / len(self.pair_counts)
+        shared = sum(1 for count in self.pair_counts if count >= threshold)
+        return shared / len(self.pair_counts)
 
     def percentile(self, q: float) -> int:
         """The q-quantile (0..1) of the pair counts."""

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.metrics import bin_by_suspect_count
-from ..core.scout import RecentChangeOracle, ScoutLocalizer
 from ..core.system import ScoutSystem
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
-from .common import DeployedWorkload
+from .common import DeployedWorkload, make_localizers, run_trial
 
 __all__ = [
     "GammaSample",
@@ -32,7 +31,13 @@ __all__ = [
 
 #: X-axis buckets used in Figure 7(a) (testbed) and 7(b) (simulation).
 TESTBED_BINS: Sequence[Tuple[int, int]] = ((1, 10), (10, 20), (20, 40), (40, 60))
-SIMULATION_BINS: Sequence[Tuple[int, int]] = ((1, 10), (10, 50), (50, 100), (100, 500), (500, 1000))
+SIMULATION_BINS: Sequence[Tuple[int, int]] = (
+    (1, 10),
+    (10, 50),
+    (50, 100),
+    (100, 500),
+    (500, 1000),
+)
 
 
 @dataclass(frozen=True)
@@ -68,42 +73,43 @@ def run_suspect_reduction(
     num_faults: int = 200,
     seed: int = 11,
     bins: Sequence[Tuple[int, int]] = SIMULATION_BINS,
-    change_window: int = 50,
     setting: str = "simulation",
 ) -> Figure7Result:
     """Inject ``num_faults`` independent single-object faults and measure γ."""
     controller = deployed.controller
     rng = random.Random(seed)
-    localizer = ScoutLocalizer(
-        change_oracle=RecentChangeOracle(
-            change_log=controller.change_log, window=change_window, fallback_latest=False
-        )
-    )
-    system = ScoutSystem(controller, localizer=localizer, include_switch_risks=False)
+    scout = make_localizers(controller, score_thresholds=())["SCOUT"]
+    systems = {
+        "SCOUT": ScoutSystem(controller, localizer=scout, include_switch_risks=False)
+    }
     result = Figure7Result(setting=setting, bins=bins)
 
-    probe_injector = FaultInjector(controller, rng=rng)
-    candidates = probe_injector.faultable_objects()
+    candidates = FaultInjector(controller).faultable_objects()
     if not candidates:
         return result
 
-    for i in range(num_faults):
-        deployed.restore()
-        controller.clock.tick(change_window + 1)
-        injector = FaultInjector(controller, rng=random.Random(rng.randint(0, 2**31)))
+    def inject(injector: FaultInjector) -> None:
         object_uid = rng.choice(candidates)
         kind = rng.choice([FaultKind.FULL, FaultKind.PARTIAL])
-        try:
-            fault = injector.inject_object_fault(object_uid, kind=kind)
-        except Exception:
-            continue
-        report = system.localize(correlate=False)
+        injector.inject_object_fault(object_uid, kind=kind)
+
+    for _ in range(num_faults):
+        deployed.restore()
+        injector, reports = run_trial(
+            controller,
+            systems,
+            inject,
+            "controller",
+            rng=random.Random(rng.randint(0, 2**31)),
+        )
+        report = reports["SCOUT"]
         suspects = report.risk_models["controller"].suspect_risks()
         if not suspects:
             continue
+        fault = injector.injected[0]
         result.samples.append(
             GammaSample(
-                object_uid=object_uid,
+                object_uid=fault.object_uid,
                 kind=fault.kind.value,
                 suspect_count=len(suspects),
                 hypothesis_size=len(report.faulty_objects()),

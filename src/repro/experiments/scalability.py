@@ -58,7 +58,9 @@ def _inject_model_level_faults(
     fail — the same annotation a full object fault produces after the L-T
     check — without running the (much larger) deployment pipeline.
     """
-    candidate_risks = [risk for risk in model.risks() if isinstance(risk, str) and ":" in risk]
+    candidate_risks = [
+        risk for risk in model.risks() if isinstance(risk, str) and ":" in risk
+    ]
     if not candidate_risks:
         return []
     chosen = rng.sample(candidate_risks, min(num_faults, len(candidate_risks)))

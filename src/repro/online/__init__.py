@@ -14,7 +14,8 @@ turns it into a continuous monitor running against a live controller:
   runs and the incident lifecycle (partitionable, snapshot/restorable);
 * :mod:`~repro.online.partition` — deterministic switch-ownership maps for
   the partitioned monitor;
-* :mod:`~repro.online.incidents` — the JSONL-persistable incident store.
+* :mod:`~repro.online.incidents` — the incident store (persisted inside the
+  monitor snapshot).
 """
 
 from .bus import EventBus

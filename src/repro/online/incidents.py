@@ -7,19 +7,18 @@ when it was opened, how often the violation changed while it was open, the
 current SCOUT suspect set, and the device-fault codes seen while it was
 active, which is the record an operator (or a paging pipeline) consumes.
 
-Incidents serialize to plain dicts, and the store round-trips through JSONL
-(one incident per line) so a long-running monitor can persist its state and
-a later process can load the history back.
+Incidents serialize to plain dicts.  The store persists one way: inside the
+monitor snapshot (:meth:`IncidentStore.snapshot` / :meth:`IncidentStore.restore`),
+which is how a long-running monitor hands its history to a later process;
+:meth:`IncidentStore.to_jsonl` prints the journal, one incident per line.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 __all__ = ["IncidentStatus", "Incident", "IncidentStore"]
 
@@ -100,9 +99,9 @@ class Incident:
                 f"unknown incident status {status_value!r} (expected one of: {known})"
             ) from None
         # Timestamps compare against the logical clock all over the monitor,
-        # so a journal that smuggles in a string (or a float, or a bool)
-        # must fail at load time with the same file:line contract the status
-        # check has — not later, deep inside a lifecycle comparison.
+        # so a snapshot that smuggles in a string (or a float, or a bool)
+        # must fail at restore time, naming the field as the status check
+        # does — not later, deep inside a lifecycle comparison.
         for key in ("opened_at", "updated_at"):
             value = data.get(key)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -135,8 +134,6 @@ class IncidentStore:
         self._incidents: Dict[str, Incident] = {}
         self._active_by_switch: Dict[str, str] = {}
         self._counter = 0
-        #: Malformed JSONL lines skipped by a ``strict=False`` :meth:`load`.
-        self.skipped_lines = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -281,74 +278,8 @@ class IncidentStore:
         self._counter = counter
 
     # ------------------------------------------------------------------ #
-    # JSONL persistence
+    # Journal text
     # ------------------------------------------------------------------ #
     def to_jsonl(self) -> str:
         """All incidents, one JSON object per line (oldest first)."""
         return "\n".join(json.dumps(incident.to_dict()) for incident in self._incidents.values())
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Atomically replace ``path`` with the current journal.
-
-        The content lands in a temp file in the same directory first and is
-        renamed over the target with :func:`os.replace`, so a crash mid-save
-        can never leave a truncated journal behind — the reader sees either
-        the old journal or the new one, both complete.
-        """
-        path = Path(path)
-        content = self.to_jsonl()
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_text(content + "\n" if content else "")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path], strict: bool = True) -> "IncidentStore":
-        """Load a JSONL journal, tolerating the ways real journals go bad.
-
-        Blank/whitespace-only lines are always skipped.  A malformed line —
-        truncated JSON, a non-object payload, a missing required key or an
-        unknown status string — raises :class:`ValueError` naming the file,
-        line number and problem; with ``strict=False`` such lines are skipped
-        instead and counted in :attr:`skipped_lines` (the right mode for a
-        monitor restarting over a journal a crash may have truncated).
-        """
-        store = cls()
-        path = Path(path)
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError(
-                        f"expected a JSON object, got {type(data).__name__}"
-                    )
-                incident = Incident.from_dict(data)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if strict:
-                    problem = (
-                        f"missing required key {exc}"
-                        if isinstance(exc, KeyError)
-                        else str(exc)
-                    )
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed incident line: {problem}"
-                    ) from exc
-                store.skipped_lines += 1
-                continue
-            store._incidents[incident.incident_id] = incident
-            if incident.is_open:
-                store._active_by_switch[incident.switch_uid] = incident.incident_id
-            # Keep the counter ahead of every loaded id so new ids stay unique.
-            try:
-                number = int(incident.incident_id.rsplit("-", 1)[-1])
-            except ValueError:
-                number = 0
-            store._counter = max(store._counter, number)
-        return store

@@ -188,12 +188,13 @@ def large_unresponsive_switch_scenario(
     profile = profile or simulation_profile()
     workload = generate_workload(profile, seed=seed)
     controller = Controller(workload.policy, workload.fabric)
-    # Pick the leaf hosting the most endpoints as the victim.
+    # Pick the leaf hosting the most endpoints as the victim (uid-sorted
+    # tie-break).
     per_leaf: Dict[str, int] = {}
     for endpoint in workload.policy.endpoints():
         if endpoint.switch_uid is not None:
             per_leaf[endpoint.switch_uid] = per_leaf.get(endpoint.switch_uid, 0) + 1
-    victim = max(per_leaf, key=lambda uid: per_leaf[uid])
+    victim = min(per_leaf, key=lambda uid: (-per_leaf[uid], uid))
     make_switch_unresponsive(controller, victim)
     controller.deploy()
     scenario = Scenario(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, FaultSpec, run_campaign, run_cell
 from repro.campaign.spec import CampaignCell
+from repro.workloads import large_unresponsive_switch_scenario, resolve_profile
 
 
 def _cell(fault: FaultSpec, engine: str = "serial", seed: int = 1) -> CampaignCell:
@@ -35,6 +36,13 @@ class TestRunCell:
         assert victim in result.hypothesis
         assert result.metrics["recall"] == 1.0
 
+    def test_unresponsive_switch_cell_silences_the_scenario_victim(self):
+        result = run_cell(_cell(FaultSpec("unresponsive-switch"), seed=2))
+        scenario = large_unresponsive_switch_scenario(
+            resolve_profile("small", seed=2), seed=2
+        )
+        assert result.ground_truth == [scenario.facts["unresponsive_switch"]]
+
     def test_tcam_overflow_cell_overflows_a_leaf(self):
         result = run_cell(_cell(FaultSpec("tcam-overflow")))
         assert result.events[0]["event"] == "tcam-capacity"
@@ -60,6 +68,14 @@ class TestRunCell:
         assert incremental.missing_rules == serial.missing_rules
         assert incremental.hypothesis == serial.hypothesis
         assert incremental.metrics == serial.metrics
+
+    def test_incremental_engine_matches_serial_on_a_cell_that_injects_nothing(self):
+        fault = FaultSpec("unresponsive-switch")
+        serial = run_cell(_cell(fault, engine="serial"))
+        incremental = run_cell(_cell(fault, engine="incremental"))
+        assert incremental.missing_rules == serial.missing_rules > 0
+        assert incremental.ground_truth == serial.ground_truth
+        assert incremental.hypothesis == serial.hypothesis
 
     def test_churn_cell_runs_stream_with_zero_divergence(self):
         result = run_cell(_cell(FaultSpec("churn", count=25), seed=3))

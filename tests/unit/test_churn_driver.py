@@ -206,6 +206,14 @@ class TestFaultChurn:
 
 
 class TestOracle:
+    def test_the_monitor_localizes_with_the_drivers_scout_window(self):
+        driver = ChurnDriver.for_workload("small", events=5, seed=4, change_window=37)
+        windows = {
+            driver.monitor.localizer.change_oracle.window,
+            driver.system.localizer.change_oracle.window,
+        }
+        assert windows == {37}
+
     def test_strict_divergence_raises_with_the_record(self, driver):
         # Sabotage the deployed state *behind the monitor's back*: detach the
         # instrumentation first so no event reaches the incremental checker.

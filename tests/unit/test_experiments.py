@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness (scaled-down runs of every figure)."""
 
+import random
+
 import pytest
 
 from repro.core import ScoutSystem
@@ -19,7 +21,15 @@ from repro.experiments import (
     run_scalability,
     run_suspect_reduction,
 )
-from repro.experiments.common import make_localizers, mean_and_stdev, restore_tcam, snapshot_tcam
+from repro.experiments.common import (
+    CHANGE_WINDOW,
+    make_localizers,
+    mean_and_stdev,
+    restore_tcam,
+    run_trial,
+    snapshot_tcam,
+)
+from repro.faults import FaultInjector
 from repro.policy.objects import ObjectType
 from repro.workloads import testbed_profile as make_testbed_profile
 from repro.workloads.profiles import WorkloadProfile
@@ -57,6 +67,58 @@ class TestCommon:
         assert std == pytest.approx(1.0)
         assert mean_and_stdev([]) == (0.0, 0.0)
         assert mean_and_stdev([5.0]) == (5.0, 0.0)
+
+
+class TestTrial:
+    """The §VI trial every figure and every campaign cell runs."""
+
+    @pytest.fixture
+    def systems(self, deployed_testbed):
+        controller = deployed_testbed.controller
+        deployed_testbed.restore()
+        yield {
+            name: ScoutSystem(controller, localizer=localizer, include_switch_risks=False)
+            for name, localizer in make_localizers(controller).items()
+        }
+        deployed_testbed.restore()
+
+    def test_inject_past_the_window_then_one_report_for_every_system(
+        self, deployed_testbed, systems
+    ):
+        controller = deployed_testbed.controller
+        earlier = max(record.timestamp for record in controller.change_log)
+        injector, reports = run_trial(
+            controller,
+            systems,
+            lambda injector: injector.inject_random_faults(2),
+            "controller",
+            rng=random.Random(4),
+        )
+        assert len(injector.injected) == 2
+        assert all(f.injected_at - earlier > CHANGE_WINDOW for f in injector.injected)
+        assert set(reports) == set(systems)
+        equivalence = reports["SCOUT"].equivalence
+        assert not equivalence.equivalent
+        assert all(report.equivalence is equivalence for report in reports.values())
+
+    def test_a_trial_that_injects_nothing_is_still_checked_and_localized(
+        self, deployed_testbed, systems
+    ):
+        clean = ScoutSystem(deployed_testbed.controller).check()
+        seen = []
+
+        def check(injector):
+            seen.append(injector)
+            return clean
+
+        injector, reports = run_trial(
+            deployed_testbed.controller, systems, lambda injector: None, "switch", check=check
+        )
+        assert seen == [injector] and injector.injected == []
+        assert set(reports) == set(systems)
+        for report in reports.values():
+            assert report.equivalence is clean and report.scope == "switch"
+            assert not report.faulty_objects()
 
 
 class TestFigure3:
@@ -166,6 +228,15 @@ class TestFigure7:
         assert result.max_hypothesis_size() <= 15
         text = format_figure7(result)
         assert "suspect set reduction" in text
+
+    def test_an_injection_error_breaks_the_figure(self, deployed_testbed, monkeypatch):
+        def broken(self, *args, **kwargs):
+            raise TypeError("injection is broken")
+
+        monkeypatch.setattr(FaultInjector, "inject_object_fault", broken)
+        with pytest.raises(TypeError, match="injection is broken"):
+            run_suspect_reduction(deployed_testbed, num_faults=1)
+        deployed_testbed.restore()
 
     def test_bins_constants(self):
         assert TESTBED_BINS[0] == (1, 10)

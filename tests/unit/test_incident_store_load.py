@@ -1,113 +1,90 @@
-"""IncidentStore.load hardening against corrupt JSONL journals."""
+"""Loading incidents back: the snapshot restore refuses a bad incident by name.
+
+The store persists one way, inside the monitor snapshot, so
+``NetworkMonitor.restore`` is where a malformed incident arrives: it must
+be a ``ValueError`` naming the snapshot field and the offending key, never
+a half-adopted store.
+"""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.online import IncidentStore
+from repro.online import IncidentStore, NetworkMonitor
 
-GOOD = json.dumps(
-    {"incident_id": "INC-0001", "switch_uid": "leaf-1", "opened_at": 1, "updated_at": 2}
-)
+GOOD = {
+    "incident_id": "INC-0001",
+    "switch_uid": "leaf-1",
+    "opened_at": 1,
+    "updated_at": 2,
+}
+MALFORMED = "malformed snapshot field 'incidents'"
 
 
-def _journal(tmp_path, text: str):
-    path = tmp_path / "incidents.jsonl"
-    path.write_text(text)
-    return path
+@pytest.fixture
+def rejects(three_tier):
+    """Assert a monitor snapshot whose store holds ``entry`` is refused,
+    naming the incidents field and every one of ``names``."""
+    controller = three_tier.controller
+    source = NetworkMonitor(controller)
+    source.start()
+    document = json.loads(json.dumps(source.snapshot()))
+    source.close()
+
+    def check(entry, *names):
+        bad = {**document, "incidents": {"incidents": [entry], "counter": 1}}
+        monitor = NetworkMonitor(controller)
+        with pytest.raises(ValueError, match=MALFORMED) as excinfo:
+            monitor.restore(bad)
+        for name in names:
+            assert name in str(excinfo.value)
+        assert not monitor.running and len(monitor.store) == 0
+
+    return check
+
+
+def _restored(*entries) -> IncidentStore:
+    store = IncidentStore()
+    store.restore({"incidents": list(entries), "counter": len(entries)})
+    return store
 
 
 class TestStrictLoad:
-    def test_blank_and_whitespace_lines_are_always_skipped(self, tmp_path):
-        store = IncidentStore.load(_journal(tmp_path, "\n   \n" + GOOD + "\n\n"))
-        assert len(store) == 1
-        assert store.skipped_lines == 0
-        assert store.active_for("leaf-1") is not None
+    def test_unknown_status_names_the_status(self, rejects):
+        rejects({**GOOD, "status": "weird"}, "'weird'")
 
-    def test_truncated_json_names_the_line(self, tmp_path):
-        path = _journal(tmp_path, GOOD + "\n" + '{"incident_id": "INC-0002", "swi')
-        with pytest.raises(ValueError) as excinfo:
-            IncidentStore.load(path)
-        message = str(excinfo.value)
-        assert ":2:" in message and "malformed incident line" in message
+    def test_missing_required_key_names_the_key(self, rejects):
+        bad = dict(GOOD)
+        del bad["incident_id"]
+        rejects(bad, "incident_id")
 
-    def test_unknown_status_names_the_status(self, tmp_path):
-        bad = json.dumps(
-            {
-                "incident_id": "INC-0001",
-                "switch_uid": "leaf-1",
-                "opened_at": 1,
-                "updated_at": 2,
-                "status": "weird",
-            }
-        )
-        with pytest.raises(ValueError, match="'weird'") as excinfo:
-            IncidentStore.load(_journal(tmp_path, bad))
-        assert ":1:" in str(excinfo.value)
+    def test_non_object_line_is_rejected(self, rejects):
+        rejects([1, 2, 3])
 
-    def test_missing_required_key_names_the_key(self, tmp_path):
-        bad = json.dumps({"switch_uid": "leaf-1", "opened_at": 1, "updated_at": 2})
-        with pytest.raises(ValueError, match="incident_id"):
-            IncidentStore.load(_journal(tmp_path, bad))
+    def test_non_string_incident_id_is_rejected_not_crashed(self, rejects):
+        rejects({**GOOD, "incident_id": 5}, "incident_id")
 
-    def test_non_object_line_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="JSON object"):
-            IncidentStore.load(_journal(tmp_path, "[1, 2, 3]"))
-
-    def test_non_string_incident_id_is_rejected_not_crashed(self, tmp_path):
-        bad = json.dumps(
-            {"incident_id": 5, "switch_uid": "leaf-1", "opened_at": 1, "updated_at": 2}
-        )
-        with pytest.raises(ValueError, match="incident_id"):
-            IncidentStore.load(_journal(tmp_path, bad))
-        store = IncidentStore.load(_journal(tmp_path, bad), strict=False)
-        assert len(store) == 0 and store.skipped_lines == 1
-
-
-class TestNonStrictLoad:
-    def test_skips_bad_lines_with_count(self, tmp_path):
-        path = _journal(
-            tmp_path,
-            "\n".join(
-                [
-                    GOOD,
-                    '{"incident_id": "INC-0002", "swi',  # truncated
-                    '{"incident_id": "INC-0003", "switch_uid": "leaf-3", '
-                    '"opened_at": 1, "updated_at": 2, "status": "weird"}',
-                ]
-            ),
-        )
-        store = IncidentStore.load(path, strict=False)
-        assert len(store) == 1
-        assert store.skipped_lines == 2
-        assert store.get("INC-0001") is not None
-
-    def test_counter_still_advances_past_loaded_ids(self, tmp_path):
-        store = IncidentStore.load(_journal(tmp_path, GOOD), strict=False)
-        opened = store.open("leaf-9", time=5)
-        assert opened.incident_id == "INC-0002"
+    def test_non_string_switch_uid_is_rejected(self, rejects):
+        rejects({**GOOD, "switch_uid": 5}, "switch_uid")
 
 
 class TestResolveIncidentById:
-    def test_resolves_exactly_the_addressed_incident(self, tmp_path):
-        # A journal that violates the one-open-per-switch invariant: two
+    def test_resolves_exactly_the_addressed_incident(self):
+        # A snapshot that violates the one-open-per-switch invariant: two
         # open incidents on leaf-1.  Resolving by id must close the
         # addressed one, not whichever the switch index points at.
-        lines = [
-            json.dumps(
-                {
-                    "incident_id": f"INC-000{i}",
-                    "switch_uid": "leaf-1",
-                    "opened_at": i,
-                    "updated_at": i,
-                }
-            )
+        entries = [
+            {
+                "incident_id": f"INC-000{i}",
+                "switch_uid": "leaf-1",
+                "opened_at": i,
+                "updated_at": i,
+            }
             for i in (1, 2)
         ]
-        store = IncidentStore.load(_journal(tmp_path, "\n".join(lines)))
+        store = _restored(*entries)
         first = store.resolve_incident("INC-0001", time=9)
         assert first is not None and first.incident_id == "INC-0001"
         assert store.get("INC-0002").is_open
@@ -138,90 +115,29 @@ class TestTimestampValidation:
             ("resolved_at", True),
         ],
     )
-    def test_non_integer_timestamp_is_rejected(self, tmp_path, key, value):
+    def test_non_integer_timestamp_is_rejected(self, rejects, key, value):
         # Timestamps compare against the logical clock all over the monitor;
-        # a smuggled string/float/bool must fail at load time with the same
-        # file:line contract the status check has.
-        data = json.loads(GOOD)
-        data[key] = value
-        with pytest.raises(ValueError, match=key) as excinfo:
-            IncidentStore.load(_journal(tmp_path, json.dumps(data)))
-        assert ":1:" in str(excinfo.value)
+        # a smuggled string/float/bool must fail at restore time, by name.
+        rejects({**GOOD, key: value}, key)
 
-    def test_null_resolved_at_is_allowed(self, tmp_path):
-        data = json.loads(GOOD)
-        data["resolved_at"] = None
-        store = IncidentStore.load(_journal(tmp_path, json.dumps(data)))
+    def test_null_resolved_at_is_allowed(self):
+        store = _restored({**GOOD, "resolved_at": None})
         assert store.active_for("leaf-1") is not None
 
-    def test_missing_timestamp_is_rejected(self, tmp_path):
-        data = json.loads(GOOD)
-        del data["opened_at"]
-        with pytest.raises(ValueError, match="opened_at"):
-            IncidentStore.load(_journal(tmp_path, json.dumps(data)))
-
-    def test_non_strict_load_skips_bad_timestamps(self, tmp_path):
-        data = json.loads(GOOD)
-        data["opened_at"] = "7"
-        store = IncidentStore.load(_journal(tmp_path, json.dumps(data)), strict=False)
-        assert len(store) == 0 and store.skipped_lines == 1
-
-
-class TestAtomicSave:
-    @staticmethod
-    def _store():
-        store = IncidentStore()
-        store.open("leaf-1", time=1, missing_rules=2)
-        return store
-
-    def test_failed_replace_leaves_the_old_journal_intact(self, tmp_path, monkeypatch):
-        path = tmp_path / "incidents.jsonl"
-        self._store().save(path)
-        before = path.read_text()
-
-        def boom(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.online.incidents.os.replace", boom)
-        bigger = self._store()
-        bigger.open("leaf-2", time=3)
-        with pytest.raises(OSError):
-            bigger.save(path)
-        # The old journal survives byte-for-byte and no temp file is left.
-        assert path.read_text() == before
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_partial_write_never_reaches_the_journal(self, tmp_path, monkeypatch):
-        path = tmp_path / "incidents.jsonl"
-        self._store().save(path)
-        before = path.read_text()
-
-        def torn_write(self, content, *args, **kwargs):
-            # Simulate a crash mid-write: half the bytes land, then the
-            # process dies.  Only the temp file may ever be torn.
-            with open(self, "w") as handle:
-                handle.write(content[: len(content) // 2])
-            raise OSError("crash mid-write")
-
-        monkeypatch.setattr(Path, "write_text", torn_write)
-        with pytest.raises(OSError):
-            self._store().save(path)
-        monkeypatch.undo()
-        # A reader can never observe the torn write: the journal is the
-        # complete old one and the half-written temp file was cleaned up.
-        assert path.read_text() == before
-        assert list(tmp_path.iterdir()) == [path]
-        assert len(IncidentStore.load(path)) == 1
+    def test_missing_timestamp_is_rejected(self, rejects):
+        bad = dict(GOOD)
+        del bad["opened_at"]
+        rejects(bad, "opened_at")
 
 
 class TestRoundTripStillWorks:
-    def test_save_then_load(self, tmp_path):
+    def test_snapshot_then_restore(self):
         store = IncidentStore()
         store.open("leaf-1", time=1, missing_rules=2, suspects=["vrf:a"])
         resolved = store.open("leaf-2", time=2)
         store.resolve("leaf-2", time=3)
-        path = store.save(tmp_path / "journal.jsonl")
-        loaded = IncidentStore.load(path)
+        loaded = IncidentStore()
+        loaded.restore(json.loads(json.dumps(store.snapshot())))
         assert len(loaded) == 2
         assert loaded.active_for("leaf-1") is not None
         assert not loaded.get(resolved.incident_id).is_open

@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.controller.compiler import (
-    compile_logical_rules,
-    compile_logical_rules_for_switch,
-)
 from repro.exceptions import VerificationError
 from repro.online import IncrementalChecker
 from repro.policy.objects import Filter, FilterEntry, ObjectType
@@ -17,16 +13,6 @@ def checker_for(scenario) -> IncrementalChecker:
     delta = IncrementalChecker(scenario.controller)
     delta.bootstrap()
     return delta
-
-
-class TestScopedCompile:
-    def test_matches_full_compile_per_switch(self, three_tier):
-        index = three_tier.controller.build_index()
-        full = compile_logical_rules(three_tier.policy, index=index)
-        for switch_uid, rules in full.items():
-            scoped = compile_logical_rules_for_switch(index, switch_uid)
-            assert {r.match_key() for r in scoped} == {r.match_key() for r in rules}
-        assert compile_logical_rules_for_switch(index, "no-such-leaf") == []
 
 
 class TestBootstrapAndDigests:

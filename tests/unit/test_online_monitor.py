@@ -1,5 +1,7 @@
 """Unit tests for the NetworkMonitor daemon and the incident store."""
 
+import json
+
 import pytest
 
 from repro.fabric import FaultCode
@@ -358,15 +360,22 @@ class TestIncidentStore:
             store.update("leaf-2", 6)
         assert store.resolve("leaf-9", 7) is None
 
-    def test_jsonl_round_trip(self, tmp_path):
+    @staticmethod
+    def _round_trip(store):
+        """The store through the snapshot's JSON text into a fresh one."""
+        loaded = IncidentStore()
+        loaded.restore(json.loads(json.dumps(store.snapshot())))
+        return loaded
+
+    def test_jsonl_round_trip(self):
         store = IncidentStore()
         first = store.open("leaf-1", 5, missing_rules=2, suspects=["filter:a"])
         store.resolve("leaf-1", 9)
         store.open("leaf-2", 11, missing_rules=4, suspects=["epg:b", "contract:c"])
         store.note_fault("leaf-2", "tcam-overflow")
-        path = store.save(tmp_path / "incidents.jsonl")
 
-        loaded = IncidentStore.load(path)
+        loaded = self._round_trip(store)
+        assert loaded.to_jsonl() == store.to_jsonl()
         assert len(loaded) == 2
         resolved = loaded.get(first.incident_id)
         assert resolved is not None and not resolved.is_open
@@ -379,6 +388,5 @@ class TestIncidentStore:
         fresh = loaded.open("leaf-3", 20)
         assert fresh.incident_id not in {first.incident_id, active.incident_id}
 
-    def test_empty_store_round_trip(self, tmp_path):
-        path = IncidentStore().save(tmp_path / "empty.jsonl")
-        assert len(IncidentStore.load(path)) == 0
+    def test_empty_store_round_trip(self):
+        assert len(self._round_trip(IncidentStore())) == 0

@@ -1,5 +1,7 @@
 """Unit tests for workload profiles, the synthetic generator and the scenarios."""
 
+from collections import Counter
+
 import pytest
 
 from repro.fabric import FaultCode
@@ -142,3 +144,17 @@ class TestScenarios:
         )
         assert victim in report.switches_with_violations()
         assert report.results[victim].missing_count() > 10
+
+    def test_large_unresponsive_victim_is_the_first_busiest_leaf(self, tiny_profile):
+        # Seed 22 attaches as many endpoints to leaf-2 as to leaf-3: the tie
+        # goes to the uid that sorts first.
+        scenario = large_unresponsive_switch_scenario(profile=tiny_profile, seed=22)
+        per_leaf = Counter(
+            endpoint.switch_uid
+            for endpoint in scenario.policy.endpoints()
+            if endpoint.switch_uid is not None
+        )
+        most = max(per_leaf.values())
+        tied = sorted(uid for uid, count in per_leaf.items() if count == most)
+        assert tied == ["leaf-2", "leaf-3"]
+        assert scenario.facts["unresponsive_switch"] == "leaf-2"
