@@ -58,8 +58,8 @@ def main() -> None:
     print(f"  digest short-circuit: {stats['digest_short_circuits']}")
     # What the monitor's compile requests cost the controller, the one
     # incremental compiler of L (``Controller.compile_stats()`` deltas).
-    print(f"  index derivations   : {stats['index_patches']} (payload-only edits)")
-    print(f"  index re-builds     : {stats['index_rebuilds']}")
+    print(f"  index derivations   : {stats['index_patches']} (one per edited policy)")
+    print(f"  cold index builds   : {stats['index_rebuilds']}")
     print(f"  pairs re-rendered   : {stats['pair_recompiles']}")
 
     # -- Act 3: the differential oracle ---------------------------------- #

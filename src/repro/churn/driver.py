@@ -478,9 +478,9 @@ class ChurnDriver:
             name=self.controller.policy.get(rule.filter_uid).name,
             entries=self._draw_entries(rng),
         )
-        # A filter modify is payload-only: the controller derives its next
-        # index from the held one (no re-index) — the fast path this event
-        # family exists to keep hot.
+        # A filter modify is payload-only: the derived index moves no pair,
+        # and the next compile compares only the pairs relying on the filter
+        # — the fast path this event family exists to keep hot.
         tenant = self.controller.policy.tenant_of(flt.uid).name
         self.controller.modify_object(tenant, flt, detail="churn rule update")
         self._push_objects([(Operation.ADD, flt)], rule.switches)

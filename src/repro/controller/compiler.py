@@ -13,7 +13,8 @@ Two outputs, both derived from the same :class:`~repro.policy.graph.PolicyIndex`
 :func:`compile_logical_rules` is the from-scratch compile and the reference;
 :class:`CompiledRules` is the same result assembled with whatever an earlier
 compile of a slightly different policy can still vouch for, which is what
-:meth:`Controller.logical_rules` serves.
+:meth:`Controller.logical_rules` serves.  Its index is derived from the
+earlier compile's, so it re-examines only the pairs that derivation moved.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def compile_logical_rules(
             bucket = per_switch.setdefault(switch_uid, {})
             for rule in pair_rules:
                 bucket.setdefault(rule.match_key(), rule)
-    return {switch: list(rules.values()) for switch, rules in sorted(per_switch.items())}
+    return {
+        switch: list(rules.values()) for switch, rules in sorted(per_switch.items())
+    }
 
 
 #: One pair's rendered rules beside their match keys, position by position.
@@ -121,6 +124,7 @@ class CompiledRules:
     pairs: Dict[EpgPair, Tuple[Tuple, PairRules]]
     parts: Dict[str, Tuple[PairRules, ...]]
     #: What building this compile cost beyond what ``previous`` vouched for.
+    pairs_compared: int = 0
     pairs_recompiled: int = 0
     switches_reassembled: int = 0
 
@@ -128,16 +132,28 @@ class CompiledRules:
     def build(
         cls, index: PolicyIndex, previous: Optional["CompiledRules"] = None
     ) -> "CompiledRules":
-        known_pairs = previous.pairs if previous is not None else {}
+        """The compile of ``index``, reusing what ``previous`` vouches for.
+
+        When ``index`` was derived from ``previous.index`` only the pairs
+        that derivation moved (:meth:`PolicyIndex.pairs_moved_since`) have
+        their inputs compared; every other pair's render is
+        ``previous``'s.  Otherwise every pair's inputs are.
+        """
+        known_pairs, moved = {}, None
+        if previous is not None:
+            known_pairs = previous.pairs
+            moved = index.pairs_moved_since(previous.index)
         pairs: Dict[EpgPair, Tuple[Tuple, PairRules]] = {}
-        pairs_recompiled = 0
+        pairs_compared = pairs_recompiled = 0
         for pair in index.pairs:
-            inputs = pair_inputs(index, pair)
             known = known_pairs.get(pair)
-            if known is None or known[0] != inputs:
-                rules = tuple(rules_for_pair(*inputs))
-                known = (inputs, (rules, tuple(rule.match_key() for rule in rules)))
-                pairs_recompiled += 1
+            if known is None or moved is None or pair in moved:
+                inputs = pair_inputs(index, pair)
+                pairs_compared += 1
+                if known is None or known[0] != inputs:
+                    rules = tuple(rules_for_pair(*inputs))
+                    known = (inputs, (rules, tuple(rule.match_key() for rule in rules)))
+                    pairs_recompiled += 1
             pairs[pair] = known
 
         by_switch: Dict[str, RuleSequence] = {}
@@ -162,6 +178,7 @@ class CompiledRules:
             by_switch=by_switch,
             pairs=pairs,
             parts=parts,
+            pairs_compared=pairs_compared,
             pairs_recompiled=pairs_recompiled,
             switches_reassembled=switches_reassembled,
         )

@@ -12,8 +12,9 @@ logs the SCOUT system consumes:
 
 Index and logical rules are served from one :class:`CompiledPolicy` that is
 compared with the live object tables on every call, so a repeat audit of an
-unchanged policy pays for that comparison and nothing else.  It is the only
-incremental compiler of L: audits and the online monitor both read it.
+unchanged policy pays for that comparison and nothing else, and an edit pays
+for the pairs it touches.  It is the only incremental compiler of L: audits
+and the online monitor both read it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ class CompiledPolicy:
     Valid exactly while ``tables`` — the objects ``index`` was built from
     (:meth:`PolicyIndex.object_tables`) — equals the live
     :func:`~repro.policy.graph.object_tables`; there is no invalidation to
-    forget.  ``rules`` appears on the first request for
-    logical rules and is carried across index rebuilds as the memo the next
-    compile reuses (it is current iff ``rules.index is index``).
+    forget.  On a difference the held index derives the next one.  ``rules``
+    appears on the first request for logical rules and is carried across
+    derivations as the memo the next compile reuses (it is current iff
+    ``rules.index is index``; when ``index`` was derived from
+    ``rules.index``, the next compile compares only the pairs that
+    derivation moved).
     """
 
     tables: List[List[PolicyObject]]
@@ -94,6 +98,7 @@ class Controller:
             "reuses": 0,
             "rebuilds": 0,
             "patches": 0,
+            "pairs_compared": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -136,20 +141,20 @@ class Controller:
     # Compilation
     # ------------------------------------------------------------------ #
     def _compiled_policy(self) -> CompiledPolicy:
-        """The compiled policy, brought up to the live tables first: derived
-        from the held index when only filter/VRF payload moved
-        (:meth:`PolicyIndex.with_payload`), re-indexed otherwise."""
+        """The compiled policy, brought up to the live tables first: the
+        next index is derived from the held one, whatever the edit
+        (:meth:`PolicyIndex.derive`); only the first request builds one."""
         compiled = self._compiled
         live = object_tables(self.policy)
         if compiled is not None and compiled.tables == live:
             self._count(reuses=1)
             return compiled
-        index = compiled.index.with_payload(live) if compiled is not None else None
-        if index is not None:
-            self._count(patches=1)
-        else:
-            index = PolicyIndex(self.policy)
+        if compiled is None:
+            index = PolicyIndex(self.policy, live)
             self._count(rebuilds=1)
+        else:
+            index = compiled.index.derive(live)
+            self._count(patches=1)
         compiled = CompiledPolicy(
             tables=index.object_tables(),
             index=index,
@@ -194,6 +199,7 @@ class Controller:
             rules = CompiledRules.build(compiled.index, previous=rules)
             self._compiled = dataclasses.replace(compiled, rules=rules)
             self._count(
+                pairs_compared=rules.pairs_compared,
                 pairs_recompiled=rules.pairs_recompiled,
                 switches_reassembled=rules.switches_reassembled,
             )
@@ -202,12 +208,17 @@ class Controller:
     def compile_stats(self) -> Dict[str, int]:
         """Calls served from the compiled policy versus work redone.
 
-        ``reuses``/``rebuilds``/``patches`` count :meth:`build_index` and
+        ``reuses``/``patches``/``rebuilds`` count :meth:`build_index` and
         :meth:`logical_rules` calls that found the compiled policy valid /
-        had to re-index / derived the index (a payload-only edit);
-        ``pairs_recompiled`` and ``switches_reassembled`` what the
-        logical-rule compiles could not take from their predecessor.  A
-        daemon on the fast path shows only ``reuses`` moving.
+        derived the next index from the held one (any edit) / built the
+        first index cold — so ``rebuilds`` stays at one for the
+        controller's life.  Of the logical-rule compiles,
+        ``pairs_compared`` counts the pairs whose inputs were compared with
+        the previous compile's (a derivation's moved pairs; every pair
+        when the previous compile is not of the index this one was derived
+        from), ``pairs_recompiled`` and ``switches_reassembled`` what could
+        not be taken from it.  A daemon on the fast path shows only
+        ``reuses`` moving.
         """
         with self._stats_lock:
             return dict(self._compile_stats)

@@ -356,23 +356,21 @@ class IncrementalChecker:
         }
 
     def parse_state(
-        self,
-        state: Dict,
-        with_stats: bool = True,
-        compiled: Optional[CompiledRules] = None,
-    ) -> Callable[[], None]:
-        """Parse a :meth:`snapshot_state` payload, sweep the owned switches
-        against ``compiled`` (the controller's current compile when left
-        out) and return the step that adopts both, so a monitor can do this
-        for every partition's slice before any checker changes.  A
-        malformed payload or a fabric that cannot be checked raises here and
-        touches nothing; the returned step only assigns.
+        self, state: Dict, with_stats: bool = True
+    ) -> Callable[[CompiledRules], Callable[[], None]]:
+        """Parse a :meth:`snapshot_state` payload and return the sweep that
+        restores it: ``sweep(compiled)`` checks the owned switches against
+        ``compiled`` and returns the step that adopts both.  A monitor
+        parses every partition's slice, then sweeps them all, before any
+        checker changes.  A malformed payload raises a ValueError here; a
+        fabric that cannot be checked raises from the sweep what the check
+        raised.  Neither touches anything; the adopt step only assigns.
 
         The sweep is the bootstrap's, applied to no incident: a switch whose
         fresh verdict is not the recorded one — L or T moved while no
         checker was watching — is dirty beside the payload's own dirt, for
-        the first refresh.  The compile request is booked to no counter;
-        ``full_checks`` reads what ``with_stats`` restores plus this sweep.
+        the first refresh.  ``full_checks`` reads what ``with_stats``
+        restores plus this sweep.
 
         Version-1 and -2 payloads carried whole ``results`` (the verdicts
         are derived from them) and both key sets of every switch (ignored);
@@ -406,26 +404,30 @@ class IncrementalChecker:
         if not all(type(value) is int for value in counters.values()):
             raise ValueError(f"stats must be integers, got {counters!r}")
 
-        compiled = compiled or self.controller._compiled_rules()
-        results = self._sweep(compiled).results
-        fresh = _verdicts(results)
-        dirty.update(
-            switch_uid
-            for switch_uid in fresh.keys() | verdicts.keys()
-            if fresh.get(switch_uid) != verdicts.get(switch_uid)
-        )
-        for pair in dirty_pairs:
-            dirty.update(filter(self._owns, compiled.index.switches_for_pair(pair)))
+        def sweep(compiled: CompiledRules) -> Callable[[], None]:
+            results = self._sweep(compiled).results
+            fresh = _verdicts(results)
+            swept_dirty = dirty | {
+                switch_uid
+                for switch_uid in fresh.keys() | verdicts.keys()
+                if fresh.get(switch_uid) != verdicts.get(switch_uid)
+            }
+            for pair in dirty_pairs:
+                swept_dirty.update(
+                    filter(self._owns, compiled.index.switches_for_pair(pair))
+                )
 
-        def adopt() -> None:
-            for key, value in counters.items():
-                setattr(self, key, value)
-            self.full_checks += 1
-            self._results = results
-            self._dirty, self._pending_objects = dirty, pending_objects
-            self._compiled = compiled
+            def adopt() -> None:
+                for key, value in counters.items():
+                    setattr(self, key, value)
+                self.full_checks += 1
+                self._results = results
+                self._dirty, self._pending_objects = swept_dirty, pending_objects
+                self._compiled = compiled
 
-        return adopt
+            return adopt
+
+        return sweep
 
 
 # ---------------------------------------------------------------------- #

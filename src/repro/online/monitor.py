@@ -607,20 +607,20 @@ class NetworkMonitor:
         if self.running:
             raise RuntimeError("cannot restore a running monitor (stop it first)")
         _require_snapshot(snapshot)
-        # Parse every section, and sweep, before touching anything: a
-        # malformed document (or a policy that does not compile, or a fabric
-        # that cannot be checked) must leave the monitor un-attached, the
-        # shared clock unmoved and a following start() working.  The compile
-        # is booked to no counter: of the snapshot's counters a restore
-        # moves ``full_checks`` only.
-        compiled = self.controller._compiled_rules()
-        adoptions = _parse_field(
+        # Parse every section, then sweep, before touching anything: a
+        # malformed document is a ValueError naming its field, a policy that
+        # does not compile or a fabric that cannot be checked raises what the
+        # compile or the check raised, and either way the monitor stays
+        # un-attached, the shared clock unmoved and a following start()
+        # working.  The compile is booked to no counter: of the snapshot's
+        # counters a restore moves ``full_checks`` only.
+        sweeps = _parse_field(
             "checker",
             # Counters land on partition 0 only: they were merged across
             # partitions at snapshot time, so restoring the sum everywhere
             # would multiply it.  Aggregated stats() sums right back.
             lambda state: [
-                checker.parse_state(state, with_stats=(index == 0), compiled=compiled)
+                checker.parse_state(state, with_stats=(index == 0))
                 for index, checker in enumerate(self.checkers)
             ],
             snapshot["checker"],
@@ -630,6 +630,8 @@ class NetworkMonitor:
             lambda events: [event_from_dict(data) for data in events],
             snapshot.get("pending_events", ()),
         )
+        compiled = self.controller._compiled_rules()
+        adoptions = [sweep(compiled) for sweep in sweeps]
         # The store validates its whole payload before replacing its contents,
         # so this is the last step that can reject the snapshot.
         _parse_field(

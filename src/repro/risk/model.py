@@ -331,14 +331,20 @@ class RiskModel:
 
 
 def cached_model(
-    index, key: Hashable, build: Callable[[], RiskModel], name: str
+    index,
+    key: Hashable,
+    build: Callable[[], RiskModel],
+    name: str,
+    leaf: Optional[str] = None,
 ) -> RiskModel:
     """A fresh model named ``name`` over the structure ``index`` holds under
     ``key``, which ``build`` computes the first time it is asked for.
 
     ``index`` is a :class:`~repro.policy.graph.PolicyIndex`; it keeps the
-    built model — never handed out, so never touched again — for as long as
-    it describes the policy, and callers get overlays on it.
+    built model — never handed out, so never touched again — and so do the
+    indexes derived from it while the pairs it reads stand (``leaf``'s, or
+    with ``None`` every pair: see :meth:`PolicyIndex.risk_structure`).
+    Callers get overlays on it.
     """
 
     def structure() -> RiskModel:
@@ -346,7 +352,7 @@ def cached_model(
         held._structure_shared = True  # before anyone else can see it
         return held
 
-    held, reused = index.risk_structure(key, structure)
+    held, reused = index.risk_structure(key, structure, leaf)
     model = held.copy()
     model.name = name
     model.structure_reused = reused

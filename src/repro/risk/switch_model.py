@@ -42,7 +42,11 @@ def build_switch_risk_model(
         return model
 
     return cached_model(
-        index, ("switch", switch_uid), build, name or f"switch-risk-model:{switch_uid}"
+        index,
+        ("switch", switch_uid),
+        build,
+        name or f"switch-risk-model:{switch_uid}",
+        leaf=switch_uid,
     )
 
 

@@ -495,7 +495,8 @@ class ScoutService:
                 lambda name=counter: float(self.system.stats()[name]),
                 help=(
                     "Audit work reused or redone: compiled-policy reuses, "
-                    "rebuilds, pairs_recompiled and switches_reassembled; "
+                    "patches (index derivations), rebuilds, pairs_compared, "
+                    "pairs_recompiled and switches_reassembled; "
                     "switches settled by identity_proofs versus dispatched."
                 ),
                 labels={"counter": counter},

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..core.system import ScoutSystem
+from ..exceptions import VerificationError
 from ..online.monitor import NetworkMonitor
 from ..workloads.profiles import profile_names
 from ..workloads.scenarios import deploy_profile
@@ -80,7 +81,8 @@ def main_service(argv: Optional[Sequence[str]] = None) -> int:
             sync_audits=args.sync_audits or args.once,
             restore_snapshot=restore_snapshot,
         )
-    except ValueError as exc:
+    except (ValueError, VerificationError) as exc:
+        # A malformed snapshot, or a fabric the restore sweep cannot check.
         parser.error(str(exc))
     mode = "restored" if restore_snapshot is not None else "running"
     print(

@@ -4,25 +4,27 @@
 snapshot that is compared with the tenants' live object tables on every
 call.  These tests pin the contract around that: a repeat call reuses, any
 edit (through the controller or behind its back) is seen by the very next
-call, an edit recompiles its own pairs and switches only (a filter- or
-VRF-payload edit without re-indexing), nothing the cache hands out can be
-used to change what the next caller gets, and the online monitor reads the
-same compile instead of keeping one of its own.  The risk models' structure
-rides on the index, so it lives by the same rule: reused while the index
-(or one derived from it) stands, recomputed after a re-index.
-"""
+call, every edit derives the next index from the held one and recompiles
+its own pairs and switches only, nothing the cache hands out can be used to
+change what the next caller gets, and the online monitor reads the same
+compile instead of keeping one of its own.  The risk models' structure
+rides on the index, so it lives by the same rule: a derived index keeps a
+leaf's structure while none of that leaf's pairs moved, and the fabric's
+while no pair did."""
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro import Controller
-from repro.controller.compiler import compile_logical_rules
+from repro.controller.compiler import CompiledRules, compile_logical_rules
 from repro.core import ScoutSystem
 from repro.obs import TraceCollector
 from repro.online import NetworkMonitor
@@ -73,6 +75,7 @@ class TestReuse:
             "reuses": 2,
             "rebuilds": 0,
             "patches": 0,
+            "pairs_compared": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -92,6 +95,7 @@ class TestReuse:
             "reuses": 0,
             "rebuilds": 1,
             "patches": 0,
+            "pairs_compared": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -109,29 +113,83 @@ class TestInvalidation:
         controller.modify_object(tenant.name, edited)
         cached = controller.logical_rules()
         assert _as_lists(cached) == compile_logical_rules(controller.policy)
-        # A payload-only edit: the index is derived, never re-built.
+        # The index is derived, never re-built, and only the pairs relying
+        # on the filter have their inputs compared.
         assert _delta(controller, before) == {
             "reuses": 0,
             "rebuilds": 0,
             "patches": 1,
+            "pairs_compared": len(pairs),
             "pairs_recompiled": len(pairs),
             "switches_reassembled": len(switches),
         }
         assert controller.build_index() is not old_index
         assert old_index.filter(target.uid) is target
 
-    def test_a_structural_edit_re_indexes(self, controller):
-        controller.logical_rules()
-        tenant, target, edited = _shared_filter(controller)
-        added = dataclasses.replace(edited, uid="filter:added/one", name="one")
+    def test_a_structural_edit_derives_the_index_too(self, controller):
+        before_rules = controller._compiled_rules()
+        old_index = before_rules.index
+        _, leaves = _pair_up(controller, misses={"leaf-2"})
+        edited_epg = next(
+            epg for epg in controller.policy.epgs() if epg is not old_index.epg(epg.uid)
+        )
         before = controller.compile_stats()
-        controller.add_object(tenant.name, added)
-        controller.modify_object(tenant.name, edited)
         assert _as_lists(controller.logical_rules()) == compile_logical_rules(
             controller.policy
         )
         spent = _delta(controller, before)
-        assert (spent["rebuilds"], spent["patches"]) == (1, 0)
+        assert (spent["rebuilds"], spent["patches"]) == (0, 1)
+        # Only the rewired EPG's pairs, before and after, were compared ...
+        index = controller.build_index()
+        moved = set(old_index.pairs_for_object(edited_epg.uid))
+        moved |= set(index.pairs_for_object(edited_epg.uid))
+        assert spent["pairs_compared"] == len(moved) < len(index.pairs)
+        # ... and the compile is the full scan's: same renders, same leaves
+        # re-assembled, every other leaf's sequence the very same object.
+        compiled = controller._compiled_rules()
+        scanned = CompiledRules.build(PolicyIndex(controller.policy), before_rules)
+        assert scanned.pairs_compared == len(index.pairs)
+        assert spent["pairs_recompiled"] == scanned.pairs_recompiled > 0
+        assert spent["switches_reassembled"] == scanned.switches_reassembled
+        for uid, sequence in compiled.by_switch.items():
+            kept = sequence is before_rules.by_switch[uid]
+            assert kept == (scanned.by_switch[uid] is before_rules.by_switch[uid])
+            assert kept == (uid not in leaves)
+
+    def test_the_same_frozen_object_put_back_compares_no_pair(self, controller):
+        rules = controller.logical_rules()
+        epg = next(iter(controller.policy.epgs()))
+        tenant = controller.policy.tenant_of(epg.uid)
+        before = controller.compile_stats()
+        controller.modify_object(tenant.name, epg)
+        assert controller.logical_rules() == rules
+        assert _delta(controller, before)["reuses"] == 1
+        # Riding beside an edit that moves no pair, it is a derivation that
+        # compares nothing.
+        _unattached_endpoint(controller, 0)
+        again = controller.logical_rules()
+        assert all(again[uid] is rules[uid] for uid in rules)
+        spent = _delta(controller, before)
+        assert (spent["patches"], spent["pairs_compared"]) == (1, 0)
+        assert spent["pairs_recompiled"] == spent["switches_reassembled"] == 0
+
+    def test_a_compile_a_derivation_behind_compares_every_pair(self, controller):
+        """The fallback shows: an index requested between two edits with no
+        compile leaves the next compile a derivation behind its index, and
+        ``pairs_compared`` says it compared every pair."""
+        controller.logical_rules()
+        tenant, target, edited = _shared_filter(controller)
+        tenant.filters[target.uid] = edited
+        controller.build_index()
+        _unattached_endpoint(controller, 0)
+        before = controller.compile_stats()
+        assert _as_lists(controller.logical_rules()) == compile_logical_rules(
+            controller.policy
+        )
+        spent = _delta(controller, before)
+        index = controller.build_index()
+        assert spent["pairs_compared"] == len(index.pairs)
+        assert spent["pairs_recompiled"] == len(index.pairs_for_object(target.uid))
 
     def test_a_write_behind_the_controllers_back_is_seen_by_the_next_audit(
         self, controller
@@ -196,11 +254,40 @@ class TestNothingHandedOutIsMutable:
         index.pairs.clear()
         index.pairs_on_switch(index.all_switches()[0]).clear()
         assert derived.pairs and derived.pairs_on_switch(index.all_switches()[0])
-        # Anything but a same-uid filter/VRF replacement is not derivable.
+        # Any difference derives an index equal to a cold build of the same
+        # tables, and leaves its source as it was.
         tables = index.object_tables()
-        assert index.with_payload(tables) is not None
-        assert index.with_payload([*tables[:3], tables[3][1:], tables[4]]) is None
-        assert index.with_payload([*tables[:4], tables[4][1:]]) is None
+        assert index.derive(tables).pairs_moved_since(index) == frozenset()
+        for edited_tables in (
+            [*tables[:3], tables[3][1:], tables[4]],
+            [*tables[:4], tables[4][1:]],
+            [tables[0], tables[1][1:], *tables[2:]],
+        ):
+            derived = index.derive(edited_tables)
+            cold = PolicyIndex(controller.policy, edited_tables)
+            assert derived.object_tables() == cold.object_tables() == edited_tables
+            assert derived.pairs == cold.pairs
+            for pair in cold.pairs:
+                assert derived.risks_for_pair(pair) == cold.risks_for_pair(pair)
+                assert derived.switches_for_pair(pair) == cold.switches_for_pair(pair)
+            assert derived.pairs_moved_since(index) is not None
+            assert cold.pairs_moved_since(index) is None
+            assert index.object_tables() == tables
+
+    def test_no_index_retains_its_predecessor(self, controller):
+        """A derived index holds its source only weakly: under churn one
+        index stays alive, not the chain of every index ever derived."""
+        tenant, target, edited = _shared_filter(controller)
+        held = []
+        for serial in range(6):
+            tenant.filters[target.uid] = (edited, target)[serial % 2]
+            undo, _ = _pair_up(controller)
+            controller.logical_rules()
+            undo()
+            controller.logical_rules()
+            held.append(weakref.ref(controller.build_index()))
+        gc.collect()
+        assert [ref() is not None for ref in held] == [False] * 5 + [True]
 
 
 class TestMonitorReadsTheControllersCompile:
@@ -313,6 +400,7 @@ class TestAccounting:
             idle = {
                 "rebuilds": 0,
                 "patches": 0,
+                "pairs_compared": 0,
                 "pairs_recompiled": 0,
                 "switches_reassembled": 0,
             }
@@ -346,6 +434,7 @@ class TestAccounting:
             "reuses": 1,
             "rebuilds": 0,
             "patches": 0,
+            "pairs_compared": 0,
             "pairs_recompiled": 0,
             "switches_reassembled": 0,
         }
@@ -362,6 +451,7 @@ class TestAccounting:
             assert f'repro_audit_work{{counter="identity_proofs"}} {2 * switches}' in metrics
             assert 'repro_audit_work{counter="dispatched"} 0' in metrics
             assert 'repro_audit_work{counter="pairs_recompiled"}' in metrics
+            assert 'repro_audit_work{counter="pairs_compared"}' in metrics
             # The monitor's own bootstrap sweep counts its identity proofs
             # too, on its own checker; both audits reused its compile.
             monitor = client.service.monitor
@@ -377,10 +467,10 @@ class TestConcurrentReaders:
         self, controller, monkeypatch
     ):
         """An edit landing between the validity check and the new index must
-        not leave an index of one policy filed under another's tables — on
-        the payload-derivation route (the index is built from tables read
-        before the edit) and on the re-index route (it reads the policy
-        after it)."""
+        not leave an index of one policy filed under another's tables: every
+        index is built from the tables read before the edit — derived, for a
+        payload edit and a new uid alike, or cold, for a controller's first —
+        and filed under them, so the very next call sees the policy moved on."""
         tenant, target, edited = _shared_filter(controller)
         controller.logical_rules()
         interim = dataclasses.replace(edited, name="interim")
@@ -392,31 +482,28 @@ class TestConcurrentReaders:
 
             return build_after_a_racing_edit
 
-        # Payload only: derived from, and filed under, the tables read
-        # before the write, so the very next call sees the policy moved on.
-        tenant.filters[target.uid] = interim
-        before = controller.compile_stats()
-        monkeypatch.setattr(PolicyIndex, "with_payload", racing(PolicyIndex.with_payload))
-        raced = controller.build_index()
-        monkeypatch.undo()
-        assert raced.filter(target.uid) is interim
-        assert controller.build_index().filter(target.uid) is edited
-        assert _delta(controller, before)["patches"] == 2
-
-        # Structural (a new uid cannot be derived): the re-index reads the
-        # policy after the write and is filed under what it read.
-        tenant.filters[target.uid] = interim
         added = dataclasses.replace(edited, uid="filter:added/one", name="one")
-        tenant.filters[added.uid] = added
-        before = controller.compile_stats()
+        for extra in ({}, {added.uid: added}):
+            tenant.filters[target.uid] = interim
+            tenant.filters.update(extra)
+            before = controller.compile_stats()
+            monkeypatch.setattr(PolicyIndex, "derive", racing(PolicyIndex.derive))
+            raced = controller.build_index()
+            monkeypatch.undo()
+            assert raced.filter(target.uid) is interim
+            assert controller.build_index().filter(target.uid) is edited
+            assert _delta(controller, before)["patches"] == 2
+
+        tenant.filters[target.uid] = interim
+        first = Controller(controller.policy, controller.fabric, validate=False)
         monkeypatch.setattr(
             "repro.controller.controller.PolicyIndex", racing(PolicyIndex)
         )
-        raced = controller.build_index()
+        raced = first.build_index()
         monkeypatch.undo()
-        assert raced.filter(target.uid) is edited
-        assert controller.build_index() is raced
-        assert _delta(controller, before)["rebuilds"] == 1
+        assert raced.filter(target.uid) is interim
+        assert first.build_index().filter(target.uid) is edited
+        assert (first.compile_stats()["rebuilds"], first.compile_stats()["patches"]) == (1, 1)
 
         for version in (interim, target, edited):
             tenant.filters[target.uid] = version
@@ -430,7 +517,7 @@ class TestConcurrentReaders:
     ):
         """The snapshot is swapped whole: whatever thread wins, a reader gets
         the compile of one of the policies that existed, and every call is
-        accounted as exactly one reuse or one rebuild."""
+        accounted as exactly one reuse or one derivation."""
         tenant, target, edited = _shared_filter(controller)
         valid = []
         for version in (target, edited):
@@ -494,7 +581,7 @@ def _degrade(controller, leaves=3):
 
 
 def _unattached_endpoint(controller, serial):
-    """A structural edit that moves no rule and no placement: one more
+    """An edit that moves no rule, no placement and no pair: one more
     endpoint, on no switch, written straight into its tenant's table."""
     epg = next(iter(controller.policy.epgs()))
     tenant = controller.policy.tenant_of(epg.uid)
@@ -502,12 +589,49 @@ def _unattached_endpoint(controller, serial):
     tenant.endpoints[uid] = Endpoint(uid=uid, name=f"spare-{serial}", epg_uid=epg.uid)
 
 
+def _pair_up(controller, hits=(), misses=()):
+    """A structural edit written straight into a tenant table: one EPG starts
+    consuming a contract, so the pairs it forms with that contract's
+    providers move — on the leaves hosting either end, and nowhere else.
+    The edit is chosen so those leaves include ``hits`` and none of
+    ``misses``.  Returns the step that puts the EPG back, and the leaves."""
+    index = controller.build_index()
+    policy = controller.policy
+    epgs = sorted(policy.epgs(), key=lambda epg: epg.uid)
+    for consumer in epgs:
+        for contract in sorted(policy.contracts(), key=lambda contract: contract.uid):
+            partners = [
+                epg.uid
+                for epg in epgs
+                if contract.uid in epg.provides
+                and epg.uid != consumer.uid
+                and epg.vrf_uid == consumer.vrf_uid
+            ]
+            if contract.uid in consumer.consumes or not partners:
+                continue
+            leaves = {
+                leaf
+                for uid in (consumer.uid, *partners)
+                for leaf in index.switches_for_epg(uid)
+            }
+            if set(hits) <= leaves and not leaves & set(misses):
+                tenant = policy.tenant_of(consumer.uid)
+                tenant.epgs[consumer.uid] = dataclasses.replace(
+                    consumer, consumes=consumer.consumes | {contract.uid}
+                )
+                return (
+                    lambda: tenant.epgs.__setitem__(consumer.uid, consumer),
+                    leaves,
+                )
+    raise AssertionError(f"no such edit: hits={hits}, misses={misses}")
+
+
 class TestRiskStructureRidesTheIndex:
     def test_a_payload_edit_keeps_the_structure_and_a_structural_edit_drops_it(
         self, controller
     ):
         policy = controller.policy
-        leaf = sorted(controller.fabric.leaf_uids())[0]
+        leaf, other = sorted(controller.fabric.leaf_uids())[:2]
         first = controller.build_index()
         assert not build_controller_risk_model(policy, index=first).structure_reused
         assert not build_switch_risk_model(first, leaf).structure_reused
@@ -519,16 +643,22 @@ class TestRiskStructureRidesTheIndex:
         assert build_controller_risk_model(policy, index=derived).structure_reused
         assert build_switch_risk_model(derived, leaf).structure_reused
         # ... in both directions: what a derived index builds, its source has.
-        other = sorted(controller.fabric.leaf_uids())[1]
         assert not build_switch_risk_model(derived, other).structure_reused
         assert build_switch_risk_model(first, other).structure_reused
 
-        _unattached_endpoint(controller, 0)
-        rebuilt = controller.build_index()
-        assert rebuilt is not derived
-        cold = build_controller_risk_model(policy, index=rebuilt)
+        # A structural edit drops the touched leaf's structure and the
+        # fabric's; an untouched leaf keeps its own.
+        _pair_up(controller, hits={leaf}, misses={other})
+        moved = controller.build_index()
+        assert moved is not derived
+        cold = build_controller_risk_model(policy, index=moved)
         assert not cold.structure_reused
-        assert cold.elements() == build_controller_risk_model(policy, index=first).elements()
+        fresh = PolicyIndex(policy)
+        assert cold.elements() == build_controller_risk_model(policy, index=fresh).elements()
+        assert not build_switch_risk_model(moved, leaf).structure_reused
+        kept = build_switch_risk_model(moved, other)
+        assert kept.structure_reused
+        assert kept.elements() == build_switch_risk_model(fresh, other).elements()
 
     def test_stats_and_spans_say_built_once_then_reused(self, controller):
         _degrade(controller, leaves=2)
@@ -561,16 +691,25 @@ class TestRiskStructureRidesTheIndex:
                 assert after["risk_structures_reused"] - before["risk_structures_reused"] == 1
                 assert (after["risk_structures_built"], after["risk_structures_reused"]) == (1, 3)
 
-                # A re-index starts over, for the monitor and the audit alike.
-                _unattached_endpoint(controller, 0)
+                # A derivation that moves a leaf's pairs starts that leaf over,
+                # for the monitor and the audit alike; an untouched leaf keeps
+                # its structure.
+                degraded, untouched = sorted(controller.fabric.leaf_uids())[:2]
+                _, touched = _pair_up(controller, hits={degraded}, misses={untouched})
                 leaf, rule = next(iter(_degrade(controller, leaves=1).items()))
-                assert traced(lambda: monitor.poll(force=True), "monitor.localize") == ["built"]
+                assert traced(lambda: monitor.poll(force=True), "monitor.localize") == [
+                    "built"
+                ] * len(touched)
                 controller.fabric.switch(leaf).tcam.install(rule)
                 controller.fabric.switch(leaf).tcam.remove(rule.match_key())
                 assert traced(lambda: monitor.poll(force=True), "monitor.localize") == ["reused"]
+                # The poll rebuilt the touched leaves; the untouched one kept
+                # its structure across the derivation.
+                built = system.stats()["risk_structures_built"]
                 assert traced(lambda: system.localize(scope="switch"), "scout.risk_model") == [
-                    "built"  # the second degraded leaf is new to this index
+                    "reused"
                 ]
+                assert system.stats()["risk_structures_built"] == built
             finally:
                 monitor.close()
 
@@ -634,9 +773,12 @@ class TestRiskStructureRidesTheIndex:
                 sys.setswitchinterval(1e-5)
                 try:
                     for serial in range(rounds):
-                        # A new index — no structure yet — and every degraded
+                        # An index with no fabric-wide structure — a pair
+                        # added and taken away again — and every degraded
                         # leaf dirty again, before either thread starts.
-                        _unattached_endpoint(controller, serial)
+                        undo, _ = _pair_up(controller)
+                        controller.build_index()
+                        undo()
                         for leaf, rule in removed.items():
                             tcam = controller.fabric.switch(leaf).tcam
                             tcam.install(rule)

@@ -694,6 +694,39 @@ class TestRestoreAgainstAMovedFabric:
         assert [item.switch_uid for item in fresh.store.active()] == [leaf.uid]
         fresh.close()
 
+    def test_an_engine_error_in_the_sweep_is_not_a_malformed_snapshot(
+        self, controller, monkeypatch
+    ):
+        """Only parsing the document can make it malformed: what the sweep
+        raises reaches the caller as itself, before any change."""
+        monitor = NetworkMonitor(controller)
+        monitor.start()
+        leaf = self._first_leaf(controller)
+        leaf.tcam.remove(leaf.tcam.match_keys()[0])
+        monitor.poll(force=True)
+        document = json.loads(json.dumps(monitor.snapshot()))
+        monitor.close()
+        document["clock"] = controller.clock.peek() + 50
+
+        def broken_engine(*args, **kwargs):
+            raise TypeError("engine bug")
+
+        fresh = NetworkMonitor(controller)
+        clock_before = controller.clock.peek()
+        monkeypatch.setattr(fresh.checkers[0].checker, "check_switch", broken_engine)
+        with pytest.raises(TypeError, match="engine bug"):
+            fresh.restore(document)
+        assert not fresh.running
+        assert len(fresh.store) == 0 and fresh.pending_events() == 0
+        assert fresh.stats()["restores"] == 0 and fresh.stats()["full_checks"] == 0
+        assert controller.clock.peek() == clock_before
+
+        monkeypatch.undo()
+        fresh.restore(document)
+        assert fresh.running
+        assert [item.switch_uid for item in fresh.store.active()] == [leaf.uid]
+        fresh.close()
+
 
 class TestSnapshotSize:
     def test_a_healthy_simulation_snapshot_is_a_few_kilobytes(self):

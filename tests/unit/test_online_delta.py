@@ -188,8 +188,9 @@ class TestPolicyBlastRadius:
         }
         assert 702 in ports
 
-    def test_add_operation_falls_back_to_rebuild(self, three_tier):
+    def test_add_operation_derives_the_index_too(self, three_tier):
         delta = checker_for(three_tier)
+        before = three_tier.controller.compile_stats()
         flt = Filter(
             uid="filter:webshop/new-port",
             name="new-port",
@@ -198,8 +199,12 @@ class TestPolicyBlastRadius:
         three_tier.controller.add_object("webshop", flt, detail="brand new filter")
         delta.note_policy_change(flt.uid, ObjectType.FILTER)
         delta.refresh()
-        assert delta.index_rebuilds == 1
-        assert delta.index_patches == 0
+        assert delta.index_rebuilds == 0
+        assert delta.index_patches == 1
+        # No contract lists the new filter: no pair moved, none compared.
+        after = three_tier.controller.compile_stats()
+        assert after["pairs_compared"] == before["pairs_compared"]
+        assert after["pairs_recompiled"] == before["pairs_recompiled"]
 
     def test_endpoint_change_dirties_epg_switches(self, three_tier):
         delta = checker_for(three_tier)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 
 import pytest
 
 from repro.online import NetworkMonitor
-from repro.service import cli
+from repro.service import app, cli
 from repro.service.cli import main_audit, main_service
 from repro.workloads import (
     deploy_profile,
@@ -120,6 +121,31 @@ class TestServiceOnce:
         out = capsys.readouterr().out
         assert code == 0 and "FAIL" not in out
         assert seen == [(True, 1, [incident.incident_id]), [incident.incident_id]]
+
+    def test_restore_onto_a_fabric_that_cannot_be_checked_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The restore sweep's VerificationError is one line and exit 2, the
+        way a malformed snapshot is, not a traceback."""
+        monitor = NetworkMonitor(deploy_profile("small"))
+        monitor.start()
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(monitor.snapshot()))
+        monitor.close()
+
+        def deploy_with_an_unencodable_rule(name, seed=None):
+            controller = deploy_profile(name, seed=seed)
+            tcam = controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0]).tcam
+            tcam.install(dataclasses.replace(tcam.rules()[0], port=70_000))
+            return controller
+
+        monkeypatch.setattr(app, "deploy_profile", deploy_with_an_unencodable_rule)
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(["--profile", "small", "--once", "--restore", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "70000" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [["--partitions", "2"], ["--no-trace"]])
     def test_removed_daemon_flags_are_usage_errors(self, flag, capsys):
