@@ -53,7 +53,7 @@ def run_large() -> None:
 
     print("== Scenario: large policy pushed onto an unresponsive switch ==")
     print(f"  unresponsive switch: {victim}")
-    print(f"  policy             : {controller.policy.summary()}")
+    print(f"  controller         : {controller.summary()}")
 
     system = ScoutSystem(controller)
     report = system.localize(scope="controller")

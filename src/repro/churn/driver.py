@@ -7,7 +7,11 @@ management action it performs flows through the *same* path production
 changes would: the controller change log and the fabric hooks publish typed
 events onto the bus, the monitor debounces them, and the incremental checker
 re-checks the blast radius against the controller's compiled policy — the
-driver never touches the incremental engine directly.
+driver never touches the incremental engine directly.  Pushes take that path
+too: every batch goes out through :meth:`Controller.push
+<repro.controller.controller.Controller.push>`, which books unreachable and
+partial deliveries in the controller fault log exactly as a deployment's,
+and where a push lands is read from the controller's index.
 
 Policy churn is pushed *incrementally*: a new tenant rule delivers only the
 five objects involved (VRF, filter, contract, both EPGs) to the switches
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..controller.compiler import (
+    SwitchBatch,
     build_instruction_batch_for_switch,
     compile_logical_rules,
 )
@@ -54,8 +59,9 @@ from ..faults.injector import FaultInjector
 from ..faults.physical import make_switch_unresponsive, restore_switch
 from ..obs import correlated, current_corr_id, dump_flightrecord, span
 from ..online.monitor import NetworkMonitor
+from ..policy.graph import PolicyIndex
 from ..policy.objects import Contract, Epg, Filter, FilterEntry
-from ..protocol import DeliveryStatus, Instruction, Operation
+from ..protocol import Instruction, Operation
 from ..verify.checker import EquivalenceReport
 from ..workloads.churn_profiles import ChurnProfile, churn_profile_for
 from ..workloads.scenarios import deploy_profile
@@ -219,7 +225,6 @@ class ChurnDriver:
         self._events_seen = 0
         #: switch uid -> last _events_seen value the drain covers.
         self._drained: Dict[str, int] = {}
-        self._epg_switches = self._attachment_map()
         self._last_checkpoint: Optional[CheckpointRecord] = None
         self._last_full_report: Optional[EquivalenceReport] = None
 
@@ -270,40 +275,11 @@ class ChurnDriver:
             fault_kinds=fault_kinds,
         )
 
-    def _attachment_map(self) -> Dict[str, Tuple[str, ...]]:
-        """EPG uid -> leaves hosting at least one of its endpoints (sorted)."""
-        per_epg: Dict[str, Set[str]] = {}
-        for endpoint in self.controller.policy.endpoints():
-            if endpoint.switch_uid is not None:
-                per_epg.setdefault(endpoint.epg_uid, set()).add(endpoint.switch_uid)
-        return {uid: tuple(sorted(switches)) for uid, switches in per_epg.items()}
-
     # ------------------------------------------------------------------ #
-    # Push plumbing (mirrors Controller.deploy's fault bookkeeping)
+    # Pushes (the controller's one push routine books their outcome)
     # ------------------------------------------------------------------ #
-    def _deliver(
-        self,
-        switch_uid: str,
-        instructions: Sequence[Instruction],
-        attachments: Sequence = (),
-    ) -> None:
-        report = self.controller.channel.deliver(
-            switch_uid, list(instructions), list(attachments)
-        )
-        if report.status is DeliveryStatus.UNREACHABLE:
-            self.controller.fault_log.raise_fault(
-                self.clock.peek(),
-                switch_uid,
-                FaultCode.SWITCH_UNREACHABLE,
-                detail="churn push failed: switch did not acknowledge instructions",
-            )
-        elif report.status is DeliveryStatus.PARTIAL:
-            self.controller.fault_log.raise_fault(
-                self.clock.peek(),
-                switch_uid,
-                FaultCode.CHANNEL_DISRUPTION,
-                detail=f"{report.dropped} churn instruction(s) were not applied",
-            )
+    def _push(self, batches: Dict[str, SwitchBatch]) -> None:
+        self.controller.push(batches, "churn", "churn instruction(s)")
 
     def _push_objects(
         self, objs: Sequence[Tuple[Operation, object]], switches: Sequence[str]
@@ -314,19 +290,18 @@ class ChurnDriver:
             Instruction(operation=operation, obj=obj, sequence=seq, issued_at=issued_at)
             for seq, (operation, obj) in enumerate(objs)
         ]
-        for switch_uid in sorted(set(switches)):
-            self._deliver(switch_uid, instructions)
+        self._push({switch_uid: (instructions, []) for switch_uid in switches})
 
     def _resync(self, switch_uid: str) -> None:
         """Re-push one switch's full batch (post-flap/reboot/drain recovery)."""
-        instructions, attachments = build_instruction_batch_for_switch(
+        batch = build_instruction_batch_for_switch(
             self.controller.policy,
             switch_uid,
             index=self.controller.build_index(),
             operation=Operation.ADD,
             issued_at=self.clock.peek(),
         )
-        self._deliver(switch_uid, instructions, attachments)
+        self._push({switch_uid: batch})
 
     # ------------------------------------------------------------------ #
     # Target draws (sorted candidates + per-event RNG = deterministic)
@@ -339,14 +314,12 @@ class ChurnDriver:
             if uid not in self._drained
         ]
 
-    def _eligible_vrfs(self) -> Dict[str, List[str]]:
+    def _eligible_vrfs(self, index: PolicyIndex) -> Dict[str, List[str]]:
         """VRF uid -> sorted EPGs with attached endpoints (>= 2 per VRF)."""
-        policy = self.controller.policy
         by_vrf: Dict[str, List[str]] = {}
-        for epg_uid in sorted(self._epg_switches):
-            if epg_uid not in policy:
-                continue
-            by_vrf.setdefault(policy.get(epg_uid).vrf_uid, []).append(epg_uid)
+        for epg in sorted(self.controller.policy.epgs(), key=lambda epg: epg.uid):
+            if index.switches_for_epg(epg.uid):
+                by_vrf.setdefault(epg.vrf_uid, []).append(epg.uid)
         return {vrf: epgs for vrf, epgs in by_vrf.items() if len(epgs) >= 2}
 
     @staticmethod
@@ -411,7 +384,11 @@ class ChurnDriver:
 
     def _apply_add(self, event: PolicyAdd) -> Dict:
         rng = random.Random(event.draw_seed)
-        by_vrf = self._eligible_vrfs()
+        # Placement is read before the first edit: deriving an index between
+        # the edits and the next compile would cost that compile its
+        # one-step lineage (every pair compared instead of the moved ones).
+        index = self.controller.build_index()
+        by_vrf = self._eligible_vrfs(index)
         if not by_vrf:
             return self._skip(event, "no VRF with two attached EPGs")
         vrf_uid = rng.choice(sorted(by_vrf))
@@ -435,8 +412,8 @@ class ChurnDriver:
         provider = self._rewire_epg(provider_uid, provides_add={contract.uid})
         switches = tuple(
             sorted(
-                set(self._epg_switches.get(consumer_uid, ()))
-                | set(self._epg_switches.get(provider_uid, ()))
+                set(index.switches_for_epg(consumer_uid))
+                | set(index.switches_for_epg(provider_uid))
             )
         )
         vrf = policy.get(vrf_uid)

@@ -19,7 +19,7 @@ The channel models exactly those two failure modes:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..fabric.fabric import Fabric
 from ..fabric.switch import AgentState
@@ -106,13 +106,3 @@ class ControlChannel:
             dropped=dropped,
             detail=detail,
         )
-
-    def broadcast(
-        self,
-        batches: Dict[str, tuple[List[Instruction], List[AttachEndpoint]]],
-    ) -> Dict[str, DeliveryReport]:
-        """Deliver every per-switch batch; returns the per-switch reports."""
-        return {
-            switch_uid: self.deliver(switch_uid, instructions, attachments)
-            for switch_uid, (instructions, attachments) in sorted(batches.items())
-        }

@@ -2,8 +2,9 @@
 
 The controller owns the desired state (the :class:`NetworkPolicy`), compiles
 it into per-switch instructions and logical rules, pushes instructions over
-the :class:`~repro.controller.channel.ControlChannel`, and maintains the two
-logs the SCOUT system consumes:
+the :class:`~repro.controller.channel.ControlChannel` — every push, a
+deployment's or a churn event's, through :meth:`Controller.push` — and
+maintains the two logs the SCOUT system consumes:
 
 * the **change log** — every management action on a policy object;
 * the **controller fault log** — reachability problems it observes while
@@ -24,7 +25,7 @@ import contextvars
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from ..clock import LogicalClock
 from ..exceptions import DeploymentError
@@ -39,7 +40,7 @@ from ..protocol import DeliveryReport, DeliveryStatus, Operation
 from ..rules import RuleSequence
 from .changelog import ChangeLog
 from .channel import ControlChannel
-from .compiler import CompiledRules, build_instruction_batches
+from .compiler import CompiledRules, SwitchBatch, build_instruction_batches
 
 __all__ = ["CompiledPolicy", "Controller"]
 
@@ -179,7 +180,9 @@ class Controller:
         """
         return self._compiled_policy().index
 
-    def logical_rules(self, index: Optional[PolicyIndex] = None) -> Dict[str, RuleSequence]:
+    def logical_rules(
+        self, index: Optional[PolicyIndex] = None
+    ) -> Dict[str, RuleSequence]:
         """The L-type rules: what every leaf should hold (desired state).
 
         Per switch equal to ``compile_logical_rules(self.policy)`` — same
@@ -248,44 +251,62 @@ class Controller:
     ) -> Dict[str, DeliveryReport]:
         """Push the full desired state to every leaf switch.
 
-        Returns the per-switch delivery reports.  Unreachable switches are
-        logged in the controller fault log (and remain logged as active until
-        a later deployment reaches them again).
+        Returns the per-switch delivery reports, booked like every push
+        (:meth:`push`).
         """
         self.clock.tick()
         if record_initial_changes:
             self._record_initial_changes()
         index = index or self.build_index()
         batches = build_instruction_batches(
-            self.policy, index=index, operation=Operation.ADD, issued_at=self.clock.peek()
+            self.policy,
+            index=index,
+            operation=Operation.ADD,
+            issued_at=self.clock.peek(),
         )
         if not batches:
             raise DeploymentError(
                 "nothing to deploy: no endpoint of the policy is attached to a switch"
             )
-        reports = self.channel.broadcast(batches)
-        for switch_uid, report in reports.items():
-            if report.status is DeliveryStatus.UNREACHABLE:
-                self.fault_log.raise_fault(
-                    self.clock.peek(),
-                    switch_uid,
-                    FaultCode.SWITCH_UNREACHABLE,
-                    detail="deployment push failed: switch did not acknowledge instructions",
-                )
-            elif report.status is DeliveryStatus.PARTIAL:
-                self.fault_log.raise_fault(
-                    self.clock.peek(),
-                    switch_uid,
-                    FaultCode.CHANNEL_DISRUPTION,
-                    detail=f"{report.dropped} instruction(s) were not applied",
-                )
+        reports = self.push(batches, "deployment", "instruction(s)")
         self.deployment_reports.append(reports)
+        return reports
+
+    def push(
+        self, batches: Mapping[str, SwitchBatch], kind: str, unit: str
+    ) -> Dict[str, DeliveryReport]:
+        """Deliver per-switch batches in switch-uid order and book each
+        outcome in the controller fault log: every push to a switch goes
+        through here, a deployment's and a churn event's alike.
+
+        A switch that took nothing is logged unreachable ("``kind`` push
+        failed"), one that lost part of its batch as a channel disruption
+        ("N ``unit`` were not applied").  A batch that landed whole clears
+        the switch's earlier records: the switch is reachable again.
+        """
+        now = self.clock.peek()
+        reports = {}
+        for switch_uid, (instructions, attachments) in sorted(batches.items()):
+            report = self.channel.deliver(switch_uid, instructions, attachments)
+            reports[switch_uid] = report
+            if report.status is DeliveryStatus.DELIVERED:
+                self.fault_log.clear_device(switch_uid, now)
+                continue
+            if report.status is DeliveryStatus.UNREACHABLE:
+                code = FaultCode.SWITCH_UNREACHABLE
+                detail = f"{kind} push failed: switch did not acknowledge instructions"
+            else:
+                code = FaultCode.CHANNEL_DISRUPTION
+                detail = f"{report.dropped} {unit} were not applied"
+            self.fault_log.raise_fault(now, switch_uid, code, detail)
         return reports
 
     # ------------------------------------------------------------------ #
     # Policy mutation (management actions)
     # ------------------------------------------------------------------ #
-    def add_object(self, tenant_name: str, obj: PolicyObject, detail: str = "") -> None:
+    def add_object(
+        self, tenant_name: str, obj: PolicyObject, detail: str = ""
+    ) -> None:
         """Add a new object to the desired state and record the change."""
         tenant = self.policy.tenants[tenant_name]
         adders = {
@@ -302,39 +323,38 @@ class Controller:
         self.clock.tick()
         self.record_change(obj, Operation.ADD, detail=detail)
 
-    def modify_object(self, tenant_name: str, obj: PolicyObject, detail: str = "") -> None:
+    def modify_object(
+        self, tenant_name: str, obj: PolicyObject, detail: str = ""
+    ) -> None:
         """Replace an existing object in the desired state and record the change."""
-        tenant = self.policy.tenants[tenant_name]
-        tables = {
-            "vrf": tenant.vrfs,
-            "epg": tenant.epgs,
-            "contract": tenant.contracts,
-            "filter": tenant.filters,
-            "endpoint": tenant.endpoints,
-        }
-        table = tables.get(obj.object_type.value)
-        if table is None or obj.uid not in table:
-            raise DeploymentError(f"cannot modify unknown object {obj.uid!r}")
-        table[obj.uid] = obj
+        self._table_holding(tenant_name, obj, "modify")[obj.uid] = obj
         self.clock.tick()
         self.record_change(obj, Operation.MODIFY, detail=detail)
 
-    def delete_object(self, tenant_name: str, obj: PolicyObject, detail: str = "") -> None:
+    def delete_object(
+        self, tenant_name: str, obj: PolicyObject, detail: str = ""
+    ) -> None:
         """Remove an object from the desired state and record the change."""
+        del self._table_holding(tenant_name, obj, "delete")[obj.uid]
+        self.clock.tick()
+        self.record_change(obj, Operation.DELETE, detail=detail)
+
+    def _table_holding(
+        self, tenant_name: str, obj: PolicyObject, action: str
+    ) -> Dict[str, PolicyObject]:
+        """The tenant table holding ``obj``'s uid (``action`` names the edit
+        a :class:`DeploymentError` refuses when there is none)."""
         tenant = self.policy.tenants[tenant_name]
-        tables = {
+        table = {
             "vrf": tenant.vrfs,
             "epg": tenant.epgs,
             "contract": tenant.contracts,
             "filter": tenant.filters,
             "endpoint": tenant.endpoints,
-        }
-        table = tables.get(obj.object_type.value)
+        }.get(obj.object_type.value)
         if table is None or obj.uid not in table:
-            raise DeploymentError(f"cannot delete unknown object {obj.uid!r}")
-        del table[obj.uid]
-        self.clock.tick()
-        self.record_change(obj, Operation.DELETE, detail=detail)
+            raise DeploymentError(f"cannot {action} unknown object {obj.uid!r}")
+        return table
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -351,6 +371,7 @@ class Controller:
     def summary(self) -> Dict[str, int]:
         return {
             **self.policy.summary(),
+            "epg_pairs": len(self.build_index().pairs),
             "deployments": len(self.deployment_reports),
             "change_records": len(self.change_log),
             "controller_faults": len(self.fault_log),

@@ -107,11 +107,6 @@ class LeafSpineTopology:
             raise FabricError(f"unknown switch {uid!r}")
         return self._roles[uid]
 
-    def neighbors(self, uid: str) -> List[str]:
-        if uid not in self._roles:
-            raise FabricError(f"unknown switch {uid!r}")
-        return sorted(self._links[uid])
-
     def _walk(self, src: str) -> Dict[str, Optional[str]]:
         """Breadth-first from ``src``: every switch reached → the one it was
         reached from (``None`` for ``src`` itself)."""

@@ -19,7 +19,6 @@ from .objects import (
     PolicyObject,
     Vrf,
     object_sort_key,
-    pairs_from_epgs,
 )
 from .serialization import (
     policy_from_dict,
@@ -47,7 +46,6 @@ __all__ = [
     "Vrf",
     "epg_pairs_per_object",
     "object_sort_key",
-    "pairs_from_epgs",
     "policy_from_dict",
     "policy_from_json",
     "policy_issues",

@@ -13,8 +13,9 @@ workload generators:
 >>> builder.allow(web, app, filters=[http], contract="Web-App")
 'contract:acme/Web-App'
 >>> policy = builder.build()
->>> policy.summary()["epg_pairs"]
-1
+>>> from repro.policy import PolicyIndex
+>>> PolicyIndex(policy).pairs
+[EpgPair('epg:acme/App', 'epg:acme/Web')]
 
 which reproduces the 3-tier web example of the paper's Figure 1 in a handful
 of lines (see ``examples/quickstart.py``).

@@ -1,11 +1,9 @@
 """Policy dependency index.
 
 :class:`PolicyIndex` — flat maps between EPG pairs, policy objects and
-switches.  The risk models, the rule compiler and the experiments all go
-through the index because the naive per-query traversals in
-:class:`~repro.policy.tenant.NetworkPolicy` become too slow at the paper's
-production-cluster scale (hundreds of EPGs, tens of thousands of pairs).
-An edited policy's index is derived from the previous one and costs what
+switches.  It is the one place the controller derives them: the risk
+models, the rule compiler, the churn driver and the experiments all read
+it.  An edited policy's index is derived from the previous one and costs what
 the edit touches (:meth:`PolicyIndex.derive`).
 """
 
@@ -272,7 +270,7 @@ class PolicyIndex:
                     # so cross-VRF provide/consume relations (possible when a
                     # contract is reused by several tenant tiers) whitelist
                     # nothing and are excluded everywhere consistently (see
-                    # pairs_from_epgs and SwitchAgent.desired_rules).
+                    # SwitchAgent.desired_rules).
                     if other != epg_uid and epgs[other].vrf_uid == epg.vrf_uid:
                         found[EpgPair(epg_uid, other)].add(contract_uid)
             for contract_uid in epg.consumes:

@@ -29,9 +29,8 @@ an auxiliary relation store.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "ObjectType",
@@ -297,21 +296,3 @@ def object_sort_key(obj: PolicyObject) -> tuple[int, str]:
     documents are stable across runs.
     """
     return (_TYPE_ORDER[obj.object_type], obj.uid)
-
-
-def pairs_from_epgs(epgs: Iterable[Epg]) -> list[EpgPair]:
-    """Derive all EPG pairs implied by provide/consume contract relations.
-
-    Two EPGs form a pair when one consumes a contract the other provides and
-    both live in the same VRF — the VRF is the L3 scope of the policy, so
-    contract relations that happen to span VRFs (e.g. through contract reuse)
-    do not whitelist any traffic.  The result is sorted for determinism.
-    """
-    epg_list = list(epgs)
-    pairs: set[EpgPair] = set()
-    for epg_a, epg_b in itertools.combinations(epg_list, 2):
-        if epg_a.vrf_uid != epg_b.vrf_uid:
-            continue
-        if (epg_a.consumes & epg_b.provides) or (epg_b.consumes & epg_a.provides):
-            pairs.add(EpgPair(epg_a.uid, epg_b.uid))
-    return sorted(pairs)

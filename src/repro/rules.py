@@ -28,7 +28,6 @@ __all__ = [
     "rules_for_pair_entry",
     "rules_for_pair",
     "missing_matches",
-    "group_rules_by_switch",
 ]
 
 #: Rule actions.  The policy model is whitelisting, so compiled rules are
@@ -301,13 +300,3 @@ def missing_matches(expected: Iterable[TcamRule], deployed: Iterable[TcamRule]) 
     """
     deployed_keys = {rule.match_key() for rule in deployed}
     return [rule for rule in expected if rule.match_key() not in deployed_keys]
-
-
-def group_rules_by_switch(
-    rules_by_switch: dict[str, List[TcamRule]],
-) -> dict[str, dict[MatchKey, TcamRule]]:
-    """Index per-switch rule lists by match key (helper for checkers/tests)."""
-    return {
-        switch: {rule.match_key(): rule for rule in rules}
-        for switch, rules in rules_by_switch.items()
-    }

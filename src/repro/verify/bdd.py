@@ -69,15 +69,6 @@ class BDD:
             self._unique[key] = node
         return node
 
-    def var_of(self, node: int) -> int:
-        return self._nodes[node][0]
-
-    def low_of(self, node: int) -> int:
-        return self._nodes[node][1]
-
-    def high_of(self, node: int) -> int:
-        return self._nodes[node][2]
-
     def node_count(self) -> int:
         """Total number of nodes allocated by the manager (including terminals)."""
         return len(self._nodes)

@@ -26,6 +26,7 @@ from ..exceptions import WorkloadError
 from ..fabric.fabric import Fabric
 from ..fabric.topology import LeafSpineTopology
 from ..policy.builder import PolicyBuilder
+from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair
 from ..policy.tenant import NetworkPolicy
 from ..policy.validation import validate_policy
@@ -53,7 +54,11 @@ class GeneratedWorkload:
     endpoint_uids: List[str] = field(default_factory=list)
 
     def summary(self) -> Dict[str, int]:
-        return {**self.policy.summary(), "leaves": len(self.fabric.leaf_uids())}
+        return {
+            **self.policy.summary(),
+            "epg_pairs": len(PolicyIndex(self.policy).pairs),
+            "leaves": len(self.fabric.leaf_uids()),
+        }
 
 
 def _zipf_weights(count: int, skew: float) -> List[float]:

@@ -5,7 +5,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ScoreLocalizer, ScoutLocalizer
-from repro.policy import PolicyBuilder, policy_from_json, policy_to_json, validate_policy
+from repro.policy import (
+    PolicyBuilder,
+    PolicyIndex,
+    policy_from_json,
+    policy_to_json,
+    validate_policy,
+)
 from repro.risk import RiskModel
 
 
@@ -117,13 +123,14 @@ class TestPolicyProperties:
     def test_serialization_round_trip(self, policy):
         restored = policy_from_json(policy_to_json(policy))
         assert restored.summary() == policy.summary()
-        assert restored.epg_pairs() == policy.epg_pairs()
+        original, copy = PolicyIndex(policy), PolicyIndex(restored)
+        assert copy.pairs == original.pairs
+        for pair in original.pairs:
+            assert copy.risks_for_pair(pair) == original.risks_for_pair(pair)
 
     @given(random_policies())
     @settings(max_examples=50, deadline=None)
     def test_pair_risk_symmetry(self, policy):
-        from repro.policy import PolicyIndex
-
         index = PolicyIndex(policy)
         for pair in index.pairs:
             risks = index.risks_for_pair(pair)

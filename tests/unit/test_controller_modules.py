@@ -211,5 +211,6 @@ class TestController:
         controller = Controller(policy, fabric)
         controller.deploy()
         summary = controller.summary()
+        assert summary["epgs"] == 3 and summary["epg_pairs"] == 2
         assert summary["deployments"] == 1
         assert summary["change_records"] == len(controller.change_log)

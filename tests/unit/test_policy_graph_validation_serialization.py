@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.policy import (
-    EpgPair,
     PolicyIndex,
     epg_pairs_per_object,
     policy_from_dict,
@@ -28,16 +27,21 @@ def web_policy():
     return builder.build(), uids
 
 
-class TestPolicyIndex:
-    def test_index_matches_policy_queries(self, web_policy):
-        policy, uids = web_policy
-        index = PolicyIndex(policy)
-        assert set(index.pairs) == set(policy.epg_pairs())
-        pair = EpgPair(uids["web"], uids["app"])
-        assert set(index.risks_for_pair(pair)) == set(policy.shared_risks_for_pair(pair))
-        assert index.switches_for_pair(pair) == policy.switches_for_pair(pair)
-        assert index.pairs_on_switch("leaf-2") == policy.pairs_on_switch("leaf-2")
+def dependency_maps(policy):
+    """Everything the policy's index says per pair, in pair order."""
+    index = PolicyIndex(policy)
+    return [
+        (
+            pair,
+            index.contracts_for_pair(pair),
+            index.risks_for_pair(pair),
+            index.switches_for_pair(pair),
+        )
+        for pair in index.pairs
+    ]
 
+
+class TestPolicyIndex:
     def test_pairs_for_object_includes_switches(self, web_policy):
         policy, uids = web_policy
         index = PolicyIndex(policy)
@@ -150,9 +154,8 @@ class TestSerialization:
     def test_round_trip_preserves_relations_and_pairs(self, web_policy):
         policy, _ = web_policy
         restored = policy_from_json(policy_to_json(policy))
-        assert restored.epg_pairs() == policy.epg_pairs()
-        for pair in policy.epg_pairs():
-            assert restored.shared_risks_for_pair(pair) == policy.shared_risks_for_pair(pair)
+        assert len(PolicyIndex(policy).pairs) == 2
+        assert dependency_maps(restored) == dependency_maps(policy)
 
     def test_round_trip_preserves_endpoint_attachment(self, web_policy):
         policy, _ = web_policy
@@ -171,3 +174,4 @@ class TestSerialization:
         policy = tiny_workload.policy
         restored = policy_from_json(policy_to_json(policy))
         assert restored.summary() == policy.summary()
+        assert dependency_maps(restored) == dependency_maps(policy)

@@ -13,8 +13,9 @@ from repro.policy.objects import (
     ObjectType,
     Vrf,
     object_sort_key,
-    pairs_from_epgs,
 )
+from repro.policy.graph import PolicyIndex
+from repro.policy.tenant import NetworkPolicy, Tenant
 
 
 class TestFilterEntry:
@@ -106,28 +107,40 @@ class TestEpgPair:
 
 
 class TestPairsFromEpgs:
+    """Which EPGs pair up, as the policy's index derives it."""
+
     def _epg(self, name, vrf="vrf:t/v1", provides=(), consumes=()):
         return Epg(
             uid=f"epg:t/{name}", name=name, vrf_uid=vrf, epg_id=hash(name) % 1000,
             provides=frozenset(provides), consumes=frozenset(consumes),
         )
 
+    def _pairs(self, *epgs):
+        tenant = Tenant(name="t")
+        for scope, uid in enumerate(("vrf:t/v1", "vrf:t/v2"), start=1):
+            tenant.add_vrf(Vrf(uid=uid, name=uid, scope_id=scope))
+        tenant.add_filter(Filter(uid="filter:t/f", name="f", entries=(FilterEntry("tcp", 80),)))
+        tenant.add_contract(Contract(uid="contract:t/c", name="c", filter_uids=("filter:t/f",)))
+        for epg in epgs:
+            tenant.add_epg(epg)
+        return PolicyIndex(NetworkPolicy([tenant])).pairs
+
     def test_pair_requires_matching_contract(self):
         web = self._epg("web", consumes={"contract:t/c"})
         app = self._epg("app", provides={"contract:t/c"})
         db = self._epg("db")
-        pairs = pairs_from_epgs([web, app, db])
+        pairs = self._pairs(web, app, db)
         assert pairs == [EpgPair("epg:t/web", "epg:t/app")]
 
     def test_cross_vrf_relations_do_not_form_pairs(self):
         web = self._epg("web", vrf="vrf:t/v1", consumes={"contract:t/c"})
         app = self._epg("app", vrf="vrf:t/v2", provides={"contract:t/c"})
-        assert pairs_from_epgs([web, app]) == []
+        assert self._pairs(web, app) == []
 
     def test_symmetric_direction(self):
         a = self._epg("a", provides={"contract:t/c"})
         b = self._epg("b", consumes={"contract:t/c"})
-        assert pairs_from_epgs([a, b]) == [EpgPair("epg:t/a", "epg:t/b")]
+        assert self._pairs(a, b) == [EpgPair("epg:t/a", "epg:t/b")]
 
     def test_no_pairs_without_relations(self):
-        assert pairs_from_epgs([self._epg("a"), self._epg("b")]) == []
+        assert self._pairs(self._epg("a"), self._epg("b")) == []

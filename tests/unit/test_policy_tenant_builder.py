@@ -7,6 +7,7 @@ from repro.policy import (
     EpgPair,
     NetworkPolicy,
     PolicyBuilder,
+    PolicyIndex,
     Tenant,
     three_tier_policy,
     validate_policy,
@@ -56,18 +57,20 @@ class TestNetworkPolicy:
         assert summary["epgs"] == 3
         assert summary["contracts"] == 2
         assert summary["endpoints"] == 3
-        assert summary["epg_pairs"] == 2
 
+    # The dependency queries of Figure 1, answered by the policy's index.
     def test_epg_pairs_match_figure1(self, web_policy):
         policy, uids = web_policy
-        pairs = policy.epg_pairs()
+        pairs = PolicyIndex(policy).pairs
+        assert len(pairs) == 2
         assert EpgPair(uids["web"], uids["app"]) in pairs
         assert EpgPair(uids["app"], uids["db"]) in pairs
         assert EpgPair(uids["web"], uids["db"]) not in pairs
 
     def test_shared_risks_for_pair(self, web_policy):
         policy, uids = web_policy
-        risks = policy.shared_risks_for_pair(EpgPair(uids["web"], uids["app"]))
+        index = PolicyIndex(policy)
+        risks = index.risks_for_pair(EpgPair(uids["web"], uids["app"]))
         assert uids["vrf"] in risks
         assert uids["web"] in risks and uids["app"] in risks
         assert uids["web_app_contract"] in risks
@@ -76,18 +79,20 @@ class TestNetworkPolicy:
 
     def test_pairs_for_object(self, web_policy):
         policy, uids = web_policy
-        vrf_pairs = policy.pairs_for_object(uids["vrf"])
+        index = PolicyIndex(policy)
+        vrf_pairs = index.pairs_for_object(uids["vrf"])
         assert len(vrf_pairs) == 2
-        filter_pairs = policy.pairs_for_object(uids["filter_http"])
+        filter_pairs = index.pairs_for_object(uids["filter_http"])
         assert len(filter_pairs) == 2  # port 80 allowed on both contracts
 
     def test_switch_queries(self, web_policy):
         policy, uids = web_policy
-        assert policy.switches_for_epg(uids["web"]) == ["leaf-1"]
-        s2_pairs = policy.pairs_on_switch("leaf-2")
+        index = PolicyIndex(policy)
+        assert index.switches_for_epg(uids["web"]) == ["leaf-1"]
+        s2_pairs = index.pairs_on_switch("leaf-2")
         assert set(s2_pairs) == {EpgPair(uids["web"], uids["app"]), EpgPair(uids["app"], uids["db"])}
-        assert policy.switches_for_pair(EpgPair(uids["web"], uids["app"])) == ["leaf-1", "leaf-2"]
-        assert policy.all_switches() == ["leaf-1", "leaf-2", "leaf-3"]
+        assert index.switches_for_pair(EpgPair(uids["web"], uids["app"])) == ["leaf-1", "leaf-2"]
+        assert index.all_switches() == ["leaf-1", "leaf-2", "leaf-3"]
 
     def test_tenant_of(self, web_policy):
         policy, uids = web_policy
@@ -126,7 +131,7 @@ class TestPolicyBuilder:
         policy = builder.build()
         assert contract in policy
         assert policy.summary()["filters"] == 1
-        assert policy.epg_pairs() == [EpgPair(a, b)]
+        assert PolicyIndex(policy).pairs == [EpgPair(a, b)]
 
     def test_allow_requires_filters_or_entries(self):
         builder = PolicyBuilder("t")

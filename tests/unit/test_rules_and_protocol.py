@@ -6,7 +6,6 @@ from repro.policy.objects import Epg, EpgPair, Filter, FilterEntry, Vrf
 from repro.protocol import AttachEndpoint, DeliveryReport, DeliveryStatus, Instruction, Operation
 from repro.rules import (
     TcamRule,
-    group_rules_by_switch,
     missing_matches,
     rules_for_pair,
     rules_for_pair_entry,
@@ -87,12 +86,6 @@ class TestRuleRendering:
         assert missing_matches(rules, rules) == []
         assert missing_matches(rules, rules[:1]) == [rules[1]]
         assert len(missing_matches(rules, [])) == 2
-
-    def test_group_rules_by_switch(self, objects):
-        vrf, web, app, http = objects
-        rules = rules_for_pair_entry(vrf, web, app, "c", http.uid, http.entries[0])
-        grouped = group_rules_by_switch({"leaf-1": rules})
-        assert set(grouped["leaf-1"].keys()) == {r.match_key() for r in rules}
 
 
 class TestProtocol:

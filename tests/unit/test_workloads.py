@@ -55,7 +55,7 @@ class TestGenerator:
     def test_generated_policy_is_valid_and_sized(self, tiny_workload):
         policy = tiny_workload.policy
         validate_policy(policy)
-        summary = policy.summary()
+        summary = tiny_workload.summary()
         assert summary["epgs"] == tiny_workload.profile.num_epgs
         assert summary["epg_pairs"] >= tiny_workload.profile.target_pairs
         assert summary["endpoints"] >= tiny_workload.profile.num_epgs
@@ -63,7 +63,7 @@ class TestGenerator:
     def test_generation_is_deterministic(self, tiny_profile):
         a = generate_workload(tiny_profile)
         b = generate_workload(tiny_profile)
-        assert a.policy.summary() == b.policy.summary()
+        assert a.summary() == b.summary()
         assert [ep.switch_uid for ep in a.policy.endpoints()] == [
             ep.switch_uid for ep in b.policy.endpoints()
         ]
@@ -71,7 +71,7 @@ class TestGenerator:
     def test_different_seed_changes_policy(self, tiny_profile):
         a = generate_workload(tiny_profile, seed=1)
         b = generate_workload(tiny_profile, seed=2)
-        assert a.policy.summary() != b.policy.summary() or [
+        assert a.summary() != b.summary() or [
             ep.switch_uid for ep in a.policy.endpoints()
         ] != [ep.switch_uid for ep in b.policy.endpoints()]
 
