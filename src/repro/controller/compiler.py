@@ -26,7 +26,7 @@ from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, PolicyObject
 from ..policy.tenant import NetworkPolicy
 from ..protocol import AttachEndpoint, Instruction, Operation
-from ..rules import MatchKey, RuleSequence, TcamRule, rules_for_pair
+from ..rules import MatchKey, RuleSequence, TcamRule, pair_render_key, rules_for_pair
 
 __all__ = [
     "CompiledRules",
@@ -51,8 +51,9 @@ def pair_inputs(index: PolicyIndex, pair) -> Tuple:
     """Everything one EPG pair's rules are a function of.
 
     The arguments of :func:`~repro.rules.rules_for_pair` — VRF, both EPGs,
-    and per contract its filters — as one tuple of frozen policy objects, so
-    two compiles can tell by comparison that a pair did not change.
+    and per contract its filters — as one tuple of frozen policy objects.
+    Two compiles tell that a pair's rules did not change by its
+    :func:`~repro.rules.pair_render_key`, not by these whole objects.
     """
     epg_a = index.epg(pair.first)
     epg_b = index.epg(pair.second)
@@ -68,6 +69,12 @@ def pair_inputs(index: PolicyIndex, pair) -> Tuple:
                 continue
         contracts.append((contract_uid, tuple(filters)))
     return vrf, epg_a, epg_b, tuple(contracts)
+
+
+def _renders_alike(held: Tuple, inputs: Tuple) -> bool:
+    """Whether two :func:`pair_inputs` render the same rules: whether their
+    :func:`~repro.rules.pair_render_key` agree."""
+    return pair_render_key(*held) == pair_render_key(*inputs)
 
 
 def compile_pair_rules(index: PolicyIndex, pair) -> List[TcamRule]:
@@ -113,10 +120,12 @@ class CompiledRules:
     rules (and their match keys, derived once per render) under the
     :func:`pair_inputs` they were rendered from and ``parts`` each switch's
     pair renders, so :meth:`build` over an edited policy re-renders only
-    pairs whose inputs differ and re-assembles only switches one of whose
-    pairs was re-rendered.  A switch that was not re-assembled keeps its
-    previous :class:`~repro.rules.RuleSequence` *object*, which is how a
-    holder of the previous compile tells what moved.
+    pairs whose :func:`~repro.rules.pair_render_key` differs — not a pair
+    one of whose EPGs only gained or lost a contract — and re-assembles
+    only switches one of whose pairs was re-rendered.  A switch that was
+    not re-assembled keeps its previous :class:`~repro.rules.RuleSequence`
+    *object*, which is how a holder of the previous compile tells what
+    moved.
     """
 
     index: PolicyIndex
@@ -136,8 +145,8 @@ class CompiledRules:
 
         When ``index`` was derived from ``previous.index`` only the pairs
         that derivation moved (:meth:`PolicyIndex.pairs_moved_since`) have
-        their inputs compared; every other pair's render is
-        ``previous``'s.  Otherwise every pair's inputs are.
+        their render keys compared; every other pair's render is
+        ``previous``'s.  Otherwise every pair's key is.
         """
         known_pairs, moved = {}, None
         if previous is not None:
@@ -150,7 +159,7 @@ class CompiledRules:
             if known is None or moved is None or pair in moved:
                 inputs = pair_inputs(index, pair)
                 pairs_compared += 1
-                if known is None or known[0] != inputs:
+                if known is None or not _renders_alike(known[0], inputs):
                     rules = tuple(rules_for_pair(*inputs))
                     known = (inputs, (rules, tuple(rule.match_key() for rule in rules)))
                     pairs_recompiled += 1

@@ -31,10 +31,10 @@ wrapping :class:`repro.controller.changelog.ChangeLog` with a recency window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Protocol, Set
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Iterable, Optional, Protocol, Set, Tuple
 
-from ..controller.changelog import ChangeLog
+from ..controller.changelog import ChangeLog, ChangeRecord
 from ..obs import span
 from ..risk.model import RiskModel
 from .hypothesis import Hypothesis, HypothesisEntry, SelectionReason
@@ -79,12 +79,32 @@ class RecentChangeOracle:
     operator runs localization long after the offending change.  Candidates
     whose latest records tie on the timestamp are *all* returned, so the
     result never depends on iteration order.
+
+    The recency map is computed once per ``(change log, reference, window,
+    len(change log))``: the log is append-only, so its next append — like
+    a new ``now`` or ``window`` — retires the memo.
     """
 
     change_log: ChangeLog
     window: int = 100
     now: Optional[int] = None
     fallback_latest: bool = True
+    _recency: Optional[Tuple[Tuple, Dict[str, ChangeRecord]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _recent(self) -> Dict[str, ChangeRecord]:
+        """``change_log.recently_changed_objects`` at the oracle's reference."""
+        log = self.change_log
+        reference = self.now if self.now is not None else log.last_timestamp()
+        key = (log, reference, self.window, len(log))
+        held = self._recency
+        if held is not None and held[0] == key:
+            return held[1]
+        with span("scout.recency", records=len(log)):
+            recent = log.recently_changed_objects(reference, self.window)
+        self._recency = (key, recent)
+        return recent
 
     def recently_changed(self, candidates: Iterable[Hashable]) -> Set[Hashable]:
         # Distinct candidates may share a change-log uid: keep them all, so
@@ -96,8 +116,7 @@ class RecentChangeOracle:
                 by_uid.setdefault(uid, set()).add(candidate)
         if not by_uid:
             return set()
-        reference = self.now if self.now is not None else self.change_log.last_timestamp()
-        recent = self.change_log.recently_changed_objects(reference, self.window)
+        recent = self._recent()
         selected = {
             candidate
             for uid, group in by_uid.items()

@@ -32,7 +32,7 @@ from ..exceptions import FabricError
 from ..obs import span
 from ..policy.objects import Contract, Epg, Filter, PolicyObject, Vrf
 from ..protocol import AttachEndpoint, Instruction, Operation
-from ..rules import MatchKey, TcamRule, rules_for_pair_entry
+from ..rules import MatchKey, TcamRule, render_key, rules_for_pair_entry
 from .faultlog import FaultCode, FaultLogBook
 from .tcam import InstallOutcome, TcamTable
 from .topology import SwitchRole
@@ -53,6 +53,16 @@ LastRender = Tuple[Dict[RenderUnit, int], list, List[int], List[MatchKey], List[
 
 #: Contract, provider, consumer, VRF, the contract's filters.
 _UNIT_INPUTS = 5
+
+
+def _unit_key(inputs: Sequence) -> list:
+    """The :func:`~repro.rules.render_key` of one unit's inputs (a filter
+    missing from the view stays ``None``)."""
+    *objects, filters = inputs
+    return [
+        *map(render_key, objects),
+        [None if flt is None else render_key(flt) for flt in filters],
+    ]
 
 
 class AgentState(str, enum.Enum):
@@ -163,12 +173,15 @@ class SwitchAgent:
         the failure mode the equivalence checker later observes.
 
         A ``(contract, provider, consumer)`` unit whose inputs — the
-        contract, both EPGs, the VRF and the contract's filters — compare
-        equal to those of the previous render is not rendered again: its
-        rules, and the match keys the TCAM will store, are reused.  The
-        comparison is made on every call, so nothing has to announce an
-        edit to the view (policy objects are frozen: an unchanged one costs
-        an identity check).  Each render replaces the memo wholesale, so it
+        contract, both EPGs, the VRF and the contract's filters — have the
+        :func:`~repro.rules.render_key` of those of the previous render is
+        not rendered again: its rules, and the match keys the TCAM will
+        store, are reused.  The key is what a rule reads, so an EPG that
+        only gained or lost a contract re-renders none of its other units.
+        The comparison is made on every call, so nothing has to announce an
+        edit to the view; policy objects are frozen, so an unchanged one
+        costs an identity check and the key is read only for a unit whose
+        inputs were replaced.  Each render replaces the memo wholesale, so it
         holds exactly the live units, and the first-provenance-wins pass
         runs over the whole render in order either way.
         """
@@ -211,11 +224,13 @@ class SwitchAgent:
                     unit = (contract_uid, provider.uid, consumer.uid)
                     unit_inputs = [contract, provider, consumer, vrf, contract_filters]
                     at = held_units.get(unit)
-                    if (
-                        at is not None
-                        and held_inputs[at * _UNIT_INPUTS : (at + 1) * _UNIT_INPUTS]
-                        == unit_inputs
-                    ):
+                    if at is not None:
+                        held = held_inputs[at * _UNIT_INPUTS : (at + 1) * _UNIT_INPUTS]
+                        # Equal objects have equal keys, so the keys are
+                        # read only for a unit one of whose inputs changed.
+                        if held != unit_inputs and _unit_key(held) != _unit_key(unit_inputs):
+                            at = None
+                    if at is not None:
                         start, stop = held_bounds[at], held_bounds[at + 1]
                         keys += held_keys[start:stop]
                         rendered += held_rules[start:stop]

@@ -30,6 +30,16 @@ A switch whose compiled sequence is not the object held since the last
 refresh is dirty as well, so L is right even for an edit no event announced.
 The one full sweep is :meth:`bootstrap`, which establishes the baseline.
 
+Re-checked is not re-proved.  The checker keeps, per switch, the logical
+and deployed :class:`~repro.rules.RuleSequence` objects its last verdict
+was proved from; a dirty switch whose compile handed back the same L object
+and whose TCAM the same T object (:meth:`TcamTable.rule_sequence` hands out
+a new one after any write that changed what it holds) gets that verdict
+again — immutable inputs, same verdict.  It is still returned as refreshed,
+so the monitor re-localizes it, and it counts under the route that proved
+it (``digest_short_circuits`` or ``switch_checks``) as well as in
+``verdicts_reused``.
+
 A snapshot holds only what a sweep cannot recompute — which switches were
 violating and how, dirt, counters — and a restore runs that same sweep: a
 stored copy of L or T would be trusted over the network.
@@ -97,6 +107,10 @@ class IncrementalChecker:
         #: what the next compile's are compared with, by identity.
         self._compiled: Optional[CompiledRules] = None
         self._results: Dict[str, SwitchCheckResult] = {}
+        #: Per switch refreshed since the last sweep: the L and T objects
+        #: its held verdict was proved from, and whether the identity proof
+        #: settled it.  A sweep (bootstrap, restore) starts it empty.
+        self._proved: Dict[str, Tuple[RuleSequence, RuleSequence, bool]] = {}
         # Pending work.
         self._dirty: Set[str] = set()
         #: Changed objects whose blast radius the next refresh resolves.
@@ -108,6 +122,7 @@ class IncrementalChecker:
         self.pair_recompiles = 0
         self.index_rebuilds = 0
         self.index_patches = 0
+        self.verdicts_reused = 0
 
     # ------------------------------------------------------------------ #
     # The L side
@@ -216,6 +231,7 @@ class IncrementalChecker:
         self._pending_objects.clear()
         self.full_checks += 1
         self._results = dict(report.results)
+        self._proved.clear()
         self._dirty.clear()
         return report
 
@@ -252,7 +268,8 @@ class IncrementalChecker:
         Every dirty switch is re-checked where it stands, however many a
         burst (a deployment storm, a rack losing power) dirtied at once: the
         identity proof first, and this checker's engine only for a switch
-        whose fingerprints disagree.
+        whose fingerprints disagree — unless its L and T are the very
+        objects its held verdict was proved from, which answer it again.
         """
         if self._compiled is None:
             return dict(self.bootstrap(compiled).results)
@@ -260,6 +277,7 @@ class IncrementalChecker:
             self._dirty.update(switch_uids)
         digests_before = self.digest_short_circuits
         checks_before = self.switch_checks
+        reused_before = self.verdicts_reused
         with span("delta.refresh", dirty=len(self._dirty)) as refresh_span:
             self._rebase(compiled or self.compile())
             refreshed: Dict[str, SwitchCheckResult] = {}
@@ -272,19 +290,28 @@ class IncrementalChecker:
                     # switch): fabricating a clean verdict would mask the mistake,
                     # and a serial check_network would emit nothing for it either.
                     self._results.pop(switch_uid, None)
+                    self._proved.pop(switch_uid, None)
                     continue
                 if logical is None:
                     logical = RuleSequence()
                 deployed = RuleSequence()
                 if switch is not None:
                     deployed = switch.tcam.rule_sequence()
-                result = self.checker.identity_proof(
-                    switch_uid, logical, deployed, engine="digest"
-                )
-                if result is not None:
+                held = self._proved.get(switch_uid)
+                if held is not None and held[0] is logical and held[1] is deployed:
+                    result, by_digest = self._results[switch_uid], held[2]
+                    self.verdicts_reused += 1
+                else:
+                    result = self.checker.identity_proof(
+                        switch_uid, logical, deployed, engine="digest"
+                    )
+                    by_digest = result is not None
+                    if not by_digest:
+                        result = self.checker.check_switch(switch_uid, logical, deployed)
+                    self._proved[switch_uid] = (logical, deployed, by_digest)
+                if by_digest:
                     self.digest_short_circuits += 1
                 else:
-                    result = self.checker.check_switch(switch_uid, logical, deployed)
                     self.switch_checks += 1
                 refreshed[switch_uid] = self._results[switch_uid] = result
             self._dirty.clear()
@@ -292,6 +319,7 @@ class IncrementalChecker:
                 "digest_short_circuits", self.digest_short_circuits - digests_before
             )
             refresh_span.count("switch_checks", self.switch_checks - checks_before)
+            refresh_span.count("verdicts_reused", self.verdicts_reused - reused_before)
         return refreshed
 
     # ------------------------------------------------------------------ #
@@ -318,6 +346,8 @@ class IncrementalChecker:
     def stats(self) -> Dict[str, int]:
         return {
             **{key: getattr(self, key) for key in _STAT_KEYS},
+            # Not in a snapshot: a restore sweeps, and starts no memo.
+            "verdicts_reused": self.verdicts_reused,
             "dirty_switches": len(self._dirty),
             # The persistent checker's atom table (atomic-predicate engine):
             # deltas *patch* it in place, so across refreshes the version
@@ -422,6 +452,7 @@ class IncrementalChecker:
                     setattr(self, key, value)
                 self.full_checks += 1
                 self._results = results
+                self._proved.clear()
                 self._dirty, self._pending_objects = swept_dirty, pending_objects
                 self._compiled = compiled
 

@@ -16,15 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .policy.objects import Epg, EpgPair, Filter, FilterEntry, Vrf
+from .policy.objects import Contract, Epg, EpgPair, Filter, FilterEntry, PolicyObject, Vrf
 
 __all__ = [
     "Action",
     "TcamRule",
     "MatchKey",
     "RuleSequence",
+    "RENDERED_FIELDS",
+    "render_key",
+    "pair_render_key",
     "rules_for_pair_entry",
     "rules_for_pair",
     "missing_matches",
@@ -220,6 +224,46 @@ class RuleSequence(tuple):
         if not wanted:
             return []
         return list(compress(self, map(wanted.__contains__, self.keys())))
+
+
+#: The fields of each policy object a rule rendered from it reads: the
+#: numeric ids written into the match and the uids written into provenance,
+#: the contract's filter list and the filters' entries.  Nothing else — an
+#: EPG's ``provides`` / ``consumes`` (which pairs exist, not what a pair's
+#: rules are), its ``vrf_uid`` (the VRF itself is an input), any ``name``.
+RENDERED_FIELDS: Mapping[type, Tuple[str, ...]] = {
+    Vrf: ("uid", "scope_id"),
+    Epg: ("uid", "epg_id"),
+    Contract: ("uid", "filter_uids"),
+    Filter: ("uid", "entries"),
+}
+_RENDER_KEYS = {kind: attrgetter(*names) for kind, names in RENDERED_FIELDS.items()}
+
+
+def render_key(obj: PolicyObject) -> Tuple:
+    """``obj``'s :data:`RENDERED_FIELDS`: what a render compares to tell
+    that an input did not change.  Two objects with equal keys render the
+    same rules, provenance included, wherever they are used — so a render
+    whose inputs' keys are those of an earlier one may reuse its rules."""
+    return _RENDER_KEYS[type(obj)](obj)
+
+
+def pair_render_key(
+    vrf: Vrf,
+    epg_a: Epg,
+    epg_b: Epg,
+    contracts: Sequence[Tuple[str, Sequence[Tuple[str, Filter]]]],
+) -> Tuple:
+    """:func:`render_key` over :func:`rules_for_pair`'s arguments."""
+    return (
+        render_key(vrf),
+        render_key(epg_a),
+        render_key(epg_b),
+        tuple(
+            (contract_uid, tuple((uid, render_key(flt)) for uid, flt in filters))
+            for contract_uid, filters in contracts
+        ),
+    )
 
 
 def rules_for_pair_entry(

@@ -1,12 +1,17 @@
 """The agent's memoised render == a from-scratch render, under any view edit.
 
 ``SwitchAgent.desired_rules`` reuses a ``(contract, provider, consumer)``
-unit's rules while the unit's inputs compare equal to the ones they were
-rendered from.  A state machine feeds one agent instruction batches — adds,
-modifies (some carrying an equal but distinct object) and deletes of VRFs,
-filters, contracts and EPGs — buggy drops, attachment changes, crashes
-mid-batch, direct edits of its view and ``reset()``, and after every step
-holds it to two references kept here, not in ``src/``:
+unit's rules while the :func:`~repro.rules.render_key` of the unit's inputs
+equals that of the ones they were rendered from.  First, the key itself:
+for every field of ``Vrf``, ``Epg``, ``Contract`` and ``Filter``, editing it
+changes no rule :func:`~repro.rules.rules_for_pair_entry` renders, or the
+field is in :data:`~repro.rules.RENDERED_FIELDS`.  Then a state machine
+feeds one agent instruction batches — adds, modifies (some carrying an
+equal but distinct object, some editing only fields no rule reads) and
+deletes of VRFs, filters, contracts and EPGs — buggy drops, attachment
+changes, crashes mid-batch, direct edits of its view and ``reset()``; every
+render must render exactly the units whose key is new or moved, and after
+every step the agent is held to two references kept here, not in ``src/``:
 
 * :func:`reference_render`, a literal transcription of the whole-view loop
   the memo replaced: same keys, same order, same rule (``to_dict()``,
@@ -27,14 +32,20 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.clock import LogicalClock
 from repro.fabric import AgentState, Switch, SwitchAgent, TcamTable
 from repro.policy.objects import Contract, Epg, Filter, FilterEntry, Vrf
 from repro.protocol import AttachEndpoint, Instruction, Operation
-from repro.rules import MatchKey, TcamRule, rules_for_pair_entry
+from repro.rules import (
+    RENDERED_FIELDS,
+    MatchKey,
+    TcamRule,
+    render_key,
+    rules_for_pair_entry,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -99,6 +110,40 @@ def reference_render(agent: SwitchAgent) -> Tuple[Dict[MatchKey, TcamRule], int]
                         ):
                             rules.setdefault(rendered.match_key(), rendered)
     return rules, units
+
+
+def reference_unit_keys(agent: SwitchAgent) -> Dict[tuple, list]:
+    """Every unit :func:`reference_render` walks, in order, with the
+    :func:`render_key` of its inputs."""
+    local_epgs = agent.local_epg_uids()
+    view = agent.logical_view
+    epgs = [obj for obj in view.values() if isinstance(obj, Epg)]
+    units: Dict[tuple, list] = {}
+    for contract_uid, contract in view.items():
+        if not isinstance(contract, Contract):
+            continue
+        filters = []
+        for filter_uid in contract.filter_uids:
+            flt = view.get(filter_uid)
+            filters.append(render_key(flt) if isinstance(flt, Filter) else None)
+        for provider in (epg for epg in epgs if contract_uid in epg.provides):
+            for consumer in (epg for epg in epgs if contract_uid in epg.consumes):
+                vrf = view.get(provider.vrf_uid)
+                if (
+                    provider.uid == consumer.uid
+                    or {provider.uid, consumer.uid}.isdisjoint(local_epgs)
+                    or provider.vrf_uid != consumer.vrf_uid
+                    or not isinstance(vrf, Vrf)
+                ):
+                    continue
+                units[contract_uid, provider.uid, consumer.uid] = [
+                    render_key(contract),
+                    render_key(provider),
+                    render_key(consumer),
+                    render_key(vrf),
+                    tuple(filters),
+                ]
+    return units
 
 
 def _as_dicts(rules) -> List[dict]:
@@ -175,6 +220,81 @@ _batches = st.lists(
 _picks = st.integers(min_value=0, max_value=10_000)
 
 
+# ---------------------------------------------------------------------- #
+# The key: a field no rule reads, or a field in it
+# ---------------------------------------------------------------------- #
+#: A value to edit each field of a rendered object to.  A field added to
+#: one of the four classes must be added here, or the key test fails.
+_FIELD_VALUES = {
+    "uid": st.sampled_from(UIDS + ("other:0",)),
+    "name": st.text(max_size=3),
+    "scope_id": st.integers(min_value=101, max_value=103),
+    "vrf_uid": st.sampled_from(VRF_UIDS + ("vrf:ghost",)),
+    "epg_id": st.integers(min_value=1, max_value=4),
+    "provides": st.frozensets(st.sampled_from(CONTRACT_UIDS)),
+    "consumes": st.frozensets(st.sampled_from(CONTRACT_UIDS)),
+    "filter_uids": st.lists(st.sampled_from(FILTER_UIDS), max_size=3).map(tuple),
+    "entries": st.lists(st.sampled_from(ENTRIES), max_size=3).map(tuple),
+}
+_RENDERED_KINDS = (Vrf, Epg, Contract, Filter)
+
+
+def _unit_rules(vrf, provider, consumer, contract, filters) -> List[dict]:
+    """One unit's rules as the agent renders them: each of the contract's
+    filter uids looked up among ``filters`` (a missing one renders none)."""
+    by_uid = {flt.uid: flt for flt in filters}
+    return [
+        rendered.to_dict()
+        for filter_uid in contract.filter_uids
+        if filter_uid in by_uid
+        for entry in by_uid[filter_uid].entries
+        for rendered in rules_for_pair_entry(
+            vrf, consumer, provider, contract.uid, filter_uid, entry
+        )
+    ]
+
+
+def test_the_key_names_real_fields_of_the_rendered_kinds():
+    assert set(RENDERED_FIELDS) == set(_RENDERED_KINDS)
+    for kind, names in RENDERED_FIELDS.items():
+        assert set(names) <= {field.name for field in dataclasses.fields(kind)}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        (kind, field.name)
+        for kind in _RENDERED_KINDS
+        for field in dataclasses.fields(kind)
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_field_outside_the_key_changes_no_rendered_rule(kind, name, data):
+    vrf = data.draw(_vrf("vrf:a"))
+    provider = data.draw(_epg("epg:0"))
+    consumer = data.draw(_epg("epg:1"))
+    contract = data.draw(_contract("contract:0"))
+    filters = [data.draw(_filter(uid)) for uid in FILTER_UIDS]
+    inputs = {
+        Vrf: [vrf],
+        Epg: [provider, consumer],
+        Contract: [contract],
+        Filter: filters,
+    }
+    edited = data.draw(st.sampled_from(inputs[kind]))
+    value = data.draw(_FIELD_VALUES[name])
+    inputs[kind] = [
+        dataclasses.replace(obj, **{name: value}) if obj is edited else obj
+        for obj in inputs[kind]
+    ]
+    before = _unit_rules(vrf, provider, consumer, contract, filters)
+    after = _unit_rules(*inputs[Vrf], *inputs[Epg], *inputs[Contract], inputs[Filter])
+    if name not in RENDERED_FIELDS[kind]:
+        assert after == before
+
+
 def _table(capacity: int, evict: bool, rules) -> TcamTable:
     table = TcamTable(capacity=capacity, evict_on_overflow=evict)
     for held in rules:
@@ -199,6 +319,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
             uid=SWITCH, tcam=TcamTable(capacity=capacity, evict_on_overflow=evict)
         )
         self.agent = self.switch.agent
+        self._count_what_renders()
         self.switch.receive_deployment(
             [Instruction(operation=Operation.ADD, obj=obj) for obj in baseline],
             [
@@ -206,6 +327,24 @@ class AgentRenderMachine(RuleBasedStateMachine):
                 AttachEndpoint(endpoint_uid="ep:1", epg_uid="epg:2", switch_uid=SWITCH),
             ],
         )
+
+    def _count_what_renders(self):
+        """Hold every render of the agent — by a rule here, a sync or the
+        invariant — to rendering exactly the units whose
+        :func:`reference_unit_keys` entry is new or moved since the last."""
+        agent, render = self.agent, self.agent.desired_rules
+        self.unit_keys: Dict[tuple, list] = {}
+
+        def desired_rules():
+            keys = reference_unit_keys(agent)
+            moved = sum(self.unit_keys.get(unit) != key for unit, key in keys.items())
+            before = agent.units_rendered
+            rules = render()
+            assert agent.units_rendered - before == moved
+            self.unit_keys = keys
+            return rules
+
+        agent.desired_rules = desired_rules
 
     def _rendered_now(self) -> int:
         """Bring the memo up to the current view; how many units it rendered."""
@@ -235,6 +374,25 @@ class AgentRenderMachine(RuleBasedStateMachine):
         self._rendered_now()
         self.agent.receive([Instruction(operation=Operation.MODIFY, obj=copy)])
         assert self._rendered_now() == 0
+
+    @rule(
+        pick=_picks,
+        name=st.text(max_size=3),
+        provides=st.frozensets(st.sampled_from(CONTRACT_UIDS)),
+        consumes=st.frozensets(st.sampled_from(CONTRACT_UIDS)),
+    )
+    def edit_fields_no_rule_reads(self, pick, name, provides, consumes):
+        """Rename any object, or rewire an EPG's contracts: a unit that
+        survives keeps its key, so it is not rendered again."""
+        view = self.agent.logical_view
+        if not view:
+            return
+        current = view[sorted(view)[pick % len(view)]]
+        changes = {"name": name}
+        if isinstance(current, Epg):
+            changes.update(provides=provides, consumes=consumes)
+        edited = dataclasses.replace(current, **changes)
+        self.agent.receive([Instruction(operation=Operation.MODIFY, obj=edited)])
 
     @rule(obj=_objects)
     def write_view_directly(self, obj):
@@ -295,6 +453,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
         dropped = set(self.agent.buggy_dropped_objects)
         self._rendered_now()
         self.agent.reset()
+        self.unit_keys = {}
         assert not self.agent.logical_view and not self.agent.local_attachments
         assert self.agent.state is AgentState.RUNNING and self.agent.crash_after is None
         assert self.agent.buggy_dropped_objects == dropped

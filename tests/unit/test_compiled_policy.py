@@ -156,6 +156,28 @@ class TestInvalidation:
             assert kept == (scanned.by_switch[uid] is before_rules.by_switch[uid])
             assert kept == (uid not in leaves)
 
+    def test_a_rewired_epg_re_renders_only_pairs_whose_rules_moved(self, controller):
+        """Gaining a contract rewires an EPG's pairs, not its rules: the
+        render key leaves ``consumes`` out, so of the pairs compared only
+        the new ones, and those bound by a longer contract list, render."""
+        old_index = controller._compiled_rules().index
+        _pair_up(controller)
+        before = controller.compile_stats()
+        assert _as_lists(controller.logical_rules()) == compile_logical_rules(
+            controller.policy
+        )
+        index = controller.build_index()
+        known = set(old_index.pairs)
+        moved = [
+            pair
+            for pair in index.pairs
+            if pair not in known
+            or index.contracts_for_pair(pair) != old_index.contracts_for_pair(pair)
+        ]
+        spent = _delta(controller, before)
+        assert spent["pairs_recompiled"] == len(moved)
+        assert 0 < len(moved) < spent["pairs_compared"]
+
     def test_the_same_frozen_object_put_back_compares_no_pair(self, controller):
         rules = controller.logical_rules()
         epg = next(iter(controller.policy.epgs()))

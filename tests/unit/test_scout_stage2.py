@@ -3,13 +3,17 @@
 Covers the barely-exercised paths of ``ScoutLocalizer.localize``: a risk the
 oracle returns for several residual observations (already-in-hypothesis
 branch), an oracle that returns nothing, and the ``fallback_latest=False``
-regime — plus the hardened ``RecentChangeOracle`` candidate/tie handling.
+regime — plus the hardened ``RecentChangeOracle`` candidate/tie handling
+and its recency memo.
 """
 
 from dataclasses import dataclass
 
+from hypothesis import given, settings, strategies as st
+
 from repro.controller.changelog import ChangeLog
 from repro.core import RecentChangeOracle, ScoutLocalizer, SelectionReason
+from repro.obs import TraceCollector
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
 from repro.risk import RiskModel
@@ -171,3 +175,67 @@ class TestRecentChangeOracleHardening:
         log.record(99, "B", ObjectType.FILTER, Operation.MODIFY)
         oracle = RecentChangeOracle(change_log=log, window=10, now=100)
         assert oracle.recently_changed({"A", "B"}) == {"B"}
+
+
+class TestRecencyMemo:
+    """The oracle computes its recency map once per (log, reference, window,
+    log length); a memoised oracle answers as a fresh one would."""
+
+    UIDS = ("A", "B", "C", "D")
+
+    @staticmethod
+    def _fresh(oracle):
+        return RecentChangeOracle(
+            change_log=oracle.change_log,
+            window=oracle.window,
+            now=oracle.now,
+            fallback_latest=oracle.fallback_latest,
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("append"),
+                    st.integers(0, 30),
+                    st.sampled_from(UIDS),
+                ),
+                st.tuples(st.just("window"), st.integers(0, 12)),
+                st.tuples(st.just("now"), st.none() | st.integers(0, 40)),
+                st.tuples(st.just("ask"), st.frozensets(st.sampled_from(UIDS))),
+            ),
+            max_size=25,
+        ),
+        fallback=st.booleans(),
+    )
+    def test_the_memoised_oracle_equals_a_fresh_one(self, steps, fallback):
+        log = ChangeLog()
+        oracle = RecentChangeOracle(change_log=log, window=5, fallback_latest=fallback)
+        for step in steps:
+            if step[0] == "append":
+                log.record(step[1], step[2], ObjectType.FILTER, Operation.MODIFY)
+            elif step[0] == "window":
+                oracle.window = step[1]
+            elif step[0] == "now":
+                oracle.now = step[1]
+            else:
+                candidates = step[1]
+                expected = self._fresh(oracle).recently_changed(candidates)
+                assert oracle.recently_changed(candidates) == expected
+            for candidates in ({"A", "B"}, set(self.UIDS)):
+                expected = self._fresh(oracle).recently_changed(candidates)
+                assert oracle.recently_changed(candidates) == expected
+
+    def test_one_computation_per_log_state(self):
+        log = recent_log("X", timestamp=5)
+        oracle = RecentChangeOracle(change_log=log, window=10)
+        with TraceCollector(enabled=True).activate() as collector:
+            for _ in range(3):
+                assert oracle.recently_changed({"X", "Y"}) == {"X"}
+            log.record(7, "Y", ObjectType.FILTER, Operation.MODIFY)
+            assert oracle.recently_changed({"X", "Y"}) == {"X", "Y"}
+            oracle.window = 1
+            assert oracle.recently_changed({"X", "Y"}) == {"Y"}
+        recency = [span for span in collector.spans() if span.name == "scout.recency"]
+        assert [span.attrs["records"] for span in recency] == [1, 2, 2]
