@@ -20,13 +20,13 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Literal, Optional, Sequence, Set
 
+from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..obs import TraceCollector, activated, span
 from ..parallel.engine import plan_for_report
 from ..parallel.executor import SMALL_FABRIC_SWITCHES
 from ..parallel.pool import WarmWorkerPool
 from ..parallel.shards import clamp_workers
-from ..policy.graph import PolicyIndex
 from ..risk.augment import (
     augment_controller_model,
     augment_controller_model_sharded,
@@ -248,7 +248,7 @@ class ScoutSystem:
     # ------------------------------------------------------------------ #
     def check(
         self,
-        index: Optional[PolicyIndex] = None,
+        compiled: Optional[CompiledRules] = None,
         parallel: bool = False,
         max_workers: Optional[int] = None,
         trace: Optional[TraceCollector] = None,
@@ -274,12 +274,19 @@ class ScoutSystem:
         ``trace`` activates the given :class:`~repro.obs.TraceCollector`
         for the duration of the sweep; the collector is also attached to
         the returned report as ``report.trace``.
+
+        ``compiled`` is the controller's compile to check the fabric
+        against, when the caller has read it already (:meth:`localize`,
+        whose risk model must describe the same policy); by default the
+        sweep reads it.
         """
         checker = self._checker_for(engine)
         scope = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope:
             with self.controller._compile_span("check.compile_logical"):
-                logical = self.controller.logical_rules(index=index)
+                if compiled is None:
+                    compiled = self.controller._compiled_rules()
+                logical = compiled.by_switch
             with span("check.collect_deployed"):
                 deployed = self.controller.collect_deployed_rules()
             if parallel:
@@ -334,9 +341,13 @@ class ScoutSystem:
         scope_cm = activated(trace) if trace is not None else contextlib.nullcontext()
         with scope_cm:
             with self.controller._compile_span("scout.build_index"):
-                index = self.controller.build_index()
+                # L and the risk models' index from one read of the live
+                # policy: an edit landing mid-run is the next run's, not
+                # half of this one's.
+                compiled = self.controller._compiled_rules() if report is None else None
+                index = self.controller.build_index() if compiled is None else compiled.index
             equivalence = report or self.check(
-                index=index, parallel=parallel, max_workers=max_workers, engine=engine
+                compiled=compiled, parallel=parallel, max_workers=max_workers, engine=engine
             )
             shard_plan = None
             if parallel:

@@ -24,6 +24,7 @@ Fault hooks modelled here:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,11 +49,37 @@ RenderUnit = Tuple[str, str, str]
 #: full garbage collection walks each one): the position of each unit; the
 #: units' inputs, ``_UNIT_INPUTS`` apiece, in unit order; where each unit's
 #: slice of the last two lists ends, after a leading 0; every match key
-#: rendered, in rendering order; and its rule.
-LastRender = Tuple[Dict[RenderUnit, int], list, List[int], List[MatchKey], List[TcamRule]]
+#: rendered, in rendering order; and its rule.  Then what it was rendered
+#: from: the view's uids and objects, in view order, and the attachments.
+LastRender = Tuple[
+    Dict[RenderUnit, int],
+    list,
+    List[int],
+    List[MatchKey],
+    List[TcamRule],
+    List[str],
+    List[PolicyObject],
+    Dict[str, str],
+]
+
+_NOTHING_RENDERED: LastRender = ({}, [], [0], [], [], [], [], {})
 
 #: Contract, provider, consumer, VRF, the contract's filters.
 _UNIT_INPUTS = 5
+
+
+def _first_wins(keys: List[MatchKey], rules: List[TcamRule]) -> Dict[MatchKey, TcamRule]:
+    """``keys`` mapped to ``rules`` in first-appearance order, a repeated
+    key keeping its first rule (and key object).
+
+    One ``setdefault`` pass.  Where about one key in ten repeats (a
+    ``simulation`` leaf), building the dict in C and writing the first
+    rules back to front costs two hashing passes and is slower.
+    """
+    desired: Dict[MatchKey, TcamRule] = {}
+    for key, rule in zip(keys, rules):
+        desired.setdefault(key, rule)
+    return desired
 
 
 def _unit_key(inputs: Sequence) -> list:
@@ -91,10 +118,12 @@ class SwitchAgent:
         #: Object uids a buggy agent silently drops from its logical view.
         self.buggy_dropped_objects: set[str] = set()
         #: The last render (see :meth:`desired_rules`).
-        self._last_render: LastRender = ({}, [], [0], [], [])
+        self._last_render: LastRender = _NOTHING_RENDERED
         #: Units :meth:`desired_rules` rendered and reused, since creation.
         self.units_rendered = 0
         self.units_reused = 0
+        #: Calls that returned the last render without walking a unit.
+        self.renders_reused = 0
 
     def reset(self) -> None:
         """Come back from a reboot: no view, no attachments, running, no
@@ -105,7 +134,7 @@ class SwitchAgent:
         self.local_attachments.clear()
         self.state = AgentState.RUNNING
         self.crash_after = None
-        self._last_render = ({}, [], [0], [], [])
+        self._last_render = _NOTHING_RENDERED
 
     # ------------------------------------------------------------------ #
     # Instruction handling
@@ -184,12 +213,34 @@ class SwitchAgent:
         inputs were replaced.  Each render replaces the memo wholesale, so it
         holds exactly the live units, and the first-provenance-wins pass
         runs over the whole render in order either way.
+
+        Before any unit, the whole render: a view holding the same uids in
+        the same order, bound to the very objects (``is``) the last render
+        read, with equal attachments, renders what it did — every unit
+        reused, no unit walked (``renders_reused``).  Deleting and
+        re-adding an object moves it in the view, so that walks.  The dict
+        returned is a fresh one either way, built from the memo's flat
+        lists, so a caller may edit it.
         """
+        last = self._last_render
+        held_units, held_inputs, held_bounds, held_keys, held_rules = last[:5]
+        held_uids, held_objects, held_attachments = last[5:]
+        view = self.logical_view
+        if (
+            held_attachments == self.local_attachments
+            and len(held_uids) == len(view)
+            and all(map(operator.is_, held_objects, view.values()))
+            and held_uids == list(view)
+        ):
+            self.units_reused += len(held_units)
+            self.renders_reused += 1
+            return _first_wins(held_keys, held_rules)
+
         local_epgs = self.local_epg_uids()
-        epgs = {uid: obj for uid, obj in self.logical_view.items() if isinstance(obj, Epg)}
-        vrfs = {uid: obj for uid, obj in self.logical_view.items() if isinstance(obj, Vrf)}
-        contracts = {uid: obj for uid, obj in self.logical_view.items() if isinstance(obj, Contract)}
-        filters = {uid: obj for uid, obj in self.logical_view.items() if isinstance(obj, Filter)}
+        epgs = {uid: obj for uid, obj in view.items() if isinstance(obj, Epg)}
+        vrfs = {uid: obj for uid, obj in view.items() if isinstance(obj, Vrf)}
+        contracts = {uid: obj for uid, obj in view.items() if isinstance(obj, Contract)}
+        filters = {uid: obj for uid, obj in view.items() if isinstance(obj, Filter)}
 
         providers: Dict[str, list[Epg]] = {}
         consumers: Dict[str, list[Epg]] = {}
@@ -199,7 +250,6 @@ class SwitchAgent:
             for contract_uid in epg.consumes:
                 consumers.setdefault(contract_uid, []).append(epg)
 
-        held_units, held_inputs, held_bounds, held_keys, held_rules = self._last_render
         units: Dict[RenderUnit, int] = {}
         inputs: list = []
         bounds = [0]
@@ -249,14 +299,19 @@ class SwitchAgent:
                     units[unit] = len(units)
                     inputs += unit_inputs
                     bounds.append(len(keys))
-        self._last_render = (units, inputs, bounds, keys, rendered)
+        self._last_render = (
+            units,
+            inputs,
+            bounds,
+            keys,
+            rendered,
+            list(view),
+            list(view.values()),
+            dict(self.local_attachments),
+        )
         self.units_reused += reused
         self.units_rendered += len(units) - reused
-
-        rules: Dict[MatchKey, TcamRule] = {}
-        for key, rule in zip(keys, rendered):
-            rules.setdefault(key, rule)
-        return rules
+        return _first_wins(keys, rendered)
 
 
 @dataclass
@@ -318,15 +373,17 @@ class Switch:
         on this being a pure function of the instruction stream.
 
         Traced as one ``fabric.sync_tcam`` span counting the render's
-        ``units_rendered`` / ``units_reused`` and the writes' ``installed``
-        / ``removed``.
+        ``units_rendered`` / ``units_reused`` / ``renders_reused`` and the
+        writes' ``installed`` / ``removed``.
         """
         agent = self.agent
         with span("fabric.sync_tcam", switch=self.uid) as sync_span:
             rendered, reused = agent.units_rendered, agent.units_reused
+            renders_reused = agent.renders_reused
             counters = self._reconcile(agent.desired_rules())
             sync_span.count("units_rendered", agent.units_rendered - rendered)
             sync_span.count("units_reused", agent.units_reused - reused)
+            sync_span.count("renders_reused", agent.renders_reused - renders_reused)
             sync_span.count("installed", counters["installed"])
             sync_span.count("removed", counters["removed"])
         return counters

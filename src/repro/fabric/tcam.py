@@ -155,12 +155,6 @@ class TcamTable:
             held = self._snapshot = RuleSequence.keyed(entries)
         return held
 
-    def utilization(self) -> float:
-        """Fraction of capacity in use (0.0 when capacity is unlimited)."""
-        if self.capacity is None:
-            return 0.0
-        return len(self._entries) / self.capacity
-
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._entries) >= self.capacity
 

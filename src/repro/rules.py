@@ -19,7 +19,7 @@ from itertools import compress
 from operator import attrgetter
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .policy.objects import Contract, Epg, EpgPair, Filter, FilterEntry, PolicyObject, Vrf
+from .policy.objects import Contract, Epg, Filter, FilterEntry, PolicyObject, Vrf
 
 __all__ = [
     "Action",
@@ -31,7 +31,6 @@ __all__ = [
     "pair_render_key",
     "rules_for_pair_entry",
     "rules_for_pair",
-    "missing_matches",
 ]
 
 #: Rule actions.  The policy model is whitelisting, so compiled rules are
@@ -115,10 +114,6 @@ class TcamRule:
             filter_uid=data.get("filter_uid", ""),
         )
 
-    def epg_pair(self) -> EpgPair:
-        """The EPG pair this rule serves (derived from provenance)."""
-        return EpgPair(self.src_epg_uid, self.dst_epg_uid)
-
     def objects(self) -> List[str]:
         """Uids of every policy object this rule depends on."""
         uids = []
@@ -168,6 +163,11 @@ class RuleSequence(tuple):
     #: once per table, and the checkers sharing one compiled L are a handful:
     #: the audit system's, each monitor partition's).
     observed_by: Tuple[object, ...] = ()
+    #: Per atom table (keyed by the table itself, as :attr:`observed_by`
+    #: is): the table's ``version`` and the per-triple regions of this
+    #: sequence's keys the checker has computed under it — filled triple by
+    #: triple, dropped whole when the table refines.
+    _regions: Optional[Dict[object, Tuple[int, Dict[Tuple[int, int, int], int]]]] = None
 
     @classmethod
     def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
@@ -218,6 +218,22 @@ class RuleSequence(tuple):
                 groups.setdefault(key[:3], []).append(key)
             self._by_triple = groups
         return self._by_triple
+
+    def regions_under(self, table) -> Dict[Tuple[int, int, int], int]:
+        """The memo of this sequence's per-triple regions under ``table`` at
+        its current ``version``: empty for a table or version not seen yet.
+
+        A region is a function of the triple's keys and the table's classes,
+        and a table's classes only change with its version, so what the
+        memo holds is what recomputing it would give.
+        """
+        memos = self._regions
+        if memos is None:
+            memos = self._regions = {}
+        held = memos.get(table)
+        if held is None or held[0] != table.version:
+            held = memos[table] = (table.version, {})
+        return held[1]
 
     def select(self, wanted: AbstractSet[MatchKey]) -> List[TcamRule]:
         """The rules whose key is in ``wanted``, in sequence order, duplicates kept."""
@@ -333,14 +349,3 @@ def rules_for_pair(
                         seen.add(key)
                         rules.append(rule)
     return rules
-
-
-def missing_matches(expected: Iterable[TcamRule], deployed: Iterable[TcamRule]) -> List[TcamRule]:
-    """Return the expected rules whose match is absent from the deployed set.
-
-    This is the *set-difference* fallback used by tests to cross-check the
-    BDD-based equivalence checker in :mod:`repro.verify.checker` — the two
-    must always agree.
-    """
-    deployed_keys = {rule.match_key() for rule in deployed}
-    return [rule for rule in expected if rule.match_key() not in deployed_keys]

@@ -111,9 +111,6 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return all(result.equivalent for result in self.results.values())
 
-    def result_for(self, switch_uid: str) -> Optional[SwitchCheckResult]:
-        return self.results.get(switch_uid)
-
     def update(self, result: SwitchCheckResult) -> None:
         """Replace (or insert) one switch's result.
 
@@ -523,11 +520,21 @@ class EquivalenceChecker:
             # (L - l_only) | t_only, and every allow key of t_only is there.
             t_scope = [key for key in l_scope if key not in l_only]
             t_scope.extend(t_only)
-            l_regions = table.regions(l_scope)
+            # L changes with the policy, T with every fault and resync: L's
+            # regions come from its memo, computed only for triples it lacks.
+            memo = logical.regions_under(table)
+            unseen = [triple for triple in touched if triple not in memo]
+            fresh = table.regions(
+                key for triple in unseen for key in by_triple.get(triple, ())
+            )
+            for triple in unseen:
+                memo[triple] = fresh.get(triple, 0)
+            l_regions = {triple: memo[triple] for triple in touched if memo[triple]}
             t_regions = table.regions(t_scope)
             build.count("rules", len(logical) + len(deployed))
             build.count("scoped_rules", len(l_scope) + len(t_scope))
             build.count("touched_triples", len(touched))
+            build.count("l_regions_reused", len(touched) - len(unseen))
             build.count("atoms", table.atom_count())
         result = SwitchCheckResult(
             switch_uid=switch_uid,

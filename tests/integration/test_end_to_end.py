@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
+from oracles import missing_matches
 from repro import Controller
 from repro.core import ScoreLocalizer, ScoutSystem, accuracy
 from repro.faults import FaultInjector, FaultKind
-from repro.rules import missing_matches
 from repro.verify import EquivalenceChecker
 from repro.workloads import generate_workload, testbed_profile as make_testbed_profile
 

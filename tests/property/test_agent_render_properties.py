@@ -9,8 +9,12 @@ field is in :data:`~repro.rules.RENDERED_FIELDS`.  Then a state machine
 feeds one agent instruction batches — adds, modifies (some carrying an
 equal but distinct object, some editing only fields no rule reads) and
 deletes of VRFs, filters, contracts and EPGs — buggy drops, attachment
-changes, crashes mid-batch, direct edits of its view and ``reset()``; every
-render must render exactly the units whose key is new or moved, and after
+changes, crashes mid-batch, direct edits of its view, deletes and re-adds
+of one object, endpoints moved between local EPGs, edits of a render it
+handed out and ``reset()``.  Every render must render exactly the units
+whose key is new or moved, and must hand back the whole last render —
+walking no unit — exactly when the view holds the same uids in the same
+order bound to the very same objects and the attachments are equal.  After
 every step the agent is held to two references kept here, not in ``src/``:
 
 * :func:`reference_render`, a literal transcription of the whole-view loop
@@ -331,17 +335,32 @@ class AgentRenderMachine(RuleBasedStateMachine):
     def _count_what_renders(self):
         """Hold every render of the agent — by a rule here, a sync or the
         invariant — to rendering exactly the units whose
-        :func:`reference_unit_keys` entry is new or moved since the last."""
+        :func:`reference_unit_keys` entry is new or moved since the last,
+        and to reusing the whole render exactly when it reads the very
+        view items and equal attachments the last one read."""
         agent, render = self.agent, self.agent.desired_rules
         self.unit_keys: Dict[tuple, list] = {}
+        self.rendered_from: Tuple[list, dict] = ([], {})
 
         def desired_rules():
             keys = reference_unit_keys(agent)
             moved = sum(self.unit_keys.get(unit) != key for unit, key in keys.items())
-            before = agent.units_rendered
+            items = list(agent.logical_view.items())
+            held_items, held_attachments = self.rendered_from
+            identical = (
+                len(items) == len(held_items)
+                and all(
+                    uid == held_uid and obj is held_obj
+                    for (uid, obj), (held_uid, held_obj) in zip(items, held_items)
+                )
+                and agent.local_attachments == held_attachments
+            )
+            rendered, reused = agent.units_rendered, agent.renders_reused
             rules = render()
-            assert agent.units_rendered - before == moved
+            assert agent.units_rendered - rendered == moved
+            assert agent.renders_reused - reused == identical
             self.unit_keys = keys
+            self.rendered_from = (items, dict(agent.local_attachments))
             return rules
 
         agent.desired_rules = desired_rules
@@ -362,9 +381,10 @@ class AgentRenderMachine(RuleBasedStateMachine):
             ]
         )
 
-    @rule(pick=_picks)
-    def modify_with_an_equal_copy(self, pick):
-        """An equal but distinct object re-renders nothing."""
+    @rule(pick=_picks, directly=st.booleans())
+    def modify_with_an_equal_copy(self, pick, directly):
+        """An equal but distinct object re-renders nothing, but it is not
+        the object the last render read: the units are walked."""
         view = self.agent.logical_view
         if not view:
             return
@@ -372,8 +392,21 @@ class AgentRenderMachine(RuleBasedStateMachine):
         copy = dataclasses.replace(current)
         assert copy == current and copy is not current
         self._rendered_now()
-        self.agent.receive([Instruction(operation=Operation.MODIFY, obj=copy)])
+        if directly:
+            view[copy.uid] = copy
+        else:
+            self.agent.receive([Instruction(operation=Operation.MODIFY, obj=copy)])
         assert self._rendered_now() == 0
+
+    @rule(pick=_picks)
+    def delete_and_re_add(self, pick):
+        """The very same object, deleted and added back, moves to the end of
+        the view: unless it already was there, the render is walked."""
+        view = self.agent.logical_view
+        if not view:
+            return
+        current = view.pop(sorted(view)[pick % len(view)])
+        view[current.uid] = current
 
     @rule(
         pick=_picks,
@@ -423,6 +456,16 @@ class AgentRenderMachine(RuleBasedStateMachine):
     def detach(self, endpoint):
         self.agent.local_attachments.pop(endpoint, None)
 
+    @rule(pick=_picks)
+    def move_an_endpoint_between_local_epgs(self, pick):
+        attachments = self.agent.local_attachments
+        local = sorted(set(attachments.values()))
+        if len(local) < 2:
+            return
+        endpoint = sorted(attachments)[pick % len(attachments)]
+        others = [epg for epg in local if epg != attachments[endpoint]]
+        attachments[endpoint] = others[pick % len(others)]
+
     # -- agent faults -------------------------------------------------- #
     @rule(uid=st.sampled_from(UIDS), dropped=st.booleans())
     def buggy_drop(self, uid, dropped):
@@ -454,6 +497,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
         self._rendered_now()
         self.agent.reset()
         self.unit_keys = {}
+        self.rendered_from = ([], {})
         assert not self.agent.logical_view and not self.agent.local_attachments
         assert self.agent.state is AgentState.RUNNING and self.agent.crash_after is None
         assert self.agent.buggy_dropped_objects == dropped
@@ -496,6 +540,19 @@ class AgentRenderMachine(RuleBasedStateMachine):
         assert _faults(raised) == _faults(fresh.fault_log.records())
 
     # -- the render itself --------------------------------------------- #
+    @rule(pick=_picks, clear=st.booleans())
+    def edit_a_handed_out_render(self, pick, clear):
+        """What a caller does to the dict it was handed is its own: the
+        next render (the invariant's) is whole again."""
+        rules = self.agent.desired_rules()
+        if clear:
+            rules.clear()
+        elif rules:
+            key = sorted(rules, key=repr)[pick % len(rules)]
+            rules[key] = rules.pop(key)  # to the end
+            del rules[next(iter(rules))]
+        rules[(0, 0, 0, "tcp", 1, "allow")] = TcamRule(0, 0, 0, "tcp", 1)
+
     @invariant()
     def render_equals_the_reference(self):
         agent = getattr(self, "agent", None)

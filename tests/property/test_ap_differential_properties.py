@@ -17,6 +17,7 @@ shadowing, deny flips), which is what a real TCAM is.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import TraceCollector
 from repro.rules import RuleSequence, TcamRule
 from repro.verify import AtomTable, EquivalenceChecker
 from repro.verify.checker import EquivalenceReport, SwitchCheckResult
@@ -251,3 +252,94 @@ class TestDeltaScopedMatchesFullUniverse:
         allow, deny = TcamRule(1, 1, 2, "tcp", 80), TcamRule(1, 3, 4, "tcp", 22, "deny")
         assert self._assert_three_way([allow, deny], [allow]).equivalent
         assert self._assert_three_way([allow], [deny, allow]).equivalent
+
+
+#: Ports the drawn L never uses: a deployed side carrying one (or a protocol
+#: L lacks) refines the atom table mid-sequence, and its ``version`` moves.
+_NEW_PORTS = [25, 53, 8080, 9000]
+
+
+@st.composite
+def refining_sides(draw, logical):
+    """A deployed side for ``logical``: an edit of it, sometimes with keys
+    whose port (or protocol) the table has not seen."""
+    deployed = [rule for rule in logical if draw(st.integers(0, 3))]
+    for rule in draw(st.lists(st.sampled_from(logical), max_size=4)):
+        triple = (rule.vrf_scope, rule.src_epg, rule.dst_epg)
+        deployed.append(
+            TcamRule(
+                *triple,
+                draw(st.sampled_from(["tcp", "udp", "icmp", "any"])),
+                draw(st.sampled_from(_NEW_PORTS + [None])),
+                draw(st.sampled_from(["allow", "allow", "deny"])),
+            )
+        )
+    deployed += draw(st.lists(ap_rule_strategy, max_size=3))
+    return draw(st.permutations(deployed))
+
+
+class TestLogicalRegionMemo:
+    """L's per-triple regions are computed once per atom-table version.
+
+    One compiled L is held against many deployed sides by several checkers
+    (the audit system's, each monitor partition's), and between checks the
+    deployed side's new ports and protocols refine the checking table.  A
+    memo keyed by anything less than the table itself and its ``version``
+    hands back regions under the wrong atom numbering.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_one_logical_side_under_refining_tables(self, data):
+        logical = RuleSequence.of(
+            data.draw(st.lists(ap_rule_strategy, min_size=1, max_size=20))
+        )
+        first = EquivalenceChecker()
+        # A second table that numbers its classes in another order: it has
+        # seen other keys first.
+        second = EquivalenceChecker(atoms=AtomTable())
+        noise = data.draw(st.lists(ap_rule_strategy, max_size=6))
+        second.atoms.observe_keys(rule.match_key() for rule in reversed(noise))
+        for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+            deployed = data.draw(refining_sides(logical))
+            checker = data.draw(st.sampled_from([first, second]))
+            result = checker.check_switch("s", logical, deployed)
+            assert result == _full_universe_check(list(logical), deployed)
+            assert result == _check("ap", list(logical), deployed)
+
+    def test_a_second_table_at_the_same_version_numbers_atoms_differently(self):
+        """Two tables at one version, classes in opposite orders: each gets
+        its own regions of the shared L."""
+        wanted = TcamRule(1, 1, 2, "tcp", 80)
+        logical = RuleSequence.of([wanted, TcamRule(1, 3, 4, "udp", 443)])
+        first, second = EquivalenceChecker(), EquivalenceChecker()
+        assert first.check_switch("s", logical, []).missing_rules == list(logical)
+        second.atoms.observe_keys([TcamRule(1, 3, 4, "udp", 443).match_key()])
+        second.atoms.observe_keys([wanted.match_key()])
+        assert second.atoms.version == first.atoms.version
+        assert second.check_switch("s", logical, []).missing_rules == list(logical)
+        assert second.check_switch("s", logical, logical[1:]).missing_rules == [wanted]
+
+    def test_regions_are_reused_until_the_table_refines(self):
+        logical = RuleSequence.of(
+            [TcamRule(1, 1, 2, "tcp", 80), TcamRule(1, 1, 2, "tcp", None)]
+        )
+        checker = EquivalenceChecker()
+        sides = [
+            [logical[1]],  # same classes: the triple's L region is reused
+            [logical[0]],
+            [logical[1], TcamRule(1, 1, 2, "tcp", 8080)],  # a new port class
+            [logical[0], logical[1], TcamRule(1, 1, 2, "udp", 8080)],
+        ]
+        collector = TraceCollector()
+        with collector.activate():
+            for deployed in sides:
+                result = checker.check_switch("s", logical, deployed)
+                assert result == _full_universe_check(list(logical), deployed)
+        reused = [
+            span.counters["l_regions_reused"]
+            for span in collector.spans()
+            if span.name == "verify.ap.build"
+        ]
+        # The first check computes the triple; the refinement discards it.
+        assert reused == [0, 1, 0, 0]

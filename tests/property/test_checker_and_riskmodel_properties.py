@@ -4,8 +4,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import missing_matches
 from repro.risk import RiskModel
-from repro.rules import TcamRule, missing_matches
+from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker
 
 # ---------------------------------------------------------------------------

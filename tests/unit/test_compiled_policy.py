@@ -427,13 +427,14 @@ class TestAccounting:
                 "switches_reassembled": 0,
             }
             assert spans["scout.build_index"].counters == {"reuses": 1, **idle}
-            assert spans["check.compile_logical"].counters == {"reuses": 1, **idle}
+            # localize() reads the compile once, for L and the index both.
+            assert spans["check.compile_logical"].counters == {"reuses": 0, **idle}
             assert spans["parallel.identity_proof"].counters == {
                 "identity_proofs": switches - 1,
                 "dispatched": 1,
             }
             after = system.stats()
-            assert after["reuses"] - before["reuses"] == 2
+            assert after["reuses"] - before["reuses"] == 1
             assert after["identity_proofs"] - before["identity_proofs"] == switches - 1
             assert after["dispatched"] - before["dispatched"] == 1
 
@@ -533,6 +534,29 @@ class TestConcurrentReaders:
             assert _as_lists(controller.logical_rules()) == compile_logical_rules(
                 controller.policy
             )
+
+    def test_localize_checks_and_localizes_one_read_of_the_policy(
+        self, controller, monkeypatch
+    ):
+        """L and the risk model's index come from one read of the live
+        policy: an edit landing right after ``localize()`` reads it is the
+        next run's, never the check's half of this one."""
+        tenant, target, edited = _shared_filter(controller)
+        read = Controller._compiled_policy
+
+        def read_then_edit(self):
+            compiled = read(self)
+            tenant.filters[target.uid] = edited  # another thread's write
+            return compiled
+
+        monkeypatch.setattr(Controller, "_compiled_policy", read_then_edit)
+        with ScoutSystem(controller) as system:
+            report = system.localize()
+            assert report.equivalence.equivalent and not report.faulty_objects()
+            assert not report.risk_models["controller"].failed_edges()
+            after = system.localize()
+        assert not after.equivalence.equivalent
+        assert target.uid in after.faulty_objects()
 
     def test_audit_threads_racing_a_policy_writer_never_see_a_mixed_compile(
         self, controller

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import missing_matches
 from repro import ControlChannel, Controller, Fabric
 from repro.controller.changelog import ChangeLog
 from repro.controller.compiler import (
@@ -16,7 +17,6 @@ from repro.fabric import FaultCode
 from repro.policy import three_tier_policy
 from repro.policy.objects import Filter, FilterEntry, ObjectType
 from repro.protocol import DeliveryStatus, Operation
-from repro.rules import missing_matches
 
 
 @pytest.fixture

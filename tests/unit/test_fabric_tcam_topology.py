@@ -64,17 +64,6 @@ class TestTcamTable:
         assert len(removed) == 1
         assert len(tcam) == 1
 
-    def test_utilization(self):
-        tcam = TcamTable(capacity=4)
-        tcam.install(_rule(80))
-        assert tcam.utilization() == 0.25
-
-    def test_utilization_of_an_unlimited_table_is_zero(self):
-        tcam = TcamTable()
-        assert tcam.utilization() == 0.0
-        tcam.install(_rule(80))
-        assert tcam.utilization() == 0.0
-
     def test_rule_sequence_carries_the_table_keys(self):
         tcam = TcamTable()
         for port in (80, 81):

@@ -256,6 +256,7 @@ class TestTracedSync:
         assert len(syncs) == len(fabric.leaf_uids())
         touched = [span for span in syncs if span.counters["units_rendered"]]
         assert touched and all(span.counters["units_reused"] for span in syncs)
+        assert not any(span.counters["renders_reused"] for span in touched)
         assert all(span.counters["removed"] == 0 for span in syncs)
         installed = sum(span.counters["installed"] for span in touched)
         assert installed == fabric.total_installed_rules() - held > 0
@@ -268,6 +269,7 @@ class TestTracedSync:
             leaf.sync_tcam()
         (resync,) = collector.spans()
         assert resync.counters["units_rendered"] == 0 < resync.counters["units_reused"]
+        assert resync.counters["renders_reused"] == 1
         assert resync.counters["installed"] == len(lost) > 0
 
 

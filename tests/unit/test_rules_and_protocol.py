@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.policy.objects import Epg, EpgPair, Filter, FilterEntry, Vrf
+from oracles import missing_matches
+from repro.policy.objects import Epg, Filter, FilterEntry, Vrf
 from repro.protocol import AttachEndpoint, DeliveryReport, DeliveryStatus, Instruction, Operation
 from repro.rules import (
     TcamRule,
-    missing_matches,
     rules_for_pair,
     rules_for_pair_entry,
 )
@@ -42,10 +42,6 @@ class TestTcamRule:
                 assert rule.references(uid) == (uid in rule.objects())
         # Provenance left empty is no object: the empty uid matches nothing.
         assert not bare.references("")
-
-    def test_epg_pair_from_provenance(self):
-        rule = TcamRule(101, 1, 2, "tcp", 80, src_epg_uid="epg:t/a", dst_epg_uid="epg:t/b")
-        assert rule.epg_pair() == EpgPair("epg:t/a", "epg:t/b")
 
     def test_describe_mentions_port_and_action(self):
         rule = TcamRule(101, 1, 2, "tcp", 80, src_epg_uid="web", dst_epg_uid="app")
