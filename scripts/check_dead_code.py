@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
-"""Gate: every ``def`` in ``src/`` has a caller outside ``tests/``.
+"""Gate: every ``def`` and ``class`` in ``src/`` has a caller outside ``tests/``.
 
 Parses every Python file under ``src/``, ``benchmarks/``, ``examples/``
 and ``scripts/`` and collects each name used as a variable or an attribute
-(``f(...)``, ``obj.f``, ``obj.f(...)``, ``@f``).  A function or method
-defined in ``src/`` whose name is used nowhere in those trees is dead
-surface: only tests call it.  Names are matched, not bindings, so this is a
-grep, not a proof — a name some caller uses keeps every ``def`` of it alive.
+(``f(...)``, ``obj.f``, ``obj.f(...)``, ``@f``, ``Cls(...)``, a base class).
+A function, method or class defined in ``src/`` whose name is used nowhere
+in those trees is dead surface: only tests use it.  Names are matched, not
+bindings, so this is a grep, not a proof — a name some caller uses keeps
+every definition of it alive.
 The console scripts ``pyproject.toml`` declares are callers too.  Skipped
 on purpose: dunder methods (the language calls them) and names only
 mentioned in strings (``__all__`` exports, ``getattr`` lookups).
 
-The known dead ``def``s are listed in ``scripts/dead_code_allowlist.txt``,
+The known dead definitions are listed in ``scripts/dead_code_allowlist.txt``,
 one ``path:qualified.name`` a line.  The list may only shrink: a dead
-``def`` not on it fails the gate, and so does an entry that is no longer
+definition not on it fails the gate, and so does an entry that is no longer
 dead (delete the line).  With ``--base REF`` an entry that the list at git
-revision ``REF`` does not have fails as well, so a new dead ``def`` cannot
-be let in by listing it.
+revision ``REF`` does not have fails as well, so a new dead definition
+cannot be let in by listing it.
 
 Usage::
 
@@ -45,7 +46,8 @@ def python_files(root: Path, tree: str) -> List[Path]:
 
 
 def definitions(module: ast.Module) -> Iterator[Tuple[str, str]]:
-    """``(name, qualified name)`` of every function and method in ``module``."""
+    """``(name, qualified name)`` of every function, method and class in
+    ``module``."""
 
     def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
         for child in ast.iter_child_nodes(node):
@@ -53,6 +55,7 @@ def definitions(module: ast.Module) -> Iterator[Tuple[str, str]]:
                 yield child.name, prefix + child.name
                 yield from walk(child, prefix + child.name + ".")
             elif isinstance(child, ast.ClassDef):
+                yield child.name, prefix + child.name
                 yield from walk(child, prefix + child.name + ".")
             else:
                 yield from walk(child, prefix)
@@ -72,7 +75,8 @@ def used_names(module: ast.Module) -> Set[str]:
 
 
 def dead_definitions(root: Path) -> List[str]:
-    """``path:qualified.name`` of every ``def`` in ``src/`` no caller names."""
+    """``path:qualified.name`` of every ``def`` and ``class`` in ``src/`` no
+    caller names."""
     pyproject = root / "pyproject.toml"
     used: Set[str] = set()
     if pyproject.is_file():
@@ -142,7 +146,7 @@ def main(argv: List[str]) -> int:
         print(f"{ALLOWLIST}: {entry} is new since {args.base}; it may only shrink")
     if new or stale or grown:
         return 1
-    print(f"dead-code ratchet: {len(dead)} allow-listed def(s), nothing new")
+    print(f"dead-code ratchet: {len(dead)} allow-listed definition(s), nothing new")
     return 0
 
 

@@ -39,7 +39,6 @@ from .events import (
     SwitchDrain,
     SwitchReboot,
     event_from_dict,
-    events_from_jsonl,
     events_to_jsonl,
 )
 from .stream import generate_churn_stream
@@ -64,7 +63,6 @@ __all__ = [
     "churn_profile_for",
     "churn_profile_names",
     "event_from_dict",
-    "events_from_jsonl",
     "events_to_jsonl",
     "generate_churn_stream",
 ]

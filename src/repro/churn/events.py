@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Type
+from typing import Dict, Iterable, Type
 
 __all__ = [
     "ChurnEvent",
@@ -32,7 +32,6 @@ __all__ = [
     "FaultBurst",
     "Checkpoint",
     "event_from_dict",
-    "events_from_jsonl",
     "events_to_jsonl",
 ]
 
@@ -170,20 +169,3 @@ def events_to_jsonl(events: Iterable[ChurnEvent]) -> str:
     return "".join(
         json.dumps(event.to_dict(), sort_keys=True) + "\n" for event in events
     )
-
-
-def events_from_jsonl(text: str) -> List[ChurnEvent]:
-    """Parse a stream back; every error names the offending line."""
-    events: List[ChurnEvent] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {number}: invalid JSON ({exc.msg})") from None
-        try:
-            events.append(event_from_dict(payload))
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-    return events

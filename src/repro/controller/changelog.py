@@ -140,11 +140,6 @@ class ChangeLog:
     def latest_for_object(self, object_uid: str) -> Optional[ChangeRecord]:
         return self._latest.get(object_uid)
 
-    def since(self, timestamp: int) -> List[ChangeRecord]:
-        """Records with a timestamp strictly greater than ``timestamp``."""
-        index = bisect.bisect_right(self._by_time, timestamp, key=_timestamp)
-        return self._by_time[index:]
-
     def within(self, start: int, end: int) -> List[ChangeRecord]:
         """Records with ``start <= timestamp <= end``, sorted by timestamp."""
         lo = bisect.bisect_left(self._by_time, start, key=_timestamp)

@@ -78,7 +78,6 @@ class Controller:
         self,
         policy: NetworkPolicy,
         fabric: Fabric,
-        channel: Optional[ControlChannel] = None,
         validate: bool = True,
     ) -> None:
         if validate:
@@ -86,7 +85,7 @@ class Controller:
         self.policy = policy
         self.fabric = fabric
         self.clock: LogicalClock = fabric.clock
-        self.channel = channel or ControlChannel(fabric)
+        self.channel = ControlChannel(fabric)
         self.change_log = ChangeLog()
         self.fault_log = FaultLogBook()
         self.deployment_reports: List[Dict[str, DeliveryReport]] = []

@@ -148,10 +148,6 @@ class EventCorrelationEngine:
         self.signatures = list(signatures) if signatures is not None else default_signatures()
         self.lookback_window = lookback_window
 
-    def add_signature(self, signature: FaultSignature) -> None:
-        """Extend the catalogue (admins add signatures as they learn new faults)."""
-        self.signatures.append(signature)
-
     # ------------------------------------------------------------------ #
     # Correlation
     # ------------------------------------------------------------------ #

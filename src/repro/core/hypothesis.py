@@ -91,9 +91,6 @@ class Hypothesis:
         """The set of risk keys (policy-object uids / switch uids) reported faulty."""
         return set(self._by_risk)
 
-    def objects_by_reason(self, reason: SelectionReason) -> Set[Hashable]:
-        return {entry.risk for entry in self.entries if entry.reason is reason}
-
     def entry_for(self, risk: Hashable) -> Optional[HypothesisEntry]:
         return self._by_risk.get(risk)
 

@@ -149,14 +149,12 @@ class ScoutSystem:
     def __init__(
         self,
         controller: Controller,
-        checker: Optional[EquivalenceChecker] = None,
         localizer: Optional[ScoutLocalizer] = None,
-        correlation_engine: Optional[EventCorrelationEngine] = None,
         change_window: int = 100,
         include_switch_risks: bool = True,
     ) -> None:
         self.controller = controller
-        self.checker = checker or EquivalenceChecker()
+        self.checker = EquivalenceChecker()
         self.change_window = change_window
         self.include_switch_risks = include_switch_risks
         self.localizer = localizer or ScoutLocalizer(
@@ -164,7 +162,7 @@ class ScoutSystem:
                 change_log=controller.change_log, window=change_window
             )
         )
-        self.correlation_engine = correlation_engine or EventCorrelationEngine()
+        self.correlation_engine = EventCorrelationEngine()
         #: Lazily created persistent worker pool for parallel sweeps.
         self.pool: Optional[WarmWorkerPool] = None
         #: Derived checkers for per-call ``engine=`` overrides, cached so a

@@ -59,15 +59,6 @@ class Figure3Series:
         idx = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[idx]
 
-    def cdf_points(self) -> List[tuple[int, float]]:
-        """The (x, CDF(x)) points of the series, as plotted in Figure 3."""
-        ordered = sorted(self.pair_counts)
-        total = len(ordered)
-        points = []
-        for i, value in enumerate(ordered, start=1):
-            points.append((value, i / total))
-        return points
-
 
 def run_figure3(
     profile: Optional[WorkloadProfile] = None,

@@ -19,13 +19,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.scout import ScoutLocalizer
 from ..policy.graph import PolicyIndex
 from ..risk.controller_model import build_controller_risk_model
 from ..workloads.generator import generate_workload
-from ..workloads.profiles import WorkloadProfile, scaled_profile, simulation_profile
+from ..workloads.profiles import scaled_profile, simulation_profile
 
 __all__ = ["ScalabilityPoint", "run_scalability", "format_scalability"]
 
@@ -74,11 +74,10 @@ def run_scalability(
     leaf_counts: Sequence[int] = (10, 50, 100, 200, 500),
     pairs_per_leaf: int = 40,
     num_faults: int = 10,
-    base_profile: Optional[WorkloadProfile] = None,
     seed: int = 17,
 ) -> List[ScalabilityPoint]:
     """Measure controller-risk-model build and SCOUT localization time."""
-    base = base_profile or simulation_profile()
+    base = simulation_profile()
     localizer = ScoutLocalizer()
     points: List[ScalabilityPoint] = []
     for leaves in leaf_counts:

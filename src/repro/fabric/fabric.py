@@ -9,8 +9,7 @@ TCAM state (the ``T`` side of the L-T equivalence check).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..clock import LogicalClock
 from ..exceptions import FabricError, UnknownObjectError
@@ -75,35 +74,6 @@ class Fabric:
         if endpoint is None:
             raise UnknownObjectError(f"endpoint {endpoint_uid!r} not found")
         tenant.replace_endpoint(endpoint.attached_to(switch_uid))
-
-    def attach_round_robin(
-        self,
-        policy: NetworkPolicy,
-        endpoints: Optional[Iterable[str]] = None,
-        leaves: Optional[Sequence[str]] = None,
-    ) -> Dict[str, str]:
-        """Attach endpoints to leaves round-robin; returns endpoint → switch map.
-
-        Endpoints that are already attached keep their placement.  This is the
-        default placement used by the synthetic workloads; scenario-specific
-        placements (e.g. the Figure 1 example) attach explicitly.
-        """
-        leaves = list(leaves or self.leaf_uids())
-        if not leaves:
-            raise FabricError("fabric has no leaf switches to attach endpoints to")
-        wanted = None if endpoints is None else set(endpoints)
-        chosen = {}
-        cycle = itertools.cycle(leaves)
-        for endpoint in policy.endpoints():
-            if wanted is not None and endpoint.uid not in wanted:
-                continue
-            if endpoint.switch_uid is not None:
-                chosen[endpoint.uid] = endpoint.switch_uid
-                continue
-            switch_uid = next(cycle)
-            self.attach_endpoint(policy, endpoint.uid, switch_uid)
-            chosen[endpoint.uid] = switch_uid
-        return chosen
 
     # ------------------------------------------------------------------ #
     # Deployed state collection (the "T" side of the L-T check)

@@ -114,16 +114,6 @@ class FaultLogBook:
         """All records, in emission order."""
         return list(self._records)
 
-    def active_at(self, time: int) -> List[FaultRecord]:
-        """Faults raised before ``time`` and still active at ``time``."""
-        return [record for record in self._records if record.is_active_at(time)]
-
-    def for_device(self, device_uid: str) -> List[FaultRecord]:
-        return [record for record in self._records if record.device_uid == device_uid]
-
-    def with_code(self, code: FaultCode) -> List[FaultRecord]:
-        return [record for record in self._records if record.code == code]
-
     def clear_device(self, device_uid: str, time: int) -> int:
         """Clear every active fault on ``device_uid``; returns how many were cleared."""
         cleared = 0

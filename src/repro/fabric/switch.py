@@ -17,7 +17,7 @@ Fault hooks modelled here:
 * ``buggy_dropped_objects`` — a software bug makes the agent silently drop
   specific objects from its logical view (§III: "S2 may drop the filter
   'port 700/allow' from its logical view due to software bug");
-* TCAM overflow / eviction / corruption are raised by the
+* TCAM overflow / eviction are raised by the
   :class:`~repro.fabric.tcam.TcamTable` and logged by the switch.
 """
 
@@ -399,8 +399,7 @@ class Switch:
             for key in held_keys:
                 if key in desired:
                     continue
-                # Only remove rules this agent owns (rendered from its view);
-                # corrupted entries keep provenance and are cleaned up as well,
+                # Only remove rules this agent owns (rendered from its view),
                 # which mirrors an agent reconciling unexpected TCAM content.
                 if self.tcam.remove(key) is not None:
                     removed += 1

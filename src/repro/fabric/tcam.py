@@ -8,8 +8,6 @@ lists in §II-B:
   overflow), or, if the local eviction mechanism is enabled, an old rule is
   silently evicted to make room (which "even worsens the situation because
   the controller may be unaware of the rules deleted from TCAM");
-* **corruption** — bit errors rewrite a match field of an installed rule so
-  the deployed rule no longer matches the intended one;
 * **partial updates** — callers (the switch agent) may stop applying a rule
   diff mid-way, leaving the table in a mixed state.
 
@@ -26,9 +24,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from operator import is_
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
-
-import random
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import TcamError
 from ..rules import MatchKey, RuleSequence, TcamRule
@@ -36,8 +32,8 @@ from ..rules import MatchKey, RuleSequence, TcamRule
 __all__ = ["InstallOutcome", "TcamTable", "TcamListener"]
 
 #: Listener called once per write transaction: ``listener(installed, lost)``
-#: with the number of rules written and the number lost — removed, evicted,
-#: corrupted or rejected at install time.  The online monitoring subsystem
+#: with the number of rules written and the number lost — removed, evicted
+#: or rejected at install time.  The online monitoring subsystem
 #: uses this hook to turn a TCAM transaction into one ``TcamChanged`` event.
 TcamListener = Callable[[int, int], None]
 
@@ -76,7 +72,6 @@ class TcamTable:
         self.install_attempts = 0
         self.rejected_installs = 0
         self.evictions = 0
-        self.corrupted_entries = 0
 
     # ------------------------------------------------------------------ #
     # Listeners (used by the online monitoring instrumentation)
@@ -220,75 +215,3 @@ class TcamTable:
     # ------------------------------------------------------------------ #
     # Hardware faults
     # ------------------------------------------------------------------ #
-    def corrupt(
-        self,
-        rng: random.Random,
-        count: int = 1,
-        fields: Iterable[str] = ("port", "vrf_scope", "dst_epg"),
-    ) -> List[Tuple[TcamRule, TcamRule]]:
-        """Corrupt up to ``count`` installed rules by rewriting one match field.
-
-        A corrupted rule keeps its provenance (the hardware does not know the
-        rule is wrong) but its match no longer agrees with the logical model,
-        so the equivalence checker will report the original rule as missing.
-        Returns the list of ``(original, corrupted)`` pairs.
-        """
-        field_choices = list(fields)
-        if not field_choices:
-            raise TcamError("corrupt() needs at least one candidate field")
-        victims = list(self._entries.values())
-        if not victims:
-            return []
-        rng.shuffle(victims)
-        corrupted: list[Tuple[TcamRule, TcamRule]] = []
-        with self.transaction():
-            for original in victims[: max(0, count)]:
-                field_name = rng.choice(field_choices)
-                replacement = self._flip_field(original, field_name, rng)
-                self._entries.pop(original.match_key(), None)
-                # The corrupted entry may collide with another installed rule;
-                # in that case the original simply disappears, which is still
-                # a valid corruption outcome.
-                existing = self._entries.setdefault(replacement.match_key(), replacement)
-                self.corrupted_entries += 1
-                self._wrote(int(existing is replacement), 1)
-                corrupted.append((original, replacement))
-        return corrupted
-
-    @staticmethod
-    def _flip_field(rule: TcamRule, field_name: str, rng: random.Random) -> TcamRule:
-        """Return a copy of ``rule`` with one match field rewritten."""
-        values = {
-            "vrf_scope": rule.vrf_scope,
-            "src_epg": rule.src_epg,
-            "dst_epg": rule.dst_epg,
-            "protocol": rule.protocol,
-            "port": rule.port,
-            "action": rule.action,
-        }
-        if field_name == "port":
-            original_port = rule.port if rule.port is not None else 0
-            values["port"] = (original_port + rng.randint(1, 1000)) % 65536
-        elif field_name == "vrf_scope":
-            values["vrf_scope"] = rule.vrf_scope + rng.randint(1, 50)
-        elif field_name == "src_epg":
-            values["src_epg"] = rule.src_epg + rng.randint(1, 50)
-        elif field_name == "dst_epg":
-            values["dst_epg"] = rule.dst_epg + rng.randint(1, 50)
-        elif field_name == "action":
-            values["action"] = "deny" if rule.action == "allow" else "allow"
-        else:
-            raise TcamError(f"cannot corrupt unknown field {field_name!r}")
-        return TcamRule(
-            vrf_scope=values["vrf_scope"],
-            src_epg=values["src_epg"],
-            dst_epg=values["dst_epg"],
-            protocol=values["protocol"],
-            port=values["port"],
-            action=values["action"],
-            vrf_uid=rule.vrf_uid,
-            src_epg_uid=rule.src_epg_uid,
-            dst_epg_uid=rule.dst_epg_uid,
-            contract_uid=rule.contract_uid,
-            filter_uid=rule.filter_uid,
-        )

@@ -37,8 +37,8 @@ class LeafSpineTopology:
 
     def __init__(self) -> None:
         self._roles: Dict[str, SwitchRole] = {}
-        #: Per switch, its linked switches → the link's capacity (Gbps).
-        self._links: Dict[str, Dict[str, float]] = {}
+        #: Per switch, its linked switches (a dict as an insertion-ordered set).
+        self._links: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -56,7 +56,7 @@ class LeafSpineTopology:
     def add_spine(self, uid: str) -> str:
         return self.add_switch(uid, SwitchRole.SPINE)
 
-    def add_link(self, a: str, b: str, capacity_gbps: float = 40.0) -> None:
+    def add_link(self, a: str, b: str) -> None:
         for node in (a, b):
             if node not in self._roles:
                 raise FabricError(f"cannot link unknown switch {node!r}")
@@ -66,16 +66,13 @@ class LeafSpineTopology:
             raise FabricError(
                 f"leaf-spine topology only links leaves to spines, got {role_a}-{role_b}"
             )
-        self._links[a][b] = self._links[b][a] = capacity_gbps
+        self._links[a][b] = self._links[b][a] = None
 
     @classmethod
     def build(
         cls,
         num_leaves: int,
         num_spines: int = 2,
-        leaf_prefix: str = "leaf",
-        spine_prefix: str = "spine",
-        link_capacity_gbps: float = 40.0,
     ) -> "LeafSpineTopology":
         """Build a full-mesh leaf-spine fabric (every leaf to every spine)."""
         if num_leaves <= 0:
@@ -83,11 +80,11 @@ class LeafSpineTopology:
         if num_spines <= 0:
             raise FabricError(f"a fabric needs at least one spine, got {num_spines}")
         topo = cls()
-        spines = [topo.add_spine(f"{spine_prefix}-{i + 1}") for i in range(num_spines)]
+        spines = [topo.add_spine(f"spine-{i + 1}") for i in range(num_spines)]
         for i in range(num_leaves):
-            leaf = topo.add_leaf(f"{leaf_prefix}-{i + 1}")
+            leaf = topo.add_leaf(f"leaf-{i + 1}")
             for spine in spines:
-                topo.add_link(leaf, spine, capacity_gbps=link_capacity_gbps)
+                topo.add_link(leaf, spine)
         return topo
 
     # ------------------------------------------------------------------ #
@@ -101,11 +98,6 @@ class LeafSpineTopology:
 
     def spines(self) -> List[str]:
         return self._by_role(SwitchRole.SPINE)
-
-    def role_of(self, uid: str) -> SwitchRole:
-        if uid not in self._roles:
-            raise FabricError(f"unknown switch {uid!r}")
-        return self._roles[uid]
 
     def _walk(self, src: str) -> Dict[str, Optional[str]]:
         """Breadth-first from ``src``: every switch reached → the one it was

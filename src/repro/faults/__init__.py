@@ -8,25 +8,17 @@ from .object_faults import (
     rules_for_object,
 )
 from .physical import (
-    corrupt_switch_tcam,
-    crash_agent_after,
-    disrupt_control_channel,
     make_switch_unresponsive,
     restore_switch,
-    shrink_tcam_capacity,
 )
 
 __all__ = [
     "FaultInjector",
     "FaultKind",
     "InjectedFault",
-    "corrupt_switch_tcam",
-    "crash_agent_after",
-    "disrupt_control_channel",
     "inject_full_object_fault",
     "inject_partial_object_fault",
     "make_switch_unresponsive",
     "restore_switch",
     "rules_for_object",
-    "shrink_tcam_capacity",
 ]

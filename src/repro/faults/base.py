@@ -8,8 +8,7 @@ The evaluation (§VI-A) injects two kinds of *object faults*, both of which
 * **partial object fault** — only some of the rules associated with the
   object are missing (the case that defeats the SCORE baseline).
 
-Physical-level faults (TCAM overflow, unresponsive switch, agent crash,
-corruption, channel disruption) are modelled separately in
+Physical-level faults (an unresponsive switch) are modelled separately in
 :mod:`repro.faults.physical`; they *cause* rule misses through the simulated
 deployment machinery rather than by deleting rules directly.
 """

@@ -45,14 +45,10 @@ class FaultInjector:
         self,
         controller: Controller,
         rng: Optional[random.Random] = None,
-        record_changes: bool = True,
-        partial_fraction: float = 0.5,
     ) -> None:
         self.controller = controller
         self.fabric = controller.fabric
         self.rng = rng or random.Random(0)
-        self.record_changes = record_changes
-        self.partial_fraction = partial_fraction
         self.injected: List[InjectedFault] = []
 
     # ------------------------------------------------------------------ #
@@ -115,11 +111,10 @@ class FaultInjector:
                 self.fabric,
                 object_uid,
                 rng=rng,
-                fraction=self.partial_fraction,
                 switches=switches,
                 injected_at=injected_at,
             )
-        if self.record_changes and object_uid in self.controller.policy:
+        if object_uid in self.controller.policy:
             obj = self.controller.policy.get(object_uid)
             self.controller.record_change(
                 obj,

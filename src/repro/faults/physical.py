@@ -1,28 +1,19 @@
 """Physical-level fault scenarios.
 
 These helpers trigger faults through the simulated deployment machinery
-(channel, agent, TCAM) rather than by deleting rules directly, so they also
-leave behind the device/controller fault logs the event correlation engine
-consumes.  They are the building blocks of the paper's §V-B use cases.
+(the switch and its control channel) rather than by deleting rules directly,
+so they also leave behind the device/controller fault logs the event
+correlation engine consumes.  They are the building blocks of the paper's
+§V-B unresponsive-switch use case.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Tuple
-
 from ..controller.controller import Controller
-from ..fabric.faultlog import FaultCode
-from ..fabric.switch import Switch
-from ..rules import TcamRule
 
 __all__ = [
     "make_switch_unresponsive",
     "restore_switch",
-    "crash_agent_after",
-    "corrupt_switch_tcam",
-    "disrupt_control_channel",
-    "shrink_tcam_capacity",
 ]
 
 
@@ -44,55 +35,3 @@ def restore_switch(controller: Controller, switch_uid: str) -> None:
     switch = controller.fabric.switch(switch_uid)
     switch.restore()
     controller.channel.reconnect(switch_uid)
-
-
-def crash_agent_after(switch: Switch, instructions: int) -> None:
-    """Arrange for the switch agent to crash after applying ``instructions`` more updates."""
-    switch.agent.crash_after = max(0, instructions)
-
-
-def corrupt_switch_tcam(
-    switch: Switch,
-    rng: random.Random,
-    count: int = 1,
-    log_fault: bool = True,
-) -> List[Tuple[TcamRule, TcamRule]]:
-    """Corrupt ``count`` TCAM entries on ``switch`` and log the hardware fault.
-
-    Note that real TCAM corruption does not always produce a fault log
-    (§V-B: "not all faults ... create fault logs"); pass ``log_fault=False``
-    to reproduce the silent-corruption case where only fault localization —
-    not log analysis — can narrow the search down.
-    """
-    corrupted = switch.tcam.corrupt(rng, count=count)
-    if corrupted and log_fault:
-        switch.fault_log.raise_fault(
-            switch.clock.peek(),
-            switch.uid,
-            FaultCode.TCAM_CORRUPTION,
-            detail=f"{len(corrupted)} TCAM entr(ies) corrupted by bit errors",
-        )
-    return corrupted
-
-
-def disrupt_control_channel(
-    controller: Controller,
-    drop_probability: float,
-    rng: Optional[random.Random] = None,
-) -> None:
-    """Make the control channel lossy for subsequent deployments."""
-    controller.channel.drop_probability = drop_probability
-    if rng is not None:
-        controller.channel.rng = rng
-
-
-def shrink_tcam_capacity(switch: Switch, capacity: int) -> int:
-    """Reduce a switch's TCAM capacity (models a small/loaded hardware table).
-
-    Existing entries beyond the new capacity stay installed (hardware does
-    not truncate), but further installs will overflow.  Returns the previous
-    capacity (``-1`` when it was unlimited).
-    """
-    previous = switch.tcam.capacity if switch.tcam.capacity is not None else -1
-    switch.tcam.capacity = capacity
-    return previous

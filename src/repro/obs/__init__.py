@@ -23,12 +23,11 @@ Beyond profiling, the package carries the operator-debugging layer:
 breaks), and :mod:`~repro.obs.health` (component health + SLO burn rates).
 """
 
-from .corr import correlated, current_corr_id, new_corr_id, set_corr_id
-from .export import chrome_trace, read_jsonl, span_dicts, write_chrome, write_jsonl
+from .corr import correlated, current_corr_id, new_corr_id
+from .export import chrome_trace, span_dicts, write_chrome, write_jsonl
 from .health import ComponentHealth, HealthRegistry, HealthStatus, SloTracker
 from .recorder import (
     FlightRecorder,
-    current_recorder,
     dump_flightrecord,
     format_flightrecord,
     record_event,
@@ -49,7 +48,6 @@ from .trace import (
     install,
     span,
     traced,
-    uninstall,
 )
 
 __all__ = [
@@ -68,21 +66,17 @@ __all__ = [
     "correlated",
     "current",
     "current_corr_id",
-    "current_recorder",
     "dump_flightrecord",
     "format_attribution",
     "format_flightrecord",
     "install",
     "new_corr_id",
     "parallel_stage_breakdown",
-    "read_jsonl",
     "record_event",
     "recording",
-    "set_corr_id",
     "span",
     "span_dicts",
     "traced",
-    "uninstall",
     "write_chrome",
     "write_jsonl",
 ]

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional
 
-__all__ = ["correlated", "current_corr_id", "new_corr_id", "set_corr_id"]
+__all__ = ["correlated", "current_corr_id", "new_corr_id"]
 
 _ACTIVE_CORR: ContextVar[Optional[str]] = ContextVar("repro_corr_id", default=None)
 
@@ -46,11 +46,6 @@ def new_corr_id(prefix: str = "corr") -> str:
 def current_corr_id() -> Optional[str]:
     """The ambient correlation id, or ``None`` outside any correlated work."""
     return _ACTIVE_CORR.get()
-
-
-def set_corr_id(corr_id: Optional[str]) -> None:
-    """Set the ambient id directly (worker processes restoring a shipped id)."""
-    _ACTIVE_CORR.set(corr_id)
 
 
 @contextmanager

@@ -18,7 +18,6 @@ from .trace import Span
 
 __all__ = [
     "chrome_trace",
-    "read_jsonl",
     "span_dicts",
     "write_chrome",
     "write_jsonl",
@@ -44,17 +43,6 @@ def write_jsonl(spans: Iterable[SpanLike], path: str) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read span dicts back from a JSONL file (blank lines ignored)."""
-    payloads: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                payloads.append(json.loads(line))
-    return payloads
 
 
 # ---------------------------------------------------------------------- #

@@ -37,7 +37,6 @@ from .corr import current_corr_id
 
 __all__ = [
     "FlightRecorder",
-    "current_recorder",
     "dump_flightrecord",
     "format_flightrecord",
     "record_event",
@@ -139,11 +138,6 @@ class FlightRecorder:
 # ---------------------------------------------------------------------- #
 # Ambient installation (mirrors trace.activated)
 # ---------------------------------------------------------------------- #
-def current_recorder() -> Optional[FlightRecorder]:
-    """The installed recorder, or ``None`` when nothing is recording."""
-    return _ACTIVE_RECORDER.get()
-
-
 @contextmanager
 def recording(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
     """Install ``recorder`` as the ambient flight recorder for the block."""

@@ -37,7 +37,6 @@ from contextvars import ContextVar
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Deque,
     Dict,
     Iterator,
@@ -58,7 +57,6 @@ __all__ = [
     "install",
     "span",
     "traced",
-    "uninstall",
 ]
 
 AttrValue = Union[str, int, float, bool]
@@ -308,10 +306,6 @@ class TraceCollector:
                 sink(restored)
         return adopted
 
-    def activate(self) -> "ContextManager[TraceCollector]":
-        """Shorthand for ``activated(self)``."""
-        return activated(self)
-
 
 # ---------------------------------------------------------------------- #
 # Module-level active collector
@@ -324,10 +318,6 @@ _ACTIVE: ContextVar[Optional[TraceCollector]] = ContextVar(
 def install(collector: TraceCollector) -> None:
     """Make ``collector`` the active collector for this context."""
     _ACTIVE.set(collector)
-
-
-def uninstall() -> None:
-    _ACTIVE.set(None)
 
 
 def current() -> Optional[TraceCollector]:

@@ -54,7 +54,7 @@ from ..controller.controller import Controller
 from ..obs import span
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
-from ..rules import RuleSequence, TcamRule
+from ..rules import RuleSequence
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 
 __all__ = [
@@ -208,9 +208,6 @@ class IncrementalChecker:
         if self._owns(switch_uid):
             self._dirty.add(switch_uid)
 
-    def dirty_switches(self) -> Set[str]:
-        return set(self._dirty)
-
     def has_pending_work(self) -> bool:
         """True while a refresh has something to re-check: dirty switches,
         or policy changes whose blast radius is not resolved yet."""
@@ -332,16 +329,9 @@ class IncrementalChecker:
             report.update(result)
         return report
 
-    def result_for(self, switch_uid: str) -> Optional[SwitchCheckResult]:
-        return self._results.get(switch_uid)
-
     def results(self) -> Dict[str, SwitchCheckResult]:
         """Every per-switch result this checker currently holds (a copy)."""
         return dict(self._results)
-
-    def missing_rules_for(self, switch_uid: str) -> List[TcamRule]:
-        result = self._results.get(switch_uid)
-        return list(result.missing_rules) if result is not None else []
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -81,7 +81,7 @@ class PolicyChanged(Event):
 @dataclass(frozen=True)
 class TcamChanged(Event):
     """One write transaction on one switch's TCAM: ``installed`` rules went
-    in, ``lost`` left it (removed, evicted, corrupted) or bounced off it."""
+    in, ``lost`` left it (removed or evicted) or bounced off it."""
 
     switch_uid: str
     installed: int

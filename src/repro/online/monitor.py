@@ -188,11 +188,7 @@ class NetworkMonitor:
         self,
         controller: Controller,
         bus: Optional[EventBus] = None,
-        checker: Optional[EquivalenceChecker] = None,
-        localizer: Optional[ScoutLocalizer] = None,
-        store: Optional[IncidentStore] = None,
         debounce_ticks: int = 1,
-        max_wait_ticks: Optional[int] = None,
         change_window: int = 100,
         max_workers: Optional[int] = None,
         partitions: int = 1,
@@ -210,7 +206,7 @@ class NetworkMonitor:
             controller, partitions
         )
         self.partitions = len(self.partition_map)
-        base_checker = checker or EquivalenceChecker()
+        base_checker = EquivalenceChecker()
         #: One checker per partition, indexed like the map's slots.
         self.checkers: List[IncrementalChecker] = []
         for index in range(self.partitions):
@@ -231,22 +227,20 @@ class NetworkMonitor:
             self.checkers.append(
                 IncrementalChecker(controller, checker=part_checker, owned=owned)
             )
-        self.localizer = localizer or ScoutLocalizer(
+        self.localizer = ScoutLocalizer(
             change_oracle=RecentChangeOracle(
                 change_log=controller.change_log, window=change_window
             )
         )
-        self.store = store or IncidentStore()
+        self.store = IncidentStore()
         #: Threads that refresh partitions concurrently.  ``None`` (or one
         #: partition) refreshes them in a plain loop.
         self.max_workers = max_workers
         self.debounce_ticks = debounce_ticks
         #: Upper bound on how long a pending batch may wait for the burst to
         #: settle; without it, a steady event stream would starve the monitor
-        #: forever.  Defaults to five debounce windows.
-        self.max_wait_ticks = (
-            max_wait_ticks if max_wait_ticks is not None else 5 * debounce_ticks
-        )
+        #: forever.  Five debounce windows.
+        self.max_wait_ticks = 5 * debounce_ticks
         self.passes: List[MonitorPass] = []
         self._pending: List[Event] = []
         self._first_event_at: Optional[int] = None

@@ -74,10 +74,6 @@ class ShardPlan:
     def __contains__(self, uid: str) -> bool:
         return uid in self._shard_by_uid
 
-    def shard_of(self, uid: str) -> Optional[int]:
-        """The shard index holding ``uid`` (``None`` for unknown switches)."""
-        return self._shard_by_uid.get(uid)
-
     def switches(self) -> Tuple[str, ...]:
         """Every planned switch uid, in shard order."""
         return tuple(uid for shard in self.shards for uid in shard)

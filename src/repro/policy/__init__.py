@@ -18,13 +18,6 @@ from .objects import (
     ObjectType,
     PolicyObject,
     Vrf,
-    object_sort_key,
-)
-from .serialization import (
-    policy_from_dict,
-    policy_from_json,
-    policy_to_dict,
-    policy_to_json,
 )
 from .tenant import NetworkPolicy, Tenant
 from .validation import policy_issues, validate_policy
@@ -45,12 +38,7 @@ __all__ = [
     "Tenant",
     "Vrf",
     "epg_pairs_per_object",
-    "object_sort_key",
-    "policy_from_dict",
-    "policy_from_json",
     "policy_issues",
-    "policy_to_dict",
-    "policy_to_json",
     "three_tier_policy",
     "validate_policy",
 ]

@@ -172,19 +172,6 @@ class PolicyBuilder:
             raise UnknownObjectError(f"endpoint {endpoint!r} not found")
         self.tenant.replace_endpoint(self.tenant.endpoints[endpoint].attached_to(switch))
 
-    def add_filter_to_contract(self, contract: str, filter_uid: str) -> None:
-        """Append a filter to an existing contract (used by the use cases)."""
-        if contract not in self.tenant.contracts:
-            raise UnknownObjectError(f"contract {contract!r} not found")
-        if filter_uid not in self.tenant.filters:
-            raise UnknownObjectError(f"filter {filter_uid!r} not found")
-        old = self.tenant.contracts[contract]
-        if filter_uid in old.filter_uids:
-            return
-        self.tenant.contracts[contract] = Contract(
-            uid=old.uid, name=old.name, filter_uids=old.filter_uids + (filter_uid,)
-        )
-
     def _update_epg_relations(
         self,
         epg_uid: str,
@@ -212,24 +199,20 @@ class PolicyBuilder:
         return NetworkPolicy([self.tenant])
 
 
-def three_tier_policy(
-    tenant: str = "webshop",
-    web_port: int = 80,
-    db_ports: Sequence[int] = (80, 700),
-) -> tuple[PolicyBuilder, dict[str, str]]:
+def three_tier_policy() -> tuple[PolicyBuilder, dict[str, str]]:
     """Construct the paper's running example (Figure 1): Web / App / DB.
 
     Returns the builder (so endpoints can still be attached) and a dictionary
     of the created object uids keyed by short names (``"web"``, ``"app"``,
     ``"db"``, ``"vrf"``, ``"web_app_contract"``, ``"app_db_contract"``, ...).
     """
-    builder = PolicyBuilder(tenant=tenant)
+    builder = PolicyBuilder(tenant="webshop")
     vrf = builder.vrf("101", scope_id=101)
     web = builder.epg("Web", vrf=vrf)
     app = builder.epg("App", vrf=vrf)
     db = builder.epg("DB", vrf=vrf)
-    f_http = builder.filter("port80", [("tcp", web_port)])
-    extra_filters = [builder.filter(f"port{port}", [("tcp", port)]) for port in db_ports if port != web_port]
+    f_http = builder.filter("port80", [("tcp", 80)])
+    extra_filters = [builder.filter("port700", [("tcp", 700)])]
     web_app = builder.allow(web, app, filters=[f_http], contract="Web-App")
     app_db = builder.allow(app, db, filters=[f_http, *extra_filters], contract="App-DB")
     uids = {

@@ -22,8 +22,8 @@ Design notes
 Objects are intentionally plain, hashable dataclasses keyed by a string
 ``uid``.  All relationships (which EPG consumes which contract, which
 endpoints belong to which EPG) are stored on the objects themselves so a
-policy can be assembled incrementally by the builder and serialized without
-an auxiliary relation store.
+policy can be assembled incrementally by the builder without an auxiliary
+relation store.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "Endpoint",
     "EpgPair",
     "ANY_PORT",
-    "object_sort_key",
 ]
 
 #: Sentinel used in :class:`FilterEntry` to mean "any destination port".
@@ -276,23 +275,3 @@ class EpgPair(tuple):
 
     def __repr__(self) -> str:
         return f"EpgPair({self[0]!r}, {self[1]!r})"
-
-
-_TYPE_ORDER = {
-    ObjectType.VRF: 0,
-    ObjectType.EPG: 1,
-    ObjectType.CONTRACT: 2,
-    ObjectType.FILTER: 3,
-    ObjectType.ENDPOINT: 4,
-    ObjectType.SWITCH: 5,
-    ObjectType.TENANT: 6,
-}
-
-
-def object_sort_key(obj: PolicyObject) -> tuple[int, str]:
-    """Deterministic ordering of policy objects: by type, then by uid.
-
-    Used throughout the library so that hypotheses, reports and serialized
-    documents are stable across runs.
-    """
-    return (_TYPE_ORDER[obj.object_type], obj.uid)

@@ -34,21 +34,14 @@ to one model, no other model notices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 from ..exceptions import RiskModelError
 
-__all__ = ["EdgeStatus", "RiskModel", "cached_model"]
+__all__ = ["RiskModel", "cached_model"]
 
 ElementKey = Hashable
 RiskKey = Hashable
-
-
-class EdgeStatus:
-    """Edge annotations used by the risk models."""
-
-    SUCCESS = "success"
-    FAIL = "fail"
 
 
 class RiskModel:
@@ -107,15 +100,6 @@ class RiskModel:
         self._pruned = set()
         self._pruned_dependents = {}
 
-    def mark_edge_failed(self, element: ElementKey, risk: RiskKey) -> None:
-        """Flag the (element, risk) edge as fail; the element becomes an observation."""
-        if element not in self:
-            raise RiskModelError(f"unknown element {element!r}")
-        if not self.mark_element_failed(element, (risk,)):
-            raise RiskModelError(
-                f"element {element!r} does not depend on risk {risk!r}"
-            )
-
     def mark_element_failed(
         self, element: ElementKey, risks: Optional[Iterable[RiskKey]] = None
     ) -> Set[RiskKey]:
@@ -161,11 +145,6 @@ class RiskModel:
     def __contains__(self, element: ElementKey) -> bool:
         return element in self._element_risks and element not in self._pruned
 
-    def risks_for_element(self, element: ElementKey) -> Set[RiskKey]:
-        if element in self._pruned:
-            return set()
-        return set(self._element_risks.get(element, ()))
-
     def elements_for_risk(self, risk: RiskKey) -> Set[ElementKey]:
         """``G_i`` — every element that depends on ``risk``."""
         dependents = self._risk_elements.get(risk)
@@ -174,12 +153,6 @@ class RiskModel:
         if risk in self._pruned_dependents:
             return dependents - self._pruned
         return set(dependents)
-
-    def edge_status(self, element: ElementKey, risk: RiskKey) -> str:
-        if element not in self or risk not in self._element_risks[element]:
-            raise RiskModelError(f"no edge between {element!r} and {risk!r}")
-        failed = risk in self._failed_risks_by_element.get(element, ())
-        return EdgeStatus.FAIL if failed else EdgeStatus.SUCCESS
 
     # ------------------------------------------------------------------ #
     # Failure queries
@@ -192,9 +165,6 @@ class RiskModel:
             if risks
         }
 
-    def is_failed(self, element: ElementKey) -> bool:
-        return bool(self._failed_risks_by_element.get(element))
-
     def failed_risks_for_element(self, element: ElementKey) -> Set[RiskKey]:
         """Risks connected to ``element`` through a failed edge (``getFailedObjects``)."""
         return set(self._failed_risks_by_element.get(element, ()))
@@ -202,13 +172,6 @@ class RiskModel:
     def failed_elements_for_risk(self, risk: RiskKey) -> Set[ElementKey]:
         """``O_i`` — failed elements whose failed edges include ``risk``."""
         return set(self._failed_elements_by_risk.get(risk, ()))
-
-    def failed_edges(self) -> Set[Tuple[ElementKey, RiskKey]]:
-        return {
-            (element, risk)
-            for element, risks in self._failed_risks_by_element.items()
-            for risk in risks
-        }
 
     # ------------------------------------------------------------------ #
     # Ratios

@@ -9,13 +9,12 @@ why the paper uses the per-switch model to localize switch-level faults.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..policy.graph import PolicyIndex
-from ..policy.tenant import NetworkPolicy
 from .model import RiskModel, cached_model
 
-__all__ = ["build_switch_risk_model", "build_all_switch_risk_models"]
+__all__ = ["build_switch_risk_model"]
 
 
 def build_switch_risk_model(
@@ -48,15 +47,3 @@ def build_switch_risk_model(
         name or f"switch-risk-model:{switch_uid}",
         leaf=switch_uid,
     )
-
-
-def build_all_switch_risk_models(
-    policy: NetworkPolicy,
-    index: Optional[PolicyIndex] = None,
-) -> Dict[str, RiskModel]:
-    """Build one switch risk model per leaf that hosts at least one EPG pair."""
-    index = index or PolicyIndex(policy)
-    return {
-        switch_uid: build_switch_risk_model(index, switch_uid)
-        for switch_uid in index.all_switches()
-    }

@@ -288,28 +288,23 @@ class ScoutService:
         controller: Controller,
         name: str = "scout",
         sync_audits: bool = False,
-        monitor: Optional[NetworkMonitor] = None,
-        system: Optional[ScoutSystem] = None,
-        auto_start: bool = True,
         restore_snapshot: Optional[Dict] = None,
     ) -> None:
         self.controller = controller
         self.name = name
-        self.system = system or ScoutSystem(controller)
+        self.system = ScoutSystem(controller)
         # A restore snapshot replaces :meth:`start`: the monitor comes up
         # already attached (``running``), its one sweep applied to no
         # incident — what the sweep finds changed since the snapshot is the
         # first poll's to open or resolve.  Whatever partition count wrote
         # the snapshot, it restores into one (the rebalance path: per-switch
         # verdicts are partition-independent).
-        if monitor is None:
-            if restore_snapshot is not None:
-                monitor = NetworkMonitor.from_snapshot(
-                    controller, restore_snapshot, partitions=1
-                )
-            else:
-                monitor = NetworkMonitor(controller)
-        self.monitor = monitor
+        if restore_snapshot is not None:
+            self.monitor = NetworkMonitor.from_snapshot(
+                controller, restore_snapshot, partitions=1
+            )
+        else:
+            self.monitor = NetworkMonitor(controller)
         self.store = self.monitor.store
         self.metrics = MetricsRegistry()
         # One long-lived collector for the whole service: every request and
@@ -344,8 +339,7 @@ class ScoutService:
         self.router = Router()
         self._register_routes()
         self._register_gauges()
-        if auto_start:
-            self.start()
+        self.start()
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -185,23 +185,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def counter_value(
-        self, name: str, labels: Optional[Dict[str, str]] = None
-    ) -> float:
-        with self._lock:
-            return self._counters.get(name, {}).get(_label_key(labels), 0.0)
-
-    def summary_count(
-        self, name: str, labels: Optional[Dict[str, str]] = None
-    ) -> int:
-        """Observation count for one series, or across all label sets."""
-        with self._lock:
-            by_label = self._summaries.get(name, {})
-            if labels is not None:
-                series = by_label.get(_label_key(labels))
-                return series.count if series is not None else 0
-            return sum(series.count for series in by_label.values())
-
     # ------------------------------------------------------------------ #
     # Rendering
     # ------------------------------------------------------------------ #

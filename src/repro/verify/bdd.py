@@ -10,9 +10,7 @@ three properties the checker needs:
   comparison;
 * **apply/ite** — conjunction, disjunction, negation and if-then-else with
   memoisation;
-* **model queries** — satisfiability, model counting over a fixed variable
-  set, and enumeration of satisfying assignments (used in tests and for
-  inspecting small rule differences).
+* **restriction** — partial evaluation under an assignment.
 
 The manager uses a fixed variable ordering: variable ``0`` is tested first
 (closest to the root).  Functions are identified by integer node ids;
@@ -21,7 +19,7 @@ The manager uses a fixed variable ordering: variable ``0`` is tested first
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import VerificationError
 
@@ -91,15 +89,6 @@ class BDD:
         self._check_var(index)
         return self._make_node(index, self.FALSE, self.TRUE)
 
-    def nvar(self, index: int) -> int:
-        """The function that is true exactly when variable ``index`` is 0."""
-        self._check_var(index)
-        return self._make_node(index, self.TRUE, self.FALSE)
-
-    def literal(self, index: int, value: bool) -> int:
-        """``var(index)`` if ``value`` else ``nvar(index)``."""
-        return self.var(index) if value else self.nvar(index)
-
     def cube(self, assignment: Dict[int, bool]) -> int:
         """Conjunction of literals, e.g. ``{0: True, 3: False}`` → x0 ∧ ¬x3."""
         result = self.TRUE
@@ -126,9 +115,6 @@ class BDD:
     def apply_or(self, a: int, b: int) -> int:
         return self._apply("or", a, b)
 
-    def apply_xor(self, a: int, b: int) -> int:
-        return self._apply("xor", a, b)
-
     def negate(self, a: int) -> int:
         cached = self._not_cache.get(a)
         if cached is not None:
@@ -146,10 +132,6 @@ class BDD:
     def apply_diff(self, a: int, b: int) -> int:
         """``a ∧ ¬b`` — the functions satisfied by ``a`` but not by ``b``."""
         return self.apply_and(a, self.negate(b))
-
-    def implies(self, a: int, b: int) -> bool:
-        """True iff every assignment satisfying ``a`` also satisfies ``b``."""
-        return self.apply_diff(a, b) == self.FALSE
 
     def equivalent(self, a: int, b: int) -> bool:
         """Canonical representation makes equivalence a node-id comparison."""
@@ -174,17 +156,6 @@ class BDD:
                 return a
             if a == b:
                 return a
-        elif op == "xor":
-            if a == b:
-                return self.FALSE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE:
-                return a
-            if a == self.TRUE:
-                return self.negate(b)
-            if b == self.TRUE:
-                return self.negate(a)
         else:  # pragma: no cover - guarded by callers
             raise VerificationError(f"unknown BDD operation {op!r}")
         return None
@@ -236,12 +207,6 @@ class BDD:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def is_satisfiable(self, node: int) -> bool:
-        return node != self.FALSE
-
-    def is_tautology(self, node: int) -> bool:
-        return node == self.TRUE
-
     def restrict(self, node: int, assignment: Dict[int, bool]) -> int:
         """Partial evaluation of ``node`` under ``assignment``."""
         if node in (self.FALSE, self.TRUE):
@@ -252,94 +217,6 @@ class BDD:
         new_low = self.restrict(low, assignment)
         new_high = self.restrict(high, assignment)
         return self._make_node(var, new_low, new_high)
-
-    def count_solutions(self, node: int) -> int:
-        """Number of satisfying assignments over all ``num_vars`` variables."""
-        memo: Dict[int, int] = {}
-
-        def _count(current: int) -> int:
-            # Terminals carry var == num_vars, so the exponent arithmetic in
-            # the recursive case is uniform; TRUE counts as exactly one
-            # assignment of the (empty) variable suffix below it.
-            if current == self.FALSE:
-                return 0
-            if current == self.TRUE:
-                return 1
-            cached = memo.get(current)
-            if cached is not None:
-                return cached
-            var, low, high = self._nodes[current]
-            low_var = self._nodes[low][0]
-            high_var = self._nodes[high][0]
-            low_count = _count(low) * (1 << (low_var - var - 1))
-            high_count = _count(high) * (1 << (high_var - var - 1))
-            total = low_count + high_count
-            memo[current] = total
-            return total
-
-        if node == self.FALSE:
-            return 0
-        root_var = self._nodes[node][0]
-        return _count(node) * (1 << root_var)
-
-    def any_solution(self, node: int) -> Optional[Dict[int, bool]]:
-        """One satisfying assignment (unset variables omitted), or ``None``."""
-        if node == self.FALSE:
-            return None
-        assignment: Dict[int, bool] = {}
-        current = node
-        while current != self.TRUE:
-            var, low, high = self._nodes[current]
-            if low != self.FALSE:
-                assignment[var] = False
-                current = low
-            else:
-                assignment[var] = True
-                current = high
-        return assignment
-
-    def solutions(self, node: int, limit: Optional[int] = None) -> Iterator[Dict[int, bool]]:
-        """Enumerate satisfying assignments (unset variables omitted).
-
-        ``limit`` caps the number of yielded assignments; enumeration is
-        depth-first and deterministic.
-        """
-        count = 0
-
-        def _walk(current: int, partial: Dict[int, bool]) -> Iterator[Dict[int, bool]]:
-            nonlocal count
-            if limit is not None and count >= limit:
-                return
-            if current == self.FALSE:
-                return
-            if current == self.TRUE:
-                count += 1
-                yield dict(partial)
-                return
-            var, low, high = self._nodes[current]
-            partial[var] = False
-            yield from _walk(low, partial)
-            partial[var] = True
-            yield from _walk(high, partial)
-            del partial[var]
-
-        yield from _walk(node, {})
-
-    def support(self, node: int) -> List[int]:
-        """The set of variables the function actually depends on (sorted)."""
-        seen: set[int] = set()
-        stack = [node]
-        visited: set[int] = set()
-        while stack:
-            current = stack.pop()
-            if current in visited or current in (self.FALSE, self.TRUE):
-                continue
-            visited.add(current)
-            var, low, high = self._nodes[current]
-            seen.add(var)
-            stack.append(low)
-            stack.append(high)
-        return sorted(seen)
 
     def size(self, node: int) -> int:
         """Number of internal nodes reachable from ``node``."""

@@ -13,7 +13,7 @@ the more specific L rules it subsumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from ..exceptions import VerificationError
 from ..rules import TcamRule
@@ -41,8 +41,7 @@ class RuleSpace:
     """The variable space used to encode rules of one deployment.
 
     The default widths accommodate the paper's production-cluster scale
-    (thousands of EPGs, dozens of VRFs) with headroom for the corruption
-    faults that add random offsets to field values.
+    (thousands of EPGs, dozens of VRFs) with headroom.
     """
 
     def __init__(
@@ -120,32 +119,6 @@ class RuleSpace:
     # ------------------------------------------------------------------ #
     # Decoding (for reporting small differences)
     # ------------------------------------------------------------------ #
-    def decode_assignment(self, assignment: Dict[int, bool]) -> Dict[str, Optional[int]]:
-        """Turn a full/partial satisfying assignment back into field values.
-
-        Fields whose variables are absent from the assignment are reported as
-        ``None`` (wildcard / don't-care).
-        """
-
-        def _field_value(layout: FieldLayout) -> Optional[int]:
-            value = 0
-            saw_any = False
-            for bit in range(layout.width):
-                var = layout.offset + bit
-                if var in assignment:
-                    saw_any = True
-                    if assignment[var]:
-                        value |= 1 << bit
-            return value if saw_any else None
-
-        return {
-            "vrf_scope": _field_value(self.vrf),
-            "src_epg": _field_value(self.src_epg),
-            "dst_epg": _field_value(self.dst_epg),
-            "protocol": _field_value(self.protocol),
-            "port": _field_value(self.port),
-        }
-
 
 #: Shared default rule space used by the checker unless a caller overrides it.
 DEFAULT_RULE_SPACE = RuleSpace()

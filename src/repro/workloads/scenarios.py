@@ -88,7 +88,6 @@ def three_tier_scenario(
 def tcam_overflow_scenario(
     tcam_capacity: int = 12,
     extra_filters: int = 12,
-    base_port: int = 7000,
 ) -> Scenario:
     """§V-B use case 1: keep adding filters to Contract:App-DB until TCAM overflows.
 
@@ -105,12 +104,12 @@ def tcam_overflow_scenario(
     added_filters: List[str] = []
     contract_uid = scenario.uids["app_db_contract"]
 
-    for i in range(extra_filters):
-        filter_name = f"dynamic-port{base_port + i}"
+    for port in range(7000, 7000 + extra_filters):
+        filter_name = f"dynamic-port{port}"
         flt = Filter(
             uid=f"filter:{tenant}/{filter_name}",
             name=filter_name,
-            entries=(FilterEntry(protocol="tcp", port=base_port + i),),
+            entries=(FilterEntry(protocol="tcp", port=port),),
         )
         controller.add_object(tenant, flt, detail="add filter (dynamic policy change)")
         old_contract = builder.tenant.contracts[contract_uid]
@@ -134,7 +133,7 @@ def tcam_overflow_scenario(
     return scenario
 
 
-def unresponsive_switch_scenario(extra_filters: int = 6, base_port: int = 8100) -> Scenario:
+def unresponsive_switch_scenario(extra_filters: int = 6) -> Scenario:
     """§V-B use case 2: a switch goes silent while 'add filter' pushes are in flight.
 
     The 3-tier policy is deployed normally; then the leaf hosting the App
@@ -150,12 +149,12 @@ def unresponsive_switch_scenario(extra_filters: int = 6, base_port: int = 8100) 
 
     added_filters: List[str] = []
     contract_uid = scenario.uids["app_db_contract"]
-    for i in range(extra_filters):
-        filter_name = f"late-port{base_port + i}"
+    for port in range(8100, 8100 + extra_filters):
+        filter_name = f"late-port{port}"
         flt = Filter(
             uid=f"filter:{tenant}/{filter_name}",
             name=filter_name,
-            entries=(FilterEntry(protocol="tcp", port=base_port + i),),
+            entries=(FilterEntry(protocol="tcp", port=port),),
         )
         controller.add_object(tenant, flt, detail="add filter while switch is down")
         old_contract = builder.tenant.contracts[contract_uid]

@@ -65,7 +65,7 @@ class TestUnresponsiveSwitchUseCase:
 
     def test_controller_observed_the_outage(self, report):
         scenario, _ = report
-        assert scenario.controller.fault_log.with_code(FaultCode.SWITCH_UNREACHABLE)
+        assert any(r.code is FaultCode.SWITCH_UNREACHABLE for r in scenario.controller.fault_log)
 
 
 class TestTooManyMissingRulesUseCase:

@@ -17,7 +17,7 @@ shadowing, deny flips), which is what a real TCAM is.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import TraceCollector
+from repro.obs import TraceCollector, activated
 from repro.rules import RuleSequence, TcamRule
 from repro.verify import AtomTable, EquivalenceChecker
 from repro.verify.checker import EquivalenceReport, SwitchCheckResult
@@ -332,7 +332,7 @@ class TestLogicalRegionMemo:
             [logical[0], logical[1], TcamRule(1, 1, 2, "udp", 8080)],
         ]
         collector = TraceCollector()
-        with collector.activate():
+        with activated(collector):
             for deployed in sides:
                 result = checker.check_switch("s", logical, deployed)
                 assert result == _full_universe_check(list(logical), deployed)

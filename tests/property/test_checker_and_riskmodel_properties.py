@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import missing_matches
+from oracles import mark_edge_failed, missing_matches
 from repro.risk import RiskModel
 from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker
@@ -102,7 +102,7 @@ def risk_models(draw):
     for element, risks in membership.items():
         for risk in risks:
             if draw(st.booleans()):
-                model.mark_edge_failed(element, risk)
+                mark_edge_failed(model, element, risk)
     return model
 
 

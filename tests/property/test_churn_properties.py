@@ -1,5 +1,7 @@
 """Property-based tests for the churn subsystem's determinism contracts."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from repro.churn import (
     ChurnMix,
     ChurnProfile,
     churn_profile_for,
-    events_from_jsonl,
+    event_from_dict,
     events_to_jsonl,
     generate_churn_stream,
 )
@@ -34,7 +36,8 @@ class TestStreamProperties:
         stream = generate_churn_stream(
             churn_profile_for("small", events=events, seed=seed)
         )
-        assert events_from_jsonl(events_to_jsonl(stream)) == stream
+        lines = events_to_jsonl(stream).splitlines()
+        assert [event_from_dict(json.loads(line)) for line in lines] == stream
 
     @given(seed=_seeds)
     @settings(max_examples=25, deadline=None)

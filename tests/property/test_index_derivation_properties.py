@@ -39,6 +39,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from oracles import element_risks
 from repro import Controller
 from repro.controller.compiler import CompiledRules, compile_logical_rules
 from repro.fabric import Fabric
@@ -166,10 +167,11 @@ def reference_maps(tables):
 
 def structure(model):
     """What a risk model's structure is, order included."""
+    relies = element_risks(model)
     return (
         model.elements(),
         model.risks(),
-        [sorted(model.risks_for_element(element)) for element in model.elements()],
+        [sorted(relies[element]) for element in model.elements()],
     )
 
 

@@ -30,6 +30,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import element_risks, failed_edges, mark_edge_failed, risks_for_element
 from repro.controller.changelog import ChangeLog
 from repro.core import RecentChangeOracle, ScoutLocalizer, SelectionReason
 from repro.core.hypothesis import Hypothesis, HypothesisEntry
@@ -51,7 +52,7 @@ def naive_scout(
     oracle: Optional[RecentChangeOracle] = None,
 ) -> Hypothesis:
     """SCOUT as Algorithms 1-2 state it, from the model's plain contents."""
-    relies = {element: model.risks_for_element(element) for element in model.elements()}
+    relies = element_risks(model)
     failed = {element: model.failed_risks_for_element(element) for element in relies}
 
     def dependents(risk, among) -> Set[Hashable]:  # G_i
@@ -149,6 +150,7 @@ def naive_augment(
     object of every rule.
     """
     flipped = 0
+    relies = element_risks(model)
     for rule in rules:
         if rule.src_epg_uid == rule.dst_epg_uid:
             continue  # no such pair
@@ -157,8 +159,8 @@ def naive_augment(
         if element not in model:
             continue
         for uid in rule.objects() + ([switch_uid] if implicate_switch else []):
-            if uid in model.risks_for_element(element):
-                model.mark_edge_failed(element, uid)
+            if uid in relies[element]:
+                mark_edge_failed(model, element, uid)
                 flipped += 1
     return flipped
 
@@ -186,7 +188,7 @@ def abstract_cases(draw):
         for element in model.elements_for_risk(risk):  # a full failure
             model.mark_element_failed(element, whole)
     for element in draw(st.lists(st.sampled_from(elements), max_size=8)):
-        known = sorted(model.risks_for_element(element))  # a partial one
+        known = sorted(risks_for_element(model, element))  # a partial one
         some = draw(st.sets(st.sampled_from(known), min_size=1))
         model.mark_element_failed(element, some)
 
@@ -257,7 +259,7 @@ def pair_models(draw, switches: Sequence[str] = ()):
 
 
 def _augmented_alike(fast: RiskModel, naive: RiskModel) -> None:
-    assert fast.failed_edges() == naive.failed_edges()
+    assert failed_edges(fast) == failed_edges(naive)
     assert fast.failure_signature() == naive.failure_signature()
     assert ScoutLocalizer().localize(fast).to_dict() == naive_scout(naive).to_dict()
 
@@ -269,7 +271,7 @@ def _augmented_alike(fast: RiskModel, naive: RiskModel) -> None:
 @given(abstract_cases())
 def test_scout_equals_the_literal_algorithm(case):
     model, subset, oracle = case
-    before = model.failed_edges()
+    before = failed_edges(model)
     # Stage 1 alone, with the change-log stage, and under an explicit signature.
     for signature, asked in ((None, None), (None, oracle), (subset, oracle)):
         hypothesis = ScoutLocalizer(change_oracle=asked).localize(model, signature)
@@ -280,7 +282,7 @@ def test_scout_equals_the_literal_algorithm(case):
         assert hypothesis.objects() == set(order)
         round_trip = Hypothesis.from_dict(hypothesis.to_dict())
         assert round_trip.to_dict() == reference.to_dict()
-    assert model.failed_edges() == before  # SCOUT prunes a copy
+    assert failed_edges(model) == before  # SCOUT prunes a copy
 
 
 @DIFFERENTIAL

@@ -8,7 +8,7 @@ what a table holds — match keys or provenance — makes the table hand out a
 new sequence.  A state machine writes one small fabric's TCAMs through every
 :class:`~repro.fabric.tcam.TcamTable` entry point (``install``, ``_insert``
 over a present key, ``remove``, ``remove_rule``, ``remove_where``,
-``clear``, ``corrupt``, eviction on a full table, a rejected install, a
+``clear``, eviction on a full table, a rejected install, a
 transaction that puts back exactly what it took, the agent's resync) and
 edits the policy (a real change, and an equal copy that moves no L), and
 after every step refreshes every leaf and holds each verdict to a fresh
@@ -25,7 +25,6 @@ stays where the verdict puts it.
 from __future__ import annotations
 
 import dataclasses
-import random
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -125,10 +124,6 @@ class VerdictMemoMachine(RuleBasedStateMachine):
     @rule(leaf=st.sampled_from(LEAVES))
     def clear(self, leaf):
         self._tcam(leaf).clear()
-
-    @rule(leaf=st.sampled_from(LEAVES), pick=_picks, count=st.integers(0, 2))
-    def corrupt(self, leaf, pick, count):
-        self._tcam(leaf).corrupt(random.Random(pick), count=count)
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks, evict=st.booleans())
     def install_into_a_full_table(self, leaf, pick, evict):

@@ -35,11 +35,10 @@ class TestIndexedQueries:
         assert latest.detail == "second"
         assert log.latest_for_object("missing") is None
 
-    def test_since_is_strict_and_sorted(self):
-        log = make_log([(5, "a"), (2, "b"), (9, "c"), (5, "d")])
-        assert [r.timestamp for r in log.since(5)] == [9]
-        assert [r.timestamp for r in log.since(1)] == [2, 5, 5, 9]
-        assert log.since(9) == []
+    def test_within_keeps_emission_order_among_ties(self):
+        log = make_log([(5, "a"), (2, "b"), (5, "c"), (5, "d"), (9, "e")])
+        assert [r.object_uid for r in log.within(5, 5)] == ["a", "c", "d"]
+        assert [r.object_uid for r in log.within(0, 100)] == ["b", "a", "c", "d", "e"]
 
     def test_within_is_inclusive(self):
         log = make_log([(5, "a"), (2, "b"), (9, "c")])
@@ -68,7 +67,7 @@ class TestIndexedQueries:
         )
         assert [r.timestamp for r in log.for_object("a")] == [5, 7]
         assert log.latest_for_object("b").timestamp == 2
-        assert [r.timestamp for r in log.since(0)] == [2, 5, 7]
+        assert [r.timestamp for r in log.within(0, 9)] == [2, 5, 7]
 
     def test_matches_bruteforce_reference_on_random_history(self):
         rng = random.Random(7)
@@ -79,10 +78,8 @@ class TestIndexedQueries:
             uid = f"obj-{rng.randint(0, 9)}"
             log.record(timestamp, uid, ObjectType.CONTRACT, Operation.MODIFY)
             reference.append((timestamp, uid))
-        # since / within
+        # within
         for probe in (0, 10, 25, 50):
-            expected = sorted(t for t, _ in reference if t > probe)
-            assert [r.timestamp for r in log.since(probe)] == expected
             expected = sorted(t for t, _ in reference if 10 <= t <= probe)
             assert [r.timestamp for r in log.within(10, probe)] == expected
         # per-object

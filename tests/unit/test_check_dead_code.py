@@ -1,5 +1,5 @@
-"""``scripts/check_dead_code.py``: a ``def`` in ``src/`` only tests call fails
-the gate, and its allow-list may only shrink."""
+"""``scripts/check_dead_code.py``: a ``def`` or ``class`` in ``src/`` only
+tests use fails the gate, and its allow-list may only shrink."""
 
 from __future__ import annotations
 
@@ -71,6 +71,22 @@ def test_a_def_only_tests_call_fails_the_gate(gate, tree, capsys):
     assert gate.dead_definitions(tree) == ["src/pkg/mod.py:only_tested"]
     assert gate.main(["--repo-root", str(tree)]) == 1
     assert "src/pkg/mod.py:only_tested: no caller" in capsys.readouterr().out
+
+
+def test_a_class_only_tests_use_fails_the_gate(gate, tree, capsys):
+    # A base class is a use: ``Used`` lives through ``OnlyTested`` alone.
+    (tree / "src" / "pkg" / "kinds.py").write_text(
+        "class Used:\n    pass\n\n\nclass OnlyTested(Used):\n    LABEL = 1\n"
+    )
+    (tree / "tests" / "test_kinds.py").write_text(
+        "from pkg.kinds import OnlyTested\n\nassert OnlyTested.LABEL == 1\n"
+    )
+    assert gate.dead_definitions(tree) == [
+        "src/pkg/kinds.py:OnlyTested",
+        "src/pkg/mod.py:only_tested",
+    ]
+    assert gate.main(["--repo-root", str(tree)]) == 1
+    assert "src/pkg/kinds.py:OnlyTested: no caller" in capsys.readouterr().out
 
 
 def test_an_allow_listed_def_passes_and_a_stale_line_fails(gate, tree, capsys):

@@ -23,10 +23,11 @@ import weakref
 
 import pytest
 
+from oracles import failed_edges
 from repro import Controller
 from repro.controller.compiler import CompiledRules, compile_logical_rules
 from repro.core import ScoutSystem
-from repro.obs import TraceCollector
+from repro.obs import TraceCollector, activated
 from repro.online import NetworkMonitor
 from repro.policy.graph import PolicyIndex
 from repro.policy.objects import Endpoint, FilterEntry
@@ -334,7 +335,7 @@ class TestMonitorReadsTheControllersCompile:
             controller.modify_object(tenant.name, edited)
             controller.clock.tick(5)
             collector = TraceCollector()
-            with collector.activate():
+            with activated(collector):
                 monitor.poll(force=True)
             # One compile request for the poll, whatever the partition count,
             # and it is the payload derivation, visible in the monitor's stats.
@@ -553,7 +554,7 @@ class TestConcurrentReaders:
         with ScoutSystem(controller) as system:
             report = system.localize()
             assert report.equivalence.equivalent and not report.faulty_objects()
-            assert not report.risk_models["controller"].failed_edges()
+            assert not failed_edges(report.risk_models["controller"])
             after = system.localize()
         assert not after.equivalence.equivalent
         assert target.uid in after.faulty_objects()
@@ -715,7 +716,7 @@ class TestRiskStructureRidesTheIndex:
 
                 def traced(run, name):
                     collector = TraceCollector()
-                    with collector.activate():
+                    with activated(collector):
                         run()
                     return [
                         recorded.attrs["structure"]

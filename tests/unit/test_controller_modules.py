@@ -1,5 +1,6 @@
 """Unit tests for the controller substrate: change log, compiler, channel, controller."""
 
+import dataclasses
 import random
 
 import pytest
@@ -44,12 +45,29 @@ class TestChangeLog:
         assert log.latest_for_object("missing") is None
         assert log.last_timestamp() == 9
 
-    def test_since_and_within(self):
+    def test_within(self):
         log = ChangeLog()
         for t in (1, 5, 10):
             log.record(t, f"o{t}", ObjectType.FILTER, Operation.ADD)
-        assert [r.object_uid for r in log.since(5)] == ["o10"]
         assert [r.object_uid for r in log.within(1, 5)] == ["o1", "o5"]
+
+    def test_within_an_inverted_window_is_empty(self):
+        log = ChangeLog()
+        for t in (1, 5, 10):
+            log.record(t, f"o{t}", ObjectType.FILTER, Operation.ADD)
+        assert log.within(6, 4) == []
+        assert [r.object_uid for r in log.within(5, 5)] == ["o5"]
+
+    def test_recently_changed_objects_keep_their_latest_record(self):
+        log = ChangeLog()
+        log.record(3, "a", ObjectType.FILTER, Operation.ADD)
+        log.record(7, "a", ObjectType.FILTER, Operation.MODIFY)
+        log.record(8, "b", ObjectType.EPG, Operation.ADD)
+        recent = log.recently_changed_objects(now=10, window=5)
+        assert sorted(recent) == ["a", "b"]
+        assert recent["a"].operation is Operation.MODIFY
+        # The window's lower edge is inclusive: now - window = 5 misses a@3.
+        assert log.recently_changed_objects(now=10, window=7)["a"].timestamp == 7
 
     def test_recently_changed_objects_window(self):
         log = ChangeLog()
@@ -172,7 +190,7 @@ class TestController:
         controller.channel.disconnect("leaf-3")
         reports = controller.deploy()
         assert reports["leaf-3"].status is DeliveryStatus.UNREACHABLE
-        assert controller.fault_log.with_code(FaultCode.SWITCH_UNREACHABLE)
+        assert any(r.code is FaultCode.SWITCH_UNREACHABLE for r in controller.fault_log)
 
     def test_add_and_modify_object_records_changes(self, web_stack):
         builder, uids, policy, fabric = web_stack
@@ -189,6 +207,32 @@ class TestController:
         assert controller.change_log.latest_for_object(flt.uid).operation is Operation.MODIFY
         controller.delete_object(tenant, flt)
         assert flt.uid not in policy
+
+    def test_add_filter_to_contract(self, web_stack):
+        """A contract modified to carry one more filter deploys its rules on
+        every leaf hosting one of its EPGs, and the change is logged."""
+        builder, uids, policy, fabric = web_stack
+        controller = Controller(policy, fabric)
+        controller.deploy()
+        tenant = builder.tenant.name
+        extra = Filter(uid=f"filter:{tenant}/port9999", name="port9999",
+                       entries=(FilterEntry("tcp", 9999),))
+        controller.add_object(tenant, extra)
+        contract = policy.get(uids["app_db_contract"])
+        grown = dataclasses.replace(contract, filter_uids=(*contract.filter_uids, extra.uid))
+        controller.modify_object(tenant, grown)
+        controller.deploy(record_initial_changes=False)
+        carrying = {
+            uid
+            for uid in fabric.leaf_uids()
+            for rule in fabric.switch(uid).deployed_rules()
+            if extra.uid in rule.objects()
+        }
+        assert carrying == {"leaf-2", "leaf-3"}
+        assert controller.change_log.latest_for_object(contract.uid).operation is Operation.MODIFY
+        deployed = controller.collect_deployed_rules()
+        for uid, logical in controller.logical_rules().items():
+            assert missing_matches(logical, deployed[uid]) == []
 
     def test_modify_unknown_object_rejected(self, web_stack):
         builder, _, policy, fabric = web_stack

@@ -7,7 +7,6 @@ import random
 from repro.churn import ChurnDriver, PolicyAdd, SwitchDrain
 from repro.fabric import FaultCode
 from repro.faults import (
-    disrupt_control_channel,
     make_switch_unresponsive,
     restore_switch,
 )
@@ -44,7 +43,8 @@ class TestWhatAPushBooks:
 
     def test_a_deployment_over_a_lossy_channel(self):
         controller = three_tier_scenario().controller
-        disrupt_control_channel(controller, 0.5, rng=random.Random(5))
+        controller.channel.drop_probability = 0.5
+        controller.channel.rng = random.Random(5)
         controller.deploy(record_initial_changes=False)
         assert booked(controller) == [
             (2, DISRUPTED, "leaf-2", "4 instruction(s) were not applied"),
@@ -63,7 +63,8 @@ class TestWhatAPushBooks:
 
     def test_a_churn_push_over_a_lossy_channel(self):
         driver = ChurnDriver.for_workload("small", events=20, seed=4)
-        disrupt_control_channel(driver.controller, 0.5, rng=random.Random(3))
+        driver.controller.channel.drop_probability = 0.5
+        driver.controller.channel.rng = random.Random(3)
         driver.apply(PolicyAdd(seq=1, rule_id=1, draw_seed=11))
         assert booked(driver.controller) == [
             (106, DISRUPTED, "leaf-1", "2 churn instruction(s) were not applied"),
@@ -76,32 +77,34 @@ class TestADeliveryClears:
         scenario = unresponsive_switch_scenario(extra_filters=2)
         controller = scenario.controller
         victim = scenario.facts["unresponsive_switch"]
-        stale = controller.fault_log.for_device(victim)
+        stale = [r for r in controller.fault_log if r.device_uid == victim]
         assert len(stale) == 2 and all(r.cleared_at is None for r in stale)
         restore_switch(controller, victim)
         controller.deploy(record_initial_changes=False)
         now = controller.clock.peek()
         assert all(record.cleared_at == now for record in stale)
         controller.clock.tick(5)
-        assert controller.fault_log.active_at(controller.clock.peek()) == []
+        now = controller.clock.peek()
+        assert not any(r.is_active_at(now) for r in controller.fault_log)
         # Still active at every change made while the leaf was down.
         assert all(record.is_active_at(record.raised_at) for record in stale)
 
     def test_a_drain_ends_with_its_record_cleared(self):
         driver, victim = drained_driver(drain_seed=2)
         driver.apply(PolicyAdd(seq=2, rule_id=1, draw_seed=11))
-        (record,) = driver.controller.fault_log.for_device(victim)
+        (record,) = [r for r in driver.controller.fault_log if r.device_uid == victim]
         assert record.cleared_at is None
         # The next event ends the drain: restore, then a resync that lands.
         resynced_at = driver.clock.peek()
         driver.apply(PolicyAdd(seq=3, rule_id=2, draw_seed=12))
         assert record.cleared_at == resynced_at
-        assert not driver.controller.fault_log.active_at(driver.clock.peek())
+        now = driver.clock.peek()
+        assert not any(r.is_active_at(now) for r in driver.controller.fault_log)
 
     def test_a_push_that_does_not_land_clears_nothing(self):
         controller = three_tier_scenario().controller
         make_switch_unresponsive(controller, "leaf-2")
         controller.deploy(record_initial_changes=False)
         controller.deploy(record_initial_changes=False)
-        records = controller.fault_log.for_device("leaf-2")
+        records = [r for r in controller.fault_log if r.device_uid == "leaf-2"]
         assert [record.cleared_at for record in records] == [None, None]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import mark_edge_failed
 from repro.controller.changelog import ChangeLog
 from repro.core import (
     Hypothesis,
@@ -35,12 +36,12 @@ def figure5_model() -> RiskModel:
     model.add_element("E8-E9", ["C3"])
     # F2's three dependents all fail (hit ratio 1); E6-E7 fails via C3/F3
     # which both keep a healthy dependent (hit ratio < 1).
-    model.mark_edge_failed("E2-E3", "F2")
-    model.mark_edge_failed("E2-E3", "F1")
-    model.mark_edge_failed("E3-E4", "F2")
-    model.mark_edge_failed("E4-E5", "F2")
-    model.mark_edge_failed("E6-E7", "C3")
-    model.mark_edge_failed("E6-E7", "F3")
+    mark_edge_failed(model, "E2-E3", "F2")
+    mark_edge_failed(model, "E2-E3", "F1")
+    mark_edge_failed(model, "E3-E4", "F2")
+    mark_edge_failed(model, "E4-E5", "F2")
+    mark_edge_failed(model, "E6-E7", "C3")
+    mark_edge_failed(model, "E6-E7", "F3")
     return model
 
 
@@ -78,11 +79,20 @@ class TestHypothesis:
         assert merged.objects() == {"F1", "F2"}
         assert merged.unexplained == set()
 
-    def test_objects_by_reason_and_describe(self):
+    def test_entry_for_keeps_the_first_reason(self):
+        hypothesis = Hypothesis(algorithm="SCOUT")
+        first = HypothesisEntry(risk="F1", reason=SelectionReason.HIT_AND_COVERAGE, explained={"a"})
+        hypothesis.add(first)
+        hypothesis.add(HypothesisEntry(risk="F1", reason=SelectionReason.CHANGE_LOG, explained={"b"}))
+        assert hypothesis.entry_for("F1") is first
+        assert hypothesis.entry_for("F9") is None
+        # The later entry's observations still count as explained.
+        assert hypothesis.explained == {"a", "b"}
+
+    def test_describe(self):
         hypothesis = Hypothesis(algorithm="SCOUT")
         hypothesis.add(HypothesisEntry(risk="F1", reason=SelectionReason.HIT_AND_COVERAGE))
         hypothesis.add(HypothesisEntry(risk="F3", reason=SelectionReason.CHANGE_LOG))
-        assert hypothesis.objects_by_reason(SelectionReason.CHANGE_LOG) == {"F3"}
         assert "SCOUT" in hypothesis.describe()
 
 
@@ -153,8 +163,8 @@ class TestScoutLocalizer:
         model.add_element("c", ["Y", "shared"])
         model.add_element("d", ["shared"])
         for element in ("a", "b"):
-            model.mark_edge_failed(element, "X")
-        model.mark_edge_failed("c", "Y")
+            mark_edge_failed(model, element, "X")
+        mark_edge_failed(model, "c", "Y")
         hypothesis = ScoutLocalizer().localize(model)
         assert hypothesis.objects() == {"X", "Y"}
         assert "shared" not in hypothesis  # element d is healthy

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import mark_edge_failed
 from repro.controller.changelog import ChangeLog
 from repro.core import (
     EventCorrelationEngine,
@@ -62,7 +63,7 @@ class TestMetrics:
         model = RiskModel()
         model.add_element("p1", ["a", "b", "c", "d"])
         model.add_element("p2", ["e", "f"])
-        model.mark_edge_failed("p1", "a")
+        mark_edge_failed(model, "p1", "a")
         assert suspect_set_reduction(model, {"a"}) == 0.25
         assert suspect_set_reduction(RiskModel(), {"a"}) == 0.0
 
@@ -118,10 +119,9 @@ class TestEventCorrelationEngine:
         report = engine.correlate(["filter:t/f"], ChangeLog(), faults)
         assert report.findings[0].root_cause == "tcam-corruption"
 
-    def test_custom_signature_extension(self):
-        engine = EventCorrelationEngine(signatures=[])
-        engine.add_signature(FaultSignature(
-            name="anything", description="match all", matcher=lambda record: True))
+    def test_custom_signature_catalogue(self):
+        engine = EventCorrelationEngine(signatures=[FaultSignature(
+            name="anything", description="match all", matcher=lambda record: True)])
         faults = [FaultRecord(raised_at=1, device_uid="x", code=FaultCode.UNKNOWN)]
         report = engine.correlate(["o"], ChangeLog(), faults)
         assert report.findings[0].root_cause == "anything"

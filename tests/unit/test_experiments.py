@@ -145,11 +145,13 @@ class TestFigure3:
     def test_switches_carry_many_pairs(self, series):
         assert series[ObjectType.SWITCH].fraction_at_least(100) >= 0.8
 
-    def test_cdf_points_monotone(self, series):
-        points = series[ObjectType.EPG].cdf_points()
-        fractions = [fraction for _, fraction in points]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
+    def test_fraction_at_least_falls_from_one_to_zero(self, series):
+        for one in series.values():
+            fractions = [one.fraction_at_least(t) for t in range(0, max(one.pair_counts) + 2)]
+            assert fractions == sorted(fractions, reverse=True)
+            assert fractions[0] == pytest.approx(1.0) and fractions[-1] == 0.0
+            assert one.percentile(0.0) == min(one.pair_counts)
+            assert one.percentile(1.0) == max(one.pair_counts)
 
     def test_format_contains_every_type(self, series):
         text = format_figure3(series)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import Controller
 from repro.clock import LogicalClock
 from repro.exceptions import FabricError
 from repro.fabric import AgentState, Fabric, FaultCode, Switch, SwitchRole, TcamTable
@@ -62,7 +63,7 @@ class TestSwitchAgent:
         assert applied == 0
         assert dropped == len(instructions)
         assert switch.deployed_rules() == []
-        assert switch.fault_log.with_code(FaultCode.SWITCH_UNREACHABLE)
+        assert any(r.code is FaultCode.SWITCH_UNREACHABLE for r in switch.fault_log)
 
     def test_agent_crash_mid_batch_logs_fault_and_partial_state(self, web_setup):
         _, _, batches, logical = web_setup
@@ -73,7 +74,7 @@ class TestSwitchAgent:
         assert applied == 3
         assert dropped == len(instructions) - 3
         assert switch.agent.state is AgentState.CRASHED
-        assert switch.fault_log.with_code(FaultCode.AGENT_CRASH)
+        assert any(r.code is FaultCode.AGENT_CRASH for r in switch.fault_log)
         # A crashed agent does not sync its TCAM at all in that round.
         assert len(switch.deployed_rules()) < len(logical["leaf-2"])
 
@@ -96,7 +97,7 @@ class TestSwitchAgent:
         switch = _switch("leaf-2", capacity=3)
         switch.receive_deployment(instructions, attachments)
         assert len(switch.deployed_rules()) == 3
-        assert switch.fault_log.with_code(FaultCode.TCAM_OVERFLOW)
+        assert any(r.code is FaultCode.TCAM_OVERFLOW for r in switch.fault_log)
 
     def test_restore_clears_state(self, web_setup):
         _, _, batches, _ = web_setup
@@ -204,6 +205,28 @@ class TestFabric:
         fabric.attach_endpoint(policy, ep, "leaf-1")
         assert policy.get(ep).switch_uid == "leaf-1"
 
+    def test_attach_endpoint_moves_an_attached_endpoint(self):
+        builder, uids = three_tier_policy()
+        ep = builder.endpoint("EP1", uids["web"], switch="leaf-1")
+        policy = builder.build()
+        fabric = Fabric(num_leaves=2)
+        fabric.attach_endpoint(policy, ep, "leaf-2")
+        assert policy.get(ep).switch_uid == "leaf-2"
+        assert [e.uid for e in policy.endpoints()] == [ep]
+
+    def test_builder_placement_decides_which_leaves_take_rules(self):
+        builder, uids = three_tier_policy()
+        builder.endpoint("EP1", uids["web"], switch="leaf-1")
+        builder.endpoint("EP2", uids["app"], switch="leaf-2")
+        policy = builder.build()
+        fabric = Fabric(num_leaves=3)
+        reports = Controller(policy, fabric).deploy()
+        # No DB endpoint anywhere: only the Web-App pair's leaves get a push.
+        assert sorted(reports) == ["leaf-1", "leaf-2"]
+        assert fabric.switch("leaf-1").deployed_rules()
+        assert fabric.switch("leaf-2").deployed_rules()
+        assert fabric.switch("leaf-3").deployed_rules() == []
+
     def test_attach_to_unknown_switch_rejected(self):
         builder, uids = three_tier_policy()
         ep = builder.endpoint("EP1", uids["web"])
@@ -211,26 +234,6 @@ class TestFabric:
         fabric = Fabric(num_leaves=2)
         with pytest.raises(FabricError):
             fabric.attach_endpoint(policy, ep, "leaf-77")
-
-    def test_attach_round_robin_covers_all_endpoints(self):
-        builder, uids = three_tier_policy()
-        for i in range(6):
-            builder.endpoint(f"EP{i}", uids["web"])
-        policy = builder.build()
-        fabric = Fabric(num_leaves=3)
-        placement = fabric.attach_round_robin(policy)
-        assert len(placement) == 6
-        assert {ep.switch_uid for ep in policy.endpoints()} == {"leaf-1", "leaf-2", "leaf-3"}
-
-    def test_attach_round_robin_takes_any_iterable_of_endpoints(self):
-        builder, uids = three_tier_policy()
-        eps = [builder.endpoint(f"EP{i}", uids["web"]) for i in range(6)]
-        policy = builder.build()
-        fabric = Fabric(num_leaves=3)
-        # A generator can be read once: the subset must be materialised once.
-        placement = fabric.attach_round_robin(policy, endpoints=(ep for ep in eps[:4]))
-        assert sorted(placement) == sorted(eps[:4])
-        assert [policy.get(ep).switch_uid for ep in eps[4:]] == [None, None]
 
     def test_collect_tcam_and_fault_records(self, three_tier):
         fabric = three_tier.fabric

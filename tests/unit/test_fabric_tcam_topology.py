@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.exceptions import FabricError, TcamError
-from repro.fabric import FaultCode, FaultLogBook, InstallOutcome, LeafSpineTopology, SwitchRole, TcamTable
+from repro.fabric import FaultCode, FaultLogBook, InstallOutcome, LeafSpineTopology, TcamTable
 from repro.rules import TcamRule
 
 
@@ -106,15 +106,13 @@ class TestTcamTable:
         rng = random.Random(7)
         tcam = TcamTable(capacity=12, evict_on_overflow=True)
         for step in range(400):
-            kind = rng.choice(["install", "install", "remove", "remove_where", "corrupt", "clear"])
+            kind = rng.choice(["install", "install", "remove", "remove_where", "clear"])
             if kind == "install":
                 tcam.install(_rule(rng.randrange(20), src=rng.randrange(1, 3)))
             elif kind == "remove" and len(tcam):
                 tcam.remove(rng.choice(tcam.match_keys()))
             elif kind == "remove_where":
                 tcam.remove_where(lambda rule: rule.port % 5 == step % 5)
-            elif kind == "corrupt":
-                tcam.corrupt(rng, count=rng.randrange(3))
             elif kind == "clear" and rng.random() < 0.2:
                 tcam.clear()
             sequence = tcam.rule_sequence()
@@ -123,25 +121,44 @@ class TestTcamTable:
             assert sequence.key_set() == frozenset(tcam.match_keys())
             assert [rule.match_key() for rule in sequence] == tcam.match_keys()
 
-    def test_corruption_changes_match_key(self):
+    def test_writes_to_an_empty_table_are_noops(self):
         tcam = TcamTable()
-        tcam.install(_rule(80))
-        corrupted = tcam.corrupt(random.Random(1), count=1)
-        assert len(corrupted) == 1
-        original, replacement = corrupted[0]
-        assert original.match_key() != replacement.match_key()
-        assert original.match_key() not in tcam
-        assert tcam.corrupted_entries == 1
+        heard = []
+        tcam.subscribe(lambda installed, lost: heard.append((installed, lost)))
+        assert tcam.remove(_rule(80).match_key()) is None
+        assert tcam.remove_where(lambda rule: True) == []
+        tcam.clear()
+        assert len(tcam) == 0 and heard == []
 
-    def test_corrupt_empty_table_is_noop(self):
+    def test_remove_rule_takes_the_rule_match_key(self):
         tcam = TcamTable()
-        assert tcam.corrupt(random.Random(1), count=3) == []
+        installed = _rule(80)
+        tcam.install(installed)
+        # An equal rule built apart removes the held one and returns it.
+        assert tcam.remove_rule(_rule(80)) is installed
+        assert tcam.remove_rule(_rule(80)) is None
+        assert len(tcam) == 0
 
-    def test_corrupt_invalid_field_rejected(self):
-        tcam = TcamTable()
+    def test_is_full_follows_capacity_and_removals(self):
+        unbounded = TcamTable()
+        for port in range(50):
+            unbounded.install(_rule(port))
+        assert not unbounded.is_full()
+        tcam = TcamTable(capacity=2)
         tcam.install(_rule(80))
-        with pytest.raises(TcamError):
-            tcam.corrupt(random.Random(1), count=1, fields=("nonsense",))
+        assert not tcam.is_full()
+        tcam.install(_rule(81))
+        assert tcam.is_full()
+        tcam.remove(_rule(80).match_key())
+        assert not tcam.is_full()
+        assert tcam.install(_rule(82))[0] is InstallOutcome.INSTALLED
+
+    def test_install_attempts_count_every_outcome(self):
+        tcam = TcamTable(capacity=1)
+        tcam.install(_rule(80))  # installed
+        tcam.install(_rule(80))  # already present
+        tcam.install(_rule(81))  # rejected
+        assert (tcam.install_attempts, tcam.rejected_installs, tcam.evictions) == (3, 1, 0)
 
     def test_clear(self):
         tcam = TcamTable()
@@ -157,23 +174,22 @@ class TestFaultLogBook:
         assert record.is_active_at(5)
         assert record.is_active_at(100)
         assert not record.is_active_at(4)
-        assert book.with_code(FaultCode.TCAM_OVERFLOW) == [record]
-        assert book.for_device("leaf-1") == [record]
+        assert book.records() == [record]
 
     def test_clear_device(self):
         book = FaultLogBook()
         book.raise_fault(1, "leaf-1", FaultCode.SWITCH_UNREACHABLE)
         book.raise_fault(2, "leaf-2", FaultCode.SWITCH_UNREACHABLE)
         assert book.clear_device("leaf-1", 10) == 1
-        active = book.active_at(11)
+        active = [record for record in book if record.is_active_at(11)]
         assert len(active) == 1 and active[0].device_uid == "leaf-2"
 
-    def test_active_at_respects_cleared(self):
+    def test_a_cleared_record_is_active_only_before_its_clear(self):
         book = FaultLogBook()
         record = book.raise_fault(1, "leaf-1", FaultCode.AGENT_CRASH)
         record.clear(5)
-        assert book.active_at(3) == [record]
-        assert book.active_at(6) == []
+        assert record.is_active_at(3)
+        assert not record.is_active_at(6)
 
     def test_len_and_iter(self):
         book = FaultLogBook()
@@ -195,7 +211,7 @@ class TestLeafSpineTopology:
         topo = LeafSpineTopology.build(num_leaves=3, num_spines=1)
         path = topo.path("leaf-1", "leaf-3")
         assert len(path) == 3
-        assert topo.role_of(path[1]) is SwitchRole.SPINE
+        assert path[1] in topo.spines()
 
     def test_leaf_leaf_link_rejected(self):
         topo = LeafSpineTopology()
@@ -213,9 +229,13 @@ class TestLeafSpineTopology:
     def test_unknown_switch_queries_raise(self):
         topo = LeafSpineTopology.build(2, 1)
         with pytest.raises(FabricError):
-            topo.role_of("nope")
-        with pytest.raises(FabricError):
             topo.path("leaf-1", "nope")
+
+    def test_path_within_one_leaf_is_that_leaf(self):
+        topo = LeafSpineTopology.build(num_leaves=2, num_spines=2)
+        assert topo.path("leaf-1", "leaf-1") == ["leaf-1"]
+        assert topo.leaves() == ["leaf-1", "leaf-2"]
+        assert len(topo.spines()) == 2
 
     def test_degenerate_build_rejected(self):
         with pytest.raises(FabricError):

@@ -9,18 +9,22 @@ from repro.fabric import AgentState, FaultCode
 from repro.faults import (
     FaultInjector,
     FaultKind,
-    corrupt_switch_tcam,
-    crash_agent_after,
-    disrupt_control_channel,
     inject_full_object_fault,
     inject_partial_object_fault,
     make_switch_unresponsive,
     restore_switch,
     rules_for_object,
-    shrink_tcam_capacity,
 )
 from repro.policy.objects import ObjectType
+from repro.protocol import DeliveryStatus
 from repro.verify import EquivalenceChecker
+
+
+def _check(controller):
+    """The L-T check of every leaf the controller deployed to."""
+    return EquivalenceChecker().check_network(
+        controller.logical_rules(), controller.collect_deployed_rules()
+    )
 
 
 class TestObjectFaults:
@@ -107,46 +111,88 @@ class TestPhysicalFaults:
         switch = controller.fabric.switch("leaf-2")
         assert switch.agent.state is AgentState.UNRESPONSIVE
         assert not controller.channel.is_connected("leaf-2")
-        assert switch.fault_log.with_code(FaultCode.SWITCH_UNREACHABLE)
+        assert any(r.code is FaultCode.SWITCH_UNREACHABLE for r in switch.fault_log)
         restore_switch(controller, "leaf-2")
         assert switch.agent.state is AgentState.RUNNING
         assert controller.channel.is_connected("leaf-2")
 
-    def test_crash_agent_after(self, three_tier):
-        switch = three_tier.fabric.switch("leaf-1")
-        crash_agent_after(switch, 2)
-        assert switch.agent.crash_after == 2
+    def test_restore_switch_clears_the_switch_fault_records(self, three_tier):
+        controller = three_tier.controller
+        make_switch_unresponsive(controller, "leaf-2")
+        switch = controller.fabric.switch("leaf-2")
+        controller.clock.tick()
+        restore_switch(controller, "leaf-2")
+        now = controller.clock.peek()
+        assert len(switch.fault_log) == 1
+        assert not any(record.is_active_at(now) for record in switch.fault_log)
 
-    def test_corrupt_switch_tcam_logs_fault(self, three_tier, rng):
-        switch = three_tier.fabric.switch("leaf-2")
-        corrupted = corrupt_switch_tcam(switch, rng, count=2)
-        assert len(corrupted) == 2
-        assert switch.fault_log.with_code(FaultCode.TCAM_CORRUPTION)
+    def test_crash_agent_after(self, three_tier_undeployed):
+        controller = three_tier_undeployed.controller
+        switch = controller.fabric.switch("leaf-2")
+        switch.agent.crash_after = 2
+        reports = controller.deploy()
+        assert reports["leaf-2"].status is DeliveryStatus.PARTIAL
+        assert reports["leaf-2"].delivered == 2
+        assert switch.agent.state is AgentState.CRASHED
+        assert [r.code for r in switch.fault_log] == [FaultCode.AGENT_CRASH]
+        assert [(r.device_uid, r.code) for r in controller.fault_log] == [
+            ("leaf-2", FaultCode.CHANNEL_DISRUPTION)
+        ]
+        # A crashed agent never syncs: the whole of L is missing from T.
+        report = _check(controller)
+        assert report.switches_with_violations() == ["leaf-2"]
+        assert report.results["leaf-2"].deployed_count == 0
 
-    def test_corrupt_switch_tcam_silent_mode(self, three_tier, rng):
-        switch = three_tier.fabric.switch("leaf-2")
-        corrupt_switch_tcam(switch, rng, count=1, log_fault=False)
-        assert not switch.fault_log.with_code(FaultCode.TCAM_CORRUPTION)
+    def test_a_restored_agent_redeploys_cleanly_after_a_crash(self, three_tier_undeployed):
+        controller = three_tier_undeployed.controller
+        controller.fabric.switch("leaf-2").agent.crash_after = 2
+        controller.deploy()
+        restore_switch(controller, "leaf-2")
+        reports = controller.deploy(record_initial_changes=False)
+        assert {report.status for report in reports.values()} == {DeliveryStatus.DELIVERED}
+        assert _check(controller).equivalent
 
-    def test_corruption_creates_missing_rules(self, three_tier, rng):
-        switch = three_tier.fabric.switch("leaf-2")
-        corrupt_switch_tcam(switch, rng, count=1)
-        checker = EquivalenceChecker()
-        report = checker.check_network(
-            three_tier.controller.logical_rules(),
-            three_tier.controller.collect_deployed_rules(),
+    def test_corruption_creates_missing_rules(self, three_tier):
+        """A rule lost from the TCAM (corruption, §II-B) is missing from T
+        and nothing in any fault log says so: only the L-T check sees it."""
+        controller = three_tier.controller
+        tcam = controller.fabric.switch("leaf-2").tcam
+        target = three_tier.uids["filter_extra_0"]
+        lost = tcam.remove_where(lambda rule: target in rule.objects())
+        assert lost
+        report = _check(controller)
+        assert report.switches_with_violations() == ["leaf-2"]
+        assert sorted(report.results["leaf-2"].missing_rules, key=str) == sorted(lost, key=str)
+        assert controller.all_fault_records() == []
+
+    def test_shrink_tcam_capacity(self, three_tier_undeployed):
+        controller = three_tier_undeployed.controller
+        switch = controller.fabric.switch("leaf-2")
+        switch.tcam.capacity = 2
+        reports = controller.deploy()
+        # The agent took every instruction; the TCAM could not hold the render.
+        assert reports["leaf-2"].status is DeliveryStatus.DELIVERED
+        assert len(switch.deployed_rules()) == 2
+        assert [r.code for r in switch.fault_log] == [FaultCode.TCAM_OVERFLOW]
+        report = _check(controller)
+        assert report.switches_with_violations() == ["leaf-2"]
+        assert report.results["leaf-2"].missing_count() == report.results["leaf-2"].logical_count - 2
+
+    def test_disrupt_control_channel(self, three_tier_undeployed):
+        controller = three_tier_undeployed.controller
+        controller.channel.drop_probability = 1.0
+        reports = controller.deploy()
+        assert {report.status for report in reports.values()} == {DeliveryStatus.UNREACHABLE}
+        # Lost in transit: the agents still run, the controller books the loss.
+        assert all(
+            controller.fabric.switch(uid).agent.state is AgentState.RUNNING for uid in reports
         )
-        assert report.results["leaf-2"].missing_rules
-
-    def test_disrupt_control_channel(self, three_tier):
-        disrupt_control_channel(three_tier.controller, 0.5, rng=random.Random(9))
-        assert three_tier.controller.channel.drop_probability == 0.5
-
-    def test_shrink_tcam_capacity(self, three_tier):
-        switch = three_tier.fabric.switch("leaf-3")
-        previous = shrink_tcam_capacity(switch, 2)
-        assert previous == -1
-        assert switch.tcam.capacity == 2
+        assert sorted((r.device_uid, r.code) for r in controller.fault_log) == [
+            (uid, FaultCode.SWITCH_UNREACHABLE) for uid in sorted(reports)
+        ]
+        report = _check(controller)
+        assert report.switches_with_violations() == sorted(reports)
+        assert all(result.deployed_count == 0 for result in report.results.values())
 
 
 class TestFaultInjector:

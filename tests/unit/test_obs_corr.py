@@ -14,7 +14,6 @@ from repro.obs import (
     correlated,
     current_corr_id,
     new_corr_id,
-    set_corr_id,
 )
 from repro.parallel import WarmWorkerPool
 from repro.workloads import small_profile
@@ -45,12 +44,14 @@ class TestCorrIds:
             assert current_corr_id() == outer
         assert current_corr_id() is None
 
-    def test_set_corr_id_installs_directly(self):
-        set_corr_id("corr-direct")
-        try:
-            assert current_corr_id() == "corr-direct"
-        finally:
-            set_corr_id(None)
+    def test_correlated_restores_the_outer_id_when_the_block_raises(self):
+        with correlated("corr-outer"):
+            with pytest.raises(RuntimeError):
+                with correlated("corr-inner"):
+                    assert current_corr_id() == "corr-inner"
+                    raise RuntimeError("boom")
+            assert current_corr_id() == "corr-outer"
+        assert current_corr_id() is None
 
 
 class TestSpanStamping:

@@ -7,7 +7,6 @@ import json
 from repro.obs import (
     TraceCollector,
     chrome_trace,
-    read_jsonl,
     span_dicts,
     write_chrome,
     write_jsonl,
@@ -23,25 +22,34 @@ def _sample_collector():
     return collector
 
 
+def _lines(path):
+    """The JSON documents of a JSONL file, one a line."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         collector = _sample_collector()
         path = tmp_path / "trace.jsonl"
         written = write_jsonl(collector.spans(), str(path))
         assert written == 2
-        assert read_jsonl(str(path)) == span_dicts(collector.spans())
-
-    def test_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        payload = {"name": "s", "span_id": 1, "start": 0.0, "end": 1.0}
-        path.write_text(json.dumps(payload) + "\n\n\n")
-        assert read_jsonl(str(path)) == [payload]
+        assert _lines(path) == span_dicts(collector.spans())
 
     def test_dicts_pass_through(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         payload = {"name": "s", "span_id": 1, "start": 0.0, "end": 0.5}
         write_jsonl([payload], str(path))
-        assert read_jsonl(str(path)) == [payload]
+        assert _lines(path) == [payload]
+
+    def test_nothing_written_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        assert write_jsonl([], str(path)) == 0
+        assert path.read_text() == ""
+
+    def test_each_line_has_sorted_keys(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl([{"start": 0.0, "name": "s", "end": 1.0, "span_id": 1}], str(path))
+        assert path.read_text() == '{"end": 1.0, "name": "s", "span_id": 1, "start": 0.0}\n'
 
 
 class TestChromeTrace:
@@ -75,7 +83,7 @@ class TestChromeTrace:
         path = tmp_path / "trace.jsonl"
         write_jsonl(collector.spans(), str(path))
         other = TraceCollector()
-        other.adopt(read_jsonl(str(path)))
+        other.adopt(_lines(path))
         original = chrome_trace(collector.spans())["traceEvents"]
         adopted = chrome_trace(other.spans())["traceEvents"]
         # Adoption remaps span ids, but Chrome events carry none — identical.

@@ -13,9 +13,15 @@ import dataclasses
 
 import pytest
 
+from oracles import failed_edges
 from repro.controller.controller import Controller
 from repro.core import ScoutSystem
-from repro.obs import TraceCollector, attribution, parallel_stage_breakdown
+from repro.obs import (
+    TraceCollector,
+    activated,
+    attribution,
+    parallel_stage_breakdown,
+)
 from repro.online import IncrementalChecker
 from repro.parallel.memo import reset_worker_cache
 from repro.policy.objects import FilterEntry
@@ -221,7 +227,7 @@ class TestTracedLocalize:
         (risk_model,) = by_name["scout.risk_model"]
         leaves = len(report.equivalence.missing_rules())
         models = report.risk_models.values()
-        flipped = sum(len(model.failed_edges()) for model in models)
+        flipped = sum(len(failed_edges(model)) for model in models)
         assert leaves > 1 and risk_model.counters["missing_rules"] == leaves
         assert risk_model.counters["edges_flipped"] == flipped > 0
         stages = by_name["scout.stage1"]
@@ -250,7 +256,7 @@ class TestTracedSync:
         controller.modify_object(tenant, changed, detail="trace test")
         held = fabric.total_installed_rules()
         collector = TraceCollector()
-        with collector.activate():
+        with activated(collector):
             controller.deploy(record_initial_changes=False)
         syncs = [span for span in collector.spans() if span.name == "fabric.sync_tcam"]
         assert len(syncs) == len(fabric.leaf_uids())
@@ -265,7 +271,7 @@ class TestTracedSync:
         leaf = fabric.switch(touched[0].attrs["switch"])
         lost = leaf.tcam.remove_where(lambda rule: rule.port == 47000)
         collector.clear()
-        with collector.activate():
+        with activated(collector):
             leaf.sync_tcam()
         (resync,) = collector.spans()
         assert resync.counters["units_rendered"] == 0 < resync.counters["units_reused"]
@@ -281,7 +287,7 @@ class TestTracedRefresh:
         checker = IncrementalChecker(controller)
 
         collector = TraceCollector()
-        with collector.activate():
+        with activated(collector):
             checker.bootstrap()
         names = [recorded.name for recorded in collector.spans()]
         assert "delta.bootstrap" in names
@@ -302,7 +308,7 @@ class TestTracedRefresh:
         controller.modify_object(tenant, changed, detail="trace test")
         checker.note_policy_change(target.uid, ObjectType.FILTER)
         collector.clear()
-        with collector.activate():
+        with activated(collector):
             refreshed = checker.refresh()
         assert refreshed
         by_name = {recorded.name: recorded for recorded in collector.spans()}

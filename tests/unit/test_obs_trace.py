@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 import threading
 
 from repro.obs import (
@@ -13,7 +14,7 @@ from repro.obs import (
     span,
     traced,
 )
-from repro.obs.trace import install, uninstall
+from repro.obs.trace import install
 
 
 class TestSpanBasics:
@@ -106,13 +107,14 @@ class TestDisabledPath:
         assert current() is None
         assert [s.name for s in collector.spans()] == ["scoped"]
 
-    def test_install_uninstall(self):
+    def test_install_sets_the_context_collector(self):
         collector = TraceCollector()
-        install(collector)
-        try:
-            assert current() is collector
-        finally:
-            uninstall()
+
+        def installed():
+            install(collector)
+            return current()
+
+        assert contextvars.copy_context().run(installed) is collector
         assert current() is None
 
 

@@ -21,7 +21,7 @@ class TestBootstrapAndDigests:
         report = delta.report()
         assert report.equivalent
         assert delta.full_checks == 1
-        assert delta.dirty_switches() == set()
+        assert delta.stats()["dirty_switches"] == 0
 
     def test_refresh_without_bootstrap_bootstraps(self, three_tier):
         delta = IncrementalChecker(three_tier.controller)
@@ -35,9 +35,8 @@ class TestSwitchEvents:
         delta = checker_for(three_tier)
         refreshed = delta.refresh(switch_uids=["leaf-404"])
         assert refreshed == {}
-        assert delta.result_for("leaf-404") is None
         assert "leaf-404" not in delta.report().results
-        assert delta.dirty_switches() == set()
+        assert delta.stats()["dirty_switches"] == 0
 
     def test_rule_loss_rechecks_only_that_switch(self, three_tier):
         delta = checker_for(three_tier)
@@ -51,7 +50,7 @@ class TestSwitchEvents:
         assert not result.equivalent
         assert len(result.missing_rules) == len(lost)
         assert not delta.report().equivalent
-        assert delta.missing_rules_for("leaf-2") == result.missing_rules
+        assert delta.report().results["leaf-2"].missing_rules == result.missing_rules
 
     def test_repair_short_circuits_through_the_digest(self, three_tier):
         delta = checker_for(three_tier)

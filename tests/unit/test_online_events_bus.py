@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.exceptions import TcamError
 from repro.experiments import prepare_workload
 from repro.fabric import FaultCode, FaultLogBook, TcamTable
 from repro.fabric.tcam import InstallOutcome
@@ -111,7 +110,7 @@ class TestTcamListeners:
         assert evicting.install(make_rule(2))[0] is InstallOutcome.INSTALLED_WITH_EVICTION
         assert seen == [(1, 0), (1, 1)]
 
-    def test_remove_where_clear_and_corrupt_are_one_call_each(self):
+    def test_remove_where_and_clear_are_one_call_each(self):
         table = TcamTable()
         for port in range(1, 9):
             table.install(make_rule(port))
@@ -119,13 +118,6 @@ class TestTcamListeners:
         removed = table.remove_where(lambda rule: rule.port <= 3)
         assert len(removed) == 3 and seen == [(0, 3)]
         assert table.remove_where(lambda rule: False) == [] and seen == [(0, 3)]
-        seen.clear()
-        corrupted = table.corrupt(random.Random(5), count=3)
-        # Three originals lost; each garbage replacement is a write unless a
-        # collision with an installed rule ate it.
-        assert len(corrupted) == 3 and len(seen) == 1
-        installed, lost = seen[0]
-        assert lost == 3 and installed == len(table) - 2
         seen.clear()
         held = len(table)
         table.clear()
@@ -160,10 +152,6 @@ class TestTcamListeners:
         assert seen == [(0, 2)]
         # The scope closed: the next write is a transaction of its own.
         table.remove(make_rule(3).match_key())
-        assert seen == [(0, 2), (0, 1)]
-        # corrupt() validates before it writes.
-        with pytest.raises(TcamError):
-            table.corrupt(random.Random(1), fields=())
         assert seen == [(0, 2), (0, 1)]
 
     def test_an_unobserved_table_counts_as_before(self):

@@ -296,8 +296,8 @@ class TestFailedPollRecovery:
         first, second = monitor.checkers
         for leaf in ("leaf-1", "leaf-2", "leaf-3"):
             three_tier.fabric.switch(leaf).tcam.remove_where(lambda rule: True)
-        dirty_second = second.dirty_switches()
-        assert first.dirty_switches() and dirty_second
+        dirty_second = second.snapshot_state()["dirty_switches"]
+        assert first.snapshot_state()["dirty_switches"] and dirty_second
         monkeypatch.setattr(
             first, "refresh", lambda *a, **k: (_ for _ in ()).throw(KeyboardInterrupt())
         )
@@ -305,7 +305,7 @@ class TestFailedPollRecovery:
         with pytest.raises(KeyboardInterrupt):
             monitor.poll(force=True)
         assert second.stats()["switch_checks"] == checks_before
-        assert second.dirty_switches() == dirty_second
+        assert second.snapshot_state()["dirty_switches"] == dirty_second
         monkeypatch.undo()
         result = monitor.poll(force=True)
         assert result.switches_rechecked == ["leaf-1", "leaf-2", "leaf-3"]

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from oracles import failed_edges
 from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
@@ -259,7 +260,7 @@ class TestScoutSystemParallel:
         total = augment_controller_model(global_model, missing)
         per_shard = augment_controller_model_sharded(sharded_model, missing, plan)
         assert sum(per_shard.values()) == total
-        assert sharded_model.failed_edges() == global_model.failed_edges()
+        assert failed_edges(sharded_model) == failed_edges(global_model)
         assert sharded_model.failure_signature() == global_model.failure_signature()
 
 

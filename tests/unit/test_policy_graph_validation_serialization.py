@@ -1,4 +1,4 @@
-"""Unit tests for PolicyIndex, the dependency graph, validation and serialization."""
+"""Unit tests for PolicyIndex, the dependency graph and validation."""
 
 import pytest
 
@@ -6,11 +6,7 @@ from repro.exceptions import ValidationError
 from repro.policy import (
     PolicyIndex,
     epg_pairs_per_object,
-    policy_from_dict,
-    policy_from_json,
     policy_issues,
-    policy_to_dict,
-    policy_to_json,
     three_tier_policy,
     validate_policy,
 )
@@ -25,20 +21,6 @@ def web_policy():
     builder.endpoint("EP2", uids["app"], switch="leaf-2")
     builder.endpoint("EP3", uids["db"], switch="leaf-3")
     return builder.build(), uids
-
-
-def dependency_maps(policy):
-    """Everything the policy's index says per pair, in pair order."""
-    index = PolicyIndex(policy)
-    return [
-        (
-            pair,
-            index.contracts_for_pair(pair),
-            index.risks_for_pair(pair),
-            index.switches_for_pair(pair),
-        )
-        for pair in index.pairs
-    ]
 
 
 class TestPolicyIndex:
@@ -143,35 +125,3 @@ class TestValidation:
         with pytest.raises(ValidationError) as excinfo:
             validate_policy(policy)
         assert len(excinfo.value.issues) == 2
-
-
-class TestSerialization:
-    def test_round_trip_preserves_summary(self, web_policy):
-        policy, _ = web_policy
-        restored = policy_from_dict(policy_to_dict(policy))
-        assert restored.summary() == policy.summary()
-
-    def test_round_trip_preserves_relations_and_pairs(self, web_policy):
-        policy, _ = web_policy
-        restored = policy_from_json(policy_to_json(policy))
-        assert len(PolicyIndex(policy).pairs) == 2
-        assert dependency_maps(restored) == dependency_maps(policy)
-
-    def test_round_trip_preserves_endpoint_attachment(self, web_policy):
-        policy, _ = web_policy
-        restored = policy_from_dict(policy_to_dict(policy))
-        originals = {ep.uid: ep.switch_uid for ep in policy.endpoints()}
-        for endpoint in restored.endpoints():
-            assert endpoint.switch_uid == originals[endpoint.uid]
-
-    def test_unknown_format_rejected(self):
-        from repro.exceptions import PolicyError
-
-        with pytest.raises(PolicyError):
-            policy_from_dict({"format": 99, "tenants": []})
-
-    def test_generated_workload_round_trip(self, tiny_workload):
-        policy = tiny_workload.policy
-        restored = policy_from_json(policy_to_json(policy))
-        assert restored.summary() == policy.summary()
-        assert dependency_maps(restored) == dependency_maps(policy)

@@ -12,7 +12,6 @@ from repro.policy.objects import (
     FilterEntry,
     ObjectType,
     Vrf,
-    object_sort_key,
 )
 from repro.policy.graph import PolicyIndex
 from repro.policy.tenant import NetworkPolicy, Tenant
@@ -75,13 +74,6 @@ class TestPolicyObjects:
         assert ep.switch_uid is None
         assert attached.switch_uid == "leaf-1"
         assert attached.uid == ep.uid
-
-    def test_object_sort_key_orders_by_type_then_uid(self):
-        vrf = Vrf(uid="vrf:t/a", name="a", scope_id=1)
-        epg = Epg(uid="epg:t/a", name="a", vrf_uid="vrf:t/a", epg_id=1)
-        flt = Filter(uid="filter:t/a", name="a", entries=(FilterEntry("tcp", 80),))
-        ordered = sorted([flt, epg, vrf], key=object_sort_key)
-        assert [o.object_type for o in ordered] == [ObjectType.VRF, ObjectType.EPG, ObjectType.FILTER]
 
 
 class TestEpgPair:

@@ -158,13 +158,6 @@ class TestPolicyBuilder:
         policy = builder.build()
         assert policy.get(ep).switch_uid == "leaf-9"
 
-    def test_add_filter_to_contract(self):
-        builder, uids = three_tier_policy()
-        extra = builder.filter("port9999", [9999])
-        builder.add_filter_to_contract(uids["app_db_contract"], extra)
-        policy = builder.build()
-        assert extra in policy.get(uids["app_db_contract"]).filter_uids
-
     def test_three_tier_policy_is_valid(self):
         builder, _ = three_tier_policy()
         validate_policy(builder.build())

@@ -2,17 +2,16 @@
 
 import pytest
 
+from oracles import element_risks, failed_edges, mark_edge_failed, risks_for_element
 from repro.core import ScoutLocalizer, ScoutSystem
 from repro.exceptions import RiskModelError
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
 from repro.policy import EpgPair, PolicyIndex, three_tier_policy
 from repro.risk import (
-    EdgeStatus,
     RiskModel,
     augment_controller_model,
     augment_switch_model,
-    build_all_switch_risk_models,
     build_controller_risk_model,
     build_switch_risk_model,
 )
@@ -50,28 +49,20 @@ class TestRiskModel:
             model.add_element("x", [])
 
     def test_edges_and_lookup(self, simple_model):
-        assert set(simple_model.risks_for_element("E2-E3")) == {"F1", "F2"}
+        assert set(risks_for_element(simple_model, "E2-E3")) == {"F1", "F2"}
         assert simple_model.elements_for_risk("F2") == {"E2-E3", "E3-E4", "E4-E5"}
         assert "E1-E2" in simple_model
         assert "nope" not in simple_model
 
-    def test_mark_edge_failed_validates_edge(self, simple_model):
-        with pytest.raises(RiskModelError):
-            simple_model.mark_edge_failed("E1-E2", "F3")
-        with pytest.raises(RiskModelError):
-            simple_model.mark_edge_failed("ghost", "F1")
-
-    def test_failure_signature_and_edge_status(self, simple_model):
-        simple_model.mark_edge_failed("E2-E3", "F2")
+    def test_failure_signature_and_failed_risks(self, simple_model):
+        mark_edge_failed(simple_model, "E2-E3", "F2")
         assert simple_model.failure_signature() == {"E2-E3"}
-        assert simple_model.is_failed("E2-E3")
-        assert simple_model.edge_status("E2-E3", "F2") == EdgeStatus.FAIL
-        assert simple_model.edge_status("E2-E3", "F1") == EdgeStatus.SUCCESS
+        assert simple_model.failed_risks_for_element("E2-E3") == {"F2"}
 
     def test_hit_and_coverage_ratios(self, simple_model):
         for element in ("E2-E3", "E3-E4", "E4-E5"):
-            simple_model.mark_edge_failed(element, "F2")
-        simple_model.mark_edge_failed("E2-E3", "F1")
+            mark_edge_failed(simple_model, element, "F2")
+        mark_edge_failed(simple_model, "E2-E3", "F1")
         assert simple_model.hit_ratio("F2") == 1.0
         assert simple_model.hit_ratio("F1") == 0.5
         assert simple_model.hit_ratio("C3") == 0.0
@@ -80,7 +71,7 @@ class TestRiskModel:
 
     def test_prune_elements_updates_ratios(self, simple_model):
         for element in ("E2-E3", "E3-E4", "E4-E5"):
-            simple_model.mark_edge_failed(element, "F2")
+            mark_edge_failed(simple_model, element, "F2")
         touched = simple_model.prune_elements(["E2-E3", "E3-E4", "E4-E5", "ghost"])
         assert touched == {"F1", "F2", "C2"}  # every risk that lost a dependent
         assert simple_model.prune_elements(["E3-E4"]) == set()  # already gone
@@ -89,14 +80,14 @@ class TestRiskModel:
         assert simple_model.hit_ratio("F2") == 0.0
 
     def test_copy_is_independent(self, simple_model):
-        simple_model.mark_edge_failed("E1-E2", "C1")
+        mark_edge_failed(simple_model, "E1-E2", "C1")
         clone = simple_model.copy()
         clone.prune_elements(["E1-E2"])
-        assert simple_model.is_failed("E1-E2")
+        assert simple_model.failure_signature() == {"E1-E2"}
         assert "E1-E2" not in clone
 
     def test_suspect_risks(self, simple_model):
-        simple_model.mark_edge_failed("E5-E6", "C3")
+        mark_edge_failed(simple_model, "E5-E6", "C3")
         assert simple_model.suspect_risks() == {"C2", "C3"}
 
     def test_summary(self, simple_model):
@@ -112,14 +103,16 @@ class TestSwitchRiskModel:
         model = build_switch_risk_model(index, "leaf-2")
         pairs = set(model.elements())
         assert pairs == {EpgPair(uids["web"], uids["app"]), EpgPair(uids["app"], uids["db"])}
-        web_app_risks = model.risks_for_element(EpgPair(uids["web"], uids["app"]))
+        web_app_risks = risks_for_element(model, EpgPair(uids["web"], uids["app"]))
         assert uids["vrf"] in web_app_risks
         assert uids["web_app_contract"] in web_app_risks
         assert uids["app_db_contract"] not in web_app_risks
 
     def test_all_switch_models(self, web_policy_index):
-        policy, index, _ = web_policy_index
-        models = build_all_switch_risk_models(policy, index)
+        _, index, _ = web_policy_index
+        models = {
+            leaf: build_switch_risk_model(index, leaf) for leaf in index.all_switches()
+        }
         assert set(models) == {"leaf-1", "leaf-2", "leaf-3"}
         assert len(models["leaf-1"].elements()) == 1
         assert len(models["leaf-2"].elements()) == 2
@@ -133,13 +126,13 @@ class TestControllerRiskModel:
         assert len(model.elements()) == 4
         element = ("leaf-1", EpgPair(uids["web"], uids["app"]))
         assert element in model
-        assert uids["vrf"] in model.risks_for_element(element)
+        assert uids["vrf"] in risks_for_element(model, element)
 
     def test_switch_risks_included_by_default(self, web_policy_index):
         policy, index, uids = web_policy_index
         model = build_controller_risk_model(policy, index)
         element = ("leaf-2", EpgPair(uids["web"], uids["app"]))
-        assert "leaf-2" in model.risks_for_element(element)
+        assert "leaf-2" in risks_for_element(model, element)
 
 
 class TestAugmentation:
@@ -161,7 +154,7 @@ class TestAugmentation:
         assert uids["filter_http"] in model.failed_risks_for_element(pair)
         # The App-DB contract is a risk of the other pair and must stay green.
         other = EpgPair(uids["app"], uids["db"])
-        assert not model.is_failed(other)
+        assert other not in model.failure_signature()
 
     def test_augment_ignores_rules_for_unknown_pairs(self, web_policy_index):
         _, index, uids = web_policy_index
@@ -200,9 +193,8 @@ def _assert_identical(model, cold):
     assert model.elements() == cold.elements()
     assert model.risks() == cold.risks()
     assert model.summary() == cold.summary()
-    assert model.failed_edges() == cold.failed_edges()
-    for element in cold.elements():
-        assert model.risks_for_element(element) == cold.risks_for_element(element)
+    assert failed_edges(model) == failed_edges(cold)
+    assert element_risks(model) == element_risks(cold)
     for risk in cold.risks():
         assert model.elements_for_risk(risk) == cold.elements_for_risk(risk)
         assert model.hit_ratio(risk) == cold.hit_ratio(risk)
@@ -239,14 +231,14 @@ class TestSharedStructure:
         used = build_controller_risk_model(deployed.policy, index=index)
         bystander = build_controller_risk_model(deployed.policy, index=index)
         elements = used.elements()
-        risk = sorted(used.risks_for_element(elements[0]))[0]
+        risk = sorted(risks_for_element(used, elements[0]))[0]
 
-        used.mark_edge_failed(elements[0], risk)
+        mark_edge_failed(used, elements[0], risk)
         used.mark_element_failed(elements[1])
         assert risk in used.prune_elements(used.elements_for_risk(risk))
         used.add_element(elements[0], ["risk:new"])  # was pruned: comes back bare
         used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
-        assert used.risks_for_element(elements[0]) == {"risk:new"}
+        assert risks_for_element(used, elements[0]) == {"risk:new"}
         assert ("leaf-x", "pair-x") in used and ("leaf-x", "pair-x") not in bystander
         # A clone of a handed-out model, edited, is as private as its source.
         clone = bystander.copy()

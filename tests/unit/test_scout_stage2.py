@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import mark_edge_failed
 from repro.controller.changelog import ChangeLog
 from repro.core import RecentChangeOracle, ScoutLocalizer, SelectionReason
-from repro.obs import TraceCollector
+from repro.obs import TraceCollector, activated
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
 from repro.risk import RiskModel
@@ -29,8 +30,8 @@ def partial_risk_model() -> RiskModel:
     model.add_element("O1", ["X", "H1"])
     model.add_element("O2", ["X", "H2"])
     model.add_element("O3", ["X"])  # healthy dependent keeps hit ratio < 1
-    model.mark_edge_failed("O1", "X")
-    model.mark_edge_failed("O2", "X")
+    mark_edge_failed(model, "O1", "X")
+    mark_edge_failed(model, "O2", "X")
     return model
 
 
@@ -73,7 +74,7 @@ class TestChangeLogStage:
 
     def test_oracle_is_asked_once_per_distinct_evidence(self):
         model = partial_risk_model()
-        model.mark_edge_failed("O2", "H2")
+        mark_edge_failed(model, "O2", "H2")
         model.add_element("O4", ["X", "H2"])
         model.mark_element_failed("O4")
         model.add_element("O5", ["H2"])  # healthy: H2 stays below hit ratio 1
@@ -230,7 +231,7 @@ class TestRecencyMemo:
     def test_one_computation_per_log_state(self):
         log = recent_log("X", timestamp=5)
         oracle = RecentChangeOracle(change_log=log, window=10)
-        with TraceCollector(enabled=True).activate() as collector:
+        with activated(TraceCollector(enabled=True)) as collector:
             for _ in range(3):
                 assert oracle.recently_changed({"X", "Y"}) == {"X"}
             log.record(7, "Y", ObjectType.FILTER, Operation.MODIFY)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import any_solution, count_solutions, solutions, support
 from repro.exceptions import VerificationError
 from repro.verify.bdd import BDD
 
@@ -9,8 +10,6 @@ from repro.verify.bdd import BDD
 class TestBddBasics:
     def test_terminals(self):
         bdd = BDD(4)
-        assert bdd.is_tautology(bdd.TRUE)
-        assert not bdd.is_satisfiable(bdd.FALSE)
         assert bdd.negate(bdd.TRUE) == bdd.FALSE
         assert bdd.negate(bdd.FALSE) == bdd.TRUE
 
@@ -18,12 +17,12 @@ class TestBddBasics:
         with pytest.raises(VerificationError):
             BDD(0)
 
-    def test_var_and_nvar(self):
+    def test_var_and_its_negation(self):
         bdd = BDD(3)
         x0 = bdd.var(0)
-        assert bdd.is_satisfiable(x0)
-        assert bdd.apply_and(x0, bdd.nvar(0)) == bdd.FALSE
-        assert bdd.apply_or(x0, bdd.nvar(0)) == bdd.TRUE
+        assert x0 != bdd.FALSE
+        assert bdd.apply_and(x0, bdd.negate(x0)) == bdd.FALSE
+        assert bdd.apply_or(x0, bdd.negate(x0)) == bdd.TRUE
 
     def test_var_out_of_range(self):
         bdd = BDD(3)
@@ -44,54 +43,46 @@ class TestBddBasics:
         assert bdd.restrict(cube, {0: True, 2: False}) == bdd.TRUE
         assert bdd.restrict(cube, {0: False}) == bdd.FALSE
 
-    def test_xor(self):
-        bdd = BDD(2)
-        x0, x1 = bdd.var(0), bdd.var(1)
-        xor = bdd.apply_xor(x0, x1)
-        assert bdd.restrict(xor, {0: True, 1: False}) == bdd.TRUE
-        assert bdd.restrict(xor, {0: True, 1: True}) == bdd.FALSE
-
-    def test_diff_and_implies(self):
+    def test_diff(self):
         bdd = BDD(3)
         x0, x1 = bdd.var(0), bdd.var(1)
         conj = bdd.apply_and(x0, x1)
-        assert bdd.implies(conj, x0)
-        assert not bdd.implies(x0, conj)
         assert bdd.apply_diff(conj, x0) == bdd.FALSE
+        assert bdd.apply_diff(x0, conj) == bdd.apply_and(x0, bdd.negate(x1))
 
 
 class TestBddQueries:
     def test_count_solutions_single_var(self):
         bdd = BDD(3)
         # x0 is true for half of the 8 assignments.
-        assert bdd.count_solutions(bdd.var(0)) == 4
-        assert bdd.count_solutions(bdd.TRUE) == 8
-        assert bdd.count_solutions(bdd.FALSE) == 0
+        assert count_solutions(bdd, bdd.var(0)) == 4
+        assert count_solutions(bdd, bdd.TRUE) == 8
+        assert count_solutions(bdd, bdd.FALSE) == 0
 
     def test_count_solutions_cube(self):
         bdd = BDD(5)
         cube = bdd.cube({0: True, 1: False, 4: True})
-        assert bdd.count_solutions(cube) == 2 ** 2
+        assert count_solutions(bdd, cube) == 2 ** 2
 
     def test_count_solutions_union(self):
         bdd = BDD(4)
         a = bdd.cube({0: True, 1: True})
         b = bdd.cube({0: False, 1: False})
         union = bdd.apply_or(a, b)
-        assert bdd.count_solutions(union) == 8  # 4 + 4, disjoint
+        assert count_solutions(bdd, union) == 8  # 4 + 4, disjoint
 
     def test_any_solution_satisfies(self):
         bdd = BDD(4)
         cube = bdd.cube({1: True, 3: False})
-        solution = bdd.any_solution(cube)
+        solution = any_solution(bdd, cube)
         assert solution is not None
         assert solution[1] is True and solution[3] is False
-        assert bdd.any_solution(bdd.FALSE) is None
+        assert any_solution(bdd, bdd.FALSE) is None
 
     def test_solutions_enumeration_with_limit(self):
         bdd = BDD(3)
         union = bdd.apply_or(bdd.var(0), bdd.var(1))
-        models = list(bdd.solutions(union, limit=2))
+        models = list(solutions(bdd, union, limit=2))
         assert len(models) == 2
         for model in models:
             assert bdd.restrict(union, model) == bdd.TRUE
@@ -99,8 +90,8 @@ class TestBddQueries:
     def test_support(self):
         bdd = BDD(6)
         f = bdd.apply_and(bdd.var(1), bdd.var(4))
-        assert bdd.support(f) == [1, 4]
-        assert bdd.support(bdd.TRUE) == []
+        assert support(bdd, f) == [1, 4]
+        assert support(bdd, bdd.TRUE) == []
 
     def test_size_and_node_count(self):
         bdd = BDD(4)
@@ -113,8 +104,16 @@ class TestBddQueries:
         cubes = [bdd.cube({i: True}) for i in range(6)]
         union = bdd.union_all(cubes)
         # At least one variable true: 2^6 - 1 assignments.
-        assert bdd.count_solutions(union) == 63
+        assert count_solutions(bdd, union) == 63
         assert bdd.union_all([]) == bdd.FALSE
+
+    def test_negation_is_an_involution_and_obeys_de_morgan(self):
+        bdd = BDD(3)
+        x0, x2 = bdd.var(0), bdd.var(2)
+        f = bdd.apply_or(x0, x2)
+        assert bdd.negate(bdd.negate(f)) == f
+        assert bdd.negate(f) == bdd.apply_and(bdd.negate(x0), bdd.negate(x2))
+        assert bdd.equivalent(bdd.apply_or(x2, x0), f)
 
     def test_restrict_partial(self):
         bdd = BDD(3)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import count_solutions, decode_assignment
 from repro.exceptions import VerificationError
 from repro.rules import TcamRule
 from repro.verify import ENGINES, EquivalenceChecker, RuleSpace
@@ -21,7 +22,7 @@ class TestRuleSpace:
         space = RuleSpace()
         rule = _rule(80)
         assignment = space.rule_assignment(rule)
-        decoded = space.decode_assignment(assignment)
+        decoded = decode_assignment(space, assignment)
         assert decoded["vrf_scope"] == 101
         assert decoded["src_epg"] == 1
         assert decoded["dst_epg"] == 2
@@ -30,13 +31,13 @@ class TestRuleSpace:
     def test_wildcard_port_unconstrained(self):
         space = RuleSpace()
         assignment = space.rule_assignment(_rule(None))
-        decoded = space.decode_assignment(assignment)
+        decoded = decode_assignment(space, assignment)
         assert decoded["port"] is None
 
     def test_any_protocol_unconstrained(self):
         space = RuleSpace()
         assignment = space.rule_assignment(_rule(80, protocol="any"))
-        assert space.decode_assignment(assignment)["protocol"] is None
+        assert decode_assignment(space, assignment)["protocol"] is None
 
     def test_value_overflow_rejected(self):
         space = RuleSpace(vrf_bits=4)
@@ -47,7 +48,7 @@ class TestRuleSpace:
         space = RuleSpace()
         manager = space.new_manager()
         node = space.encode_ruleset(manager, [_rule(80), _rule(81)])
-        assert manager.count_solutions(node) == 2
+        assert count_solutions(manager, node) == 2
 
     def test_deny_rules_excluded_from_allowed_set(self):
         space = RuleSpace()

@@ -132,7 +132,7 @@ class TestScenarios:
         )
         assert victim in report.switches_with_violations()
         # The controller recorded the unreachable switch.
-        assert scenario.controller.fault_log.with_code(FaultCode.SWITCH_UNREACHABLE)
+        assert any(r.code is FaultCode.SWITCH_UNREACHABLE for r in scenario.controller.fault_log)
 
     def test_large_unresponsive_scenario_many_missing_rules(self, tiny_profile):
         scenario = large_unresponsive_switch_scenario(profile=tiny_profile)
