@@ -9,8 +9,8 @@ to a live controller/fabric pair while the online
 events — and at every checkpoint the incrementally maintained verification
 state is required to be fingerprint-identical to a from-scratch full check.
 
-* :mod:`~repro.churn.events` — the typed event vocabulary with byte-stable
-  JSONL round-trips;
+* :mod:`~repro.churn.events` — the typed event vocabulary and its
+  byte-stable JSONL serialization;
 * :mod:`~repro.churn.stream` — profile → deterministic event sequence;
 * :mod:`~repro.churn.driver` — :class:`ChurnDriver`: apply events through
   the real control plane, run the differential oracle, report.
@@ -38,7 +38,6 @@ from .events import (
     PolicyRemove,
     SwitchDrain,
     SwitchReboot,
-    event_from_dict,
     events_to_jsonl,
 )
 from .stream import generate_churn_stream
@@ -62,7 +61,6 @@ __all__ = [
     "SwitchReboot",
     "churn_profile_for",
     "churn_profile_names",
-    "event_from_dict",
     "events_to_jsonl",
     "generate_churn_stream",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Type
+from typing import Dict, Iterable
 
 __all__ = [
     "ChurnEvent",
@@ -31,7 +31,6 @@ __all__ = [
     "SwitchDrain",
     "FaultBurst",
     "Checkpoint",
-    "event_from_dict",
     "events_to_jsonl",
 ]
 
@@ -42,8 +41,8 @@ class ChurnEvent:
 
     seq: int
 
-    #: Stable wire identifier; keys the ``event_from_dict`` dispatch and the
-    #: per-kind counters in the churn report.
+    #: Stable wire identifier; the ``kind`` of a serialized event and the
+    #: key of the per-kind counters in the churn report.
     kind = "churn"
 
     def to_dict(self) -> Dict:
@@ -131,37 +130,6 @@ class Checkpoint(ChurnEvent):
     """Run the differential oracle: incremental state vs. from-scratch check."""
 
     kind = "checkpoint"
-
-
-_EVENT_TYPES: Dict[str, Type[ChurnEvent]] = {
-    cls.kind: cls
-    for cls in (
-        PolicyAdd,
-        PolicyModify,
-        PolicyRemove,
-        LinkFlap,
-        SwitchReboot,
-        SwitchDrain,
-        FaultBurst,
-        Checkpoint,
-    )
-}
-
-
-def event_from_dict(data: Dict) -> ChurnEvent:
-    """Rebuild one event from its ``to_dict`` payload (loud on bad input)."""
-    if not isinstance(data, dict):
-        raise ValueError(f"churn event must be an object, got {type(data).__name__}")
-    kind = data.get("kind")
-    cls = _EVENT_TYPES.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(_EVENT_TYPES))
-        raise ValueError(f"unknown churn event kind {kind!r} (known: {known})")
-    fields = {key: value for key, value in data.items() if key != "kind"}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad {kind!r} churn event: {exc}") from None
 
 
 def events_to_jsonl(events: Iterable[ChurnEvent]) -> str:

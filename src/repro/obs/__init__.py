@@ -45,7 +45,6 @@ from .trace import (
     TraceCollector,
     activated,
     current,
-    install,
     span,
     traced,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "dump_flightrecord",
     "format_attribution",
     "format_flightrecord",
-    "install",
     "new_corr_id",
     "parallel_stage_breakdown",
     "record_event",

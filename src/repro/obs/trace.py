@@ -54,7 +54,6 @@ __all__ = [
     "TraceCollector",
     "activated",
     "current",
-    "install",
     "span",
     "traced",
 ]
@@ -313,11 +312,6 @@ class TraceCollector:
 _ACTIVE: ContextVar[Optional[TraceCollector]] = ContextVar(
     "repro_trace_collector", default=None
 )
-
-
-def install(collector: TraceCollector) -> None:
-    """Make ``collector`` the active collector for this context."""
-    _ACTIVE.set(collector)
 
 
 def current() -> Optional[TraceCollector]:

@@ -168,6 +168,13 @@ class RuleSequence(tuple):
     #: sequence's keys the checker has computed under it — filled triple by
     #: triple, dropped whole when the table refines.
     _regions: Optional[Dict[object, Tuple[int, Dict[Tuple[int, int, int], int]]]] = None
+    #: Whether :meth:`select` has picked rules from this sequence once.
+    _selected: bool = False
+    #: Key → one of its positions, and key → its other positions for the
+    #: keys the sequence repeats (empty for a keyed one): what
+    #: :meth:`select` reads from its second call on.  The sequence is
+    #: immutable, so the index never goes stale.
+    _positions: Optional[Tuple[Dict[MatchKey, int], Dict[MatchKey, List[int]]]] = None
 
     @classmethod
     def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
@@ -235,11 +242,46 @@ class RuleSequence(tuple):
             held = memos[table] = (table.version, {})
         return held[1]
 
+    def positions_built(self) -> bool:
+        """Whether :meth:`select` has built this sequence's position index."""
+        return self._positions is not None
+
     def select(self, wanted: AbstractSet[MatchKey]) -> List[TcamRule]:
-        """The rules whose key is in ``wanted``, in sequence order, duplicates kept."""
+        """The rules whose key is in ``wanted``, in sequence order, duplicates kept.
+
+        The first call scans the keys.  A sequence selected from again — a
+        compiled L re-audited — builds a key → position index on its second
+        call and reads it from then on: each wanted key marks its positions
+        in a mask and :func:`~itertools.compress` picks the rules, one hash
+        per wanted key instead of one per rule.  A sequence selected from
+        once (a TCAM snapshot, a shard worker's ``from_keys`` rebuild) never
+        pays for an index.
+        """
         if not wanted:
             return []
-        return list(compress(self, map(wanted.__contains__, self.keys())))
+        if self._positions is None:
+            if not self._selected:
+                self._selected = True
+                return list(compress(self, map(wanted.__contains__, self.keys())))
+            keys = self.keys()
+            # A repeated key maps to its last position; `repeats` holds the rest.
+            position_of = dict(zip(keys, range(len(keys))))
+            repeats: Dict[MatchKey, List[int]] = {}
+            if len(position_of) != len(keys):
+                for position, key in enumerate(keys):
+                    if position_of[key] != position:
+                        repeats.setdefault(key, []).append(position)
+            self._positions = (position_of, repeats)
+        position_of, repeats = self._positions
+        mask = bytearray(len(self))
+        for key in wanted:
+            position = position_of.get(key)
+            if position is not None:
+                mask[position] = 1
+        for key in repeats.keys() & wanted:
+            for position in repeats[key]:
+                mask[position] = 1
+        return list(compress(self, mask))
 
 
 #: The fields of each policy object a rule rendered from it reads: the

@@ -267,8 +267,10 @@ class EquivalenceChecker:
     The ``ap`` check is **delta-scoped**.  Both sides arrive as
     key-carrying :class:`~repro.rules.RuleSequence` carriers; the checker takes
     the key-set difference ``l_only = L - T`` / ``t_only = T - L`` (the one
-    place under ``src/repro`` that compares key sets, :meth:`_key_delta`)
-    and then:
+    place under ``src/repro`` that compares key sets, :meth:`_key_delta`:
+    ``L - T`` first, ``T - L`` only when the counts say T holds a key
+    outside L, so a switch that is healthy or only lost rules costs one
+    pass over L) and then:
 
     * both empty — the sides are the same match/action set, hence the same
       semantics: an **identity proof**, no engine (:meth:`identity_proof`,
@@ -335,6 +337,8 @@ class EquivalenceChecker:
                 self.dispatched += 1
                 return self._check_with_bdd(switch_uid, logical, deployed)
             l_only, t_only = self._key_delta(logical, deployed)
+            # The second pass is the T - L one, taken iff T had an extra key.
+            current.count("key_passes", 2 if t_only else 1)
             if not l_only and not t_only:
                 return self._proven(switch_uid, logical, deployed, self.engine)
             self.dispatched += 1
@@ -467,19 +471,26 @@ class EquivalenceChecker:
     def _key_delta(
         self, logical: RuleSequence, deployed: RuleSequence
     ) -> Tuple[FrozenSet[MatchKey], FrozenSet[MatchKey]]:
-        """``(L - T, T - L)`` over match keys, both sides validated first."""
+        """``(L - T, T - L)`` over match keys, both sides validated first.
+
+        ``L - T`` is taken first.  ``|L & T|`` is then ``|L| - |L - T|``,
+        and T holds a key outside L exactly when ``|T|`` differs from it:
+        only then is ``T - L`` taken (the second pass over keys), so a
+        healthy switch, or one that only lost rules, costs one pass.  The
+        ``T - L`` keys are validated on every call, the empty set included.
+        """
         table = self.atoms
         if table not in logical.observed_by:
             table.observe_keys(logical.keys())
             logical.observed_by += (table,)
         l_keys, t_keys = logical.key_set(), deployed.key_set()
-        t_only = t_keys - l_keys
+        l_only = l_keys - t_keys
+        if len(t_keys) == len(l_keys) - len(l_only):
+            t_only: FrozenSet[MatchKey] = frozenset()
+        else:
+            t_only = t_keys - l_keys
         table.observe_keys(t_only)
-        # |L & T| is |T| - |t_only|; when that is all of L, L - T is empty
-        # and a healthy switch costs one pass, not two.
-        if len(t_keys) - len(t_only) == len(l_keys):
-            return frozenset(), t_only
-        return l_keys - t_keys, t_only
+        return l_only, t_only
 
     def _proven(
         self,
@@ -544,15 +555,22 @@ class EquivalenceChecker:
             engine="ap",
         )
         if not result.equivalent:
-            with span("verify.ap.compare", switch=switch_uid):
+            with span("verify.ap.compare", switch=switch_uid) as compare:
                 # Same selection contract as the BDD scan — original rule
                 # order, allow rules only, kept iff the match intersects the
                 # difference — over the only keys that can: a both-sides
-                # key lies inside the other side's region.
+                # key lies inside the other side's region.  A re-checked L
+                # picks its rules by position from the index it holds.
+                fresh_index = not logical.positions_built()
                 result.missing_rules = logical.select(
                     table.select_keys(l_only, table.diff_regions(l_regions, t_regions))
                 )
                 result.extra_rules = deployed.select(
                     table.select_keys(t_only, table.diff_regions(t_regions, l_regions))
+                )
+                # 1 iff this compare built L's index: L's second select (the
+                # first scans; every later one reuses the index).
+                compare.count(
+                    "positions_built", fresh_index and logical.positions_built()
                 )
         return result

@@ -7,8 +7,19 @@ import this one by name (``tests/`` is on ``sys.path`` through the root
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
+from repro.churn import (
+    Checkpoint,
+    ChurnEvent,
+    FaultBurst,
+    LinkFlap,
+    PolicyAdd,
+    PolicyModify,
+    PolicyRemove,
+    SwitchDrain,
+    SwitchReboot,
+)
 from repro.exceptions import RiskModelError
 from repro.risk import RiskModel
 from repro.rules import TcamRule
@@ -155,3 +166,38 @@ def mark_edge_failed(model: RiskModel, element: Hashable, risk: Hashable) -> Non
         raise RiskModelError(f"unknown element {element!r}")
     if not model.mark_element_failed(element, (risk,)):
         raise RiskModelError(f"element {element!r} does not depend on risk {risk!r}")
+
+
+# ---------------------------------------------------------------------- #
+# Churn streams: the parse of ``events_to_jsonl``'s lines, which the
+# serialization round trips are checked against.
+# ---------------------------------------------------------------------- #
+_CHURN_EVENT_TYPES: Dict[str, Type[ChurnEvent]] = {
+    cls.kind: cls
+    for cls in (
+        PolicyAdd,
+        PolicyModify,
+        PolicyRemove,
+        LinkFlap,
+        SwitchReboot,
+        SwitchDrain,
+        FaultBurst,
+        Checkpoint,
+    )
+}
+
+
+def churn_event_from_dict(data: Dict) -> ChurnEvent:
+    """Rebuild one churn event from its ``to_dict`` payload (loud on bad input)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"churn event must be an object, got {type(data).__name__}")
+    kind = data.get("kind")
+    cls = _CHURN_EVENT_TYPES.get(kind)
+    if cls is None:
+        known = ", ".join(sorted(_CHURN_EVENT_TYPES))
+        raise ValueError(f"unknown churn event kind {kind!r} (known: {known})")
+    fields = {key: value for key, value in data.items() if key != "kind"}
+    try:
+        return cls(**fields)
+    except TypeError as exc:
+        raise ValueError(f"bad {kind!r} churn event: {exc}") from None

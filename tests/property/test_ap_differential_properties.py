@@ -15,6 +15,8 @@ of both sides — as a second reference, and draws deployed sides that are
 shadowing, deny flips), which is what a real TCAM is.
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import TraceCollector, activated
@@ -107,6 +109,18 @@ def edited_pairs(draw):
     return logical, list(deployed)
 
 
+@st.composite
+def lost_only_pairs(draw, logical=None):
+    """``(L, T)`` where T is some of L's rules, perhaps reordered: rules
+    lost, none gained."""
+    if logical is None:
+        logical = draw(st.lists(ap_rule_strategy, min_size=1, max_size=30))
+    deployed = [rule for rule in logical if draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        deployed = draw(st.permutations(deployed))
+    return logical, list(deployed)
+
+
 def _check(engine, logical, deployed, **kwargs):
     return EquivalenceChecker(engine=engine, **kwargs).check_switch(
         "s", logical, deployed
@@ -181,9 +195,14 @@ class TestDeltaScopedMatchesFullUniverse:
     """Scoped ``ap`` == the full-universe reference == ``bdd``, byte for byte."""
 
     @staticmethod
-    def _assert_three_way(logical, deployed):
-        scoped = _check("ap", logical, deployed)
-        reference = _full_universe_check(logical, deployed)
+    def _assert_three_way(logical, deployed, checker=None, collector=None):
+        if collector is None:
+            collector = TraceCollector()
+        with activated(collector):
+            scoped = (checker or EquivalenceChecker()).check_switch(
+                "s", logical, deployed
+            )
+        reference = _full_universe_check(list(logical), deployed)
         # Dataclass equality: verdict, counts, engine label, and the same
         # rule objects in the same order with the same duplicates.
         assert scoped == reference
@@ -200,6 +219,10 @@ class TestDeltaScopedMatchesFullUniverse:
         t_keys = {rule.match_key() for rule in deployed}
         assert {r.match_key() for r in scoped.missing_rules} <= l_keys - t_keys
         assert {r.match_key() for r in scoped.extra_rules} <= t_keys - l_keys
+        # T - L is taken, as a second pass over keys, iff T holds a key
+        # outside L.
+        check = [span for span in collector.spans() if span.name == "check.switch"][-1]
+        assert check.counters["key_passes"] == (2 if t_keys - l_keys else 1)
         return scoped
 
     @given(edited_pairs())
@@ -234,6 +257,105 @@ class TestDeltaScopedMatchesFullUniverse:
         assert result.missing_rules == []
         assert result.extra_rules == [extras[0], extras[2]]
 
+    @given(lost_only_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_rules_lost_only(self, pair):
+        """T ⊂ L: every audit fault and every storm loss."""
+        logical, deployed = pair
+        result = self._assert_three_way(logical, deployed)
+        assert result.extra_rules == []
+
+    @given(ap_rule_lists, st.lists(ap_rule_strategy, min_size=1, max_size=6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_extras_only(self, logical, extras, data):
+        """T ⊃ L: the extra keys are found by the second pass."""
+        keys = {rule.match_key() for rule in logical}
+        extras = [rule for rule in extras if rule.match_key() not in keys]
+        deployed = data.draw(st.permutations(logical + extras))
+        result = self._assert_three_way(logical, deployed)
+        assert result.missing_rules == []
+
+    @given(
+        lost_only_pairs(), st.lists(ap_rule_strategy, min_size=1, max_size=6), st.data()
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rules_lost_and_extras_at_once(self, pair, extras, data):
+        logical, kept = pair
+        keys = {rule.match_key() for rule in logical}
+        extras = [rule for rule in extras if rule.match_key() not in keys]
+        self._assert_three_way(logical, data.draw(st.permutations(kept + extras)))
+
+    def test_as_many_extras_as_lost_rules(self):
+        """|T| == |L| with one key swapped: only the count of L & T shows
+        that T holds a key outside L."""
+        a, b, c = (TcamRule(1, 1, 2, "tcp", port) for port in (22, 80, 443))
+        extra = TcamRule(1, 1, 2, "udp", 80)
+        result = self._assert_three_way([a, b, c], [a, extra, b])
+        assert (result.missing_rules, result.extra_rules) == ([c], [extra])
+
+    @given(lost_only_pairs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_unkeyed_logical_side_with_duplicate_keys(self, pair, data):
+        """A plain L repeating keys (other provenance, same match): every
+        copy of a missing key is reported, in place."""
+        logical, deployed = pair
+        repeated = list(logical)
+        copies = data.draw(st.lists(st.sampled_from(logical), min_size=1, max_size=6))
+        for rule in copies:
+            copy = dataclasses.replace(rule, filter_uid="filter:t/dup")
+            repeated.insert(data.draw(st.integers(0, len(repeated))), copy)
+        self._assert_three_way(repeated, deployed)
+        # A carrier checked again selects through its position index; the
+        # worker path's carrier is keys only, duplicates kept.
+        for carrier in (
+            RuleSequence.of(repeated),
+            RuleSequence.from_keys(rule.match_key() for rule in repeated),
+        ):
+            for _ in range(3):
+                self._assert_three_way(carrier, deployed)
+
+    def test_every_copy_of_a_missing_key_is_reported(self):
+        rule = TcamRule(1, 1, 2, "tcp", 80, filter_uid="filter:t/a")
+        copy = dataclasses.replace(rule, filter_uid="filter:t/b")
+        kept = TcamRule(1, 3, 4, "udp", 443)
+        logical = RuleSequence.of([rule, kept, copy, rule])
+        # The first check scans L, the second builds its position index and
+        # the third reads it: every copy comes back each time.
+        for _ in range(3):
+            result = self._assert_three_way(logical, [kept])
+            assert result.missing_rules == [rule, copy, rule]
+            assert [r.filter_uid for r in result.missing_rules] == [
+                "filter:t/a",
+                "filter:t/b",
+                "filter:t/a",
+            ]
+        assert logical.positions_built()
+
+    @given(st.lists(ap_rule_strategy, min_size=1, max_size=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_keyed_logical_side_against_several_deployed_sides(self, rules, data):
+        """One compiled L (keyed, as the controller holds it) audited again
+        and again: the first compare that picks missing rules scans L, the
+        second builds its position index and every later one reads it."""
+        logical = RuleSequence.keyed({rule.match_key(): rule for rule in rules})
+        checker = EquivalenceChecker()
+        collector = TraceCollector()
+        selects, expected = 0, []
+        for _ in range(data.draw(st.integers(min_value=3, max_value=6))):
+            deployed = data.draw(lost_only_pairs(logical=list(logical)))[1]
+            result = self._assert_three_way(logical, deployed, checker, collector)
+            if not result.equivalent:
+                # A compare selects from L iff it reports a missing rule.
+                selects += bool(result.missing_rules)
+                expected.append(int(bool(result.missing_rules) and selects == 2))
+        built = [
+            span.counters["positions_built"]
+            for span in collector.spans()
+            if span.name == "verify.ap.compare"
+        ]
+        assert built == expected
+        assert logical.positions_built() == (selects >= 2)
+
     def test_key_sets_differ_but_semantics_do_not(self):
         """``L = {tcp/any, tcp/80}``, ``T = {tcp/any}``: the specific rule is
         shadowed on both sides, so the switch is equivalent, nothing is
@@ -252,6 +374,28 @@ class TestDeltaScopedMatchesFullUniverse:
         allow, deny = TcamRule(1, 1, 2, "tcp", 80), TcamRule(1, 3, 4, "tcp", 22, "deny")
         assert self._assert_three_way([allow, deny], [allow]).equivalent
         assert self._assert_three_way([allow], [deny, allow]).equivalent
+
+
+class TestSelectByPosition:
+    """``RuleSequence.select`` scans on its first call and picks by a held
+    key → position index after: either way it gives exactly the in-order
+    scan, duplicates kept, call after call."""
+
+    @given(st.lists(ap_rule_strategy, max_size=40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_select_is_the_scan(self, rules, data):
+        for sequence in (
+            RuleSequence.of(rules),
+            RuleSequence.from_keys(rule.match_key() for rule in rules),
+            RuleSequence.keyed({rule.match_key(): rule for rule in rules}),
+        ):
+            keys = sorted(set(sequence.keys()), key=repr) or [None]
+            for _ in range(3):
+                wanted = set(data.draw(st.lists(st.sampled_from(keys), unique=True)))
+                wanted.add(TcamRule(9, 9, 9, "tcp", 80).match_key())  # not held
+                scan = [rule for rule in sequence if rule.match_key() in wanted]
+                assert sequence.select(wanted) == scan
+                assert [id(r) for r in sequence.select(wanted)] == [id(r) for r in scan]
 
 
 #: Ports the drawn L never uses: a deployed side carrying one (or a protocol

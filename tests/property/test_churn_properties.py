@@ -5,12 +5,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import churn_event_from_dict
 from repro.churn import (
     ChurnDriver,
     ChurnMix,
     ChurnProfile,
     churn_profile_for,
-    event_from_dict,
     events_to_jsonl,
     generate_churn_stream,
 )
@@ -37,7 +37,7 @@ class TestStreamProperties:
             churn_profile_for("small", events=events, seed=seed)
         )
         lines = events_to_jsonl(stream).splitlines()
-        assert [event_from_dict(json.loads(line)) for line in lines] == stream
+        assert [churn_event_from_dict(json.loads(line)) for line in lines] == stream
 
     @given(seed=_seeds)
     @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import churn_event_from_dict
 from repro.churn import (
     CHURN_EVENT_KINDS,
     Checkpoint,
@@ -13,7 +14,6 @@ from repro.churn import (
     LinkFlap,
     churn_profile_for,
     churn_profile_names,
-    event_from_dict,
     events_to_jsonl,
     generate_churn_stream,
 )
@@ -95,7 +95,7 @@ class TestEventSerialization:
     def test_round_trip_preserves_every_event(self):
         stream = generate_churn_stream(churn_profile_for("small", events=60, seed=8))
         lines = events_to_jsonl(stream).splitlines()
-        assert [event_from_dict(json.loads(line)) for line in lines] == stream
+        assert [churn_event_from_dict(json.loads(line)) for line in lines] == stream
 
     def test_jsonl_is_one_sorted_key_line_per_event(self):
         stream = generate_churn_stream(churn_profile_for("small", events=30, seed=8))
@@ -109,16 +109,16 @@ class TestEventSerialization:
         event = LinkFlap(seq=3, draw_seed=99, down_ticks=2)
         payload = event.to_dict()
         assert payload["kind"] == "link-flap"
-        assert event_from_dict(json.loads(json.dumps(payload))) == event
+        assert churn_event_from_dict(json.loads(json.dumps(payload))) == event
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown churn event kind"):
-            event_from_dict({"kind": "meteor-strike", "seq": 1})
+            churn_event_from_dict({"kind": "meteor-strike", "seq": 1})
 
     def test_missing_field_names_the_kind(self):
         with pytest.raises(ValueError, match="policy-add"):
-            event_from_dict({"kind": "policy-add", "seq": 1})
+            churn_event_from_dict({"kind": "policy-add", "seq": 1})
 
     def test_fault_burst_carries_count(self):
         event = FaultBurst(seq=7, draw_seed=1, count=3)
-        assert event_from_dict(event.to_dict()) == event
+        assert churn_event_from_dict(event.to_dict()) == event

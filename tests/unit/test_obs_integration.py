@@ -25,6 +25,7 @@ from repro.obs import (
 from repro.online import IncrementalChecker
 from repro.parallel.memo import reset_worker_cache
 from repro.policy.objects import FilterEntry
+from repro.rules import TcamRule
 from repro.workloads import small_profile
 from repro.workloads.generator import generate_workload
 
@@ -71,6 +72,8 @@ class TestTracedCheck:
         checks = [s for s in collector.spans() if s.name == "check.switch"]
         assert len(checks) == switches
         assert all(s.counters["delta_checks"] == 1 for s in checks)
+        # Rules lost, none gained: L - T alone settles T - L.
+        assert all(s.counters["key_passes"] == 1 for s in checks)
         # Engine counters surfaced on the build spans (the oracle's too):
         # one rule gone from a leaf scopes the build to that rule's triple.
         builds = [s for s in collector.spans() if s.name == "verify.ap.build"]
@@ -94,11 +97,52 @@ class TestTracedCheck:
         checks = [s for s in collector.spans() if s.name == "check.switch"]
         assert len(checks) == switches
         assert all("delta_checks" not in s.counters for s in checks)
+        assert all(s.counters["key_passes"] == 1 for s in checks)
         assert not [s for s in collector.spans() if s.name == "verify.ap.build"]
         # The serial path counts its identity proofs like the parallel one.
         after = system.stats()
         assert after["identity_proofs"] - before["identity_proofs"] == switches
         assert after["dispatched"] == before["dispatched"]
+
+    def test_a_repeat_audit_reuses_the_position_index(self):
+        """The compiled L outlives an audit: the first compare of a leaf
+        scans it, the second builds its key → position index and every later
+        audit reads it.  A leaf holding a key outside L takes the second key
+        pass."""
+        workload = generate_workload(small_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        switches = workload.fabric.switches
+        for switch in switches.values():
+            switch.tcam.remove(switch.tcam.match_keys()[0])
+        system = ScoutSystem(controller)
+
+        def audit():
+            collector = TraceCollector()
+            report = system.check(trace=collector)
+            by_name = {}
+            for recorded in collector.spans():
+                by_name.setdefault(recorded.name, []).append(recorded)
+            unequal = sum(not result.equivalent for result in report.results.values())
+            assert unequal and len(by_name["verify.ap.compare"]) == unequal
+            passes = {
+                s.attrs["switch"]: s.counters["key_passes"] for s in by_name["check.switch"]
+            }
+            compares = by_name["verify.ap.compare"]
+            return passes, [s.counters["positions_built"] for s in compares]
+
+        passes, built = audit()
+        assert set(passes.values()) == {1} and set(built) == {0}
+        passes, built = audit()
+        assert set(passes.values()) == {1} and set(built) == {1}
+        passes, built = audit()
+        assert set(passes.values()) == {1} and set(built) == {0}
+        leaf = sorted(switches)[0]
+        vrf, src, dst = switches[leaf].tcam.match_keys()[0][:3]
+        switches[leaf].tcam.install(TcamRule(vrf, src, dst, "tcp", 65000))
+        passes, built = audit()
+        assert passes == {uid: 2 if uid == leaf else 1 for uid in passes}
+        assert set(built) == {0}
 
     def test_untraced_check_records_nothing(self, system):
         collector = TraceCollector()

@@ -14,7 +14,6 @@ from repro.obs import (
     span,
     traced,
 )
-from repro.obs.trace import install
 
 
 class TestSpanBasics:
@@ -107,14 +106,15 @@ class TestDisabledPath:
         assert current() is None
         assert [s.name for s in collector.spans()] == ["scoped"]
 
-    def test_install_sets_the_context_collector(self):
+    def test_activated_sets_only_its_own_context(self):
         collector = TraceCollector()
+        outer = contextvars.copy_context()
 
-        def installed():
-            install(collector)
-            return current()
+        def inside():
+            with activated(collector):
+                return current(), outer.run(current)
 
-        assert contextvars.copy_context().run(installed) is collector
+        assert contextvars.copy_context().run(inside) == (collector, None)
         assert current() is None
 
 
