@@ -12,14 +12,15 @@ The channel models exactly those two failure modes:
   controller observes the failure (it is the component that logs
   ``SWITCH_UNREACHABLE`` faults, matching the paper's unresponsive-switch use
   case where both the change log and the fault log live at the controller);
-* **lossy delivery** — each instruction is independently dropped with a
-  configurable probability, producing partial logical views.
+* **lossy delivery** — each instruction is independently dropped with
+  probability ``drop_probability`` (0 unless a caller sets it), producing
+  partial logical views.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..fabric.fabric import Fabric
 from ..fabric.switch import AgentState
@@ -31,17 +32,12 @@ __all__ = ["ControlChannel"]
 class ControlChannel:
     """Delivers instruction batches from the controller to leaf switches."""
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        drop_probability: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError(f"drop_probability must be in [0, 1], got {drop_probability}")
+    def __init__(self, fabric: Fabric) -> None:
         self.fabric = fabric
-        self.drop_probability = drop_probability
-        self.rng = rng or random.Random(0)
+        #: Chance that each instruction of a push is lost in transit, drawn
+        #: from :attr:`rng`.
+        self.drop_probability = 0.0
+        self.rng = random.Random(0)
         self._disconnected: set[str] = set()
 
     # ------------------------------------------------------------------ #

@@ -106,7 +106,8 @@ def compile_logical_rules(
     }
 
 
-#: One pair's rendered rules beside their match keys, position by position.
+#: One pair's rendered rules beside their match keys, position by position
+#: (a switch's assembly zips them, which beats a ``match_key()`` call per rule).
 PairRules = Tuple[Tuple[TcamRule, ...], Tuple[MatchKey, ...]]
 
 
@@ -161,7 +162,7 @@ class CompiledRules:
                 pairs_compared += 1
                 if known is None or not _renders_alike(known[0], inputs):
                     rules = tuple(rules_for_pair(*inputs))
-                    known = (inputs, (rules, tuple(rule.match_key() for rule in rules)))
+                    known = (inputs, (rules, tuple(map(TcamRule.match_key, rules))))
                     pairs_recompiled += 1
             pairs[pair] = known
 

@@ -133,8 +133,8 @@ class TcamTable:
     def rule_sequence(self) -> RuleSequence:
         """:meth:`rules` as an immutable sequence carrying :meth:`match_keys`.
 
-        The table is keyed by match key, so the sequence's key set is read
-        off it instead of being recomputed rule by rule.  The sequence last
+        The table is keyed by its rules' own match keys, so the sequence's
+        keys and key set are read off it.  The sequence last
         handed out is returned again for as long as the table holds the very
         same rule objects in the same order — compared on every call, so no
         write has to announce itself; rules are immutable and keyed by their
@@ -162,13 +162,7 @@ class TcamTable:
         Returns the outcome and, when an eviction occurred, the evicted rule
         so the switch can log it.
         """
-        return self._insert(rule.match_key(), rule)
-
-    def _insert(
-        self, key: MatchKey, rule: TcamRule
-    ) -> Tuple[InstallOutcome, Optional[TcamRule]]:
-        """:meth:`install` for a caller that already holds ``rule``'s match
-        key: the table stores that very tuple instead of deriving another."""
+        key = rule.match_key()
         self.install_attempts += 1
         if key in self._entries:
             # Refresh provenance but count as already present.

@@ -10,6 +10,13 @@ an object", §VI-A) need to go from a rule back to the objects it depends on.
 Two rules are considered the *same rule* for equivalence checking when their
 match/action part (:meth:`TcamRule.match_key`) is identical; provenance is
 metadata and does not participate in L-T comparison.
+
+A rule computes its match key once, when it is made, and every rule in the
+process draws that key from one table (:class:`_KeyTable`): equal matches
+share one key object, so the compiled L, the agents' renders and the TCAMs
+hold the very same tuples and a set probe between L and T succeeds on its
+identity check.  Keys still compare by value everywhere, so sharing is only
+a speed-up: a key that was not shared costs a tuple compare, never a verdict.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
+from sys import getrefcount
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .policy.objects import Contract, Epg, Filter, FilterEntry, PolicyObject, Vrf
@@ -40,6 +48,43 @@ Action = str
 
 #: The hashable match/action tuple used for set comparison between L and T.
 MatchKey = Tuple[int, int, int, str, Optional[int], str]
+
+
+class _KeyTable(Dict[MatchKey, MatchKey]):
+    """Every live match key, each mapped to itself: one object per match.
+
+    Bounded by what is live.  Each time the table has doubled since its last
+    sweep, the sweep drops the keys nothing outside it holds — amortised
+    O(1) per new key.  A key held anywhere (a rule, a frozenset, a dict's
+    keys) keeps its reference count above :attr:`UNHELD` and stays, so a
+    TCAM rewritten with the rules it held stores the same key objects again.
+    The sweep snapshots the keys with ``list()``, so a thread inserting
+    meanwhile is safe; a key it drops that was taken just then is an equal
+    key that is not shared, which costs speed, never a verdict.
+    """
+
+    #: ``sys.getrefcount`` of a key only the sweep can see: the table's key
+    #: and value, the sweep's snapshot list and the call's argument (the
+    #: same on CPython 3.10 to 3.13).
+    UNHELD = 4
+    #: Keys left by the last sweep.
+    swept = 0
+
+    def grew(self) -> None:
+        """Note that a key was added: sweep if the table has doubled."""
+        if len(self) > 2 * self.swept:
+            self.sweep()
+
+    def sweep(self) -> None:
+        """Drop every key nothing outside the table holds."""
+        keys = list(self)
+        unheld = [count <= self.UNHELD for count in map(getrefcount, keys)]
+        for key in compress(keys, unheld):
+            self.pop(key, None)
+        self.swept = len(self)
+
+
+_KEYS = _KeyTable()
 
 
 @dataclass(frozen=True)
@@ -73,9 +118,19 @@ class TcamRule:
     contract_uid: str = ""
     filter_uid: str = ""
 
+    def __post_init__(self) -> None:
+        key = (self.vrf_scope, self.src_epg, self.dst_epg, self.protocol, self.port, self.action)
+        shared = _KEYS.setdefault(key, key)
+        if shared is key:
+            _KEYS.grew()
+        # Outside the fields, so eq, hash, repr, to_dict and replace ignore
+        # it; set as the fields are, so the instance keeps its compact dict.
+        object.__setattr__(self, "_key", shared)
+
     def match_key(self) -> MatchKey:
-        """The hashable match/action tuple (provenance excluded)."""
-        return (self.vrf_scope, self.src_epg, self.dst_epg, self.protocol, self.port, self.action)
+        """The hashable match/action tuple (provenance excluded), the one
+        object every live rule with this match returns."""
+        return self._key
 
     def to_dict(self) -> dict:
         """Match fields *and* provenance as one JSON-ready dict.
@@ -150,9 +205,8 @@ class RuleSequence(tuple):
     checker's key-set delta
     (:meth:`repro.verify.checker.EquivalenceChecker.check_switch`): L-T
     equivalence is decided on :meth:`key_set`, and a sequence built with
-    :meth:`keyed` or :meth:`from_keys` answers that — and :meth:`select` —
-    without one :meth:`TcamRule.match_key` call.  Being a tuple, what a
-    cache hands out cannot be edited in place.
+    :meth:`keyed` takes its keys and key set straight off the dict.  Being
+    a tuple, what a cache hands out cannot be edited in place.
     """
 
     _keys: Optional[Tuple[MatchKey, ...]] = None
@@ -198,17 +252,15 @@ class RuleSequence(tuple):
         """Bare rules (no provenance) for ``keys``, in order, duplicates kept.
 
         How a shard worker rebuilds a rule set from the match keys that
-        crossed the process boundary.
+        crossed the process boundary: the rules' keys are the process's
+        shared ones, not the unpickled copies.
         """
-        keys = tuple(keys)
-        sequence = cls(TcamRule(*key) for key in keys)
-        sequence._keys = keys
-        return sequence
+        return cls(TcamRule(*key) for key in keys)
 
     def keys(self) -> Tuple[MatchKey, ...]:
         """The rules' match keys, in sequence order."""
         if self._keys is None:
-            self._keys = tuple(rule.match_key() for rule in self)
+            self._keys = tuple(map(TcamRule.match_key, self))
         return self._keys
 
     def key_set(self) -> FrozenSet[MatchKey]:

@@ -16,9 +16,11 @@ shadowing, deny flips), which is what a real TCAM is.
 """
 
 import dataclasses
+import operator
 
 from hypothesis import given, settings, strategies as st
 
+from repro.fabric.tcam import TcamTable
 from repro.obs import TraceCollector, activated
 from repro.rules import RuleSequence, TcamRule
 from repro.verify import AtomTable, EquivalenceChecker
@@ -487,3 +489,54 @@ class TestLogicalRegionMemo:
         ]
         # The first check computes the triple; the refinement discards it.
         assert reused == [0, 1, 0, 0]
+
+
+def _as_tcam(rules) -> RuleSequence:
+    """``rules`` installed in order into a TCAM, as its snapshot: keyed by
+    the rules' own (shared) keys, a repeated key kept once, in place, with
+    its last provenance."""
+    tcam = TcamTable()
+    for rule in rules:
+        tcam.install(rule)
+    return tcam.rule_sequence()
+
+
+class TestExactnessNeverRestsOnIdentity:
+    """Every rule's key is the process's one object for its match, so L's
+    and T's keys are the same tuples.  That only speeds the key-set delta
+    up: the same T over equal but distinct key copies — built with
+    ``RuleSequence.keyed``, which bypasses the shared table — gives the very
+    same result, and both equal the full-universe reference and ``bdd``.
+    The route does not rest on identity either: the key delta, and so
+    which switches an identity proof settles, is the same for both."""
+
+    @given(st.one_of(edited_pairs(), lost_only_pairs()))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_and_distinct_keys_give_one_result(self, pair):
+        logical, deployed = pair
+        logical = RuleSequence.of(logical)
+        shared = _as_tcam(deployed)
+        copies = RuleSequence.keyed(
+            {tuple(list(key)): rule for key, rule in zip(shared.keys(), shared)}
+        )
+        held = {key: key for key in logical.keys()}
+        assert all(held[key] is key for key in shared.keys() if key in held)
+        assert not any(map(operator.is_, copies.keys(), shared.keys()))
+
+        checkers = [EquivalenceChecker(), EquivalenceChecker()]
+        deltas = [
+            checker._key_delta(logical, side)
+            for checker, side in zip(checkers, (shared, copies))
+        ]
+        assert deltas[0] == deltas[1]
+        on_shared = checkers[0].check_switch("s", logical, shared)
+        on_copies = checkers[1].check_switch("s", logical, copies)
+        assert on_shared == on_copies
+        assert checkers[0].identity_proofs == checkers[1].identity_proofs
+        assert on_copies == _full_universe_check(list(logical), copies)
+        bdd = _check("bdd", logical, copies)
+        assert (on_copies.equivalent, on_copies.missing_rules, on_copies.extra_rules) == (
+            bdd.equivalent,
+            bdd.missing_rules,
+            bdd.extra_rules,
+        )

@@ -6,9 +6,9 @@ the compiled L and ``tcam.rule_sequence()`` are the very objects that
 verdict was proved from.  That is sound only if every write that changes
 what a table holds — match keys or provenance — makes the table hand out a
 new sequence.  A state machine writes one small fabric's TCAMs through every
-:class:`~repro.fabric.tcam.TcamTable` entry point (``install``, ``_insert``
-over a present key, ``remove``, ``remove_rule``, ``remove_where``,
-``clear``, eviction on a full table, a rejected install, a
+:class:`~repro.fabric.tcam.TcamTable` entry point (``install``, ``install``
+over a present key with new provenance, ``remove``, ``remove_rule``,
+``remove_where``, ``clear``, eviction on a full table, a rejected install, a
 transaction that puts back exactly what it took, the agent's resync) and
 edits the policy (a real change, and an equal copy that moves no L), and
 after every step refreshes every leaf and holds each verdict to a fresh
@@ -88,13 +88,13 @@ class VerdictMemoMachine(RuleBasedStateMachine):
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
     def refresh_provenance(self, leaf, pick):
-        """``_insert`` over a present key: same match, new provenance."""
+        """``install`` over a present key: same match, new provenance."""
         tcam = self._tcam(leaf)
         rules = tcam.rules()
         if rules:
             held = rules[pick % len(rules)]
             edited = dataclasses.replace(held, contract_uid=f"contract:{pick}")
-            tcam._insert(held.match_key(), edited)
+            tcam.install(edited)
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
     def reinstall_the_same_rule(self, leaf, pick):
@@ -148,7 +148,7 @@ class VerdictMemoMachine(RuleBasedStateMachine):
         key = keys[pick % len(keys)]
         with tcam.transaction():
             taken = tcam.remove(key)
-            tcam._insert(key, taken)
+            tcam.install(taken)
 
     @rule(leaf=st.sampled_from(LEAVES))
     def resync(self, leaf):
