@@ -10,10 +10,12 @@ coverage of the still-unexplained observations (Algorithm 2), add them to the
 hypothesis, and prune every element that depends on them (Algorithm 1,
 lines 4-19).  The loop ends when no risk has hit ratio 1 anymore.
 
-The candidates of Algorithm 2 are kept, not re-derived: pruning changes
-``G_i``, ``O_i`` and the gain of exactly the risks the pruned elements relied
-on (:meth:`RiskModel.prune_elements` returns them), so only those are
-evaluated again and an iteration costs what it pruned.  The literal
+Stage 1 prunes by counting, over the caller's model as it is (read through
+:meth:`RiskModel.indexes`): per risk that can explain an observation it keeps
+live counts — ``|G_i| - |O_i|`` and the gain — beside its own pruned and
+unexplained sets, so the model is neither copied nor edited.  Pruning changes
+the counts of exactly the risks the pruned elements relied on, so only those
+are scored again and an iteration costs what it pruned.  The literal
 every-iteration rescan is the reference the differential suite holds this to
 (``tests/property/test_scout_reference.py``).
 
@@ -170,61 +172,79 @@ class ScoutLocalizer:
         if not signature:
             return hypothesis
 
-        working = model.copy()
+        relied_on, dependents, failed_risks, observed = model.indexes()
         unexplained = set(signature)
+        pruned: Set[Hashable] = set()
         iteration = 0
-        # Algorithm 2's candidates: risk -> O_i ∩ unexplained, for the risks
-        # with |O_i| == |G_i| (hit ratio exactly 1) that explain something.
-        gains: Dict[Hashable, Set[Hashable]] = {}
+        # Per risk of K, two live counts: ``healthy`` — its dependents not
+        # failed on it, |G_i| - |O_i| — and ``gain`` — |O_i ∩ unexplained|.
+        # The hit ratio is exactly 1 when ``healthy`` is 0, and Algorithm 2's
+        # candidates are those risks with a gain: risk -> gain.
+        healthy: Dict[Hashable, int] = {}
+        gain: Dict[Hashable, int] = {}
+        candidates: Dict[Hashable, int] = {}
 
-        def evaluate(risks: Iterable[Hashable]) -> None:
+        def score(risks: Iterable[Hashable]) -> None:
             for risk in risks:
-                gain = None
-                if working.hit_ratio(risk) == 1.0:
-                    gain = working.failed_elements_for_risk(risk) & unexplained
-                if gain:
-                    gains[risk] = gain
+                if gain[risk] and not healthy[risk]:
+                    candidates[risk] = gain[risk]
                 else:
-                    gains.pop(risk, None)
+                    candidates.pop(risk, None)
 
         with span("scout.stage1", observations=len(signature)) as stage1:
-            # K: risks with failed edges to unexplained observations.
-            candidate_risks: Set[Hashable] = set()
-            for observation in unexplained:
-                candidate_risks |= working.failed_risks_for_element(observation)
-            evaluate(candidate_risks)
+            # K: risks with failed edges to unexplained observations.  No
+            # other risk can ever explain one, so only these are counted.
+            for risk in set().union(
+                *(failed_risks[element] for element in unexplained if element in failed_risks)
+            ):
+                hits = observed[risk]
+                healthy[risk] = len(dependents[risk]) - len(hits)
+                # Without an explicit signature every failed element is an
+                # observation, and O_i ∩ unexplained is all of O_i.
+                gain[risk] = len(hits if failure_signature is None else hits & unexplained)
+            score(healthy)
             reevaluated = 0
             while unexplained:
                 iteration += 1
-                if not gains:
+                if not candidates:
                     break
-                max_gain = max(map(len, gains.values()))
+                max_gain = max(candidates.values())
                 faulty_set = sorted(
-                    (risk for risk, gain in gains.items() if len(gain) == max_gain),
+                    [risk for risk, gained in candidates.items() if gained == max_gain],
                     key=repr,
                 )
-                # Prune every element (failed or not) depending on a chosen risk.
-                affected: Set[Hashable] = set()
                 for risk in faulty_set:
-                    affected |= working.elements_for_risk(risk)
-                for risk in faulty_set:
+                    explained = observed[risk] & unexplained
                     hypothesis.add(
                         HypothesisEntry(
                             risk=risk,
                             reason=SelectionReason.HIT_AND_COVERAGE,
                             hit_ratio=1.0,
-                            coverage_ratio=len(gains[risk]) / len(unexplained),
+                            coverage_ratio=len(explained) / len(unexplained),
                             iteration=iteration,
-                            explained=set(gains[risk]),
+                            explained=explained,
                         )
                     )
-                # A risk none of whose dependents went keeps its G_i, its O_i
-                # and its gain: only the risks pruning touched are looked at
-                # again, so an iteration costs what it pruned.
-                touched = working.prune_elements(affected)
+                # Prune every element (failed or not) depending on a chosen
+                # risk.  Only the risks those elements relied on lose a
+                # dependent: they alone are counted down and scored again, so
+                # an iteration costs what it pruned.
+                affected = set().union(*map(dependents.__getitem__, faulty_set)) - pruned
+                pruned |= affected
+                rescored: Set[Hashable] = set()
+                for element in affected:
+                    hits = failed_risks.get(element, ())
+                    observation = element in unexplained
+                    for risk in relied_on[element]:
+                        if risk in healthy:
+                            rescored.add(risk)
+                            if risk not in hits:
+                                healthy[risk] -= 1
+                            elif observation:
+                                gain[risk] -= 1
                 unexplained -= affected
-                evaluate(touched)
-                reevaluated += len(touched)
+                score(rescored)
+                reevaluated += len(rescored)
             stage1.count("iterations", iteration)
             stage1.count("reevaluated", reevaluated)
 

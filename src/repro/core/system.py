@@ -67,10 +67,14 @@ class ScoutReport:
         return self.hypothesis.objects()
 
     def suspect_reduction(self) -> float:
-        """Mean suspect-set-reduction γ across the augmented risk models."""
+        """Mean suspect-set-reduction γ across the augmented risk models, each
+        against its own hypothesis: a leaf's in switch scope, the one
+        hypothesis in controller scope."""
         gammas = [
-            suspect_set_reduction(model, self.hypothesis.objects())
-            for model in self.risk_models.values()
+            suspect_set_reduction(
+                model, self.per_switch.get(key, self.hypothesis).objects()
+            )
+            for key, model in self.risk_models.items()
             if model.failure_signature()
         ]
         if not gammas:

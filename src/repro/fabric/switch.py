@@ -448,16 +448,15 @@ class Switch:
     # ------------------------------------------------------------------ #
     # Fault helpers (used by the fault injector and the use cases)
     # ------------------------------------------------------------------ #
-    def make_unresponsive(self, log: bool = True) -> None:
+    def make_unresponsive(self) -> None:
         """Stop the agent from accepting controller messages."""
         self.agent.state = AgentState.UNRESPONSIVE
-        if log:
-            self.fault_log.raise_fault(
-                self.clock.peek(),
-                self.uid,
-                FaultCode.SWITCH_UNREACHABLE,
-                detail="switch stopped responding to the controller",
-            )
+        self.fault_log.raise_fault(
+            self.clock.peek(),
+            self.uid,
+            FaultCode.SWITCH_UNREACHABLE,
+            detail="switch stopped responding to the controller",
+        )
 
     def restore(self) -> None:
         """Bring the agent back to a running state (faults stay in the log)."""

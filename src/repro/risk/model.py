@@ -13,7 +13,8 @@ The model exposes exactly the quantities the localization algorithms need:
   (:meth:`failed_elements_for_risk`);
 * the failure signature ``F`` (:meth:`failure_signature`);
 * hit ratio ``|O_i|/|G_i|`` and coverage ratio ``|O_i|/|F|``;
-* pruning of explained elements, which is how SCOUT iterates.
+* the four indexes themselves, read-only, for SCOUT's stage 1, which prunes
+  by counting over them (:meth:`indexes`).
 
 Elements and risks are identified by hashable keys; the model does not care
 whether an element is an :class:`~repro.policy.objects.EpgPair` or a
@@ -25,16 +26,17 @@ indexes so hit/coverage ratio queries stay cheap on production-scale models
 A model is two layers.  The *structure* — which element relies on which
 risk — depends only on the policy, so the builders compute it once per
 :class:`~repro.policy.graph.PolicyIndex` and every model of that policy
-reads the same two maps (:func:`cached_model`).  What one audit adds — failed
-edges, pruned elements — lives in the model itself, as an overlay every query
-reads through.  Nothing edits a structure more than one model can see:
+reads the same two maps (:func:`cached_model`).  What one audit adds — its
+failed edges — lives in the model itself, beside the structure.  Nothing
+edits a structure more than one model can see:
 :meth:`RiskModel.add_element` takes a private copy first, so whatever is done
 to one model, no other model notices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import AbstractSet, Callable, Dict, Hashable, Iterable, List, Mapping
+from typing import Optional, Set, Tuple
 
 from ..exceptions import RiskModelError
 
@@ -42,6 +44,7 @@ __all__ = ["RiskModel", "cached_model"]
 
 ElementKey = Hashable
 RiskKey = Hashable
+Index = Mapping[Hashable, AbstractSet[Hashable]]
 
 
 class RiskModel:
@@ -59,10 +62,6 @@ class RiskModel:
         # Failure state, indexed from both sides for O(1) ratio queries.
         self._failed_risks_by_element: Dict[ElementKey, Set[RiskKey]] = {}
         self._failed_elements_by_risk: Dict[RiskKey, Set[ElementKey]] = {}
-        # Pruning: the removed elements and, per risk, how many of its
-        # dependents they are.  Always a subset of the structure's elements.
-        self._pruned: Set[ElementKey] = set()
-        self._pruned_dependents: Dict[RiskKey, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -81,24 +80,16 @@ class RiskModel:
             self._risk_elements.setdefault(risk, set()).add(element)
 
     def _own_structure(self) -> None:
-        """Before an edit: make the structure this model's alone and exactly
-        its live part (what pruning removed really goes)."""
-        if not (self._structure_shared or self._pruned):
+        """Before an edit: make the structure this model's alone."""
+        if not self._structure_shared:
             return
-        pruned = self._pruned
         self._element_risks = {
-            element: set(risks)
-            for element, risks in self._element_risks.items()
-            if element not in pruned
+            element: set(risks) for element, risks in self._element_risks.items()
         }
         self._risk_elements = {
-            risk: live
-            for risk, dependents in self._risk_elements.items()
-            if (live := dependents - pruned)
+            risk: set(dependents) for risk, dependents in self._risk_elements.items()
         }
         self._structure_shared = False
-        self._pruned = set()
-        self._pruned_dependents = {}
 
     def mark_element_failed(
         self, element: ElementKey, risks: Optional[Iterable[RiskKey]] = None
@@ -107,8 +98,8 @@ class RiskModel:
         risk it relies on) as fail, in one step; returns the risks flagged.
 
         This is the defensive form augmentation needs: an element the model
-        does not hold (never added, or pruned) relies on nothing, and a risk
-        the element does not rely on is left out, neither being an error.
+        does not hold relies on nothing, and a risk the element does not
+        rely on is left out, neither being an error.
         """
         if element not in self:
             return set()
@@ -125,45 +116,25 @@ class RiskModel:
     # Structure queries
     # ------------------------------------------------------------------ #
     def elements(self) -> List[ElementKey]:
-        if not self._pruned:
-            return list(self._element_risks)
-        return [
-            element for element in self._element_risks if element not in self._pruned
-        ]
+        return list(self._element_risks)
 
     def risks(self) -> List[RiskKey]:
-        """Every risk at least one (un-pruned) element depends on."""
-        if not self._pruned:
-            return list(self._risk_elements)
-        pruned = self._pruned_dependents
-        return [
-            risk
-            for risk, dependents in self._risk_elements.items()
-            if len(dependents) > pruned.get(risk, 0)
-        ]
+        """Every risk at least one element depends on."""
+        return list(self._risk_elements)
 
     def __contains__(self, element: ElementKey) -> bool:
-        return element in self._element_risks and element not in self._pruned
+        return element in self._element_risks
 
     def elements_for_risk(self, risk: RiskKey) -> Set[ElementKey]:
         """``G_i`` — every element that depends on ``risk``."""
-        dependents = self._risk_elements.get(risk)
-        if dependents is None:
-            return set()
-        if risk in self._pruned_dependents:
-            return dependents - self._pruned
-        return set(dependents)
+        return set(self._risk_elements.get(risk, ()))
 
     # ------------------------------------------------------------------ #
     # Failure queries
     # ------------------------------------------------------------------ #
     def failure_signature(self) -> Set[ElementKey]:
         """``F`` — the set of observations (elements with at least one failed edge)."""
-        return {
-            element
-            for element, risks in self._failed_risks_by_element.items()
-            if risks
-        }
+        return set(self._failed_risks_by_element)
 
     def failed_risks_for_element(self, element: ElementKey) -> Set[RiskKey]:
         """Risks connected to ``element`` through a failed edge (``getFailedObjects``)."""
@@ -179,7 +150,6 @@ class RiskModel:
     def hit_ratio(self, risk: RiskKey) -> float:
         """``|O_i| / |G_i|`` — fraction of the risk's dependents that failed."""
         dependents = len(self._risk_elements.get(risk, ()))
-        dependents -= self._pruned_dependents.get(risk, 0)
         if not dependents:
             return 0.0
         failed = self._failed_elements_by_risk.get(risk, ())
@@ -200,44 +170,30 @@ class RiskModel:
         return len(failed) / len(signature)
 
     # ------------------------------------------------------------------ #
-    # Mutation used by the localization algorithms
+    # The indexes themselves, and copies
     # ------------------------------------------------------------------ #
-    def prune_elements(self, elements: Iterable[ElementKey]) -> Set[RiskKey]:
-        """Remove elements (and their edges) from the model; returns the
-        risks they relied on.
+    def indexes(self) -> Tuple[Index, Index, Index, Index]:
+        """The four indexes every query reads, as the model holds them: the
+        risks each element relies on, ``G_i`` per risk, the failed risks per
+        failed element and ``O_i`` per risk with a failed edge.
 
-        SCOUT prunes every element that depends on a risk it has just added
-        to the hypothesis, so the next iteration's hit and coverage ratios
-        are computed on the reduced model (Algorithm 1, line 16).  Only the
-        returned risks lost a dependent: ``G_i`` and ``O_i`` of every other
-        risk are what they were.  The structure is left alone: the removal
-        is recorded beside it, at the cost of the pruned elements' edges.
+        For a caller that only reads and must not pay a copy per query —
+        SCOUT's stage 1, which prunes by counting over them.  Nothing is
+        copied, so nothing returned may be edited.
         """
-        touched: Set[RiskKey] = set()
-        pruned_dependents = self._pruned_dependents
-        for element in list(elements):
-            if element not in self:
-                continue
-            self._pruned.add(element)
-            risks = self._element_risks[element]
-            touched.update(risks)
-            for risk in risks:
-                pruned_dependents[risk] = pruned_dependents.get(risk, 0) + 1
-            failed_risks = self._failed_risks_by_element.pop(element, set())
-            for risk in failed_risks:
-                failed_set = self._failed_elements_by_risk.get(risk)
-                if failed_set is not None:
-                    failed_set.discard(element)
-                    if not failed_set:
-                        del self._failed_elements_by_risk[risk]
-        return touched
+        return (
+            self._element_risks,
+            self._risk_elements,
+            self._failed_risks_by_element,
+            self._failed_elements_by_risk,
+        )
 
     def copy(self) -> "RiskModel":
         """An independent model over the same structure.
 
-        Costs what the overlay holds (failed edges and pruned elements), not
-        what the fabric does: the structure is shared, and from here on
-        neither model edits it in place (see :meth:`add_element`).
+        Costs what the model adds (its failed edges), not what the fabric
+        does: the structure is shared, and from here on neither model edits
+        it in place (see :meth:`add_element`).
         """
         clone = RiskModel(name=self.name)
         if not self._structure_shared:
@@ -251,8 +207,6 @@ class RiskModel:
         clone._failed_elements_by_risk = {
             risk: set(els) for risk, els in self._failed_elements_by_risk.items()
         }
-        clone._pruned = set(self._pruned)
-        clone._pruned_dependents = dict(self._pruned_dependents)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -272,13 +226,9 @@ class RiskModel:
 
     def summary(self) -> Dict[str, int]:
         return {
-            "elements": len(self._element_risks) - len(self._pruned),
-            "risks": len(self.risks()),
-            "edges": sum(
-                len(risks)
-                for element, risks in self._element_risks.items()
-                if element not in self._pruned
-            ),
+            "elements": len(self._element_risks),
+            "risks": len(self._risk_elements),
+            "edges": sum(map(len, self._element_risks.values())),
             "failed_elements": len(self.failure_signature()),
             "failed_edges": sum(
                 len(risks) for risks in self._failed_risks_by_element.values()

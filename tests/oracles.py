@@ -146,7 +146,7 @@ def element_risks(model: RiskModel) -> Dict[Hashable, Set[Hashable]]:
 
 
 def risks_for_element(model: RiskModel, element: Hashable) -> Set[Hashable]:
-    """The risks ``element`` relies on; none for a stranger or pruned one."""
+    """The risks ``element`` relies on; none for a stranger."""
     return element_risks(model).get(element, set())
 
 

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from oracles import mark_edge_failed, missing_matches
+from repro.core import ScoutLocalizer
 from repro.risk import RiskModel
 from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker
@@ -133,12 +134,24 @@ class TestRiskModelProperties:
 
     @given(risk_models())
     @settings(max_examples=40, deadline=None)
-    def test_prune_removes_all_traces(self, model):
-        signature = model.failure_signature()
-        model.prune_elements(list(signature))
-        assert model.failure_signature() == set()
-        for element in signature:
-            assert element not in model
+    def test_stage1_pruning_removes_all_traces(self, model):
+        """Every element depending on a picked risk is pruned: no later
+        iteration's entry explains it, the failed ones are exactly what the
+        hypothesis explains, and the model itself keeps them all."""
+        signature, summary = model.failure_signature(), model.summary()
+        hypothesis = ScoutLocalizer().localize(model)
+        pruned, picked, iteration = set(), set(), 0
+        for entry in hypothesis.entries:
+            if entry.iteration != iteration:
+                pruned |= picked
+                picked, iteration = set(), entry.iteration
+            assert not entry.explained & pruned
+            picked |= model.elements_for_risk(entry.risk)
+        pruned |= picked
+        assert hypothesis.explained == signature & pruned
+        assert hypothesis.unexplained == signature - pruned
+        assert model.failure_signature() == signature
+        assert model.summary() == summary
 
     @given(risk_models())
     @settings(max_examples=40, deadline=None)

@@ -1,18 +1,19 @@
 """The risk model as an overlay == the risk model as it always was.
 
-Since PR 18 the builders compute a model's structure (element ↔ risk) once
-per ``PolicyIndex`` and hand out overlays on it: failed edges and pruned
-elements live in each model, the structure is shared and never edited.  Two
-differential gates hold that to the behaviour it replaced, with the
-references kept here, not in ``src/``:
+The builders compute a model's structure (element ↔ risk) once per
+``PolicyIndex`` and hand out overlays on it: the failed edges live in each
+model, the structure is shared and never edited.  Two differential gates
+hold that to the behaviour it replaced, with the references kept here, not
+in ``src/``:
 
 * a state machine drives random ``add_element`` / ``mark_edge_failed`` /
-  ``mark_element_failed`` (the bulk mark augmentation uses) /
-  ``prune_elements`` / ``copy`` sequences against :class:`NaiveModel` — plain
-  dicts of sets, deep copies, deletion on prune — and compares every public
-  query of every model alive after every step, what the bulk mark flagged
-  and which risks a prune touched, starting from one hand-built (owning)
-  model and one overlay handed out by a builder;
+  ``mark_element_failed`` (the bulk mark augmentation uses) / SCOUT runs /
+  ``copy`` sequences against :class:`NaiveModel` — plain dicts of sets and
+  deep copies — and compares every public query of every model alive after
+  every step, what the bulk mark flagged, and the hypothesis SCOUT (whose
+  stage 1 prunes on counts of its own) makes of the model against the one it
+  makes of a model built afresh from the reference, starting from one
+  hand-built (owning) model and one overlay handed out by a builder;
 * for seeded fault sets, what ``ScoutSystem.localize()`` reports — the
   hypothesis with its order, reasons and ratios, γ, the model summary — must
   equal what SCOUT makes of a model built from scratch with an explicit
@@ -29,7 +30,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from oracles import failed_edges, mark_edge_failed, risks_for_element
-from repro.core import ScoutSystem
+from repro.core import ScoutLocalizer, ScoutSystem
 from repro.core.hypothesis import Hypothesis
 from repro.core.system import ScoutReport
 from repro.exceptions import RiskModelError
@@ -63,7 +64,7 @@ def _copied(table: Dict[Hashable, Set[Hashable]]) -> Dict[Hashable, Set[Hashable
 
 
 class NaiveModel:
-    """The bipartite model as two dicts of sets that pruning deletes from."""
+    """The bipartite model as plain dicts of sets."""
 
     def __init__(self) -> None:
         self.element_risks: Dict[Hashable, Set[Hashable]] = {}
@@ -93,20 +94,14 @@ class NaiveModel:
             self.mark_edge_failed(element, risk)
         return failed
 
-    def prune_elements(self, elements: Iterable[Hashable]) -> Set[Hashable]:
-        """Returns the risks that lost a dependent."""
-        touched: Set[Hashable] = set()
-        for element in list(elements):
-            risks = self.element_risks.pop(element, None)
-            if risks is None:
-                continue
-            touched |= risks
-            self.failed.pop(element, None)
-            for risk in risks:
-                self.risk_elements[risk].discard(element)
-                if not self.risk_elements[risk]:
-                    del self.risk_elements[risk]
-        return touched
+    def model(self) -> RiskModel:
+        """The same contents in a model built afresh, owning its structure."""
+        fresh = RiskModel()
+        for element, risks in self.element_risks.items():
+            fresh.add_element(element, risks)
+        for element, risks in self.failed.items():
+            fresh.mark_element_failed(element, risks)
+        return fresh
 
     def copy(self) -> "NaiveModel":
         clone = NaiveModel()
@@ -258,7 +253,7 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
     @rule(which=_picks, element=_picks, risks=st.none() | st.lists(_picks, max_size=4))
     def mark_element_failed(self, which, element, risks):
         """All of an element's edges, or the bulk mark augmentation uses:
-        any element (a stranger, a pruned one) and any risks (some it does
+        any element (a stranger too) and any risks (some it does
         not rely on) — never an error, and the flagged risks come back."""
         model, naive = self._pick(which)
         element = self.elements[element % len(self.elements)]
@@ -269,15 +264,25 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
         assert flagged == naive.mark_element_failed(element, risks)
 
     @rule(which=_picks, victims=st.lists(_picks, max_size=4), whole_risk=st.booleans())
-    def prune_elements(self, which, victims, whole_risk):
+    def localize(self, which, victims, whole_risk):
+        """SCOUT over a model with any history — shared or owned structure,
+        copied, edited — as over one built afresh; the invariant then holds
+        the model to its reference, so stage 1's pruning left no trace."""
         model, naive = self._pick(which)
+        signature = None
         if whole_risk and victims and naive.risk_elements:
-            # What SCOUT does: everything depending on one risk.
+            # Every dependent of one risk fails on it: a hit ratio of 1, so
+            # stage 1 picks it and prunes them all.
             risks = list(naive.risk_elements)
-            chosen = set(naive.risk_elements[risks[victims[0] % len(risks)]])
-        else:
-            chosen = {self.elements[victim % len(self.elements)] for victim in victims}
-        assert model.prune_elements(chosen) == naive.prune_elements(chosen)
+            risk = risks[victims[0] % len(risks)]
+            for element in sorted(naive.risk_elements[risk], key=repr):
+                assert model.mark_element_failed(element, [risk]) == {risk}
+                naive.mark_element_failed(element, [risk])
+        elif victims:
+            signature = {self.elements[victim % len(self.elements)] for victim in victims}
+        hypothesis = ScoutLocalizer().localize(model, signature)
+        reference = ScoutLocalizer().localize(naive.model(), signature)
+        assert hypothesis.to_dict() == reference.to_dict()
 
     @rule(which=_picks)
     def copy(self, which):

@@ -1,8 +1,10 @@
-"""``check_bench_json.EXPECTED_KEYS`` lists only files a benchmark still writes."""
+"""``check_bench_json.EXPECTED_KEYS`` lists only files a benchmark still writes,
+and ``TRAJECTORY.jsonl`` is one well-formed point per line."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -22,3 +24,15 @@ def test_every_expected_bench_json_has_an_emitter():
             emitted.add(f"BENCH_{name}.json")
     # A deleted or renamed bench must take its row with it.
     assert set(check_bench_json.EXPECTED_KEYS) <= emitted
+
+
+def test_every_trajectory_point_has_the_same_keys_and_names_its_commit():
+    """Only the newest point may still wait for its commit: every other one
+    names a commit of its own, as 40 hex digits."""
+    lines = (BENCHMARKS / "TRAJECTORY.jsonl").read_text().splitlines()
+    points = [json.loads(line) for line in lines]
+    assert len(points) > 1
+    assert all(point.keys() == points[0].keys() for point in points)
+    commits = [point["commit"] for point in points[:-1]]
+    assert all(re.fullmatch(r"[0-9a-f]{40}", str(commit)) for commit in commits)
+    assert len(set(commits)) == len(commits)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import mark_edge_failed
+from oracles import failed_edges, mark_edge_failed
 from repro.controller.changelog import ChangeLog
 from repro.core import (
     Hypothesis,
@@ -176,11 +176,31 @@ class TestScoutLocalizer:
         hypothesis = ScoutLocalizer().localize(model)
         assert "C2" not in hypothesis
 
-    def test_scout_does_not_mutate_input_model(self):
-        model = figure5_model()
-        elements_before = set(model.elements())
-        ScoutLocalizer().localize(model)
-        assert set(model.elements()) == elements_before
+    def test_scout_neither_copies_nor_edits_the_model(self, monkeypatch):
+        """Stage 1 prunes on counts of its own: the model it is handed is not
+        copied, and its failed edges, summary and every hit ratio stay what
+        they were — for a model owning its structure and one sharing it."""
+        owning = figure5_model()
+        shared = owning.copy()
+        shared.mark_element_failed("E8-E9")
+
+        def no_copy(model):
+            raise AssertionError(f"localize() copied {model!r}")
+
+        monkeypatch.setattr(RiskModel, "copy", no_copy)
+        log = change_log_with([(98, "F3"), (99, "C3")])
+        localizer = ScoutLocalizer(change_oracle=RecentChangeOracle(change_log=log))
+
+        def state(model):
+            ratios = {risk: model.hit_ratio(risk) for risk in model.risks()}
+            return failed_edges(model), model.summary(), ratios
+
+        for model in (owning, shared):
+            before = state(model)
+            assert "F2" in localizer.localize(model)
+            for signature in ({"E3-E4", "E6-E7"}, {"E1-E2", "E5-E6", "stranger"}):
+                localizer.localize(model, signature)
+            assert state(model) == before
 
     def test_empty_model(self):
         model = RiskModel()

@@ -21,12 +21,13 @@ from repro.core import (
     recall,
     suspect_set_reduction,
 )
+from repro.experiments import prepare_workload
 from repro.fabric.faultlog import FaultCode, FaultRecord
 from repro.faults import FaultInjector, FaultKind, make_switch_unresponsive
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
 from repro.risk import RiskModel
-from repro.workloads import three_tier_scenario
+from repro.workloads import simulation_profile, three_tier_scenario
 
 
 class TestMetrics:
@@ -169,6 +170,29 @@ class TestScoutSystem:
         assert set(report.per_switch) == {"leaf-2"}
         assert target in report.per_switch["leaf-2"].objects()
         assert target in report.faulty_objects()
+
+    def test_switch_scope_scores_each_leaf_against_its_own_hypothesis(self):
+        """γ in switch scope is the mean over the leaves of each leaf model's
+        γ against that leaf's hypothesis, not against the merged one, which
+        holds objects a leaf never suspected."""
+        deployed = prepare_workload(simulation_profile())
+        controller = deployed.controller
+        with ScoutSystem(controller) as system:
+            controller.clock.tick(system.change_window + 1)
+            FaultInjector(controller).inject_random_faults(3, seed=4, strict=False)
+            report = system.localize(scope="switch")
+        models = report.risk_models
+        assert len(models) > 1 and set(models) == set(report.per_switch)
+        own = [
+            suspect_set_reduction(model, report.per_switch[uid].objects())
+            for uid, model in models.items()
+        ]
+        merged = [
+            suspect_set_reduction(model, report.faulty_objects())
+            for model in models.values()
+        ]
+        assert report.suspect_reduction() == pytest.approx(sum(own) / len(own))
+        assert sum(own) < sum(merged)
 
     def test_unresponsive_switch_root_cause(self):
         scenario = three_tier_scenario(deploy=False)

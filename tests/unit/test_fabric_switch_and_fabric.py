@@ -174,7 +174,7 @@ class TestSwitchAgent:
         agent.buggy_dropped_objects.add(uids["filter_extra_0"])
         switch.receive_deployment(instructions, attachments)
         agent.crash_after = 1
-        switch.make_unresponsive(log=False)
+        switch.make_unresponsive()
         agent.reset()
         assert agent.logical_view == {} and agent.local_attachments == {}
         assert agent.state is AgentState.RUNNING and agent.crash_after is None

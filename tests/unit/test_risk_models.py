@@ -69,22 +69,32 @@ class TestRiskModel:
         assert simple_model.coverage_ratio("F2") == 1.0
         assert simple_model.coverage_ratio("F1") == pytest.approx(1 / 3)
 
-    def test_prune_elements_updates_ratios(self, simple_model):
+    def test_stage1_pruning_updates_ratios(self, simple_model):
+        """Picking F2 prunes its three dependents: C2 is left with E5-E6
+        alone, whose C2 edge failed, so its hit ratio becomes 1 in the next
+        iteration — on stage 1's counts, not on the model."""
         for element in ("E2-E3", "E3-E4", "E4-E5"):
             mark_edge_failed(simple_model, element, "F2")
-        touched = simple_model.prune_elements(["E2-E3", "E3-E4", "E4-E5", "ghost"])
-        assert touched == {"F1", "F2", "C2"}  # every risk that lost a dependent
-        assert simple_model.prune_elements(["E3-E4"]) == set()  # already gone
-        assert simple_model.failure_signature() == set()
-        assert "F2" not in simple_model.risks()  # no dependents left
-        assert simple_model.hit_ratio("F2") == 0.0
+        mark_edge_failed(simple_model, "E5-E6", "C2")
+        assert simple_model.hit_ratio("C2") == 0.5
+        hypothesis = ScoutLocalizer().localize(simple_model)
+        first, second = hypothesis.entries
+        assert (first.risk, first.iteration, first.coverage_ratio) == ("F2", 1, 0.75)
+        assert first.explained == {"E2-E3", "E3-E4", "E4-E5"}
+        assert (second.risk, second.iteration, second.coverage_ratio) == ("C2", 2, 1.0)
+        assert second.explained == {"E5-E6"}
+        assert hypothesis.iterations == 2 and not hypothesis.unexplained
+        # The model keeps every element and ratio it had.
+        assert simple_model.hit_ratio("C2") == 0.5
+        assert simple_model.summary()["elements"] == 6
 
     def test_copy_is_independent(self, simple_model):
         mark_edge_failed(simple_model, "E1-E2", "C1")
         clone = simple_model.copy()
-        clone.prune_elements(["E1-E2"])
+        clone.mark_element_failed("E3-E4")
+        clone.add_element("E9-E10", ["C9"])
         assert simple_model.failure_signature() == {"E1-E2"}
-        assert "E1-E2" not in clone
+        assert "E9-E10" in clone and "E9-E10" not in simple_model
 
     def test_suspect_risks(self, simple_model):
         mark_edge_failed(simple_model, "E5-E6", "C3")
@@ -233,17 +243,22 @@ class TestSharedStructure:
         elements = used.elements()
         risk = sorted(risks_for_element(used, elements[0]))[0]
 
+        relied_on = risks_for_element(used, elements[0])
         mark_edge_failed(used, elements[0], risk)
         used.mark_element_failed(elements[1])
-        assert risk in used.prune_elements(used.elements_for_risk(risk))
-        used.add_element(elements[0], ["risk:new"])  # was pruned: comes back bare
+        for element in used.elements_for_risk(risk):
+            used.mark_element_failed(element, [risk])
+        assert risk in ScoutLocalizer().localize(used)  # and pruned its dependents
+        used.add_element(elements[0], ["risk:new"])
         used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
-        assert risks_for_element(used, elements[0]) == {"risk:new"}
+        assert risks_for_element(used, elements[0]) == relied_on | {"risk:new"}
         assert ("leaf-x", "pair-x") in used and ("leaf-x", "pair-x") not in bystander
         # A clone of a handed-out model, edited, is as private as its source.
         clone = bystander.copy()
         clone.add_element(("leaf-y", "pair-y"), ["risk:other"])
-        clone.prune_elements(clone.elements()[:5])
+        for element in clone.elements()[:5]:
+            clone.mark_element_failed(element)
+        ScoutLocalizer().localize(clone)
 
         _assert_identical(bystander, cold)
         _assert_identical(build_controller_risk_model(deployed.policy, index=index), cold)
@@ -265,7 +280,8 @@ class TestSharedStructure:
             again = ScoutLocalizer(change_oracle=system.localizer.change_oracle).localize(model)
             assert again.to_dict() == report.hypothesis.to_dict()
             gamma, summary = report.suspect_reduction(), model.summary()
-            model.prune_elements(model.failure_signature())
+            for element in model.elements()[:5]:
+                model.mark_element_failed(element)
             model.add_element(("leaf-x", "pair-x"), ["risk:new"])
             assert model.summary() != summary
             following = system.localize()
