@@ -65,6 +65,9 @@ class TcamTable:
         self._entries: Dict[MatchKey, TcamRule] = {}
         #: What :meth:`rule_sequence` last handed out.
         self._snapshot: Optional[RuleSequence] = None
+        #: Whether that sequence holds ``_entries`` itself as its key index:
+        #: every write then first swaps in a private copy (:meth:`_own`).
+        self._lent = False
         self._listeners: List[TcamListener] = []
         # The open transaction: nesting depth and the writes it made so far.
         self._open = self._installed = self._lost = 0
@@ -133,13 +136,17 @@ class TcamTable:
     def rule_sequence(self) -> RuleSequence:
         """:meth:`rules` as an immutable sequence carrying :meth:`match_keys`.
 
-        The table is keyed by its rules' own match keys, so the sequence's
-        keys and key set are read off it.  The sequence last
-        handed out is returned again for as long as the table holds the very
-        same rule objects in the same order — compared on every call, so no
-        write has to announce itself; rules are immutable and keyed by their
-        own match key, so that is the same content.  A table nobody wrote
-        to, or one rewritten with what it held, costs that one pass.
+        The table is keyed by its rules' own match keys, so it lends the
+        sequence its own dict as the key index (:meth:`RuleSequence.keyed`):
+        building one costs the rule tuple and nothing else.  The dict is
+        then never written again — the table's next write first takes a
+        private copy — so a sequence keeps the keys, key set and rules it
+        was handed out with.  The sequence last handed out is returned
+        again for as long as the table holds the very same rule objects in
+        the same order — compared on every call, so no write has to
+        announce itself; rules are immutable and keyed by their own match
+        key, so that is the same content.  A table nobody wrote to, or one
+        rewritten with what it held, costs that one pass.
         """
         held, entries = self._snapshot, self._entries
         if (
@@ -148,6 +155,7 @@ class TcamTable:
             or not all(map(is_, held, entries.values()))
         ):
             held = self._snapshot = RuleSequence.keyed(entries)
+            self._lent = True
         return held
 
     def is_full(self) -> bool:
@@ -164,6 +172,8 @@ class TcamTable:
         """
         key = rule.match_key()
         self.install_attempts += 1
+        if self._lent:
+            self._own()
         if key in self._entries:
             # Refresh provenance but count as already present.
             self._entries[key] = rule
@@ -185,6 +195,8 @@ class TcamTable:
 
     def remove(self, key: MatchKey) -> Optional[TcamRule]:
         """Remove the rule with ``key``; returns it or ``None`` if absent."""
+        if self._lent:
+            self._own()
         rule = self._entries.pop(key, None)
         if rule is not None:
             self._wrote(0, 1)
@@ -203,8 +215,15 @@ class TcamTable:
 
     def clear(self) -> None:
         lost = len(self._entries)
-        self._entries.clear()
+        # A fresh dict: the one a sequence may hold is left as it was.
+        self._entries = {}
+        self._lent = False
         self._wrote(0, lost)
+
+    def _own(self) -> None:
+        """Swap in a private copy of the dict lent to :attr:`_snapshot`."""
+        self._entries = dict(self._entries)
+        self._lent = False
 
     # ------------------------------------------------------------------ #
     # Hardware faults

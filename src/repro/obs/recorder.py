@@ -48,20 +48,20 @@ _ACTIVE_RECORDER: ContextVar[Optional["FlightRecorder"]] = ContextVar(
 )
 
 
+#: How many metric observations the metric ring keeps.
+MAX_METRICS = 512
+#: How many dumped bundles the recorder keeps (and indexes by incident).
+MAX_DUMPS = 32
+
+
 class FlightRecorder:
     """Bounded rings of recent spans/events/metrics plus a bounded dump store."""
 
-    def __init__(
-        self,
-        max_spans: int = 512,
-        max_events: int = 512,
-        max_metrics: int = 512,
-        max_dumps: int = 32,
-    ) -> None:
+    def __init__(self, max_spans: int = 512, max_events: int = 512) -> None:
         self._spans: Deque[Dict[str, Any]] = deque(maxlen=max_spans)
         self._events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
-        self._metrics: Deque[Dict[str, Any]] = deque(maxlen=max_metrics)
-        self._dumps: Deque[Dict[str, Any]] = deque(maxlen=max_dumps)
+        self._metrics: Deque[Dict[str, Any]] = deque(maxlen=MAX_METRICS)
+        self._dumps: Deque[Dict[str, Any]] = deque(maxlen=MAX_DUMPS)
         self._by_incident: Dict[str, Dict[str, Any]] = {}
         self._event_seq = itertools.count(1)
         self._dump_seq = itertools.count(1)

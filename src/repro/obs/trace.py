@@ -22,11 +22,18 @@ Design constraints, in order:
 Timestamps are ``time.perf_counter()`` values: durations are exact within a
 process, absolute values are only comparable within one process (the Chrome
 exporter keys on ``pid`` so cross-process traces still render sensibly).
+
+Garbage collection is charged where it lands: while a collector is active,
+a ``gc.callbacks`` hook adds each collection's milliseconds and one
+collection to the ``gc_ms`` / ``gc_collections`` counters of the innermost
+open span of the thread that collected — no span of its own, so the
+collector's time stays inside the span that paid for it.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import os
 import threading
@@ -43,6 +50,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -327,6 +335,33 @@ def activated(collector: TraceCollector) -> Iterator[TraceCollector]:
         yield collector
     finally:
         _ACTIVE.reset(token)
+
+
+#: The span a running collection is charged to, and when it started.
+_collecting: Optional[Tuple[Span, float]] = None
+
+
+def _charge_collection(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: charge a collection to the innermost open span
+    of the active collector, in the thread that collected (collections do
+    not overlap); nothing when no collector is active or no span is open."""
+    global _collecting
+    if phase == "start":
+        collector = _ACTIVE.get()
+        stack = (
+            getattr(collector._local, "stack", None)
+            if collector is not None and collector.enabled
+            else None
+        )
+        _collecting = (stack[-1], time.perf_counter()) if stack else None
+    elif _collecting is not None:
+        charged, started = _collecting
+        _collecting = None
+        charged.count("gc_ms", 1000.0 * (time.perf_counter() - started))
+        charged.count("gc_collections")
+
+
+gc.callbacks.append(_charge_collection)
 
 
 def span(name: str, **attrs: AttrValue) -> Union[Span, _NoopSpan]:

@@ -106,10 +106,20 @@ class RiskModel:
         relied_on = self._element_risks[element]
         failed = set(relied_on) if risks is None else relied_on.intersection(risks)
         if failed:
-            self._failed_risks_by_element.setdefault(element, set()).update(failed)
+            # Read before creating: ``setdefault(key, set())`` would build a
+            # throwaway set for every key that already has one.
+            held = self._failed_risks_by_element.get(element)
+            if held is None:
+                self._failed_risks_by_element[element] = set(failed)
+            else:
+                held.update(failed)
             by_risk = self._failed_elements_by_risk
             for risk in failed:
-                by_risk.setdefault(risk, set()).add(element)
+                elements = by_risk.get(risk)
+                if elements is None:
+                    by_risk[risk] = {element}
+                else:
+                    elements.add(element)
         return failed
 
     # ------------------------------------------------------------------ #

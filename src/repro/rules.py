@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 from sys import getrefcount
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .policy.objects import Contract, Epg, Filter, FilterEntry, PolicyObject, Vrf
 
@@ -204,13 +204,21 @@ class RuleSequence(tuple):
     controller's compiled policy, a TCAM table keyed by them — and the
     checker's key-set delta
     (:meth:`repro.verify.checker.EquivalenceChecker.check_switch`): L-T
-    equivalence is decided on :meth:`key_set`, and a sequence built with
-    :meth:`keyed` takes its keys and key set straight off the dict.  Being
-    a tuple, what a cache hands out cannot be edited in place.
+    equivalence is decided on the rules' match keys, and a sequence built
+    with :meth:`keyed` holds the dict it was built from as its key index,
+    so its keys and key set are read off it, on first use.  Being a tuple,
+    what a cache hands out cannot be edited in place.
     """
 
     _keys: Optional[Tuple[MatchKey, ...]] = None
     _key_set: Optional[FrozenSet[MatchKey]] = None
+    #: The mapping :meth:`keyed` was handed, keyed by these rules' match
+    #: keys in sequence order; nobody writes it again.  Let go once
+    #: :meth:`key_set` is built from it, so a compiled L's bucket does not
+    #: outlive its use.
+    _index: Optional[Mapping[MatchKey, TcamRule]] = None
+    #: Whether :meth:`distinct_keys` has answered once.
+    _probed: bool = False
     _by_triple: Optional[Dict[Tuple[int, int, int], List[MatchKey]]] = None
     #: Every atom table that validated and folded in every key of this
     #: sequence (appended by its checker; an immutable sequence is vouched
@@ -239,12 +247,16 @@ class RuleSequence(tuple):
     def keyed(cls, entries: Mapping[MatchKey, TcamRule]) -> "RuleSequence":
         """The rules of a dict keyed by their own match keys, in its order.
 
-        Keys and key set come straight off the dict (``frozenset(dict)``
-        reuses the stored hashes), so nothing is re-derived per rule.
+        The caller hands ``entries`` over: the sequence keeps it as its key
+        index, and the caller never writes it again (a
+        :class:`~repro.fabric.tcam.TcamTable` copies its dict before its next
+        write; the compiler's bucket is a local).  Keys and key set are
+        read off it when first asked for (``frozenset(dict)`` reuses the
+        stored hashes), so nothing is re-derived per rule and nothing but
+        the rule tuple is built here.
         """
         sequence = cls(entries.values())
-        sequence._keys = tuple(entries)
-        sequence._key_set = frozenset(entries)
+        sequence._index = entries
         return sequence
 
     @classmethod
@@ -260,14 +272,31 @@ class RuleSequence(tuple):
     def keys(self) -> Tuple[MatchKey, ...]:
         """The rules' match keys, in sequence order."""
         if self._keys is None:
-            self._keys = tuple(map(TcamRule.match_key, self))
+            index = self._index
+            self._keys = tuple(map(TcamRule.match_key, self) if index is None else index)
         return self._keys
 
     def key_set(self) -> FrozenSet[MatchKey]:
         """The rules' match/action set (what L-T equivalence is decided on)."""
         if self._key_set is None:
-            self._key_set = frozenset(self.keys())
+            index = self._index
+            self._key_set = frozenset(self.keys() if index is None else index)
+            self._index = None
         return self._key_set
+
+    def distinct_keys(self) -> Collection[MatchKey]:
+        """The rules' distinct match keys, for set algebra and ``len``.
+
+        A keyed sequence answers its first call with its key index itself,
+        building nothing: a TCAM snapshot is usually checked once.  From the
+        second call on — a held snapshot re-checked, a compiled L — it is
+        :meth:`key_set`, built once and kept: a frozenset is the cheaper
+        side to probe.
+        """
+        if self._index is not None and not self._probed:
+            self._probed = True
+            return self._index
+        return self.key_set()
 
     def keys_by_triple(self) -> Mapping[Tuple[int, int, int], List[MatchKey]]:
         """The distinct keys grouped by their ``(vrf_scope, src_epg, dst_epg)``."""

@@ -473,22 +473,25 @@ class EquivalenceChecker:
     ) -> Tuple[FrozenSet[MatchKey], FrozenSet[MatchKey]]:
         """``(L - T, T - L)`` over match keys, both sides validated first.
 
-        ``L - T`` is taken first.  ``|L & T|`` is then ``|L| - |L - T|``,
-        and T holds a key outside L exactly when ``|T|`` differs from it:
-        only then is ``T - L`` taken (the second pass over keys), so a
-        healthy switch, or one that only lost rules, costs one pass.  The
-        ``T - L`` keys are validated on every call, the empty set included.
+        ``L - T`` is taken first, probing T's distinct keys as T carries
+        them (:meth:`RuleSequence.distinct_keys`: a TCAM snapshot's own
+        table the first time it is checked, a frozenset kept from then on).
+        ``|L & T|`` is then ``|L| - |L - T|``, and T holds a key outside L
+        exactly when ``|T|`` differs from it: only then is ``T - L`` taken
+        (the second pass over keys, on T's key set), so a healthy switch,
+        or one that only lost rules, costs one pass.  The ``T - L`` keys
+        are validated on every call, the empty set included.
         """
         table = self.atoms
         if table not in logical.observed_by:
             table.observe_keys(logical.keys())
             logical.observed_by += (table,)
-        l_keys, t_keys = logical.key_set(), deployed.key_set()
-        l_only = l_keys - t_keys
+        l_keys, t_keys = logical.key_set(), deployed.distinct_keys()
+        l_only = l_keys.difference(t_keys)
         if len(t_keys) == len(l_keys) - len(l_only):
             t_only: FrozenSet[MatchKey] = frozenset()
         else:
-            t_only = t_keys - l_keys
+            t_only = deployed.key_set() - l_keys
         table.observe_keys(t_only)
         return l_only, t_only
 

@@ -27,6 +27,17 @@ from repro.verify import RuleSpace
 from repro.verify.bdd import BDD
 
 
+def program_counters(recorded) -> Dict[str, float]:
+    """A span's counters but ``gc_ms`` / ``gc_collections``: a collection is
+    charged to whichever span was open when it ran, so only the program's
+    own counters can be pinned."""
+    return {
+        key: value
+        for key, value in recorded.counters.items()
+        if key not in ("gc_ms", "gc_collections")
+    }
+
+
 def missing_matches(
     expected: Iterable[TcamRule], deployed: Iterable[TcamRule]
 ) -> List[TcamRule]:

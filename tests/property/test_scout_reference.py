@@ -14,8 +14,9 @@ in ``src/``, as the oracles of a differential suite:
 * :func:`naive_augment` — one ``mark_edge_failed`` per (missing rule, object).
 
 The generated inputs are the ones where a shortcut would show: tie-heavy
-models (few risks, many equal gains), partial failures that reach stage 2
-under a change log (``fallback_latest`` on and off), an explicit
+models (few risks, many equal gains), a partial risk that reaches hit ratio
+1 only once another pick prunes its healthy dependent, partial failures
+that reach stage 2 under a change log (``fallback_latest`` on and off), an explicit
 ``failure_signature`` that is a subset, a superset or a stranger to the
 model's own; rule lists with empty provenance fields, a degenerate
 ``src == dst`` pair, pairs the model does not hold and objects a pair does
@@ -182,6 +183,14 @@ def abstract_cases(draw):
         relied_on = draw(st.lists(st.sampled_from(risks), min_size=1, max_size=3))
         twins = [f"{risk}-twin" for risk in relied_on if risk in twinned]
         model.add_element(element, relied_on + twins)
+    if draw(st.booleans()):
+        # A partial risk whose healthy dependent another pick prunes: "rq"
+        # fails whole and is picked, pruning "p-and-q"; only then is "rp"'s
+        # hit ratio 1, and it still explains "p-only".
+        model.add_element("p-only", ["rp"])
+        model.add_element("p-and-q", ["rp", "rq"])
+        model.mark_element_failed("p-only", ["rp"])
+        model.mark_element_failed("p-and-q", ["rq"])
     risks = model.risks()
     for risk in draw(st.lists(st.sampled_from(risks), max_size=3)):
         whole = [risk, f"{risk}-twin"] if risk in twinned else [risk]
@@ -282,7 +291,7 @@ def test_scout_equals_the_literal_algorithm(case):
         assert hypothesis.objects() == set(order)
         round_trip = Hypothesis.from_dict(hypothesis.to_dict())
         assert round_trip.to_dict() == reference.to_dict()
-    assert failed_edges(model) == before  # SCOUT prunes a copy
+    assert failed_edges(model) == before  # SCOUT leaves the model as it was
 
 
 @DIFFERENTIAL

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from oracles import failed_edges
+from oracles import failed_edges, program_counters
 from repro.controller.controller import Controller
 from repro.core import ScoutSystem
 from repro.obs import (
@@ -191,7 +191,7 @@ class TestTracedCheck:
         checked = sum(s.attrs.get("switches", 0) for s in by_name["worker.shard"])
         assert checked == switches
         (proof,) = by_name["parallel.identity_proof"]
-        assert proof.counters == {"identity_proofs": 0, "dispatched": switches}
+        assert program_counters(proof) == {"identity_proofs": 0, "dispatched": switches}
 
     def test_healthy_parallel_check_never_reaches_a_shard(self, system):
         collector = TraceCollector()
@@ -200,7 +200,7 @@ class TestTracedCheck:
         by_name = {recorded.name: recorded for recorded in collector.spans()}
         assert "worker.shard" not in by_name
         switches = len(system.controller.fabric.switches)
-        assert by_name["parallel.identity_proof"].counters == {
+        assert program_counters(by_name["parallel.identity_proof"]) == {
             "identity_proofs": switches,
             "dispatched": 0,
         }

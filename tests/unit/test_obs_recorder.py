@@ -16,6 +16,7 @@ from repro.obs import (
     record_event,
     recording,
 )
+from repro.obs.recorder import MAX_DUMPS, MAX_METRICS
 from repro.parallel import WarmWorkerPool
 
 
@@ -47,15 +48,18 @@ class TestRings:
         assert recorder.record_event("next")["seq"] == 2
 
     def test_metric_ring_records_observer_deltas(self):
-        recorder = FlightRecorder(max_metrics=2)
+        recorder = FlightRecorder()
         recorder.record_metric("repro_http_requests_total", 1.0, {"status": "200"})
-        recorder.record_metric("repro_audit_latency_seconds", 0.25, None)
-        recorder.record_metric("repro_audit_latency_seconds", 0.5, None)
+        for index in range(MAX_METRICS):
+            recorder.record_metric("repro_audit_latency_seconds", index, None)
         bundle = recorder.dump("test")
-        assert [entry["name"] for entry in bundle["metrics"]] == [
-            "repro_audit_latency_seconds",
-            "repro_audit_latency_seconds",
-        ]
+        assert len(bundle["metrics"]) == MAX_METRICS
+        assert bundle["metrics"][0] == {
+            "name": "repro_audit_latency_seconds",
+            "value": 0,
+            "labels": {},
+        }
+        assert bundle["metrics"][-1]["value"] == MAX_METRICS - 1
 
 
 class TestDumps:
@@ -72,14 +76,13 @@ class TestDumps:
         assert recorder.record_for_incident("INC-404") is None
 
     def test_incident_index_does_not_outlive_the_dump_store(self):
-        recorder = FlightRecorder(max_dumps=2)
-        recorder.dump("incident-open", incident_id="INC-1")
-        recorder.dump("incident-open", incident_id="INC-2")
-        recorder.dump("incident-open", incident_id="INC-3")
-        assert recorder.record_for_incident("INC-1") is None
-        assert recorder.record_for_incident("INC-2") is not None
-        assert recorder.record_for_incident("INC-3") is not None
-        assert len(recorder.dumps()) == 2
+        recorder = FlightRecorder()
+        for index in range(MAX_DUMPS + 1):
+            recorder.dump("incident-open", incident_id=f"INC-{index}")
+        assert recorder.record_for_incident("INC-0") is None
+        assert recorder.record_for_incident("INC-1") is not None
+        assert recorder.record_for_incident(f"INC-{MAX_DUMPS}") is not None
+        assert len(recorder.dumps()) == MAX_DUMPS
 
 
 class TestAmbientInstallation:

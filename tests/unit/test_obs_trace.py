@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextvars
+import gc
 import threading
 
 from repro.obs import (
@@ -116,6 +117,54 @@ class TestDisabledPath:
 
         assert contextvars.copy_context().run(inside) == (collector, None)
         assert current() is None
+
+
+class TestGarbageCollection:
+    """A collection is charged to the innermost open span of the thread that
+    collected, as counters: no span of its own."""
+
+    def test_a_collection_is_charged_to_the_innermost_span(self):
+        collector = TraceCollector()
+        gc.collect()  # no young objects left to start one on its own
+        with activated(collector):
+            with span("parent") as parent:
+                with span("child") as child:
+                    gc.collect()
+        assert child.counters["gc_collections"] >= 1
+        assert child.counters["gc_ms"] > 0
+        assert "gc_ms" not in parent.counters
+        assert "gc_collections" not in parent.counters
+        assert [s.name for s in collector.spans()] == ["child", "parent"]
+
+    def test_nothing_is_recorded_without_an_active_collector(self):
+        collector = TraceCollector()
+        with collector.span("not.active") as recorded:
+            gc.collect()
+        assert recorded.counters == {}
+        with activated(collector):
+            gc.collect()  # active, but no span is open
+            with activated(TraceCollector(enabled=False)):
+                gc.collect()
+        assert [s.name for s in collector.spans()] == ["not.active"]
+        assert recorded.counters == {}
+
+    def test_only_the_collecting_thread_is_charged(self):
+        collector = TraceCollector()
+        charged = []
+
+        def worker():
+            with activated(collector), span("worker") as mine:
+                gc.collect()
+            charged.append(mine)
+
+        gc.collect()
+        with activated(collector), span("main") as main:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert charged[0].counters["gc_collections"] >= 1
+        assert "gc_collections" not in main.counters
 
 
 class TestCollector:

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import failed_edges
+from oracles import failed_edges, program_counters
 from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
@@ -213,7 +213,7 @@ class TestWorkUnits:
             report = checker.check_many(triples, max_workers=1)
         assert report.switches_with_violations() == ["leaf-0", "leaf-1", "leaf-2"]
         (build,) = [s for s in collector.spans() if s.name == "parallel.build_tasks"]
-        assert build.counters == {"shards": 1, "rule_buffers": 2}
+        assert program_counters(build) == {"shards": 1, "rule_buffers": 2}
         stats = WORKER_CACHE.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
