@@ -32,7 +32,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 #: Where callers may live; ``tests/`` is deliberately absent.
 CALLER_TREES = ("src", "benchmarks", "examples", "scripts")
@@ -43,6 +43,10 @@ ENTRY_POINT_RE = re.compile(r'^\s*[\w-]+\s*=\s*"[\w.]+:(\w+)"', re.MULTILINE)
 
 def python_files(root: Path, tree: str) -> List[Path]:
     return sorted((root / tree).rglob("*.py"))
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def definitions(module: ast.Module) -> Iterator[Tuple[str, str]]:
@@ -93,9 +97,7 @@ def dead_definitions(root: Path) -> List[str]:
                     for name, qualified in definitions(module)
                 ]
     return sorted(
-        entry
-        for name, entry in defined
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+        entry for name, entry in defined if name not in used and not is_dunder(name)
     )
 
 
@@ -104,10 +106,10 @@ def parse_allowlist(text: str) -> List[str]:
     return [line for line in lines if line]
 
 
-def base_allowlist(root: Path, ref: str) -> Optional[List[str]]:
+def base_allowlist(root: Path, ref: str, allowlist: Path) -> Optional[List[str]]:
     """The allow-list as revision ``ref`` has it; None if it has none."""
     shown = subprocess.run(
-        ["git", "show", f"{ref}:{ALLOWLIST.as_posix()}"],
+        ["git", "show", f"{ref}:{allowlist.as_posix()}"],
         cwd=root,
         capture_output=True,
         text=True,
@@ -116,8 +118,17 @@ def base_allowlist(root: Path, ref: str) -> Optional[List[str]]:
     return parse_allowlist(shown.stdout) if shown.returncode == 0 else None
 
 
-def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def ratchet(
+    argv: List[str],
+    doc: str,
+    scan: Callable[[Path], List[str]],
+    listing: Path,
+    verdict: str,
+) -> int:
+    """One gate: ``scan`` the repository for dead entries, report each one
+    the allow-list at ``listing`` lacks with ``verdict``, and hold the list
+    to shrinking only."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument(
         "--repo-root",
         type=Path,
@@ -131,23 +142,28 @@ def main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     root = args.repo_root
-    dead = dead_definitions(root)
-    allowlist = root / ALLOWLIST
+    dead = scan(root)
+    allowlist = root / listing
     allowed = parse_allowlist(allowlist.read_text()) if allowlist.is_file() else []
     new = sorted(set(dead) - set(allowed))
     stale = sorted(set(allowed) - set(dead))
-    base = base_allowlist(root, args.base) if args.base else None
+    base = base_allowlist(root, args.base, listing) if args.base else None
     grown = sorted(set(allowed) - set(base)) if base is not None else []
     for entry in new:
-        print(f"{entry}: no caller outside tests/ (delete it, or call it)")
+        print(f"{entry}: {verdict}")
     for entry in stale:
-        print(f"{ALLOWLIST}: {entry} is no longer dead; delete the line")
+        print(f"{listing}: {entry} is no longer dead; delete the line")
     for entry in grown:
-        print(f"{ALLOWLIST}: {entry} is new since {args.base}; it may only shrink")
+        print(f"{listing}: {entry} is new since {args.base}; it may only shrink")
     if new or stale or grown:
         return 1
-    print(f"dead-code ratchet: {len(dead)} allow-listed definition(s), nothing new")
+    print(f"dead-code ratchet: {len(dead)} allow-listed in {listing}, nothing new")
     return 0
+
+
+def main(argv: List[str]) -> int:
+    verdict = "no caller outside tests/ (delete it, or call it)"
+    return ratchet(argv, __doc__, dead_definitions, ALLOWLIST, verdict)
 
 
 if __name__ == "__main__":

@@ -101,9 +101,9 @@ class CellMismatch:
         return f"{self.cell_id}: " + "; ".join(parts)
 
 
-def _compact(value, limit: int = 64) -> str:
+def _compact(value) -> str:
     text = json.dumps(value, sort_keys=True, default=str)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 64 else text[:61] + "..."
 
 
 @dataclass

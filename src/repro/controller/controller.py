@@ -243,11 +243,7 @@ class Controller:
     # ------------------------------------------------------------------ #
     # Deployment
     # ------------------------------------------------------------------ #
-    def deploy(
-        self,
-        index: Optional[PolicyIndex] = None,
-        record_initial_changes: bool = True,
-    ) -> Dict[str, DeliveryReport]:
+    def deploy(self, record_initial_changes: bool = True) -> Dict[str, DeliveryReport]:
         """Push the full desired state to every leaf switch.
 
         Returns the per-switch delivery reports, booked like every push
@@ -256,10 +252,9 @@ class Controller:
         self.clock.tick()
         if record_initial_changes:
             self._record_initial_changes()
-        index = index or self.build_index()
         batches = build_instruction_batches(
             self.policy,
-            index=index,
+            index=self.build_index(),
             operation=Operation.ADD,
             issued_at=self.clock.peek(),
         )

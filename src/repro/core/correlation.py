@@ -13,9 +13,10 @@ steps the paper describes:
    by admins (disconnected switch, TCAM overflow, ...); objects whose faults
    match no signature are tagged ``unknown``.
 
-The signature catalogue is deliberately simple and extensible — "signatures
-can be flexibly added to the engine, and the system's ability would be
-naturally enhanced with more signatures".
+The signature catalogue (:func:`default_signatures`) is deliberately simple
+— "signatures can be flexibly added to the engine, and the system's ability
+would be naturally enhanced with more signatures": a new signature is one
+more entry there.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ __all__ = [
 
 #: A matcher receives one fault record and decides whether it fits the signature.
 SignatureMatcher = Callable[[FaultRecord], bool]
+
+#: How long (in logical-clock ticks) before a change a fault raised and
+#: cleared since still counts as that change's context.
+LOOKBACK_WINDOW = 1_000
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,8 @@ class CorrelationReport:
 class EventCorrelationEngine:
     """Correlates faulty objects with change logs and device fault logs."""
 
-    def __init__(
-        self,
-        signatures: Optional[Sequence[FaultSignature]] = None,
-        lookback_window: int = 1_000,
-    ) -> None:
-        self.signatures = list(signatures) if signatures is not None else default_signatures()
-        self.lookback_window = lookback_window
+    def __init__(self) -> None:
+        self.signatures = default_signatures()
 
     # ------------------------------------------------------------------ #
     # Correlation
@@ -208,7 +208,7 @@ class EventCorrelationEngine:
         for change in changes:
             for record in candidates:
                 if record.is_active_at(change.timestamp) or (
-                    0 <= change.timestamp - record.raised_at <= self.lookback_window
+                    0 <= change.timestamp - record.raised_at <= LOOKBACK_WINDOW
                 ):
                     if record not in relevant:
                         relevant.append(record)

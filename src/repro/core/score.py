@@ -10,7 +10,8 @@ are treated as noise and never selected, which costs recall.
 The implementation follows the classic greedy loop:
 
 1. compute hit ratio ``|O_i|/|G_i|`` for every risk with at least one failed
-   edge;
+   edge to an observation (a failed element of the model: the failure
+   signature F is the model's own);
 2. keep the risks with hit ratio ≥ threshold (the *candidate set*);
 3. repeatedly pick from the candidate set the risk explaining the largest
    number of still-unexplained observations (ties broken by hit ratio, then
@@ -20,7 +21,7 @@ The implementation follows the classic greedy loop:
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import Hashable, Set
 
 from ..exceptions import LocalizationError
 from ..risk.model import RiskModel
@@ -46,17 +47,12 @@ class ScoreLocalizer:
     # ------------------------------------------------------------------ #
     # Localization
     # ------------------------------------------------------------------ #
-    def localize(
-        self,
-        model: RiskModel,
-        failure_signature: Optional[Set[Hashable]] = None,
-    ) -> Hypothesis:
-        """Run SCORE over an augmented risk model and return its hypothesis."""
-        signature = (
-            set(failure_signature)
-            if failure_signature is not None
-            else model.failure_signature()
-        )
+    def localize(self, model: RiskModel) -> Hypothesis:
+        """Run SCORE over an augmented risk model and return its hypothesis.
+
+        The failure signature F is the model's own: its failed elements.
+        """
+        signature = model.failure_signature()
         hypothesis = Hypothesis(algorithm=self.name)
         if not signature:
             return hypothesis
@@ -68,7 +64,7 @@ class ScoreLocalizer:
                 if risk in candidate_risks:
                     continue
                 if model.hit_ratio(risk) >= self.hit_threshold:
-                    candidate_risks[risk] = model.failed_elements_for_risk(risk) & signature
+                    candidate_risks[risk] = model.failed_elements_for_risk(risk)
 
         unexplained = set(signature)
         iteration = 0

@@ -1,6 +1,8 @@
 """SCOUT: the paper's fault-localization algorithm (§IV-C, Algorithms 1-2).
 
-SCOUT runs in two stages:
+SCOUT runs on one input, the augmented risk model: its observations, the
+failure signature F, are the model's failed elements.  It runs in two
+stages:
 
 **Stage 1 — greedy hit/coverage selection.**  While unexplained observations
 remain, compute the hit and coverage ratios of every shared risk with a
@@ -11,12 +13,15 @@ hypothesis, and prune every element that depends on them (Algorithm 1,
 lines 4-19).  The loop ends when no risk has hit ratio 1 anymore.
 
 Stage 1 prunes by counting, over the caller's model as it is (read through
-:meth:`RiskModel.indexes`): per risk that can explain an observation it keeps
-live counts — ``|G_i| - |O_i|`` and the gain — beside its own pruned and
+:meth:`RiskModel.indexes`): per risk with a failed edge (K, the only risks
+that can explain an observation) it keeps live counts — ``|G_i| - |O_i|``
+and the gain ``|O_i|`` still unexplained — beside its own pruned and
 unexplained sets, so the model is neither copied nor edited.  Pruning changes
 the counts of exactly the risks the pruned elements relied on, so only those
-are scored again and an iteration costs what it pruned.  The literal
-every-iteration rescan is the reference the differential suite holds this to
+are scored again and an iteration costs what it pruned.  A picked risk
+leaves K, so the loop runs at most ``|K|`` iterations: a miscount can make
+it wrong, never endless.  The literal every-iteration rescan is the
+reference the differential suite holds this to
 (``tests/property/test_scout_reference.py``).
 
 **Stage 2 — change-log lookup.**  Observations left unexplained are caused by
@@ -155,19 +160,12 @@ class ScoutLocalizer:
     # ------------------------------------------------------------------ #
     # Algorithms 1-2: the main loop and pickCandidates
     # ------------------------------------------------------------------ #
-    def localize(
-        self,
-        model: RiskModel,
-        failure_signature: Optional[Set[Hashable]] = None,
-        change_oracle: Optional[ChangeLogOracle] = None,
-    ) -> Hypothesis:
-        """Run SCOUT over an augmented risk model and return its hypothesis."""
-        oracle = change_oracle or self.change_oracle
-        signature = (
-            set(failure_signature)
-            if failure_signature is not None
-            else model.failure_signature()
-        )
+    def localize(self, model: RiskModel) -> Hypothesis:
+        """Run SCOUT over an augmented risk model and return its hypothesis.
+
+        The failure signature F is the model's own: its failed elements.
+        """
+        signature = model.failure_signature()
         hypothesis = Hypothesis(algorithm=self.name)
         if not signature:
             return hypothesis
@@ -179,7 +177,9 @@ class ScoutLocalizer:
         # Per risk of K, two live counts: ``healthy`` — its dependents not
         # failed on it, |G_i| - |O_i| — and ``gain`` — |O_i ∩ unexplained|.
         # The hit ratio is exactly 1 when ``healthy`` is 0, and Algorithm 2's
-        # candidates are those risks with a gain: risk -> gain.
+        # candidates are those risks with a gain: risk -> gain.  A picked risk
+        # leaves K, so stage 1 ends after at most |K| iterations whatever
+        # the counts say.
         healthy: Dict[Hashable, int] = {}
         gain: Dict[Hashable, int] = {}
         candidates: Dict[Hashable, int] = {}
@@ -192,16 +192,12 @@ class ScoutLocalizer:
                     candidates.pop(risk, None)
 
         with span("scout.stage1", observations=len(signature)) as stage1:
-            # K: risks with failed edges to unexplained observations.  No
-            # other risk can ever explain one, so only these are counted.
-            for risk in set().union(
-                *(failed_risks[element] for element in unexplained if element in failed_risks)
-            ):
-                hits = observed[risk]
+            # K: the risks with a failed edge.  No other risk can ever
+            # explain an observation, so only these are counted.  Every
+            # failed element is an observation, so the gain starts at |O_i|.
+            for risk, hits in observed.items():
                 healthy[risk] = len(dependents[risk]) - len(hits)
-                # Without an explicit signature every failed element is an
-                # observation, and O_i ∩ unexplained is all of O_i.
-                gain[risk] = len(hits if failure_signature is None else hits & unexplained)
+                gain[risk] = len(hits)
             score(healthy)
             reevaluated = 0
             while unexplained:
@@ -225,6 +221,7 @@ class ScoutLocalizer:
                             explained=explained,
                         )
                     )
+                    del healthy[risk], gain[risk], candidates[risk]
                 # Prune every element (failed or not) depending on a chosen
                 # risk.  Only the risks those elements relied on lose a
                 # dependent: they alone are counted down and scored again, so
@@ -233,14 +230,14 @@ class ScoutLocalizer:
                 pruned |= affected
                 rescored: Set[Hashable] = set()
                 for element in affected:
+                    # A failed element not yet pruned is still unexplained.
                     hits = failed_risks.get(element, ())
-                    observation = element in unexplained
                     for risk in relied_on[element]:
                         if risk in healthy:
                             rescored.add(risk)
                             if risk not in hits:
                                 healthy[risk] -= 1
-                            elif observation:
+                            else:
                                 gain[risk] -= 1
                 unexplained -= affected
                 score(rescored)
@@ -249,6 +246,7 @@ class ScoutLocalizer:
             stage1.count("reevaluated", reevaluated)
 
         # Stage 2: explain the residual observations via the change log.
+        oracle = self.change_oracle
         if unexplained and oracle is not None:
             with span("scout.stage2", residual=len(unexplained)):
                 # Observations with the same failed objects are the same
@@ -271,7 +269,7 @@ class ScoutLocalizer:
                                 risk=risk,
                                 reason=SelectionReason.CHANGE_LOG,
                                 hit_ratio=model.hit_ratio(risk),
-                                coverage_ratio=model.coverage_ratio(risk, signature),
+                                coverage_ratio=model.coverage_ratio(risk),
                                 iteration=iteration,
                                 explained={observation},
                             )

@@ -73,13 +73,9 @@ class DeployedWorkload:
         restore_tcam(self.fabric, self.snapshot)
 
 
-def prepare_workload(
-    profile: WorkloadProfile,
-    seed: Optional[int] = None,
-    tcam_capacity: Optional[int] = None,
-) -> DeployedWorkload:
+def prepare_workload(profile: WorkloadProfile) -> DeployedWorkload:
     """Generate, attach and deploy a workload; snapshot the resulting TCAM state."""
-    workload = generate_workload(profile, seed=seed, tcam_capacity=tcam_capacity)
+    workload = generate_workload(profile)
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
     index = controller.build_index()

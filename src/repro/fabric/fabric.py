@@ -32,18 +32,16 @@ class Fabric:
         num_leaves: int = 3,
         num_spines: int = 2,
         tcam_capacity: Optional[int] = None,
-        evict_on_overflow: bool = False,
-        clock: Optional[LogicalClock] = None,
     ) -> None:
         self.topology = topology or LeafSpineTopology.build(num_leaves, num_spines)
         self.topology.validate()
-        self.clock = clock or LogicalClock()
+        self.clock = LogicalClock()
         self.switches: Dict[str, Switch] = {}
         for leaf_uid in self.topology.leaves():
             self.switches[leaf_uid] = Switch(
                 uid=leaf_uid,
                 role=SwitchRole.LEAF,
-                tcam=TcamTable(capacity=tcam_capacity, evict_on_overflow=evict_on_overflow),
+                tcam=TcamTable(capacity=tcam_capacity),
                 clock=self.clock,
             )
 

@@ -75,19 +75,16 @@ def inject_partial_object_fault(
     fabric: Fabric,
     object_uid: str,
     rng: random.Random,
-    fraction: float = 0.5,
     switches: Optional[Sequence[str]] = None,
     injected_at: int = 0,
 ) -> InjectedFault:
-    """Remove a random subset of the rules associated with ``object_uid``.
+    """Remove a random half (rounded) of the rules associated with ``object_uid``.
 
     At least one rule is removed and, whenever the object has more than one
     deployed rule, at least one rule is kept so the fault is genuinely
     partial (the object's hit ratio stays below 1 — the regime where the
     SCORE baseline fails).
     """
-    if not 0.0 < fraction <= 1.0:
-        raise FaultInjectionError(f"fraction must be in (0, 1], got {fraction}")
     per_switch = rules_for_object(fabric, object_uid, switches)
     if not per_switch:
         raise FaultInjectionError(
@@ -95,10 +92,8 @@ def inject_partial_object_fault(
         )
     all_rules = [(switch_uid, rule) for switch_uid, rules in per_switch.items() for rule in rules]
     rng.shuffle(all_rules)
-    target_count = max(1, int(round(len(all_rules) * fraction)))
-    if len(all_rules) > 1:
-        target_count = min(target_count, len(all_rules) - 1)
-    victims = all_rules[:target_count]
+    # Half of n > 1 rules, rounded, is at least 1 and at most n - 1.
+    victims = all_rules[: max(1, round(len(all_rules) / 2))]
 
     chosen: Dict[str, List[TcamRule]] = {}
     for switch_uid, rule in victims:

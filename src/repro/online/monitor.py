@@ -187,7 +187,6 @@ class NetworkMonitor:
     def __init__(
         self,
         controller: Controller,
-        bus: Optional[EventBus] = None,
         debounce_ticks: int = 1,
         change_window: int = 100,
         max_workers: Optional[int] = None,
@@ -196,7 +195,7 @@ class NetworkMonitor:
     ) -> None:
         self.controller = controller
         self.clock = controller.clock
-        self.bus = bus or EventBus()
+        self.bus = EventBus()
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
         #: The switch-ownership split.  An explicit map wins over

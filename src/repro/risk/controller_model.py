@@ -33,7 +33,6 @@ def build_controller_risk_model(
     policy: NetworkPolicy,
     index: Optional[PolicyIndex] = None,
     include_switch_risks: bool = True,
-    name: str = "controller-risk-model",
 ) -> RiskModel:
     """The (unaugmented) network-wide controller risk model.
 
@@ -53,4 +52,6 @@ def build_controller_risk_model(
                     model.add_element((switch_uid, pair), risks)
         return model
 
-    return cached_model(index, ("controller", include_switch_risks), build, name)
+    return cached_model(
+        index, ("controller", include_switch_risks), build, "controller-risk-model"
+    )

@@ -165,19 +165,16 @@ class RiskModel:
         failed = self._failed_elements_by_risk.get(risk, ())
         return len(failed) / dependents
 
-    def coverage_ratio(
-        self, risk: RiskKey, failure_signature: Optional[Set[ElementKey]] = None
-    ) -> float:
-        """``|O_i| / |F|`` — fraction of the failure signature the risk explains."""
-        signature = (
-            failure_signature
-            if failure_signature is not None
-            else self.failure_signature()
-        )
-        if not signature:
+    def coverage_ratio(self, risk: RiskKey) -> float:
+        """``|O_i| / |F|`` — fraction of the failure signature the risk explains.
+
+        Read from the two index sizes: ``O_i`` holds failed elements only, so
+        it is a subset of ``F`` by construction.
+        """
+        observations = len(self._failed_risks_by_element)
+        if not observations:
             return 0.0
-        failed = self._failed_elements_by_risk.get(risk, set()) & signature
-        return len(failed) / len(signature)
+        return len(self._failed_elements_by_risk.get(risk, ())) / observations
 
     # ------------------------------------------------------------------ #
     # The indexes themselves, and copies

@@ -9,19 +9,13 @@ why the paper uses the per-switch model to localize switch-level faults.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..policy.graph import PolicyIndex
 from .model import RiskModel, cached_model
 
 __all__ = ["build_switch_risk_model"]
 
 
-def build_switch_risk_model(
-    index: PolicyIndex,
-    switch_uid: str,
-    name: Optional[str] = None,
-) -> RiskModel:
+def build_switch_risk_model(index: PolicyIndex, switch_uid: str) -> RiskModel:
     """Build the (unaugmented) switch risk model for ``switch_uid``.
 
     The left-hand side holds every EPG pair with at least one endpoint on the
@@ -44,6 +38,6 @@ def build_switch_risk_model(
         index,
         ("switch", switch_uid),
         build,
-        name or f"switch-risk-model:{switch_uid}",
+        f"switch-risk-model:{switch_uid}",
         leaf=switch_uid,
     )

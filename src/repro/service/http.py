@@ -95,12 +95,9 @@ class Response:
 
     @classmethod
     def plain(
-        cls,
-        text: str,
-        status: int = 200,
-        content_type: str = "text/plain; charset=utf-8",
+        cls, text: str, content_type: str = "text/plain; charset=utf-8"
     ) -> "Response":
-        return cls(status=status, text=text, content_type=content_type)
+        return cls(status=200, text=text, content_type=content_type)
 
     def body_bytes(self) -> bytes:
         if self.text is not None:

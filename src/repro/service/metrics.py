@@ -13,7 +13,7 @@ Three instrument kinds cover what the service exposes on ``/metrics``:
   counter that can drift.
 
 Quantiles are snapshots over a bounded sliding window of the most recent
-observations (``window`` per series, default 1024): exact for short-lived
+observations (:data:`SUMMARY_WINDOW` per series): exact for short-lived
 services, recency-weighted for long-running daemons, and O(window) memory
 either way.  ``_count`` and ``_sum`` remain exact over the series lifetime.
 
@@ -36,6 +36,9 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Quantiles every summary renders, as ``{quantile="..."}`` series.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
+
+#: How many of a series' most recent observations back its quantiles.
+SUMMARY_WINDOW = 1024
 
 #: Sorted ``(key, value)`` label pairs — the hashable identity of one series.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -83,10 +86,10 @@ class _SummarySeries:
 
     __slots__ = ("count", "total", "window")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.window: Deque[float] = deque(maxlen=window)
+        self.window: Deque[float] = deque(maxlen=SUMMARY_WINDOW)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -103,13 +106,12 @@ class MetricsRegistry:
     over the instrument maps happens under ``_lock``.
     """
 
-    def __init__(self, summary_window: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Dict[LabelKey, float]] = {}
         self._summaries: Dict[str, Dict[LabelKey, _SummarySeries]] = {}
         self._gauges: Dict[str, Dict[LabelKey, Callable[[], float]]] = {}
         self._help: Dict[str, str] = {}
-        self._summary_window = summary_window
         self._observer: Optional[
             Callable[[str, float, Optional[Dict[str, str]]], None]
         ] = None
@@ -146,7 +148,7 @@ class MetricsRegistry:
             by_label = self._summaries.setdefault(name, {})
             series = by_label.get(key)
             if series is None:
-                series = by_label[key] = _SummarySeries(self._summary_window)
+                series = by_label[key] = _SummarySeries()
             series.observe(float(value))
             if help:
                 self._help.setdefault(name, help)
@@ -224,8 +226,9 @@ class MetricsRegistry:
                     quantile_key = tuple(
                         sorted(key + (("quantile", _format_value(q)),))
                     )
-                    snapshot = _quantile(window, q) if window else math.nan
-                    rendered = _format_value(snapshot)
+                    # A series exists once it has an observation, so its
+                    # window is never empty.
+                    rendered = _format_value(_quantile(window, q))
                     lines.append(f"{name}{_format_labels(quantile_key)} {rendered}")
                 lines.append(f"{name}_count{_format_labels(key)} {count}")
                 lines.append(f"{name}_sum{_format_labels(key)} {_format_value(total)}")

@@ -57,10 +57,7 @@ def deploy_profile(name: str, seed: Optional[int] = None) -> Controller:
     return controller
 
 
-def three_tier_scenario(
-    tcam_capacity: Optional[int] = None,
-    deploy: bool = True,
-) -> Scenario:
+def three_tier_scenario(tcam_capacity: Optional[int] = None) -> Scenario:
     """The Figure 1 example: Web/App/DB on three leaves, one endpoint each."""
     builder, uids = three_tier_policy()
     uids = dict(uids)
@@ -73,8 +70,7 @@ def three_tier_scenario(
     fabric.attach_endpoint(policy, uids["ep_app"], "leaf-2")
     fabric.attach_endpoint(policy, uids["ep_db"], "leaf-3")
     controller = Controller(policy, fabric)
-    if deploy:
-        controller.deploy()
+    controller.deploy()
     return Scenario(
         name="three-tier",
         policy=policy,

@@ -8,6 +8,7 @@ import pytest
 
 from repro import Controller
 from repro.churn import ChurnDriver
+from repro.fabric import Fabric
 from repro.online import NetworkMonitor
 from repro.workloads import (
     churn_profile_for,
@@ -33,8 +34,13 @@ def three_tier():
 
 @pytest.fixture
 def three_tier_undeployed():
-    """The Figure 1 example wired up but not yet deployed."""
-    return three_tier_scenario(deploy=False)
+    """The Figure 1 example wired up but not yet deployed: its policy (the
+    endpoints' attachments included) on a fresh 3-leaf fabric, behind a
+    fresh controller, so a fault can be set up before the first push."""
+    scenario = three_tier_scenario()
+    scenario.fabric = Fabric(num_leaves=3)
+    scenario.controller = Controller(scenario.policy, scenario.fabric)
+    return scenario
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,8 @@ in ``src/``, as the oracles of a differential suite:
 The generated inputs are the ones where a shortcut would show: tie-heavy
 models (few risks, many equal gains), a partial risk that reaches hit ratio
 1 only once another pick prunes its healthy dependent, partial failures
-that reach stage 2 under a change log (``fallback_latest`` on and off), an explicit
-``failure_signature`` that is a subset, a superset or a stranger to the
-model's own; rule lists with empty provenance fields, a degenerate
+that reach stage 2 under a change log (``fallback_latest`` on and off); rule
+lists with empty provenance fields, a degenerate
 ``src == dst`` pair, pairs the model does not hold and objects a pair does
 not rely on.  Everything must come out equal: ``Hypothesis.to_dict()`` (entry
 order included), ``failed_edges()`` and the per-rule flip count.
@@ -48,11 +47,10 @@ DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
 # References
 # ---------------------------------------------------------------------- #
 def naive_scout(
-    model: RiskModel,
-    failure_signature: Optional[Set[Hashable]] = None,
-    oracle: Optional[RecentChangeOracle] = None,
+    model: RiskModel, oracle: Optional[RecentChangeOracle] = None
 ) -> Hypothesis:
-    """SCOUT as Algorithms 1-2 state it, from the model's plain contents."""
+    """SCOUT as Algorithms 1-2 state it, from the model's plain contents: the
+    failure signature is the model's failed elements."""
     relies = element_risks(model)
     failed = {element: model.failed_risks_for_element(element) for element in relies}
 
@@ -62,10 +60,7 @@ def naive_scout(
     def observed(risk, among) -> Set[Hashable]:  # O_i
         return {element for element in among if risk in failed[element]}
 
-    if failure_signature is not None:
-        signature = set(failure_signature)
-    else:
-        signature = {element for element in relies if failed[element]}
+    signature = {element for element in relies if failed[element]}
     entries: List[HypothesisEntry] = []
     explained: Set[Hashable] = set()
     if not signature:
@@ -171,8 +166,8 @@ def naive_augment(
 # ---------------------------------------------------------------------- #
 @st.composite
 def abstract_cases(draw):
-    """A small bipartite model with full and partial failures, a change-log
-    oracle and an explicit failure signature to localize under."""
+    """A small bipartite model with full and partial failures, and a
+    change-log oracle."""
     risks = [f"r{i}" for i in range(draw(st.integers(2, 6)))]
     elements = [f"e{i:02d}" for i in range(draw(st.integers(3, 16)))]
     # Few risks, and some with a twin relied on by the same elements: equal
@@ -211,9 +206,7 @@ def abstract_cases(draw):
         now=draw(st.none() | st.integers(1, 60)),
         fallback_latest=draw(st.booleans()),
     )
-    # A subset of the model's own signature, a healthy element, a stranger.
-    signature = draw(st.sets(st.sampled_from(elements + ["stranger"]), max_size=10))
-    return model, signature, oracle
+    return model, oracle
 
 
 #: Uids rules draw their provenance from: the model's objects, an object no
@@ -279,12 +272,12 @@ def _augmented_alike(fast: RiskModel, naive: RiskModel) -> None:
 @DIFFERENTIAL
 @given(abstract_cases())
 def test_scout_equals_the_literal_algorithm(case):
-    model, subset, oracle = case
+    model, oracle = case
     before = failed_edges(model)
-    # Stage 1 alone, with the change-log stage, and under an explicit signature.
-    for signature, asked in ((None, None), (None, oracle), (subset, oracle)):
-        hypothesis = ScoutLocalizer(change_oracle=asked).localize(model, signature)
-        reference = naive_scout(model, signature, asked)
+    # Stage 1 alone, and with the change-log stage.
+    for asked in (None, oracle):
+        hypothesis = ScoutLocalizer(change_oracle=asked).localize(model)
+        reference = naive_scout(model, asked)
         assert hypothesis.to_dict() == reference.to_dict()
         order = [entry.risk for entry in reference.entries]
         assert [entry.risk for entry in hypothesis.entries] == order
@@ -298,8 +291,8 @@ def test_scout_equals_the_literal_algorithm(case):
 @given(abstract_cases(), abstract_cases())
 def test_merge_keeps_the_first_entry_for_a_risk(case, other):
     """Both cases draw from the same risk names, so merged entries collide."""
-    first = ScoutLocalizer(change_oracle=case[2]).localize(case[0], case[1])
-    second = ScoutLocalizer(change_oracle=other[2]).localize(other[0], other[1])
+    first = ScoutLocalizer(change_oracle=case[1]).localize(case[0])
+    second = ScoutLocalizer(change_oracle=other[1]).localize(other[0])
     merged = first.merge(second)
     expected: List[HypothesisEntry] = []
     for entry in first.entries + second.entries:

@@ -198,8 +198,6 @@ class TestScoutLocalizer:
         for model in (owning, shared):
             before = state(model)
             assert "F2" in localizer.localize(model)
-            for signature in ({"E3-E4", "E6-E7"}, {"E1-E2", "E5-E6", "stranger"}):
-                localizer.localize(model, signature)
             assert state(model) == before
 
     def test_empty_model(self):
@@ -208,11 +206,6 @@ class TestScoutLocalizer:
         hypothesis = ScoutLocalizer().localize(model)
         assert len(hypothesis) == 0
         assert hypothesis.unexplained == set()
-
-    def test_explicit_failure_signature_subset(self):
-        model = figure5_model()
-        hypothesis = ScoutLocalizer().localize(model, failure_signature={"E3-E4"})
-        assert "F2" in hypothesis
 
 
 class TestRecentChangeOracle:

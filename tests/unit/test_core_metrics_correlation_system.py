@@ -8,7 +8,6 @@ from oracles import mark_edge_failed
 from repro.controller.changelog import ChangeLog
 from repro.core import (
     EventCorrelationEngine,
-    FaultSignature,
     Hypothesis,
     HypothesisEntry,
     ScoutSystem,
@@ -21,13 +20,14 @@ from repro.core import (
     recall,
     suspect_set_reduction,
 )
+from repro.core.correlation import LOOKBACK_WINDOW
 from repro.experiments import prepare_workload
 from repro.fabric.faultlog import FaultCode, FaultRecord
 from repro.faults import FaultInjector, FaultKind, make_switch_unresponsive
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
 from repro.risk import RiskModel
-from repro.workloads import simulation_profile, three_tier_scenario
+from repro.workloads import simulation_profile
 
 
 class TestMetrics:
@@ -99,11 +99,16 @@ class TestEventCorrelationEngine:
         assert not report.findings[0].is_known
 
     def test_fault_cleared_before_change_not_matched(self):
-        engine = EventCorrelationEngine(lookback_window=0)
+        engine = EventCorrelationEngine()
         fault = FaultRecord(raised_at=10, device_uid="leaf-2", code=FaultCode.AGENT_CRASH,
                             cleared_at=20)
-        report = engine.correlate(["filter:t/f"], self._change_log(timestamp=50), [fault])
+        late = self._change_log(timestamp=10 + LOOKBACK_WINDOW + 1)
+        report = engine.correlate(["filter:t/f"], late, [fault])
         assert report.findings[0].root_cause == "unknown"
+        # Inside the lookback window the cleared fault is still the context.
+        within = self._change_log(timestamp=10 + LOOKBACK_WINDOW)
+        report = engine.correlate(["filter:t/f"], within, [fault])
+        assert report.findings[0].root_cause == "agent-crash"
 
     def test_relevant_devices_restriction(self):
         engine = EventCorrelationEngine()
@@ -119,13 +124,6 @@ class TestEventCorrelationEngine:
         faults = [FaultRecord(raised_at=40, device_uid="leaf-2", code=FaultCode.TCAM_CORRUPTION)]
         report = engine.correlate(["filter:t/f"], ChangeLog(), faults)
         assert report.findings[0].root_cause == "tcam-corruption"
-
-    def test_custom_signature_catalogue(self):
-        engine = EventCorrelationEngine(signatures=[FaultSignature(
-            name="anything", description="match all", matcher=lambda record: True)])
-        faults = [FaultRecord(raised_at=1, device_uid="x", code=FaultCode.UNKNOWN)]
-        report = engine.correlate(["o"], ChangeLog(), faults)
-        assert report.findings[0].root_cause == "anything"
 
     def test_default_signature_catalogue_covers_fault_codes(self):
         names = {signature.name for signature in default_signatures()}
@@ -194,8 +192,8 @@ class TestScoutSystem:
         assert report.suspect_reduction() == pytest.approx(sum(own) / len(own))
         assert sum(own) < sum(merged)
 
-    def test_unresponsive_switch_root_cause(self):
-        scenario = three_tier_scenario(deploy=False)
+    def test_unresponsive_switch_root_cause(self, three_tier_undeployed):
+        scenario = three_tier_undeployed
         make_switch_unresponsive(scenario.controller, "leaf-2")
         scenario.controller.deploy()
         system = ScoutSystem(scenario.controller)

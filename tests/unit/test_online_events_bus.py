@@ -206,7 +206,7 @@ class TestTcamListeners:
         for calls in seen.values():
             calls.clear()
         partial = inject_partial_object_fault(
-            fabric, three_tier.uids["app_db_contract"], rng=rng, fraction=0.9
+            fabric, three_tier.uids["app_db_contract"], rng=rng
         )
         assert len(partial.removed_rules) == 2
         for uid, calls in seen.items():

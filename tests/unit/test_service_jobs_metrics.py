@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.service.jobs import AuditQueue, JobStatus
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import SUMMARY_WINDOW, MetricsRegistry
 
 
 class TestAuditQueueSync:
@@ -213,21 +213,17 @@ class TestMetricsExposition:
         assert 'stage_seconds{quantile="0.5",stage="check"} 5' in text
 
     def test_window_bounds_quantiles_but_not_count_or_sum(self):
-        metrics = MetricsRegistry(summary_window=4)
-        for value in range(100):
+        metrics = MetricsRegistry()
+        # One more observation than the window holds: 0 falls out of it.
+        for value in range(SUMMARY_WINDOW + 1):
             metrics.observe("win_seconds", float(value))
         text = metrics.render()
-        assert "win_seconds_count 100" in text
-        assert "win_seconds_sum 4950" in text
-        # Only the last 4 observations (96..99) back the quantile snapshot.
-        assert 'win_seconds{quantile="0.5"} 97.5' in text
-
-    def test_zero_window_renders_nan_quantiles(self):
-        metrics = MetricsRegistry(summary_window=0)
-        metrics.observe("empty_seconds", 1.0)
-        text = metrics.render()
-        assert 'empty_seconds{quantile="0.5"} NaN' in text
-        assert "empty_seconds_count 1" in text
+        assert f"win_seconds_count {SUMMARY_WINDOW + 1}" in text
+        assert f"win_seconds_sum {SUMMARY_WINDOW * (SUMMARY_WINDOW + 1) // 2}" in text
+        # Only the last SUMMARY_WINDOW observations (1..SUMMARY_WINDOW) back
+        # the quantile snapshot: their median, not that of 0..SUMMARY_WINDOW.
+        median = (SUMMARY_WINDOW + 1) / 2
+        assert f'win_seconds{{quantile="0.5"}} {median!r}' in text
 
     def test_non_finite_values_render_per_spec(self):
         metrics = MetricsRegistry()
