@@ -2,9 +2,9 @@
 
 Each cell is run hermetically: a fresh workload is generated from the cell's
 profile and seed, deployed through a fresh controller, faulted according to
-the cell's fault class, checked through the requested verification engine
-(serial sweep or the event-driven incremental checker) and
-localized with SCOUT — the figures' trial,
+the cell's fault class, checked — by a fresh system (``serial``) or by one
+whose held checker audited the deployment before the fault (``incremental``)
+— and localized with SCOUT — the figures' trial,
 :func:`~repro.experiments.common.run_trial` — and the hypothesis is scored
 against the injector's ground truth.  Everything observable about a cell — the
 equivalence-report fingerprint, the injected events, the localization output
@@ -28,7 +28,6 @@ from ..experiments.common import CHANGE_WINDOW, run_trial
 from ..faults.base import FaultKind
 from ..faults.injector import FaultInjector
 from ..obs import correlated, span
-from ..online.delta import IncrementalChecker
 from ..verify.checker import EquivalenceReport
 from ..workloads.generator import generate_workload
 from ..workloads.profiles import resolve_profile
@@ -187,29 +186,6 @@ def _deploy_tcam_overflow(
     return controller, events, set(overflowed)
 
 
-def _incremental_check(
-    controller: Controller,
-) -> Callable[[FaultInjector], EquivalenceReport]:
-    """The incremental engine as a trial's check.
-
-    It bootstraps here, before the trial injects, so its baseline is the
-    deployment and the check re-validates only the switches the injected
-    faults touched (every leaf when the cell injects nothing) — the path the
-    online monitor exercises in production.
-    """
-    incremental = IncrementalChecker(controller)
-    incremental.bootstrap()
-
-    def check(injector: FaultInjector) -> EquivalenceReport:
-        touched = {uid for fault in injector.injected for uid in fault.removed_rules}
-        incremental.refresh(
-            switch_uids=sorted(touched or controller.fabric.leaf_uids())
-        )
-        return incremental.report()
-
-    return check
-
-
 # --------------------------------------------------------------------- #
 # Cell execution
 # --------------------------------------------------------------------- #
@@ -233,7 +209,6 @@ def _run_fault_cell(cell: CampaignCell) -> CellRun:
         else:
             controller = deploy_profile(cell.profile, seed=cell.seed)
             events, ground_truth = [], set()
-    check = _incremental_check(controller) if cell.engine == "incremental" else None
 
     def inject(injector: FaultInjector) -> None:
         if cell.fault.kind in OBJECT_FAULT_CLASSES:
@@ -243,10 +218,11 @@ def _run_fault_cell(cell: CampaignCell) -> CellRun:
             )
 
     system = ScoutSystem(controller, change_window=CHANGE_WINDOW)
+    if cell.engine == "incremental":
+        # A held checker: the trial's check refreshes this baseline.
+        system.check()
     with span("campaign.trial", kind=cell.fault.kind, engine=cell.engine):
-        injector, reports = run_trial(
-            controller, {"SCOUT": system}, inject, cell.scope, check=check
-        )
+        injector, reports = run_trial(controller, {"SCOUT": system}, inject, cell.scope)
     scout = reports["SCOUT"]
     if cell.fault.kind in OBJECT_FAULT_CLASSES:
         ground_truth = injector.ground_truth()

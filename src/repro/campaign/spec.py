@@ -60,8 +60,8 @@ OBJECT_FAULT_CLASSES = ("object-fault", "multi-fault")
 #: simultaneous object faults; churn: number of churn-stream events).
 COUNTED_FAULT_CLASSES = ("multi-fault", "churn")
 #: Verification engine modes a cell can run under: *how* checks execute
-#: (one sweep, delta-driven refresh), not which checker engine proves a
-#: switch.
+#: (a fresh system's sweep, or a refresh of a checker that audited the
+#: deployment first), not which checker engine proves a switch.
 ENGINE_MODES = ("serial", "incremental")
 #: Localization scopes (see :class:`~repro.core.system.ScoutSystem`).
 SCOPES = ("controller", "switch")

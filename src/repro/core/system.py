@@ -17,12 +17,14 @@ diagram shows:
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Literal, Optional, Sequence, Set
 
 from ..controller.compiler import CompiledRules
 from ..controller.controller import Controller
 from ..obs import TraceCollector, activated, span
+from ..online.delta import IncrementalChecker
 from ..parallel.engine import plan_for_report
 from ..parallel.executor import SMALL_FABRIC_SWITCHES
 from ..parallel.pool import WarmWorkerPool
@@ -159,6 +161,11 @@ class ScoutSystem:
     ) -> None:
         self.controller = controller
         self.checker = EquivalenceChecker()
+        #: The audit's live verdict, proved with :attr:`checker`: every
+        #: serial :meth:`check` refreshes it, under :attr:`_audit_lock`
+        #: (the service audits on its worker and on request threads).
+        self.incremental = IncrementalChecker(controller, checker=self.checker)
+        self._audit_lock = threading.Lock()
         self.change_window = change_window
         self.include_switch_risks = include_switch_risks
         self.localizer = localizer or ScoutLocalizer(
@@ -231,16 +238,20 @@ class ScoutSystem:
 
         The controller's compiled-policy counters
         (:meth:`Controller.compile_stats`) plus, summed over this system's
-        checkers, how parallel sweeps split between key-set identity proofs
-        and switches dispatched to an engine, plus how many of the risk
-        models :meth:`localize` built found their structure on the index
-        (``risk_structures_reused``) or had to compute it (``…_built``).
+        checkers, how the switches they proved split between key-set
+        identity proofs and switches dispatched to an engine, plus the
+        switches an audit answered with the verdict it held
+        (``verdicts_reused``: L and T are the objects it was proved from),
+        plus how many of the risk models :meth:`localize` built found their
+        structure on the index (``risk_structures_reused``) or had to
+        compute it (``…_built``).
         """
         checkers = [self.checker, *self._engine_checkers.values()]
         return {
             **self.controller.compile_stats(),
             "identity_proofs": sum(checker.identity_proofs for checker in checkers),
             "dispatched": sum(checker.dispatched for checker in checkers),
+            "verdicts_reused": self.incremental.verdicts_reused,
             "risk_structures_built": self.risk_structures_built,
             "risk_structures_reused": self.risk_structures_reused,
         }
@@ -257,6 +268,15 @@ class ScoutSystem:
         engine: Optional[str] = None,
     ) -> EquivalenceReport:
         """Compare desired (L) and deployed (T) rules across the fabric.
+
+        The serial check refreshes every switch of :attr:`incremental`, the
+        one per-switch proof the online monitor runs too: the first check is
+        its bootstrap sweep, and from the second on a switch whose compiled
+        L and TCAM snapshot are the objects its held verdict was proved
+        from gets that verdict back (``stats()["verdicts_reused"]``) with
+        no ``check.switch`` span.  The report lists switches in sorted-uid
+        order and equals a from-scratch ``checker.check_network`` of the
+        same state, fingerprint for fingerprint.
 
         ``engine`` overrides the system checker's engine for this sweep only
         (any :data:`~repro.verify.checker.ENGINES` value — in practice the
@@ -289,28 +309,41 @@ class ScoutSystem:
                 if compiled is None:
                     compiled = self.controller._compiled_rules()
                 logical = compiled.by_switch
-            with span("check.collect_deployed"):
-                deployed = self.controller.collect_deployed_rules()
-            if parallel:
-                switches = [
-                    (uid, logical.get(uid, ()), deployed.get(uid, ()))
-                    for uid in sorted(set(logical) | set(deployed))
-                ]
-                executor = None
-                if len(switches) >= SMALL_FABRIC_SWITCHES:
-                    # Large fabrics go through the persistent pool so the
-                    # workers' memo caches survive into the next round;
-                    # small ones run inline (no processes to keep warm).
-                    executor = self.worker_pool(max_workers)
-                report = checker.check_many(
-                    switches, executor=executor, max_workers=max_workers
-                )
+            if checker is self.checker and not parallel:
+                every = logical.keys() | self.controller.fabric.switches.keys()
+                with self._audit_lock:
+                    self.incremental.refresh(sorted(every), compiled=compiled)
+                    report = self.incremental.report()
             else:
-                with span("check.network", switches=len(set(logical) | set(deployed))):
-                    report = checker.check_network(logical, deployed)
+                report = self._sweep(checker, logical, parallel, max_workers)
         if trace is not None:
             report.trace = trace
         return report
+
+    def _sweep(
+        self,
+        checker: EquivalenceChecker,
+        logical: Dict[str, Sequence[TcamRule]],
+        parallel: bool,
+        max_workers: Optional[int],
+    ) -> EquivalenceReport:
+        """A from-scratch sweep: an engine override's, or the sharded one."""
+        with span("check.collect_deployed"):
+            deployed = self.controller.collect_deployed_rules()
+        if not parallel:
+            with span("check.network", switches=len(set(logical) | set(deployed))):
+                return checker.check_network(logical, deployed)
+        switches = [
+            (uid, logical.get(uid, ()), deployed.get(uid, ()))
+            for uid in sorted(set(logical) | set(deployed))
+        ]
+        executor = None
+        if len(switches) >= SMALL_FABRIC_SWITCHES:
+            # Large fabrics go through the persistent pool so the workers'
+            # memo caches survive into the next round; small ones run
+            # inline (no processes to keep warm).
+            executor = self.worker_pool(max_workers)
+        return checker.check_many(switches, executor=executor, max_workers=max_workers)
 
     # ------------------------------------------------------------------ #
     # Step 2: fault localization

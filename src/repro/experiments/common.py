@@ -28,7 +28,6 @@ from ..core.system import ScoutReport, ScoutSystem
 from ..faults.injector import FaultInjector
 from ..policy.graph import PolicyIndex
 from ..rules import TcamRule
-from ..verify.checker import EquivalenceReport
 from ..workloads.generator import GeneratedWorkload, generate_workload
 from ..workloads.profiles import WorkloadProfile
 
@@ -131,25 +130,21 @@ def run_trial(
     inject: Callable[[FaultInjector], object],
     scope: str,
     rng: Optional[random.Random] = None,
-    check: Optional[Callable[[FaultInjector], EquivalenceReport]] = None,
 ) -> Tuple[FaultInjector, Dict[str, ScoutReport]]:
     """One §VI trial: age the clock, inject, check once, localize per system.
 
     The clock first moves past :data:`CHANGE_WINDOW`, so SCOUT's stage 2
     sees this trial's change records and none of the deployment's or an
     earlier trial's.  ``inject`` faults the fabric through the trial's
-    :class:`FaultInjector` (drawing from ``rng``); the L-T report is
-    ``check(injector)`` when given, else the first system's sweep, and every
-    system localizes that one report.  Returns the injector — its
-    ``injected`` faults are the ground truth — and each system's report.
+    :class:`FaultInjector` (drawing from ``rng``); the L-T report is the
+    first system's check, and every system localizes that one report.
+    Returns the injector — its ``injected`` faults are the ground truth —
+    and each system's report.
     """
     controller.clock.tick(CHANGE_WINDOW + 1)
     injector = FaultInjector(controller, rng=rng)
     inject(injector)
-    if check is not None:
-        report = check(injector)
-    else:
-        report = next(iter(systems.values())).check()
+    report = next(iter(systems.values())).check()
     reports = {
         name: system.localize(scope=scope, report=report, correlate=False)
         for name, system in systems.items()

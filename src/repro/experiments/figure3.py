@@ -62,11 +62,10 @@ class Figure3Series:
 
 def run_figure3(
     profile: Optional[WorkloadProfile] = None,
-    seed: Optional[int] = None,
 ) -> Dict[ObjectType, Figure3Series]:
     """Generate the cluster workload and compute the pairs-per-object series."""
     profile = profile or production_cluster_profile()
-    workload = generate_workload(profile, seed=seed)
+    workload = generate_workload(profile)
     index = PolicyIndex(workload.policy)
     counts = epg_pairs_per_object(workload.policy, index=index)
     series: Dict[ObjectType, Figure3Series] = {}

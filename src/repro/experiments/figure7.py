@@ -39,6 +39,9 @@ SIMULATION_BINS: Sequence[Tuple[int, int]] = (
     (500, 1000),
 )
 
+#: Seed of the fault draws (victim object and full/partial).
+FAULT_SEED = 11
+
 
 @dataclass(frozen=True)
 class GammaSample:
@@ -71,13 +74,12 @@ class Figure7Result:
 def run_suspect_reduction(
     deployed: DeployedWorkload,
     num_faults: int = 200,
-    seed: int = 11,
     bins: Sequence[Tuple[int, int]] = SIMULATION_BINS,
     setting: str = "simulation",
 ) -> Figure7Result:
     """Inject ``num_faults`` independent single-object faults and measure γ."""
     controller = deployed.controller
-    rng = random.Random(seed)
+    rng = random.Random(FAULT_SEED)
     scout = make_localizers(controller, score_thresholds=())["SCOUT"]
     systems = {
         "SCOUT": ScoutSystem(controller, localizer=scout, include_switch_risks=False)

@@ -29,6 +29,9 @@ from ..workloads.profiles import scaled_profile, simulation_profile
 
 __all__ = ["ScalabilityPoint", "run_scalability", "format_scalability"]
 
+#: Seed of every fabric size's policy and of its model-level fault draws.
+SEED = 17
+
 
 @dataclass(frozen=True)
 class ScalabilityPoint:
@@ -74,14 +77,13 @@ def run_scalability(
     leaf_counts: Sequence[int] = (10, 50, 100, 200, 500),
     pairs_per_leaf: int = 40,
     num_faults: int = 10,
-    seed: int = 17,
 ) -> List[ScalabilityPoint]:
     """Measure controller-risk-model build and SCOUT localization time."""
     base = simulation_profile()
     localizer = ScoutLocalizer()
     points: List[ScalabilityPoint] = []
     for leaves in leaf_counts:
-        profile = scaled_profile(base, leaves, pairs_per_leaf=pairs_per_leaf, seed=seed)
+        profile = scaled_profile(base, leaves, pairs_per_leaf=pairs_per_leaf, seed=SEED)
         workload = generate_workload(profile, validate=False)
         index = PolicyIndex(workload.policy)
 
@@ -91,7 +93,7 @@ def run_scalability(
         )
         build_seconds = time.perf_counter() - start
 
-        rng = random.Random(seed + leaves)
+        rng = random.Random(SEED + leaves)
         _inject_model_level_faults(model, index, num_faults, rng)
 
         start = time.perf_counter()

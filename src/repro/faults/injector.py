@@ -27,7 +27,7 @@ from .object_faults import (
 
 __all__ = ["FaultInjector"]
 
-#: Object types eligible for random fault selection by default.  Endpoints are
+#: Object types eligible for random fault selection.  Endpoints are
 #: excluded (they do not appear in rule provenance) and switches are handled
 #: by the physical scenarios instead.
 DEFAULT_FAULT_TYPES = (
@@ -54,12 +54,9 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Selection helpers
     # ------------------------------------------------------------------ #
-    def faultable_objects(
-        self,
-        object_types: Sequence[ObjectType] = DEFAULT_FAULT_TYPES,
-        switches: Optional[Sequence[str]] = None,
-    ) -> List[str]:
-        """Objects of the requested types that have at least one deployed rule."""
+    def faultable_objects(self, switches: Optional[Sequence[str]] = None) -> List[str]:
+        """Objects of the :data:`DEFAULT_FAULT_TYPES` that have at least one
+        deployed rule."""
         deployed_objects: Set[str] = set()
         targets = switches if switches is not None else self.fabric.leaf_uids()
         for switch_uid in targets:
@@ -74,7 +71,7 @@ class FaultInjector:
                     )
                 )
         deployed_objects.discard("")
-        wanted = {object_type.value for object_type in object_types}
+        wanted = {object_type.value for object_type in DEFAULT_FAULT_TYPES}
         selected = [
             uid
             for uid in deployed_objects
@@ -129,7 +126,6 @@ class FaultInjector:
         self,
         count: int,
         kinds: Sequence[FaultKind] = (FaultKind.FULL, FaultKind.PARTIAL),
-        object_types: Sequence[ObjectType] = DEFAULT_FAULT_TYPES,
         switches: Optional[Sequence[str]] = None,
         strict: bool = True,
         rng: Optional[random.Random] = None,
@@ -155,7 +151,7 @@ class FaultInjector:
         if rng is not None and seed is not None:
             raise FaultInjectionError("pass either rng or seed, not both")
         draw = rng if rng is not None else (random.Random(seed) if seed is not None else self.rng)
-        candidates = self.faultable_objects(object_types=object_types, switches=switches)
+        candidates = self.faultable_objects(switches=switches)
         if len(candidates) < count:
             raise FaultInjectionError(
                 f"cannot inject {count} faults: only {len(candidates)} faultable objects"

@@ -46,7 +46,6 @@ from .trace import (
     activated,
     current,
     span,
-    traced,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "recording",
     "span",
     "span_dicts",
-    "traced",
     "write_chrome",
     "write_jsonl",
 ]

@@ -48,6 +48,8 @@ _ACTIVE_RECORDER: ContextVar[Optional["FlightRecorder"]] = ContextVar(
 )
 
 
+#: How many events the event ring keeps.
+MAX_EVENTS = 512
 #: How many metric observations the metric ring keeps.
 MAX_METRICS = 512
 #: How many dumped bundles the recorder keeps (and indexes by incident).
@@ -57,9 +59,9 @@ MAX_DUMPS = 32
 class FlightRecorder:
     """Bounded rings of recent spans/events/metrics plus a bounded dump store."""
 
-    def __init__(self, max_spans: int = 512, max_events: int = 512) -> None:
+    def __init__(self, max_spans: int = 512) -> None:
         self._spans: Deque[Dict[str, Any]] = deque(maxlen=max_spans)
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
+        self._events: Deque[Dict[str, Any]] = deque(maxlen=MAX_EVENTS)
         self._metrics: Deque[Dict[str, Any]] = deque(maxlen=MAX_METRICS)
         self._dumps: Deque[Dict[str, Any]] = deque(maxlen=MAX_DUMPS)
         self._by_incident: Dict[str, Dict[str, Any]] = {}

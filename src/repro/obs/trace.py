@@ -32,7 +32,6 @@ collector's time stays inside the span that paid for it.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import os
@@ -63,7 +62,6 @@ __all__ = [
     "activated",
     "current",
     "span",
-    "traced",
 ]
 
 AttrValue = Union[str, int, float, bool]
@@ -374,19 +372,3 @@ def span(name: str, **attrs: AttrValue) -> Union[Span, _NoopSpan]:
     if collector is None or not collector.enabled:
         return NOOP_SPAN
     return Span(collector, name, attrs or None)
-
-
-def traced(name: Optional[str] = None, **attrs: AttrValue) -> Callable:
-    """Decorator: wrap a function call in a span named after it."""
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with span(span_name, **attrs):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -1,8 +1,12 @@
 """Incremental L-T equivalence checking.
 
-``ScoutSystem.check`` compiles every logical rule, snapshots every TCAM and
-compares the two network-wide — correct, but linear in the fabric for every
-query.  :class:`IncrementalChecker` instead maintains a *live* verdict:
+A from-scratch sweep (:meth:`EquivalenceChecker.check_network`) compares
+every switch's L and T — correct, but linear in the fabric for every query.
+:class:`IncrementalChecker` instead maintains a *live* verdict, and one
+per-switch proof serves every caller: the online monitor refreshes the
+switches events dirtied, and ``ScoutSystem.check`` refreshes every switch
+of a checker it holds, so a batch audit reuses the verdict of each switch
+nothing touched since the last one:
 
 * the logical (L) side is the controller's.  Every refresh checks against
   one :meth:`IncrementalChecker.compile` request — the controller's
@@ -10,10 +14,12 @@ query.  :class:`IncrementalChecker` instead maintains a *live* verdict:
   policy, from the one incremental compiler of L, which hands back the
   *same* per-switch :class:`~repro.rules.RuleSequence` for a switch it did
   not re-assemble; the checker compiles nothing and owns no index;
-* the checker's identity proof settles a switch whose logical and deployed
-  match-key sets are equal without running an engine at all (identical
-  match/action sets have identical semantics; the rule itself lives in
-  :meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`);
+* each switch is proved by one
+  :meth:`~repro.verify.checker.EquivalenceChecker.check_switch` call, which
+  settles a switch whose logical and deployed match-key sets are equal
+  without running an engine at all (identical match/action sets have
+  identical semantics) and counts it under the checker's
+  ``identity_proofs``;
 * a dirty set makes :meth:`refresh` re-check only the switches inside the
   blast radius of what actually happened.
 
@@ -37,8 +43,8 @@ and whose TCAM the same T object (:meth:`TcamTable.rule_sequence` hands out
 a new one after any write that changed what it holds) gets that verdict
 again — immutable inputs, same verdict.  It is still returned as refreshed,
 so the monitor re-localizes it, and it counts under the route that proved
-it (``digest_short_circuits`` or ``switch_checks``) as well as in
-``verdicts_reused``.
+it (``digest_short_circuits`` when the identity proof settled it,
+``switch_checks`` when an engine ran) as well as in ``verdicts_reused``.
 
 A snapshot holds only what a sweep cannot recompute — which switches were
 violating and how, dirt, counters — and a restore runs that same sweep: a
@@ -263,10 +269,11 @@ class IncrementalChecker:
         first.  Everything after that point is the same code.
 
         Every dirty switch is re-checked where it stands, however many a
-        burst (a deployment storm, a rack losing power) dirtied at once: the
-        identity proof first, and this checker's engine only for a switch
-        whose fingerprints disagree — unless its L and T are the very
-        objects its held verdict was proved from, which answer it again.
+        burst (a deployment storm, a rack losing power) dirtied at once, by
+        one ``check_switch`` call: the identity proof when its key sets
+        agree, this checker's engine over the key delta otherwise — unless
+        its L and T are the very objects its held verdict was proved from,
+        which answer it again.
         """
         if self._compiled is None:
             return dict(self.bootstrap(compiled).results)
@@ -296,17 +303,14 @@ class IncrementalChecker:
                     deployed = switch.tcam.rule_sequence()
                 held = self._proved.get(switch_uid)
                 if held is not None and held[0] is logical and held[1] is deployed:
-                    result, by_digest = self._results[switch_uid], held[2]
+                    result, by_identity = self._results[switch_uid], held[2]
                     self.verdicts_reused += 1
                 else:
-                    result = self.checker.identity_proof(
-                        switch_uid, logical, deployed, engine="digest"
-                    )
-                    by_digest = result is not None
-                    if not by_digest:
-                        result = self.checker.check_switch(switch_uid, logical, deployed)
-                    self._proved[switch_uid] = (logical, deployed, by_digest)
-                if by_digest:
+                    proofs = self.checker.identity_proofs
+                    result = self.checker.check_switch(switch_uid, logical, deployed)
+                    by_identity = self.checker.identity_proofs != proofs
+                    self._proved[switch_uid] = (logical, deployed, by_identity)
+                if by_identity:
                     self.digest_short_circuits += 1
                 else:
                     self.switch_checks += 1
@@ -323,11 +327,10 @@ class IncrementalChecker:
     # State access
     # ------------------------------------------------------------------ #
     def report(self) -> EquivalenceReport:
-        """The live network-wide verdict assembled from per-switch results."""
-        report = EquivalenceReport()
-        for result in self._results.values():
-            report.update(result)
-        return report
+        """The live network-wide verdict assembled from per-switch results,
+        in sorted-uid order."""
+        results = self._results
+        return EquivalenceReport({uid: results[uid] for uid in sorted(results)})
 
     def results(self) -> Dict[str, SwitchCheckResult]:
         """Every per-switch result this checker currently holds (a copy)."""

@@ -440,7 +440,7 @@ class NetworkMonitor:
         If any partition fails (the plain loop stops there; threads have
         all run by then), switches the *successful* partitions re-checked
         are re-dirtied before the first error propagates, so the retry
-        re-applies their (cheap, digest-answered) verdicts in the same pass
+        re-applies their (cheap, memo-answered) verdicts in the same pass
         as the recovered partition's — no incident transition is lost or
         split.
         """

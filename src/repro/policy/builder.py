@@ -74,15 +74,15 @@ class PolicyBuilder:
         self.tenant.add_vrf(Vrf(uid=uid, name=name, scope_id=scope_id))
         return uid
 
-    def epg(self, name: str, vrf: str, epg_id: Optional[int] = None) -> str:
+    def epg(self, name: str, vrf: str) -> str:
         """Create an EPG inside ``vrf`` and return its uid."""
         if vrf not in self.tenant.vrfs:
             raise UnknownObjectError(f"VRF {vrf!r} must be created before EPG {name!r}")
-        if epg_id is None:
-            self._epg_id_counter += 1
-            epg_id = self._epg_id_counter
+        self._epg_id_counter += 1
         uid = f"epg:{self.tenant.name}/{name}"
-        self.tenant.add_epg(Epg(uid=uid, name=name, vrf_uid=vrf, epg_id=epg_id))
+        self.tenant.add_epg(
+            Epg(uid=uid, name=name, vrf_uid=vrf, epg_id=self._epg_id_counter)
+        )
         return uid
 
     def filter(self, name: str, entries: Iterable[FilterEntryLike]) -> str:
@@ -108,7 +108,6 @@ class PolicyBuilder:
         name: str,
         epg: str,
         ip: str = "",
-        mac: str = "",
         switch: Optional[str] = None,
     ) -> str:
         """Create an endpoint in ``epg`` (optionally pre-attached to ``switch``)."""
@@ -116,7 +115,7 @@ class PolicyBuilder:
             raise UnknownObjectError(f"EPG {epg!r} not found for endpoint {name!r}")
         uid = f"endpoint:{self.tenant.name}/{name}"
         self.tenant.add_endpoint(
-            Endpoint(uid=uid, name=name, epg_uid=epg, ip=ip, mac=mac, switch_uid=switch)
+            Endpoint(uid=uid, name=name, epg_uid=epg, ip=ip, switch_uid=switch)
         )
         return uid
 

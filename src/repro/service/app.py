@@ -491,7 +491,8 @@ class ScoutService:
                     "Audit work reused or redone: compiled-policy reuses, "
                     "patches (index derivations), rebuilds, pairs_compared, "
                     "pairs_recompiled and switches_reassembled; "
-                    "switches settled by identity_proofs versus dispatched."
+                    "switches settled by identity_proofs versus dispatched; "
+                    "verdicts_reused, switches an audit answered unchanged."
                 ),
                 labels={"counter": counter},
             )

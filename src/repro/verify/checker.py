@@ -111,15 +111,6 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return all(result.equivalent for result in self.results.values())
 
-    def update(self, result: SwitchCheckResult) -> None:
-        """Replace (or insert) one switch's result.
-
-        The online incremental checker re-validates switches one at a time
-        and patches a long-lived report through this method instead of
-        rebuilding it from a full network sweep.
-        """
-        self.results[result.switch_uid] = result
-
     def missing_rules(self) -> Dict[str, List[TcamRule]]:
         """Per-switch missing rules (only switches with at least one miss)."""
         return {
@@ -174,8 +165,7 @@ class EquivalenceReport:
 
         Two reports describing the same *network state* can still differ in
         two observably irrelevant ways: which engine produced each verdict
-        (the incremental checker proves clean switches with a digest
-        comparison, a batch sweep runs BDDs) and the order the missing/extra
+        (the ``ap`` default or the ``bdd`` oracle) and the order the missing/extra
         rule lists were emitted in (a pair-patched logical cache iterates
         rules in a different insertion order than a from-scratch compile).
         ``canonical()`` normalizes both — the engine label collapses to
@@ -274,7 +264,7 @@ class EquivalenceChecker:
 
     * both empty — the sides are the same match/action set, hence the same
       semantics: an **identity proof**, no engine (:meth:`identity_proof`,
-      which the parallel sweep and the online monitor call directly);
+      which the parallel sweep calls directly);
     * otherwise — atom regions are built only for the
       ``(vrf, src_epg, dst_epg)`` triples an allow key of the difference
       touches.  That is exact, not a heuristic: a triple's region is the OR
@@ -340,7 +330,7 @@ class EquivalenceChecker:
             # The second pass is the T - L one, taken iff T had an extra key.
             current.count("key_passes", 2 if t_only else 1)
             if not l_only and not t_only:
-                return self._proven(switch_uid, logical, deployed, self.engine)
+                return self._proven(switch_uid, logical, deployed)
             self.dispatched += 1
             current.count("delta_checks", 1)
             return self._check_delta(switch_uid, logical, deployed, l_only, t_only)
@@ -350,14 +340,11 @@ class EquivalenceChecker:
         switch_uid: str,
         logical: RuleSequence,
         deployed: RuleSequence,
-        engine: Optional[str] = None,
     ) -> Optional[SwitchCheckResult]:
         """The equivalent result when both sides are one key set, else None.
 
-        The "unchanged ⇒ equivalent" rule for callers that route what is
-        left themselves (the parallel sweep ships it to shards, the monitor
-        batches it); ``engine`` is the label the result carries when it is
-        not this checker's own.  Both sides are validated first, so an
+        The "unchanged ⇒ equivalent" rule for the parallel sweep, which
+        ships what is left to shards.  Both sides are validated first, so an
         invalid rule raises here exactly as it would in an engine.  Always
         None under ``engine="bdd"``.
         """
@@ -366,7 +353,7 @@ class EquivalenceChecker:
         l_only, t_only = self._key_delta(logical, deployed)
         if l_only or t_only:
             return None
-        return self._proven(switch_uid, logical, deployed, engine or self.engine)
+        return self._proven(switch_uid, logical, deployed)
 
     def check_network(
         self,
@@ -496,11 +483,7 @@ class EquivalenceChecker:
         return l_only, t_only
 
     def _proven(
-        self,
-        switch_uid: str,
-        logical: RuleSequence,
-        deployed: RuleSequence,
-        engine: str,
+        self, switch_uid: str, logical: RuleSequence, deployed: RuleSequence
     ) -> SwitchCheckResult:
         self.identity_proofs += 1
         return SwitchCheckResult(
@@ -508,7 +491,7 @@ class EquivalenceChecker:
             equivalent=True,
             logical_count=len(logical),
             deployed_count=len(deployed),
-            engine=engine,
+            engine=self.engine,
         )
 
     def _check_delta(

@@ -43,8 +43,9 @@ _picks = st.integers(min_value=0, max_value=10_000)
 
 
 def _verdict(result) -> tuple:
-    """A result's content, provenance included; not its engine label."""
+    """A result's content, provenance and engine label included."""
     return (
+        result.engine,
         result.equivalent,
         result.logical_count,
         result.deployed_count,

@@ -1,6 +1,7 @@
 """Unit tests for the JSONL trace recorder/replayer and trace diffing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.campaign import (
     run_campaign,
     write_trace,
 )
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +221,24 @@ class TestDiff:
         differences = diff_traces(path, other_path)
         assert any("spec differs" in line for line in differences)
         assert any("only in left trace" in line for line in differences)
+
+
+class TestCorpus:
+    def test_every_incremental_cell_reads_its_serial_twins_fingerprint(self):
+        """A held checker and a fresh one prove one state alike: a recorded
+        ``incremental`` cell's fingerprint is that of its ``serial`` twin
+        (same profile, seed, fault and scope)."""
+        by_twin = {}
+        for path in sorted(CORPUS.glob("*.jsonl")):
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                if record["kind"] != "cell":
+                    continue
+                cell = dict(record["cell"])
+                engine = cell.pop("engine")
+                twin = by_twin.setdefault(json.dumps(cell, sort_keys=True), {})
+                twin.setdefault(engine, set()).add(record["result"]["fingerprint"])
+        pairs = [twin for twin in by_twin.values() if "incremental" in twin]
+        assert pairs
+        for twin in pairs:
+            assert twin["incremental"] == twin["serial"]

@@ -734,7 +734,13 @@ class TestRiskStructureRidesTheIndex:
                 assert traced(system.localize, "scout.risk_model") == ["reused"]
                 after = system.stats()
                 moved = {key for key in after if after[key] != before[key]}
-                assert moved <= {"reuses", "identity_proofs", "dispatched", "risk_structures_reused"}
+                assert moved <= {
+                    "reuses",
+                    "identity_proofs",
+                    "dispatched",
+                    "verdicts_reused",
+                    "risk_structures_reused",
+                }
                 assert after["risk_structures_reused"] - before["risk_structures_reused"] == 1
                 assert (after["risk_structures_built"], after["risk_structures_reused"]) == (1, 3)
 

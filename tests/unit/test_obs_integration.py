@@ -56,15 +56,15 @@ def degraded_system():
 
 class TestTracedCheck:
     def test_serial_check_records_pipeline_spans(self, degraded_system):
-        system = degraded_system
+        system = ScoutSystem(degraded_system.controller)
         collector = TraceCollector()
         report = system.check(trace=collector)
         assert not report.equivalent
         names = {recorded.name for recorded in collector.spans()}
+        # A system's first audit is its held checker's bootstrap sweep.
         assert {
             "check.compile_logical",
-            "check.collect_deployed",
-            "check.network",
+            "delta.bootstrap",
             "check.switch",
             "verify.ap.build",
         } <= names
@@ -119,30 +119,31 @@ class TestTracedCheck:
 
         def audit():
             collector = TraceCollector()
-            report = system.check(trace=collector)
-            by_name = {}
+            system.check(trace=collector)
+            by_name = {"check.switch": [], "verify.ap.compare": []}
             for recorded in collector.spans():
                 by_name.setdefault(recorded.name, []).append(recorded)
-            unequal = sum(not result.equivalent for result in report.results.values())
-            assert unequal and len(by_name["verify.ap.compare"]) == unequal
             passes = {
                 s.attrs["switch"]: s.counters["key_passes"] for s in by_name["check.switch"]
             }
             compares = by_name["verify.ap.compare"]
             return passes, [s.counters["positions_built"] for s in compares]
 
-        passes, built = audit()
-        assert set(passes.values()) == {1} and set(built) == {0}
-        passes, built = audit()
-        assert set(passes.values()) == {1} and set(built) == {1}
-        passes, built = audit()
-        assert set(passes.values()) == {1} and set(built) == {0}
+        every = {uid: 1 for uid in switches}
+        # The bootstrap sweep scans; the first refresh, which starts the
+        # verdict memo, builds the index.
+        assert audit() == (every, [0] * len(switches))
+        assert audit() == (every, [1] * len(switches))
+        # Nothing moved: every verdict is the held one, nothing is compared.
+        reused = system.stats()["verdicts_reused"]
+        assert audit() == ({}, [])
+        assert system.stats()["verdicts_reused"] == reused + len(switches)
         leaf = sorted(switches)[0]
         vrf, src, dst = switches[leaf].tcam.match_keys()[0][:3]
         switches[leaf].tcam.install(TcamRule(vrf, src, dst, "tcp", 65000))
-        passes, built = audit()
-        assert passes == {uid: 2 if uid == leaf else 1 for uid in passes}
-        assert set(built) == {0}
+        # Only the written leaf is proved again, and its compare reads the
+        # index the earlier audit built.
+        assert audit() == ({leaf: 2}, [0])
 
     def test_untraced_check_records_nothing(self, system):
         collector = TraceCollector()
@@ -232,19 +233,20 @@ class TestTracedCheck:
 
     def test_attribution_over_real_trace(self, system):
         collector = TraceCollector()
-        system.check(trace=collector)
+        ScoutSystem(system.controller).check(trace=collector)
         spans = collector.spans()
         by_name = {stat.name: stat for stat in attribution(spans)}
-        # check.network encloses the per-switch checks: every check.switch
-        # span is its child, and together they cannot outlast it.  (Which
-        # top-level stage is longest is wall-clock luck on a fabric this small.)
-        (network,) = [s for s in spans if s.name == "check.network"]
+        # The bootstrap sweep encloses the per-switch checks: every
+        # check.switch span is its child, and together they cannot outlast
+        # it.  (Which top-level stage is longest is wall-clock luck on a
+        # fabric this small.)
+        (sweep,) = [s for s in spans if s.name == "delta.bootstrap"]
         switch_spans = [s for s in spans if s.name == "check.switch"]
         assert switch_spans
-        assert all(s.parent_id == network.span_id for s in switch_spans)
+        assert all(s.parent_id == sweep.span_id for s in switch_spans)
         assert (
             by_name["check.switch"].total_seconds
-            <= by_name["check.network"].total_seconds
+            <= by_name["delta.bootstrap"].total_seconds
         )
 
 

@@ -13,7 +13,6 @@ from repro.obs import (
     activated,
     current,
     span,
-    traced,
 )
 
 
@@ -239,37 +238,3 @@ class TestCollector:
         parent.adopt([s.to_dict() for s in worker.spans()])
         assert names == ["worker.shard"]
 
-
-class TestTracedDecorator:
-    def test_decorator_records_qualified_name(self):
-        collector = TraceCollector()
-
-        @traced()
-        def crunch(x):
-            return x * 2
-
-        with activated(collector):
-            assert crunch(21) == 42
-        (recorded,) = collector.spans()
-        assert recorded.name.startswith("test_obs_trace.")
-        assert recorded.name.endswith(".crunch")
-
-    def test_decorator_with_explicit_name_and_attrs(self):
-        collector = TraceCollector()
-
-        @traced("custom.stage", flavor="test")
-        def noop():
-            return None
-
-        with activated(collector):
-            noop()
-        (recorded,) = collector.spans()
-        assert recorded.name == "custom.stage"
-        assert recorded.attrs == {"flavor": "test"}
-
-    def test_decorator_is_free_without_collector(self):
-        @traced()
-        def add(a, b):
-            return a + b
-
-        assert add(1, 2) == 3

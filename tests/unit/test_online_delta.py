@@ -58,14 +58,14 @@ class TestSwitchEvents:
         switch.tcam.remove_where(lambda rule: True)
         delta.note_switch_change("leaf-2")
         delta.refresh()
-        engine_checks = delta.switch_checks
+        engine_checks, identity = delta.switch_checks, delta.digest_short_circuits
         switch.sync_tcam()
         delta.note_switch_change("leaf-2")
         refreshed = delta.refresh()
         assert refreshed["leaf-2"].equivalent
-        assert refreshed["leaf-2"].engine == "digest"
-        assert delta.switch_checks == engine_checks  # no engine run needed
-        assert delta.digest_short_circuits >= 1
+        # No engine ran: the identity proof settled the repaired leaf.
+        assert delta.switch_checks == engine_checks
+        assert delta.digest_short_circuits == identity + 1
         assert delta.report().equivalent
 
     def test_storm_refresh_never_re_derives_a_match_key(self, deployed_tiny, monkeypatch):
@@ -118,6 +118,48 @@ class TestSwitchEvents:
         delta.note_policy_change(filter_uid, ObjectType.FILTER)
         with pytest.raises(VerificationError, match="port value 2000"):
             delta.refresh()
+
+
+class TestIncrementalBatching:
+    def test_a_proved_switch_takes_one_key_delta(self, three_tier, monkeypatch):
+        """One check_switch per switch not reused: the key delta that finds
+        an identity proof is the one the engine is scoped by."""
+        delta = checker_for(three_tier)
+        tcam = three_tier.fabric.switch("leaf-2").tcam
+        tcam.remove(tcam.match_keys()[0])
+        calls = []
+        key_delta = EquivalenceChecker._key_delta
+
+        def counted(checker, logical, deployed):
+            calls.append(checker)
+            return key_delta(checker, logical, deployed)
+
+        monkeypatch.setattr(EquivalenceChecker, "_key_delta", counted)
+        refreshed = delta.refresh(switch_uids=three_tier.fabric.leaf_uids())
+        assert [uid for uid, result in refreshed.items() if not result.equivalent] == [
+            "leaf-2"
+        ]
+        assert (delta.digest_short_circuits, delta.switch_checks) == (2, 1)
+        assert len(calls) == 3
+
+    def test_batched_refresh_keeps_digest_short_circuits(self, deployed_tiny):
+        _, controller = deployed_tiny
+        tcam = controller.fabric.switch(controller.fabric.leaf_uids()[0]).tcam
+        tcam.remove(tcam.match_keys()[0])
+        checker = IncrementalChecker(controller)
+        report = checker.bootstrap()
+        clean = [uid for uid, result in report.results.items() if result.equivalent]
+        assert clean and len(clean) < len(report.results)
+        for uid in clean:
+            checker.note_switch_change(uid)
+        engine_checks = checker.switch_checks
+        identity = checker.digest_short_circuits
+        results = checker.refresh()
+        assert set(results) == set(clean)
+        assert all(result.equivalent for result in results.values())
+        # No engine ran: every clean leaf was settled by the identity proof.
+        assert checker.switch_checks == engine_checks
+        assert checker.digest_short_circuits == identity + len(clean)
 
 
 class TestPolicyBlastRadius:

@@ -21,7 +21,6 @@ from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
 from repro.obs import TraceCollector, activated
-from repro.online import IncrementalChecker
 from repro.parallel import plan_shards
 from repro.parallel.engine import ShardTask, SwitchWorkUnit, run_shard
 from repro.parallel.memo import WORKER_CACHE, reset_worker_cache
@@ -262,17 +261,3 @@ class TestScoutSystemParallel:
         assert sum(per_shard.values()) == total
         assert failed_edges(sharded_model) == failed_edges(global_model)
         assert sharded_model.failure_signature() == global_model.failure_signature()
-
-
-class TestIncrementalBatching:
-    def test_batched_refresh_keeps_digest_short_circuits(self, faulty_simulation):
-        controller = faulty_simulation.controller
-        checker = IncrementalChecker(controller)
-        report = checker.bootstrap()
-        clean = [uid for uid, result in report.results.items() if result.equivalent][:3]
-        for uid in clean:
-            checker.note_switch_change(uid)
-        results = checker.refresh()
-        assert set(results) == set(clean)
-        assert checker.digest_short_circuits == len(clean)
-        assert all(result.engine == "digest" for result in results.values())
