@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Hashable, List, Literal, Optional, Sequence, Set
 
 from ..controller.compiler import CompiledRules
@@ -37,7 +38,7 @@ from ..risk.augment import (
 from ..risk.controller_model import build_controller_risk_model
 from ..risk.model import RiskModel
 from ..risk.switch_model import build_switch_risk_model
-from ..rules import TcamRule
+from ..rules import PROVENANCE, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport
 from .correlation import CorrelationReport, EventCorrelationEngine
 from .hypothesis import Hypothesis
@@ -435,6 +436,10 @@ class ScoutSystem:
                     with span("scout.localize", scope=scope):
                         hypothesis = self.localizer.localize(model)
                 if risk_models:
+                    risk_span.count(
+                        "pairs_resolved",
+                        sum(model.pairs_resolved for model in risk_models.values()),
+                    )
                     reused = sum(model.structure_reused for model in risk_models.values())
                     self.risk_structures_reused += reused
                     self.risk_structures_built += len(risk_models) - reused
@@ -470,11 +475,12 @@ class ScoutSystem:
         """Map each faulty object to the devices its missing rules touched."""
         relevant_devices: Dict[Hashable, List[str]] = {}
         for switch_uid, missing in missing_by_switch.items():
-            for rule in missing:
-                for uid in rule.objects():
-                    relevant_devices.setdefault(uid, [])
-                    if switch_uid not in relevant_devices[uid]:
-                        relevant_devices[uid].append(switch_uid)
+            # Each switch's distinct objects once: the union of its missing
+            # rules' provenance, an empty field naming none.
+            uids = dict.fromkeys(chain.from_iterable(map(PROVENANCE, missing)))
+            uids.pop("", None)
+            for uid in uids:
+                relevant_devices.setdefault(uid, []).append(switch_uid)
         # A switch selected as a faulty risk is its own relevant device.
         for risk in hypothesis.objects():
             if isinstance(risk, str) and risk in self.controller.fabric:

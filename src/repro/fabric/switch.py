@@ -367,12 +367,13 @@ class Switch:
         installed.  Overflows and evictions are logged.  Returns counters for
         inspection.
 
-        Both walks follow insertion order — removals in TCAM table order,
-        installs in the agent's rendering order — never raw set-difference
-        order, whose per-process hash randomization would make the install
-        sequence (and, on a capacity-limited TCAM, *which* rules overflow)
-        irreproducible across runs.  The campaign record/replay gate depends
-        on this being a pure function of the instruction stream.
+        The stale rules go before anything is installed, and the missing
+        ones are installed in the agent's rendering order — never raw
+        set-difference order, whose per-process hash randomization would
+        make the install sequence (and, on a capacity-limited TCAM, *which*
+        rules overflow) irreproducible across runs.  The campaign
+        record/replay gate depends on this being a pure function of the
+        instruction stream.
 
         Traced as one ``fabric.sync_tcam`` span counting the render's
         ``units_rendered`` / ``units_reused`` / ``renders_reused`` and the
@@ -391,56 +392,45 @@ class Switch:
         return counters
 
     def _reconcile(self, desired: Dict[MatchKey, TcamRule]) -> Dict[str, int]:
-        """Make the TCAM hold ``desired``: :meth:`sync_tcam`'s writes."""
-        held_keys = self.tcam.match_keys()
-        installed_keys = set(held_keys)
+        """Make the TCAM hold ``desired``: :meth:`sync_tcam`'s writes.
 
-        # One write transaction: listeners hear of the whole reconcile once.
-        with self.tcam.transaction():
-            removed = 0
-            for key in held_keys:
-                if key in desired:
-                    continue
-                # Only remove rules this agent owns (rendered from its view),
-                # which mirrors an agent reconciling unexpected TCAM content.
-                if self.tcam.remove(key) is not None:
-                    removed += 1
+        One :meth:`TcamTable.write` — one transaction, so listeners hear of
+        the whole reconcile once: the held keys the agent no longer wants
+        go, then the wanted rules the TCAM lacks go in, in ``desired``'s
+        order.  Of the rules past the capacity, the first rejection and
+        every eviction are logged in that order.
+        """
+        held = set(self.tcam.match_keys())
+        fresh = {key: rule for key, rule in desired.items() if key not in held}
+        removed, overflowed = self.tcam.write(held.difference(desired), fresh)
 
-            installed = 0
-            rejected = 0
-            evicted = 0
-            overflow_logged = False
-            for key, rule in desired.items():
-                if key in installed_keys:
-                    continue
-                outcome, evicted_rule = self.tcam.install(rule)
-                if outcome is InstallOutcome.REJECTED_FULL:
-                    rejected += 1
-                    if not overflow_logged:
-                        self.fault_log.raise_fault(
-                            self.clock.peek(),
-                            self.uid,
-                            FaultCode.TCAM_OVERFLOW,
-                            detail=(
-                                f"TCAM full ({self.tcam.capacity} entries); "
-                                f"rule install rejected"
-                            ),
-                        )
-                        overflow_logged = True
-                elif outcome is InstallOutcome.INSTALLED_WITH_EVICTION:
-                    installed += 1
-                    evicted += 1
+        installed = len(fresh) - len(overflowed)
+        rejected = evicted = 0
+        for outcome, evicted_rule in overflowed:
+            if outcome is InstallOutcome.REJECTED_FULL:
+                rejected += 1
+                if rejected == 1:
                     self.fault_log.raise_fault(
                         self.clock.peek(),
                         self.uid,
-                        FaultCode.RULE_EVICTION,
-                        detail=f"evicted {evicted_rule.describe() if evicted_rule else 'rule'}",
+                        FaultCode.TCAM_OVERFLOW,
+                        detail=(
+                            f"TCAM full ({self.tcam.capacity} entries); "
+                            f"rule install rejected"
+                        ),
                     )
-                else:
-                    installed += 1
+            elif outcome is InstallOutcome.INSTALLED_WITH_EVICTION:
+                installed += 1
+                evicted += 1
+                self.fault_log.raise_fault(
+                    self.clock.peek(),
+                    self.uid,
+                    FaultCode.RULE_EVICTION,
+                    detail=f"evicted {evicted_rule.describe() if evicted_rule else 'rule'}",
+                )
         return {
             "installed": installed,
-            "removed": removed,
+            "removed": len(removed),
             "rejected": rejected,
             "evicted": evicted,
         }

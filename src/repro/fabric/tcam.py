@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
+from itertools import islice, repeat
 from operator import is_
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..exceptions import TcamError
 from ..rules import MatchKey, RuleSequence, TcamRule
@@ -206,12 +207,46 @@ class TcamTable:
         return self.remove(rule.match_key())
 
     def remove_where(self, predicate: Callable[[TcamRule], bool]) -> List[TcamRule]:
-        """Remove every installed rule satisfying ``predicate``; returns them."""
-        removed = [rule for rule in self._entries.values() if predicate(rule)]
+        """Remove every installed rule satisfying ``predicate``; returns them,
+        in table order.
+
+        ``predicate`` is asked about each rule once, in table order, before
+        anything is removed; the matches then go in one :meth:`write`.
+        """
+        doomed = [key for key, rule in self._entries.items() if predicate(rule)]
+        return self.write(doomed, {})[0]
+
+    def write(
+        self, stale: Collection[MatchKey], fresh: Mapping[MatchKey, TcamRule]
+    ) -> Tuple[List[TcamRule], List[Tuple[InstallOutcome, Optional[TcamRule]]]]:
+        """Remove the rules keyed ``stale``, then install ``fresh`` in its
+        order, as one transaction; returns the rules removed and the
+        :meth:`install` outcome of every rule that found the table full.
+
+        The rules that fit — up to the free capacity once ``stale`` is gone
+        — go in with one dict update, as that many :meth:`install` calls
+        would put them: appended in order, each counted as an attempt.  Only
+        the rules past the capacity go through :meth:`install`, the one
+        place a rule is rejected or evicts another.  ``fresh`` holds keys
+        the table does not hold once ``stale`` is gone (a key it still
+        held would be refreshed in place by :meth:`install`, not appended).
+        Nothing to write is no write at all.
+        """
+        if not stale and not fresh:
+            return [], []
         with self.transaction():
-            for rule in removed:
-                self.remove(rule.match_key())
-        return removed
+            if self._lent:
+                self._own()
+            entries = self._entries
+            removed = list(filter(None, map(entries.pop, stale, repeat(None))))
+            room = len(fresh)
+            if self.capacity is not None:
+                room = min(room, max(self.capacity - len(entries), 0))
+            entries.update(fresh if room == len(fresh) else islice(fresh.items(), room))
+            self.install_attempts += room
+            self._wrote(room, len(removed))
+            overflowed = [self.install(rule) for rule in islice(fresh.values(), room, None)]
+        return removed, overflowed
 
     def clear(self) -> None:
         lost = len(self._entries)

@@ -550,6 +550,7 @@ class NetworkMonitor:
             localize_span.count(
                 "edges_flipped", augment_switch_model(model, result.missing_rules)
             )
+            localize_span.count("pairs_resolved", model.pairs_resolved)
             return self.localizer.localize(model)
 
     # ------------------------------------------------------------------ #

@@ -16,23 +16,27 @@ rule stay ``success``, which is precisely the information the localization
 algorithms exploit (Figure 4(a): only the Web-App edges fail when rule #1 is
 missing at S2).
 
-Augmentation is per pair, not per rule.  A rule contributes nothing but its
-provenance — ``(src, dst, vrf, contract, filter)`` — so the missing rules are
-counted per provenance tuple in one pass, the tuples of a pair are folded
-into one object set, and each pair's edges are flagged with one
-:meth:`RiskModel.mark_element_failed` call: a leaf that lost 1 664 rules is
-379 pairs and 2 839 edges, each touched once.  The flip count returned is
-still the per-rule one.
+Augmentation works per provenance tuple, not per rule.  A rule contributes
+nothing but its provenance — ``(src, dst, vrf, contract, filter)`` — so the
+missing rules are counted per provenance tuple in one pass, and each tuple's
+directed ``(src, dst)`` is looked up in the model's pair index
+(:meth:`RiskModel.pair_index`): the element it observes and the risks that
+element relies on, resolved once per structure and read by every later
+augmentation over it (copies included).  A tuple fails the relied-on
+objects it names; the hits are gathered per element and written with one
+:meth:`RiskModel.mark_failed` call, so no Python call is made per rule or
+per pair.  The flip count returned is still the per-rule one:
+``Σ n·|relied ∩ provenance|`` over the tuples, ``n`` rules apiece (plus the
+switch, per rule, in the controller model).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
-from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence, Set
 
 from ..policy.objects import EpgPair
-from ..rules import TcamRule
+from ..rules import PROVENANCE, TcamRule
 from .model import RiskModel
 
 __all__ = [
@@ -42,45 +46,53 @@ __all__ = [
 ]
 
 
-_PROVENANCE = attrgetter(
-    "src_epg_uid", "dst_epg_uid", "vrf_uid", "contract_uid", "filter_uid"
-)
+#: A pair index's default: the directed pair was never resolved.
+_UNSEEN = object()
 
 
 def _augment(
     model: RiskModel,
     missing_rules: Iterable[TcamRule],
+    scope: Optional[str],
     element_of: Callable[[EpgPair], Hashable],
     also: Sequence[str] = (),
 ) -> int:
     """Flag, for every pair ``missing_rules`` serve, the edges from
     ``element_of(pair)`` to the rules' objects and to ``also``.
 
-    Returns the number of (element, object) edges the rules flip, counted per
-    rule.  Pairs and objects the model does not know are skipped: the policy
-    may have changed between compilation and collection.
+    ``scope`` names the pair index ``element_of`` resolves through.  Returns
+    the number of (element, object) edges the rules flip, counted per rule.
+    Pairs and objects the model does not know are skipped: the policy may
+    have changed between compilation and collection.
     """
-    by_pair: Dict[tuple, list] = {}  # (src, dst) sorted -> [(provenance, rules)]
-    for counted in Counter(map(_PROVENANCE, missing_rules)).items():
-        src, dst = counted[0][:2]
-        ends = (src, dst) if src <= dst else (dst, src)
-        by_pair.setdefault(ends, []).append(counted)
+    index = model.pair_index(scope)
+    seen = index.get
+    failed: Dict[Hashable, Set[str]] = {}
     flipped = 0
-    for ends, counted_tuples in by_pair.items():
-        try:
-            pair = EpgPair(*ends)
-        except ValueError:  # src == dst: no pair, no element
+    for provenance, rules in Counter(map(PROVENANCE, missing_rules)).items():
+        ends = provenance[:2]
+        entry = seen(ends, _UNSEEN)
+        if entry is _UNSEEN:
+            src, dst = ends
+            # src == dst: no pair, no element.
+            element = None if src == dst else element_of(EpgPair(src, dst))
+            entry = model.resolve_pair(scope, ends, element)
+        if entry is None:
             continue
-        objects = set()
-        for provenance, _ in counted_tuples:
-            objects.update(provenance)
-        objects.discard("")  # an empty provenance field names no object
-        objects.update(also)
-        failed = model.mark_element_failed(element_of(pair), objects)
-        if failed:
-            shared = len(failed.intersection(also))
-            for provenance, rules in counted_tuples:
-                flipped += rules * (len(failed.intersection(provenance)) + shared)
+        element, relied = entry
+        hits = relied.intersection(provenance)
+        if also:
+            shared = relied.intersection(also)
+            flipped += rules * (len(hits) + len(shared))
+            hits |= shared
+        else:
+            flipped += rules * len(hits)
+        held = failed.get(element)
+        if held is None:
+            failed[element] = hits
+        else:
+            held |= hits
+    model.mark_failed(failed)
     return flipped
 
 
@@ -92,7 +104,7 @@ def augment_switch_model(model: RiskModel, missing_rules: Iterable[TcamRule]) ->
     pair has no endpoint on this switch because the policy changed between
     compilation and collection) are skipped defensively.
     """
-    return _augment(model, missing_rules, lambda pair: pair)
+    return _augment(model, missing_rules, None, lambda pair: pair)
 
 
 def augment_controller_model(
@@ -111,6 +123,7 @@ def augment_controller_model(
         flipped += _augment(
             model,
             missing_rules,
+            switch_uid,
             lambda pair: (switch_uid, pair),
             also=(switch_uid,) if include_switch_risks else (),
         )

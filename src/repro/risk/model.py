@@ -31,6 +31,13 @@ failed edges — lives in the model itself, beside the structure.  Nothing
 edits a structure more than one model can see:
 :meth:`RiskModel.add_element` takes a private copy first, so whatever is done
 to one model, no other model notices.
+
+Beside the structure sits augmentation's *pair index* (:meth:`RiskModel.pair_index`):
+each directed ``(src, dst)`` EPG pair a missing rule has named, mapped to
+the element it observes and the risks that element relies on.  It is
+derived from the structure alone, so it is shared like it — filled on first
+use by whichever model augments, read by every copy — and dropped by any
+structure write.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ __all__ = ["RiskModel", "cached_model"]
 ElementKey = Hashable
 RiskKey = Hashable
 Index = Mapping[Hashable, AbstractSet[Hashable]]
+#: What a pair index holds for one directed ``(src, dst)``: the element and
+#: the risks it relies on that a provenance field can name, or ``None`` when
+#: the model has no such element.
+PairEntry = Optional[Tuple[ElementKey, AbstractSet[RiskKey]]]
 
 
 class RiskModel:
@@ -59,6 +70,12 @@ class RiskModel:
         self._element_risks: Dict[ElementKey, Set[RiskKey]] = {}
         self._risk_elements: Dict[RiskKey, Set[ElementKey]] = {}
         self._structure_shared = False
+        #: Pair index per augmentation scope (see :meth:`pair_index`); it
+        #: belongs to the structure, and goes wherever the structure goes.
+        self._pair_indexes: Dict[Hashable, Dict[Tuple[str, str], PairEntry]] = {}
+        #: Pairs this model's augmentations resolved: first uses of the
+        #: shared pair index, which every later copy then reads.
+        self.pairs_resolved = 0
         # Failure state, indexed from both sides for O(1) ratio queries.
         self._failed_risks_by_element: Dict[ElementKey, Set[RiskKey]] = {}
         self._failed_elements_by_risk: Dict[RiskKey, Set[ElementKey]] = {}
@@ -74,6 +91,8 @@ class RiskModel:
                 f"element {element!r} must depend on at least one risk"
             )
         self._own_structure()
+        if self._pair_indexes:
+            self._pair_indexes = {}
         existing = self._element_risks.setdefault(element, set())
         existing.update(risk_set)
         for risk in risk_set:
@@ -89,38 +108,94 @@ class RiskModel:
         self._risk_elements = {
             risk: set(dependents) for risk, dependents in self._risk_elements.items()
         }
+        self._pair_indexes = {}
         self._structure_shared = False
 
-    def mark_element_failed(
-        self, element: ElementKey, risks: Optional[Iterable[RiskKey]] = None
-    ) -> Set[RiskKey]:
-        """Flag the edges from ``element`` to ``risks`` (by default, to every
-        risk it relies on) as fail, in one step; returns the risks flagged.
+    def mark_element_failed(self, element: ElementKey) -> Set[RiskKey]:
+        """Flag every edge of ``element`` fail; returns the risks flagged
+        (none for an element the model does not hold)."""
+        flagged = self.mark_failed({element: self._element_risks.get(element, ())})
+        return flagged.get(element, set())
+
+    def mark_failed(
+        self, edges: Mapping[ElementKey, Iterable[RiskKey]]
+    ) -> Dict[ElementKey, Set[RiskKey]]:
+        """Flag, for every element of ``edges``, its edges to the risks
+        given for it as fail, in one step; returns the risks flagged per
+        element that flagged any.
 
         This is the defensive form augmentation needs: an element the model
         does not hold relies on nothing, and a risk the element does not
-        rely on is left out, neither being an error.
+        rely on is left out, neither being an error.  The two failed-edge
+        indexes are written here and nowhere else.
         """
-        if element not in self:
-            return set()
-        relied_on = self._element_risks[element]
-        failed = set(relied_on) if risks is None else relied_on.intersection(risks)
-        if failed:
+        relied_on = self._element_risks
+        by_element = self._failed_risks_by_element
+        by_risk = self._failed_elements_by_risk
+        flagged: Dict[ElementKey, Set[RiskKey]] = {}
+        for element, risks in edges.items():
+            relied = relied_on.get(element)
+            if relied is None:
+                continue
+            failed = relied.intersection(risks)
+            if not failed:
+                continue
+            flagged[element] = failed
             # Read before creating: ``setdefault(key, set())`` would build a
             # throwaway set for every key that already has one.
-            held = self._failed_risks_by_element.get(element)
+            held = by_element.get(element)
             if held is None:
-                self._failed_risks_by_element[element] = set(failed)
+                by_element[element] = set(failed)
             else:
                 held.update(failed)
-            by_risk = self._failed_elements_by_risk
             for risk in failed:
                 elements = by_risk.get(risk)
                 if elements is None:
                     by_risk[risk] = {element}
                 else:
                     elements.add(element)
-        return failed
+        return flagged
+
+    # ------------------------------------------------------------------ #
+    # Augmentation's pair index
+    # ------------------------------------------------------------------ #
+    def pair_index(self, scope: Hashable) -> Dict[Tuple[str, str], PairEntry]:
+        """Augmentation's index for ``scope`` (``None`` for a switch model,
+        the switch for its triplets in the controller model): each directed
+        ``(src, dst)`` EPG pair resolved so far (:meth:`resolve_pair`),
+        mapped to its :data:`PairEntry`.
+
+        Read-only for the caller, and shared: every copy of this structure
+        reads and fills the same index, and :meth:`add_element` drops it,
+        so it never answers for a structure it was not derived from.
+        Nothing is built ahead of a pair's first use.
+        """
+        index = self._pair_indexes.get(scope)
+        if index is None:
+            index = self._pair_indexes[scope] = {}
+        return index
+
+    def resolve_pair(
+        self, scope: Hashable, ends: Tuple[str, str], element: Optional[ElementKey]
+    ) -> PairEntry:
+        """File ``ends`` — both directions — in ``scope``'s pair index as
+        observing ``element`` (``None``: no element, e.g. ``src == dst``)
+        and return the entry.
+
+        The entry holds the risks the element relies on that a provenance
+        field can name — an empty field names no object, so ``""`` is left
+        out — or is ``None`` for an element the model does not hold.
+        Counted in :attr:`pairs_resolved`, once for the two directions.
+        """
+        relied = None if element is None else self._element_risks.get(element)
+        entry: PairEntry = None
+        if relied is not None:
+            entry = (element, relied - {""} if "" in relied else relied)
+        index = self.pair_index(scope)
+        src, dst = ends
+        index[ends] = index[dst, src] = entry
+        self.pairs_resolved += 1
+        return entry
 
     # ------------------------------------------------------------------ #
     # Structure queries
@@ -208,6 +283,7 @@ class RiskModel:
         clone._structure_shared = True
         clone._element_risks = self._element_risks
         clone._risk_elements = self._risk_elements
+        clone._pair_indexes = self._pair_indexes
         clone._failed_risks_by_element = {
             el: set(risks) for el, risks in self._failed_risks_by_element.items()
         }

@@ -35,6 +35,7 @@ __all__ = [
     "MatchKey",
     "RuleSequence",
     "RENDERED_FIELDS",
+    "PROVENANCE",
     "render_key",
     "pair_render_key",
     "rules_for_pair_entry",
@@ -48,6 +49,13 @@ Action = str
 
 #: The hashable match/action tuple used for set comparison between L and T.
 MatchKey = Tuple[int, int, int, str, Optional[int], str]
+
+#: A rule's provenance as one tuple, read without a Python call per rule:
+#: ``(src_epg_uid, dst_epg_uid, vrf_uid, contract_uid, filter_uid)``.  An
+#: empty field names no object.
+PROVENANCE = attrgetter(
+    "src_epg_uid", "dst_epg_uid", "vrf_uid", "contract_uid", "filter_uid"
+)
 
 
 class _KeyTable(Dict[MatchKey, MatchKey]):

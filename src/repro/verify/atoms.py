@@ -190,7 +190,11 @@ class AtomTable:
     # ------------------------------------------------------------------ #
     def bits(self, protocol: str, port: Optional[int]) -> int:
         """The atom bitset of one (observed) protocol/port match, within
-        whichever triple block the key names."""
+        whichever triple block the key names.
+
+        :meth:`regions` and :meth:`select_keys` refresh the masks once per
+        call and read the cache this fills inline, calling here on a miss
+        only."""
         self._refresh_masks()
         cache_key = (protocol, port)
         bits = self._bits_cache.get(cache_key)
@@ -220,12 +224,18 @@ class AtomTable:
         construction (what lets the checker scope this to the triples a
         key-set difference touches).  Duplicates and order are irrelevant.
         """
+        self._refresh_masks()
+        cached = self._bits_cache.get
         regions: Dict[Triple, int] = {}
+        held = regions.get
         for vrf_scope, src_epg, dst_epg, protocol, port, action in keys:
             if action != "allow":
                 continue
+            bits = cached((protocol, port))
+            if bits is None:
+                bits = self.bits(protocol, port)
             triple = (vrf_scope, src_epg, dst_epg)
-            regions[triple] = regions.get(triple, 0) | self.bits(protocol, port)
+            regions[triple] = held(triple, 0) | bits
         return regions
 
     @staticmethod
@@ -251,10 +261,19 @@ class AtomTable:
         selected: Set[MatchKey] = set()
         if not regions:
             return selected
+        self._refresh_masks()
+        cached = self._bits_cache.get
         for key in keys:
             vrf_scope, src_epg, dst_epg, protocol, port, action = key
-            region = regions.get((vrf_scope, src_epg, dst_epg), 0)
-            if action == "allow" and self.bits(protocol, port) & region:
+            if action != "allow":
+                continue
+            region = regions.get((vrf_scope, src_epg, dst_epg))
+            if not region:
+                continue
+            bits = cached((protocol, port))
+            if bits is None:
+                bits = self.bits(protocol, port)
+            if bits & region:
                 selected.add(key)
         return selected
 

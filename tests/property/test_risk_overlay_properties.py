@@ -7,7 +7,8 @@ hold that to the behaviour it replaced, with the references kept here, not
 in ``src/``:
 
 * a state machine drives random ``add_element`` / ``mark_edge_failed`` /
-  ``mark_element_failed`` (the bulk mark augmentation uses) / SCOUT runs /
+  ``mark_element_failed`` / ``mark_failed`` (the bulk mark augmentation
+  uses) / SCOUT runs /
   ``copy`` sequences against :class:`NaiveModel` — plain dicts of sets and
   deep copies — and compares every public query of every model alive after
   every step, what the bulk mark flagged, and the hypothesis SCOUT (whose
@@ -99,8 +100,7 @@ class NaiveModel:
         fresh = RiskModel()
         for element, risks in self.element_risks.items():
             fresh.add_element(element, risks)
-        for element, risks in self.failed.items():
-            fresh.mark_element_failed(element, risks)
+        fresh.mark_failed(self.failed)
         return fresh
 
     def copy(self) -> "NaiveModel":
@@ -248,15 +248,19 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
 
     @rule(which=_picks, element=_picks, risks=st.none() | st.lists(_picks, max_size=4))
     def mark_element_failed(self, which, element, risks):
-        """All of an element's edges, or the bulk mark augmentation uses:
-        any element (a stranger too) and any risks (some it does
-        not rely on) — never an error, and the flagged risks come back."""
+        """All of an element's edges, or the bulk mark augmentation uses
+        (``mark_failed``): any element (a stranger too) and any risks (some
+        it does not rely on) — never an error, and the flagged risks come
+        back."""
         model, naive = self._pick(which)
         element = self.elements[element % len(self.elements)]
         if risks is not None:
             risks = [self.risks[risk % len(self.risks)] for risk in risks]
             risks += sorted(naive.element_risks.get(element, ()), key=repr)[::2]
-        flagged = model.mark_element_failed(element, risks)
+        if risks is None:
+            flagged = model.mark_element_failed(element)
+        else:
+            flagged = model.mark_failed({element: risks}).get(element, set())
         assert flagged == naive.mark_element_failed(element, risks)
 
     @rule(which=_picks, victims=st.lists(_picks, max_size=4), whole_risk=st.booleans())
@@ -271,7 +275,7 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
             risks = list(naive.risk_elements)
             risk = risks[victims[0] % len(risks)]
             for element in sorted(naive.risk_elements[risk], key=repr):
-                assert model.mark_element_failed(element, [risk]) == {risk}
+                assert model.mark_failed({element: [risk]}) == {element: {risk}}
                 naive.mark_element_failed(element, [risk])
         else:
             # Some elements fail on every risk they rely on (strangers flag

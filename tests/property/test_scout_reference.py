@@ -20,7 +20,10 @@ that reach stage 2 under a change log (``fallback_latest`` on and off); rule
 lists with empty provenance fields, a degenerate
 ``src == dst`` pair, pairs the model does not hold and objects a pair does
 not rely on.  Everything must come out equal: ``Hypothesis.to_dict()`` (entry
-order included), ``failed_edges()`` and the per-rule flip count.
+order included), ``failed_edges()`` and the per-rule flip count — the last
+two also through a warm pair index (:func:`_warm_path_alike`): augmented
+again, over copies of one cached structure, and after ``add_element`` on
+the owning model and on a copy.
 ``derandomize=True``: a red CI run reproduces locally.
 """
 
@@ -184,17 +187,16 @@ def abstract_cases(draw):
         # hit ratio 1, and it still explains "p-only".
         model.add_element("p-only", ["rp"])
         model.add_element("p-and-q", ["rp", "rq"])
-        model.mark_element_failed("p-only", ["rp"])
-        model.mark_element_failed("p-and-q", ["rq"])
+        model.mark_failed({"p-only": ["rp"], "p-and-q": ["rq"]})
     risks = model.risks()
     for risk in draw(st.lists(st.sampled_from(risks), max_size=3)):
         whole = [risk, f"{risk}-twin"] if risk in twinned else [risk]
         for element in model.elements_for_risk(risk):  # a full failure
-            model.mark_element_failed(element, whole)
+            model.mark_failed({element: whole})
     for element in draw(st.lists(st.sampled_from(elements), max_size=8)):
         known = sorted(risks_for_element(model, element))  # a partial one
         some = draw(st.sets(st.sampled_from(known), min_size=1))
-        model.mark_element_failed(element, some)
+        model.mark_failed({element: some})
 
     log = ChangeLog()
     changes = st.tuples(st.sampled_from(risks + ["r-unseen"]), st.integers(1, 40))
@@ -266,6 +268,71 @@ def _augmented_alike(fast: RiskModel, naive: RiskModel) -> None:
     assert ScoutLocalizer().localize(fast).to_dict() == naive_scout(naive).to_dict()
 
 
+def _owning(model: RiskModel) -> RiskModel:
+    """A model owning a structure equal to ``model``'s, no edge failed."""
+    owner = RiskModel(model.name)
+    for element, risks in element_risks(model).items():
+        owner.add_element(element, risks)
+    return owner
+
+
+def _extra_elements(switches: Sequence[str], objects: Sequence[str]):
+    """``(element, risks)`` for every pair of the rules' EPGs — the model's
+    own pairs gain risks, the rest are new — each relying on ``objects``
+    and its EPGs; per switch as triplets when ``switches`` is given."""
+    epgs = EPGS + ["epg:unknown", ""]
+    for i, a in enumerate(epgs):
+        for b in epgs[i + 1 :]:
+            pair = EpgPair(a, b)
+            risks = list(objects) + list(pair)
+            if not switches:
+                yield pair, risks
+            for switch_uid in switches:
+                yield (switch_uid, pair), risks + [switch_uid]
+
+
+#: What each structure write in :func:`_warm_path_alike` adds to every pair:
+#: objects the rules name, so each write changes what they fail.
+WRITES = (["vrf:1", "vrf:2", ""], ["ctr:1", "ctr:2"], ["flt:1", "flt:2", "flt:3"], ["obj:unknown"])
+
+
+def _warm_path_alike(model: RiskModel, augment, reference, switches=()) -> None:
+    """``augment`` == ``reference`` (per-rule marking) through the pair index
+    as every route fills, shares and drops it: a copy and its owner after
+    the owner's write left their shared index unfilled; the owner augmented
+    again; written to while it owns its structure; two copies of one cached
+    structure; the owner written to once copies share its structure; a copy
+    written to.  The flip count and the failed edges must match each time;
+    ``""`` stays a risk some elements rely on, and an empty provenance
+    field still fails no edge."""
+
+    def alike(fast: RiskModel, naive: RiskModel) -> None:
+        assert augment(fast) == reference(naive)
+        assert failed_edges(fast) == failed_edges(naive)
+
+    def write(models, objects) -> None:
+        for element, risks in _extra_elements(switches, objects):
+            for written in models:
+                written.add_element(element, risks)
+
+    owner, twin = _owning(model), _owning(model)
+    early, early_twin = owner.copy(), twin.copy()
+    write([owner, twin], WRITES[0])  # the owner's, its index shared and empty
+    alike(early, early_twin)  # fills the index of the structure before it
+    alike(owner, twin)
+    alike(owner, twin)  # reads the owner's own index
+    write([owner, twin], WRITES[1])  # an owned structure's, its index filled
+    alike(owner, twin)
+    for _ in range(2):  # copies of one cached structure
+        alike(owner.copy(), twin.copy())
+    write([owner, twin], WRITES[2])  # the owner's, once shared
+    alike(owner.copy(), twin.copy())
+    fast, naive = owner.copy(), twin.copy()
+    write([fast, naive], WRITES[3])  # a copy's
+    alike(fast, naive)
+    alike(owner.copy(), twin.copy())  # the owner's index never saw that write
+
+
 # ---------------------------------------------------------------------- #
 # The differential tests
 # ---------------------------------------------------------------------- #
@@ -307,6 +374,11 @@ def test_merge_keeps_the_first_entry_for_a_risk(case, other):
 @DIFFERENTIAL
 @given(pair_models(), missing_rules())
 def test_switch_augmentation_equals_per_rule_marking(model, rules):
+    _warm_path_alike(
+        model,
+        lambda fast: augment_switch_model(fast, rules),
+        lambda naive: naive_augment(naive, rules),
+    )
     naive = model.copy()
     assert augment_switch_model(model, rules) == naive_augment(naive, rules)
     _augmented_alike(model, naive)
@@ -319,10 +391,19 @@ def test_switch_augmentation_equals_per_rule_marking(model, rules):
     st.booleans(),
 )
 def test_controller_augmentation_equals_per_rule_marking(model, missing, implicate):
+    def reference(naive: RiskModel) -> int:
+        return sum(
+            naive_augment(naive, rules, switch_uid, implicate_switch=implicate)
+            for switch_uid, rules in missing.items()
+        )
+
+    _warm_path_alike(
+        model,
+        lambda fast: augment_controller_model(fast, missing, include_switch_risks=implicate),
+        reference,
+        switches=SWITCHES + ["leaf-unknown"],
+    )
     naive = model.copy()
     flipped = augment_controller_model(model, missing, include_switch_risks=implicate)
-    assert flipped == sum(
-        naive_augment(naive, rules, switch_uid, implicate_switch=implicate)
-        for switch_uid, rules in missing.items()
-    )
+    assert flipped == reference(naive)
     _augmented_alike(model, naive)

@@ -85,6 +85,32 @@ class TestAtomTable:
         assert fresh_result.extra_rules == refined_result.extra_rules
 
 
+    @pytest.mark.parametrize("first", ["regions", "select_keys"])
+    def test_a_refined_table_answers_as_one_grown_at_once(self, first):
+        """``regions`` and ``select_keys`` read the bit cache inline: the
+        first to run after ``observe_keys`` refined the table must refresh
+        the masks before it reads a bitset cached under the old ones."""
+        before = [_rule(80), _rule(None), _rule(53, protocol="udp"), _rule(80, protocol="any")]
+        added = [_rule(443), _rule(None, protocol="icmp", dst=21), _rule(8080, protocol="udp")]
+        old_keys = [rule.match_key() for rule in before]
+        keys = old_keys + [rule.match_key() for rule in added]
+        grown = AtomTable()  # the same classes, in the same order
+        grown.observe_keys(keys)
+        regions = grown.regions(keys)
+        # L holds everything, T the tcp/80 and any-port rules: L - T.
+        difference = grown.diff_regions(regions, grown.regions(old_keys[:2]))
+
+        refined = AtomTable()
+        refined.observe_keys(old_keys)
+        refined.select_keys(old_keys, refined.regions(old_keys))  # cache filled
+        assert refined.observe_keys(keys) > 0
+        if first == "regions":
+            assert refined.regions(keys) == regions
+        selected = refined.select_keys(keys, difference)
+        assert selected == grown.select_keys(keys, difference)
+        assert refined.regions(keys) == regions
+
+
 class TestApEngine:
     def test_wildcard_subsumption_matches_bdd(self):
         # A deployed wildcard covers the more specific logical rules: the
