@@ -96,12 +96,15 @@ def snapshot_tcam(fabric) -> TcamSnapshot:
 
 
 def restore_tcam(fabric, snapshot: TcamSnapshot) -> None:
-    """Reinstate a previously captured TCAM snapshot on every leaf."""
+    """Reinstate a previously captured TCAM snapshot on every leaf: per
+    leaf, one transaction that clears the table and writes the snapshot's
+    rules in their order (:meth:`~repro.fabric.tcam.TcamTable.write`), so a
+    listener hears of each leaf's restore once."""
     for uid, entries in snapshot.items():
-        switch = fabric.switch(uid)
-        switch.tcam.clear()
-        for rule in entries.values():
-            switch.tcam.install(rule)
+        tcam = fabric.switch(uid).tcam
+        with tcam.transaction():
+            tcam.clear()
+            tcam.write((), entries)
 
 
 def make_localizers(

@@ -24,9 +24,20 @@ Fault hooks modelled here:
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..clock import LogicalClock
 from ..exceptions import FabricError
@@ -44,44 +55,16 @@ __all__ = ["AgentState", "SwitchAgent", "Switch"]
 #: consumer_uid)``.
 RenderUnit = Tuple[str, str, str]
 
-#: A render as the agent remembers it.  Flat per-switch lists, so that it
-#: retains a handful of containers rather than a few per unit (every later
-#: full garbage collection walks each one): the position of each unit; the
-#: units' inputs, ``_UNIT_INPUTS`` apiece, in unit order; where each unit's
-#: slice of the last two lists ends, after a leading 0; every match key
-#: rendered, in rendering order; and its rule.  Then what it was rendered
-#: from: the view's uids and objects, in view order, and the attachments.
-LastRender = Tuple[
-    Dict[RenderUnit, int],
-    list,
-    List[int],
-    List[MatchKey],
-    List[TcamRule],
-    List[str],
-    List[PolicyObject],
-    Dict[str, str],
-]
+#: What :meth:`SwitchAgent.take_delta` hands the switch: the match keys that
+#: left the render, and the rules whose keys entered it, in rendering order.
+RenderDelta = Tuple[List[MatchKey], Dict[MatchKey, TcamRule]]
 
-_NOTHING_RENDERED: LastRender = ({}, [], [0], [], [], [], [], {})
+#: A reverse map: uid -> the uids naming it, as dict keys.
+_Index = Dict[str, Dict]
 
 #: Contract, provider, consumer, VRF, the contract's filters.
 _UNIT_INPUTS = 5
-
-
-def _first_wins(keys: List[MatchKey], rules: List[TcamRule]) -> Dict[MatchKey, TcamRule]:
-    """``keys`` mapped to ``rules`` in first-appearance order, a repeated
-    key keeping its first rule.
-
-    One ``setdefault`` pass.  Where about one key in ten repeats (a
-    ``simulation`` leaf), building the dict in C and writing the first
-    rules back to front costs two hashing passes and is slower.  The keys
-    come from a list held beside the rules: zipping it is about three
-    times faster than a ``match_key()`` call per rule.
-    """
-    desired: Dict[MatchKey, TcamRule] = {}
-    for key, rule in zip(keys, rules):
-        desired.setdefault(key, rule)
-    return desired
+_NO_INPUTS = [None] * _UNIT_INPUTS
 
 
 def _unit_key(inputs: Sequence) -> list:
@@ -92,6 +75,18 @@ def _unit_key(inputs: Sequence) -> list:
         *map(render_key, objects),
         [None if flt is None else render_key(flt) for flt in filters],
     ]
+
+
+def _link(index: _Index, uid: str, member) -> None:
+    index.setdefault(uid, {})[member] = None
+
+
+def _unlink(index: _Index, uid: str, member) -> None:
+    members = index.get(uid)
+    if members is not None:
+        members.pop(member, None)
+        if not members:
+            del index[uid]
 
 
 class AgentState(str, enum.Enum):
@@ -106,51 +101,144 @@ class AgentState(str, enum.Enum):
 
 
 class SwitchAgent:
-    """The software agent holding the switch's local logical policy view."""
+    """The software agent holding the switch's local logical policy view.
+
+    The view and the attachments have exactly three writers: an
+    instruction (:meth:`_apply`), an attachment
+    (:meth:`receive_attachments`) and a reboot (:meth:`reset`).  Everyone
+    else reads them through :attr:`logical_view` and
+    :attr:`local_attachments`, read-only views.  The writers record every
+    uid they changed, so :meth:`render` visits the units those uids name
+    and no other.
+    """
 
     def __init__(self, switch_uid: str) -> None:
         self.switch_uid = switch_uid
         self.state = AgentState.RUNNING
-        #: Local logical view: policy objects known to this switch.
-        self.logical_view: Dict[str, PolicyObject] = {}
-        #: Locally attached endpoints: endpoint uid -> EPG uid.
-        self.local_attachments: Dict[str, str] = {}
         #: If set, the agent crashes after applying this many more instructions.
         self.crash_after: Optional[int] = None
         #: Object uids a buggy agent silently drops from its logical view.
         self.buggy_dropped_objects: set[str] = set()
-        #: The last render (see :meth:`desired_rules`).
-        self._last_render: LastRender = _NOTHING_RENDERED
-        #: Units :meth:`desired_rules` rendered and reused, since creation.
+        #: Since creation: the units :meth:`render` visited; of the live
+        #: units after each render, those it rendered and those it kept
+        #: (``units_rendered + units_reused`` grows by the live units every
+        #: render); and the renders that visited no unit.
+        self.units_visited = 0
         self.units_rendered = 0
         self.units_reused = 0
-        #: Calls that returned the last render without walking a unit.
         self.renders_reused = 0
+        self._forget()
+
+    def _forget(self) -> None:
+        """No view, no attachments and nothing rendered from them."""
+        # The view and the attachments, written by the three writers only.
+        self._view: Dict[str, PolicyObject] = {}
+        self._attachments: Dict[str, str] = {}
+        #: Local logical view: the policy objects known to this switch, in
+        #: the order they entered it (read-only).
+        self.logical_view: Mapping[str, PolicyObject] = MappingProxyType(self._view)
+        #: Locally attached endpoints: endpoint uid -> EPG uid (read-only).
+        self.local_attachments: Mapping[str, str] = MappingProxyType(self._attachments)
+        #: uid -> a counter drawn when the uid entered the view: it sorts
+        #: as the view's order does and moves exactly when that does.
+        self._position: Dict[str, int] = {}
+        self._drawn = 0
+        #: EPG uid -> how many endpoints are attached to it here.
+        self._local: Dict[str, int] = {}
+        #: uid -> the object the last render read under it (``None``:
+        #: none), for every uid a writer changed since.
+        self._changed: Dict[str, Optional[PolicyObject]] = {}
+        # The render, in flat lists rather than a few containers per unit
+        # (every container retained is walked by every full collection):
+        # a slot per live unit; per slot, its inputs (_UNIT_INPUTS apiece)
+        # and where its rules start and stop in _keys / _rules, which a
+        # render appends to and a compaction rewrites without dead entries.
+        self._slots: Dict[RenderUnit, int] = {}
+        self._inputs: list = []
+        self._bounds: List[int] = []
+        self._free: List[int] = []
+        self._keys: List[MatchKey] = []
+        self._rules: List[TcamRule] = []
+        #: Entries of _keys / _rules no live slot points at.
+        self._dead = 0
+        #: While ``_ordered``, the render: every match key a live unit
+        #: renders, in rendering order, to its first rule.  Once a render
+        #: changed it, every such key to one of its rules — kept only from
+        #: the first take_delta() on, as ``_repeats`` is.
+        self._by_key: Dict[MatchKey, TcamRule] = {}
+        self._ordered = True
+        #: match key -> how many more live rendered rules carry it than one.
+        self._repeats: Dict[MatchKey, int] = {}
+        # Reverse maps from a changed uid to the units it names: a unit is a
+        # contract with one EPG providing it and one consuming it.
+        self._providers: _Index = {}  # contract uid -> EPGs providing it
+        self._consumers: _Index = {}  # contract uid -> EPGs consuming it
+        self._vrf_epgs: _Index = {}  # VRF uid -> EPGs naming it
+        self._filter_contracts: _Index = {}  # filter uid -> contracts naming it
+        # Since the last take_delta(), once one was taken: the keys that
+        # entered and left the render, and the units rendered.
+        self._taken = False
+        self._entered: Dict[MatchKey, None] = {}
+        self._left: Dict[MatchKey, None] = {}
+        self._rendered_units: Dict[RenderUnit, None] = {}
+
+    def __getstate__(self) -> Dict:
+        # The read-only views do not pickle; they are remade from the dicts.
+        state = dict(self.__dict__)
+        del state["logical_view"], state["local_attachments"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self.logical_view = MappingProxyType(self._view)
+        self.local_attachments = MappingProxyType(self._attachments)
 
     def reset(self) -> None:
         """Come back from a reboot: no view, no attachments, running, no
         crash pending and nothing remembered of the last render.  The
         agent's bugs (``buggy_dropped_objects``) are its software, not its
         state, and survive."""
-        self.logical_view.clear()
-        self.local_attachments.clear()
         self.state = AgentState.RUNNING
         self.crash_after = None
-        self._last_render = _NOTHING_RENDERED
+        self._forget()
+
+    def _touch(self, uid: str) -> None:
+        """Record that ``uid`` changes, before the view does."""
+        if uid not in self._changed:
+            self._changed[uid] = self._view.get(uid)
 
     # ------------------------------------------------------------------ #
     # Instruction handling
     # ------------------------------------------------------------------ #
     def receive_attachments(self, attachments: Iterable[AttachEndpoint]) -> int:
-        """Learn locally attached endpoints; returns how many were accepted."""
+        """Learn locally attached endpoints; returns how many were accepted.
+
+        An EPG that gains its first local endpoint or loses its last one
+        is recorded as changed."""
         if self.state is not AgentState.RUNNING:
             return 0
         accepted = 0
+        local = self._local
         for attach in attachments:
             if attach.switch_uid != self.switch_uid:
                 continue
-            self.local_attachments[attach.endpoint_uid] = attach.epg_uid
             accepted += 1
+            epg_uid = attach.epg_uid
+            was = self._attachments.get(attach.endpoint_uid)
+            if was == epg_uid:
+                continue
+            self._attachments[attach.endpoint_uid] = epg_uid
+            if was is not None:
+                if local[was] > 1:
+                    local[was] -= 1
+                else:
+                    del local[was]
+                    self._touch(was)
+            if epg_uid in local:
+                local[epg_uid] += 1
+            else:
+                local[epg_uid] = 1
+                self._touch(epg_uid)
         return accepted
 
     def receive(self, instructions: Sequence[Instruction]) -> Tuple[int, int]:
@@ -176,144 +264,366 @@ class SwitchAgent:
         return applied, dropped
 
     def _apply(self, instruction: Instruction) -> None:
+        """Write one instruction into the view.  Re-delivering the object
+        the view holds (``is``) changes nothing; a delete and a re-add
+        move the object to the end of the view, which is a change."""
         obj = instruction.obj
-        if obj.uid in self.buggy_dropped_objects:
+        uid = obj.uid
+        if uid in self.buggy_dropped_objects:
             # Software bug: the agent acknowledges the instruction but never
             # materialises the object in its view.
             return
+        view = self._view
         if instruction.operation is Operation.DELETE:
-            self.logical_view.pop(obj.uid, None)
-        else:
-            self.logical_view[obj.uid] = obj
+            if uid in view:
+                self._touch(uid)
+                del view[uid], self._position[uid]
+        elif view.get(uid) is not obj:
+            self._touch(uid)
+            if uid not in view:
+                self._position[uid] = self._drawn
+                self._drawn += 1
+            view[uid] = obj
 
     # ------------------------------------------------------------------ #
     # Rendering the logical view into TCAM rules
     # ------------------------------------------------------------------ #
-    def local_epg_uids(self) -> set[str]:
-        """EPGs with at least one endpoint attached to this switch."""
-        return set(self.local_attachments.values())
-
-    def desired_rules(self) -> Dict[MatchKey, TcamRule]:
-        """Render the local logical view into the rule set this switch needs,
-        keyed by match key in rendering order (first provenance wins).
+    def render(self) -> None:
+        """Bring the render of the local logical view up to date.
 
         For every contract in the view, every (provider, consumer) EPG pair
         in which at least one EPG is locally attached produces two rules per
         filter entry (Figure 2).  Objects missing from the view (because an
         instruction was lost or dropped) simply produce no rules — exactly
-        the failure mode the equivalence checker later observes.
+        the failure mode the equivalence checker later observes.  Each
+        ``(contract, provider, consumer)`` unit is rendered, in the order
+        of its *rank* — the view positions of its contract, its provider
+        and its consumer — and a repeated match key keeps the rule of its
+        lowest-ranked holder (:meth:`rendered_rules`).
 
-        A ``(contract, provider, consumer)`` unit whose inputs — the
+        Only the *dirty* units are visited: those naming a uid a writer
+        changed since the last render — a contract or EPG (itself, or an
+        EPG whose first endpoint came or last one went), the VRF of one of
+        their EPGs, or a filter of their contract — found through reverse
+        maps held beside the render, together with the units such a
+        change may have created.  A dirty unit whose inputs — the
         contract, both EPGs, the VRF and the contract's filters — have the
-        :func:`~repro.rules.render_key` of those of the previous render is
-        not rendered again: its rules, and the match keys the TCAM will
-        store, are reused.  The key is what a rule reads, so an EPG that
-        only gained or lost a contract re-renders none of its other units.
-        The comparison is made on every call, so nothing has to announce an
-        edit to the view; policy objects are frozen, so an unchanged one
-        costs an identity check and the key is read only for a unit whose
-        inputs were replaced.  Each render replaces the memo wholesale, so it
-        holds exactly the live units, and the first-provenance-wins pass
-        runs over the whole render in order either way.
-
-        Before any unit, the whole render: a view holding the same uids in
-        the same order, bound to the very objects (``is``) the last render
-        read, with equal attachments, renders what it did — every unit
-        reused, no unit walked (``renders_reused``).  Deleting and
-        re-adding an object moves it in the view, so that walks.  The dict
-        returned is a fresh one either way, built from the memo's flat
-        lists, so a caller may edit it.
+        :func:`~repro.rules.render_key` of those it was rendered from
+        keeps its rules, so an EPG that only gained or lost a contract
+        re-renders none of its other units; policy objects are frozen, so
+        an unchanged one costs an identity check and the key is read only
+        for a unit whose inputs were replaced.  A render that nothing
+        changed visits no unit (``renders_reused``).
         """
-        last = self._last_render
-        held_units, held_inputs, held_bounds, held_keys, held_rules = last[:5]
-        held_uids, held_objects, held_attachments = last[5:]
-        view = self.logical_view
-        if (
-            held_attachments == self.local_attachments
-            and len(held_uids) == len(view)
-            and all(map(operator.is_, held_objects, view.values()))
-            and held_uids == list(view)
-        ):
-            self.units_reused += len(held_units)
+        changed, self._changed = self._changed, {}
+        view, slots = self._view, self._slots
+        contracts, epgs = self._touched(changed)
+        # The live units the change names, read as the last render read the
+        # view: each changed EPG as it was, the reverse maps as they were.
+        dirty: Dict[RenderUnit, None] = {
+            unit: None
+            for unit in self._units(
+                contracts, epgs, lambda uid: changed[uid] if uid in changed else view.get(uid), None
+            )
+            if unit in slots
+        }
+        for uid, old in changed.items():
+            new = view.get(uid)
+            if new is not old:
+                self._index(uid, old, _unlink)
+                self._index(uid, new, _link)
+        # And the units it may create, read from the view as it is.
+        dirty.update(dict.fromkeys(self._units(contracts, epgs, view.get, self._local)))
+        rendered = self._visit(dirty)
+        if dirty:
+            self._ordered = False
+        else:
             self.renders_reused += 1
-            return _first_wins(held_keys, held_rules)
+        if self._dead > len(self._keys) - self._dead:
+            self._compact()
+        self.units_visited += len(dirty)
+        self.units_rendered += rendered
+        self.units_reused += len(self._slots) - rendered
 
-        local_epgs = self.local_epg_uids()
-        epgs = {uid: obj for uid, obj in view.items() if isinstance(obj, Epg)}
-        vrfs = {uid: obj for uid, obj in view.items() if isinstance(obj, Vrf)}
-        contracts = {uid: obj for uid, obj in view.items() if isinstance(obj, Contract)}
-        filters = {uid: obj for uid, obj in view.items() if isinstance(obj, Filter)}
+    def _index(self, uid: str, obj: Optional[PolicyObject], link) -> None:
+        """Enter (``_link``) or withdraw (``_unlink``) what ``obj`` names
+        in the reverse maps."""
+        if isinstance(obj, Epg):
+            for contract_uid in obj.provides:
+                link(self._providers, contract_uid, uid)
+            for contract_uid in obj.consumes:
+                link(self._consumers, contract_uid, uid)
+            link(self._vrf_epgs, obj.vrf_uid, uid)
+        elif isinstance(obj, Contract):
+            for filter_uid in obj.filter_uids:
+                link(self._filter_contracts, filter_uid, uid)
 
-        providers: Dict[str, list[Epg]] = {}
-        consumers: Dict[str, list[Epg]] = {}
-        for epg in epgs.values():
-            for contract_uid in epg.provides:
-                providers.setdefault(contract_uid, []).append(epg)
-            for contract_uid in epg.consumes:
-                consumers.setdefault(contract_uid, []).append(epg)
+    def _touched(
+        self, changed: Mapping[str, Optional[PolicyObject]]
+    ) -> Tuple[Dict[str, None], Dict[str, None]]:
+        """The contracts and EPGs a change names: the changed ones, the
+        EPGs in a changed VRF and the contracts naming a changed filter."""
+        view = self._view
+        contracts: Dict[str, None] = {}
+        epgs: Dict[str, None] = {}
+        for uid, old in changed.items():
+            for obj in (old, view.get(uid)):
+                if isinstance(obj, Epg):
+                    epgs[uid] = None
+                elif isinstance(obj, Contract):
+                    contracts[uid] = None
+                elif isinstance(obj, Vrf):
+                    epgs.update(self._vrf_epgs.get(uid, ()))
+                elif isinstance(obj, Filter):
+                    contracts.update(self._filter_contracts.get(uid, ()))
+        return contracts, epgs
 
-        units: Dict[RenderUnit, int] = {}
-        inputs: list = []
-        bounds = [0]
-        keys: List[MatchKey] = []
-        rendered: List[TcamRule] = []
-        reused = 0
-        for contract_uid, contract in contracts.items():
-            contract_filters = tuple(map(filters.get, contract.filter_uids))
-            for provider in providers.get(contract_uid, ()):
-                for consumer in consumers.get(contract_uid, ()):
-                    if provider.uid == consumer.uid:
-                        continue
-                    if provider.uid not in local_epgs and consumer.uid not in local_epgs:
-                        continue
-                    # Same-VRF scoping, mirroring PolicyIndex: cross-VRF
-                    # provide/consume relations do not whitelist traffic.
-                    if provider.vrf_uid != consumer.vrf_uid:
-                        continue
-                    vrf = vrfs.get(provider.vrf_uid)
-                    if vrf is None:
-                        continue
-                    unit = (contract_uid, provider.uid, consumer.uid)
-                    unit_inputs = [contract, provider, consumer, vrf, contract_filters]
-                    at = held_units.get(unit)
-                    if at is not None:
-                        held = held_inputs[at * _UNIT_INPUTS : (at + 1) * _UNIT_INPUTS]
-                        # Equal objects have equal keys, so the keys are
-                        # read only for a unit one of whose inputs changed.
-                        if held != unit_inputs and _unit_key(held) != _unit_key(unit_inputs):
-                            at = None
-                    if at is not None:
-                        start, stop = held_bounds[at], held_bounds[at + 1]
-                        keys += held_keys[start:stop]
-                        rendered += held_rules[start:stop]
-                        reused += 1
-                    else:
-                        fresh: List[TcamRule] = []
-                        for filter_uid, flt in zip(contract.filter_uids, contract_filters):
-                            if flt is None:
-                                continue
-                            for entry in flt.entries:
-                                fresh += rules_for_pair_entry(
-                                    vrf, consumer, provider, contract_uid, filter_uid, entry
-                                )
-                        keys += map(TcamRule.match_key, fresh)
-                        rendered += fresh
-                    units[unit] = len(units)
-                    inputs += unit_inputs
-                    bounds.append(len(keys))
-        self._last_render = (
+    def _units(
+        self,
+        contracts: Iterable[str],
+        epgs: Iterable[str],
+        epg_of: Callable[[str], Optional[PolicyObject]],
+        local: Optional[Mapping[str, int]],
+    ) -> Iterator[RenderUnit]:
+        """Every ``(contract, provider, consumer)`` that names one of
+        ``contracts`` or ``epgs`` by the reverse maps, each EPG's own
+        contracts read from ``epg_of``; with ``local``, only the pairs of
+        two EPGs of which one is in it."""
+        providers, consumers = self._providers, self._consumers
+
+        def pairs(contract_uid: str, provider_uids, consumer_uids) -> Iterator[RenderUnit]:
+            for provider_uid in provider_uids:
+                if local is None or provider_uid in local:
+                    for consumer_uid in consumer_uids:
+                        yield contract_uid, provider_uid, consumer_uid
+                else:
+                    for consumer_uid in consumer_uids:
+                        if consumer_uid in local:
+                            yield contract_uid, provider_uid, consumer_uid
+
+        for contract_uid in contracts:
+            yield from pairs(
+                contract_uid, providers.get(contract_uid, ()), consumers.get(contract_uid, ())
+            )
+        for epg_uid in epgs:
+            epg = epg_of(epg_uid)
+            if not isinstance(epg, Epg):
+                continue
+            # The units of a contract named above are all in already.
+            for contract_uid in epg.provides.difference(contracts):
+                yield from pairs(contract_uid, (epg_uid,), consumers.get(contract_uid, ()))
+            for contract_uid in epg.consumes.difference(contracts):
+                yield from pairs(contract_uid, providers.get(contract_uid, ()), (epg_uid,))
+
+    def _visit(self, dirty: Iterable[RenderUnit]) -> int:
+        """Drop, keep or render each dirty unit; returns how many it rendered."""
+        view, local, slots = self._view, self._local, self._slots
+        filters_of: Dict[str, tuple] = {}
+        rendered = 0
+        for unit in dirty:
+            contract_uid, provider_uid, consumer_uid = unit
+            contract = view.get(contract_uid)
+            provider = view.get(provider_uid)
+            consumer = view.get(consumer_uid)
+            vrf = None
+            if (
+                isinstance(contract, Contract)
+                and isinstance(provider, Epg)
+                and isinstance(consumer, Epg)
+                and provider_uid != consumer_uid
+                and contract_uid in provider.provides
+                and contract_uid in consumer.consumes
+                and (provider_uid in local or consumer_uid in local)
+                # Same-VRF scoping, mirroring PolicyIndex: cross-VRF
+                # provide/consume relations do not whitelist traffic.
+                and provider.vrf_uid == consumer.vrf_uid
+            ):
+                vrf = view.get(provider.vrf_uid)
+            slot = slots.get(unit)
+            if not isinstance(vrf, Vrf):
+                if slot is not None:
+                    self._drop(unit, slot)
+                continue
+            filters = filters_of.get(contract_uid)
+            if filters is None:
+                filters = filters_of[contract_uid] = tuple(
+                    flt if isinstance(flt, Filter) else None
+                    for flt in map(view.get, contract.filter_uids)
+                )
+            unit_inputs = [contract, provider, consumer, vrf, filters]
+            if slot is None:
+                slot = self._allocate(unit)
+            else:
+                at = slot * _UNIT_INPUTS
+                held = self._inputs[at : at + _UNIT_INPUTS]
+                # Equal objects have equal keys, so the keys are read only
+                # for a unit one of whose inputs changed.
+                if held == unit_inputs or _unit_key(held) == _unit_key(unit_inputs):
+                    self._inputs[at : at + _UNIT_INPUTS] = unit_inputs
+                    continue
+                self._release(slot)
+            at = slot * _UNIT_INPUTS
+            self._inputs[at : at + _UNIT_INPUTS] = unit_inputs
+            fresh: List[TcamRule] = []
+            for filter_uid, flt in zip(contract.filter_uids, filters):
+                if flt is None:
+                    continue
+                for entry in flt.entries:
+                    fresh += rules_for_pair_entry(
+                        vrf, consumer, provider, contract_uid, filter_uid, entry
+                    )
+            self._hold(unit, slot, fresh)
+            rendered += 1
+        return rendered
+
+    def _allocate(self, unit: RenderUnit) -> int:
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = len(self._bounds) // 2
+            self._inputs += _NO_INPUTS
+            self._bounds += (0, 0)
+        self._slots[unit] = slot
+        return slot
+
+    def _drop(self, unit: RenderUnit, slot: int) -> None:
+        self._release(slot)
+        del self._slots[unit]
+        self._free.append(slot)
+        at = slot * _UNIT_INPUTS
+        self._inputs[at : at + _UNIT_INPUTS] = _NO_INPUTS
+
+    def _hold(self, unit: RenderUnit, slot: int, rules: List[TcamRule]) -> None:
+        """Append a unit's fresh rules and, once a delta was taken, count
+        their keys in."""
+        keys = list(map(TcamRule.match_key, rules))
+        self._bounds[2 * slot] = len(self._keys)
+        self._keys += keys
+        self._rules += rules
+        self._bounds[2 * slot + 1] = len(self._keys)
+        if not self._taken:
+            return
+        by_key, repeats = self._by_key, self._repeats
+        fresh = dict(zip(keys, rules))
+        if len(fresh) == len(keys) and by_key.keys().isdisjoint(fresh):
+            # Every key is new to the render: one update in C.
+            by_key.update(fresh)
+        else:
+            fresh = {}
+            for key, rule in zip(keys, rules):
+                if key in by_key:
+                    repeats[key] = repeats.get(key, 0) + 1
+                else:
+                    by_key[key] = fresh[key] = rule
+        self._rendered_units[unit] = None
+        for key in fresh:
+            if key in self._left:
+                del self._left[key]
+            else:
+                self._entered[key] = None
+
+    def _release(self, slot: int) -> None:
+        """Mark a slot's entries dead and, once a delta was taken, count
+        their keys out."""
+        start, stop = self._bounds[2 * slot : 2 * slot + 2]
+        self._dead += stop - start
+        if not self._taken:
+            return
+        by_key, repeats = self._by_key, self._repeats
+        for key in self._keys[start:stop]:
+            count = repeats.get(key)
+            if count:
+                if count > 1:
+                    repeats[key] = count - 1
+                else:
+                    del repeats[key]
+                continue
+            del by_key[key]
+            if key in self._entered:
+                del self._entered[key]
+            else:
+                self._left[key] = None
+
+    def _ranked(self, units: Iterable[RenderUnit]) -> List[RenderUnit]:
+        """``units`` sorted by rank."""
+        position = self._position
+        return sorted(
             units,
-            inputs,
-            bounds,
-            keys,
-            rendered,
-            list(view),
-            list(view.values()),
-            dict(self.local_attachments),
+            key=lambda unit: (position[unit[0]], position[unit[1]], position[unit[2]]),
         )
-        self.units_reused += reused
-        self.units_rendered += len(units) - reused
-        return _first_wins(keys, rendered)
+
+    def _compact(self) -> None:
+        """Rewrite _keys / _rules without their dead entries."""
+        bounds, held_keys, held_rules = self._bounds, self._keys, self._rules
+        keys: List[MatchKey] = []
+        rules: List[TcamRule] = []
+        for slot in self._slots.values():
+            at = 2 * slot
+            start, stop = bounds[at], bounds[at + 1]
+            bounds[at] = len(keys)
+            keys += held_keys[start:stop]
+            rules += held_rules[start:stop]
+            bounds[at + 1] = len(keys)
+        self._keys, self._rules, self._dead = keys, rules, 0
+
+    def rendered_rules(self) -> Mapping[MatchKey, TcamRule]:
+        """The last :meth:`render`: the rule set this switch needs, keyed by
+        match key in rendering order (first provenance wins), read-only.
+
+        Rebuilt — one first-provenance-wins pass over the live units in
+        rank order — only after a render changed it; until then every call
+        returns a view of the same dict.
+        """
+        if not self._ordered:
+            self._rebuild()
+        return MappingProxyType(self._by_key)
+
+    def _rebuild(self) -> None:
+        """Key every live rule in rank order, the first rule of a key
+        winning, and count the keys more than one rule carries."""
+        slots, bounds, keys, rules = self._slots, self._bounds, self._keys, self._rules
+        by_key: Dict[MatchKey, TcamRule] = {}
+        repeats: Dict[MatchKey, int] = {}
+        for unit in self._ranked(slots):
+            at = 2 * slots[unit]
+            start, stop = bounds[at], bounds[at + 1]
+            for key, rule in zip(keys[start:stop], rules[start:stop]):
+                if key in by_key:
+                    repeats[key] = repeats.get(key, 0) + 1
+                else:
+                    by_key[key] = rule
+        self._by_key, self._repeats, self._ordered = by_key, repeats, True
+
+    def take_delta(self) -> Optional[RenderDelta]:
+        """What the renders since the last call changed: the match keys
+        that left, and every key that entered with the rule of its
+        lowest-ranked holder, in rendering order.  ``None`` on the first
+        call since creation or :meth:`reset`, when nothing is known of
+        what came before.
+
+        A key that entered is held only by units rendered since the last
+        call (any other live unit carries the rules it carried then), so
+        those units, sorted by rank, are all it reads.
+        """
+        if not self._taken:
+            # From here on every render counts its keys in and out.
+            if not self._ordered:
+                self._rebuild()
+            self._taken = True
+            return None
+        stale = list(self._left)
+        fresh: Dict[MatchKey, TcamRule] = {}
+        entered, slots, bounds = self._entered, self._slots, self._bounds
+        if entered:
+            live = [unit for unit in self._rendered_units if unit in slots]
+            for unit in self._ranked(live):
+                at = 2 * slots[unit]
+                start, stop = bounds[at], bounds[at + 1]
+                for key, rule in zip(self._keys[start:stop], self._rules[start:stop]):
+                    if key in entered and key not in fresh:
+                        fresh[key] = rule
+        self._entered, self._left, self._rendered_units = {}, {}, {}
+        return stale, fresh
 
 
 @dataclass
@@ -326,6 +636,11 @@ class Switch:
     agent: SwitchAgent = field(init=False)
     fault_log: FaultLogBook = field(default_factory=FaultLogBook)
     clock: LogicalClock = field(default_factory=LogicalClock)
+    #: The TCAM and its write count after this switch's last write, when
+    #: that write left the TCAM holding every key the agent rendered.
+    _synced: Optional[Tuple[TcamTable, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.agent = SwitchAgent(self.uid)
@@ -361,29 +676,45 @@ class Switch:
         return applied, dropped
 
     def sync_tcam(self) -> Dict[str, int]:
-        """Diff the agent's desired rules against the TCAM and apply the delta.
+        """Render the agent's view and make the TCAM hold what it renders.
 
         Rules the agent no longer wants are removed; missing rules are
-        installed.  Overflows and evictions are logged.  Returns counters for
-        inspection.
+        installed, in one :meth:`TcamTable.write`.  Overflows and evictions
+        are logged.  Returns counters for inspection.
 
-        The stale rules go before anything is installed, and the missing
-        ones are installed in the agent's rendering order — never raw
-        set-difference order, whose per-process hash randomization would
-        make the install sequence (and, on a capacity-limited TCAM, *which*
-        rules overflow) irreproducible across runs.  The campaign
+        When the TCAM is untouched since this switch's last write and that
+        write installed everything, the TCAM holds exactly the keys the
+        agent last handed over, so the write is the agent's
+        :meth:`~SwitchAgent.take_delta`: the keys that left the render and
+        those that entered it.  Otherwise — a wipe or a fault touched the
+        table, a reboot reset the agent, an earlier write overflowed — the
+        sync reconciles against the table: the held keys the render lacks
+        go, the rendered rules the table lacks go in.  Either way the
+        missing rules are installed in the agent's rendering order — never
+        raw set-difference order, whose per-process hash randomization
+        would make the install sequence (and, on a capacity-limited TCAM,
+        *which* rules overflow) irreproducible across runs.  The campaign
         record/replay gate depends on this being a pure function of the
         instruction stream.
 
-        Traced as one ``fabric.sync_tcam`` span counting the render's
-        ``units_rendered`` / ``units_reused`` / ``renders_reused`` and the
-        writes' ``installed`` / ``removed``.
+        Traced as one ``fabric.sync_tcam`` span: ``reconcile`` is
+        ``"delta"`` or ``"full"``, and it counts the render's
+        ``units_visited`` / ``units_rendered`` / ``units_reused`` /
+        ``renders_reused`` and the write's ``installed`` / ``removed``.
         """
-        agent = self.agent
+        agent, tcam = self.agent, self.tcam
         with span("fabric.sync_tcam", switch=self.uid) as sync_span:
-            rendered, reused = agent.units_rendered, agent.units_reused
-            renders_reused = agent.renders_reused
-            counters = self._reconcile(agent.desired_rules())
+            visited, rendered = agent.units_visited, agent.units_rendered
+            reused, renders_reused = agent.units_reused, agent.renders_reused
+            agent.render()
+            delta = agent.take_delta()
+            if delta is not None and self._synced == (tcam, tcam.writes):
+                sync_span.set("reconcile", "delta")
+                counters = self._write(*delta)
+            else:
+                sync_span.set("reconcile", "full")
+                counters = self._reconcile(agent.rendered_rules())
+            sync_span.count("units_visited", agent.units_visited - visited)
             sync_span.count("units_rendered", agent.units_rendered - rendered)
             sync_span.count("units_reused", agent.units_reused - reused)
             sync_span.count("renders_reused", agent.renders_reused - renders_reused)
@@ -391,18 +722,24 @@ class Switch:
             sync_span.count("removed", counters["removed"])
         return counters
 
-    def _reconcile(self, desired: Dict[MatchKey, TcamRule]) -> Dict[str, int]:
-        """Make the TCAM hold ``desired``: :meth:`sync_tcam`'s writes.
-
-        One :meth:`TcamTable.write` — one transaction, so listeners hear of
-        the whole reconcile once: the held keys the agent no longer wants
-        go, then the wanted rules the TCAM lacks go in, in ``desired``'s
-        order.  Of the rules past the capacity, the first rejection and
-        every eviction are logged in that order.
-        """
+    def _reconcile(self, desired: Mapping[MatchKey, TcamRule]) -> Dict[str, int]:
+        """Make the TCAM hold ``desired``, whatever it holds now: the held
+        keys ``desired`` lacks go, the rules of ``desired`` the TCAM lacks
+        go in, in ``desired``'s order."""
         held = set(self.tcam.match_keys())
         fresh = {key: rule for key, rule in desired.items() if key not in held}
-        removed, overflowed = self.tcam.write(held.difference(desired), fresh)
+        return self._write(held.difference(desired), fresh)
+
+    def _write(
+        self, stale: Collection[MatchKey], fresh: Dict[MatchKey, TcamRule]
+    ) -> Dict[str, int]:
+        """:meth:`sync_tcam`'s one :meth:`TcamTable.write` — one
+        transaction, so listeners hear of the whole sync once: ``stale``
+        goes, then ``fresh`` goes in, in its order.  Of the rules past the
+        capacity, the first rejection and every eviction are logged in that
+        order."""
+        removed, overflowed = self.tcam.write(stale, fresh)
+        self._synced = None if overflowed else (self.tcam, self.tcam.writes)
 
         installed = len(fresh) - len(overflowed)
         rejected = evicted = 0

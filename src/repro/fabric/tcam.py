@@ -72,6 +72,11 @@ class TcamTable:
         self._listeners: List[TcamListener] = []
         # The open transaction: nesting depth and the writes it made so far.
         self._open = self._installed = self._lost = 0
+        #: Calls that may have changed what the table holds: every
+        #: :meth:`install`, :meth:`remove` and :meth:`clear`, and every
+        #: :meth:`write` with something to write.  Equal counts mean the
+        #: table was not written to in between.
+        self.writes = 0
         # Counters exposed for tests and the experiments.
         self.install_attempts = 0
         self.rejected_installs = 0
@@ -172,6 +177,7 @@ class TcamTable:
         so the switch can log it.
         """
         key = rule.match_key()
+        self.writes += 1
         self.install_attempts += 1
         if self._lent:
             self._own()
@@ -196,6 +202,7 @@ class TcamTable:
 
     def remove(self, key: MatchKey) -> Optional[TcamRule]:
         """Remove the rule with ``key``; returns it or ``None`` if absent."""
+        self.writes += 1
         if self._lent:
             self._own()
         rule = self._entries.pop(key, None)
@@ -234,6 +241,7 @@ class TcamTable:
         """
         if not stale and not fresh:
             return [], []
+        self.writes += 1
         with self.transaction():
             if self._lent:
                 self._own()
@@ -249,6 +257,7 @@ class TcamTable:
         return removed, overflowed
 
     def clear(self) -> None:
+        self.writes += 1
         lost = len(self._entries)
         # A fresh dict: the one a sequence may hold is left as it was.
         self._entries = {}

@@ -270,7 +270,7 @@ class PolicyIndex:
                     # so cross-VRF provide/consume relations (possible when a
                     # contract is reused by several tenant tiers) whitelist
                     # nothing and are excluded everywhere consistently (see
-                    # SwitchAgent.desired_rules).
+                    # SwitchAgent.render).
                     if other != epg_uid and epgs[other].vrf_uid == epg.vrf_uid:
                         found[EpgPair(epg_uid, other)].add(contract_uid)
             for contract_uid in epg.consumes:

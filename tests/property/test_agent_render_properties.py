@@ -1,29 +1,36 @@
-"""The agent's memoised render == a from-scratch render, under any view edit.
+"""The agent's incremental render == a from-scratch render, under any view edit.
 
-``SwitchAgent.desired_rules`` reuses a ``(contract, provider, consumer)``
-unit's rules while the :func:`~repro.rules.render_key` of the unit's inputs
+``SwitchAgent.render`` visits only the ``(contract, provider, consumer)``
+units that a change recorded by the view's writers names, and keeps a
+visited unit's rules while the :func:`~repro.rules.render_key` of its inputs
 equals that of the ones they were rendered from.  First, the key itself:
 for every field of ``Vrf``, ``Epg``, ``Contract`` and ``Filter``, editing it
 changes no rule :func:`~repro.rules.rules_for_pair_entry` renders, or the
 field is in :data:`~repro.rules.RENDERED_FIELDS`.  Then a state machine
-feeds one agent instruction batches — adds, modifies (some carrying an
-equal but distinct object, some editing only fields no rule reads) and
-deletes of VRFs, filters, contracts and EPGs — buggy drops, attachment
-changes, crashes mid-batch, direct edits of its view, deletes and re-adds
-of one object, endpoints moved between local EPGs, edits of a render it
-handed out and ``reset()``.  Every render must render exactly the units
-whose key is new or moved, and must hand back the whole last render —
-walking no unit — exactly when the view holds the same uids in the same
-order bound to the very same objects and the attachments are equal.  After
-every step the agent is held to two references kept here, not in ``src/``:
+feeds one agent, through its writers only, instruction batches — adds,
+modifies (some carrying an equal but distinct object, some editing only
+fields no rule reads) and deletes of VRFs, filters, contracts and EPGs —
+buggy drops, attachment changes, crashes mid-batch, writes past the
+agent's state gate, deletes and re-adds of one object, endpoints moved
+between local EPGs, attempts to edit a render it handed out and
+``reset()``; and it takes rules out of the switch's TCAM (one at a time,
+by predicate, or all) between edits and syncs.  Every render must render
+exactly the units whose key is new or moved, and must visit no unit when
+no writer was called since the last render and the view is the one that
+render read.  After every step the agent is held to two references kept
+here, not in ``src/``:
 
 * :func:`reference_render`, a literal transcription of the whole-view loop
-  the memo replaced: same keys, same order, same rule (``to_dict()``,
-  provenance included) — and a repeated render re-renders nothing;
+  the incremental render replaced: same keys, same order, same rule
+  (``to_dict()``, provenance included) — and a repeated render re-renders
+  nothing;
 * a fresh agent handed the same view: ``sync_tcam`` on a capacity-limited
   TCAM, evicting or not, leaves the same table in the same order, returns
   the same counters and logs the same faults as on a fresh agent given a
-  copy of the table.
+  copy of the table.  The fresh agent always reconciles in full; the
+  machine's agent writes only the render's delta whenever its last sync
+  installed everything and nothing wrote to the TCAM since — the sync must
+  say which it did, and the two must agree.
 
 Objects are drawn from a handful of uids with colliding VRF scopes and EPG
 class ids, so duplicate match keys inside a unit and across units — where
@@ -41,6 +48,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.clock import LogicalClock
 from repro.fabric import AgentState, Switch, SwitchAgent, TcamTable
+from repro.obs import TraceCollector, activated
 from repro.policy.objects import Contract, Epg, Filter, FilterEntry, Vrf
 from repro.protocol import AttachEndpoint, Instruction, Operation
 from repro.rules import (
@@ -74,7 +82,7 @@ UIDS = VRF_UIDS + FILTER_UIDS + CONTRACT_UIDS + EPG_UIDS
 def reference_render(agent: SwitchAgent) -> Tuple[Dict[MatchKey, TcamRule], int]:
     """The whole-view render before the memo, line for line, and how many
     units it walked."""
-    local_epgs = agent.local_epg_uids()
+    local_epgs = set(agent.local_attachments.values())
     view = agent.logical_view
     epgs = {uid: obj for uid, obj in view.items() if isinstance(obj, Epg)}
     vrfs = {uid: obj for uid, obj in view.items() if isinstance(obj, Vrf)}
@@ -119,7 +127,7 @@ def reference_render(agent: SwitchAgent) -> Tuple[Dict[MatchKey, TcamRule], int]
 def reference_unit_keys(agent: SwitchAgent) -> Dict[tuple, list]:
     """Every unit :func:`reference_render` walks, in order, with the
     :func:`render_key` of its inputs."""
-    local_epgs = agent.local_epg_uids()
+    local_epgs = set(agent.local_attachments.values())
     view = agent.logical_view
     epgs = [obj for obj in view.values() if isinstance(obj, Epg)]
     units: Dict[tuple, list] = {}
@@ -306,6 +314,24 @@ def _table(capacity: int, evict: bool, rules) -> TcamTable:
     return table
 
 
+def _write(agent: SwitchAgent, operation: Operation, obj) -> None:
+    """One instruction through the view's writer, past the state gate."""
+    agent._apply(Instruction(operation=operation, obj=obj))
+
+
+def _twin(agent: SwitchAgent, capacity: int, evict: bool, rules) -> Switch:
+    """A fresh switch whose agent was handed ``agent``'s view, in its order,
+    and attachments, in front of a table holding ``rules``."""
+    twin = Switch(uid=SWITCH, tcam=_table(capacity, evict, rules), clock=LogicalClock())
+    for obj in agent.logical_view.values():
+        _write(twin.agent, Operation.ADD, obj)
+    twin.agent.receive_attachments(
+        AttachEndpoint(endpoint_uid=endpoint, epg_uid=epg, switch_uid=SWITCH)
+        for endpoint, epg in agent.local_attachments.items()
+    )
+    return twin
+
+
 # ---------------------------------------------------------------------- #
 # The state machine
 # ---------------------------------------------------------------------- #
@@ -331,18 +357,35 @@ class AgentRenderMachine(RuleBasedStateMachine):
                 AttachEndpoint(endpoint_uid="ep:1", epg_uid="epg:2", switch_uid=SWITCH),
             ],
         )
+        #: Whether the TCAM holds exactly the keys of the last sync's render:
+        #: that sync neither rejected nor evicted, and nothing wrote since.
+        tcam = self.switch.tcam
+        self.in_step = not (tcam.rejected_installs or tcam.evictions)
 
     def _count_what_renders(self):
         """Hold every render of the agent — by a rule here, a sync or the
         invariant — to rendering exactly the units whose
-        :func:`reference_unit_keys` entry is new or moved since the last,
-        and to reusing the whole render exactly when it reads the very
-        view items and equal attachments the last one read."""
-        agent, render = self.agent, self.agent.desired_rules
+        :func:`reference_unit_keys` entry is new or moved since the last;
+        to counting a reused render exactly when it visits no unit; to
+        visiting none when no writer was called since and it reads the very
+        view items and equal attachments the last one read; and to visiting
+        some only when a writer was called."""
+        agent, render = self.agent, self.agent.render
         self.unit_keys: Dict[tuple, list] = {}
         self.rendered_from: Tuple[list, dict] = ([], {})
+        self.wrote = True
 
-        def desired_rules():
+        def recording(writer):
+            def write(*args, **kwargs):
+                self.wrote = True
+                return writer(*args, **kwargs)
+
+            return write
+
+        for name in ("_apply", "receive_attachments", "reset"):
+            setattr(agent, name, recording(getattr(agent, name)))
+
+        def counted_render():
             keys = reference_unit_keys(agent)
             moved = sum(self.unit_keys.get(unit) != key for unit, key in keys.items())
             items = list(agent.logical_view.items())
@@ -356,19 +399,24 @@ class AgentRenderMachine(RuleBasedStateMachine):
                 and agent.local_attachments == held_attachments
             )
             rendered, reused = agent.units_rendered, agent.renders_reused
-            rules = render()
+            visited = agent.units_visited
+            render()
             assert agent.units_rendered - rendered == moved
-            assert agent.renders_reused - reused == identical
+            assert agent.renders_reused - reused == (agent.units_visited == visited)
+            if not self.wrote:
+                assert agent.units_visited == visited
+            if not identical:
+                assert self.wrote
+            self.wrote = False
             self.unit_keys = keys
             self.rendered_from = (items, dict(agent.local_attachments))
-            return rules
 
-        agent.desired_rules = desired_rules
+        agent.render = counted_render
 
     def _rendered_now(self) -> int:
-        """Bring the memo up to the current view; how many units it rendered."""
+        """Bring the render up to the current view; how many units it rendered."""
         before = self.agent.units_rendered
-        self.agent.desired_rules()
+        self.agent.render()
         return self.agent.units_rendered - before
 
     # -- instruction batches ------------------------------------------- #
@@ -384,7 +432,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
     @rule(pick=_picks, directly=st.booleans())
     def modify_with_an_equal_copy(self, pick, directly):
         """An equal but distinct object re-renders nothing, but it is not
-        the object the last render read: the units are walked."""
+        the object the last render read: its units are visited."""
         view = self.agent.logical_view
         if not view:
             return
@@ -393,20 +441,36 @@ class AgentRenderMachine(RuleBasedStateMachine):
         assert copy == current and copy is not current
         self._rendered_now()
         if directly:
-            view[copy.uid] = copy
+            _write(self.agent, Operation.MODIFY, copy)
         else:
             self.agent.receive([Instruction(operation=Operation.MODIFY, obj=copy)])
         assert self._rendered_now() == 0
 
     @rule(pick=_picks)
-    def delete_and_re_add(self, pick):
-        """The very same object, deleted and added back, moves to the end of
-        the view: unless it already was there, the render is walked."""
+    def redeliver_the_same_object(self, pick):
+        """The very object the view holds, delivered again, is no change:
+        the next render visits nothing."""
         view = self.agent.logical_view
         if not view:
             return
-        current = view.pop(sorted(view)[pick % len(view)])
-        view[current.uid] = current
+        current = view[sorted(view)[pick % len(view)]]
+        self._rendered_now()
+        visited = self.agent.units_visited
+        _write(self.agent, Operation.MODIFY, current)
+        self.wrote = False
+        self.agent.render()
+        assert self.agent.units_visited == visited
+
+    @rule(pick=_picks)
+    def delete_and_re_add(self, pick):
+        """The very same object, deleted and added back, moves to the end of
+        the view: the render visits its units."""
+        view = self.agent.logical_view
+        if not view:
+            return
+        current = view[sorted(view)[pick % len(view)]]
+        _write(self.agent, Operation.DELETE, current)
+        _write(self.agent, Operation.ADD, current)
 
     @rule(
         pick=_picks,
@@ -428,12 +492,30 @@ class AgentRenderMachine(RuleBasedStateMachine):
         self.agent.receive([Instruction(operation=Operation.MODIFY, obj=edited)])
 
     @rule(obj=_objects)
-    def write_view_directly(self, obj):
-        self.agent.logical_view[obj.uid] = obj
+    def write_past_the_state_gate(self, obj):
+        """An instruction applied whatever the agent's state."""
+        _write(self.agent, Operation.ADD, obj)
 
     @rule()
-    def clear_view_directly(self):
-        self.agent.logical_view.clear()
+    def delete_everything(self):
+        for obj in list(self.agent.logical_view.values()):
+            _write(self.agent, Operation.DELETE, obj)
+
+    @rule(uid=st.sampled_from(UIDS), obj=_objects)
+    def the_view_has_one_writer(self, uid, obj):
+        """No one but the writers edits the view or the attachments."""
+        agent = self.agent
+        with pytest.raises(TypeError):
+            agent.logical_view[uid] = obj
+        with pytest.raises(TypeError):
+            del agent.logical_view[uid]
+        with pytest.raises(TypeError):
+            agent.local_attachments["ep:0"] = "epg:0"
+        for mapping in (agent.logical_view, agent.local_attachments):
+            assert not any(
+                hasattr(mapping, name)
+                for name in ("pop", "popitem", "clear", "update", "setdefault")
+            )
 
     # -- attachments --------------------------------------------------- #
     @rule(
@@ -452,10 +534,6 @@ class AgentRenderMachine(RuleBasedStateMachine):
             ]
         )
 
-    @rule(endpoint=st.sampled_from(ENDPOINT_UIDS))
-    def detach(self, endpoint):
-        self.agent.local_attachments.pop(endpoint, None)
-
     @rule(pick=_picks)
     def move_an_endpoint_between_local_epgs(self, pick):
         attachments = self.agent.local_attachments
@@ -464,7 +542,15 @@ class AgentRenderMachine(RuleBasedStateMachine):
             return
         endpoint = sorted(attachments)[pick % len(attachments)]
         others = [epg for epg in local if epg != attachments[endpoint]]
-        attachments[endpoint] = others[pick % len(others)]
+        self.agent.receive_attachments(
+            [
+                AttachEndpoint(
+                    endpoint_uid=endpoint,
+                    epg_uid=others[pick % len(others)],
+                    switch_uid=SWITCH,
+                )
+            ]
+        )
 
     # -- agent faults -------------------------------------------------- #
     @rule(uid=st.sampled_from(UIDS), dropped=st.booleans())
@@ -491,18 +577,23 @@ class AgentRenderMachine(RuleBasedStateMachine):
     def reset_and_redeliver(self, batch):
         """A reboot keeps nothing of the last render: the view it comes
         back to is rendered unit by unit, even where it equals the old."""
-        view = dict(self.agent.logical_view)
+        view = list(self.agent.logical_view.values())
         attachments = dict(self.agent.local_attachments)
         dropped = set(self.agent.buggy_dropped_objects)
         self._rendered_now()
         self.agent.reset()
+        self.in_step = False
         self.unit_keys = {}
         self.rendered_from = ([], {})
         assert not self.agent.logical_view and not self.agent.local_attachments
         assert self.agent.state is AgentState.RUNNING and self.agent.crash_after is None
         assert self.agent.buggy_dropped_objects == dropped
-        self.agent.logical_view.update(view)
-        self.agent.local_attachments.update(attachments)
+        for obj in view:
+            _write(self.agent, Operation.ADD, obj)
+        self.agent.receive_attachments(
+            AttachEndpoint(endpoint_uid=endpoint, epg_uid=epg, switch_uid=SWITCH)
+            for endpoint, epg in attachments.items()
+        )
         _, units = reference_render(self.agent)
         reused = self.agent.units_reused
         assert self._rendered_now() == units
@@ -510,28 +601,40 @@ class AgentRenderMachine(RuleBasedStateMachine):
         self.deliver(batch)
 
     # -- the TCAM ------------------------------------------------------ #
-    @rule(picks=st.lists(_picks, max_size=4))
-    def lose_rules(self, picks):
+    @rule(how=st.sampled_from(("remove", "remove_where", "clear")), picks=st.lists(_picks, max_size=4))
+    def lose_rules(self, how, picks):
+        """Rules leave the TCAM behind the agent's back: one at a time, by
+        predicate, or all at once."""
         tcam = self.switch.tcam
-        for pick in picks:
-            keys = tcam.match_keys()
-            if keys:
-                tcam.remove(keys[pick % len(keys)])
+        if how == "clear":
+            tcam.clear()
+            self.in_step = False
+        elif how == "remove_where":
+            ports = {pick % 1000 for pick in picks}
+            if tcam.remove_where(lambda held: held.port in ports or held.port is None):
+                self.in_step = False
+        else:
+            for pick in picks:
+                keys = tcam.match_keys()
+                if keys:
+                    tcam.remove(keys[pick % len(keys)])
+                    self.in_step = False
 
     @rule()
     def sync_tcam(self):
-        """Same table, counters and faults as a fresh agent given the view."""
-        fresh = Switch(
-            uid=SWITCH,
-            tcam=_table(self.capacity, self.evict, self.switch.tcam.rules()),
-            clock=LogicalClock(),
-        )
-        fresh.agent.logical_view.update(self.agent.logical_view)
-        fresh.agent.local_attachments.update(self.agent.local_attachments)
+        """Same table, counters and faults as a fresh agent given the view;
+        the delta written exactly when the TCAM held the last render."""
+        fresh = _twin(self.agent, self.capacity, self.evict, self.switch.tcam.rules())
         assert fresh.tcam.match_keys() == self.switch.tcam.match_keys()
         logged = len(self.switch.fault_log)
 
-        counters = self.switch.sync_tcam()
+        collector = TraceCollector()
+        with activated(collector):
+            counters = self.switch.sync_tcam()
+        (sync,) = [span for span in collector.spans() if span.name == "fabric.sync_tcam"]
+        reconcile = sync.attrs["reconcile"]
+        assert reconcile == ("delta" if self.in_step else "full")
+        self.in_step = not (counters["rejected"] or counters["evicted"])
 
         assert counters == fresh.sync_tcam()
         assert self.switch.tcam.match_keys() == fresh.tcam.match_keys()
@@ -539,19 +642,37 @@ class AgentRenderMachine(RuleBasedStateMachine):
         raised = self.switch.fault_log.records()[logged:]
         assert _faults(raised) == _faults(fresh.fault_log.records())
 
+    @rule(
+        before=_batches,
+        how=st.sampled_from(("remove", "remove_where", "clear")),
+        picks=st.lists(_picks, min_size=1, max_size=4),
+        after=_batches,
+    )
+    def lose_rules_between_edits(self, before, how, picks, after):
+        """Edit, sync, lose rules, edit, sync, edit, sync: the path goes
+        from the delta to a full reconcile and back."""
+        self.deliver(before)
+        self.sync_tcam()
+        self.lose_rules(how, picks)
+        self.deliver(after)
+        self.sync_tcam()
+        self.deliver(before)
+        self.sync_tcam()
+
     # -- the render itself --------------------------------------------- #
-    @rule(pick=_picks, clear=st.booleans())
-    def edit_a_handed_out_render(self, pick, clear):
-        """What a caller does to the dict it was handed is its own: the
-        next render (the invariant's) is whole again."""
-        rules = self.agent.desired_rules()
-        if clear:
-            rules.clear()
-        elif rules:
+    @rule(pick=_picks)
+    def edit_a_handed_out_render(self, pick):
+        """A caller cannot edit the render it was handed: the next render
+        (the invariant's) is whole."""
+        self.agent.render()
+        rules = self.agent.rendered_rules()
+        with pytest.raises(TypeError):
+            rules[(0, 0, 0, "tcp", 1, "allow")] = TcamRule(0, 0, 0, "tcp", 1)
+        if rules:
             key = sorted(rules, key=repr)[pick % len(rules)]
-            rules[key] = rules.pop(key)  # to the end
-            del rules[next(iter(rules))]
-        rules[(0, 0, 0, "tcp", 1, "allow")] = TcamRule(0, 0, 0, "tcp", 1)
+            with pytest.raises(TypeError):
+                del rules[key]
+        assert not hasattr(rules, "clear")
 
     @invariant()
     def render_equals_the_reference(self):
@@ -560,13 +681,15 @@ class AgentRenderMachine(RuleBasedStateMachine):
             return
         expected, units = reference_render(agent)
         walked = agent.units_rendered + agent.units_reused
-        rendered = agent.desired_rules()
+        agent.render()
+        rendered = agent.rendered_rules()
         assert list(rendered) == list(expected)
         assert _as_dicts(rendered.values()) == _as_dicts(expected.values())
         assert agent.units_rendered + agent.units_reused - walked == units
         # Nothing moved since: every unit is reused, rule objects included.
         again_rendered = agent.units_rendered
-        again = agent.desired_rules()
+        agent.render()
+        again = agent.rendered_rules()
         assert agent.units_rendered == again_rendered
         assert list(again) == list(rendered)
         assert all(map(lambda a, b: a is b, again.values(), rendered.values()))

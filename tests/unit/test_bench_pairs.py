@@ -1,0 +1,64 @@
+"""``scripts/bench_pairs.py`` assembles per-seed runs into the result files
+``benchmarks/e2e/compare.py`` reads, without running the benchmark here."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(op_ms: float, setup_s: float, failed: int = 0) -> dict:
+    """One ``run.py --workload W --trace 0`` result object."""
+    return {
+        "correct": not failed,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "op_ms": {"value": op_ms, "unit": "ms", "better": "lower"},
+            "setup_s": {"value": setup_s, "unit": "s", "better": "lower"},
+        },
+    }
+
+
+def test_two_seeds_assemble_into_what_compare_reads():
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    compare = _load(REPO / "benchmarks" / "e2e" / "compare.py", "compare")
+    catalog = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [entry["name"] for entry in catalog["workloads"]]
+    parent = {name: [_result(10.0, 1.0), _result(12.0, 1.2)] for name in names}
+    change = {name: [_result(8.0, 1.0), _result(9.0, 1.1, failed=1)] for name in names}
+
+    a = pairs.assemble(parent, {"source": "ref"})
+    b = pairs.assemble(change, {"source": "working tree"})
+
+    assert a["meta"] == {"source": "ref"} and a["failed"] == 0 and b["failed"] == len(names)
+    assert b["workloads"][names[0]] == {
+        "end_to_end": {"op_ms": [8.0, 9.0], "setup_s": [1.0, 1.1]},
+        "attempted": 20,
+    }
+    rows = compare.compare(a, b, catalog)
+    assert len(rows) == len(names) * len(catalog["end_to_end"])
+    op_rows = [row for row in rows if row["metric"] == "op_ms"]
+    assert all((row["a"], row["b"], row["n"]) == (11.0, 8.5, 2) for row in op_rows)
+
+
+def test_the_first_side_alternates_and_only_the_ref_is_an_argument():
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    assert [tuple(pairs.order(index)) for index in range(4)] == [
+        ("A", "B"),
+        ("B", "A"),
+        ("A", "B"),
+        ("B", "A"),
+    ]
+    assert list(pairs.SEEDS) == list(range(2018, 2028))
+    assert pairs.main([]) == 2 and pairs.main(["HEAD", "--seconds"]) == 2

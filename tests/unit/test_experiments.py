@@ -32,6 +32,7 @@ from repro.experiments.common import (
 from repro.faults import FaultInjector
 from repro.policy.objects import ObjectType
 from repro.workloads import testbed_profile as make_testbed_profile
+from repro.workloads import three_tier_scenario
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -67,6 +68,69 @@ class TestCommon:
         assert std == pytest.approx(1.0)
         assert mean_and_stdev([]) == (0.0, 0.0)
         assert mean_and_stdev([5.0]) == (5.0, 0.0)
+
+
+def _restore_rule_by_rule(fabric, snapshot):
+    """``restore_tcam`` as it was: a clear, then one ``install()`` per rule."""
+    for uid, entries in snapshot.items():
+        tcam = fabric.switch(uid).tcam
+        tcam.clear()
+        for rule in entries.values():
+            tcam.install(rule)
+
+
+def _tables(fabric):
+    """Each leaf's rules, in order, and its install counters."""
+    return {
+        uid: (
+            [rule.to_dict() for rule in switch.tcam.rules()],
+            switch.tcam.install_attempts,
+            switch.tcam.rejected_installs,
+            switch.tcam.evictions,
+        )
+        for uid, switch in fabric.switches.items()
+    }
+
+
+class TestRestoreTcam:
+    """A restore is one write per leaf, and writes what the per-rule loop did."""
+
+    @staticmethod
+    def _damaged(capacity=None, evict=False):
+        scenario = three_tier_scenario(tcam_capacity=capacity)
+        for uid in scenario.fabric.leaf_uids():
+            scenario.fabric.switch(uid).tcam.evict_on_overflow = evict
+        scenario.fabric.switch("leaf-1").tcam.remove_where(lambda rule: rule.port == 80)
+        scenario.fabric.switch("leaf-2").tcam.clear()
+        return scenario
+
+    def test_one_listener_call_per_leaf_and_the_same_rules(self):
+        snapshot = snapshot_tcam(three_tier_scenario().fabric)
+        bulk, naive = self._damaged(), self._damaged()
+        calls = {uid: [] for uid in bulk.fabric.leaf_uids()}
+        for uid, seen in calls.items():
+            bulk.fabric.switch(uid).tcam.subscribe(
+                lambda installed, lost, seen=seen: seen.append((installed, lost))
+            )
+        held = {uid: len(bulk.fabric.switch(uid).tcam) for uid in calls}
+
+        restore_tcam(bulk.fabric, snapshot)
+        _restore_rule_by_rule(naive.fabric, snapshot)
+
+        assert calls == {uid: [(len(snapshot[uid]), held[uid])] for uid in calls}
+        assert sum(map(len, snapshot.values())) == 12
+        assert _tables(bulk.fabric) == _tables(naive.fabric)
+        assert missing_rules(bulk) == {}
+
+    @pytest.mark.parametrize("evict", [False, True])
+    def test_a_capacity_limited_table_rejects_the_same_rules(self, evict):
+        snapshot = snapshot_tcam(three_tier_scenario().fabric)
+        bulk, naive = self._damaged(3, evict), self._damaged(3, evict)
+        restore_tcam(bulk.fabric, snapshot)
+        _restore_rule_by_rule(naive.fabric, snapshot)
+        tables = _tables(bulk.fabric)
+        assert tables == _tables(naive.fabric)
+        assert any(rejected or evicted for _, _, rejected, evicted in tables.values())
 
 
 class TestTrial:

@@ -1,6 +1,7 @@
 """Unit tests for the switch agent, switch TCAM sync and the Fabric container."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -163,8 +164,72 @@ class TestSwitchAgent:
         }
         assert len(lost) > 0 and (agent.units_rendered, agent.units_reused) == (2, 2)
         # The table holds the agent's own key objects: derived once, at render.
-        desired = agent.desired_rules()
+        desired = agent.rendered_rules()
         assert sorted(map(id, switch.tcam.match_keys())) == sorted(map(id, desired))
+
+    def test_the_view_has_one_writer(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        switch.receive_deployment(instructions, attachments)
+        agent = switch.agent
+        flt = agent.logical_view[uids["filter_extra_0"]]
+        with pytest.raises(TypeError):
+            agent.logical_view[flt.uid] = flt
+        with pytest.raises(TypeError):
+            del agent.logical_view[flt.uid]
+        with pytest.raises(TypeError):
+            agent.local_attachments["EP9"] = uids["app"]
+        assert not hasattr(agent.logical_view, "clear")
+        assert not hasattr(agent.local_attachments, "pop")
+
+    def test_a_switch_pickles_with_its_views(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        switch.receive_deployment(instructions, attachments)
+        copy = pickle.loads(pickle.dumps(switch))
+        agent = copy.agent
+        assert dict(agent.logical_view) == dict(switch.agent.logical_view)
+        assert dict(agent.local_attachments) == dict(switch.agent.local_attachments)
+        with pytest.raises(TypeError):
+            agent.logical_view["x"] = None
+        # The copy's views are of its own dicts, and its sync still writes
+        # only the delta of an edit.
+        flt = agent.logical_view[uids["filter_extra_0"]]
+        edited = dataclasses.replace(flt, entries=(FilterEntry("tcp", 701),))
+        writes = copy.tcam.writes
+        copy.receive_deployment([Instruction(operation=Operation.MODIFY, obj=edited)], [])
+        assert copy.tcam.writes == writes + 1
+        assert agent.logical_view[flt.uid] is edited
+        assert switch.agent.logical_view[flt.uid] is not edited
+
+    def test_a_sync_visits_and_writes_what_changed(self, web_setup):
+        _, uids, batches, _ = web_setup
+        instructions, attachments = batches["leaf-2"]
+        switch = _switch("leaf-2")
+        switch.receive_deployment(instructions, attachments)
+        agent, tcam = switch.agent, switch.tcam
+        # The same objects and attachments again: no change, no unit visited.
+        writes, visited = tcam.writes, agent.units_visited
+        switch.receive_deployment(instructions, attachments)
+        assert (tcam.writes, agent.units_visited, agent.renders_reused) == (writes, visited, 1)
+        # A filter edit visits App-DB, the one unit naming it, and writes
+        # its delta: the port-700 rules go and the port-701 rules come.
+        flt = agent.logical_view[uids["filter_extra_0"]]
+        edited = dataclasses.replace(flt, entries=(FilterEntry("tcp", 701),))
+        seen = []
+        tcam.subscribe(lambda installed, lost: seen.append((installed, lost)))
+        counters = switch.receive_deployment(
+            [Instruction(operation=Operation.MODIFY, obj=edited)], []
+        )
+        assert agent.units_visited - visited == 1
+        assert seen == [(2, 2)] and tcam.writes == writes + 1
+        assert sorted(rule.port for rule in switch.deployed_rules()) == [80, 80, 80, 80, 701, 701]
+        assert counters == (1, 0)
+        # Rule loss behind the switch's back: the next sync reconciles in full.
+        tcam.remove_where(lambda rule: rule.port == 80)
+        assert switch.sync_tcam()["installed"] == 4
 
     def test_reset_is_a_reboot(self, web_setup):
         _, uids, batches, _ = web_setup

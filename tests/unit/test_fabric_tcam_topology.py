@@ -167,6 +167,43 @@ class TestTcamTable:
         assert len(tcam) == 0
 
 
+    def test_writes_counts_every_call_that_may_change_the_table(self):
+        """``writes`` moves on every mutating path — once per call, whatever
+        the call did to the table — and an empty ``write`` is no write."""
+        tcam = TcamTable(capacity=2, evict_on_overflow=True)
+        steps = [
+            lambda: tcam.install(_rule(80)),
+            lambda: tcam.install(_rule(80)),  # ALREADY_PRESENT: refreshed in place
+            lambda: tcam.install(_rule(81)),
+            lambda: tcam.install(_rule(82)),  # evicts port 80
+            lambda: tcam.remove(_rule(81).match_key()),
+            lambda: tcam.remove(_rule(99).match_key()),  # absent
+            lambda: tcam.remove_rule(_rule(82)),
+            lambda: tcam.write([], {_rule(83).match_key(): _rule(83)}),
+            lambda: tcam.write([_rule(83).match_key()], {}),
+            lambda: tcam.clear(),
+            lambda: tcam.clear(),  # already empty
+        ]
+        for expected, step in enumerate(steps, start=1):
+            step()
+            assert tcam.writes == expected
+        tcam.install(_rule(84))
+        tcam.install(_rule(85))
+        tcam.install(_rule(86))  # the one write past the capacity
+        assert tcam.writes == len(steps) + 3
+        assert tcam.write([], {}) == ([], [])
+        assert tcam.remove_where(lambda rule: rule.port == 99) == []
+        assert tcam.writes == len(steps) + 3
+        assert tcam.remove_where(lambda rule: rule.port == 85)
+        assert tcam.writes == len(steps) + 4
+        # A bulk write past the capacity is one write plus its install()s.
+        tcam.write([], {_rule(port).match_key(): _rule(port) for port in (90, 91)})
+        assert tcam.writes == len(steps) + 4 + 1 + 1
+        # Reads are not writes.
+        tcam.rule_sequence(), tcam.rules(), tcam.match_keys(), len(tcam)
+        assert tcam.writes == len(steps) + 6
+
+
 class TestFaultLogBook:
     def test_raise_and_query(self):
         book = FaultLogBook()

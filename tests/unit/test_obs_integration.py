@@ -285,8 +285,10 @@ class TestTracedLocalize:
 class TestTracedSync:
     def test_a_redeploy_splits_into_render_and_writes(self):
         """One ``fabric.sync_tcam`` span per reconcile: a redeploy after a
-        filter edit re-renders the units under that filter's contracts,
-        reuses every other, and counts the rules it wrote beside them."""
+        filter edit visits and re-renders the units under that filter's
+        contracts, reuses every other, writes only the render's delta to
+        the untouched TCAMs, and counts the rules it wrote beside them; a
+        resync after rule loss visits nothing and reconciles in full."""
         workload = generate_workload(small_profile())
         controller = Controller(workload.policy, workload.fabric)
         controller.deploy()
@@ -309,6 +311,11 @@ class TestTracedSync:
         touched = [span for span in syncs if span.counters["units_rendered"]]
         assert touched and all(span.counters["units_reused"] for span in syncs)
         assert not any(span.counters["renders_reused"] for span in touched)
+        assert all(span.attrs["reconcile"] == "delta" for span in syncs)
+        for span in syncs:
+            visited = span.counters.get("units_visited", 0)
+            assert visited >= span.counters["units_rendered"]
+            assert (visited == 0) == bool(span.counters["renders_reused"])
         assert all(span.counters["removed"] == 0 for span in syncs)
         installed = sum(span.counters["installed"] for span in touched)
         assert installed == fabric.total_installed_rules() - held > 0
@@ -322,6 +329,8 @@ class TestTracedSync:
         (resync,) = collector.spans()
         assert resync.counters["units_rendered"] == 0 < resync.counters["units_reused"]
         assert resync.counters["renders_reused"] == 1
+        assert resync.attrs["reconcile"] == "full"
+        assert resync.counters.get("units_visited", 0) == 0
         assert resync.counters["installed"] == len(lost) > 0
 
 
