@@ -12,7 +12,10 @@ checkout, one child process per run, the side that runs first alternating
 from one seed to the next.  Each side's runs are assembled into the result
 file ``benchmarks/e2e/compare.py`` reads — ``benchmarks/pairs/A.json`` and
 ``benchmarks/pairs/B.json`` — and ``compare.py``'s table is printed; the exit
-status is ``compare.py``'s.  Both sides run the benchmark of their own
+status is ``compare.py``'s.  B's runs are also written as one point of
+``benchmarks/TRAJECTORY.jsonl`` — ``benchmarks/pairs/point.json``, with
+``parent`` = REF's commit, ``commit`` null and an empty ``label`` to fill in
+once the change is committed.  Both sides run the benchmark of their own
 checkout at the run length it declares.  Committed files are untouched: the
 working tree's ``src/`` is what B measures, whether committed or not.
 """
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -75,6 +79,36 @@ def assemble(runs: Mapping[str, Sequence[Dict]], meta: Mapping) -> Dict:
     return document
 
 
+def trajectory_point(document: Mapping, parent: str) -> Dict:
+    """One side's assembled runs as a ``benchmarks/TRAJECTORY.jsonl`` point:
+    per workload and end-to-end metric the median, the quartiles (as
+    ``compare.py`` takes them) and the number of runs."""
+    workloads: Dict = {}
+    for workload, entry in document["workloads"].items():
+        workloads[workload] = {}
+        for name, values in entry["end_to_end"].items():
+            q1, _, q3 = statistics.quantiles(values, n=4)
+            workloads[workload][name] = {
+                "median": round(statistics.median(values), 5),
+                "n": len(values),
+                "q1": round(q1, 5),
+                "q3": round(q3, 5),
+            }
+    meta = document["meta"]
+    return {
+        "commit": None,
+        "failed": document["failed"],
+        "label": "",
+        "nproc": meta["nproc"],
+        "parent": parent,
+        "python": meta["python"],
+        "repeat": len(SEEDS),
+        "seconds": float(meta["seconds"]),
+        "seed": SEEDS.start,
+        "workloads": workloads,
+    }
+
+
 def _export(ref: str, into: Path) -> str:
     """Unpack ``git archive REF`` into ``into``; returns the commit it names."""
     commit = subprocess.run(
@@ -112,12 +146,17 @@ def main(argv: Sequence[str]) -> int:
         "seconds": catalog["run_seconds"],
     }
     OUT.mkdir(parents=True, exist_ok=True)
+    documents = {
+        "A": assemble(runs["A"], {**meta, "source": commit}),
+        "B": assemble(runs["B"], {**meta, "source": "working tree"}),
+    }
     paths = []
-    for side, source in (("A", commit), ("B", "working tree")):
+    for side, document in documents.items():
         path = OUT / f"{side}.json"
-        document = assemble(runs[side], {**meta, "source": source})
         path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
         paths.append(str(path))
+    point = trajectory_point(documents["B"], commit)
+    (OUT / "point.json").write_text(json.dumps(point, sort_keys=True) + "\n")
     compare = REPO / "benchmarks" / "e2e" / "compare.py"
     return subprocess.run([sys.executable, str(compare), *paths], check=False).returncode
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..policy.objects import ObjectType
 from ..protocol import Operation
@@ -83,11 +83,6 @@ class ChangeLog:
         self._insert(record)
         self._notify(record)
         return record
-
-    def extend(self, records: Iterable[ChangeRecord]) -> None:
-        for record in records:
-            self._insert(record)
-            self._notify(record)
 
     def _insert(self, record: ChangeRecord) -> None:
         self._records.append(record)

@@ -122,12 +122,6 @@ class CorrelationReport:
 
     findings: List[RootCauseFinding] = field(default_factory=list)
 
-    def known(self) -> List[RootCauseFinding]:
-        return [finding for finding in self.findings if finding.is_known]
-
-    def unknown(self) -> List[RootCauseFinding]:
-        return [finding for finding in self.findings if not finding.is_known]
-
     def root_causes(self) -> Dict[str, List[Hashable]]:
         """Map root-cause label → objects attributed to it."""
         causes: Dict[str, List[Hashable]] = {}

@@ -97,14 +97,12 @@ def snapshot_tcam(fabric) -> TcamSnapshot:
 
 def restore_tcam(fabric, snapshot: TcamSnapshot) -> None:
     """Reinstate a previously captured TCAM snapshot on every leaf: per
-    leaf, one transaction that clears the table and writes the snapshot's
-    rules in their order (:meth:`~repro.fabric.tcam.TcamTable.write`), so a
+    leaf, one :meth:`~repro.fabric.tcam.TcamTable.write` that removes what
+    the table holds and installs the snapshot's rules in their order, so a
     listener hears of each leaf's restore once."""
     for uid, entries in snapshot.items():
         tcam = fabric.switch(uid).tcam
-        with tcam.transaction():
-            tcam.clear()
-            tcam.write((), entries)
+        tcam.write(tcam.match_keys(), entries)
 
 
 def make_localizers(

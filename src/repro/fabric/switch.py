@@ -733,11 +733,10 @@ class Switch:
     def _write(
         self, stale: Collection[MatchKey], fresh: Dict[MatchKey, TcamRule]
     ) -> Dict[str, int]:
-        """:meth:`sync_tcam`'s one :meth:`TcamTable.write` — one
-        transaction, so listeners hear of the whole sync once: ``stale``
-        goes, then ``fresh`` goes in, in its order.  Of the rules past the
-        capacity, the first rejection and every eviction are logged in that
-        order."""
+        """:meth:`sync_tcam`'s one :meth:`TcamTable.write`, so listeners
+        hear of the whole sync once: ``stale`` goes, then ``fresh`` goes
+        in, in its order.  Of the rules past the capacity, the first
+        rejection and every eviction are logged in that order."""
         removed, overflowed = self.tcam.write(stale, fresh)
         self._synced = None if overflowed else (self.tcam, self.tcam.writes)
 

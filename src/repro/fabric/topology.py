@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Set
 
 from ..exceptions import FabricError
 
@@ -99,28 +99,17 @@ class LeafSpineTopology:
     def spines(self) -> List[str]:
         return self._by_role(SwitchRole.SPINE)
 
-    def _walk(self, src: str) -> Dict[str, Optional[str]]:
-        """Breadth-first from ``src``: every switch reached → the one it was
-        reached from (``None`` for ``src`` itself)."""
-        reached: Dict[str, Optional[str]] = {src: None}
+    def _walk(self, src: str) -> Set[str]:
+        """Breadth-first from ``src``: every switch reached."""
+        reached = {src}
         queue = deque([src])
         while queue:
             node = queue.popleft()
             for neighbor in self._links[node]:
                 if neighbor not in reached:
-                    reached[neighbor] = node
+                    reached.add(neighbor)
                     queue.append(neighbor)
         return reached
-
-    def path(self, src: str, dst: str) -> List[str]:
-        """Shortest switch path between two leaves (via a spine)."""
-        reached = self._walk(src) if src in self._roles else {}
-        if dst not in reached:
-            raise FabricError(f"no path between {src!r} and {dst!r}")
-        path = [dst]
-        while reached[path[-1]] is not None:
-            path.append(reached[path[-1]])
-        return path[::-1]
 
     def is_connected(self) -> bool:
         if not self._roles:

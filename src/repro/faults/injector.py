@@ -128,7 +128,6 @@ class FaultInjector:
         kinds: Sequence[FaultKind] = (FaultKind.FULL, FaultKind.PARTIAL),
         switches: Optional[Sequence[str]] = None,
         strict: bool = True,
-        rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
     ) -> List[InjectedFault]:
         """Inject ``count`` simultaneous faults on distinct random objects.
@@ -143,14 +142,12 @@ class FaultInjector:
 
         Every random draw of the batch — the shuffle, the full/partial coin
         and any partial fault's victim subset — comes from one explicit
-        source: ``rng`` when given, else a fresh ``random.Random(seed)``
-        when ``seed`` is given, else the injector's own RNG.  Campaign cells
-        pass ``seed`` so a batch is reproducible regardless of how many
-        injections the shared injector RNG served before.
+        source: a fresh ``random.Random(seed)`` when ``seed`` is given, else
+        the injector's own RNG.  Campaign cells pass ``seed`` so a batch is
+        reproducible regardless of how many injections the shared injector
+        RNG served before.
         """
-        if rng is not None and seed is not None:
-            raise FaultInjectionError("pass either rng or seed, not both")
-        draw = rng if rng is not None else (random.Random(seed) if seed is not None else self.rng)
+        draw = random.Random(seed) if seed is not None else self.rng
         candidates = self.faultable_objects(switches=switches)
         if len(candidates) < count:
             raise FaultInjectionError(

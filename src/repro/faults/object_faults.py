@@ -37,12 +37,11 @@ def rules_for_object(
 
 
 def _remove(fabric: Fabric, per_switch: Dict[str, List[TcamRule]]) -> Dict[str, List[TcamRule]]:
-    """Remove the given rules, each switch's as one TCAM write transaction."""
+    """Remove the given rules, each switch's as one TCAM write."""
     removed: Dict[str, List[TcamRule]] = {}
     for switch_uid, rules in per_switch.items():
-        tcam = fabric.switch(switch_uid).tcam
-        with tcam.transaction():
-            removed[switch_uid] = [rule for rule in rules if tcam.remove_rule(rule) is not None]
+        keys = [rule.match_key() for rule in rules]
+        removed[switch_uid] = fabric.switch(switch_uid).tcam.write(keys, {})[0]
     return removed
 
 

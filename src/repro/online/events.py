@@ -6,7 +6,7 @@ individual state transitions a live controller and fabric produce:
 
 * :class:`PolicyChanged` — a management action hit the controller change
   log (object added / modified / deleted);
-* :class:`TcamChanged` — one write transaction on one switch's TCAM ended
+* :class:`TcamChanged` — one write to one switch's TCAM ended
   (an agent's reconcile, a wipe, an eviction, a bit error): which switch,
   how many rules went in, how many were lost;
 * :class:`DeviceFault` — a device fault log raised a new record (agent
@@ -80,7 +80,7 @@ class PolicyChanged(Event):
 
 @dataclass(frozen=True)
 class TcamChanged(Event):
-    """One write transaction on one switch's TCAM: ``installed`` rules went
+    """One write to one switch's TCAM: ``installed`` rules went
     in, ``lost`` left it (removed or evicted) or bounced off it."""
 
     switch_uid: str
@@ -145,7 +145,7 @@ def event_from_dict(data: Dict) -> Event:
     per_rule = {"rule-installed": (1, 0), "rule-lost": (0, 1)}.get(kind)
     if per_rule is not None:
         # Snapshot versions 1-3 carried one entry, rule body included, per
-        # rule written: each reads as a transaction of that one rule.
+        # rule written: each reads as a write of that one rule.
         return TcamChanged(data["timestamp"], data["switch_uid"], *per_rule)
     if kind == "device-fault":
         return DeviceFault(

@@ -14,7 +14,7 @@ source hook                       event published
 ``TcamTable.subscribe``           :class:`TcamChanged`
 ================================  =================================
 
-Each hook fires once per thing that happened — a TCAM write transaction is
+Each hook fires once per thing that happened — a TCAM write is
 a whole ``sync_tcam`` or wipe — so the bus never carries an event per rule.
 
 The returned :class:`Instrumentation` detaches every listener again, so a

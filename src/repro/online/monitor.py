@@ -7,7 +7,7 @@ Figure 6) runs as a batch pipeline:
    transitions into typed events on an :class:`~repro.online.bus.EventBus`;
 2. the monitor buffers events and *debounces* them against the shared
    :class:`~repro.clock.LogicalClock` — a burst (one deployment is a TCAM
-   write transaction on every leaf) collapses into a single processing pass
+   write on every leaf) collapses into a single processing pass
    once the clock has advanced ``debounce_ticks`` past the last event;
 3. a pass makes one request for the controller's compiled policy (the
    monitor compiles nothing itself), asks the
@@ -41,7 +41,7 @@ Snapshot / restore
 :meth:`NetworkMonitor.snapshot` captures what cannot be recomputed — checker
 state (all partitions, merged: the verdict fingerprint of every violating
 switch, dirt, counters — no copy of L or T), the incident store, the pending
-event batch (a switch and two counts per TCAM transaction: kilobytes even
+event batch (a switch and two counts per TCAM write: kilobytes even
 mid-burst) and the debounce bookkeeping — as one JSON-ready dict;
 :meth:`NetworkMonitor.restore` (or :meth:`NetworkMonitor.from_snapshot`)
 adopts it around one ordinary bootstrap sweep applied to no incident —
@@ -53,7 +53,7 @@ the first poll that runs, which opens, updates or resolves its incident.
 Restoring into a different partition count is a rebalance: the merged state
 reshards along the new map.  Version-1 to -3 documents still restore: whole
 results (1, 2) are read for the verdicts, copies of L and T ignored, and
-each per-rule pending event counts as a transaction of one rule.
+each per-rule pending event counts as a write of one rule.
 """
 
 from __future__ import annotations

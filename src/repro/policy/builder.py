@@ -165,12 +165,6 @@ class PolicyBuilder:
         self.provide(provider, contract_uid)
         return contract_uid
 
-    def attach(self, endpoint: str, switch: str) -> None:
-        """Attach an existing endpoint to a leaf switch."""
-        if endpoint not in self.tenant.endpoints:
-            raise UnknownObjectError(f"endpoint {endpoint!r} not found")
-        self.tenant.replace_endpoint(self.tenant.endpoints[endpoint].attached_to(switch))
-
     def _update_epg_relations(
         self,
         epg_uid: str,

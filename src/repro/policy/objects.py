@@ -265,13 +265,5 @@ class EpgPair(tuple):
     def second(self) -> str:
         return self[1]
 
-    def other(self, epg_uid: str) -> str:
-        """Return the member of the pair that is not ``epg_uid``."""
-        if epg_uid == self[0]:
-            return self[1]
-        if epg_uid == self[1]:
-            return self[0]
-        raise KeyError(f"{epg_uid!r} is not part of pair {self}")
-
     def __repr__(self) -> str:
         return f"EpgPair({self[0]!r}, {self[1]!r})"

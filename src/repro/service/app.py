@@ -410,7 +410,7 @@ class ScoutService:
 
     def _record_bus_event(self, event: Event) -> None:
         """Bus subscriber: every fabric/policy event lands in the black box, a
-        line per policy edit, fault record or TCAM write transaction."""
+        line per policy edit, fault record or TCAM write."""
         self.recorder.record_event(
             "bus." + type(event).__name__,
             detail=event.describe(),
@@ -581,7 +581,7 @@ class ScoutService:
 
     def _probe_bus(self) -> ComponentHealth:
         # The backlog counts un-polled changes (a policy edit, a fault record,
-        # a TCAM write transaction), never the rules one of them moved.
+        # a TCAM write), never the rules one of them moved.
         backlog = self.monitor.pending_events()
         seen = self.monitor.bus.total_events()
         status = HealthStatus.DEGRADED if backlog > 100 else HealthStatus.OK

@@ -21,8 +21,9 @@ from repro.churn import (
     SwitchReboot,
 )
 from repro.exceptions import RiskModelError
+from repro.fabric.tcam import InstallOutcome
 from repro.risk import RiskModel
-from repro.rules import TcamRule
+from repro.rules import MatchKey, TcamRule
 from repro.verify import RuleSpace
 from repro.verify.bdd import BDD
 
@@ -49,6 +50,50 @@ def missing_matches(
     """
     deployed_keys = {rule.match_key() for rule in deployed}
     return [rule for rule in expected if rule.match_key() not in deployed_keys]
+
+
+# ---------------------------------------------------------------------- #
+# The TCAM table (§II-B), one rule at a time
+# ---------------------------------------------------------------------- #
+class TcamModel:
+    """§II-B's table as a plain dict, written one rule at a time: each stale
+    key leaves; each new rule goes in while there is room, else it is
+    rejected or evicts the oldest rule held.  A write that changed
+    something is one listener call with its totals."""
+
+    def __init__(self, capacity: Optional[int], evict: bool) -> None:
+        self.capacity, self.evict = capacity, evict
+        self.entries: Dict[MatchKey, TcamRule] = {}
+        self.attempts = self.rejected = self.evictions = 0
+        self.calls: List[Tuple[int, int]] = []
+
+    def write(
+        self, stale: List[MatchKey], fresh: Dict[MatchKey, TcamRule]
+    ) -> Tuple[List[TcamRule], List[Tuple[InstallOutcome, Optional[TcamRule]]]]:
+        removed = [self.entries.pop(key) for key in stale if key in self.entries]
+        installed, lost = 0, len(removed)
+        overflowed: List[Tuple[InstallOutcome, Optional[TcamRule]]] = []
+        for key, rule in fresh.items():
+            self.attempts += 1
+            if self.capacity is None or len(self.entries) < self.capacity:
+                self.entries[key] = rule
+                installed += 1
+            elif self.evict:
+                victim = self.entries.pop(next(iter(self.entries)))
+                self.entries[key] = rule
+                self.evictions += 1
+                installed, lost = installed + 1, lost + 1
+                overflowed.append((InstallOutcome.INSTALLED_WITH_EVICTION, victim))
+            else:
+                self.rejected += 1
+                lost += 1
+                overflowed.append((InstallOutcome.REJECTED_FULL, None))
+        if installed or lost:
+            self.calls.append((installed, lost))
+        return removed, overflowed
+
+    def counters(self) -> Tuple[int, int, int]:
+        return self.attempts, self.rejected, self.evictions
 
 
 # ---------------------------------------------------------------------- #

@@ -310,7 +310,7 @@ def test_a_field_outside_the_key_changes_no_rendered_rule(kind, name, data):
 def _table(capacity: int, evict: bool, rules) -> TcamTable:
     table = TcamTable(capacity=capacity, evict_on_overflow=evict)
     for held in rules:
-        table.install(held)
+        table.write((), {held.match_key(): held})
     return table
 
 
@@ -601,14 +601,14 @@ class AgentRenderMachine(RuleBasedStateMachine):
         self.deliver(batch)
 
     # -- the TCAM ------------------------------------------------------ #
-    @rule(how=st.sampled_from(("remove", "remove_where", "clear")), picks=st.lists(_picks, max_size=4))
+    @rule(how=st.sampled_from(("remove", "remove_where", "wipe")), picks=st.lists(_picks, max_size=4))
     def lose_rules(self, how, picks):
         """Rules leave the TCAM behind the agent's back: one at a time, by
         predicate, or all at once."""
         tcam = self.switch.tcam
-        if how == "clear":
-            tcam.clear()
-            self.in_step = False
+        if how == "wipe":
+            if tcam.write(tcam.match_keys(), {})[0]:
+                self.in_step = False
         elif how == "remove_where":
             ports = {pick % 1000 for pick in picks}
             if tcam.remove_where(lambda held: held.port in ports or held.port is None):
@@ -617,7 +617,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
             for pick in picks:
                 keys = tcam.match_keys()
                 if keys:
-                    tcam.remove(keys[pick % len(keys)])
+                    tcam.write([keys[pick % len(keys)]], {})
                     self.in_step = False
 
     @rule()
@@ -644,7 +644,7 @@ class AgentRenderMachine(RuleBasedStateMachine):
 
     @rule(
         before=_batches,
-        how=st.sampled_from(("remove", "remove_where", "clear")),
+        how=st.sampled_from(("remove", "remove_where", "wipe")),
         picks=st.lists(_picks, min_size=1, max_size=4),
         after=_batches,
     )

@@ -496,8 +496,7 @@ def _as_tcam(rules) -> RuleSequence:
     the rules' own (shared) keys, a repeated key kept once, in place, with
     its last provenance."""
     tcam = TcamTable()
-    for rule in rules:
-        tcam.install(rule)
+    tcam.write((), {rule.match_key(): rule for rule in rules})
     return tcam.rule_sequence()
 
 

@@ -129,7 +129,7 @@ def test_an_untouched_leaf_is_answered_from_the_memo():
     system.check()  # the bootstrap sweep
     system.check()  # the first refresh: it starts the memo
     tcam = scenario.fabric.switch("leaf-2").tcam
-    tcam.remove(tcam.match_keys()[0])
+    tcam.write([tcam.match_keys()[0]], {})
     before = system.stats()
     collector = TraceCollector()
 
@@ -149,7 +149,7 @@ def test_concurrent_audits_of_one_system_are_serialized():
     scenario = three_tier_scenario()
     controller = scenario.controller
     tcam = scenario.fabric.switch("leaf-3").tcam
-    tcam.remove(tcam.match_keys()[0])
+    tcam.write([tcam.match_keys()[0]], {})
     expected = EquivalenceChecker().check_network(
         controller.logical_rules(), controller.collect_deployed_rules()
     )
@@ -184,7 +184,7 @@ def test_an_audit_waits_for_the_refresh_in_flight():
     the first audit is done, and both read the same fingerprint."""
     scenario = three_tier_scenario()
     tcam = scenario.fabric.switch("leaf-3").tcam
-    tcam.remove(tcam.match_keys()[0])
+    tcam.write([tcam.match_keys()[0]], {})
     system = ScoutSystem(scenario.controller)
     system.check()
     refresh = system.incremental.refresh

@@ -151,7 +151,7 @@ def _apply(controller, serial, op):
         tcam = controller.fabric.switch(_pick(leaves, a)).tcam
         keys = tcam.match_keys()
         if keys:
-            tcam.remove(_pick(keys, b))
+            tcam.write([_pick(keys, b)], {})
 
 
 def _assert_cached_compile_is_the_fresh_compile(controller):

@@ -5,12 +5,13 @@ it before the next write.
 the table's own dict as its key index (``RuleSequence.keyed``) and reads its
 keys and key set off it when first asked.  That is exact only if no write
 ever reaches a dict a sequence holds.  A state machine writes one table
-through every write path — ``install``, an ``install`` over a present key
-with new provenance, an eviction on a full ``evict_on_overflow`` table,
-``remove``, ``remove_where``, ``clear`` and a restore of what the table held
-earlier (``clear`` then the held rules, as ``restore_tcam`` does) — and after
-every step takes ``rule_sequence()`` and a frozen copy of the table beside
-it.  Every sequence handed out earlier must still equal its frozen copy:
+through ``write`` every way a write can go — a new rule, a held key written
+again with new provenance, an eviction on a full ``evict_on_overflow``
+table, a removal, ``remove_where``, a wipe and a restore of what the table
+held earlier (every key out, the held rules in, as ``restore_tcam`` does) —
+holds it to the per-rule :class:`TcamModel` (rules, counters, listener
+calls), and after every step takes ``rule_sequence()`` and a frozen copy of
+the table beside it.  Every sequence handed out earlier must still equal its frozen copy:
 its rules by identity, ``keys()``, ``key_set()``, ``len``, and the checker's
 verdict on it must equal the verdict on ``RuleSequence.of(list(seq))``, a
 sequence that holds no dict — and the lent dict must still map those keys
@@ -20,7 +21,6 @@ out, so a write that reached its dict shows in every view.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import is_
 
 from hypothesis import settings, strategies as st
@@ -29,6 +29,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.fabric.tcam import InstallOutcome, TcamTable
 from repro.rules import RuleSequence, TcamRule
 from repro.verify import EquivalenceChecker
+
+from oracles import TcamModel
 
 PORTS = range(10)
 _picks = st.integers(min_value=0, max_value=10_000)
@@ -51,69 +53,82 @@ LOGICAL = RuleSequence.of([_rule(port) for port in PORTS if port % 2])
 
 
 class SnapshotMachine(RuleBasedStateMachine):
-    """One table, every write path, every sequence it ever handed out."""
+    """One table, every kind of write, every sequence it ever handed out."""
 
     def __init__(self) -> None:
         super().__init__()
         self.tcam = TcamTable(evict_on_overflow=True)
+        self.tcam.subscribe(lambda installed, lost: self.calls.append((installed, lost)))
+        self.calls = []
+        #: The same writes, one rule at a time: what the table must hold.
+        self.model = TcamModel(None, True)
         self.checker = EquivalenceChecker()
         #: ``(sequence, rules, keys, key set)`` per sequence handed out,
         #: the last three copied off the table when it was.
         self.handed = []
 
-    # -- the write paths ------------------------------------------------ #
+    def _write(self, stale, fresh):
+        expected = self.model.write(list(stale), dict(fresh))
+        assert self.tcam.write(stale, fresh) == expected
+        return expected
+
+    # -- the writes ------------------------------------------------------ #
     @rule(port=st.sampled_from(PORTS), tag=_picks)
     def install(self, port, tag):
-        self.tcam.install(_rule(port, tag))
-
-    @rule(pick=_picks, tag=_picks)
-    def refresh_provenance(self, pick, tag):
-        rules = self.tcam.rules()
-        if rules:
-            held = rules[pick % len(rules)]
-            edited = dataclasses.replace(held, contract_uid=f"contract:refresh-{tag}")
-            assert self.tcam.install(edited)[0] is InstallOutcome.ALREADY_PRESENT
+        """A new rule, or a held key written again with new provenance."""
+        fresh = _rule(port, tag)
+        self._write([fresh.match_key()], {fresh.match_key(): fresh})
 
     @rule(port=st.sampled_from(PORTS))
     def evict(self, port):
-        tcam = self.tcam
-        if not len(tcam) or _rule(port).match_key() in tcam:
+        key = _rule(port).match_key()
+        if not len(self.tcam) or key in self.tcam:
             return
-        tcam.capacity = len(tcam)
+        self.tcam.capacity = self.model.capacity = len(self.tcam)
         try:
-            outcome, evicted = tcam.install(_rule(port))
+            [(outcome, evicted)] = self._write((), {key: _rule(port)})[1]
         finally:
-            tcam.capacity = None
+            self.tcam.capacity = self.model.capacity = None
         assert outcome is InstallOutcome.INSTALLED_WITH_EVICTION and evicted is not None
 
     @rule(pick=_picks)
     def remove(self, pick):
         keys = self.tcam.match_keys()
         if keys:
-            assert self.tcam.remove(keys[pick % len(keys)]) is not None
+            assert self._write([keys[pick % len(keys)]], {})[0]
 
     @rule(modulus=st.integers(2, 4), residue=st.integers(0, 3))
     def remove_where(self, modulus, residue):
-        self.tcam.remove_where(lambda held: held.port % modulus == residue % modulus)
+        def doomed(held):
+            return held.port % modulus == residue % modulus
+
+        removed = self.model.write([k for k, held in self.model.entries.items() if doomed(held)], {})[0]
+        assert self.tcam.remove_where(doomed) == removed
 
     @rule()
-    def clear(self):
-        self.tcam.clear()
+    def wipe(self):
+        self._write(self.tcam.match_keys(), {})
 
     @rule(pick=_picks)
     def restore(self, pick):
+        """What the table held earlier, written back as ``restore_tcam`` does."""
         if self.handed:
             rules = self.handed[pick % len(self.handed)][1]
-            self.tcam.clear()
-            for held in rules:
-                self.tcam.install(held)
+            self._write(self.tcam.match_keys(), {held.match_key(): held for held in rules})
 
     # -- the check ----------------------------------------------------- #
+    @invariant()
+    def the_table_is_the_model(self):
+        assert self.tcam.rules() == list(self.model.entries.values())
+        assert self.calls == self.model.calls
+        counters = self.tcam.install_attempts, self.tcam.rejected_installs, self.tcam.evictions
+        assert counters == self.model.counters()
+
     @invariant()
     def every_sequence_handed_out_is_unchanged(self):
         for sequence, rules, keys, key_set in self.handed:
             # The lent dict itself, while the sequence holds it: no view reads
-            # a rule from it, so a provenance refresh would show only here.
+            # a rule from it, so a rule replaced in place would show only here.
             if sequence._index is not None:
                 assert list(sequence._index.items()) == list(zip(keys, rules))
             assert len(sequence) == len(rules) and all(map(is_, sequence, rules))

@@ -1,17 +1,17 @@
 """A reused verdict is the verdict: the online checker's memo, under every
-TCAM write path.
+kind of TCAM write.
 
 ``IncrementalChecker.refresh`` answers a switch with its held verdict when
 the compiled L and ``tcam.rule_sequence()`` are the very objects that
 verdict was proved from.  That is sound only if every write that changes
 what a table holds — match keys or provenance — makes the table hand out a
-new sequence.  A state machine writes one small fabric's TCAMs through every
-:class:`~repro.fabric.tcam.TcamTable` entry point (``install``, ``install``
-over a present key with new provenance, ``remove``, ``remove_rule``,
-``remove_where``, ``clear``, eviction on a full table, a rejected install, a
-transaction that puts back exactly what it took, the agent's resync) and
-edits the policy (a real change, and an equal copy that moves no L), and
-after every step refreshes every leaf and holds each verdict to a fresh
+new sequence.  A state machine writes one small fabric's TCAMs every way a
+:meth:`~repro.fabric.tcam.TcamTable.write` can go (a new rule, a held key
+written again with new provenance, a write that puts back exactly what it
+took, a removal, ``remove_where``, a wipe, eviction on a full table, a
+rejected install, the agent's resync) and edits the policy (a real change,
+and an equal copy that moves no L), and after every step refreshes every
+leaf and holds each verdict to a fresh
 :meth:`EquivalenceChecker.check_switch` over the same L and T.  It also
 predicts which leaves are reused — those whose L and T are the objects of
 their last refresh — and that each is still returned and counted under the
@@ -82,74 +82,61 @@ class VerdictMemoMachine(RuleBasedStateMachine):
     def _tcam(self, leaf):
         return self.controller.fabric.switch(leaf).tcam
 
-    # -- the TCAM write paths ------------------------------------------ #
+    # -- the TCAM writes ------------------------------------------------ #
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
     def install(self, leaf, pick):
-        self._tcam(leaf).install(_foreign(pick))
+        """A foreign rule, or a held key written again with it."""
+        fresh = _foreign(pick)
+        self._tcam(leaf).write([fresh.match_key()], {fresh.match_key(): fresh})
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
-    def refresh_provenance(self, leaf, pick):
-        """``install`` over a present key: same match, new provenance."""
+    def rewrite_provenance(self, leaf, pick):
+        """A held key written again: same match, new provenance."""
         tcam = self._tcam(leaf)
         rules = tcam.rules()
         if rules:
             held = rules[pick % len(rules)]
             edited = dataclasses.replace(held, contract_uid=f"contract:{pick}")
-            tcam.install(edited)
+            tcam.write([held.match_key()], {held.match_key(): edited})
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
-    def reinstall_the_same_rule(self, leaf, pick):
+    def take_and_put_back(self, leaf, pick):
+        """A write that re-installs exactly what it removed (the same order
+        too when the rule was the table's last)."""
         tcam = self._tcam(leaf)
         rules = tcam.rules()
         if rules:
-            tcam.install(rules[pick % len(rules)])
+            taken = rules[pick % len(rules)]
+            tcam.write([taken.match_key()], {taken.match_key(): taken})
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
     def remove(self, leaf, pick):
         tcam = self._tcam(leaf)
         keys = tcam.match_keys()
         if keys:
-            tcam.remove(keys[pick % len(keys)])
-
-    @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
-    def remove_rule(self, leaf, pick):
-        tcam = self._tcam(leaf)
-        rules = tcam.rules()
-        if rules:
-            tcam.remove_rule(rules[pick % len(rules)])
+            tcam.write([keys[pick % len(keys)]], {})
 
     @rule(leaf=st.sampled_from(LEAVES), port=st.sampled_from((80, 700, 8080)))
     def remove_where(self, leaf, port):
         self._tcam(leaf).remove_where(lambda held: held.port == port)
 
     @rule(leaf=st.sampled_from(LEAVES))
-    def clear(self, leaf):
-        self._tcam(leaf).clear()
+    def wipe(self, leaf):
+        tcam = self._tcam(leaf)
+        tcam.write(tcam.match_keys(), {})
 
     @rule(leaf=st.sampled_from(LEAVES), pick=_picks, evict=st.booleans())
     def install_into_a_full_table(self, leaf, pick, evict):
         """Eviction (or a rejected install) on a table at capacity."""
         tcam = self._tcam(leaf)
-        if not len(tcam):
+        fresh = _foreign(pick)
+        if not len(tcam) or fresh.match_key() in tcam:
             return
         tcam.capacity, tcam.evict_on_overflow = len(tcam), evict
         try:
-            tcam.install(_foreign(pick))
+            tcam.write((), {fresh.match_key(): fresh})
         finally:
             tcam.capacity, tcam.evict_on_overflow = None, False
-
-    @rule(leaf=st.sampled_from(LEAVES), pick=_picks)
-    def take_and_put_back(self, leaf, pick):
-        """A transaction that re-installs exactly what it removed (the same
-        order too when the rule was the table's last)."""
-        tcam = self._tcam(leaf)
-        keys = tcam.match_keys()
-        if not keys:
-            return
-        key = keys[pick % len(keys)]
-        with tcam.transaction():
-            taken = tcam.remove(key)
-            tcam.install(taken)
 
     @rule(leaf=st.sampled_from(LEAVES))
     def resync(self, leaf):

@@ -52,6 +52,35 @@ def test_two_seeds_assemble_into_what_compare_reads():
     assert all((row["a"], row["b"], row["n"]) == (11.0, 8.5, 2) for row in op_rows)
 
 
+def test_the_change_side_is_one_trajectory_point():
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    catalog = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [entry["name"] for entry in catalog["workloads"]]
+    op_ms = [9.0, 8.0, 10.0, 11.0, 7.5]
+    change = {
+        name: [_result(value, 1.0, failed=int(index == 0)) for index, value in enumerate(op_ms)]
+        for name in names
+    }
+    meta = {"nproc": 2, "python": "3.11.7", "seconds": 15, "source": "working tree"}
+    document = pairs.assemble(change, meta)
+
+    point = pairs.trajectory_point(document, "a" * 40)
+
+    recorded = (REPO / "benchmarks" / "TRAJECTORY.jsonl").read_text().splitlines()
+    assert point.keys() == json.loads(recorded[-1]).keys()
+    assert (point["commit"], point["label"], point["parent"]) == (None, "", "a" * 40)
+    assert point["failed"] == len(names)
+    assert (point["nproc"], point["python"], point["seconds"]) == (2, "3.11.7", 15.0)
+    assert (point["repeat"], point["seed"]) == (10, 2018)
+    assert sorted(point["workloads"]) == sorted(names)
+    # statistics.quantiles' default (exclusive) method, as compare.py's spread.
+    assert point["workloads"][names[0]] == {
+        "op_ms": {"median": 9.0, "n": 5, "q1": 7.75, "q3": 10.5},
+        "setup_s": {"median": 1.0, "n": 5, "q1": 1.0, "q3": 1.0},
+    }
+    json.dumps(point)  # what main() writes to benchmarks/pairs/point.json
+
+
 def test_the_first_side_alternates_and_only_the_ref_is_an_argument():
     pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
     assert [tuple(pairs.order(index)) for index in range(4)] == [

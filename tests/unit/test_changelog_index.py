@@ -2,7 +2,7 @@
 
 import random
 
-from repro.controller.changelog import ChangeLog, ChangeRecord
+from repro.controller.changelog import ChangeLog
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
 
@@ -57,14 +57,10 @@ class TestIndexedQueries:
         assert log.last_timestamp() == 5
         assert ChangeLog().last_timestamp() == 0
 
-    def test_extend_goes_through_the_indexes(self):
+    def test_out_of_order_records_go_through_the_indexes(self):
         log = make_log([(5, "a")])
-        log.extend(
-            [
-                ChangeRecord(2, "b", ObjectType.EPG, Operation.ADD),
-                ChangeRecord(7, "a", ObjectType.FILTER, Operation.DELETE),
-            ]
-        )
+        log.record(2, "b", ObjectType.EPG, Operation.ADD)
+        log.record(7, "a", ObjectType.FILTER, Operation.DELETE)
         assert [r.timestamp for r in log.for_object("a")] == [5, 7]
         assert log.latest_for_object("b").timestamp == 2
         assert [r.timestamp for r in log.within(0, 9)] == [2, 5, 7]
@@ -98,6 +94,16 @@ class TestListeners:
         log.record(1, "a", ObjectType.FILTER, Operation.ADD)
         assert [r.object_uid for r in seen] == ["a"]
 
+    def test_every_subscriber_hears_each_record_once_in_order(self):
+        log = ChangeLog()
+        first, second = [], []
+        log.subscribe(first.append)
+        log.subscribe(second.append)
+        log.record(1, "a", ObjectType.EPG, Operation.ADD)
+        log.record(2, "b", ObjectType.EPG, Operation.ADD)
+        assert [r.object_uid for r in first] == ["a", "b"]
+        assert second == first
+
     def test_unsubscribe_stops_notifications(self):
         log = ChangeLog()
         seen = []
@@ -106,15 +112,3 @@ class TestListeners:
         log.unsubscribe(listener)  # double-unsubscribe is a no-op
         log.record(1, "a", ObjectType.FILTER, Operation.ADD)
         assert seen == []
-
-    def test_extend_notifies_per_record(self):
-        log = ChangeLog()
-        seen = []
-        log.subscribe(seen.append)
-        log.extend(
-            [
-                ChangeRecord(1, "a", ObjectType.EPG, Operation.ADD),
-                ChangeRecord(2, "b", ObjectType.EPG, Operation.ADD),
-            ]
-        )
-        assert [r.object_uid for r in seen] == ["a", "b"]

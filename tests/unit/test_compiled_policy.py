@@ -369,7 +369,7 @@ class TestMonitorReadsTheControllersCompile:
             degraded = sorted(controller.fabric.leaf_uids())[:3]
             for leaf in degraded:
                 tcam = controller.fabric.switch(leaf).tcam
-                tcam.remove(tcam.match_keys()[0])
+                tcam.write([tcam.match_keys()[0]], {})
             before = controller.compile_stats()
             result = monitor.poll(force=True)
             assert [incident.switch_uid for incident in result.opened] == degraded
@@ -414,7 +414,7 @@ class TestAccounting:
         with ScoutSystem(controller) as system:
             system.localize(parallel=True)  # compiles the rules once
             tcam = controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0]).tcam
-            tcam.remove(tcam.match_keys()[0])
+            tcam.write([tcam.match_keys()[0]], {})
             before = system.stats()
             collector = TraceCollector()
             system.localize(parallel=True, trace=collector)
@@ -623,7 +623,7 @@ def _degrade(controller, leaves=3):
     removed = {}
     for leaf in sorted(controller.fabric.leaf_uids())[:leaves]:
         tcam = controller.fabric.switch(leaf).tcam
-        removed[leaf] = tcam.remove(tcam.match_keys()[0])
+        [removed[leaf]] = tcam.write([tcam.match_keys()[0]], {})[0]
     return removed
 
 
@@ -753,8 +753,8 @@ class TestRiskStructureRidesTheIndex:
                 assert traced(lambda: monitor.poll(force=True), "monitor.localize") == [
                     "built"
                 ] * len(touched)
-                controller.fabric.switch(leaf).tcam.install(rule)
-                controller.fabric.switch(leaf).tcam.remove(rule.match_key())
+                controller.fabric.switch(leaf).tcam.write((), {rule.match_key(): rule})
+                controller.fabric.switch(leaf).tcam.write([rule.match_key()], {})
                 assert traced(lambda: monitor.poll(force=True), "monitor.localize") == ["reused"]
                 # The poll rebuilt the touched leaves; the untouched one kept
                 # its structure across the derivation.
@@ -834,8 +834,8 @@ class TestRiskStructureRidesTheIndex:
                         undo()
                         for leaf, rule in removed.items():
                             tcam = controller.fabric.switch(leaf).tcam
-                            tcam.install(rule)
-                            tcam.remove(rule.match_key())
+                            tcam.write((), {rule.match_key(): rule})
+                            tcam.write([rule.match_key()], {})
                         threads = [guarded(run) for run in (audit, poll)]
                         for thread in threads:
                             thread.start()
@@ -851,7 +851,7 @@ class TestRiskStructureRidesTheIndex:
                 # And none of those marks outlives its audit: repaired, the
                 # fabric reads clean on the structures all of them shared.
                 for leaf, rule in removed.items():
-                    controller.fabric.switch(leaf).tcam.install(rule)
+                    controller.fabric.switch(leaf).tcam.write((), {rule.match_key(): rule})
                 healthy = system.localize()
                 assert healthy.consistent
                 assert not healthy.risk_models["controller"].failure_signature()

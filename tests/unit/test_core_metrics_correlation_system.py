@@ -90,7 +90,7 @@ class TestEventCorrelationEngine:
         finding = report.findings[0]
         assert finding.root_cause == "tcam-overflow"
         assert finding.is_known
-        assert report.known() and not report.unknown()
+        assert all(finding.is_known for finding in report.findings)
 
     def test_unknown_when_no_fault_matches(self):
         engine = EventCorrelationEngine()

@@ -53,7 +53,7 @@ class TestCommon:
         fabric = deployed_testbed.fabric
         snapshot = snapshot_tcam(fabric)
         victim = fabric.leaf_uids()[0]
-        fabric.switch(victim).tcam.clear()
+        fabric.switch(victim).tcam.remove_where(lambda rule: True)
         assert missing_rules(deployed_testbed)
         restore_tcam(fabric, snapshot)
         assert missing_rules(deployed_testbed) == {}
@@ -71,12 +71,12 @@ class TestCommon:
 
 
 def _restore_rule_by_rule(fabric, snapshot):
-    """``restore_tcam`` as it was: a clear, then one ``install()`` per rule."""
+    """``restore_tcam`` as a per-rule loop: a wipe, then one write per rule."""
     for uid, entries in snapshot.items():
         tcam = fabric.switch(uid).tcam
-        tcam.clear()
+        tcam.write(tcam.match_keys(), {})
         for rule in entries.values():
-            tcam.install(rule)
+            tcam.write((), {rule.match_key(): rule})
 
 
 def _tables(fabric):
@@ -101,7 +101,7 @@ class TestRestoreTcam:
         for uid in scenario.fabric.leaf_uids():
             scenario.fabric.switch(uid).tcam.evict_on_overflow = evict
         scenario.fabric.switch("leaf-1").tcam.remove_where(lambda rule: rule.port == 80)
-        scenario.fabric.switch("leaf-2").tcam.clear()
+        scenario.fabric.switch("leaf-2").tcam.remove_where(lambda rule: True)
         return scenario
 
     def test_one_listener_call_per_leaf_and_the_same_rules(self):
@@ -121,6 +121,19 @@ class TestRestoreTcam:
         assert sum(map(len, snapshot.values())) == 12
         assert _tables(bulk.fabric) == _tables(naive.fabric)
         assert missing_rules(bulk) == {}
+
+    def test_a_restore_moves_each_leaf_writes_by_one(self):
+        snapshot = snapshot_tcam(three_tier_scenario().fabric)
+        damaged = self._damaged()
+        tcams = {uid: damaged.fabric.switch(uid).tcam for uid in damaged.fabric.leaf_uids()}
+        writes = {uid: tcam.writes for uid, tcam in tcams.items()}
+        restore_tcam(damaged.fabric, snapshot)
+        assert {uid: tcam.writes - writes[uid] for uid, tcam in tcams.items()} == {
+            uid: 1 for uid in tcams
+        }
+        assert {uid: tcam.rules() for uid, tcam in tcams.items()} == {
+            uid: list(entries.values()) for uid, entries in snapshot.items()
+        }
 
     @pytest.mark.parametrize("evict", [False, True])
     def test_a_capacity_limited_table_rejects_the_same_rules(self, evict):

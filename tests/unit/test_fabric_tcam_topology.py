@@ -13,41 +13,32 @@ def _rule(port: int, src: int = 1, dst: int = 2) -> TcamRule:
     return TcamRule(101, src, dst, "tcp", port, src_epg_uid=f"epg:{src}", dst_epg_uid=f"epg:{dst}")
 
 
-class TestTcamTable:
-    def test_install_and_contains(self):
-        tcam = TcamTable()
-        outcome, evicted = tcam.install(_rule(80))
-        assert outcome is InstallOutcome.INSTALLED
-        assert evicted is None
-        assert _rule(80).match_key() in tcam
-        assert len(tcam) == 1
+def _fresh(*rules: TcamRule):
+    return {rule.match_key(): rule for rule in rules}
 
-    def test_duplicate_install_reported(self):
+
+class TestTcamTable:
+    def test_write_installs_and_contains(self):
         tcam = TcamTable()
-        tcam.install(_rule(80))
-        outcome, _ = tcam.install(_rule(80))
-        assert outcome is InstallOutcome.ALREADY_PRESENT
+        assert tcam.write((), _fresh(_rule(80))) == ([], [])
+        assert _rule(80).match_key() in tcam
         assert len(tcam) == 1
 
     def test_capacity_rejection(self):
         tcam = TcamTable(capacity=2)
-        tcam.install(_rule(80))
-        tcam.install(_rule(81))
-        outcome, _ = tcam.install(_rule(82))
-        assert outcome is InstallOutcome.REJECTED_FULL
+        tcam.write((), _fresh(_rule(80), _rule(81)))
+        assert tcam.write((), _fresh(_rule(82)))[1] == [(InstallOutcome.REJECTED_FULL, None)]
         assert tcam.rejected_installs == 1
         assert len(tcam) == 2
-        assert tcam.is_full()
 
     def test_eviction_on_overflow(self):
         tcam = TcamTable(capacity=2, evict_on_overflow=True)
         first = _rule(80)
-        tcam.install(first)
-        tcam.install(_rule(81))
-        outcome, evicted = tcam.install(_rule(82))
+        tcam.write((), _fresh(first, _rule(81)))
+        [(outcome, evicted)] = tcam.write((), _fresh(_rule(82)))[1]
         assert outcome is InstallOutcome.INSTALLED_WITH_EVICTION
-        assert evicted is not None and evicted.match_key() == first.match_key()
-        assert len(tcam) == 2
+        assert evicted is first
+        assert tcam.match_keys() == [_rule(81).match_key(), _rule(82).match_key()]
         assert tcam.evictions == 1
 
     def test_invalid_capacity_rejected(self):
@@ -56,49 +47,44 @@ class TestTcamTable:
 
     def test_remove_and_remove_where(self):
         tcam = TcamTable()
-        for port in (80, 81, 82):
-            tcam.install(_rule(port))
-        assert tcam.remove(_rule(81).match_key()) is not None
-        assert tcam.remove(_rule(81).match_key()) is None
+        tcam.write((), _fresh(*(_rule(port) for port in (80, 81, 82))))
+        assert len(tcam.write([_rule(81).match_key()], {})[0]) == 1
+        assert tcam.write([_rule(81).match_key()], {})[0] == []
         removed = tcam.remove_where(lambda rule: rule.port == 82)
         assert len(removed) == 1
         assert len(tcam) == 1
 
     def test_rule_sequence_carries_the_table_keys(self):
         tcam = TcamTable()
-        for port in (80, 81):
-            tcam.install(_rule(port))
+        tcam.write((), _fresh(_rule(80), _rule(81)))
         sequence = tcam.rule_sequence()
         assert list(sequence) == tcam.rules()
         assert list(sequence.keys()) == tcam.match_keys()
         assert sequence.key_set() == set(tcam.match_keys())
         # A snapshot, not a view: later writes do not reach it.
-        tcam.remove(_rule(80).match_key())
+        tcam.write([_rule(80).match_key()], {})
         assert len(sequence) == 2 and len(sequence.key_set()) == 2
 
     def test_rule_sequence_is_handed_out_again_only_for_the_very_same_content(self):
         tcam = TcamTable()
         rules = [_rule(port) for port in (80, 81, 82)]
-        for rule in rules:
-            tcam.install(rule)
+        tcam.write((), _fresh(*rules))
         held = tcam.rule_sequence()
         assert tcam.rule_sequence() is held
         # Rewritten with what it held (how a snapshot restore leaves it).
-        tcam.clear()
+        tcam.write(tcam.match_keys(), {})
         assert tcam.rule_sequence() == ()
-        for rule in rules:
-            tcam.install(rule)
+        tcam.write((), _fresh(*rules))
         assert list(tcam.rule_sequence()) == rules
         assert tcam.rule_sequence() is tcam.rule_sequence()
         # Same keys, another order or another rule object: a new snapshot.
         held = tcam.rule_sequence()
-        tcam.remove(rules[0].match_key())
-        tcam.install(rules[0])
+        tcam.write([rules[0].match_key()], _fresh(rules[0]))
         assert tcam.rule_sequence() is not held
         assert list(tcam.rule_sequence().keys()) == tcam.match_keys()
         held = tcam.rule_sequence()
         refreshed = TcamRule(101, 1, 2, "tcp", 81, src_epg_uid="epg:other")
-        tcam.install(refreshed)  # already present: provenance refresh
+        tcam.write([refreshed.match_key()], _fresh(refreshed))
         assert tcam.rule_sequence() is not held
         assert refreshed in tcam.rule_sequence() and refreshed not in held
 
@@ -106,15 +92,16 @@ class TestTcamTable:
         rng = random.Random(7)
         tcam = TcamTable(capacity=12, evict_on_overflow=True)
         for step in range(400):
-            kind = rng.choice(["install", "install", "remove", "remove_where", "clear"])
+            kind = rng.choice(["install", "install", "remove", "remove_where", "wipe"])
             if kind == "install":
-                tcam.install(_rule(rng.randrange(20), src=rng.randrange(1, 3)))
+                rule = _rule(rng.randrange(20), src=rng.randrange(1, 3))
+                tcam.write([rule.match_key()], _fresh(rule))
             elif kind == "remove" and len(tcam):
-                tcam.remove(rng.choice(tcam.match_keys()))
+                tcam.write([rng.choice(tcam.match_keys())], {})
             elif kind == "remove_where":
                 tcam.remove_where(lambda rule: rule.port % 5 == step % 5)
-            elif kind == "clear" and rng.random() < 0.2:
-                tcam.clear()
+            elif kind == "wipe" and rng.random() < 0.2:
+                tcam.write(tcam.match_keys(), {})
             sequence = tcam.rule_sequence()
             assert list(sequence) == tcam.rules()
             assert list(sequence.keys()) == tcam.match_keys()
@@ -125,83 +112,129 @@ class TestTcamTable:
         tcam = TcamTable()
         heard = []
         tcam.subscribe(lambda installed, lost: heard.append((installed, lost)))
-        assert tcam.remove(_rule(80).match_key()) is None
+        assert tcam.write([_rule(80).match_key()], {}) == ([], [])
         assert tcam.remove_where(lambda rule: True) == []
-        tcam.clear()
+        tcam.write(tcam.match_keys(), {})
         assert len(tcam) == 0 and heard == []
 
-    def test_remove_rule_takes_the_rule_match_key(self):
+    def test_write_returns_the_held_rule_of_each_stale_key(self):
         tcam = TcamTable()
         installed = _rule(80)
-        tcam.install(installed)
-        # An equal rule built apart removes the held one and returns it.
-        assert tcam.remove_rule(_rule(80)) is installed
-        assert tcam.remove_rule(_rule(80)) is None
+        tcam.write((), _fresh(installed))
+        # An equal rule built apart names the held one, which comes back.
+        assert tcam.write([_rule(80).match_key()], {})[0][0] is installed
         assert len(tcam) == 0
 
-    def test_is_full_follows_capacity_and_removals(self):
+    def test_room_follows_capacity_and_removals(self):
         unbounded = TcamTable()
-        for port in range(50):
-            unbounded.install(_rule(port))
-        assert not unbounded.is_full()
+        assert unbounded.write((), _fresh(*(_rule(port) for port in range(50))))[1] == []
         tcam = TcamTable(capacity=2)
-        tcam.install(_rule(80))
-        assert not tcam.is_full()
-        tcam.install(_rule(81))
-        assert tcam.is_full()
-        tcam.remove(_rule(80).match_key())
-        assert not tcam.is_full()
-        assert tcam.install(_rule(82))[0] is InstallOutcome.INSTALLED
+        assert tcam.write((), _fresh(_rule(80), _rule(81)))[1] == []
+        # The stale key leaves first, so its slot takes the fresh rule.
+        assert tcam.write([_rule(80).match_key()], _fresh(_rule(82)))[1] == []
+        assert tcam.match_keys() == [_rule(81).match_key(), _rule(82).match_key()]
 
     def test_install_attempts_count_every_outcome(self):
         tcam = TcamTable(capacity=1)
-        tcam.install(_rule(80))  # installed
-        tcam.install(_rule(80))  # already present
-        tcam.install(_rule(81))  # rejected
-        assert (tcam.install_attempts, tcam.rejected_installs, tcam.evictions) == (3, 1, 0)
+        tcam.write((), _fresh(_rule(80)))  # installed
+        tcam.write((), _fresh(_rule(81)))  # rejected
+        assert (tcam.install_attempts, tcam.rejected_installs, tcam.evictions) == (2, 1, 0)
 
-    def test_clear(self):
+    def test_a_write_of_every_key_empties_the_table(self):
         tcam = TcamTable()
-        tcam.install(_rule(80))
-        tcam.clear()
+        tcam.write((), _fresh(_rule(80)))
+        tcam.write(tcam.match_keys(), {})
         assert len(tcam) == 0
 
-
-    def test_writes_counts_every_call_that_may_change_the_table(self):
-        """``writes`` moves on every mutating path — once per call, whatever
-        the call did to the table — and an empty ``write`` is no write."""
+    def test_writes_counts_every_write_with_something_to_write(self):
+        """``writes`` moves once per call that names a key — whatever the
+        call did to the table — and an empty ``write`` is no write."""
         tcam = TcamTable(capacity=2, evict_on_overflow=True)
         steps = [
-            lambda: tcam.install(_rule(80)),
-            lambda: tcam.install(_rule(80)),  # ALREADY_PRESENT: refreshed in place
-            lambda: tcam.install(_rule(81)),
-            lambda: tcam.install(_rule(82)),  # evicts port 80
-            lambda: tcam.remove(_rule(81).match_key()),
-            lambda: tcam.remove(_rule(99).match_key()),  # absent
-            lambda: tcam.remove_rule(_rule(82)),
-            lambda: tcam.write([], {_rule(83).match_key(): _rule(83)}),
-            lambda: tcam.write([_rule(83).match_key()], {}),
-            lambda: tcam.clear(),
-            lambda: tcam.clear(),  # already empty
+            lambda: tcam.write([], _fresh(_rule(80))),
+            lambda: tcam.write([], _fresh(_rule(81), _rule(82), _rule(83))),  # two evictions
+            lambda: tcam.write([_rule(82).match_key()], {}),
+            lambda: tcam.write([_rule(99).match_key()], {}),  # absent
+            lambda: tcam.write([_rule(83).match_key()], _fresh(_rule(84))),
+            lambda: tcam.remove_where(lambda rule: rule.port == 84),
         ]
         for expected, step in enumerate(steps, start=1):
             step()
             assert tcam.writes == expected
-        tcam.install(_rule(84))
-        tcam.install(_rule(85))
-        tcam.install(_rule(86))  # the one write past the capacity
-        assert tcam.writes == len(steps) + 3
         assert tcam.write([], {}) == ([], [])
         assert tcam.remove_where(lambda rule: rule.port == 99) == []
-        assert tcam.writes == len(steps) + 3
-        assert tcam.remove_where(lambda rule: rule.port == 85)
-        assert tcam.writes == len(steps) + 4
-        # A bulk write past the capacity is one write plus its install()s.
-        tcam.write([], {_rule(port).match_key(): _rule(port) for port in (90, 91)})
-        assert tcam.writes == len(steps) + 4 + 1 + 1
         # Reads are not writes.
         tcam.rule_sequence(), tcam.rules(), tcam.match_keys(), len(tcam)
-        assert tcam.writes == len(steps) + 6
+        assert tcam.writes == len(steps)
+
+
+    def test_an_overflowing_write_evicts_rules_of_that_same_write(self):
+        tcam = TcamTable(capacity=2, evict_on_overflow=True)
+        rules = [_rule(port) for port in (80, 81, 82, 83)]
+        removed, overflowed = tcam.write((), _fresh(*rules))
+        # The two that fit go in first; each later one evicts the oldest held.
+        assert removed == []
+        assert overflowed == [
+            (InstallOutcome.INSTALLED_WITH_EVICTION, rules[0]),
+            (InstallOutcome.INSTALLED_WITH_EVICTION, rules[1]),
+        ]
+        assert tcam.rules() == rules[2:]
+        assert (tcam.install_attempts, tcam.rejected_installs, tcam.evictions) == (4, 0, 2)
+
+    def test_a_rejecting_write_keeps_the_rules_that_fit_in_order(self):
+        tcam = TcamTable(capacity=2)
+        rules = [_rule(port) for port in (80, 81, 82, 83)]
+        assert tcam.write((), _fresh(*rules))[1] == [(InstallOutcome.REJECTED_FULL, None)] * 2
+        assert tcam.rules() == rules[:2]
+        assert (tcam.install_attempts, tcam.rejected_installs, tcam.evictions) == (4, 2, 0)
+
+    def test_stale_keys_the_table_lacks_are_skipped(self):
+        tcam = TcamTable()
+        first, second = _rule(80), _rule(81)
+        tcam.write((), _fresh(first, second))
+        stale = [_rule(99).match_key(), second.match_key(), _rule(98).match_key(), first.match_key()]
+        assert tcam.write(stale, {})[0] == [second, first]
+        assert len(tcam) == 0
+
+    def test_a_write_leaves_a_handed_out_sequence_unchanged(self):
+        tcam = TcamTable()
+        rules = [_rule(port) for port in (80, 81, 82)]
+        tcam.write((), _fresh(*rules))
+        sequence = tcam.rule_sequence()
+        keys = list(sequence.keys())
+        tcam.write([rules[1].match_key()], _fresh(_rule(83), _rule(84)))
+        assert list(sequence) == rules
+        assert list(sequence.keys()) == keys
+        assert sequence.key_set() == set(keys)
+        assert tcam.match_keys() == [rules[0].match_key(), rules[2].match_key(),
+                                     _rule(83).match_key(), _rule(84).match_key()]
+
+    def test_a_listener_may_unsubscribe_itself_while_it_hears(self):
+        tcam = TcamTable()
+        heard = []
+
+        def once(installed, lost):
+            heard.append(("once", installed, lost))
+            tcam.unsubscribe(once)
+
+        tcam.subscribe(once)
+        tcam.subscribe(lambda installed, lost: heard.append(("always", installed, lost)))
+        tcam.write((), _fresh(_rule(80)))
+        tcam.write([_rule(80).match_key()], {})
+        assert heard == [("once", 1, 0), ("always", 1, 0), ("always", 0, 1)]
+
+    def test_remove_where_asks_about_each_rule_once_in_table_order(self):
+        tcam = TcamTable()
+        tcam.write((), _fresh(*(_rule(port) for port in (82, 80, 81, 83))))
+        asked = []
+
+        def odd(rule):
+            asked.append(rule.port)
+            return rule.port % 2 == 1
+
+        assert [rule.port for rule in tcam.remove_where(odd)] == [81, 83]
+        assert asked == [82, 80, 81, 83]
+        assert [rule.port for rule in tcam.rules()] == [82, 80]
 
 
 class TestFaultLogBook:
@@ -244,12 +277,6 @@ class TestLeafSpineTopology:
         assert topo.summary()["links"] == 8
         topo.validate()
 
-    def test_leaf_to_leaf_path_goes_through_spine(self):
-        topo = LeafSpineTopology.build(num_leaves=3, num_spines=1)
-        path = topo.path("leaf-1", "leaf-3")
-        assert len(path) == 3
-        assert path[1] in topo.spines()
-
     def test_leaf_leaf_link_rejected(self):
         topo = LeafSpineTopology()
         topo.add_leaf("l1")
@@ -263,14 +290,8 @@ class TestLeafSpineTopology:
         with pytest.raises(FabricError):
             topo.add_spine("l1")
 
-    def test_unknown_switch_queries_raise(self):
-        topo = LeafSpineTopology.build(2, 1)
-        with pytest.raises(FabricError):
-            topo.path("leaf-1", "nope")
-
-    def test_path_within_one_leaf_is_that_leaf(self):
+    def test_build_names_leaves_in_order(self):
         topo = LeafSpineTopology.build(num_leaves=2, num_spines=2)
-        assert topo.path("leaf-1", "leaf-1") == ["leaf-1"]
         assert topo.leaves() == ["leaf-1", "leaf-2"]
         assert len(topo.spines()) == 2
 
@@ -279,6 +300,27 @@ class TestLeafSpineTopology:
             LeafSpineTopology.build(0, 1)
         with pytest.raises(FabricError):
             LeafSpineTopology.build(1, 0)
+
+    def test_link_to_an_unknown_switch_rejected(self):
+        topo = LeafSpineTopology()
+        topo.add_leaf("l1")
+        with pytest.raises(FabricError, match="unknown switch"):
+            topo.add_link("l1", "s1")
+
+    def test_a_leaf_added_without_links_disconnects_the_fabric(self):
+        topo = LeafSpineTopology.build(num_leaves=3, num_spines=2)
+        assert topo.is_connected()
+        topo.add_leaf("leaf-4")
+        assert not topo.is_connected()
+        topo.add_link("leaf-4", topo.spines()[0])
+        assert topo.is_connected()
+        assert topo.summary() == {"leaves": 4, "spines": 2, "links": 7}
+
+    def test_an_empty_topology_is_not_connected(self):
+        topo = LeafSpineTopology()
+        assert not topo.is_connected()
+        with pytest.raises(FabricError, match="no leaf"):
+            topo.validate()
 
     def test_validate_disconnected(self):
         topo = LeafSpineTopology()

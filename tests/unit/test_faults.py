@@ -251,17 +251,11 @@ class TestFaultInjector:
 
         assert run(burn_draws=0) == run(burn_draws=17)
 
-    def test_random_faults_with_explicit_rng_object(self, deployed_tiny):
+    def test_random_faults_with_explicit_seed(self, deployed_tiny):
         workload, controller = deployed_tiny
         injector = FaultInjector(controller)
-        faults = injector.inject_random_faults(2, rng=random.Random(8))
+        faults = injector.inject_random_faults(2, seed=8)
         assert len(faults) == 2
-
-    def test_random_faults_reject_rng_and_seed_together(self, deployed_tiny):
-        workload, controller = deployed_tiny
-        injector = FaultInjector(controller)
-        with pytest.raises(FaultInjectionError, match="not both"):
-            injector.inject_random_faults(1, rng=random.Random(1), seed=1)
 
     def test_inject_object_fault_accepts_explicit_rng(self, three_tier):
         injector = FaultInjector(three_tier.controller)

@@ -385,7 +385,7 @@ class TestRestoreAgainstAMovedPolicy:
             # One unrelated TCAM event is all the first poll is told about.
             unrelated = sorted(set(controller.fabric.leaf_uids()) - stale)
             tcam = controller.fabric.switch((unrelated or sorted(stale))[0]).tcam
-            tcam.remove(tcam.match_keys()[0])
+            tcam.write([tcam.match_keys()[0]], {})
             result = restored.poll(force=True)
             assert stale <= set(result.switches_rechecked)
             fresh = ScoutSystem(controller).check()
@@ -492,7 +492,7 @@ class TestRestoreAgainstAMovedPolicy:
         monitor = NetworkMonitor(controller)
         monitor.start()
         tcam = controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0]).tcam
-        tcam.remove(tcam.match_keys()[0])
+        tcam.write([tcam.match_keys()[0]], {})
         monitor.poll(force=True)
         document = json.loads(json.dumps(monitor.snapshot()))
         monitor.close()
@@ -670,7 +670,7 @@ class TestRestoreAgainstAMovedFabric:
         monitor = NetworkMonitor(controller)
         monitor.start()
         leaf = self._first_leaf(controller)
-        leaf.tcam.remove(leaf.tcam.match_keys()[0])
+        leaf.tcam.write([leaf.tcam.match_keys()[0]], {})
         monitor.poll(force=True)
         document = json.loads(json.dumps(monitor.snapshot()))
         monitor.close()
@@ -679,7 +679,7 @@ class TestRestoreAgainstAMovedFabric:
 
         # A rule no engine can encode: the fabric cannot be checked.
         unencodable = dataclasses.replace(leaf.tcam.rules()[0], port=70_000)
-        leaf.tcam.install(unencodable)
+        leaf.tcam.write((), {unencodable.match_key(): unencodable})
         fresh = NetworkMonitor(controller)
         clock_before = controller.clock.peek()
         with pytest.raises(VerificationError, match="port value 70000"):
@@ -689,7 +689,7 @@ class TestRestoreAgainstAMovedFabric:
         assert fresh.stats()["restores"] == 0 and fresh.stats()["full_checks"] == 0
         assert controller.clock.peek() == clock_before
 
-        leaf.tcam.remove(unencodable.match_key())
+        leaf.tcam.write([unencodable.match_key()], {})
         fresh.start()
         assert [item.switch_uid for item in fresh.store.active()] == [leaf.uid]
         fresh.close()
@@ -702,7 +702,7 @@ class TestRestoreAgainstAMovedFabric:
         monitor = NetworkMonitor(controller)
         monitor.start()
         leaf = self._first_leaf(controller)
-        leaf.tcam.remove(leaf.tcam.match_keys()[0])
+        leaf.tcam.write([leaf.tcam.match_keys()[0]], {})
         monitor.poll(force=True)
         document = json.loads(json.dumps(monitor.snapshot()))
         monitor.close()

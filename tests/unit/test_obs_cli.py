@@ -19,7 +19,7 @@ class TestCheckSubcommand:
             controller = deploy_profile(profile, seed=seed)
             leaf = sorted(controller.fabric.leaf_uids())[0]
             tcam = controller.fabric.switch(leaf).tcam
-            tcam.remove(tcam.match_keys()[0])
+            tcam.write([tcam.match_keys()[0]], {})
             return controller
 
         monkeypatch.setattr(cli, "deploy_profile", deploy_degraded)

@@ -113,7 +113,7 @@ def system():
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
     tcam = workload.fabric.switch(sorted(workload.fabric.leaf_uids())[0]).tcam
-    tcam.remove(tcam.match_keys()[0])
+    tcam.write([tcam.match_keys()[0]], {})
     return ScoutSystem(controller)
 
 

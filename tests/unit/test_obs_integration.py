@@ -50,7 +50,7 @@ def degraded_system():
     controller = Controller(workload.policy, workload.fabric)
     controller.deploy()
     for switch in workload.fabric.switches.values():
-        switch.tcam.remove(switch.tcam.match_keys()[0])
+        switch.tcam.write([switch.tcam.match_keys()[0]], {})
     return ScoutSystem(controller)
 
 
@@ -114,7 +114,7 @@ class TestTracedCheck:
         controller.deploy()
         switches = workload.fabric.switches
         for switch in switches.values():
-            switch.tcam.remove(switch.tcam.match_keys()[0])
+            switch.tcam.write([switch.tcam.match_keys()[0]], {})
         system = ScoutSystem(controller)
 
         def audit():
@@ -140,7 +140,8 @@ class TestTracedCheck:
         assert system.stats()["verdicts_reused"] == reused + len(switches)
         leaf = sorted(switches)[0]
         vrf, src, dst = switches[leaf].tcam.match_keys()[0][:3]
-        switches[leaf].tcam.install(TcamRule(vrf, src, dst, "tcp", 65000))
+        foreign = TcamRule(vrf, src, dst, "tcp", 65000)
+        switches[leaf].tcam.write((), {foreign.match_key(): foreign})
         # Only the written leaf is proved again, and its compare reads the
         # index the earlier audit built.
         assert audit() == ({leaf: 2}, [0])

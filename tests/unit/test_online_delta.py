@@ -126,7 +126,7 @@ class TestIncrementalBatching:
         an identity proof is the one the engine is scoped by."""
         delta = checker_for(three_tier)
         tcam = three_tier.fabric.switch("leaf-2").tcam
-        tcam.remove(tcam.match_keys()[0])
+        tcam.write([tcam.match_keys()[0]], {})
         calls = []
         key_delta = EquivalenceChecker._key_delta
 
@@ -145,7 +145,7 @@ class TestIncrementalBatching:
     def test_batched_refresh_keeps_digest_short_circuits(self, deployed_tiny):
         _, controller = deployed_tiny
         tcam = controller.fabric.switch(controller.fabric.leaf_uids()[0]).tcam
-        tcam.remove(tcam.match_keys()[0])
+        tcam.write([tcam.match_keys()[0]], {})
         checker = IncrementalChecker(controller)
         report = checker.bootstrap()
         clean = [uid for uid, result in report.results.items() if result.equivalent]

@@ -76,6 +76,10 @@ class TestEventBus:
         assert wiped.describe() == "t=4 tcam-changed leaf-1 +2 -136"
 
 
+def fresh(*rules: TcamRule) -> dict:
+    return {rule.match_key(): rule for rule in rules}
+
+
 def listening(table: TcamTable) -> list:
     """Subscribe to ``table``; the returned list collects ``(installed, lost)``."""
     seen = []
@@ -84,89 +88,59 @@ def listening(table: TcamTable) -> list:
 
 
 class TestTcamListeners:
-    """One notification per outermost mutating call, sized in rules."""
+    """One notification per write that changed something, sized in rules."""
 
-    def test_install_and_remove(self):
+    def test_a_write_is_one_call_or_none(self):
         table = TcamTable()
         seen = listening(table)
         rule = make_rule(80)
-        table.install(rule)
-        table.install(rule)  # already present: nothing written
-        table.remove(rule.match_key())
-        table.remove(rule.match_key())  # absent: nothing written
-        table.remove_rule(rule)
+        table.write((), fresh(rule))
+        table.write([rule.match_key()], {})
+        table.write([rule.match_key()], {})  # absent: nothing written
+        table.write((), {})  # nothing to write
         assert seen == [(1, 0), (0, 1)]
+        table.write((), fresh(make_rule(1), make_rule(2)))
+        table.write([make_rule(1).match_key()], fresh(make_rule(3), make_rule(4)))
+        assert seen == [(1, 0), (0, 1), (2, 0), (2, 1)]
 
     def test_a_rejected_install_is_a_loss_and_an_eviction_is_both(self):
         rejecting = TcamTable(capacity=1)
         seen = listening(rejecting)
-        rejecting.install(make_rule(1))
-        assert rejecting.install(make_rule(2))[0] is InstallOutcome.REJECTED_FULL
-        assert seen == [(1, 0), (0, 1)]
+        rejecting.write((), fresh(make_rule(1)))
+        outcomes = rejecting.write((), fresh(make_rule(2), make_rule(3)))[1]
+        assert [outcome for outcome, _ in outcomes] == [InstallOutcome.REJECTED_FULL] * 2
+        assert seen == [(1, 0), (0, 2)]
 
         evicting = TcamTable(capacity=1, evict_on_overflow=True)
         seen = listening(evicting)
-        evicting.install(make_rule(1))
-        assert evicting.install(make_rule(2))[0] is InstallOutcome.INSTALLED_WITH_EVICTION
-        assert seen == [(1, 0), (1, 1)]
+        evicting.write((), fresh(make_rule(1)))
+        outcomes = evicting.write((), fresh(make_rule(2), make_rule(3)))[1]
+        assert [outcome for outcome, _ in outcomes] == [InstallOutcome.INSTALLED_WITH_EVICTION] * 2
+        assert seen == [(1, 0), (2, 2)]
 
-    def test_remove_where_and_clear_are_one_call_each(self):
+    def test_remove_where_and_a_wipe_are_one_call_each(self):
         table = TcamTable()
-        for port in range(1, 9):
-            table.install(make_rule(port))
+        table.write((), fresh(*(make_rule(port) for port in range(1, 9))))
         seen = listening(table)
         removed = table.remove_where(lambda rule: rule.port <= 3)
         assert len(removed) == 3 and seen == [(0, 3)]
         assert table.remove_where(lambda rule: False) == [] and seen == [(0, 3)]
         seen.clear()
         held = len(table)
-        table.clear()
-        table.clear()  # already empty: nothing written
+        table.write(table.match_keys(), {})
+        table.write(table.match_keys(), {})  # already empty: nothing written
         assert seen == [(0, held)]
-
-    def test_nested_scopes_flush_once(self):
-        table = TcamTable()
-        seen = listening(table)
-        with table.transaction():
-            table.install(make_rule(1))
-            with table.transaction():
-                table.install(make_rule(2))
-                table.remove_where(lambda rule: rule.port == 1)
-            assert seen == []
-        assert seen == [(2, 1)]
-        with table.transaction():
-            pass  # nothing written, nobody told
-        assert seen == [(2, 1)]
-
-    def test_a_body_that_raises_still_announces_its_writes(self):
-        table = TcamTable()
-        table.install(make_rule(1))
-        table.install(make_rule(2))
-        table.install(make_rule(3))
-        seen = listening(table)
-        with pytest.raises(RuntimeError):
-            with table.transaction():
-                table.remove(make_rule(1).match_key())
-                table.remove(make_rule(2).match_key())
-                raise RuntimeError("agent died mid-reconcile")
-        assert seen == [(0, 2)]
-        # The scope closed: the next write is a transaction of its own.
-        table.remove(make_rule(3).match_key())
-        assert seen == [(0, 2), (0, 1)]
 
     def test_an_unobserved_table_counts_as_before(self):
         table = TcamTable(capacity=2, evict_on_overflow=True)
-        for port in (1, 2, 3):
-            table.install(make_rule(port))
-        table.install(make_rule(3))
-        assert (table.install_attempts, table.rejected_installs, table.evictions) == (4, 0, 1)
+        table.write((), fresh(*(make_rule(port) for port in (1, 2, 3))))
+        assert (table.install_attempts, table.rejected_installs, table.evictions) == (3, 0, 1)
         full = TcamTable(capacity=1)
-        full.install(make_rule(1))
-        full.install(make_rule(2))
+        full.write((), fresh(make_rule(1), make_rule(2)))
         assert (full.install_attempts, full.rejected_installs, full.evictions) == (2, 1, 0)
         # A listener that arrives later hears nothing about earlier writes.
         seen = listening(full)
-        full.remove(make_rule(1).match_key())
+        full.write([make_rule(1).match_key()], {})
         assert seen == [(0, 1)]
 
     def test_unsubscribe(self):
@@ -175,13 +149,13 @@ class TestTcamListeners:
         handler = table.subscribe(lambda installed, lost: seen.append(installed))
         table.unsubscribe(handler)
         table.unsubscribe(handler)
-        table.install(make_rule())
+        table.write((), fresh(make_rule()))
         assert seen == []
 
-    def test_sync_tcam_is_one_transaction(self, three_tier):
+    def test_sync_tcam_is_one_call(self, three_tier):
         switch = three_tier.fabric.switch("leaf-2")
         held = len(switch.tcam)
-        switch.tcam.clear()
+        switch.tcam.remove_where(lambda rule: True)
         seen = listening(switch.tcam)
         counters = switch.sync_tcam()
         assert counters["installed"] == held and seen == [(held, 0)]
@@ -190,21 +164,31 @@ class TestTcamListeners:
     def test_an_overflowing_sync_counts_its_rejections(self, three_tier):
         switch = three_tier.fabric.switch("leaf-2")
         held = len(switch.tcam)
-        switch.tcam.clear()
+        switch.tcam.remove_where(lambda rule: True)
         switch.tcam.capacity = held - 2
         seen = listening(switch.tcam)
         counters = switch.sync_tcam()
         assert counters["rejected"] == 2
         assert seen == [(held - 2, 2)]
 
-    def test_object_faults_are_one_transaction_per_switch(self, three_tier, rng):
+    def test_object_faults_are_one_write_per_switch(self, three_tier, rng):
+        """An object fault on a switch is one listener call and moves its
+        ``writes`` by one, however many rules it removes."""
         fabric = three_tier.fabric
-        seen = {uid: listening(fabric.switch(uid).tcam) for uid in fabric.leaf_uids()}
+        tcams = {uid: fabric.switch(uid).tcam for uid in fabric.leaf_uids()}
+        seen = {uid: listening(tcam) for uid, tcam in tcams.items()}
+        writes = {uid: tcam.writes for uid, tcam in tcams.items()}
         full = inject_full_object_fault(fabric, three_tier.uids["filter_extra_0"])
         assert set(full.removed_rules) == {"leaf-2", "leaf-3"}
         assert seen == {"leaf-1": [], "leaf-2": [(0, 2)], "leaf-3": [(0, 2)]}
+        assert {uid: tcam.writes - writes[uid] for uid, tcam in tcams.items()} == {
+            "leaf-1": 0,
+            "leaf-2": 1,
+            "leaf-3": 1,
+        }
         for calls in seen.values():
             calls.clear()
+        writes = {uid: tcam.writes for uid, tcam in tcams.items()}
         partial = inject_partial_object_fault(
             fabric, three_tier.uids["app_db_contract"], rng=rng
         )
@@ -212,6 +196,7 @@ class TestTcamListeners:
         for uid, calls in seen.items():
             removed = partial.removed_rules.get(uid, [])
             assert calls == ([(0, len(removed))] if removed else [])
+            assert tcams[uid].writes - writes[uid] == (1 if removed else 0)
 
 
 class TestFaultLogListeners:

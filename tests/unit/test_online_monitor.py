@@ -145,7 +145,7 @@ class TestDebounce:
         # evidence: the incident must not churn.
         bounced = switch.tcam.remove_where(lambda rule: rule.port == 80)
         for rule in bounced:
-            switch.tcam.install(rule)
+            switch.tcam.write((), {rule.match_key(): rule})
         controller.clock.tick(2)
         repeat = monitor.poll()
         assert repeat.switches_rechecked == ["leaf-2"]

@@ -164,7 +164,7 @@ class TestSpawnFree:
         try:
             for _ in range(2):
                 for switch in controller.fabric.switches.values():
-                    assert switch.tcam.remove(switch.tcam.match_keys()[0])
+                    assert switch.tcam.write([switch.tcam.match_keys()[0]], {})[0]
                 controller.clock.tick(2)
                 monitor.poll()
             opened, updated = monitor.passes

@@ -86,13 +86,6 @@ class TestEpgPair:
         assert pair.first == "epg:t/app"
         assert pair.second == "epg:t/web"
 
-    def test_other(self):
-        pair = EpgPair("a", "b")
-        assert pair.other("a") == "b"
-        assert pair.other("b") == "a"
-        with pytest.raises(KeyError):
-            pair.other("c")
-
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
             EpgPair("a", "a")

@@ -149,14 +149,17 @@ class TestPolicyBuilder:
         assert entries[0].protocol == "tcp"
         assert entries[0].port == 22
 
-    def test_attach_endpoint(self):
+    def test_endpoint_pre_attached_to_a_switch(self):
         builder = PolicyBuilder("t")
         vrf = builder.vrf("v")
         a = builder.epg("a", vrf)
-        ep = builder.endpoint("e1", a)
-        builder.attach(ep, "leaf-9")
+        ep = builder.endpoint("e1", a, switch="leaf-9")
+        loose = builder.endpoint("e2", a)
+        with pytest.raises(UnknownObjectError):
+            builder.endpoint("e3", "epg:t/missing")
         policy = builder.build()
         assert policy.get(ep).switch_uid == "leaf-9"
+        assert policy.get(loose).switch_uid is None
 
     def test_three_tier_policy_is_valid(self):
         builder, _ = three_tier_policy()

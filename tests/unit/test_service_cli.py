@@ -136,7 +136,8 @@ class TestServiceOnce:
         def deploy_with_an_unencodable_rule(name, seed=None):
             controller = deploy_profile(name, seed=seed)
             tcam = controller.fabric.switch(sorted(controller.fabric.leaf_uids())[0]).tcam
-            tcam.install(dataclasses.replace(tcam.rules()[0], port=70_000))
+            unencodable = dataclasses.replace(tcam.rules()[0], port=70_000)
+            tcam.write((), {unencodable.match_key(): unencodable})
             return controller
 
         monkeypatch.setattr(app, "deploy_profile", deploy_with_an_unencodable_rule)

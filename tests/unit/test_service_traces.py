@@ -24,7 +24,7 @@ class TestGetTraces:
     def test_audit_spans_land_in_the_service_trace(self, env):
         # A healthy leaf is an identity proof; the engine spans need a miss.
         tcam = env.scenario.fabric.switch("leaf-2").tcam
-        tcam.remove(tcam.match_keys()[0])
+        tcam.write([tcam.match_keys()[0]], {})
         audit = env.client.post("/audits", json={})
         assert audit.status == 200
         response = env.client.get("/traces")

@@ -1,11 +1,10 @@
-"""The TCAM's bulk write == the per-rule writes it replaced.
+"""The TCAM's bulk write == a per-rule model of the table.
 
 ``TcamTable.write`` removes a batch of keys and installs a batch of rules as
-one transaction: the rules that fit go in with one dict update, and only the
-rules past the capacity go through ``install()``.  ``Switch._reconcile`` and
-``TcamTable.remove_where`` are built on it.  The per-rule forms they replaced
-live here, not in ``src/``, as the references: one ``remove()`` per stale
-key, one ``install()`` per new rule, inside one transaction.
+one write: the rules that fit go in with one dict update, and each rule past
+the capacity is rejected or evicts the oldest.  ``Switch._reconcile`` and
+``TcamTable.remove_where`` are built on it.  The reference is
+:class:`TcamModel`, §II-B's table written one rule at a time.
 
 The cases are the ones where a capacity shortcut would show: a reconcile
 that fills the table exactly, one that overflows it by ``k``, one that finds
@@ -27,6 +26,8 @@ from repro.fabric import Switch, TcamTable
 from repro.fabric.faultlog import FaultCode
 from repro.fabric.tcam import InstallOutcome
 from repro.rules import MatchKey, TcamRule
+
+from oracles import TcamModel
 
 CAPACITY = 8
 
@@ -51,61 +52,32 @@ def _keyed(rules: List[TcamRule]) -> Dict[MatchKey, TcamRule]:
 
 
 # ---------------------------------------------------------------------- #
-# References
+# Reference
 # ---------------------------------------------------------------------- #
-def reference_write(
-    table: TcamTable, stale: List[MatchKey], fresh: Dict[MatchKey, TcamRule]
-) -> Tuple[List[TcamRule], List[Tuple[InstallOutcome, Optional[TcamRule]]]]:
-    """One ``remove()`` per stale key, then one ``install()`` per new rule,
-    in one transaction; every install's outcome."""
-    with table.transaction():
-        removed = [rule for rule in map(table.remove, stale) if rule is not None]
-        outcomes = [table.install(rule) for rule in fresh.values()]
-    return removed, outcomes
-
-
-def reference_reconcile(switch: Switch, desired: Dict[MatchKey, TcamRule]) -> Dict[str, int]:
-    """``Switch._reconcile`` before the bulk write, line for line."""
-    held_keys = switch.tcam.match_keys()
-    installed_keys = set(held_keys)
-    with switch.tcam.transaction():
-        removed = 0
-        for key in held_keys:
-            if key in desired:
-                continue
-            if switch.tcam.remove(key) is not None:
-                removed += 1
-        installed = rejected = evicted = 0
-        overflow_logged = False
-        for key, rule in desired.items():
-            if key in installed_keys:
-                continue
-            outcome, evicted_rule = switch.tcam.install(rule)
-            if outcome is InstallOutcome.REJECTED_FULL:
-                rejected += 1
-                if not overflow_logged:
-                    switch.fault_log.raise_fault(
-                        switch.clock.peek(),
-                        switch.uid,
-                        FaultCode.TCAM_OVERFLOW,
-                        detail=(
-                            f"TCAM full ({switch.tcam.capacity} entries); "
-                            f"rule install rejected"
-                        ),
-                    )
-                    overflow_logged = True
-            elif outcome is InstallOutcome.INSTALLED_WITH_EVICTION:
-                installed += 1
-                evicted += 1
-                switch.fault_log.raise_fault(
-                    switch.clock.peek(),
-                    switch.uid,
-                    FaultCode.RULE_EVICTION,
-                    detail=f"evicted {evicted_rule.describe() if evicted_rule else 'rule'}",
-                )
-            else:
-                installed += 1
-    return {"installed": installed, "removed": removed, "rejected": rejected, "evicted": evicted}
+def reference_reconcile(
+    model: TcamModel, desired: Dict[MatchKey, TcamRule]
+) -> Tuple[Dict[str, int], List[Tuple[FaultCode, str]]]:
+    """``Switch._reconcile`` over the model: the held keys ``desired`` lacks
+    go, the rules of ``desired`` the table lacks go in, in its order; the
+    counters it returns and the faults it logs — the first rejection and
+    every eviction."""
+    stale = [key for key in model.entries if key not in desired]
+    fresh = {key: rule for key, rule in desired.items() if key not in model.entries}
+    removed, overflowed = model.write(stale, fresh)
+    rejected = [victim for outcome, victim in overflowed if outcome is InstallOutcome.REJECTED_FULL]
+    evicted = [victim for outcome, victim in overflowed if outcome is not InstallOutcome.REJECTED_FULL]
+    logged = []
+    if rejected:
+        detail = f"TCAM full ({model.capacity} entries); rule install rejected"
+        logged.append((FaultCode.TCAM_OVERFLOW, detail))
+    logged += [(FaultCode.RULE_EVICTION, f"evicted {victim.describe()}") for victim in evicted]
+    counters = {
+        "installed": len(fresh) - len(rejected),
+        "removed": len(removed),
+        "rejected": len(rejected),
+        "evicted": len(evicted),
+    }
+    return counters, logged
 
 
 # ---------------------------------------------------------------------- #
@@ -122,11 +94,17 @@ ROOM = CAPACITY - len(WANTED)
 
 def _table(capacity: Optional[int], evict: bool) -> Tuple[TcamTable, list]:
     table = TcamTable(capacity=capacity, evict_on_overflow=evict)
-    for rule in HELD:
-        table.install(rule)
+    table.write((), _keyed(HELD))
     calls: list = []
     table.subscribe(lambda installed, lost: calls.append((installed, lost)))
     return table, calls
+
+
+def _model(capacity: Optional[int], evict: bool) -> TcamModel:
+    model = TcamModel(capacity, evict)
+    model.write([], _keyed(HELD))
+    model.calls.clear()
+    return model
 
 
 def _counters(table: TcamTable) -> Tuple[int, int, int]:
@@ -154,25 +132,19 @@ def _fresh(count: int) -> Dict[MatchKey, TcamRule]:
 @pytest.mark.parametrize("evict", [False, True])
 @pytest.mark.parametrize("capacity,count", CASES)
 @pytest.mark.parametrize("with_stale", [True, False])
-def test_write_equals_per_rule_writes(capacity, count, evict, with_stale):
+def test_write_equals_the_model(capacity, count, evict, with_stale):
     stale = [rule.match_key() for rule in STALE] if with_stale else []
     fresh = _fresh(count)
     bulk, bulk_calls = _table(capacity, evict)
-    naive, naive_calls = _table(capacity, evict)
+    model = _model(capacity, evict)
     snapshot = bulk.rule_sequence()  # a lent dict: the write copies it first
 
     removed, overflowed = bulk.write(stale, fresh)
-    naive_removed, outcomes = reference_write(naive, stale, fresh)
 
-    assert bulk.rules() == naive.rules()  # installed, in order
-    assert removed == naive_removed
-    # Only the rules past the capacity went through install(); the others
-    # were installed, as the reference installed them.
-    fitted = len(fresh) - len(overflowed)
-    assert all(outcome is InstallOutcome.INSTALLED for outcome, _ in outcomes[:fitted])
-    assert overflowed == outcomes[fitted:]  # the rejections and evicted victims
-    assert _counters(bulk) == _counters(naive)
-    assert bulk_calls == naive_calls and len(bulk_calls) == 1
+    assert (removed, overflowed) == model.write(stale, fresh)  # rejections, victims
+    assert bulk.rules() == list(model.entries.values())  # installed, in order
+    assert _counters(bulk) == model.counters()
+    assert bulk_calls == model.calls and len(bulk_calls) == 1
     if capacity is not None:
         assert len(bulk) <= capacity
     # The snapshot lent its dict before the write and still holds it as it was.
@@ -182,29 +154,27 @@ def test_write_equals_per_rule_writes(capacity, count, evict, with_stale):
 
 @pytest.mark.parametrize("evict", [False, True])
 @pytest.mark.parametrize("capacity,count", CASES)
-def test_reconcile_equals_per_rule_reconcile(capacity, count, evict):
+def test_reconcile_equals_the_model(capacity, count, evict):
     desired = {**_keyed(WANTED), **_fresh(count)}
-    switches = []
-    for _ in range(2):
-        table, calls = _table(capacity, evict)
-        switches.append((Switch(uid="leaf-1", tcam=table, clock=LogicalClock()), calls))
-    (bulk, bulk_calls), (naive, naive_calls) = switches
+    table, calls = _table(capacity, evict)
+    switch = Switch(uid="leaf-1", tcam=table, clock=LogicalClock())
+    model = _model(capacity, evict)
 
-    assert bulk._reconcile(dict(desired)) == reference_reconcile(naive, dict(desired))
-    assert bulk.tcam.rules() == naive.tcam.rules()
-    assert _counters(bulk.tcam) == _counters(naive.tcam)
-    logged = [(r.code, r.detail) for r in bulk.fault_log.records()]
-    assert logged == [(r.code, r.detail) for r in naive.fault_log.records()]
-    assert bulk_calls == naive_calls and len(bulk_calls) == 1
+    counters, expected_log = reference_reconcile(model, dict(desired))
+    assert switch._reconcile(dict(desired)) == counters
+    assert table.rules() == list(model.entries.values())
+    assert _counters(table) == model.counters()
+    logged = [(r.code, r.detail) for r in switch.fault_log.records()]
+    assert logged == expected_log
+    assert calls == model.calls and len(calls) == 1
     if capacity is not None and count > ROOM:
         # The case overflows: the fault log says so, by rejection or eviction.
         assert logged
 
 
-def test_a_full_table_sends_every_new_rule_through_install():
+def test_a_full_table_evicts_the_oldest_rule_for_each_new_one():
     table = TcamTable(capacity=len(HELD), evict_on_overflow=True)
-    for rule in HELD:
-        table.install(rule)
+    table.write((), _keyed(HELD))
     fresh = _fresh(3)
     removed, overflowed = table.write([], fresh)
     assert removed == []
