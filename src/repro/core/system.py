@@ -242,8 +242,9 @@ class ScoutSystem:
         checkers, how the switches they proved split between key-set
         identity proofs and switches dispatched to an engine, plus the
         switches an audit answered with the verdict it held
-        (``verdicts_reused``: L and T are the objects it was proved from),
-        plus how many of the risk models :meth:`localize` built found their
+        (``verdicts_reused``: L and T are the objects it was proved from)
+        and how the rest took their key delta (``folded_deltas`` from the
+        held proof's, ``full_deltas`` over the keys), plus how many of the risk models :meth:`localize` built found their
         structure on the index (``risk_structures_reused``) or had to
         compute it (``…_built``).
         """
@@ -253,6 +254,8 @@ class ScoutSystem:
             "identity_proofs": sum(checker.identity_proofs for checker in checkers),
             "dispatched": sum(checker.dispatched for checker in checkers),
             "verdicts_reused": self.incremental.verdicts_reused,
+            "folded_deltas": self.incremental.folded_deltas,
+            "full_deltas": self.incremental.full_deltas,
             "risk_structures_built": self.risk_structures_built,
             "risk_structures_reused": self.risk_structures_reused,
         }

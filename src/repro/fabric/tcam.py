@@ -15,14 +15,25 @@ compiled rules are non-overlapping exact matches plus the implicit deny).
 :meth:`TcamTable.write` is the table's one mutator: it removes some keys
 and installs some rules, and listeners hear of each write once, with how
 many rules went in and how many were lost.
+
+From the first :meth:`TcamTable.rule_sequence` on, the table also keeps its
+net key change since the sequence it last handed out — the keys added and
+the keys removed, an add cancelling a remove of the same key and the other
+way round; an eviction is a removal and a rejected install adds nothing.
+The next sequence it hands out carries that change
+(:meth:`~repro.rules.RuleSequence.change_since`), so a checker holding the
+sequence before can fold the change into that sequence's key difference
+instead of taking a new one over every key.  A change that outgrows the
+table is dropped, since the full difference then costs no more: the next
+sequence carries none, and its reader takes the full difference.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import is_
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import TcamError
 from ..rules import MatchKey, RuleSequence, TcamRule
@@ -64,6 +75,12 @@ class TcamTable:
         #: Whether that sequence holds ``_entries`` itself as its key index:
         #: the next :meth:`write` then first swaps in a private copy.
         self._lent = False
+        #: The net key change since ``_snapshot``: keys held now that it
+        #: lacks, and keys it holds that are gone.  None before the first
+        #: :meth:`rule_sequence` (nobody reads a change yet) and once a
+        #: change outgrew the table.
+        self._added: Optional[Set[MatchKey]] = None
+        self._removed: Optional[Set[MatchKey]] = None
         self._listeners: List[TcamListener] = []
         #: Non-empty :meth:`write` calls so far.  Equal counts mean the
         #: table was not written to in between.
@@ -113,24 +130,67 @@ class TcamTable:
         private copy — so a sequence keeps the keys, key set and rules it
         was handed out with.  The sequence last handed out is returned
         again for as long as the table holds the very same rule objects in
-        the same order — compared on every call, so no write has to
-        announce itself; rules are immutable and keyed by their own match
-        key, so that is the same content.  A table nobody wrote to, or one
-        rewritten with what it held, costs that one pass.
+        the same order — compared rule by rule, so a write that put back
+        what it took announces nothing; rules are immutable and keyed by
+        their own match key, so that is the same content.  A table nobody
+        wrote to, or one rewritten with what it held, costs that one pass.
+
+        A new sequence follows the one handed out before it and carries the
+        net key change since then (:meth:`RuleSequence.change_since`) — the
+        change this table recorded from its first ``rule_sequence`` on,
+        unless it outgrew the table and was dropped.  A non-empty change
+        skips the rule-by-rule comparison: the content cannot be the same.
         """
         held, entries = self._snapshot, self._entries
+        added, removed = self._added, self._removed
         if (
             held is None
+            or added
+            or removed
             or len(held) != len(entries)
             or not all(map(is_, held, entries.values()))
         ):
-            held = self._snapshot = RuleSequence.keyed(entries)
+            if added is None:
+                held = RuleSequence.keyed(entries)
+            else:
+                held = RuleSequence.keyed(entries, held, added, removed)
+            self._snapshot = held
             self._lent = True
+            added = None  # handed over with the sequence
+        if added is None:
+            self._added, self._removed = set(), set()
         return held
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
+    def _record(self, gone: Set[MatchKey], put: Mapping[MatchKey, TcamRule]) -> None:
+        """Move the net change by keys popped (``gone``, a set this call
+        may reuse) and keys put: a key popped and put back is no change, a
+        key moving back the way it came since the last snapshot leaves the
+        record, and any other joins it."""
+        if gone and put:
+            gone.symmetric_difference_update(put)
+            out = gone.difference(put)
+            into = gone - out
+        else:
+            out, into = gone, set(put)
+        added, removed = self._added, self._removed
+        for keys, undone in ((out, added), (into, removed)):
+            back = undone & keys
+            if back:
+                undone -= back
+                keys -= back
+        # ``out`` and ``into`` are this call's own: an empty side takes one.
+        if removed:
+            removed |= out
+        else:
+            self._removed = out
+        if added:
+            added |= into
+        else:
+            self._added = into
+
     def remove_where(self, predicate: Callable[[TcamRule], bool]) -> List[TcamRule]:
         """Remove every installed rule satisfying ``predicate``; returns them,
         in table order.
@@ -156,6 +216,11 @@ class TcamTable:
         an install attempt.  A call that names a key moves :attr:`writes`
         by one, and one that changed the table calls each listener once;
         nothing to write is no write at all.
+
+        While the table records its net key change (see
+        :meth:`rule_sequence`), each key popped, installed or evicted moves
+        it; a ``fresh`` key the table still held overwrites its rule and
+        drops the record, as does a change larger than the table.
         """
         if not stale and not fresh:
             return [], []
@@ -165,23 +230,45 @@ class TcamTable:
             self._entries = dict(self._entries)
             self._lent = False
         entries = self._entries
-        removed = list(filter(None, map(entries.pop, stale, repeat(None))))
+        recording = self._added is not None
+        # A write naming at least every held key reads the keys it pops
+        # off the table's own dict, whose stored hashes a set reuses.
+        before = set(entries) if recording and len(stale) >= len(entries) else None
+        popped = list(map(entries.pop, stale, repeat(None)))
+        removed = list(filter(None, popped))
         room = len(fresh)
         if self.capacity is not None:
             room = min(room, max(self.capacity - len(entries), 0))
-        entries.update(fresh if room == len(fresh) else islice(fresh.items(), room))
+        put = fresh if room == len(fresh) else dict(islice(fresh.items(), room))
+        expected = len(entries) + room
+        if recording:
+            if before is None:
+                gone = set(compress(stale, popped))
+            else:
+                gone = before.difference(entries) if entries else before
+            self._record(gone, put)
+        entries.update(put)
         self.install_attempts += len(fresh)
         installed, lost = room, len(removed)
         overflowed: List[Tuple[InstallOutcome, Optional[TcamRule]]] = []
         for key, rule in islice(fresh.items(), room, None):
             lost += 1
             if self.evict_on_overflow:
-                evicted = entries.pop(next(iter(entries)))
+                oldest = next(iter(entries))
+                evicted = entries.pop(oldest)
                 entries[key] = rule
+                if recording:
+                    self._record({oldest}, {key: rule})
                 installed += 1
                 overflowed.append((InstallOutcome.INSTALLED_WITH_EVICTION, evicted))
             else:
                 overflowed.append((InstallOutcome.REJECTED_FULL, None))
+        if recording and (
+            # A fresh key the table held, or a change larger than the table.
+            len(entries) != expected
+            or len(self._added) + len(self._removed) > len(entries)
+        ):
+            self._added = self._removed = None
         if self.evict_on_overflow:
             self.evictions += len(overflowed)
         else:

@@ -46,6 +46,18 @@ so the monitor re-localizes it, and it counts under the route that proved
 it (``digest_short_circuits`` when the identity proof settled it,
 ``switch_checks`` when an engine ran) as well as in ``verdicts_reused``.
 
+Re-proved is not re-diffed.  Beside L and T the checker keeps the key
+difference its last proof was decided on (``L - T``, ``T - L``).  When the
+compile hands back the held L and the TCAM's new sequence follows the held
+T — the table records its net key change between the two
+(:meth:`TcamTable.rule_sequence`) — the proof folds that change into the
+held difference, in the size of the change, instead of probing every key of
+L (:meth:`~repro.verify.checker.EquivalenceChecker.prove_switch`).  Any
+other case takes the full difference: a recompiled L, a sweep (bootstrap,
+restore: the memo starts empty), a table whose change outgrew it, or one
+another reader took a sequence from in between.  ``stats()`` counts
+``folded_deltas`` and ``full_deltas``; the fallback is the second.
+
 A snapshot holds only what a sweep cannot recompute — which switches were
 violating and how, dirt, counters — and a restore runs that same sweep: a
 stored copy of L or T would be trusted over the network.
@@ -61,7 +73,12 @@ from ..obs import span
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
 from ..rules import RuleSequence
-from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
+from ..verify.checker import (
+    EquivalenceChecker,
+    EquivalenceReport,
+    KeyDelta,
+    SwitchCheckResult,
+)
 
 __all__ = [
     "IncrementalChecker",
@@ -114,9 +131,12 @@ class IncrementalChecker:
         self._compiled: Optional[CompiledRules] = None
         self._results: Dict[str, SwitchCheckResult] = {}
         #: Per switch refreshed since the last sweep: the L and T objects
-        #: its held verdict was proved from, and whether the identity proof
-        #: settled it.  A sweep (bootstrap, restore) starts it empty.
-        self._proved: Dict[str, Tuple[RuleSequence, RuleSequence, bool]] = {}
+        #: its held verdict was proved from, whether the identity proof
+        #: settled it, and the key delta it was decided on (None under
+        #: ``engine="bdd"``).  A sweep (bootstrap, restore) starts it empty.
+        self._proved: Dict[
+            str, Tuple[RuleSequence, RuleSequence, bool, Optional[KeyDelta]]
+        ] = {}
         # Pending work.
         self._dirty: Set[str] = set()
         #: Changed objects whose blast radius the next refresh resolves.
@@ -129,6 +149,10 @@ class IncrementalChecker:
         self.index_rebuilds = 0
         self.index_patches = 0
         self.verdicts_reused = 0
+        #: Proofs whose key delta was folded from the held one, and those
+        #: that took it over the keys.
+        self.folded_deltas = 0
+        self.full_deltas = 0
 
     # ------------------------------------------------------------------ #
     # The L side
@@ -273,7 +297,8 @@ class IncrementalChecker:
         one ``check_switch`` call: the identity proof when its key sets
         agree, this checker's engine over the key delta otherwise — unless
         its L and T are the very objects its held verdict was proved from,
-        which answer it again.
+        which answer it again.  The key delta is folded from the held one
+        when L is the held object and T the TCAM's successor of the held T.
         """
         if self._compiled is None:
             return dict(self.bootstrap(compiled).results)
@@ -307,9 +332,16 @@ class IncrementalChecker:
                     self.verdicts_reused += 1
                 else:
                     proofs = self.checker.identity_proofs
-                    result = self.checker.check_switch(switch_uid, logical, deployed)
+                    result, delta = self.checker.prove_switch(
+                        switch_uid, logical, deployed, None if held is None else held[3]
+                    )
                     by_identity = self.checker.identity_proofs != proofs
-                    self._proved[switch_uid] = (logical, deployed, by_identity)
+                    self._proved[switch_uid] = (logical, deployed, by_identity, delta)
+                    if delta is not None:
+                        if delta.folded:
+                            self.folded_deltas += 1
+                        else:
+                            self.full_deltas += 1
                 if by_identity:
                     self.digest_short_circuits += 1
                 else:
@@ -341,6 +373,8 @@ class IncrementalChecker:
             **{key: getattr(self, key) for key in _STAT_KEYS},
             # Not in a snapshot: a restore sweeps, and starts no memo.
             "verdicts_reused": self.verdicts_reused,
+            "folded_deltas": self.folded_deltas,
+            "full_deltas": self.full_deltas,
             "dirty_switches": len(self._dirty),
             # The persistent checker's atom table (atomic-predicate engine):
             # deltas *patch* it in place, so across refreshes the version

@@ -216,6 +216,10 @@ class RuleSequence(tuple):
     with :meth:`keyed` holds the dict it was built from as its key index,
     so its keys and key set are read off it, on first use.  Being a tuple,
     what a cache hands out cannot be edited in place.
+
+    A TCAM snapshot may also carry the table's net key change since the
+    snapshot it handed out before (:meth:`change_since`), naming that one by
+    a token rather than holding it.
     """
 
     _keys: Optional[Tuple[MatchKey, ...]] = None
@@ -245,6 +249,12 @@ class RuleSequence(tuple):
     #: :meth:`select` reads from its second call on.  The sequence is
     #: immutable, so the index never goes stale.
     _positions: Optional[Tuple[Dict[MatchKey, int], Dict[MatchKey, List[int]]]] = None
+    #: What a successor names this sequence by: made with the first
+    #: successor, so a sequence nothing followed has none.
+    _token: Optional[object] = None
+    #: ``(token of the sequence this one follows, keys added since, keys
+    #: removed since)`` for a snapshot made with ``after=``.
+    _change: Optional[Tuple[object, AbstractSet[MatchKey], AbstractSet[MatchKey]]] = None
 
     @classmethod
     def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
@@ -252,7 +262,13 @@ class RuleSequence(tuple):
         return rules if isinstance(rules, cls) else cls(rules)
 
     @classmethod
-    def keyed(cls, entries: Mapping[MatchKey, TcamRule]) -> "RuleSequence":
+    def keyed(
+        cls,
+        entries: Mapping[MatchKey, TcamRule],
+        after: Optional["RuleSequence"] = None,
+        added: AbstractSet[MatchKey] = frozenset(),
+        removed: AbstractSet[MatchKey] = frozenset(),
+    ) -> "RuleSequence":
         """The rules of a dict keyed by their own match keys, in its order.
 
         The caller hands ``entries`` over: the sequence keeps it as its key
@@ -262,10 +278,31 @@ class RuleSequence(tuple):
         read off it when first asked for (``frozenset(dict)`` reuses the
         stored hashes), so nothing is re-derived per rule and nothing but
         the rule tuple is built here.
+
+        ``after`` names the sequence this one succeeds, whose keys plus
+        ``added`` minus ``removed`` are the keys of ``entries``: what
+        :meth:`change_since` answers with.  Only a token of it is kept, so
+        a chain of sequences keeps none of its predecessors alive; the two
+        sets are handed over as ``entries`` is.
         """
         sequence = cls(entries.values())
         sequence._index = entries
+        if after is not None:
+            if after._token is None:
+                after._token = object()
+            sequence._change = (after._token, added, removed)
         return sequence
+
+    def change_since(
+        self, earlier: "RuleSequence"
+    ) -> Optional[Tuple[AbstractSet[MatchKey], AbstractSet[MatchKey]]]:
+        """``(added, removed)``: the keys this sequence holds that ``earlier``
+        does not, and the other way round — when this one was made as
+        ``earlier``'s successor (:meth:`keyed`'s ``after``); else None."""
+        change = self._change
+        if change is None or change[0] is not earlier._token:
+            return None
+        return change[1], change[2]
 
     @classmethod
     def from_keys(cls, keys: Iterable[MatchKey]) -> "RuleSequence":

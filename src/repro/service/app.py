@@ -492,7 +492,9 @@ class ScoutService:
                     "patches (index derivations), rebuilds, pairs_compared, "
                     "pairs_recompiled and switches_reassembled; "
                     "switches settled by identity_proofs versus dispatched; "
-                    "verdicts_reused, switches an audit answered unchanged."
+                    "verdicts_reused, switches an audit answered unchanged; "
+                    "folded_deltas versus full_deltas, key deltas folded from "
+                    "the last proof versus taken over every key."
                 ),
                 labels={"counter": counter},
             )

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import VerificationError
 from ..obs import span
@@ -46,6 +46,7 @@ __all__ = [
     "SwitchCheckResult",
     "EquivalenceReport",
     "EquivalenceChecker",
+    "KeyDelta",
     "ENGINES",
 ]
 
@@ -245,6 +246,20 @@ class EquivalenceReport:
         return digest.hexdigest()
 
 
+class KeyDelta(NamedTuple):
+    """The key difference one ``ap`` proof of a switch was decided on:
+    ``l_only = L - T`` and ``t_only = T - L`` of the ``logical`` and
+    ``deployed`` sequences it names, and whether it was folded from an
+    earlier proof's (:meth:`EquivalenceChecker.prove_switch`) rather than
+    taken over the keys."""
+
+    logical: RuleSequence
+    deployed: RuleSequence
+    l_only: FrozenSet[MatchKey]
+    t_only: FrozenSet[MatchKey]
+    folded: bool
+
+
 class EquivalenceChecker:
     """Compare desired (L) and deployed (T) rules and emit missing rules.
 
@@ -256,11 +271,14 @@ class EquivalenceChecker:
 
     The ``ap`` check is **delta-scoped**.  Both sides arrive as
     key-carrying :class:`~repro.rules.RuleSequence` carriers; the checker takes
-    the key-set difference ``l_only = L - T`` / ``t_only = T - L`` (the one
-    place under ``src/repro`` that compares key sets, :meth:`_key_delta`:
-    ``L - T`` first, ``T - L`` only when the counts say T holds a key
-    outside L, so a switch that is healthy or only lost rules costs one
-    pass over L) and then:
+    the key-set difference ``l_only = L - T`` / ``t_only = T - L`` one of two
+    ways.  Over the keys, in the one place under ``src/repro`` that compares
+    two key sets (:meth:`_key_delta`: ``L - T`` first, ``T - L`` only when
+    the counts say T holds a key outside L, so a switch that is healthy or
+    only lost rules costs one pass over L).  Or, for a switch proved before
+    against the same L, whose TCAM handed out T right after the proved one,
+    folded from that proof's difference in the size of the TCAM's change
+    (:meth:`prove_switch`).  Then:
 
     * both empty — the sides are the same match/action set, hence the same
       semantics: an **identity proof**, no engine (:meth:`identity_proof`,
@@ -320,20 +338,52 @@ class EquivalenceChecker:
         deployed: Sequence[TcamRule],
     ) -> SwitchCheckResult:
         """Compare one switch's logical and deployed rules."""
+        return self.prove_switch(switch_uid, logical, deployed)[0]
+
+    def prove_switch(
+        self,
+        switch_uid: str,
+        logical: Sequence[TcamRule],
+        deployed: Sequence[TcamRule],
+        since: Optional[KeyDelta] = None,
+    ) -> Tuple[SwitchCheckResult, Optional[KeyDelta]]:
+        """:meth:`check_switch`, also returning the key delta the verdict
+        was decided on (None under ``engine="bdd"``, which takes none).
+
+        ``since`` is an earlier proof of the same switch.  When ``logical``
+        is its L and ``deployed`` was handed out by the TCAM right after its
+        T (:meth:`RuleSequence.change_since`), the delta is folded from it
+        in the size of the change: with ``added`` / ``removed`` the keys T
+        gained and lost, ``l_only' = (l_only - added) | (removed & L)`` and
+        ``t_only' = (t_only - removed) | (added - L)``.  Otherwise — no
+        ``since``, another L, a T with no recorded change or one following
+        another sequence — it is taken over the keys (:meth:`_key_delta`).
+        The ``check.switch`` span counts which: ``folded_deltas`` or
+        ``full_deltas`` (with its ``key_passes``).
+        """
         logical, deployed = RuleSequence.of(logical), RuleSequence.of(deployed)
         with span("check.switch", switch=switch_uid, engine=self.engine) as current:
             current.count("rules", len(logical) + len(deployed))
             if self.engine == "bdd":
                 self.dispatched += 1
-                return self._check_with_bdd(switch_uid, logical, deployed)
-            l_only, t_only = self._key_delta(logical, deployed)
-            # The second pass is the T - L one, taken iff T had an extra key.
-            current.count("key_passes", 2 if t_only else 1)
+                return self._check_with_bdd(switch_uid, logical, deployed), None
+            delta = None if since is None else self._folded_delta(since, logical, deployed)
+            if delta is None:
+                delta = KeyDelta(
+                    logical, deployed, *self._key_delta(logical, deployed), False
+                )
+                current.count("full_deltas", 1)
+                # The second pass is the T - L one, taken iff T had an extra key.
+                current.count("key_passes", 2 if delta.t_only else 1)
+            else:
+                current.count("folded_deltas", 1)
+            l_only, t_only = delta.l_only, delta.t_only
             if not l_only and not t_only:
-                return self._proven(switch_uid, logical, deployed)
+                return self._proven(switch_uid, logical, deployed), delta
             self.dispatched += 1
             current.count("delta_checks", 1)
-            return self._check_delta(switch_uid, logical, deployed, l_only, t_only)
+            result = self._check_delta(switch_uid, logical, deployed, l_only, t_only)
+            return result, delta
 
     def identity_proof(
         self,
@@ -469,10 +519,7 @@ class EquivalenceChecker:
         or one that only lost rules, costs one pass.  The ``T - L`` keys
         are validated on every call, the empty set included.
         """
-        table = self.atoms
-        if table not in logical.observed_by:
-            table.observe_keys(logical.keys())
-            logical.observed_by += (table,)
+        table = self._observed(logical)
         l_keys, t_keys = logical.key_set(), deployed.distinct_keys()
         l_only = l_keys.difference(t_keys)
         if len(t_keys) == len(l_keys) - len(l_only):
@@ -481,6 +528,35 @@ class EquivalenceChecker:
             t_only = deployed.key_set() - l_keys
         table.observe_keys(t_only)
         return l_only, t_only
+
+    def _folded_delta(
+        self, since: KeyDelta, logical: RuleSequence, deployed: RuleSequence
+    ) -> Optional[KeyDelta]:
+        """``since`` moved by the key change ``deployed`` records since
+        ``since.deployed``, when ``logical`` is ``since.logical``; else None
+        (see :meth:`prove_switch`).  ``t_only`` is validated as
+        :meth:`_key_delta` validates it."""
+        if since.logical is not logical:
+            return None
+        change = deployed.change_since(since.deployed)
+        if change is None:
+            return None
+        added, removed = change
+        self._observed(logical)
+        l_keys = logical.key_set()
+        l_only = (since.l_only - added) | (removed & l_keys)
+        t_only = (since.t_only - removed) | (added - l_keys)
+        self.atoms.observe_keys(t_only)
+        return KeyDelta(logical, deployed, l_only, t_only, True)
+
+    def _observed(self, logical: RuleSequence) -> AtomTable:
+        """This checker's atom table, once it validated and folded in every
+        key of ``logical`` (once per immutable sequence and table)."""
+        table = self.atoms
+        if table not in logical.observed_by:
+            table.observe_keys(logical.keys())
+            logical.observed_by += (table,)
+        return table
 
     def _proven(
         self, switch_uid: str, logical: RuleSequence, deployed: RuleSequence

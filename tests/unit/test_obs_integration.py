@@ -107,8 +107,8 @@ class TestTracedCheck:
     def test_a_repeat_audit_reuses_the_position_index(self):
         """The compiled L outlives an audit: the first compare of a leaf
         scans it, the second builds its key → position index and every later
-        audit reads it.  A leaf holding a key outside L takes the second key
-        pass."""
+        audit reads it.  A leaf written since its last proof folds the write
+        into that proof's key delta: no key pass at all."""
         workload = generate_workload(small_profile())
         controller = Controller(workload.policy, workload.fabric)
         controller.deploy()
@@ -124,7 +124,8 @@ class TestTracedCheck:
             for recorded in collector.spans():
                 by_name.setdefault(recorded.name, []).append(recorded)
             passes = {
-                s.attrs["switch"]: s.counters["key_passes"] for s in by_name["check.switch"]
+                s.attrs["switch"]: s.counters.get("key_passes", 0)
+                for s in by_name["check.switch"]
             }
             compares = by_name["verify.ap.compare"]
             return passes, [s.counters["positions_built"] for s in compares]
@@ -142,9 +143,12 @@ class TestTracedCheck:
         vrf, src, dst = switches[leaf].tcam.match_keys()[0][:3]
         foreign = TcamRule(vrf, src, dst, "tcp", 65000)
         switches[leaf].tcam.write((), {foreign.match_key(): foreign})
-        # Only the written leaf is proved again, and its compare reads the
-        # index the earlier audit built.
-        assert audit() == ({leaf: 2}, [0])
+        # Only the written leaf is proved again, from the foreign key its
+        # TCAM recorded, and its compare reads the index the earlier audit
+        # built.
+        folded = system.stats()["folded_deltas"]
+        assert audit() == ({leaf: 0}, [0])
+        assert system.stats()["folded_deltas"] == folded + 1
 
     def test_untraced_check_records_nothing(self, system):
         collector = TraceCollector()

@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro import Controller
+from repro.core import ScoutSystem
 from repro.exceptions import VerificationError
+from repro.experiments import restore_tcam, snapshot_tcam
+from repro.fabric.tcam import TcamTable
+from repro.faults import FaultInjector
+from repro.obs import TraceCollector
 from repro.online import IncrementalChecker
 from repro.policy.objects import Filter, FilterEntry, ObjectType
 from repro.rules import TcamRule
 from repro.verify import EquivalenceChecker, RuleSpace
+from repro.workloads import generate_workload
 
 
 def checker_for(scenario) -> IncrementalChecker:
@@ -160,6 +167,120 @@ class TestIncrementalBatching:
         # No engine ran: every clean leaf was settled by the identity proof.
         assert checker.switch_checks == engine_checks
         assert checker.digest_short_circuits == identity + len(clean)
+
+
+class TestFoldedKeyDelta:
+    """A switch proved before against the same L, whose TCAM handed out its
+    T right after the proved one, folds the TCAM's recorded change into the
+    held key delta; every other switch takes the delta over its keys."""
+
+    def test_faults_after_a_restore_fold_on_every_faulted_leaf(self, deployed_tiny):
+        _, controller = deployed_tiny
+        fabric = controller.fabric
+        snapshot = snapshot_tcam(fabric)
+        system = ScoutSystem(controller)
+        system.check()  # the bootstrap sweep: no memo
+        system.check()  # every leaf proved over its keys
+        full = system.stats()["full_deltas"]
+        assert full == len(fabric.switches)
+        for seed in (1, 2, 3):
+            restore_tcam(fabric, snapshot)
+            writes = {uid: switch.tcam.writes for uid, switch in fabric.switches.items()}
+            FaultInjector(controller).inject_random_faults(2, seed=seed)
+            faulted = {
+                uid for uid, switch in fabric.switches.items() if switch.tcam.writes != writes[uid]
+            }
+            assert faulted
+            collector = TraceCollector()
+            report = system.check(trace=collector)
+            checks = {
+                span.attrs["switch"]: span.counters
+                for span in collector.spans()
+                if span.name == "check.switch"
+            }
+            assert faulted <= set(checks)
+            assert all(counters.get("folded_deltas") == 1 for counters in checks.values())
+            assert not any("full_deltas" in counters for counters in checks.values())
+            assert system.stats()["full_deltas"] == full
+            fresh = ScoutSystem(controller).check()
+            assert report.semantic_fingerprint() == fresh.semantic_fingerprint()
+
+    def test_a_recompiled_l_takes_the_full_delta(self, three_tier):
+        delta = checker_for(three_tier)
+        leaves = three_tier.fabric.leaf_uids()
+        delta.refresh(switch_uids=leaves)
+        assert (delta.folded_deltas, delta.full_deltas) == (0, len(leaves))
+        # leaf-2's TCAM records a change, but its L is recompiled too.
+        tcam = three_tier.fabric.switch("leaf-2").tcam
+        tcam.write([tcam.match_keys()[0]], {})
+        filter_uid = three_tier.uids["filter_extra_0"]
+        widened = Filter(
+            uid=filter_uid,
+            name="port700",
+            entries=(FilterEntry(protocol="tcp", port=700), FilterEntry(protocol="tcp", port=701)),
+        )
+        three_tier.controller.modify_object("webshop", widened, detail="add port 701")
+        delta.note_policy_change(filter_uid, ObjectType.FILTER)
+        refreshed = delta.refresh()
+        assert set(refreshed) == {"leaf-2", "leaf-3"}
+        stats = delta.stats()
+        assert (stats["folded_deltas"], stats["full_deltas"]) == (0, len(leaves) + 2)
+        # The next write to leaf-2 against the same L folds.
+        tcam.write([tcam.match_keys()[0]], {})
+        delta.note_switch_change("leaf-2")
+        assert not delta.refresh()["leaf-2"].equivalent
+        assert (delta.folded_deltas, delta.full_deltas) == (1, len(leaves) + 2)
+        fresh = EquivalenceChecker().check_network(
+            three_tier.controller.logical_rules(),
+            three_tier.controller.collect_deployed_rules(),
+        )
+        assert delta.report().semantic_fingerprint() == fresh.semantic_fingerprint()
+
+    def test_a_fresh_system_check_never_folds(self, deployed_tiny):
+        """The oracle a benchmark's final check and a churn checkpoint use:
+        a new system's first audit is the bootstrap sweep, from scratch."""
+        _, controller = deployed_tiny
+        system = ScoutSystem(controller)
+        system.check()
+        system.check()
+        FaultInjector(controller).inject_random_faults(2, seed=7)
+        assert system.check().semantic_fingerprint() == (
+            ScoutSystem(controller).check().semantic_fingerprint()
+        )
+        assert system.stats()["folded_deltas"] > 0
+        fresh = ScoutSystem(controller)
+        fresh.check()
+        assert (fresh.stats()["folded_deltas"], fresh.stats()["full_deltas"]) == (0, 0)
+        assert fresh.checker.identity_proofs + fresh.checker.dispatched == len(
+            controller.fabric.switches
+        )
+
+    def test_a_table_nobody_read_keeps_no_record(self, tiny_profile, monkeypatch):
+        """A deployment writes every table before anyone reads one: none of
+        those writes pays for a record."""
+        recorded = []
+        record = TcamTable._record
+        monkeypatch.setattr(
+            TcamTable,
+            "_record",
+            lambda table, gone, put: recorded.append(table) or record(table, gone, put),
+        )
+        workload = generate_workload(tiny_profile)
+        controller = Controller(workload.policy, workload.fabric)
+        controller.deploy()
+        tcam = controller.fabric.switch(controller.fabric.leaf_uids()[0]).tcam
+        first_key, second_key = tcam.match_keys()[:2]
+        tcam.write([first_key], {})
+        assert recorded == []
+        first = tcam.rule_sequence()
+        assert first.change_since(first) is None  # it follows nothing
+        tcam.write([second_key], {})
+        assert recorded == [tcam]
+        second = tcam.rule_sequence()
+        assert second.change_since(first) == (set(), {second_key})
+        # Only the sequence handed out right before names it.
+        tcam.write((), {second_key: TcamRule(*second_key)})
+        assert tcam.rule_sequence().change_since(first) is None
 
 
 class TestPolicyBlastRadius:
