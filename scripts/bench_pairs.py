@@ -18,6 +18,14 @@ status is ``compare.py``'s.  B's runs are also written as one point of
 once the change is committed.  Both sides run the benchmark of their own
 checkout at the run length it declares.  Committed files are untouched: the
 working tree's ``src/`` is what B measures, whether committed or not.
+
+After the pairs, each side runs ``--trace 1`` once per workload at the first
+seed and ``churn-simulation`` at every seed (:func:`traced_cases`): a traced
+run times only the operations after its warm-up share of the budget, so a
+faster program can leave one with nothing traced, and the run then fails.
+Each traced run's ``bench.traced_ops`` (the lowest per side too) and
+``bench.peak_rss_mb`` are printed; a traced run that fails is named (side,
+workload, seed) and makes the exit status 1 whatever ``compare.py`` said.
 """
 
 from __future__ import annotations
@@ -32,12 +40,14 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = range(2018, 2028)
 OUT = REPO / "benchmarks" / "pairs"
 SIDES = ("A", "B")
+#: The workload traced at every seed: the one whose traced runs can come up empty.
+CHURN = "churn-simulation"
 
 
 def order(seed_index: int) -> Sequence[str]:
@@ -45,20 +55,67 @@ def order(seed_index: int) -> Sequence[str]:
     return SIDES if seed_index % 2 == 0 else SIDES[::-1]
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> Dict:
-    """One untraced run of ``workload`` from ``checkout``; its result object."""
+def _run(checkout: Path, workload: str, seed: int, trace: int) -> subprocess.CompletedProcess:
+    """``benchmarks/e2e/run.py`` from ``checkout``, its standard output kept."""
     command = [
         sys.executable,
         str(checkout / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload,
         "--seed", str(seed),
-        "--trace", "0",
+        "--trace", str(trace),
     ]  # fmt: skip
-    done = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=False)
-    lines = done.stdout.strip().splitlines()
+    return subprocess.run(command, stdout=subprocess.PIPE, text=True, check=False)
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> Dict:
+    """One untraced run of ``workload`` from ``checkout``; its result object."""
+    lines = _run(checkout, workload, seed, 0).stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} printed no result")
     return json.loads(lines[-1])
+
+
+def run_traced(checkout: Path, workload: str, seed: int) -> Optional[Dict]:
+    """One traced run; its result object, or ``None`` when it exited non-zero."""
+    done = _run(checkout, workload, seed, 1)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return None
+    return json.loads(lines[-1])
+
+
+def traced_cases(workloads: Sequence[str]) -> List[Tuple[str, int]]:
+    """``(workload, seed)`` of every traced run a side makes: each workload
+    at the first seed, then ``churn-simulation`` at every other seed."""
+    cases = [(workload, SEEDS.start) for workload in workloads]
+    if CHURN in workloads:
+        cases += [(CHURN, seed) for seed in SEEDS[1:]]
+    return cases
+
+
+def traced_report(runs: Sequence[Tuple[str, str, int, Optional[Dict]]]) -> List[str]:
+    """Print each traced run's ``bench.traced_ops`` and peak RSS — ``runs``
+    holds ``(side, workload, seed, result or None)`` — and the lowest
+    ``bench.traced_ops`` per side; returns one line per run that failed,
+    naming its side, workload and seed."""
+    failures = []
+    lowest: Dict[str, float] = {}
+    for side, workload, seed, result in runs:
+        if result is None:
+            failures.append(f"traced run failed: {side} {workload} seed {seed}")
+            continue
+        metrics = result["metrics"]
+        traced = metrics["bench.traced_ops"]["value"]
+        lowest[side] = min(traced, lowest.get(side, traced))
+        print(
+            f"{side} {workload} seed {seed} trace 1: bench.traced_ops {traced:g}"
+            f"  bench.peak_rss_mb {metrics['bench.peak_rss_mb']['value']:.1f}"
+        )
+    for side in sorted(lowest):
+        print(f"lowest bench.traced_ops, side {side}: {lowest[side]:g}")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return failures
 
 
 def assemble(runs: Mapping[str, Sequence[Dict]], meta: Mapping) -> Dict:
@@ -139,6 +196,11 @@ def main(argv: Sequence[str]) -> int:
                     print(f"{side} {workload} seed {seed}", flush=True)
                     result = run_once(checkouts[side], workload, seed)
                     runs[side].setdefault(workload, []).append(result)
+        traced = []
+        for index, (workload, seed) in enumerate(traced_cases(workloads)):
+            for side in order(index):
+                print(f"{side} {workload} seed {seed} trace 1", flush=True)
+                traced.append((side, workload, seed, run_traced(checkouts[side], workload, seed)))
     meta = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -158,7 +220,8 @@ def main(argv: Sequence[str]) -> int:
     point = trajectory_point(documents["B"], commit)
     (OUT / "point.json").write_text(json.dumps(point, sort_keys=True) + "\n")
     compare = REPO / "benchmarks" / "e2e" / "compare.py"
-    return subprocess.run([sys.executable, str(compare), *paths], check=False).returncode
+    status = subprocess.run([sys.executable, str(compare), *paths], check=False).returncode
+    return 1 if traced_report(traced) else status
 
 
 if __name__ == "__main__":

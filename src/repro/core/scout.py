@@ -226,7 +226,10 @@ class ScoutLocalizer:
                 # risk.  Only the risks those elements relied on lose a
                 # dependent: they alone are counted down and scored again, so
                 # an iteration costs what it pruned.
-                affected = set().union(*map(dependents.__getitem__, faulty_set)) - pruned
+                affected: Set[Hashable] = set()
+                for risk in faulty_set:
+                    affected |= dependents[risk]
+                affected -= pruned
                 pruned |= affected
                 rescored: Set[Hashable] = set()
                 for element in affected:
@@ -253,11 +256,10 @@ class ScoutLocalizer:
                 # question: the oracle answers for a candidate *set*.
                 answers: Dict[frozenset, Set[Hashable]] = {}
                 for observation in sorted(unexplained, key=repr):
-                    failed_objects = model.failed_risks_for_element(observation)
-                    evidence = frozenset(failed_objects)
+                    evidence = frozenset(failed_risks[observation])
                     recent = answers.get(evidence)
                     if recent is None:
-                        recent = answers[evidence] = oracle.recently_changed(failed_objects)
+                        recent = answers[evidence] = oracle.recently_changed(evidence)
                     for risk in sorted(recent, key=repr):
                         entry = hypothesis.entry_for(risk)
                         if entry is not None:

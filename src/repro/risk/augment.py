@@ -23,11 +23,20 @@ directed ``(src, dst)`` is looked up in the model's pair index
 (:meth:`RiskModel.pair_index`): the element it observes and the risks that
 element relies on, resolved once per structure and read by every later
 augmentation over it (copies included).  A tuple fails the relied-on
-objects it names; the hits are gathered per element and written with one
-:meth:`RiskModel.mark_failed` call, so no Python call is made per rule or
-per pair.  The flip count returned is still the per-rule one:
-``Σ n·|relied ∩ provenance|`` over the tuples, ``n`` rules apiece (plus the
-switch, per rule, in the controller model).
+objects it names, and no Python call is made per rule or per pair.
+
+What is allocated where: one set per failed element, no set per tuple.
+An element's first tuple builds its set, ``relied ∩ provenance`` (a new
+set drawn from the pair index's ``relied``, which is never handed on);
+each later tuple adds its fields to that set in place when they are five
+distinct objects the element relies on, and through a one-off
+intersection otherwise (a field the element does not rely on, an empty
+field, a repeated one).  One :meth:`RiskModel.mark_failed` call then
+hands the sets over: from there on each is the model's, held as the
+element's failed set, and this module keeps no reference to it.  The
+flip count returned is still the per-rule one: ``Σ n·|relied ∩
+provenance|`` over the tuples, ``n`` rules apiece (plus the switch, per
+rule, in the controller model).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ def _augment(
     missing_rules: Iterable[TcamRule],
     scope: Optional[str],
     element_of: Callable[[EpgPair], Hashable],
-    also: Sequence[str] = (),
+    also: Optional[str] = None,
 ) -> int:
     """Flag, for every pair ``missing_rules`` serve, the edges from
     ``element_of(pair)`` to the rules' objects and to ``also``.
@@ -68,30 +77,43 @@ def _augment(
     index = model.pair_index(scope)
     seen = index.get
     failed: Dict[Hashable, Set[str]] = {}
+    held_for = failed.get
     flipped = 0
     for provenance, rules in Counter(map(PROVENANCE, missing_rules)).items():
-        ends = provenance[:2]
+        src, dst, vrf, contract, filter_uid = provenance
+        ends = (src, dst)
         entry = seen(ends, _UNSEEN)
         if entry is _UNSEEN:
-            src, dst = ends
             # src == dst: no pair, no element.
             element = None if src == dst else element_of(EpgPair(src, dst))
             entry = model.resolve_pair(scope, ends, element)
         if entry is None:
             continue
         element, relied = entry
-        hits = relied.intersection(provenance)
-        if also:
-            shared = relied.intersection(also)
-            flipped += rules * (len(hits) + len(shared))
-            hits |= shared
-        else:
-            flipped += rules * len(hits)
-        held = failed.get(element)
+        implicated = also is not None and also in relied
+        held = held_for(element)
         if held is None:
-            failed[element] = hits
+            # The element's first tuple starts the one set it will own.
+            held = failed[element] = relied.intersection(provenance)
+            hits = len(held)
+            if implicated:
+                held.add(also)
+        elif (
+            relied.issuperset(provenance)
+            and vrf not in ends
+            and contract not in ends
+            and filter_uid not in ends
+            and vrf != contract != filter_uid != vrf
+        ):
+            # Five distinct objects, every one relied on: all of them hit.
+            held.update(provenance)
+            hits = 5
         else:
-            held |= hits
+            # A field names no object the element relies on, or repeats one.
+            named = relied.intersection(provenance)
+            hits = len(named)
+            held |= named
+        flipped += rules * (hits + implicated)
     model.mark_failed(failed)
     return flipped
 
@@ -125,7 +147,7 @@ def augment_controller_model(
             missing_rules,
             switch_uid,
             lambda pair: (switch_uid, pair),
-            also=(switch_uid,) if include_switch_risks else (),
+            also=switch_uid if include_switch_risks else None,
         )
     return flipped
 

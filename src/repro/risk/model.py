@@ -113,39 +113,38 @@ class RiskModel:
 
     def mark_element_failed(self, element: ElementKey) -> Set[RiskKey]:
         """Flag every edge of ``element`` fail; returns the risks flagged
-        (none for an element the model does not hold)."""
-        flagged = self.mark_failed({element: self._element_risks.get(element, ())})
-        return flagged.get(element, set())
+        (none for an element the model does not hold).  The model keeps a
+        set of its own, never the one returned."""
+        relied = self._element_risks.get(element)
+        if relied is None:
+            return set()
+        self.mark_failed({element: set(relied)})
+        return set(relied)
 
-    def mark_failed(
-        self, edges: Mapping[ElementKey, Iterable[RiskKey]]
-    ) -> Dict[ElementKey, Set[RiskKey]]:
+    def mark_failed(self, edges: Mapping[ElementKey, Set[RiskKey]]) -> None:
         """Flag, for every element of ``edges``, its edges to the risks
-        given for it as fail, in one step; returns the risks flagged per
-        element that flagged any.
+        given for it as fail, in one step, taking the sets over.
 
-        This is the defensive form augmentation needs: an element the model
-        does not hold relies on nothing, and a risk the element does not
-        rely on is left out, neither being an error.  The two failed-edge
-        indexes are written here and nowhere else.
+        Each set is the caller's to give: built for this call, held by
+        nothing else afterwards, and naming only risks the element relies
+        on (augmentation draws them from its pair index, which is why
+        nothing here intersects or copies).  Ownership passes here: an
+        element's first failed set *is* the one handed in, and a later one
+        is merged into it and dropped.  The only sets allocated here are
+        the ``O_i`` sets of risks that had no failed edge yet, one each.
+        An empty set flags nothing.  The two failed-edge indexes are
+        written here and nowhere else.
         """
-        relied_on = self._element_risks
         by_element = self._failed_risks_by_element
         by_risk = self._failed_elements_by_risk
-        flagged: Dict[ElementKey, Set[RiskKey]] = {}
-        for element, risks in edges.items():
-            relied = relied_on.get(element)
-            if relied is None:
-                continue
-            failed = relied.intersection(risks)
+        for element, failed in edges.items():
             if not failed:
                 continue
-            flagged[element] = failed
             # Read before creating: ``setdefault(key, set())`` would build a
             # throwaway set for every key that already has one.
             held = by_element.get(element)
             if held is None:
-                by_element[element] = set(failed)
+                by_element[element] = failed
             else:
                 held.update(failed)
             for risk in failed:
@@ -154,7 +153,6 @@ class RiskModel:
                     by_risk[risk] = {element}
                 else:
                     elements.add(element)
-        return flagged
 
     # ------------------------------------------------------------------ #
     # Augmentation's pair index

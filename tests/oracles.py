@@ -220,8 +220,9 @@ def mark_edge_failed(model: RiskModel, element: Hashable, risk: Hashable) -> Non
     not rely on is a :class:`RiskModelError`."""
     if element not in model:
         raise RiskModelError(f"unknown element {element!r}")
-    if not model.mark_failed({element: (risk,)}):
+    if element not in model.elements_for_risk(risk):
         raise RiskModelError(f"element {element!r} does not depend on risk {risk!r}")
+    model.mark_failed({element: {risk}})
 
 
 # ---------------------------------------------------------------------- #

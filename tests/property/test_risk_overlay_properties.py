@@ -8,17 +8,23 @@ in ``src/``:
 
 * a state machine drives random ``add_element`` / ``mark_edge_failed`` /
   ``mark_element_failed`` / ``mark_failed`` (the bulk mark augmentation
-  uses) / SCOUT runs /
+  uses, handed sets of the caller's) / SCOUT runs /
   ``copy`` sequences against :class:`NaiveModel` — plain dicts of sets and
   deep copies — and compares every public query of every model alive after
-  every step, what the bulk mark flagged, and the hypothesis SCOUT (whose
+  every step, what ``mark_element_failed`` flagged, and the hypothesis SCOUT (whose
   stage 1 prunes on counts of its own) makes of the model against the one it
   makes of a model built afresh from the reference, starting from one
   hand-built (owning) model and one overlay handed out by a builder;
 * for seeded fault sets, what ``ScoutSystem.localize()`` reports — the
   hypothesis with its order, reasons and ratios, γ, the model summary — must
   equal what SCOUT makes of a model built from scratch with an explicit
-  ``add_element`` loop over the index, in both scopes and sharded.
+  ``add_element`` loop over the index, in both scopes and sharded;
+* a state machine alternates switch and controller augmentations (the
+  switch as a risk or not, ``src == dst``, repeated and empty provenance
+  fields), ``mark_element_failed`` and ``copy()`` on one structure, and
+  after every step holds each model's failed edges to per-rule marking and
+  checks that no failed set is shared — between two elements, two copies,
+  or an element and a set of the structure or of the pair index.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from repro.exceptions import RiskModelError
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
 from repro.parallel import plan_shards
+from repro.policy import EpgPair
 from repro.policy.graph import PolicyIndex
 from repro.risk import (
     RiskModel,
@@ -46,6 +53,7 @@ from repro.risk import (
     build_controller_risk_model,
 )
 from repro.risk.augment import augment_controller_model_sharded
+from repro.rules import TcamRule
 from repro.workloads import (
     datacenter_profile,
     simulation_profile,
@@ -100,7 +108,7 @@ class NaiveModel:
         fresh = RiskModel()
         for element, risks in self.element_risks.items():
             fresh.add_element(element, risks)
-        fresh.mark_failed(self.failed)
+        fresh.mark_failed(_copied(self.failed))
         return fresh
 
     def copy(self) -> "NaiveModel":
@@ -248,20 +256,18 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
 
     @rule(which=_picks, element=_picks, risks=st.none() | st.lists(_picks, max_size=4))
     def mark_element_failed(self, which, element, risks):
-        """All of an element's edges, or the bulk mark augmentation uses
-        (``mark_failed``): any element (a stranger too) and any risks (some
-        it does not rely on) — never an error, and the flagged risks come
-        back."""
+        """All of an element's edges (a stranger has none, and that is no
+        error), or the bulk mark augmentation uses (``mark_failed``) with
+        the ones among ``risks`` it relies on, in a set of the caller's."""
         model, naive = self._pick(which)
         element = self.elements[element % len(self.elements)]
         if risks is not None:
             risks = [self.risks[risk % len(self.risks)] for risk in risks]
             risks += sorted(naive.element_risks.get(element, ()), key=repr)[::2]
         if risks is None:
-            flagged = model.mark_element_failed(element)
+            assert model.mark_element_failed(element) == naive.mark_element_failed(element)
         else:
-            flagged = model.mark_failed({element: risks}).get(element, set())
-        assert flagged == naive.mark_element_failed(element, risks)
+            model.mark_failed({element: naive.mark_element_failed(element, risks)})
 
     @rule(which=_picks, victims=st.lists(_picks, max_size=4), whole_risk=st.booleans())
     def localize(self, which, victims, whole_risk):
@@ -275,7 +281,7 @@ class OverlayAgainstNaive(RuleBasedStateMachine):
             risks = list(naive.risk_elements)
             risk = risks[victims[0] % len(risks)]
             for element in sorted(naive.risk_elements[risk], key=repr):
-                assert model.mark_failed({element: [risk]}) == {element: {risk}}
+                model.mark_failed({element: {risk}})
                 naive.mark_element_failed(element, [risk])
         else:
             # Some elements fail on every risk they rely on (strangers flag
@@ -441,3 +447,183 @@ def test_forty_confined_faults_on_dc512_localize_as_from_scratch():
                 _assert_same_localization(report, reference)
             assert report.risk_models["controller"].summary()["elements"] == 15_424
         assert system.stats()["risk_structures_built"] <= 1 + len(leaves)
+
+
+# ---------------------------------------------------------------------- #
+# (c) who owns a failed set
+# ---------------------------------------------------------------------- #
+OWN_EPGS = ["epg:a", "epg:b", "epg:c", "epg:d"]
+OWN_OBJECTS = ["vrf:1", "ctr:1", "ctr:2", "flt:1", "flt:2"]
+OWN_SWITCHES = ["leaf-1", "leaf-2"]
+#: Per pair, what it relies on: ``(a, b)`` relies on no more than one rule
+#: names, so one rule can hit all of it; ``(b, c)`` (which relies on ``""``
+#: too) and ``(a, d)`` rely on ``vrf:1`` alone, so one call often gives both
+#: the same hits.
+OWN_PAIRS = {
+    ("epg:a", "epg:b"): ["epg:a", "epg:b", "vrf:1"],
+    ("epg:a", "epg:c"): ["epg:a", "epg:c", "vrf:1", "ctr:1", "flt:1", "flt:2"],
+    ("epg:b", "epg:c"): ["vrf:1", ""],
+    ("epg:a", "epg:d"): ["vrf:1"],
+    ("epg:c", "epg:d"): ["epg:c", "epg:d", "ctr:1", "ctr:2", "flt:1"],
+}
+
+
+def _ownership_structure() -> RiskModel:
+    """One structure holding both scopes' elements: each pair on its own
+    (the switch model's) and as ``(switch, pair)`` triplets (the controller
+    model's), ``leaf-1``'s relying on their switch, ``leaf-2``'s not."""
+    model = RiskModel("ownership")
+    for (a, b), risks in OWN_PAIRS.items():
+        pair = EpgPair(a, b)
+        model.add_element(pair, risks)
+        model.add_element(("leaf-1", pair), risks + ["leaf-1"])
+        model.add_element(("leaf-2", pair), risks)
+    return model
+
+
+_own_field = st.sampled_from(OWN_OBJECTS + ["obj:unknown", ""])
+#: A rule's ``(src, dst)``: each pair in both directions, ``src == dst``,
+#: an EPG the structure does not hold and an empty field.
+_own_ends = st.sampled_from(
+    [(a, b) for a in OWN_EPGS for b in OWN_EPGS if a != b]
+    + [("epg:a", "epg:a"), ("epg:a", "epg:unknown"), ("", "epg:b")]
+)
+
+
+@st.composite
+def _own_rules(draw):
+    rules = []
+    for src, dst in draw(st.lists(_own_ends, max_size=12)):
+        rules.append(
+            TcamRule(
+                vrf_scope=101,
+                src_epg=1,
+                dst_epg=2,
+                protocol="tcp",
+                port=draw(st.integers(80, 81)),
+                vrf_uid=draw(_own_field),
+                src_epg_uid=src,
+                dst_epg_uid=dst,
+                contract_uid=draw(_own_field),  # at times the vrf or filter field again
+                filter_uid=draw(_own_field),
+            )
+        )
+    return rules
+
+
+def _naive_marks(relied_on, rules, switch_uid=None, implicate_switch=False):
+    """Per rule: the ``(element, risk)`` edges it fails and how many."""
+    edges, flipped = set(), 0
+    for rule in rules:
+        if rule.src_epg_uid == rule.dst_epg_uid:
+            continue
+        pair = EpgPair(rule.src_epg_uid, rule.dst_epg_uid)
+        element = pair if switch_uid is None else (switch_uid, pair)
+        relied = relied_on.get(element, set())
+        for uid in rule.objects() + ([switch_uid] if implicate_switch else []):
+            if uid in relied:
+                edges.add((element, uid))
+                flipped += 1
+    return edges, flipped
+
+
+class FailedSetOwnership(RuleBasedStateMachine):
+    """Augmentations, ``mark_element_failed`` and ``copy()`` on one
+    structure: every failed set belongs to one element of one model."""
+
+    MAX_MODELS = 4
+
+    @initialize()
+    def start(self) -> None:
+        owner = _ownership_structure()
+        self.relied_on = {
+            element: risks_for_element(owner, element) for element in owner.elements()
+        }
+        # The owner first, then a copy: the structure is shared from here.
+        self.models: List[Tuple[RiskModel, Set[Tuple[Hashable, Hashable]]]] = [
+            (owner, set()),
+            (owner.copy(), set()),
+        ]
+
+    def _pick(self, which: int) -> Tuple[RiskModel, Set[Tuple[Hashable, Hashable]]]:
+        return self.models[which % len(self.models)]
+
+    @rule(which=_picks, rules=_own_rules())
+    def augment_switch(self, which, rules):
+        model, edges = self._pick(which)
+        expected, flipped = _naive_marks(self.relied_on, rules)
+        assert augment_switch_model(model, rules) == flipped
+        edges |= expected
+
+    @rule(
+        which=_picks,
+        missing=st.dictionaries(st.sampled_from(OWN_SWITCHES + ["leaf-9"]), _own_rules()),
+        implicate=st.booleans(),
+    )
+    def augment_controller(self, which, missing, implicate):
+        model, edges = self._pick(which)
+        flipped = 0
+        for switch_uid, rules in missing.items():
+            expected, count = _naive_marks(self.relied_on, rules, switch_uid, implicate)
+            edges |= expected
+            flipped += count
+        assert augment_controller_model(model, missing, include_switch_risks=implicate) == flipped
+
+    @rule(which=_picks, element=_picks, risks=st.none() | st.lists(_picks, max_size=3))
+    def mark_element_failed(self, which, element, risks):
+        """All of an element's edges, or (``mark_failed``) the ones among
+        ``risks`` it relies on, in a set the caller then edits."""
+        model, edges = self._pick(which)
+        elements = sorted(self.relied_on, key=repr)
+        element = elements[element % len(elements)]
+        relied = self.relied_on[element]
+        if risks is None:
+            flagged = model.mark_element_failed(element)
+            assert flagged == relied
+            edges |= {(element, risk) for risk in flagged}
+            # What comes back is the caller's: editing it changes no model.
+            flagged.add("risk:stranger")
+        else:
+            named = OWN_EPGS + OWN_OBJECTS + OWN_SWITCHES
+            flagged = relied & {named[risk % len(named)] for risk in risks}
+            edges |= {(element, risk) for risk in flagged}
+            model.mark_failed({element: flagged})
+
+    @rule(which=_picks)
+    def copy(self, which):
+        model, edges = self._pick(which)
+        if len(self.models) == self.MAX_MODELS:
+            self.models.pop(which % len(self.models))
+        self.models.append((model.copy(), set(edges)))
+
+    @invariant()
+    def failed_edges_are_the_per_rule_marks(self):
+        for model, edges in getattr(self, "models", ()):
+            assert failed_edges(model) == edges
+            for risk in {risk for _, risk in edges}:
+                assert model.failed_elements_for_risk(risk) == {
+                    element for element, other in edges if other == risk
+                }
+
+    @invariant()
+    def no_failed_set_is_shared(self):
+        owned = []
+        relied = []
+        for model, _ in getattr(self, "models", ()):
+            structure, dependents, failed, observed = model.indexes()
+            owned += failed.values()
+            relied += structure.values()
+            relied += dependents.values()
+            relied += observed.values()
+            for scope in [None, *OWN_SWITCHES, "leaf-9"]:
+                relied += [entry[1] for entry in model.pair_index(scope).values() if entry]
+        # Two elements, or two copies, never hold one set; nor does an
+        # element hold its structure's set or the pair index's.
+        assert len({id(held) for held in owned}) == len(owned)
+        assert not {id(held) for held in owned} & {id(other) for other in relied}
+
+
+FailedSetOwnership.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=25, deadline=None
+)
+TestFailedSetOwnership = FailedSetOwnership.TestCase

@@ -187,16 +187,16 @@ def abstract_cases(draw):
         # hit ratio 1, and it still explains "p-only".
         model.add_element("p-only", ["rp"])
         model.add_element("p-and-q", ["rp", "rq"])
-        model.mark_failed({"p-only": ["rp"], "p-and-q": ["rq"]})
+        model.mark_failed({"p-only": {"rp"}, "p-and-q": {"rq"}})
     risks = model.risks()
     for risk in draw(st.lists(st.sampled_from(risks), max_size=3)):
         whole = [risk, f"{risk}-twin"] if risk in twinned else [risk]
         for element in model.elements_for_risk(risk):  # a full failure
-            model.mark_failed({element: whole})
+            model.mark_failed({element: set(whole)})
     for element in draw(st.lists(st.sampled_from(elements), max_size=8)):
         known = sorted(risks_for_element(model, element))  # a partial one
         some = draw(st.sets(st.sampled_from(known), min_size=1))
-        model.mark_failed({element: some})
+        model.mark_failed({element: set(some)})
 
     log = ChangeLog()
     changes = st.tuples(st.sampled_from(risks + ["r-unseen"]), st.integers(1, 40))

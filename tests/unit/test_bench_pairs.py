@@ -91,3 +91,33 @@ def test_the_first_side_alternates_and_only_the_ref_is_an_argument():
     ]
     assert list(pairs.SEEDS) == list(range(2018, 2028))
     assert pairs.main([]) == 2 and pairs.main(["HEAD", "--seconds"]) == 2
+
+
+def test_a_failed_traced_run_is_named_and_fails_the_script(capsys):
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    catalog = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [entry["name"] for entry in catalog["workloads"]]
+    cases = pairs.traced_cases(names)
+    # Every workload once at the first seed, churn at every seed.
+    assert cases[: len(names)] == [(name, 2018) for name in names]
+    assert [seed for name, seed in cases if name == pairs.CHURN] == list(range(2018, 2028))
+    assert len(cases) == len(names) + 9
+
+    def traced(ops: float) -> dict:
+        result = _result(8.0, 1.0)
+        result["metrics"]["bench.traced_ops"] = {"value": ops, "unit": "count"}
+        result["metrics"]["bench.peak_rss_mb"] = {"value": 75.25, "unit": "MB"}
+        return result
+
+    runs = [
+        ("A", pairs.CHURN, 2019, traced(34.0)),
+        ("B", pairs.CHURN, 2019, None),  # run.py exited 1: nothing traced
+        ("B", names[0], 2018, traced(120.0)),
+    ]
+    assert pairs.traced_report(runs) == [f"traced run failed: B {pairs.CHURN} seed 2019"]
+    out, err = capsys.readouterr()
+    assert f"A {pairs.CHURN} seed 2019 trace 1: bench.traced_ops 34  bench.peak_rss_mb 75.2" in out
+    assert "lowest bench.traced_ops, side A: 34" in out
+    assert "lowest bench.traced_ops, side B: 120" in out
+    assert f"B {pairs.CHURN} seed 2019" in err
+    assert pairs.traced_report(runs[:1] + runs[2:]) == []

@@ -247,7 +247,7 @@ class TestSharedStructure:
         mark_edge_failed(used, elements[0], risk)
         used.mark_element_failed(elements[1])
         for element in used.elements_for_risk(risk):
-            used.mark_failed({element: [risk]})
+            used.mark_failed({element: {risk}})
         assert risk in ScoutLocalizer().localize(used)  # and pruned its dependents
         used.add_element(elements[0], ["risk:new"])
         used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
