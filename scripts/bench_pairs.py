@@ -25,7 +25,9 @@ run times only the operations after its warm-up share of the budget, so a
 faster program can leave one with nothing traced, and the run then fails.
 Each traced run's ``bench.traced_ops`` (the lowest per side too) and
 ``bench.peak_rss_mb`` are printed; a traced run that fails is named (side,
-workload, seed) and makes the exit status 1 whatever ``compare.py`` said.
+workload, seed) with its exit code and the last line of its standard error,
+each failed ``(workload, seed)`` says whether it failed on A, on B or on
+both, and any failure makes the exit status 1 whatever ``compare.py`` said.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = range(2018, 2028)
@@ -48,6 +50,8 @@ OUT = REPO / "benchmarks" / "pairs"
 SIDES = ("A", "B")
 #: The workload traced at every seed: the one whose traced runs can come up empty.
 CHURN = "churn-simulation"
+#: Why a traced run failed: its exit code and the last line of its standard error.
+Failure = Tuple[int, str]
 
 
 def order(seed_index: int) -> Sequence[str]:
@@ -56,7 +60,8 @@ def order(seed_index: int) -> Sequence[str]:
 
 
 def _run(checkout: Path, workload: str, seed: int, trace: int) -> subprocess.CompletedProcess:
-    """``benchmarks/e2e/run.py`` from ``checkout``, its standard output kept."""
+    """``benchmarks/e2e/run.py`` from ``checkout``, its standard output kept,
+    and for a traced run its standard error too."""
     command = [
         sys.executable,
         str(checkout / "benchmarks" / "e2e" / "run.py"),
@@ -64,7 +69,8 @@ def _run(checkout: Path, workload: str, seed: int, trace: int) -> subprocess.Com
         "--seed", str(seed),
         "--trace", str(trace),
     ]  # fmt: skip
-    return subprocess.run(command, stdout=subprocess.PIPE, text=True, check=False)
+    stderr = subprocess.PIPE if trace else None
+    return subprocess.run(command, stdout=subprocess.PIPE, stderr=stderr, text=True, check=False)
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> Dict:
@@ -75,12 +81,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> Dict:
     return json.loads(lines[-1])
 
 
-def run_traced(checkout: Path, workload: str, seed: int) -> Optional[Dict]:
-    """One traced run; its result object, or ``None`` when it exited non-zero."""
+def run_traced(checkout: Path, workload: str, seed: int) -> Union[Dict, Failure]:
+    """One traced run; its result object, or its :data:`Failure` when it
+    exited non-zero or printed no result.  Its standard error is passed on."""
     done = _run(checkout, workload, seed, 1)
+    sys.stderr.write(done.stderr)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        return None
+        errors = done.stderr.strip().splitlines()
+        return done.returncode, errors[-1] if errors else ""
     return json.loads(lines[-1])
 
 
@@ -93,16 +102,23 @@ def traced_cases(workloads: Sequence[str]) -> List[Tuple[str, int]]:
     return cases
 
 
-def traced_report(runs: Sequence[Tuple[str, str, int, Optional[Dict]]]) -> List[str]:
+def traced_report(
+    runs: Sequence[Tuple[str, str, int, Union[Dict, Failure]]]
+) -> List[str]:
     """Print each traced run's ``bench.traced_ops`` and peak RSS — ``runs``
-    holds ``(side, workload, seed, result or None)`` — and the lowest
-    ``bench.traced_ops`` per side; returns one line per run that failed,
-    naming its side, workload and seed."""
+    holds ``(side, workload, seed, result)``, where a failed run's result is
+    its :data:`Failure` — and the lowest ``bench.traced_ops`` per side; then,
+    per failed ``(workload, seed)``, whether it failed on A, on B or on
+    both, and each failed run's exit code and last line of standard error.
+    Returns one line per run that failed, naming its side, workload and
+    seed."""
     failures = []
+    failed: Dict[Tuple[str, int], Dict[str, Failure]] = {}
     lowest: Dict[str, float] = {}
     for side, workload, seed, result in runs:
-        if result is None:
+        if not isinstance(result, dict):
             failures.append(f"traced run failed: {side} {workload} seed {seed}")
+            failed.setdefault((workload, seed), {})[side] = result
             continue
         metrics = result["metrics"]
         traced = metrics["bench.traced_ops"]["value"]
@@ -113,8 +129,11 @@ def traced_report(runs: Sequence[Tuple[str, str, int, Optional[Dict]]]) -> List[
         )
     for side in sorted(lowest):
         print(f"lowest bench.traced_ops, side {side}: {lowest[side]:g}")
-    for failure in failures:
-        print(failure, file=sys.stderr)
+    for (workload, seed), sides in failed.items():
+        where = "both" if len(sides) == len(SIDES) else next(iter(sides))
+        print(f"traced {workload} seed {seed} failed on {where}", file=sys.stderr)
+        for side, (code, line) in sorted(sides.items()):
+            print(f"  {side} {workload} seed {seed}: exit {code}: {line}", file=sys.stderr)
     return failures
 
 

@@ -41,10 +41,5 @@ class LogicalClock:
         """Return the current time without advancing the clock."""
         return self.now
 
-    def reset(self) -> None:
-        """Reset the clock to zero (used between independent experiments)."""
-        self.now = 0
-        self._history.clear()
-
     def __int__(self) -> int:  # pragma: no cover - trivial
         return self.now

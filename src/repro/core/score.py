@@ -21,7 +21,9 @@ The implementation follows the classic greedy loop:
 
 from __future__ import annotations
 
-from typing import Hashable, Set
+from collections import Counter
+from itertools import chain
+from typing import Dict, Hashable, Set, Tuple
 
 from ..exceptions import LocalizationError
 from ..risk.model import RiskModel
@@ -57,14 +59,15 @@ class ScoreLocalizer:
         if not signature:
             return hypothesis
 
-        # Candidate risks: hit ratio (computed on the full model) >= threshold.
-        candidate_risks: dict[Hashable, Set[Hashable]] = {}
-        for observation in signature:
-            for risk in model.failed_risks_for_element(observation):
-                if risk in candidate_risks:
-                    continue
-                if model.hit_ratio(risk) >= self.hit_threshold:
-                    candidate_risks[risk] = model.failed_elements_for_risk(risk)
+        # Candidate risks: hit ratio (computed on the full model) >= threshold,
+        # |O_i| counted over the failure map.  A candidate keeps its O_i and
+        # hit ratio from here on.
+        _, dependents, failed_risks = model.indexes()
+        candidate_risks: Dict[Hashable, Tuple[Set[Hashable], float]] = {}
+        for risk, hits in Counter(chain.from_iterable(failed_risks.values())).items():
+            hit_ratio = hits / len(dependents[risk])
+            if hit_ratio >= self.hit_threshold:
+                candidate_risks[risk] = (model.failed_elements_for_risk(risk), hit_ratio)
 
         unexplained = set(signature)
         iteration = 0
@@ -73,9 +76,9 @@ class ScoreLocalizer:
             best_risk = None
             best_gain: Set[Hashable] = set()
             best_key = None
-            for risk, observations in candidate_risks.items():
+            for risk, (observations, hit_ratio) in candidate_risks.items():
                 gain = observations & unexplained
-                sort_key = (len(gain), model.hit_ratio(risk), _stable_key(risk))
+                sort_key = (len(gain), hit_ratio, _stable_key(risk))
                 if best_key is None or sort_key > best_key:
                     best_key = sort_key
                     best_risk = risk
@@ -86,7 +89,7 @@ class ScoreLocalizer:
                 HypothesisEntry(
                     risk=best_risk,
                     reason=SelectionReason.HIT_AND_COVERAGE,
-                    hit_ratio=model.hit_ratio(best_risk),
+                    hit_ratio=candidate_risks[best_risk][1],
                     coverage_ratio=len(best_gain) / len(signature),
                     iteration=iteration,
                     explained=set(best_gain),

@@ -13,15 +13,17 @@ hypothesis, and prune every element that depends on them (Algorithm 1,
 lines 4-19).  The loop ends when no risk has hit ratio 1 anymore.
 
 Stage 1 prunes by counting, over the caller's model as it is (read through
-:meth:`RiskModel.indexes`): per risk with a failed edge (K, the only risks
-that can explain an observation) it keeps live counts — ``|G_i| - |O_i|``
-and the gain ``|O_i|`` still unexplained — beside its own pruned and
-unexplained sets, so the model is neither copied nor edited.  Pruning changes
-the counts of exactly the risks the pruned elements relied on, so only those
-are scored again and an iteration costs what it pruned.  A picked risk
-leaves K, so the loop runs at most ``|K|`` iterations: a miscount can make
-it wrong, never endless.  The literal every-iteration rescan is the
-reference the differential suite holds this to
+:meth:`RiskModel.indexes`): one count over the failure map gives ``|O_i|``
+for every risk with a failed edge (K, the only risks that can explain an
+observation), and per risk of K it keeps live counts — ``|G_i| - |O_i|`` and
+the gain ``|O_i|`` still unexplained — beside its own pruned and unexplained
+sets, so the model is neither copied nor edited.  A picked risk has no
+healthy dependent left, so what it explains is ``G_i`` ∩ unexplained.
+Pruning changes the counts of exactly the risks the pruned elements relied
+on, so only those are scored again and an iteration costs what it pruned.
+A picked risk leaves K, so the loop runs at most ``|K|`` iterations: a
+miscount can make it wrong, never endless.  The literal every-iteration
+rescan is the reference the differential suite holds this to
 (``tests/property/test_scout_reference.py``).
 
 **Stage 2 — change-log lookup.**  Observations left unexplained are caused by
@@ -38,7 +40,9 @@ wrapping :class:`repro.controller.changelog.ChangeLog` with a recency window.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Hashable, Iterable, Optional, Protocol, Set, Tuple
 
 from ..controller.changelog import ChangeLog, ChangeRecord
@@ -170,7 +174,7 @@ class ScoutLocalizer:
         if not signature:
             return hypothesis
 
-        relied_on, dependents, failed_risks, observed = model.indexes()
+        relied_on, dependents, failed_risks = model.indexes()
         unexplained = set(signature)
         pruned: Set[Hashable] = set()
         iteration = 0
@@ -192,12 +196,14 @@ class ScoutLocalizer:
                     candidates.pop(risk, None)
 
         with span("scout.stage1", observations=len(signature)) as stage1:
-            # K: the risks with a failed edge.  No other risk can ever
-            # explain an observation, so only these are counted.  Every
-            # failed element is an observation, so the gain starts at |O_i|.
+            # K: the risks with a failed edge, each with |O_i|.  No other
+            # risk can ever explain an observation, so only these are
+            # counted.  Every failed element is an observation, so the gain
+            # starts at |O_i|.
+            observed = Counter(chain.from_iterable(failed_risks.values()))
             for risk, hits in observed.items():
-                healthy[risk] = len(dependents[risk]) - len(hits)
-                gain[risk] = len(hits)
+                healthy[risk] = len(dependents[risk]) - hits
+                gain[risk] = hits
             score(healthy)
             reevaluated = 0
             while unexplained:
@@ -210,7 +216,9 @@ class ScoutLocalizer:
                     key=repr,
                 )
                 for risk in faulty_set:
-                    explained = observed[risk] & unexplained
+                    # No healthy dependent is left unpruned: G_i ∩ unexplained
+                    # is O_i ∩ unexplained.
+                    explained = dependents[risk] & unexplained
                     hypothesis.add(
                         HypothesisEntry(
                             risk=risk,
@@ -256,7 +264,8 @@ class ScoutLocalizer:
                 # question: the oracle answers for a candidate *set*.
                 answers: Dict[frozenset, Set[Hashable]] = {}
                 for observation in sorted(unexplained, key=repr):
-                    evidence = frozenset(failed_risks[observation])
+                    # Algorithm 1's getFailedObjects.
+                    evidence = frozenset(model.failed_risks_for_element(observation))
                     recent = answers.get(evidence)
                     if recent is None:
                         recent = answers[evidence] = oracle.recently_changed(evidence)
@@ -270,8 +279,8 @@ class ScoutLocalizer:
                             HypothesisEntry(
                                 risk=risk,
                                 reason=SelectionReason.CHANGE_LOG,
-                                hit_ratio=model.hit_ratio(risk),
-                                coverage_ratio=model.coverage_ratio(risk),
+                                hit_ratio=observed[risk] / len(dependents[risk]),
+                                coverage_ratio=observed[risk] / len(signature),
                                 iteration=iteration,
                                 explained={observation},
                             )

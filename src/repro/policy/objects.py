@@ -204,10 +204,6 @@ class Epg(PolicyObject):
         if not isinstance(self.consumes, frozenset):
             object.__setattr__(self, "consumes", frozenset(self.consumes))
 
-    def contracts(self) -> frozenset[str]:
-        """All contracts this EPG participates in (provided or consumed)."""
-        return self.provides | self.consumes
-
 
 @dataclass(frozen=True)
 class Endpoint(PolicyObject):

@@ -91,15 +91,6 @@ class Tenant:
         yield from self.filters.values()
         yield from self.endpoints.values()
 
-    def object_count(self) -> int:
-        return (
-            len(self.vrfs)
-            + len(self.epgs)
-            + len(self.contracts)
-            + len(self.filters)
-            + len(self.endpoints)
-        )
-
 
 class NetworkPolicy:
     """The global desired state: every tenant's policy objects.
@@ -179,9 +170,6 @@ class NetworkPolicy:
     def objects(self) -> Iterator[PolicyObject]:
         for tenant in self.tenants.values():
             yield from tenant.objects()
-
-    def object_count(self) -> int:
-        return sum(tenant.object_count() for tenant in self.tenants.values())
 
     # ------------------------------------------------------------------ #
     # Summary helpers

@@ -36,8 +36,9 @@ def build_controller_risk_model(
 ) -> RiskModel:
     """The (unaugmented) network-wide controller risk model.
 
-    The caller's own to augment, prune or extend; its structure is computed
-    once per ``index`` (see :func:`~repro.risk.model.cached_model`).
+    The caller's own to augment and localize over; its structure is
+    computed once per ``index`` and read-only (see
+    :func:`~repro.risk.model.cached_model`).
     """
     index = index or PolicyIndex(policy)
 

@@ -13,24 +13,22 @@ The model exposes exactly the quantities the localization algorithms need:
   (:meth:`failed_elements_for_risk`);
 * the failure signature ``F`` (:meth:`failure_signature`);
 * hit ratio ``|O_i|/|G_i|`` and coverage ratio ``|O_i|/|F|``;
-* the four indexes themselves, read-only, for SCOUT's stage 1, which prunes
-  by counting over them (:meth:`indexes`).
+* the three maps themselves, read-only, for the localizers, which count
+  over them (:meth:`indexes`).
 
 Elements and risks are identified by hashable keys; the model does not care
 whether an element is an :class:`~repro.policy.objects.EpgPair` or a
 ``(switch, pair)`` tuple, which lets the switch and controller models share
-the implementation.  All failure state is kept in per-element and per-risk
-indexes so hit/coverage ratio queries stay cheap on production-scale models
-(tens of thousands of elements).
+the implementation.
 
-A model is two layers.  The *structure* — which element relies on which
+A model is two things.  The *structure* — which element relies on which
 risk — depends only on the policy, so the builders compute it once per
 :class:`~repro.policy.graph.PolicyIndex` and every model of that policy
-reads the same two maps (:func:`cached_model`).  What one audit adds — its
-failed edges — lives in the model itself, beside the structure.  Nothing
-edits a structure more than one model can see:
-:meth:`RiskModel.add_element` takes a private copy first, so whatever is done
-to one model, no other model notices.
+reads the same two maps (:func:`cached_model`).  Once shared — handed to a
+copy or kept on an index — it is read-only: :meth:`RiskModel.add_element`
+raises.  What one audit adds lives in the model itself, in one *failure
+map*: the failed risks of each failed element.  ``O_i`` and both ratios are
+derived from ``G_i`` and that map, so un-failing an element is one delete.
 
 Beside the structure sits augmentation's *pair index* (:meth:`RiskModel.pair_index`):
 each directed ``(src, dst)`` EPG pair a missing rule has named, mapped to
@@ -76,40 +74,31 @@ class RiskModel:
         #: Pairs this model's augmentations resolved: first uses of the
         #: shared pair index, which every later copy then reads.
         self.pairs_resolved = 0
-        # Failure state, indexed from both sides for O(1) ratio queries.
+        # Failure state: the one failure map, failed risks per failed element.
         self._failed_risks_by_element: Dict[ElementKey, Set[RiskKey]] = {}
-        self._failed_elements_by_risk: Dict[RiskKey, Set[ElementKey]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     def add_element(self, element: ElementKey, risks: Iterable[RiskKey]) -> None:
-        """Register an element and the shared risks it relies on."""
+        """Register an element and the shared risks it relies on.
+
+        Only before the structure is shared: on a copy, or on a model whose
+        structure a copy or an index holds, this raises and changes nothing.
+        """
+        if self._structure_shared:
+            raise RiskModelError(
+                f"{self.name}: the structure is shared, so it is read-only"
+            )
         risk_set = set(risks)
         if not risk_set:
             raise RiskModelError(
                 f"element {element!r} must depend on at least one risk"
             )
-        self._own_structure()
-        if self._pair_indexes:
-            self._pair_indexes = {}
-        existing = self._element_risks.setdefault(element, set())
-        existing.update(risk_set)
+        self._pair_indexes.clear()
+        self._element_risks.setdefault(element, set()).update(risk_set)
         for risk in risk_set:
             self._risk_elements.setdefault(risk, set()).add(element)
-
-    def _own_structure(self) -> None:
-        """Before an edit: make the structure this model's alone."""
-        if not self._structure_shared:
-            return
-        self._element_risks = {
-            element: set(risks) for element, risks in self._element_risks.items()
-        }
-        self._risk_elements = {
-            risk: set(dependents) for risk, dependents in self._risk_elements.items()
-        }
-        self._pair_indexes = {}
-        self._structure_shared = False
 
     def mark_element_failed(self, element: ElementKey) -> Set[RiskKey]:
         """Flag every edge of ``element`` fail; returns the risks flagged
@@ -130,29 +119,22 @@ class RiskModel:
         on (augmentation draws them from its pair index, which is why
         nothing here intersects or copies).  Ownership passes here: an
         element's first failed set *is* the one handed in, and a later one
-        is merged into it and dropped.  The only sets allocated here are
-        the ``O_i`` sets of risks that had no failed edge yet, one each.
-        An empty set flags nothing.  The two failed-edge indexes are
-        written here and nowhere else.
+        is merged into it and dropped.  No set is allocated, and no
+        ``O_i`` is kept.  An empty set flags nothing.  The failure map is
+        written here and nowhere else; ``O_i`` is derived from it, which is
+        exact only because every set names risks its element relies on.
         """
-        by_element = self._failed_risks_by_element
-        by_risk = self._failed_elements_by_risk
+        failure_map = self._failed_risks_by_element
         for element, failed in edges.items():
             if not failed:
                 continue
             # Read before creating: ``setdefault(key, set())`` would build a
             # throwaway set for every key that already has one.
-            held = by_element.get(element)
+            held = failure_map.get(element)
             if held is None:
-                by_element[element] = failed
+                failure_map[element] = failed
             else:
                 held.update(failed)
-            for risk in failed:
-                elements = by_risk.get(risk)
-                if elements is None:
-                    by_risk[risk] = {element}
-                else:
-                    elements.add(element)
 
     # ------------------------------------------------------------------ #
     # Augmentation's pair index
@@ -224,8 +206,14 @@ class RiskModel:
         return set(self._failed_risks_by_element.get(element, ()))
 
     def failed_elements_for_risk(self, risk: RiskKey) -> Set[ElementKey]:
-        """``O_i`` — failed elements whose failed edges include ``risk``."""
-        return set(self._failed_elements_by_risk.get(risk, ()))
+        """``O_i`` — failed elements whose failed edges include ``risk``:
+        the dependents in ``G_i`` whose failed set names it."""
+        failure_map = self._failed_risks_by_element
+        return {
+            element
+            for element in self._risk_elements.get(risk, ())
+            if risk in failure_map.get(element, ())
+        }
 
     # ------------------------------------------------------------------ #
     # Ratios
@@ -235,58 +223,43 @@ class RiskModel:
         dependents = len(self._risk_elements.get(risk, ()))
         if not dependents:
             return 0.0
-        failed = self._failed_elements_by_risk.get(risk, ())
-        return len(failed) / dependents
+        return len(self.failed_elements_for_risk(risk)) / dependents
 
     def coverage_ratio(self, risk: RiskKey) -> float:
-        """``|O_i| / |F|`` — fraction of the failure signature the risk explains.
-
-        Read from the two index sizes: ``O_i`` holds failed elements only, so
-        it is a subset of ``F`` by construction.
-        """
+        """``|O_i| / |F|`` — fraction of the failure signature the risk explains."""
         observations = len(self._failed_risks_by_element)
         if not observations:
             return 0.0
-        return len(self._failed_elements_by_risk.get(risk, ())) / observations
+        return len(self.failed_elements_for_risk(risk)) / observations
 
     # ------------------------------------------------------------------ #
-    # The indexes themselves, and copies
+    # The maps themselves, and copies
     # ------------------------------------------------------------------ #
-    def indexes(self) -> Tuple[Index, Index, Index, Index]:
-        """The four indexes every query reads, as the model holds them: the
-        risks each element relies on, ``G_i`` per risk, the failed risks per
-        failed element and ``O_i`` per risk with a failed edge.
+    def indexes(self) -> Tuple[Index, Index, Index]:
+        """The three maps every query reads, as the model holds them: the
+        risks each element relies on, ``G_i`` per risk, and the failure map
+        (the failed risks per failed element).
 
         For a caller that only reads and must not pay a copy per query —
-        SCOUT's stage 1, which prunes by counting over them.  Nothing is
-        copied, so nothing returned may be edited.
+        the localizers, which count ``|O_i|`` over them.  Nothing is copied,
+        so nothing returned may be edited.
         """
-        return (
-            self._element_risks,
-            self._risk_elements,
-            self._failed_risks_by_element,
-            self._failed_elements_by_risk,
-        )
+        return self._element_risks, self._risk_elements, self._failed_risks_by_element
 
     def copy(self) -> "RiskModel":
         """An independent model over the same structure.
 
-        Costs what the model adds (its failed edges), not what the fabric
-        does: the structure is shared, and from here on neither model edits
-        it in place (see :meth:`add_element`).
+        Costs what the model adds (its failure map), not what the fabric
+        does: the structure is shared, so from here on it is read-only in
+        both models (see :meth:`add_element`).
         """
         clone = RiskModel(name=self.name)
-        if not self._structure_shared:
-            self._structure_shared = True
-        clone._structure_shared = True
+        self._structure_shared = clone._structure_shared = True
         clone._element_risks = self._element_risks
         clone._risk_elements = self._risk_elements
         clone._pair_indexes = self._pair_indexes
         clone._failed_risks_by_element = {
             el: set(risks) for el, risks in self._failed_risks_by_element.items()
-        }
-        clone._failed_elements_by_risk = {
-            risk: set(els) for risk, els in self._failed_elements_by_risk.items()
         }
         return clone
 
@@ -338,15 +311,10 @@ def cached_model(
     built model — never handed out, so never touched again — and so do the
     indexes derived from it while the pairs it reads stand (``leaf``'s, or
     with ``None`` every pair: see :meth:`PolicyIndex.risk_structure`).
-    Callers get overlays on it.
+    Callers get copies of it: the structure shared and read-only (the first
+    :meth:`RiskModel.copy` marks it so), each with a failure map of its own.
     """
-
-    def structure() -> RiskModel:
-        held = build()
-        held._structure_shared = True  # before anyone else can see it
-        return held
-
-    held, reused = index.risk_structure(key, structure, leaf)
+    held, reused = index.risk_structure(key, build, leaf)
     model = held.copy()
     model.name = name
     model.structure_reused = reused

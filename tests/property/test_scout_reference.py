@@ -23,7 +23,7 @@ not rely on.  Everything must come out equal: ``Hypothesis.to_dict()`` (entry
 order included), ``failed_edges()`` and the per-rule flip count — the last
 two also through a warm pair index (:func:`_warm_path_alike`): augmented
 again, over copies of one cached structure, and after ``add_element`` on
-the owning model and on a copy.
+an owning model (on a shared structure it raises and changes nothing).
 ``derandomize=True``: a red CI run reproduces locally.
 """
 
@@ -31,12 +31,14 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import element_risks, failed_edges, mark_edge_failed, risks_for_element
 from repro.controller.changelog import ChangeLog
 from repro.core import RecentChangeOracle, ScoutLocalizer, SelectionReason
 from repro.core.hypothesis import Hypothesis, HypothesisEntry
+from repro.exceptions import RiskModelError
 from repro.policy import EpgPair
 from repro.policy.objects import ObjectType
 from repro.protocol import Operation
@@ -298,13 +300,14 @@ WRITES = (["vrf:1", "vrf:2", ""], ["ctr:1", "ctr:2"], ["flt:1", "flt:2", "flt:3"
 
 def _warm_path_alike(model: RiskModel, augment, reference, switches=()) -> None:
     """``augment`` == ``reference`` (per-rule marking) through the pair index
-    as every route fills, shares and drops it: a copy and its owner after
-    the owner's write left their shared index unfilled; the owner augmented
-    again; written to while it owns its structure; two copies of one cached
-    structure; the owner written to once copies share its structure; a copy
-    written to.  The flip count and the failed edges must match each time;
-    ``""`` stays a risk some elements rely on, and an empty provenance
-    field still fails no edge."""
+    as every route fills, shares and drops it: the owner augmented after a
+    write left its index unfilled, and again; written to while it owns its
+    structure, its index filled; two copies of one cached structure; a
+    structure built fresh with what a shared one refuses.  The flip count
+    and the failed edges must match each time; ``""`` stays a risk some
+    elements rely on, and an empty provenance field still fails no edge.
+    Once shared, a structure is read-only: the owner and a copy both refuse
+    a write, and no model changes."""
 
     def alike(fast: RiskModel, naive: RiskModel) -> None:
         assert augment(fast) == reference(naive)
@@ -316,21 +319,26 @@ def _warm_path_alike(model: RiskModel, augment, reference, switches=()) -> None:
                 written.add_element(element, risks)
 
     owner, twin = _owning(model), _owning(model)
-    early, early_twin = owner.copy(), twin.copy()
-    write([owner, twin], WRITES[0])  # the owner's, its index shared and empty
-    alike(early, early_twin)  # fills the index of the structure before it
-    alike(owner, twin)
+    write([owner, twin], WRITES[0])  # the owner's, its index empty
+    alike(owner, twin)  # fills it
     alike(owner, twin)  # reads the owner's own index
     write([owner, twin], WRITES[1])  # an owned structure's, its index filled
     alike(owner, twin)
     for _ in range(2):  # copies of one cached structure
         alike(owner.copy(), twin.copy())
-    write([owner, twin], WRITES[2])  # the owner's, once shared
-    alike(owner.copy(), twin.copy())
-    fast, naive = owner.copy(), twin.copy()
-    write([fast, naive], WRITES[3])  # a copy's
+    copy = owner.copy()
+    held = (element_risks(owner), failed_edges(owner), failed_edges(copy))
+    for shared, objects in ((owner, WRITES[2]), (copy, WRITES[3])):
+        with pytest.raises(RiskModelError):
+            write([shared], objects)
+    assert (element_risks(owner), failed_edges(owner), failed_edges(copy)) == held
+    # What those writes would have made: a structure built fresh, its own index.
+    fast, naive = _owning(owner), _owning(owner)
+    write([fast, naive], WRITES[2])
     alike(fast, naive)
-    alike(owner.copy(), twin.copy())  # the owner's index never saw that write
+    write([fast, naive], WRITES[3])  # its index filled
+    alike(fast, naive)
+    alike(owner.copy(), twin.copy())  # the owner's index never saw that structure
 
 
 # ---------------------------------------------------------------------- #

@@ -30,6 +30,14 @@ def _result(op_ms: float, setup_s: float, failed: int = 0) -> dict:
     }
 
 
+def _traced(ops: float) -> dict:
+    """One ``run.py --trace 1`` result object."""
+    result = _result(8.0, 1.0)
+    result["metrics"]["bench.traced_ops"] = {"value": ops, "unit": "count"}
+    result["metrics"]["bench.peak_rss_mb"] = {"value": 75.25, "unit": "MB"}
+    return result
+
+
 def test_two_seeds_assemble_into_what_compare_reads():
     pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
     compare = _load(REPO / "benchmarks" / "e2e" / "compare.py", "compare")
@@ -103,16 +111,10 @@ def test_a_failed_traced_run_is_named_and_fails_the_script(capsys):
     assert [seed for name, seed in cases if name == pairs.CHURN] == list(range(2018, 2028))
     assert len(cases) == len(names) + 9
 
-    def traced(ops: float) -> dict:
-        result = _result(8.0, 1.0)
-        result["metrics"]["bench.traced_ops"] = {"value": ops, "unit": "count"}
-        result["metrics"]["bench.peak_rss_mb"] = {"value": 75.25, "unit": "MB"}
-        return result
-
     runs = [
-        ("A", pairs.CHURN, 2019, traced(34.0)),
-        ("B", pairs.CHURN, 2019, None),  # run.py exited 1: nothing traced
-        ("B", names[0], 2018, traced(120.0)),
+        ("A", pairs.CHURN, 2019, _traced(34.0)),
+        ("B", pairs.CHURN, 2019, (1, "StatisticsError: no median for empty data")),
+        ("B", names[0], 2018, _traced(120.0)),
     ]
     assert pairs.traced_report(runs) == [f"traced run failed: B {pairs.CHURN} seed 2019"]
     out, err = capsys.readouterr()
@@ -121,3 +123,44 @@ def test_a_failed_traced_run_is_named_and_fails_the_script(capsys):
     assert "lowest bench.traced_ops, side B: 120" in out
     assert f"B {pairs.CHURN} seed 2019" in err
     assert pairs.traced_report(runs[:1] + runs[2:]) == []
+
+
+def test_a_failed_traced_run_says_on_which_side_and_why(tmp_path, capsys):
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    cliff = "statistics.StatisticsError: no median for empty data"
+    # A checkout whose run.py crashes the way an empty traced sample does.
+    run = tmp_path / "benchmarks" / "e2e" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text(
+        "import sys\n"
+        "print('Traceback (most recent call last):', file=sys.stderr)\n"
+        f"print({cliff!r}, file=sys.stderr)\n"
+        "sys.exit(1)\n"
+    )
+    assert pairs.run_traced(tmp_path, pairs.CHURN, 2019) == (1, cliff)
+    capsys.readouterr()
+
+    runs = [
+        ("A", pairs.CHURN, 2019, (1, cliff)),
+        ("B", pairs.CHURN, 2019, (1, cliff)),
+        ("B", pairs.CHURN, 2020, (1, cliff)),
+        ("A", pairs.CHURN, 2020, _traced(40.0)),
+        ("A", pairs.CHURN, 2021, (2, "")),
+        ("B", pairs.CHURN, 2021, _traced(40.0)),
+    ]
+    assert pairs.traced_report(runs) == [
+        f"traced run failed: A {pairs.CHURN} seed 2019",
+        f"traced run failed: B {pairs.CHURN} seed 2019",
+        f"traced run failed: B {pairs.CHURN} seed 2020",
+        f"traced run failed: A {pairs.CHURN} seed 2021",
+    ]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"traced {pairs.CHURN} seed 2019 failed on both",
+        f"  A {pairs.CHURN} seed 2019: exit 1: {cliff}",
+        f"  B {pairs.CHURN} seed 2019: exit 1: {cliff}",
+        f"traced {pairs.CHURN} seed 2020 failed on B",
+        f"  B {pairs.CHURN} seed 2020: exit 1: {cliff}",
+        f"traced {pairs.CHURN} seed 2021 failed on A",
+        f"  A {pairs.CHURN} seed 2021: exit 2: ",
+    ]

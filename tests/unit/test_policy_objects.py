@@ -66,7 +66,6 @@ class TestPolicyObjects:
         epg = Epg(uid="epg:t/web", name="web", vrf_uid="vrf:t/prod", epg_id=1,
                   provides=["contract:t/c"], consumes=["contract:t/d"])
         assert isinstance(epg.provides, frozenset)
-        assert epg.contracts() == {"contract:t/c", "contract:t/d"}
 
     def test_endpoint_attached_to_returns_copy(self):
         ep = Endpoint(uid="endpoint:t/e1", name="e1", epg_uid="epg:t/web")

@@ -36,11 +36,6 @@ class TestTenant:
         with pytest.raises(UnknownObjectError):
             tenant.replace_epg(Epg(uid="epg:t/x", name="x", vrf_uid="v", epg_id=1))
 
-    def test_object_count(self, web_policy):
-        policy, _ = web_policy
-        tenant = next(iter(policy.tenants.values()))
-        assert tenant.object_count() == policy.object_count()
-
 
 class TestNetworkPolicy:
     def test_lookup_and_contains(self, web_policy):

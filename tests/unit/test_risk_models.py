@@ -92,9 +92,14 @@ class TestRiskModel:
         mark_edge_failed(simple_model, "E1-E2", "C1")
         clone = simple_model.copy()
         clone.mark_element_failed("E3-E4")
-        clone.add_element("E9-E10", ["C9"])
+        # The structure is shared now, so read-only in both models.
+        for model in (clone, simple_model):
+            with pytest.raises(RiskModelError):
+                model.add_element("E9-E10", ["C9"])
         assert simple_model.failure_signature() == {"E1-E2"}
-        assert "E9-E10" in clone and "E9-E10" not in simple_model
+        assert clone.failure_signature() == {"E1-E2", "E3-E4"}
+        assert "E9-E10" not in clone and "E9-E10" not in simple_model
+        assert len(clone.elements()) == len(simple_model.elements()) == 6
 
     def test_suspect_risks(self, simple_model):
         mark_edge_failed(simple_model, "E5-E6", "C3")
@@ -249,13 +254,20 @@ class TestSharedStructure:
         for element in used.elements_for_risk(risk):
             used.mark_failed({element: {risk}})
         assert risk in ScoutLocalizer().localize(used)  # and pruned its dependents
-        used.add_element(elements[0], ["risk:new"])
-        used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
-        assert risks_for_element(used, elements[0]) == relied_on | {"risk:new"}
-        assert ("leaf-x", "pair-x") in used and ("leaf-x", "pair-x") not in bystander
+        # The structure is the index's: an edit of it raises and changes no model.
+        summary = used.summary()
+        with pytest.raises(RiskModelError):
+            used.add_element(elements[0], ["risk:new"])
+        with pytest.raises(RiskModelError):
+            used.add_element(("leaf-x", "pair-x"), [risk, "risk:new"])
+        assert risks_for_element(used, elements[0]) == relied_on
+        assert ("leaf-x", "pair-x") not in used and ("leaf-x", "pair-x") not in bystander
+        assert used.summary() == summary
         # A clone of a handed-out model, edited, is as private as its source.
         clone = bystander.copy()
-        clone.add_element(("leaf-y", "pair-y"), ["risk:other"])
+        with pytest.raises(RiskModelError):
+            clone.add_element(("leaf-y", "pair-y"), ["risk:other"])
+        assert ("leaf-y", "pair-y") not in clone
         for element in clone.elements()[:5]:
             clone.mark_element_failed(element)
         ScoutLocalizer().localize(clone)
@@ -282,7 +294,10 @@ class TestSharedStructure:
             gamma, summary = report.suspect_reduction(), model.summary()
             for element in model.elements()[:5]:
                 model.mark_element_failed(element)
-            model.add_element(("leaf-x", "pair-x"), ["risk:new"])
+            with pytest.raises(RiskModelError):
+                model.add_element(("leaf-x", "pair-x"), ["risk:new"])
+            assert ("leaf-x", "pair-x") not in model
+            assert model.summary()["elements"] == summary["elements"]
             assert model.summary() != summary
             following = system.localize()
             assert following.hypothesis.to_dict() == report.hypothesis.to_dict()
