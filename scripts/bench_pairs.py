@@ -15,7 +15,10 @@ file ``benchmarks/e2e/compare.py`` reads — ``benchmarks/pairs/A.json`` and
 status is ``compare.py``'s.  B's runs are also written as one point of
 ``benchmarks/TRAJECTORY.jsonl`` — ``benchmarks/pairs/point.json``, with
 ``parent`` = REF's commit, ``commit`` null and an empty ``label`` to fill in
-once the change is committed.  Both sides run the benchmark of their own
+once the change is committed.  When the newest point of the trajectory
+still has ``commit`` null and its ``parent`` is REF's first parent, it is
+the point recorded for the change REF committed: its ``commit`` is filled
+with REF's (:func:`backfill`).  Both sides run the benchmark of their own
 checkout at the run length it declares.  Committed files are untouched: the
 working tree's ``src/`` is what B measures, whether committed or not.
 
@@ -47,6 +50,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = range(2018, 2028)
 OUT = REPO / "benchmarks" / "pairs"
+TRAJECTORY = REPO / "benchmarks" / "TRAJECTORY.jsonl"
 SIDES = ("A", "B")
 #: The workload traced at every seed: the one whose traced runs can come up empty.
 CHURN = "churn-simulation"
@@ -185,12 +189,35 @@ def trajectory_point(document: Mapping, parent: str) -> Dict:
     }
 
 
+def backfill(path: Path, commit: str, first_parent: str) -> bool:
+    """Fill the newest point's ``commit`` with ``commit`` when it is null and
+    the point's ``parent`` is ``first_parent``, ``commit``'s first parent;
+    every other line is kept byte for byte.  Returns whether it filled it."""
+    lines = path.read_text().splitlines(keepends=True)
+    if not lines:
+        return False
+    point = json.loads(lines[-1])
+    if point["commit"] is not None or point["parent"] != first_parent:
+        return False
+    point["commit"] = commit
+    lines[-1] = json.dumps(point, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    return True
+
+
+def _rev_parse(revision: str) -> str:
+    """The commit ``revision`` names, or "" when it names none."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+        cwd=REPO, capture_output=True, text=True, check=False,
+    ).stdout.strip()  # fmt: skip
+
+
 def _export(ref: str, into: Path) -> str:
     """Unpack ``git archive REF`` into ``into``; returns the commit it names."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
-        cwd=REPO, capture_output=True, text=True, check=True,
-    ).stdout.strip()  # fmt: skip
+    commit = _rev_parse(ref)
+    if not commit:
+        raise SystemExit(f"{ref}: not a commit")
     archive = subprocess.run(
         ["git", "archive", "--format=tar", commit], cwd=REPO, capture_output=True, check=True
     ).stdout
@@ -207,6 +234,8 @@ def main(argv: Sequence[str]) -> int:
     workloads = [entry["name"] for entry in catalog["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = _export(argv[0], Path(tmp))
+        if backfill(TRAJECTORY, commit, _rev_parse(f"{commit}^")):
+            print(f"{TRAJECTORY.name}: newest point's commit filled with {commit}", flush=True)
         checkouts = {"A": Path(tmp), "B": REPO}
         runs: Dict[str, Dict[str, List[Dict]]] = {side: {} for side in SIDES}
         for workload in workloads:

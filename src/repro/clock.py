@@ -13,7 +13,7 @@ the :class:`~repro.fabric.fabric.Fabric`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,14 +27,12 @@ class LogicalClock:
     """
 
     now: int = 0
-    _history: list[int] = field(default_factory=list, repr=False)
 
     def tick(self, amount: int = 1) -> int:
         """Advance the clock by ``amount`` ticks and return the new time."""
         if amount <= 0:
             raise ValueError(f"clock can only move forward, got amount={amount}")
         self.now += amount
-        self._history.append(self.now)
         return self.now
 
     def peek(self) -> int:

@@ -232,6 +232,7 @@ class RuleSequence(tuple):
     #: Whether :meth:`distinct_keys` has answered once.
     _probed: bool = False
     _by_triple: Optional[Dict[Tuple[int, int, int], List[MatchKey]]] = None
+    _wildcard_triples: Optional[FrozenSet[Tuple[int, int, int]]] = None
     #: Every atom table that validated and folded in every key of this
     #: sequence (appended by its checker; an immutable sequence is vouched
     #: once per table, and the checkers sharing one compiled L are a handful:
@@ -351,6 +352,23 @@ class RuleSequence(tuple):
                 groups.setdefault(key[:3], []).append(key)
             self._by_triple = groups
         return self._by_triple
+
+    def wildcard_triples(self) -> FrozenSet[Tuple[int, int, int]]:
+        """The ``(vrf_scope, src_epg, dst_epg)`` triples under which this
+        sequence holds an allow key that wildcards its protocol or port
+        (:meth:`~repro.verify.atoms.AtomTable.exact`): one pass over the
+        distinct keys, on the first call."""
+        if self._wildcard_triples is None:
+            # Imported here: the atom table's module imports this one.
+            from .verify.atoms import AtomTable
+
+            exact = AtomTable.exact
+            self._wildcard_triples = frozenset(
+                key[:3]
+                for key in self.key_set()
+                if key[5] == "allow" and not exact(key)
+            )
+        return self._wildcard_triples
 
     def regions_under(self, table) -> Dict[Tuple[int, int, int], int]:
         """The memo of this sequence's per-triple regions under ``table`` at

@@ -41,7 +41,13 @@ therefore have equal regions there by construction, whatever wildcards are
 involved — which is what lets
 :class:`~repro.verify.checker.EquivalenceChecker` call :meth:`regions` only
 on the triples a key-set difference touches and still reproduce the
-full-universe answer exactly.  Observation (:meth:`observe_keys`) doubles as
+full-universe answer exactly.  It needs no regions at all under a triple
+whose allow keys are all :meth:`exact` on both sides: an exact key's bits
+are one atom, the cell of its protocol and port classes, so distinct exact
+keys are disjoint cubes, and since every atom lies wholly inside or outside
+every cube, each allow key one side holds and the other lacks is exactly
+what the regions would report there.  Only where a wildcard can overlap
+another key do regions decide.  Observation (:meth:`observe_keys`) doubles as
 validation: every allow key's fields are checked against the rule space
 before it can contribute a class.
 
@@ -188,6 +194,13 @@ class AtomTable:
     # ------------------------------------------------------------------ #
     # Bitsets
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def exact(key: MatchKey) -> bool:
+        """Whether ``key`` wildcards neither protocol nor port: its
+        :meth:`bits` are one atom, the cell of its own two classes, so two
+        distinct exact keys under one triple never overlap."""
+        return key[3] != "any" and key[4] is not None
+
     def bits(self, protocol: str, port: Optional[int]) -> int:
         """The atom bitset of one (observed) protocol/port match, within
         whichever triple block the key names.

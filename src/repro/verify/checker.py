@@ -34,12 +34,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Literal, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Literal,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..exceptions import VerificationError
 from ..obs import span
 from ..rules import MatchKey, RuleSequence, TcamRule
-from .atoms import AtomTable
+from .atoms import AtomTable, Triple
 from .encoding import RuleSpace
 
 __all__ = [
@@ -283,20 +295,25 @@ class EquivalenceChecker:
     * both empty — the sides are the same match/action set, hence the same
       semantics: an **identity proof**, no engine (:meth:`identity_proof`,
       which the parallel sweep calls directly);
-    * otherwise — atom regions are built only for the
-      ``(vrf, src_epg, dst_epg)`` triples an allow key of the difference
-      touches.  That is exact, not a heuristic: a triple's region is the OR
-      of *that triple's* allow-key bitsets (:meth:`AtomTable.regions`), so
-      a triple whose allow keys are the same on both sides has equal
-      regions by construction and can contribute nothing to ``l & ~t`` or
-      ``t & ~l``; and a rule whose key is on both sides is covered by the
-      other side's region, so the reported ``missing_rules`` are a subset
-      of ``l_only`` and ``extra_rules`` of ``t_only``.  Verdict, counts,
-      rule objects, order and duplicates equal the full-universe
-      computation (kept as a test-only reference in
+    * otherwise — only the ``(vrf, src_epg, dst_epg)`` triples an allow
+      key of the difference touches are looked at.  That is exact, not a
+      heuristic: a triple's region is the OR of *that triple's* allow-key
+      bitsets (:meth:`AtomTable.regions`), so a triple whose allow keys are
+      the same on both sides has equal regions by construction and can
+      contribute nothing to ``l & ~t`` or ``t & ~l``; and a rule whose key
+      is on both sides is covered by the other side's region, so the
+      reported ``missing_rules`` are a subset of ``l_only`` and
+      ``extra_rules`` of ``t_only``.  A touched triple where neither L
+      (:meth:`RuleSequence.wildcard_triples`) nor ``t_only`` holds a
+      wildcard allow key is *closed*: every allow key there is
+      :meth:`AtomTable.exact` on both sides, distinct exact keys are
+      disjoint cubes, so its one-side allow keys are exactly the missing
+      and extra ones — decided on the keys, no regions built.  Regions are
+      built only for the *open* rest.  Verdict, counts, rule objects,
+      order and duplicates equal the full-universe computation (kept as a
+      test-only reference in
       ``tests/property/test_ap_differential_properties.py``) and the
-      ``bdd`` oracle.  When the difference touches every triple the scoped
-      computation *is* the full one.
+      ``bdd`` oracle.
 
     Every allow key of ``L ∪ T`` is still validated against the rule space
     — before any verdict, identity proofs included: L once per immutable
@@ -578,40 +595,57 @@ class EquivalenceChecker:
         l_only: FrozenSet[MatchKey],
         t_only: FrozenSet[MatchKey],
     ) -> SwitchCheckResult:
-        """The AP comparison over the triples the key difference touches."""
+        """The AP comparison over the triples the key difference touches:
+        decided on the keys where every allow key is exact, by regions
+        where a wildcard can overlap another key."""
         table = self.atoms
+        exact = AtomTable.exact
         with span("verify.ap.build", switch=switch_uid) as build:
-            touched = {
-                key[:3]
-                for delta in (l_only, t_only)
-                for key in delta
-                if key[5] == "allow"
+            # A triple is open where L or T can hold a wildcard allow key:
+            # T's wildcards under it are L's, or are in t_only.
+            open_triples = logical.wildcard_triples()
+            opened = {
+                key[:3] for key in t_only if key[5] == "allow" and not exact(key)
             }
-            by_triple = logical.keys_by_triple()
-            l_scope = [key for triple in touched for key in by_triple.get(triple, ())]
-            # T under the same triples without a pass over T: T is
-            # (L - l_only) | t_only, and every allow key of t_only is there.
-            t_scope = [key for key in l_scope if key not in l_only]
-            t_scope.extend(t_only)
-            # L changes with the policy, T with every fault and resync: L's
-            # regions come from its memo, computed only for triples it lacks.
-            memo = logical.regions_under(table)
-            unseen = [triple for triple in touched if triple not in memo]
-            fresh = table.regions(
-                key for triple in unseen for key in by_triple.get(triple, ())
-            )
-            for triple in unseen:
-                memo[triple] = fresh.get(triple, 0)
-            l_regions = {triple: memo[triple] for triple in touched if memo[triple]}
-            t_regions = table.regions(t_scope)
+            if opened:
+                open_triples = open_triples | opened
+            touched: Set[Triple] = set()
+            decided: Set[Triple] = set()
+            l_missing, l_open = _split(l_only, open_triples, touched, decided)
+            t_extra, t_open = _split(t_only, open_triples, touched, decided)
+            l_regions: Dict[Triple, int] = {}
+            t_regions: Dict[Triple, int] = {}
+            l_scope: List[MatchKey] = []
+            t_scope: List[MatchKey] = []
+            unseen: List[Triple] = []
+            if touched:
+                by_triple = logical.keys_by_triple()
+                l_scope = [key for triple in touched for key in by_triple.get(triple, ())]
+                # T under the same triples without a pass over T: T is
+                # (L - l_only) | t_only, and t_open is t_only's allow keys there.
+                t_scope = [key for key in l_scope if key not in l_only]
+                t_scope.extend(t_open)
+                # L changes with the policy, T with every fault and resync:
+                # L's regions come from its memo, computed only for triples
+                # it lacks.
+                memo = logical.regions_under(table)
+                unseen = [triple for triple in touched if triple not in memo]
+                fresh = table.regions(
+                    key for triple in unseen for key in by_triple.get(triple, ())
+                )
+                for triple in unseen:
+                    memo[triple] = fresh.get(triple, 0)
+                l_regions = {triple: memo[triple] for triple in touched if memo[triple]}
+                t_regions = table.regions(t_scope)
             build.count("rules", len(logical) + len(deployed))
             build.count("scoped_rules", len(l_scope) + len(t_scope))
+            build.count("decided_triples", len(decided))
             build.count("touched_triples", len(touched))
             build.count("l_regions_reused", len(touched) - len(unseen))
             build.count("atoms", table.atom_count())
         result = SwitchCheckResult(
             switch_uid=switch_uid,
-            equivalent=l_regions == t_regions,
+            equivalent=not decided and l_regions == t_regions,
             logical_count=len(logical),
             deployed_count=len(deployed),
             engine="ap",
@@ -621,18 +655,45 @@ class EquivalenceChecker:
                 # Same selection contract as the BDD scan — original rule
                 # order, allow rules only, kept iff the match intersects the
                 # difference — over the only keys that can: a both-sides
-                # key lies inside the other side's region.  A re-checked L
-                # picks its rules by position from the index it holds.
+                # key lies inside the other side's region, and a closed
+                # triple's one-side allow keys are the difference there.  A
+                # re-checked L picks its rules by position from its index.
                 fresh_index = not logical.positions_built()
-                result.missing_rules = logical.select(
-                    table.select_keys(l_only, table.diff_regions(l_regions, t_regions))
+                l_missing |= table.select_keys(
+                    l_open, table.diff_regions(l_regions, t_regions)
                 )
-                result.extra_rules = deployed.select(
-                    table.select_keys(t_only, table.diff_regions(t_regions, l_regions))
+                t_extra |= table.select_keys(
+                    t_open, table.diff_regions(t_regions, l_regions)
                 )
+                result.missing_rules = logical.select(l_missing)
+                result.extra_rules = deployed.select(t_extra)
                 # 1 iff this compare built L's index: L's second select (the
                 # first scans; every later one reuses the index).
                 compare.count(
                     "positions_built", fresh_index and logical.positions_built()
                 )
         return result
+
+
+def _split(
+    keys: Iterable[MatchKey],
+    open_triples: AbstractSet[Triple],
+    touched: Set[Triple],
+    decided: Set[Triple],
+) -> Tuple[Set[MatchKey], List[MatchKey]]:
+    """``keys``' allow keys under a closed triple, and those under one of
+    ``open_triples``; each key's triple goes into ``decided`` or
+    ``touched`` accordingly.  Deny keys are dropped: they allow nothing."""
+    closed: Set[MatchKey] = set()
+    scoped: List[MatchKey] = []
+    for key in keys:
+        if key[5] != "allow":
+            continue
+        triple = key[:3]
+        if triple in open_triples:
+            scoped.append(key)
+            touched.add(triple)
+        else:
+            closed.add(key)
+            decided.add(triple)
+    return closed, scoped

@@ -378,6 +378,116 @@ class TestDeltaScopedMatchesFullUniverse:
         assert self._assert_three_way([allow], [deny, allow]).equivalent
 
 
+#: Exact allow fields, and the wildcards a triple can be opened by.
+_EXACT_FIELDS = st.tuples(
+    st.sampled_from(["tcp", "udp", "icmp"]), st.sampled_from([22, 80, 443, 700])
+)
+_WILDCARD_FIELDS = st.sampled_from(
+    [("tcp", None), ("udp", None), ("any", 80), ("any", 443), ("any", None)]
+)
+#: Deny fields, wildcards included: a deny key opens no triple.
+_DENY_FIELDS = st.tuples(
+    st.sampled_from(["tcp", "udp", "any"]), st.sampled_from([22, 80, None])
+)
+
+
+def _wildcard(key) -> bool:
+    return key[5] == "allow" and (key[3] == "any" or key[4] is None)
+
+
+@st.composite
+def closed_and_open_pairs(draw):
+    """``(L, T)``: L over triples whose allow keys are all exact and triples
+    holding a wildcard allow key, deny keys (wildcards among them) under
+    both; T loses some of L's keys, gains exact extras, and may hold a
+    wildcard extra in a triple whose allow keys are otherwise all exact."""
+    triples = draw(
+        st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 4)),
+            min_size=2,
+            max_size=6,
+            unique=True,
+        )
+    )
+    split = draw(st.integers(1, len(triples) - 1))
+    closed = triples[:split]
+    logical = []
+    for index, triple in enumerate(triples):
+        exact = draw(st.lists(_EXACT_FIELDS, min_size=1, max_size=4, unique=True))
+        for fields in exact:
+            logical.append(TcamRule(*triple, *fields))
+        if index >= split:
+            logical.append(TcamRule(*triple, *draw(_WILDCARD_FIELDS)))
+        for fields in draw(st.lists(_DENY_FIELDS, max_size=2, unique=True)):
+            logical.append(TcamRule(*triple, *fields, action="deny"))
+    deployed = [rule for rule in logical if draw(st.integers(0, 2))]
+    for _ in range(draw(st.integers(0, 3))):
+        triple = draw(st.sampled_from(triples + [(3, 9, 9)]))
+        deployed.append(TcamRule(*triple, *draw(_EXACT_FIELDS)))
+    if draw(st.booleans()):
+        triple = draw(st.sampled_from(closed))
+        deployed.append(TcamRule(*triple, *draw(_WILDCARD_FIELDS)))
+    return draw(st.permutations(logical)), draw(st.permutations(deployed))
+
+
+class TestClosedTriplesAreDecidedOnKeys:
+    """A touched triple whose allow keys are all exact, on both sides, is
+    decided from the key difference (``decided_triples``); one where L or
+    ``T - L`` holds a wildcard allow key gets regions (``touched_triples``).
+    Either way the result is the full-universe reference's and ``bdd``'s."""
+
+    def test_both_routes_match_the_references(self):
+        routes = {"decided": 0, "open_in_l": 0, "opened_by_t": 0}
+
+        @given(closed_and_open_pairs())
+        @settings(max_examples=200, deadline=None)
+        def check(pair):
+            logical, deployed = pair
+            collector = TraceCollector()
+            TestDeltaScopedMatchesFullUniverse._assert_three_way(
+                logical, deployed, collector=collector
+            )
+            l_keys = {rule.match_key() for rule in logical}
+            t_keys = {rule.match_key() for rule in deployed}
+            touched = {key[:3] for key in l_keys ^ t_keys if key[5] == "allow"}
+            in_l = {key[:3] for key in l_keys if _wildcard(key)}
+            by_t = {key[:3] for key in t_keys - l_keys if _wildcard(key)} - in_l
+            builds = [s for s in collector.spans() if s.name == "verify.ap.build"]
+            if l_keys == t_keys:
+                assert not builds  # an identity proof
+                return
+            (build,) = builds
+            assert build.counters["decided_triples"] == len(touched - in_l - by_t)
+            assert build.counters["touched_triples"] == len(touched & (in_l | by_t))
+            if not touched & (in_l | by_t):
+                assert build.counters["scoped_rules"] == 0
+            routes["decided"] += bool(touched - in_l - by_t)
+            routes["open_in_l"] += bool(touched & in_l)
+            routes["opened_by_t"] += bool(touched & by_t)
+
+        check()
+        assert all(routes.values()), routes
+
+    def test_a_wildcard_extra_opens_a_closed_triple(self):
+        """``L = {tcp/80, tcp/443}``, ``T = {tcp/443, tcp/*}``: the lost
+        ``tcp/80`` is covered by T's wildcard, so only the wildcard is extra."""
+        lost, kept = TcamRule(1, 1, 2, "tcp", 80), TcamRule(1, 1, 2, "tcp", 443)
+        wide = TcamRule(1, 1, 2, "tcp", None)
+        result = TestDeltaScopedMatchesFullUniverse._assert_three_way(
+            [lost, kept], [kept, wide]
+        )
+        assert (result.missing_rules, result.extra_rules) == ([], [wide])
+
+    def test_a_lost_deny_key_in_a_closed_triple_is_not_reported(self):
+        allow = TcamRule(1, 1, 2, "tcp", 80)
+        deny = TcamRule(1, 1, 2, "any", None, action="deny")
+        lost = TcamRule(1, 1, 2, "udp", 53)
+        result = TestDeltaScopedMatchesFullUniverse._assert_three_way(
+            [allow, deny, lost], [allow]
+        )
+        assert (result.missing_rules, result.extra_rules) == ([lost], [])
+
+
 class TestSelectByPosition:
     """``RuleSequence.select`` scans on its first call and picks by a held
     key → position index after: either way it gives exactly the in-order

@@ -164,3 +164,24 @@ def test_a_failed_traced_run_says_on_which_side_and_why(tmp_path, capsys):
         f"traced {pairs.CHURN} seed 2021 failed on A",
         f"  A {pairs.CHURN} seed 2021: exit 2: ",
     ]
+
+
+def test_the_newest_point_is_named_by_the_commit_that_recorded_it(tmp_path):
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    older = {"commit": "c" * 40, "label": "PR n: café", "parent": "b" * 40}
+    newest = {"commit": None, "label": "PR n+1", "parent": "c" * 40}
+    head = json.dumps(older, ensure_ascii=False, indent=None) + "\n"
+    trajectory = tmp_path / "TRAJECTORY.jsonl"
+    trajectory.write_text(head + json.dumps(newest, sort_keys=True) + "\n")
+
+    # REF is not the child of the point's parent: nothing is filled.
+    assert not pairs.backfill(trajectory, "e" * 40, "d" * 40)
+    assert trajectory.read_text() == head + json.dumps(newest, sort_keys=True) + "\n"
+
+    assert pairs.backfill(trajectory, "d" * 40, "c" * 40)
+    lines = trajectory.read_text().splitlines(keepends=True)
+    assert lines[0] == head  # every older line byte for byte
+    assert json.loads(lines[1]) == {**newest, "commit": "d" * 40}
+    # A filled point is never filled again.
+    assert not pairs.backfill(trajectory, "f" * 40, "c" * 40)
+    assert json.loads(trajectory.read_text().splitlines()[-1])["commit"] == "d" * 40

@@ -75,19 +75,62 @@ class TestTracedCheck:
         # Rules lost, none gained: L - T alone settles T - L.
         assert all(s.counters["key_passes"] == 1 for s in checks)
         # Engine counters surfaced on the build spans (the oracle's too):
-        # one rule gone from a leaf scopes the build to that rule's triple.
+        # one exact rule gone from a leaf decides that rule's triple on its
+        # keys, with no region built.
         builds = [s for s in collector.spans() if s.name == "verify.ap.build"]
         assert len(builds) == switches
         for build in builds:
             assert build.counters["atoms"] > 0
-            assert build.counters["touched_triples"] == 1
-            assert 0 < build.counters["scoped_rules"] < build.counters["rules"]
+            assert build.counters["decided_triples"] == 1
+            assert build.counters["touched_triples"] == 0
+            assert build.counters["scoped_rules"] == 0
         oracle = TraceCollector()
         system.check(trace=oracle, engine="bdd")
         builds = [s for s in oracle.spans() if s.name == "verify.bdd.build"]
         assert builds and all(s.counters.get("apply_ops", 0) > 0 for s in builds)
         # The report carries its trace.
         assert report.trace is collector
+
+    def test_a_lost_rule_beside_a_wildcard_scopes_regions_to_its_triple(self):
+        """A leaf whose policy holds a wildcard rule: losing a rule of that
+        rule's triple builds regions for that triple alone."""
+        workload = generate_workload(small_profile())
+        controller = Controller(workload.policy, workload.fabric)
+        index = controller.build_index()
+        target = next(
+            f for f in workload.policy.filters() if index.pairs_for_object(f.uid)
+        )
+        widened = dataclasses.replace(
+            target, entries=target.entries + (FilterEntry(protocol="udp", port=None),)
+        )
+        controller.modify_object(
+            workload.policy.tenant_of(target.uid).name, widened, detail="trace test"
+        )
+        controller.deploy()
+        logical = controller.logical_rules()
+        leaf, wildcard = next(
+            (uid, rule)
+            for uid, rules in sorted(logical.items())
+            for rule in rules
+            if rule.port is None
+        )
+        tcam = workload.fabric.switches[leaf].tcam
+        # A rule of the wildcard's triple that the wildcard does not cover.
+        lost = next(
+            key
+            for key in tcam.match_keys()
+            if key[:3] == wildcard.match_key()[:3] and key[3] != "udp"
+        )
+        tcam.write([lost], {})
+        system = ScoutSystem(controller)
+        collector = TraceCollector()
+        result = system.check(trace=collector).results[leaf]
+        assert [rule.match_key() for rule in result.missing_rules] == [lost]
+        (build,) = [s for s in collector.spans() if s.name == "verify.ap.build"]
+        assert build.attrs["switch"] == leaf
+        assert build.counters["decided_triples"] == 0
+        assert build.counters["touched_triples"] == 1
+        assert 0 < build.counters["scoped_rules"] < build.counters["rules"]
 
     def test_healthy_serial_check_never_builds_atoms(self, system):
         before = system.stats()
