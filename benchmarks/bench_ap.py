@@ -10,9 +10,14 @@ Two claims are measured and gated:
   key-set identity without reaching the engine, so a healthy fabric would
   time 512 identity proofs; ``identity_proofs`` / ``dispatched`` in
   ``BENCH_ap.json`` say how one timed sweep split.  The AP engine replaces
-  per-switch ROBDD reconstruction with one monotone atom table plus
-  integer bitset algebra over the triples a leaf's delta touches, so the
-  margin is two orders of magnitude wide.
+  per-switch ROBDD reconstruction with the leaf's key difference: a
+  ``(vrf, src, dst)`` triple whose allow keys are all exact is decided on
+  its keys, and only a triple where a wildcard can overlap another key
+  gets integer bitset regions over one monotone atom table.  The generated
+  fabrics hold no wildcard filter entry, so every triple the faults touch
+  is decided on its keys — the sweep's ``decided_triples`` /
+  ``touched_triples`` (``verify.ap.build`` counters) are printed — and the
+  timed sweep measures that route, two orders of magnitude ahead.
 * **identity** — the AP report's :meth:`EquivalenceReport.semantic_fingerprint`
   must be byte-identical to the BDD oracle's on the timed fabric and on
   the other paper profiles (testbed, simulation, production-cluster), all
@@ -30,6 +35,7 @@ import time
 from repro.core import ScoutSystem
 from repro.experiments import prepare_workload
 from repro.faults.injector import FaultInjector
+from repro.obs import TraceCollector, activated
 # ``testbed_profile`` is imported under an alias: its name matches pytest's
 # ``test*`` collection pattern and would otherwise be run as a test.
 from repro.workloads import datacenter_profile, production_cluster_profile
@@ -86,6 +92,14 @@ def test_ap_sweep_vs_bdd_serial():
     dispatched = (after["dispatched"] - before["dispatched"]) // rounds
     assert identity_proofs + dispatched == total_switches
     assert dispatched > 0, "the timed fabric must reach the engine"
+    # One more sweep, traced and untimed: how the dispatched leaves' triples
+    # were decided (on their keys, or by regions).
+    collector = TraceCollector()
+    with activated(collector):
+        system.checker.check_network(logical, deployed)
+    builds = [s.counters for s in collector.spans() if s.name == "verify.ap.build"]
+    decided = sum(counters.get("decided_triples", 0) for counters in builds)
+    touched = sum(counters.get("touched_triples", 0) for counters in builds)
 
     total_rules = sum(
         result.logical_count + result.deployed_count
@@ -132,6 +146,10 @@ def test_ap_sweep_vs_bdd_serial():
         f"atom table:                  {atom_stats['atoms_per_triple']} atoms/triple, "
         f"{atom_stats['patches']} patches, "
         f"{atom_stats['noop_observations']} no-op observations"
+    )
+    print(
+        f"one AP sweep's triples:      {decided:.0f} decided on keys, "
+        f"{touched:.0f} by regions"
     )
     print(f"identity profiles verified:  {', '.join(identity_profiles)}")
     assert speedup >= SPEEDUP_FLOOR, (

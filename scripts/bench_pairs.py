@@ -16,9 +16,11 @@ status is ``compare.py``'s.  B's runs are also written as one point of
 ``benchmarks/TRAJECTORY.jsonl`` — ``benchmarks/pairs/point.json``, with
 ``parent`` = REF's commit, ``commit`` null and an empty ``label`` to fill in
 once the change is committed.  When the newest point of the trajectory
-still has ``commit`` null and its ``parent`` is REF's first parent, it is
-the point recorded for the change REF committed: its ``commit`` is filled
-with REF's (:func:`backfill`).  Both sides run the benchmark of their own
+still has ``commit`` null, it is filled (:func:`backfill`) with the commit
+of the change it was recorded for: REF, or, when REF only re-anchored
+``ROADMAP.md``, the first commit down REF's first-parent line that changed
+anything else (:func:`recorded_change`) — provided the point's ``parent``
+is that commit's first parent.  Both sides run the benchmark of their own
 checkout at the run length it declares.  Committed files are untouched: the
 working tree's ``src/`` is what B measures, whether committed or not.
 
@@ -205,12 +207,28 @@ def backfill(path: Path, commit: str, first_parent: str) -> bool:
     return True
 
 
+def recorded_change(repo: Path, commit: str) -> str:
+    """``commit``, or — while the commit changed ``ROADMAP.md`` alone (a
+    re-anchor) — its first parent, walked down: the commit a trajectory
+    point measured on ``commit``'s checkout was recorded for."""
+    while _git(repo, "diff-tree", "--no-commit-id", "--name-only", "-r", commit) == "ROADMAP.md":
+        parent = _git(repo, "rev-parse", "--verify", "--quiet", f"{commit}^")
+        if not parent:
+            break
+        commit = parent
+    return commit
+
+
+def _git(repo: Path, *args: str) -> str:
+    """``git ARGS`` in ``repo``: its standard output, stripped ("" on failure)."""
+    return subprocess.run(
+        ["git", *args], cwd=repo, capture_output=True, text=True, check=False
+    ).stdout.strip()
+
+
 def _rev_parse(revision: str) -> str:
     """The commit ``revision`` names, or "" when it names none."""
-    return subprocess.run(
-        ["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
-        cwd=REPO, capture_output=True, text=True, check=False,
-    ).stdout.strip()  # fmt: skip
+    return _git(REPO, "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}")
 
 
 def _export(ref: str, into: Path) -> str:
@@ -234,8 +252,9 @@ def main(argv: Sequence[str]) -> int:
     workloads = [entry["name"] for entry in catalog["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         commit = _export(argv[0], Path(tmp))
-        if backfill(TRAJECTORY, commit, _rev_parse(f"{commit}^")):
-            print(f"{TRAJECTORY.name}: newest point's commit filled with {commit}", flush=True)
+        change = recorded_change(REPO, commit)
+        if backfill(TRAJECTORY, change, _rev_parse(f"{change}^")):
+            print(f"{TRAJECTORY.name}: newest point's commit filled with {change}", flush=True)
         checkouts = {"A": Path(tmp), "B": REPO}
         runs: Dict[str, Dict[str, List[Dict]]] = {side: {} for side in SIDES}
         for workload in workloads:

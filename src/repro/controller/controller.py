@@ -37,7 +37,7 @@ from ..policy.objects import PolicyObject
 from ..policy.tenant import NetworkPolicy
 from ..policy.validation import validate_policy
 from ..protocol import DeliveryReport, DeliveryStatus, Operation
-from ..rules import RuleSequence
+from ..rules import RuleSequence, TcamSnapshot
 from .changelog import ChangeLog
 from .channel import ControlChannel
 from .compiler import CompiledRules, SwitchBatch, build_instruction_batches
@@ -353,7 +353,7 @@ class Controller:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def collect_deployed_rules(self) -> Dict[str, RuleSequence]:
+    def collect_deployed_rules(self) -> Dict[str, TcamSnapshot]:
         """Collect the T-type rules from every leaf TCAM."""
         return self.fabric.collect_tcam_rules()
 

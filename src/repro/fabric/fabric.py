@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from ..clock import LogicalClock
 from ..exceptions import FabricError, UnknownObjectError
 from ..policy.tenant import NetworkPolicy
-from ..rules import RuleSequence
+from ..rules import TcamSnapshot
 from .faultlog import FaultRecord
 from .switch import Switch
 from .tcam import TcamTable
@@ -76,12 +76,12 @@ class Fabric:
     # ------------------------------------------------------------------ #
     # Deployed state collection (the "T" side of the L-T check)
     # ------------------------------------------------------------------ #
-    def collect_tcam_rules(self) -> Dict[str, RuleSequence]:
+    def collect_tcam_rules(self) -> Dict[str, TcamSnapshot]:
         """Snapshot every leaf's TCAM contents, keyed by switch uid.
 
-        Each snapshot is an immutable sequence that already knows its match
-        keys (the table is keyed by them), which is what lets a sweep prove a
-        healthy leaf equivalent without touching its rules.
+        Each snapshot reads its table's own dict, keyed by match key, which
+        is what lets a sweep prove a healthy leaf equivalent without
+        touching its rules; collecting copies no rule.
         """
         return {uid: switch.tcam.rule_sequence() for uid, switch in self.switches.items()}
 

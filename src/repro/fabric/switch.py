@@ -725,10 +725,16 @@ class Switch:
     def _reconcile(self, desired: Mapping[MatchKey, TcamRule]) -> Dict[str, int]:
         """Make the TCAM hold ``desired``, whatever it holds now: the held
         keys ``desired`` lacks go, the rules of ``desired`` the TCAM lacks
-        go in, in ``desired``'s order."""
-        held = set(self.tcam.match_keys())
+        go in, in ``desired``'s order.
+
+        The held keys come off the table's dict with their stored hashes.
+        ``desired`` holds ``len(desired) - len(fresh)`` of them, so when
+        that is every one — a table that only lost rules, the common case —
+        nothing is stale and no difference is taken."""
+        held = self.tcam.key_set()
         fresh = {key: rule for key, rule in desired.items() if key not in held}
-        return self._write(held.difference(desired), fresh)
+        kept = len(desired) - len(fresh)
+        return self._write(held.difference(desired) if len(held) > kept else (), fresh)
 
     def _write(
         self, stale: Collection[MatchKey], fresh: Dict[MatchKey, TcamRule]

@@ -16,16 +16,15 @@ compiled rules are non-overlapping exact matches plus the implicit deny).
 and installs some rules, and listeners hear of each write once, with how
 many rules went in and how many were lost.
 
-From the first :meth:`TcamTable.rule_sequence` on, the table also keeps its
-net key change since the sequence it last handed out — the keys added and
-the keys removed, an add cancelling a remove of the same key and the other
-way round; an eviction is a removal and a rejected install adds nothing.
-The next sequence it hands out carries that change
-(:meth:`~repro.rules.RuleSequence.change_since`), so a checker holding the
-sequence before can fold the change into that sequence's key difference
-instead of taking a new one over every key.  A change that outgrows the
-table is dropped, since the full difference then costs no more: the next
-sequence carries none, and its reader takes the full difference.
+:meth:`TcamTable.rule_sequence` hands out T as a
+:class:`~repro.rules.TcamSnapshot` that reads the table's own dict.  From
+the first one on, the table keeps its net key change since the snapshot it
+last handed out (an eviction is a removal, a rejected install adds
+nothing), which the next one carries
+(:meth:`~repro.rules.TcamSnapshot.change_since`): a checker holding the one
+before folds it into that one's key difference instead of taking a new one.
+A change that outgrows the table is dropped, the full difference then
+costing no more.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from operator import is_
 from typing import Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import TcamError
-from ..rules import MatchKey, RuleSequence, TcamRule
+from ..rules import MatchKey, TcamRule, TcamSnapshot
 
 __all__ = ["InstallOutcome", "TcamTable", "TcamListener"]
 
@@ -71,9 +70,9 @@ class TcamTable:
         self.evict_on_overflow = evict_on_overflow
         self._entries: Dict[MatchKey, TcamRule] = {}
         #: What :meth:`rule_sequence` last handed out.
-        self._snapshot: Optional[RuleSequence] = None
-        #: Whether that sequence holds ``_entries`` itself as its key index:
-        #: the next :meth:`write` then first swaps in a private copy.
+        self._snapshot: Optional[TcamSnapshot] = None
+        #: Whether that snapshot reads ``_entries`` itself and nothing was
+        #: written since: the next :meth:`write` swaps in another dict.
         self._lent = False
         #: The net key change since ``_snapshot``: keys held now that it
         #: lacks, and keys it holds that are gone.  None before the first
@@ -120,28 +119,24 @@ class TcamTable:
     def match_keys(self) -> List[MatchKey]:
         return list(self._entries.keys())
 
-    def rule_sequence(self) -> RuleSequence:
-        """:meth:`rules` as an immutable sequence carrying :meth:`match_keys`.
+    def key_set(self) -> Set[MatchKey]:
+        """The held match keys as a new set (the dict's stored hashes reused)."""
+        return set(self._entries)
 
-        The table is keyed by its rules' own match keys, so it lends the
-        sequence its own dict as the key index (:meth:`RuleSequence.keyed`):
-        building one costs the rule tuple and nothing else.  The dict is
-        then never written again — the table's next write first takes a
-        private copy — so a sequence keeps the keys, key set and rules it
-        was handed out with.  The sequence last handed out is returned
-        again for as long as the table holds the very same rule objects in
-        the same order — compared rule by rule, so a write that put back
-        what it took announces nothing; rules are immutable and keyed by
-        their own match key, so that is the same content.  A table nobody
-        wrote to, or one rewritten with what it held, costs that one pass.
+    def rule_sequence(self) -> TcamSnapshot:
+        """What the table holds, as a :class:`~repro.rules.TcamSnapshot`
+        lent this table's own dict, which no write reaches again (the next
+        one swaps in a copy or a fresh dict): handing one out builds nothing.
 
-        A new sequence follows the one handed out before it and carries the
-        net key change since then (:meth:`RuleSequence.change_since`) — the
-        change this table recorded from its first ``rule_sequence`` on,
-        unless it outgrew the table and was dropped.  A non-empty change
-        skips the rule-by-rule comparison: the content cannot be the same.
+        The snapshot last handed out is returned again while the table holds
+        the very same rule objects in the same order (compared rule by rule
+        after a write, unless the recorded change since is non-empty).  A new
+        one carries that change (:meth:`TcamSnapshot.change_since`), unless
+        it outgrew the table and was dropped.
         """
         held, entries = self._snapshot, self._entries
+        if self._lent:
+            return held
         added, removed = self._added, self._removed
         if (
             held is None
@@ -150,13 +145,10 @@ class TcamTable:
             or len(held) != len(entries)
             or not all(map(is_, held, entries.values()))
         ):
-            if added is None:
-                held = RuleSequence.keyed(entries)
-            else:
-                held = RuleSequence.keyed(entries, held, added, removed)
-            self._snapshot = held
+            change = None if added is None else (held._token, added, removed)
+            held = self._snapshot = TcamSnapshot(entries, change)
             self._lent = True
-            added = None  # handed over with the sequence
+            added = None  # handed over with the snapshot
         if added is None:
             self._added, self._removed = set(), set()
         return held
@@ -225,27 +217,28 @@ class TcamTable:
         if not stale and not fresh:
             return [], []
         self.writes += 1
-        if self._lent:
-            # A fresh dict: the one a handed-out sequence holds stays as it was.
-            self._entries = dict(self._entries)
-            self._lent = False
         entries = self._entries
         recording = self._added is not None
-        # A write naming at least every held key reads the keys it pops
-        # off the table's own dict, whose stored hashes a set reuses.
-        before = set(entries) if recording and len(stale) >= len(entries) else None
-        popped = list(map(entries.pop, stale, repeat(None)))
-        removed = list(filter(None, popped))
+        if len(stale) == len(entries) and stale == list(entries):
+            # Every held key in table order (a wipe, a restore): a fresh
+            # dict goes in, and the old one is read, not emptied.
+            removed = list(entries.values())
+            gone = set(entries) if recording else set()
+            entries = self._entries = {}
+        else:
+            if self._lent:
+                # A copy: the dict a handed-out snapshot reads stays as it was.
+                entries = self._entries = dict(entries)
+            popped = list(map(entries.pop, stale, repeat(None)))
+            removed = list(filter(None, popped))
+            gone = set(compress(stale, popped)) if recording else set()
+        self._lent = False
         room = len(fresh)
         if self.capacity is not None:
             room = min(room, max(self.capacity - len(entries), 0))
         put = fresh if room == len(fresh) else dict(islice(fresh.items(), room))
         expected = len(entries) + room
         if recording:
-            if before is None:
-                gone = set(compress(stale, popped))
-            else:
-                gone = before.difference(entries) if entries else before
             self._record(gone, put)
         entries.update(put)
         self.install_attempts += len(fresh)

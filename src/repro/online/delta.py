@@ -37,7 +37,8 @@ refresh is dirty as well, so L is right even for an edit no event announced.
 The one full sweep is :meth:`bootstrap`, which establishes the baseline.
 
 Re-checked is not re-proved.  The checker keeps, per switch, the logical
-and deployed :class:`~repro.rules.RuleSequence` objects its last verdict
+:class:`~repro.rules.RuleSequence` and deployed
+:class:`~repro.rules.TcamSnapshot` objects its last verdict
 was proved from; a dirty switch whose compile handed back the same L object
 and whose TCAM the same T object (:meth:`TcamTable.rule_sequence` hands out
 a new one after any write that changed what it holds) gets that verdict
@@ -72,7 +73,7 @@ from ..controller.controller import Controller
 from ..obs import span
 from ..policy.graph import PolicyIndex
 from ..policy.objects import EpgPair, ObjectType
-from ..rules import RuleSequence
+from ..rules import RuleCarrier, RuleSequence
 from ..verify.checker import (
     EquivalenceChecker,
     EquivalenceReport,
@@ -135,7 +136,7 @@ class IncrementalChecker:
         #: settled it, and the key delta it was decided on (None under
         #: ``engine="bdd"``).  A sweep (bootstrap, restore) starts it empty.
         self._proved: Dict[
-            str, Tuple[RuleSequence, RuleSequence, bool, Optional[KeyDelta]]
+            str, Tuple[RuleSequence, RuleCarrier, bool, Optional[KeyDelta]]
         ] = {}
         # Pending work.
         self._dirty: Set[str] = set()
@@ -323,7 +324,7 @@ class IncrementalChecker:
                     continue
                 if logical is None:
                     logical = RuleSequence()
-                deployed = RuleSequence()
+                deployed: RuleCarrier = RuleSequence()
                 if switch is not None:
                     deployed = switch.tcam.rule_sequence()
                 held = self._proved.get(switch_uid)

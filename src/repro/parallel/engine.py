@@ -4,11 +4,12 @@ Most switches of a fabric are healthy, and a healthy switch needs no engine:
 when its logical and deployed rules are the same *set* of match keys the two
 sides have the same semantics by construction.  That rule lives in the
 checker (:meth:`~repro.verify.checker.EquivalenceChecker.identity_proof`,
-over key sets the rule sequences already carry —
-:class:`~repro.rules.RuleSequence`); :func:`check_switches` asks it in the
-calling process first, and only what it cannot settle is planned, pickled
-and shipped.  ``engine="bdd"``, the oracle, is never settled that way and
-proves every switch in full.
+over key sets the two sides already carry — a compiled
+:class:`~repro.rules.RuleSequence`, a TCAM's
+:class:`~repro.rules.TcamSnapshot`, each taken as it is);
+:func:`check_switches` asks it in the calling process first, and only what
+it cannot settle is planned, pickled and shipped.  ``engine="bdd"``, the
+oracle, is never settled that way and proves every switch in full.
 
 For what is shipped, the unit of distribution is a *shard* of switches, not
 a single switch: per-switch checks are only milliseconds each, so shipping
@@ -49,10 +50,20 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..obs import TraceCollector, activated, correlated, current, current_corr_id, span
-from ..rules import MatchKey, RuleSequence, TcamRule
+from ..rules import MatchKey, RuleCarrier, RuleSequence, TcamRule
 from ..verify.checker import EquivalenceChecker, EquivalenceReport, SwitchCheckResult
 from ..verify.encoding import RuleSpace
 from .memo import WORKER_CACHE, CompiledOutcome, ruleset_digest
@@ -69,7 +80,7 @@ __all__ = [
 ]
 
 #: Switch triple accepted by the batch APIs: (uid, logical rules, deployed rules).
-SwitchTriple = Tuple[str, Sequence[TcamRule], Sequence[TcamRule]]
+SwitchTriple = Tuple[str, Sequence[TcamRule], Collection[TcamRule]]
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,7 @@ class ShardResult:
 def _intern_keys(
     buffers: List[Tuple[MatchKey, ...]],
     index: Dict[Tuple[MatchKey, ...], int],
-    rules: RuleSequence,
+    rules: RuleCarrier,
 ) -> int:
     """Intern one rule set's key sequence into the shard buffers."""
     keys = rules.keys()
@@ -249,7 +260,7 @@ def run_shard(task: ShardTask) -> ShardResult:
 def _rehydrate(
     outcome: SwitchWorkOutcome,
     logical: RuleSequence,
-    deployed: RuleSequence,
+    deployed: RuleCarrier,
 ) -> SwitchCheckResult:
     """Map a worker outcome back onto the parent's original rule objects.
 
@@ -321,7 +332,7 @@ def check_switches(
     collector = current()
     tracing = collector is not None and collector.enabled
 
-    triples: Dict[str, Tuple[RuleSequence, RuleSequence]] = {
+    triples: Dict[str, Tuple[RuleSequence, RuleCarrier]] = {
         switch_uid: (RuleSequence.of(logical), RuleSequence.of(deployed))
         for switch_uid, logical, deployed in switches
     }

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 from sys import getrefcount
-from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .policy.objects import Contract, Epg, Filter, FilterEntry, PolicyObject, Vrf
 
@@ -34,6 +34,8 @@ __all__ = [
     "TcamRule",
     "MatchKey",
     "RuleSequence",
+    "TcamSnapshot",
+    "RuleCarrier",
     "RENDERED_FIELDS",
     "PROVENANCE",
     "render_key",
@@ -206,104 +208,54 @@ class TcamRule:
 
 
 class RuleSequence(tuple):
-    """An immutable rule sequence that memoizes its match keys.
+    """L: an immutable rule sequence that memoizes its match keys.
 
-    The carrier between whoever already holds a rule set's keys — the
-    controller's compiled policy, a TCAM table keyed by them — and the
-    checker's key-set delta
-    (:meth:`repro.verify.checker.EquivalenceChecker.check_switch`): L-T
-    equivalence is decided on the rules' match keys, and a sequence built
-    with :meth:`keyed` holds the dict it was built from as its key index,
-    so its keys and key set are read off it, on first use.  Being a tuple,
-    what a cache hands out cannot be edited in place.
-
-    A TCAM snapshot may also carry the table's net key change since the
-    snapshot it handed out before (:meth:`change_since`), naming that one by
-    a token rather than holding it.
+    Carries a compiled policy's rules to the checker's key-set delta
+    (:meth:`repro.verify.checker.EquivalenceChecker.check_switch`), which
+    decides L-T equivalence on match keys: one built with :meth:`keyed`
+    holds the dict it was built from as its key index and reads its keys
+    and key set off it on first use.  Being a tuple, what a cache hands out
+    cannot be edited in place; checked again and again, it keeps what a
+    check derives from it.  T is a :class:`TcamSnapshot`.
     """
 
     _keys: Optional[Tuple[MatchKey, ...]] = None
     _key_set: Optional[FrozenSet[MatchKey]] = None
-    #: The mapping :meth:`keyed` was handed, keyed by these rules' match
-    #: keys in sequence order; nobody writes it again.  Let go once
-    #: :meth:`key_set` is built from it, so a compiled L's bucket does not
-    #: outlive its use.
+    #: The dict :meth:`keyed` was handed (never written again), let go once
+    #: :meth:`key_set` is built from it: a compiled L's bucket dies with use.
     _index: Optional[Mapping[MatchKey, TcamRule]] = None
-    #: Whether :meth:`distinct_keys` has answered once.
-    _probed: bool = False
     _by_triple: Optional[Dict[Tuple[int, int, int], List[MatchKey]]] = None
     _wildcard_triples: Optional[FrozenSet[Tuple[int, int, int]]] = None
-    #: Every atom table that validated and folded in every key of this
-    #: sequence (appended by its checker; an immutable sequence is vouched
-    #: once per table, and the checkers sharing one compiled L are a handful:
-    #: the audit system's, each monitor partition's).
+    #: Every atom table that validated and folded in this sequence's keys,
+    #: appended by its checker (the audit's, each monitor partition's).
     observed_by: Tuple[object, ...] = ()
-    #: Per atom table (keyed by the table itself, as :attr:`observed_by`
-    #: is): the table's ``version`` and the per-triple regions of this
-    #: sequence's keys the checker has computed under it — filled triple by
+    #: Per atom table: its ``version`` and the per-triple regions of this
+    #: sequence's keys the checker computed under it — filled triple by
     #: triple, dropped whole when the table refines.
     _regions: Optional[Dict[object, Tuple[int, Dict[Tuple[int, int, int], int]]]] = None
     #: Whether :meth:`select` has picked rules from this sequence once.
     _selected: bool = False
-    #: Key → one of its positions, and key → its other positions for the
-    #: keys the sequence repeats (empty for a keyed one): what
-    #: :meth:`select` reads from its second call on.  The sequence is
-    #: immutable, so the index never goes stale.
+    #: Key → a position, and key → its other positions if repeated: what
+    #: :meth:`select` reads from its second call on (never stale).
     _positions: Optional[Tuple[Dict[MatchKey, int], Dict[MatchKey, List[int]]]] = None
-    #: What a successor names this sequence by: made with the first
-    #: successor, so a sequence nothing followed has none.
-    _token: Optional[object] = None
-    #: ``(token of the sequence this one follows, keys added since, keys
-    #: removed since)`` for a snapshot made with ``after=``.
-    _change: Optional[Tuple[object, AbstractSet[MatchKey], AbstractSet[MatchKey]]] = None
 
     @classmethod
-    def of(cls, rules: Iterable[TcamRule]) -> "RuleSequence":
-        """``rules`` itself when it already is a carrier, else a copy as one."""
-        return rules if isinstance(rules, cls) else cls(rules)
+    def of(cls, rules: Iterable[TcamRule]) -> "RuleCarrier":
+        """``rules`` itself when it already is a carrier (a sequence or a
+        :class:`TcamSnapshot`), else a copy as a sequence."""
+        return rules if isinstance(rules, (cls, TcamSnapshot)) else cls(rules)
 
     @classmethod
-    def keyed(
-        cls,
-        entries: Mapping[MatchKey, TcamRule],
-        after: Optional["RuleSequence"] = None,
-        added: AbstractSet[MatchKey] = frozenset(),
-        removed: AbstractSet[MatchKey] = frozenset(),
-    ) -> "RuleSequence":
+    def keyed(cls, entries: Mapping[MatchKey, TcamRule]) -> "RuleSequence":
         """The rules of a dict keyed by their own match keys, in its order.
 
-        The caller hands ``entries`` over: the sequence keeps it as its key
-        index, and the caller never writes it again (a
-        :class:`~repro.fabric.tcam.TcamTable` copies its dict before its next
-        write; the compiler's bucket is a local).  Keys and key set are
-        read off it when first asked for (``frozenset(dict)`` reuses the
-        stored hashes), so nothing is re-derived per rule and nothing but
-        the rule tuple is built here.
-
-        ``after`` names the sequence this one succeeds, whose keys plus
-        ``added`` minus ``removed`` are the keys of ``entries``: what
-        :meth:`change_since` answers with.  Only a token of it is kept, so
-        a chain of sequences keeps none of its predecessors alive; the two
-        sets are handed over as ``entries`` is.
+        The caller hands ``entries`` over and never writes it again (the
+        compiler's bucket is a local): keys and key set are read off it when
+        first asked for (``frozenset(dict)`` reuses the stored hashes).
         """
         sequence = cls(entries.values())
         sequence._index = entries
-        if after is not None:
-            if after._token is None:
-                after._token = object()
-            sequence._change = (after._token, added, removed)
         return sequence
-
-    def change_since(
-        self, earlier: "RuleSequence"
-    ) -> Optional[Tuple[AbstractSet[MatchKey], AbstractSet[MatchKey]]]:
-        """``(added, removed)``: the keys this sequence holds that ``earlier``
-        does not, and the other way round — when this one was made as
-        ``earlier``'s successor (:meth:`keyed`'s ``after``); else None."""
-        change = self._change
-        if change is None or change[0] is not earlier._token:
-            return None
-        return change[1], change[2]
 
     @classmethod
     def from_keys(cls, keys: Iterable[MatchKey]) -> "RuleSequence":
@@ -330,19 +282,8 @@ class RuleSequence(tuple):
             self._index = None
         return self._key_set
 
-    def distinct_keys(self) -> Collection[MatchKey]:
-        """The rules' distinct match keys, for set algebra and ``len``.
-
-        A keyed sequence answers its first call with its key index itself,
-        building nothing: a TCAM snapshot is usually checked once.  From the
-        second call on — a held snapshot re-checked, a compiled L — it is
-        :meth:`key_set`, built once and kept: a frozenset is the cheaper
-        side to probe.
-        """
-        if self._index is not None and not self._probed:
-            self._probed = True
-            return self._index
-        return self.key_set()
+    #: The rules' distinct match keys, for set algebra and ``len``.
+    distinct_keys = key_set
 
     def keys_by_triple(self) -> Mapping[Tuple[int, int, int], List[MatchKey]]:
         """The distinct keys grouped by their ``(vrf_scope, src_epg, dst_epg)``."""
@@ -397,9 +338,8 @@ class RuleSequence(tuple):
         compiled L re-audited — builds a key → position index on its second
         call and reads it from then on: each wanted key marks its positions
         in a mask and :func:`~itertools.compress` picks the rules, one hash
-        per wanted key instead of one per rule.  A sequence selected from
-        once (a TCAM snapshot, a shard worker's ``from_keys`` rebuild) never
-        pays for an index.
+        per wanted key instead of one per rule.  One selected from once (a
+        shard worker's ``from_keys`` rebuild) never pays for an index.
         """
         if not wanted:
             return []
@@ -426,6 +366,73 @@ class RuleSequence(tuple):
             for position in repeats[key]:
                 mask[position] = 1
         return list(compress(self, mask))
+
+
+class TcamSnapshot:
+    """T: what a TCAM table held when it handed this out, read off the dict
+    the table is keyed by (in table order), which it lends and never writes
+    again — so a snapshot builds nothing.  It answers the checker as a
+    :class:`RuleSequence` does, keeping only a key set built for a second
+    check.  It may carry the net key change since the snapshot handed out
+    before (:meth:`change_since`), naming that one by its token.
+    """
+
+    __slots__ = ("_entries", "_token", "_change", "_probed", "_key_set")
+
+    def __init__(self, entries: Mapping[MatchKey, TcamRule], change: Optional[tuple] = None) -> None:
+        self._entries = entries
+        #: What a successor names this snapshot by.
+        self._token = object()
+        #: ``(the predecessor's token, keys added since, keys removed since)``.
+        self._change = change
+        self._probed = False
+        self._key_set: Optional[FrozenSet[MatchKey]] = None
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[TcamRule]:
+        return iter(self._entries.values())
+
+    def keys(self) -> Tuple[MatchKey, ...]:
+        """The rules' match keys, in table order."""
+        return tuple(self._entries)
+
+    def distinct_keys(self) -> Collection[MatchKey]:
+        """The keys for set algebra and ``len``: the lent dict itself on the
+        first call, :meth:`key_set` from the second (a held snapshot
+        re-checked, as a sweep's clean leaves are: the cheaper side to probe)."""
+        if self._probed:
+            return self.key_set()
+        self._probed = True
+        return self._entries
+
+    def key_set(self) -> FrozenSet[MatchKey]:
+        """The keys as a frozenset, built once (the dict's stored hashes reused)."""
+        if self._key_set is None:
+            self._key_set = frozenset(self._entries)
+        return self._key_set
+
+    def change_since(
+        self, earlier: "RuleCarrier"
+    ) -> Optional[Tuple[AbstractSet[MatchKey], AbstractSet[MatchKey]]]:
+        """``(added, removed)``, the keys gained and lost since ``earlier``,
+        when the table made this one as ``earlier``'s successor; else None."""
+        change = self._change
+        if change is None or change[0] is not getattr(earlier, "_token", None):
+            return None
+        return change[1], change[2]
+
+    def select(self, wanted: AbstractSet[MatchKey]) -> List[TcamRule]:
+        """The rules whose key is in ``wanted``, in table order."""
+        if not wanted:
+            return []
+        entries = self._entries
+        return list(compress(entries.values(), map(wanted.__contains__, entries)))
+
+
+#: Either carrier of a rule set's keys: a compiled L or a TCAM's T.
+RuleCarrier = Union[RuleSequence, TcamSnapshot]
 
 
 #: The fields of each policy object a rule rendered from it reads: the

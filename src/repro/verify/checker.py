@@ -36,6 +36,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -50,7 +51,7 @@ from typing import (
 
 from ..exceptions import VerificationError
 from ..obs import span
-from ..rules import MatchKey, RuleSequence, TcamRule
+from ..rules import MatchKey, RuleCarrier, RuleSequence, TcamRule, TcamSnapshot
 from .atoms import AtomTable, Triple
 from .encoding import RuleSpace
 
@@ -266,7 +267,7 @@ class KeyDelta(NamedTuple):
     taken over the keys."""
 
     logical: RuleSequence
-    deployed: RuleSequence
+    deployed: RuleCarrier
     l_only: FrozenSet[MatchKey]
     t_only: FrozenSet[MatchKey]
     folded: bool
@@ -281,8 +282,9 @@ class EquivalenceChecker:
     checker owns one, which is what lets `IncrementalChecker.refresh` and
     churn checkpoints patch rather than rebuild the atom universe.
 
-    The ``ap`` check is **delta-scoped**.  Both sides arrive as
-    key-carrying :class:`~repro.rules.RuleSequence` carriers; the checker takes
+    The ``ap`` check is **delta-scoped**.  Both sides arrive as key
+    carriers — L a :class:`~repro.rules.RuleSequence`, T usually a TCAM's
+    :class:`~repro.rules.TcamSnapshot` — and the checker takes
     the key-set difference ``l_only = L - T`` / ``t_only = T - L`` one of two
     ways.  Over the keys, in the one place under ``src/repro`` that compares
     two key sets (:meth:`_key_delta`: ``L - T`` first, ``T - L`` only when
@@ -352,7 +354,7 @@ class EquivalenceChecker:
         self,
         switch_uid: str,
         logical: Sequence[TcamRule],
-        deployed: Sequence[TcamRule],
+        deployed: Collection[TcamRule],
     ) -> SwitchCheckResult:
         """Compare one switch's logical and deployed rules."""
         return self.prove_switch(switch_uid, logical, deployed)[0]
@@ -361,7 +363,7 @@ class EquivalenceChecker:
         self,
         switch_uid: str,
         logical: Sequence[TcamRule],
-        deployed: Sequence[TcamRule],
+        deployed: Collection[TcamRule],
         since: Optional[KeyDelta] = None,
     ) -> Tuple[SwitchCheckResult, Optional[KeyDelta]]:
         """:meth:`check_switch`, also returning the key delta the verdict
@@ -369,7 +371,7 @@ class EquivalenceChecker:
 
         ``since`` is an earlier proof of the same switch.  When ``logical``
         is its L and ``deployed`` was handed out by the TCAM right after its
-        T (:meth:`RuleSequence.change_since`), the delta is folded from it
+        T (:meth:`TcamSnapshot.change_since`), the delta is folded from it
         in the size of the change: with ``added`` / ``removed`` the keys T
         gained and lost, ``l_only' = (l_only - added) | (removed & L)`` and
         ``t_only' = (t_only - removed) | (added - L)``.  Otherwise — no
@@ -406,7 +408,7 @@ class EquivalenceChecker:
         self,
         switch_uid: str,
         logical: RuleSequence,
-        deployed: RuleSequence,
+        deployed: RuleCarrier,
     ) -> Optional[SwitchCheckResult]:
         """The equivalent result when both sides are one key set, else None.
 
@@ -425,7 +427,7 @@ class EquivalenceChecker:
     def check_network(
         self,
         logical: Dict[str, Sequence[TcamRule]],
-        deployed: Dict[str, Sequence[TcamRule]],
+        deployed: Dict[str, Collection[TcamRule]],
     ) -> EquivalenceReport:
         """Compare every switch present in either snapshot."""
         report = EquivalenceReport()
@@ -437,7 +439,7 @@ class EquivalenceChecker:
 
     def check_many(
         self,
-        switches: Iterable[Tuple[str, Sequence[TcamRule], Sequence[TcamRule]]],
+        switches: Iterable[Tuple[str, Sequence[TcamRule], Collection[TcamRule]]],
         executor=None,
         max_workers: Optional[int] = None,
         plan=None,
@@ -466,7 +468,7 @@ class EquivalenceChecker:
         self,
         switch_uid: str,
         logical: Sequence[TcamRule],
-        deployed: Sequence[TcamRule],
+        deployed: Collection[TcamRule],
     ) -> SwitchCheckResult:
         manager = self.rule_space.new_manager()
         with span("verify.bdd.build", switch=switch_uid) as build:
@@ -523,13 +525,13 @@ class EquivalenceChecker:
         )
 
     def _key_delta(
-        self, logical: RuleSequence, deployed: RuleSequence
+        self, logical: RuleSequence, deployed: RuleCarrier
     ) -> Tuple[FrozenSet[MatchKey], FrozenSet[MatchKey]]:
         """``(L - T, T - L)`` over match keys, both sides validated first.
 
         ``L - T`` is taken first, probing T's distinct keys as T carries
-        them (:meth:`RuleSequence.distinct_keys`: a TCAM snapshot's own
-        table the first time it is checked, a frozenset kept from then on).
+        them (``distinct_keys()``: a TCAM snapshot's lent dict, a
+        sequence's frozenset).
         ``|L & T|`` is then ``|L| - |L - T|``, and T holds a key outside L
         exactly when ``|T|`` differs from it: only then is ``T - L`` taken
         (the second pass over keys, on T's key set), so a healthy switch,
@@ -547,13 +549,13 @@ class EquivalenceChecker:
         return l_only, t_only
 
     def _folded_delta(
-        self, since: KeyDelta, logical: RuleSequence, deployed: RuleSequence
+        self, since: KeyDelta, logical: RuleSequence, deployed: RuleCarrier
     ) -> Optional[KeyDelta]:
         """``since`` moved by the key change ``deployed`` records since
         ``since.deployed``, when ``logical`` is ``since.logical``; else None
         (see :meth:`prove_switch`).  ``t_only`` is validated as
         :meth:`_key_delta` validates it."""
-        if since.logical is not logical:
+        if since.logical is not logical or not isinstance(deployed, TcamSnapshot):
             return None
         change = deployed.change_since(since.deployed)
         if change is None:
@@ -576,7 +578,7 @@ class EquivalenceChecker:
         return table
 
     def _proven(
-        self, switch_uid: str, logical: RuleSequence, deployed: RuleSequence
+        self, switch_uid: str, logical: RuleSequence, deployed: RuleCarrier
     ) -> SwitchCheckResult:
         self.identity_proofs += 1
         return SwitchCheckResult(
@@ -591,7 +593,7 @@ class EquivalenceChecker:
         self,
         switch_uid: str,
         logical: RuleSequence,
-        deployed: RuleSequence,
+        deployed: RuleCarrier,
         l_only: FrozenSet[MatchKey],
         t_only: FrozenSet[MatchKey],
     ) -> SwitchCheckResult:

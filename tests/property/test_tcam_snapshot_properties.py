@@ -1,22 +1,25 @@
-"""What a TCAM hands out never changes: the table lends its dict, and copies
-it before the next write.
+"""What a TCAM hands out never changes: the table lends its dict to a
+``TcamSnapshot`` and never writes that dict again.
 
-``TcamTable.rule_sequence()`` builds only the rule tuple; the sequence takes
-the table's own dict as its key index (``RuleSequence.keyed``) and reads its
-keys and key set off it when first asked.  That is exact only if no write
-ever reaches a dict a sequence holds.  A state machine writes one table
-through ``write`` every way a write can go — a new rule, a held key written
-again with new provenance, an eviction on a full ``evict_on_overflow``
-table, a removal, ``remove_where``, a wipe and a restore of what the table
-held earlier (every key out, the held rules in, as ``restore_tcam`` does) —
-holds it to the per-rule :class:`TcamModel` (rules, counters, listener
-calls), and after every step takes ``rule_sequence()`` and a frozen copy of
-the table beside it.  Every sequence handed out earlier must still equal its frozen copy:
-its rules by identity, ``keys()``, ``key_set()``, ``len``, and the checker's
-verdict on it must equal the verdict on ``RuleSequence.of(list(seq))``, a
-sequence that holds no dict — and the lent dict must still map those keys
-to those rules.  A sequence is first read the step *after* it was handed
-out, so a write that reached its dict shows in every view.
+``TcamTable.rule_sequence()`` builds nothing: the ``TcamSnapshot`` it hands
+out reads the table's own dict for its length, rules, keys, key set and
+selections.  That is exact only if no write ever reaches a dict a snapshot
+holds: the table's next write swaps in a copy, or a fresh dict when it
+names every held key.  A state machine writes one table through ``write``
+every way a write can go — a new rule, a held key written again with new
+provenance, an eviction on a full ``evict_on_overflow`` table, a removal,
+``remove_where``, a wipe and a restore of what the table held earlier
+(every key out, the held rules in, as ``restore_tcam`` does) — holds it to
+the per-rule :class:`TcamModel` (rules, counters, listener calls), and after
+every step takes ``rule_sequence()`` and a frozen copy of the table beside
+it.  Every snapshot handed out earlier must still equal its frozen copy:
+its rules by identity, ``keys()``, ``key_set()``, ``len`` — and the lent
+dict must still map those keys to those rules.  And it must answer as
+``RuleSequence.of(list(snapshot))``, a sequence that holds no dict, does:
+the same ``len``, ``keys()``, ``key_set()``, ``select()`` of every wanted
+set below and ``check_switch`` verdict against L.  A snapshot is first read
+the step *after* it was handed out, so a write that reached its dict shows
+in every view.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.fabric.tcam import InstallOutcome, TcamTable
-from repro.rules import RuleSequence, TcamRule
+from repro.rules import RuleSequence, TcamRule, TcamSnapshot
 from repro.verify import EquivalenceChecker
 
 from oracles import TcamModel
@@ -51,9 +54,18 @@ def _rule(port: int, tag: int = 0) -> TcamRule:
 #: misses some of its rules and holds some extra ones.
 LOGICAL = RuleSequence.of([_rule(port) for port in PORTS if port % 2])
 
+#: What ``select`` is asked for: nothing, L's keys, every key the machine's
+#: table can hold, and the even ports' keys, which L lacks.
+WANTED = (
+    frozenset(),
+    LOGICAL.key_set(),
+    frozenset(_rule(port).match_key() for port in PORTS),
+    frozenset(_rule(port).match_key() for port in PORTS if port % 2 == 0),
+)
+
 
 class SnapshotMachine(RuleBasedStateMachine):
-    """One table, every kind of write, every sequence it ever handed out."""
+    """One table, every kind of write, every snapshot it ever handed out."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -63,7 +75,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         #: The same writes, one rule at a time: what the table must hold.
         self.model = TcamModel(None, True)
         self.checker = EquivalenceChecker()
-        #: ``(sequence, rules, keys, key set)`` per sequence handed out,
+        #: ``(snapshot, rules, keys, key set)`` per snapshot handed out,
         #: the last three copied off the table when it was.
         self.handed = []
 
@@ -125,22 +137,33 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert counters == self.model.counters()
 
     @invariant()
-    def every_sequence_handed_out_is_unchanged(self):
-        for sequence, rules, keys, key_set in self.handed:
-            # The lent dict itself, while the sequence holds it: no view reads
-            # a rule from it, so a rule replaced in place would show only here.
-            if sequence._index is not None:
-                assert list(sequence._index.items()) == list(zip(keys, rules))
-            assert len(sequence) == len(rules) and all(map(is_, sequence, rules))
-            verdict = self.checker.check_switch("leaf", LOGICAL, sequence)
-            copied = RuleSequence.of(list(sequence))
-            assert verdict == self.checker.check_switch("leaf", LOGICAL, copied)
-            assert sequence.keys() == keys
-            assert sequence.key_set() == key_set
-        sequence = self.tcam.rule_sequence()
-        if not self.handed or sequence is not self.handed[-1][0]:
+    def every_snapshot_handed_out_is_unchanged(self):
+        for snapshot, rules, keys, key_set in self.handed:
+            assert isinstance(snapshot, TcamSnapshot)
+            # The lent dict itself: a rule replaced in place shows here first.
+            assert list(snapshot._entries.items()) == list(zip(keys, rules))
+            assert len(snapshot) == len(rules) and all(map(is_, snapshot, rules))
+            assert snapshot.keys() == keys
+            assert snapshot.key_set() == key_set
+            self._answers_as_a_sequence_of_its_rules(snapshot)
+        snapshot = self.tcam.rule_sequence()
+        if not self.handed or snapshot is not self.handed[-1][0]:
             rules, keys = tuple(self.tcam.rules()), tuple(self.tcam.match_keys())
-            self.handed.append((sequence, rules, keys, frozenset(keys)))
+            self.handed.append((snapshot, rules, keys, frozenset(keys)))
+
+    def _answers_as_a_sequence_of_its_rules(self, snapshot):
+        copied = RuleSequence.of(list(snapshot))
+        assert len(snapshot) == len(copied)
+        assert snapshot.keys() == copied.keys()
+        assert snapshot.key_set() == copied.key_set()
+        # Twice over the copy: its first select scans, its second reads the
+        # position index it builds.
+        for _ in range(2):
+            for wanted in WANTED:
+                picked, expected = snapshot.select(wanted), copied.select(wanted)
+                assert len(picked) == len(expected) and all(map(is_, picked, expected))
+        verdict = self.checker.check_switch("leaf", LOGICAL, snapshot)
+        assert verdict == self.checker.check_switch("leaf", LOGICAL, copied)
 
 
 SnapshotMachine.TestCase.settings = settings(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -185,3 +186,46 @@ def test_the_newest_point_is_named_by_the_commit_that_recorded_it(tmp_path):
     # A filled point is never filled again.
     assert not pairs.backfill(trajectory, "f" * 40, "c" * 40)
     assert json.loads(trajectory.read_text().splitlines()[-1])["commit"] == "d" * 40
+
+
+def test_a_point_is_backfilled_across_a_re_anchor_commit(tmp_path):
+    """A fake history: a base, the change a point was recorded for, then two
+    ``ROADMAP.md``-only re-anchors.  Running from the newest names the change."""
+    pairs = _load(REPO / "scripts" / "bench_pairs.py", "bench_pairs")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args: str) -> str:
+        identity = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        done = subprocess.run(
+            ["git", *identity, *args], cwd=repo, capture_output=True, text=True, check=True
+        )
+        return done.stdout.strip()
+
+    def commit(**files: str) -> str:
+        for name, text in files.items():
+            (repo / name.replace("_", ".")).write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "-m", "x")
+        return git("rev-parse", "HEAD")
+
+    git("init", "-q")
+    base = commit(ROADMAP_md="0", code_py="0")
+    change = commit(code_py="1")
+    first = commit(ROADMAP_md="1")
+    second = commit(ROADMAP_md="2")
+    assert pairs.recorded_change(repo, second) == change
+    assert pairs.recorded_change(repo, first) == change
+    assert pairs.recorded_change(repo, change) == change
+    # A commit that touches ROADMAP.md and anything else is a change itself.
+    both = commit(ROADMAP_md="3", code_py="2")
+    assert pairs.recorded_change(repo, both) == both
+    # The root commit is the change it was recorded for.
+    assert pairs.recorded_change(repo, base) == base
+
+    trajectory = tmp_path / "TRAJECTORY.jsonl"
+    point = {"commit": None, "label": "PR n", "parent": base}
+    trajectory.write_text(json.dumps(point, sort_keys=True) + "\n")
+    assert not pairs.backfill(trajectory, second, first)
+    assert pairs.backfill(trajectory, change, base)
+    assert json.loads(trajectory.read_text()) == {**point, "commit": change}

@@ -73,7 +73,7 @@ class TestTcamTable:
         assert tcam.rule_sequence() is held
         # Rewritten with what it held (how a snapshot restore leaves it).
         tcam.write(tcam.match_keys(), {})
-        assert tcam.rule_sequence() == ()
+        assert list(tcam.rule_sequence()) == []
         tcam.write((), _fresh(*rules))
         assert list(tcam.rule_sequence()) == rules
         assert tcam.rule_sequence() is tcam.rule_sequence()
